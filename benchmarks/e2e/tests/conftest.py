@@ -1,0 +1,17 @@
+"""Self-tests of the end-to-end benchmark (outside tier-1's ``testpaths``).
+
+    PYTHONPATH=src python -m pytest benchmarks/e2e/tests -q
+
+``PYTHONPATH=src`` is for ``benchmarks/conftest.py`` one level up, which
+pytest loads first and which imports the package.
+"""
+
+import os
+import sys
+
+E2E = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(os.path.dirname(E2E))
+
+for path in (os.path.join(ROOT, "src"), E2E):
+    if path not in sys.path:
+        sys.path.insert(0, path)
