@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from repro import Machine, itanium2_smp, run_with_cobra
 from repro.config import FaultConfig
-from repro.validate.differential import _digest, _snapshot_arrays, npb_spec
+from repro.scenario import _digest, _snapshot_arrays, npb_spec
 
 THREADS = 4
 SCALE = 16

@@ -23,7 +23,9 @@ Subpackages:
 - :mod:`repro.workloads` — DAXPY and the NPB-like suite;
 - :mod:`repro.analysis` — normalized metrics and paper-style tables;
 - :mod:`repro.validate` — coherence invariant checker, differential
-  (optimized vs baseline) execution harness, ISA round-trip checks.
+  (optimized vs baseline) execution harness, ISA round-trip checks;
+- :mod:`repro.scenario` — the one run-perturb-compare engine under
+  every correctness sweep (``run_cell`` + ``Sweep``).
 """
 
 from .config import (

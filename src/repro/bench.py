@@ -28,16 +28,20 @@ import time
 from dataclasses import replace
 from typing import Iterable
 
-from .config import ProfileDBConfig, itanium2_smp, sgi_altix
+from .config import ProfileDBConfig
 from .cpu import Machine
-from .core import run_with_cobra
-from .validate.differential import _digest, _snapshot_arrays
-from .workloads import BENCHMARKS, build_daxpy
+from .scenario import (
+    ALL_STRATEGIES,
+    MACHINES,
+    MachineRecipe,
+    WorkloadSpec,
+    daxpy_spec,
+    npb_spec,
+    run_cell,
+)
 
 __all__ = [
     "BENCH_SCHEMA",
-    "BENCH_MACHINES",
-    "BENCH_STRATEGIES",
     "QUICK_BENCHMARKS",
     "FULL_BENCHMARKS",
     "REGRESSION_THRESHOLD",
@@ -58,30 +62,23 @@ BENCH_SCHEMA = "repro-bench-perf/3"
 #: ``--compare`` fails on wall-clock regressions beyond this fraction.
 REGRESSION_THRESHOLD = 0.15
 
-#: machine name -> (config factory, thread count)
-BENCH_MACHINES = {
-    "smp4": (lambda scale: itanium2_smp(4, scale=scale), 4),
-    "altix8": (lambda scale: sgi_altix(8, scale=scale), 8),
-}
-
-#: "none" is the raw simulator; the rest run under COBRA.
-BENCH_STRATEGIES = ("none", "noprefetch", "excl", "adaptive")
-
-#: benchmark name -> builder(machine, threads) for the timed workloads.
-#: Sizes are fixed here so reports stay comparable across PRs.
-_BUILDERS = {
-    "daxpy": lambda machine, threads: build_daxpy(
-        machine, 4096, threads, outer_reps=4
-    ),
-    "cg": lambda machine, threads: BENCHMARKS["cg"].build(machine, threads, reps=1),
-    "mg": lambda machine, threads: BENCHMARKS["mg"].build(machine, threads, reps=1),
-}
-
 QUICK_BENCHMARKS = ("daxpy", "cg")
 FULL_BENCHMARKS = ("daxpy", "cg", "mg")
 
 #: Fixed cache scale for all bench runs (matches the validate default).
 BENCH_SCALE = 16
+
+
+def _case(benchmark: str, machine_name: str) -> tuple[MachineRecipe, WorkloadSpec]:
+    """The timed machine and workload of one case.
+
+    Sizes are fixed here so reports stay comparable across PRs; every
+    workload runs one thread per CPU.
+    """
+    recipe = replace(MACHINES[machine_name], scale=BENCH_SCALE)
+    if benchmark == "daxpy":
+        return recipe, daxpy_spec(4096, recipe.n_cpus, 4)
+    return recipe, npb_spec(benchmark, recipe.n_cpus, 1)
 
 
 def run_case(
@@ -96,46 +93,29 @@ def run_case(
     not timed); the median wall time is the headline number.  Returns the
     case dict of the BENCH_perf.json schema.
     """
-    factory, threads = BENCH_MACHINES[machine_name]
-    build = _BUILDERS[benchmark]
+    recipe, workload = _case(benchmark, machine_name)
+    first = None
     sample_rows = []
-    digest = None
-    events = None
-    fastpath = None
-    cycles = retired = pmu_samples = 0
     for _ in range(max(1, samples)):
-        machine = Machine(factory(BENCH_SCALE))
-        prog = build(machine, threads)
-        t0 = time.perf_counter()
-        if strategy == "none":
-            result, report = prog.run(), None
-        else:
-            result, report = run_with_cobra(prog, strategy)
-        wall = time.perf_counter() - t0
-        cycles = result.cycles
-        retired = result.retired
-        pmu_samples = report.samples if report is not None else 0
-        sample_digest = _digest(_snapshot_arrays(prog))
-        sample_events = result.events.snapshot()
-        sample_fastpath = fastpath_stats(machine)
-        if digest is None:
-            digest, events, fastpath = (
-                sample_digest, sample_events, sample_fastpath
-            )
-        elif (digest, events, fastpath) != (
-            sample_digest, sample_events, sample_fastpath
+        obs = run_cell(recipe, workload, strategy)
+        if first is None:
+            first = obs
+        elif (first.digest, first.events, first.fastpath) != (
+            obs.digest, obs.events, obs.fastpath
         ):
             raise AssertionError(
                 f"non-deterministic run: {benchmark}/{machine_name}/{strategy}"
             )
-        sample_rows.append(round(wall, 6))
+        sample_rows.append(round(obs.wall_s, 6))
     wall_median = sorted(sample_rows)[len(sample_rows) // 2]
+    cycles, retired = first.cycles, first.retired
+    pmu_samples = first.report.samples if first.report is not None else 0
     return {
         "id": f"{machine_name}/{benchmark}/{strategy}",
         "benchmark": benchmark,
         "machine": machine_name,
         "strategy": strategy,
-        "threads": threads,
+        "threads": recipe.n_cpus,
         "scale": BENCH_SCALE,
         "wall_s": sample_rows,
         "wall_s_median": wall_median,
@@ -145,9 +125,9 @@ def run_case(
         "cycles_per_sec": round(cycles / wall_median) if wall_median else 0,
         "retired_per_sec": round(retired / wall_median) if wall_median else 0,
         "samples_per_sec": round(pmu_samples / wall_median, 2) if wall_median else 0,
-        "digest": digest,
-        "events": events,
-        "fastpath": fastpath,
+        "digest": first.digest,
+        "events": dict(first.events),
+        "fastpath": first.fastpath,
     }
 
 
@@ -231,32 +211,26 @@ def run_warm_case(
     """
     from .persist import MemoryDisk
 
-    factory, threads = BENCH_MACHINES[machine_name]
-    build = _BUILDERS[benchmark]
-    disk = MemoryDisk()
+    recipe, workload = _case(benchmark, machine_name)
+    delta = {
+        "optimize_interval": optimize_interval,
+        "profile_db": ProfileDBConfig(disk=MemoryDisk()),
+    }
     rows = {}
     for label in ("cold", "warm"):
-        machine = Machine(factory(BENCH_SCALE))
-        prog = build(machine, threads)
-        config = replace(
-            machine.config.cobra,
-            optimize_interval=optimize_interval,
-            profile_db=ProfileDBConfig(disk=disk),
-        )
-        t0 = time.perf_counter()
-        result, report = run_with_cobra(prog, strategy, config=config)
-        wall = time.perf_counter() - t0
+        obs = run_cell(recipe, workload, strategy, delta)
+        report = obs.report
         db = report.profile_db or {}
         ramp = (
             report.ramp_retired
             if report.ramp_retired is not None
-            else result.retired
+            else obs.retired
         )
         rows[label] = {
-            "wall_s": round(wall, 6),
-            "retired": result.retired,
+            "wall_s": round(obs.wall_s, 6),
+            "retired": obs.retired,
             "ramp_retired": ramp,
-            "digest": _digest(_snapshot_arrays(prog)),
+            "digest": obs.digest,
             "source": db.get("source", "off"),
             "seeded_loops": db.get("seeded_loops", 0),
             "deployments": len(report.deployments),
@@ -271,7 +245,7 @@ def run_warm_case(
         "benchmark": benchmark,
         "machine": machine_name,
         "strategy": strategy,
-        "threads": threads,
+        "threads": recipe.n_cpus,
         "scale": BENCH_SCALE,
         "optimize_interval": optimize_interval,
         "cold": rows["cold"],
@@ -372,8 +346,8 @@ def run_bench(
         samples = min(samples, 2)
     else:
         benchmarks = benchmarks or FULL_BENCHMARKS
-        machines = machines or tuple(BENCH_MACHINES)
-    strategies = strategies or BENCH_STRATEGIES
+        machines = machines or tuple(MACHINES)
+    strategies = strategies or ALL_STRATEGIES
     t0 = time.perf_counter()
     cases = run_tasks(
         [

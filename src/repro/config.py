@@ -23,7 +23,11 @@ expensive than SMP ones.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
+from typing import Callable
+
+from .errors import CobraError
 
 __all__ = [
     "CacheConfig",
@@ -43,6 +47,10 @@ __all__ = [
     "DEFAULT_SCALE",
     "LINE_SIZE",
     "PAGE_SIZE",
+    "VALIDATE_MODES",
+    "EnvVar",
+    "ENV_VARS",
+    "env_value",
 ]
 
 #: Default capacity scale factor between real Itanium 2 caches and the
@@ -55,6 +63,102 @@ LINE_SIZE = 128
 #: Simulated page size in bytes (used by first-touch NUMA placement).
 #: Real Itanium Linux uses 16 KB pages; scaled like the caches.
 PAGE_SIZE = 1024
+
+#: Legal values of ``CobraConfig.validate`` / the checker ``mode``.
+VALIDATE_MODES = ("off", "record", "strict")
+
+
+# -- the REPRO_* environment schema -------------------------------------------
+#
+# Every environment override the package honours is one row of ENV_VARS,
+# and env_value() below is the only place os.environ is read for them:
+# the runtime (Cobra construction, per-core JIT defaults), the CLI's
+# up-front check and the README table all consult this one schema.
+
+
+@dataclass(frozen=True)
+class EnvVar:
+    """One ``REPRO_*`` override: how to parse it, how to describe it."""
+
+    #: raw string -> value; may raise ``ValueError``
+    convert: Callable[[str], object]
+    #: whether a converted value is legal
+    valid: Callable[[object], bool]
+    #: completes the diagnostic ``"<NAME> <expects> <raw value>"``
+    expects: str
+    #: accepted values, as shown in the README table
+    values: str
+    #: what setting it does, as shown in the README table
+    effect: str
+
+
+ENV_VARS: dict[str, EnvVar] = {
+    "REPRO_VALIDATE": EnvVar(
+        str, VALIDATE_MODES.__contains__,
+        "must be 'off', 'record' or 'strict', got",
+        "`off` / `record` / `strict`",
+        "overrides `CobraConfig.validate`: attach the coherence invariant "
+        "checker to every COBRA run",
+    ),
+    "REPRO_FAULTS": EnvVar(
+        int, lambda seed: seed >= 0,
+        "must be a non-negative integer seed, got",
+        "integer seed >= 0",
+        "overrides `CobraConfig.faults` with a default-rate fault schedule",
+    ),
+    "REPRO_CHECKPOINT": EnvVar(
+        str, lambda path: os.path.isdir(path) or not os.path.exists(path),
+        "must name a checkpoint directory, got",
+        "directory path",
+        "overrides `CobraConfig.persist`: journal + snapshot store in that "
+        "directory",
+    ),
+    "REPRO_PROFILE_DB": EnvVar(
+        str, lambda path: not os.path.isdir(path),
+        "must name a profile-database file, got directory",
+        "file path",
+        "overrides `CobraConfig.profile_db`: cross-run profile database file",
+    ),
+    "REPRO_GOVERNOR": EnvVar(
+        str, ("0", "1").__contains__,
+        "must be '0' or '1', got",
+        "`0` / `1`",
+        "overrides `CobraConfig.governor`: `1` arms a default-budget "
+        "resource governor, `0` leaves it off",
+    ),
+    "REPRO_TRACE_JIT": EnvVar(
+        str, ("0", "1", "osr-off").__contains__,
+        "must be '0', '1' or 'osr-off', got",
+        "`0` / `1` / `osr-off`",
+        "per-core trace-JIT default: `0` interprets everything, `osr-off` "
+        "keeps loop-head traces but no mid-loop entry or trace trees",
+    ),
+    "REPRO_FLEET_QUORUM": EnvVar(
+        int, lambda quorum: quorum >= 1,
+        "must be a positive integer, got",
+        "integer >= 1",
+        "`repro fleet` publication quorum when `--quorum` is 0",
+    ),
+}
+
+
+def env_value(name: str) -> object | None:
+    """The parsed ``REPRO_*`` override, or ``None`` when unset or blank.
+
+    A malformed value raises :class:`~repro.errors.CobraError` with the
+    schema's one-line diagnostic.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    var = ENV_VARS[name]
+    try:
+        value = var.convert(raw)
+    except ValueError:
+        value = None
+    if value is None or not var.valid(value):
+        raise CobraError(f"{name} {var.expects} {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)

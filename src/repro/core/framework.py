@@ -23,15 +23,16 @@ accounted as detected or tolerated.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..config import (
+    VALIDATE_MODES,
     CobraConfig,
     FaultConfig,
     GovernorConfig,
     PersistConfig,
     ProfileDBConfig,
+    env_value,
 )
 from ..cpu.machine import Machine
 from ..cpu.scheduler import Scheduler
@@ -41,7 +42,7 @@ from ..isa.binary import BinaryImage
 from ..persist.manager import PersistenceManager, PersistStats
 from ..persist.profiledb import ProfileDB, image_digest, profile_key
 from ..runtime.team import ParallelProgram, RunResult
-from ..validate.checker import VALIDATE_MODES, CoherenceChecker
+from ..validate.checker import CoherenceChecker
 from .monitor import MonitoringThread
 from .optimizer import OptEvent, OptimizationThread
 from .policy import STRATEGIES
@@ -216,21 +217,8 @@ class CobraReport:
 
 def _fault_injector(config: CobraConfig) -> FaultInjector | None:
     """Build the injector from config, with the env-var override."""
-    fault_config = config.faults
-    env = os.environ.get("REPRO_FAULTS", "").strip()
-    if env:
-        try:
-            seed = int(env)
-        except ValueError:
-            seed = -1  # non-integer: rejected below with the same message
-        if seed < 0:
-            # FaultConfig would reject a negative seed anyway; catching
-            # it here keeps one diagnostic for both bad shapes instead
-            # of leaking a ValueError traceback for "-1"
-            raise CobraError(
-                f"REPRO_FAULTS must be a non-negative integer seed, got {env!r}"
-            )
-        fault_config = FaultConfig(seed=seed)
+    seed = env_value("REPRO_FAULTS")
+    fault_config = config.faults if seed is None else FaultConfig(seed=seed)
     return FaultInjector(fault_config) if fault_config is not None else None
 
 
@@ -238,14 +226,10 @@ def _persistence(
     config: CobraConfig, faults: FaultInjector | None
 ) -> PersistenceManager | None:
     """Build the checkpoint manager from config, with the env override."""
-    persist_config = config.persist
-    env = os.environ.get("REPRO_CHECKPOINT", "").strip()
-    if env:
-        if os.path.exists(env) and not os.path.isdir(env):
-            raise CobraError(
-                f"REPRO_CHECKPOINT must name a checkpoint directory, got {env!r}"
-            )
-        persist_config = PersistConfig(directory=env)
+    directory = env_value("REPRO_CHECKPOINT")
+    persist_config = (
+        config.persist if directory is None else PersistConfig(directory=directory)
+    )
     if persist_config is None:
         return None
     return PersistenceManager(persist_config, faults)
@@ -253,26 +237,16 @@ def _persistence(
 
 def _governor_config(config: CobraConfig) -> GovernorConfig | None:
     """The governor plan from config, with the env-var override."""
-    gov_config = config.governor
-    env = os.environ.get("REPRO_GOVERNOR", "").strip()
-    if env:
-        if env not in ("0", "1"):
-            raise CobraError(f"REPRO_GOVERNOR must be '0' or '1', got {env!r}")
-        gov_config = GovernorConfig() if env == "1" else None
-    return gov_config
+    armed = env_value("REPRO_GOVERNOR")
+    if armed is None:
+        return config.governor
+    return GovernorConfig() if armed == "1" else None
 
 
 def _profile_db(config: CobraConfig) -> ProfileDB | None:
     """Build the cross-run profile DB from config, with the env override."""
-    db_config = config.profile_db
-    env = os.environ.get("REPRO_PROFILE_DB", "").strip()
-    if env:
-        if os.path.isdir(env):
-            raise CobraError(
-                f"REPRO_PROFILE_DB must name a profile-database file, "
-                f"got directory {env!r}"
-            )
-        db_config = ProfileDBConfig(path=env)
+    path = env_value("REPRO_PROFILE_DB")
+    db_config = config.profile_db if path is None else ProfileDBConfig(path=path)
     if db_config is None:
         return None
     return ProfileDB.from_config(db_config)
@@ -322,7 +296,7 @@ class Cobra:
             self.optimizer.governor = self.governor
         # invariant checking (repro.validate): the config knob, overridable
         # per-process so CI can run any example/benchmark under strict mode
-        mode = os.environ.get("REPRO_VALIDATE", "").strip() or self.config.validate
+        mode = env_value("REPRO_VALIDATE") or self.config.validate
         if mode not in VALIDATE_MODES:
             raise CobraError(
                 f"unknown validate mode {mode!r} (use one of {VALIDATE_MODES})"

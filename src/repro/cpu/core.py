@@ -44,9 +44,9 @@ PMU hooks kept directly on the core for speed:
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
+from ..config import env_value
 from ..errors import RegisterError, SimulationFault
 from ..isa.binary import BUNDLE_BYTES, BinaryImage
 from ..isa.decode import DecodeCache
@@ -68,14 +68,19 @@ from .tracejit import EXIT_BUDGET, EXIT_SAMPLE, TraceJit
 
 __all__ = ["Core"]
 
-#: Trace compilation on by default; ``REPRO_TRACE_JIT=0`` forces every
-#: bundle through the generic interpreter (the differential harness uses
-#: this to prove the two paths bit-identical), and
-#: ``REPRO_TRACE_JIT=osr-off`` keeps the JIT but pins loop-head-only
-#: dispatch — no OSR entries, no trace trees (CI regression bisection).
-_JIT_ENV = os.environ.get("REPRO_TRACE_JIT", "1")
-_JIT_DEFAULT = _JIT_ENV != "0"
-_OSR_DEFAULT = _JIT_DEFAULT and _JIT_ENV != "osr-off"
+
+def _jit_defaults() -> tuple[bool, bool]:
+    """(jit_enabled, osr_enabled) for a new core.
+
+    Trace compilation is on by default; ``REPRO_TRACE_JIT=0`` forces
+    every bundle through the generic interpreter (the differential
+    harness uses this to prove the two paths bit-identical), and
+    ``REPRO_TRACE_JIT=osr-off`` keeps the JIT but pins loop-head-only
+    dispatch — no OSR entries, no trace trees (CI regression bisection).
+    """
+    mode = env_value("REPRO_TRACE_JIT") or "1"
+    return mode != "0", mode == "1"
+
 
 # opcode constants hoisted for dispatch speed
 _NOP = int(Op.NOP)
@@ -199,8 +204,7 @@ class Core:
         self.bundles_per_cycle = bundles_per_cycle
         self._issue_tick = 0
         self._tjit = TraceJit()
-        self.jit_enabled = _JIT_DEFAULT
-        self.osr_enabled = _OSR_DEFAULT
+        self.jit_enabled, self.osr_enabled = _jit_defaults()
         # budget-exit resume hint: (tjit generation, pc, entry point);
         # lets the next slice re-enter the interrupted trace without a
         # dispatch re-probe (invalidation/eviction bumps the generation)

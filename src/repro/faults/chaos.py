@@ -1,9 +1,9 @@
 """Chaos harness: fault schedules must never change program outputs.
 
-Mirrors :class:`repro.validate.differential.DifferentialHarness`, but
-instead of sweeping optimization strategies against a baseline, it
-sweeps *fault schedules* against the fault-free run.  The robustness
-invariant it enforces:
+One axis set over :mod:`repro.scenario`: the reference is each
+machine's fault-free plain run, the perturbed cells are COBRA
+strategies under seeded fault schedules (a ``CobraConfig.faults``
+delta).  The robustness invariant the sweep enforces:
 
 * under any fault schedule, the program's committed outputs are
   bit-identical to the fault-free run (faults may cost performance,
@@ -25,11 +25,13 @@ from typing import Callable, Mapping
 
 from ..config import FaultConfig
 from ..cpu.machine import Machine
-from ..validate.differential import (
+from ..scenario import (
+    Cell,
+    Observables,
+    SweepReport,
     WorkloadSpec,
-    _digest,
-    _snapshot_arrays,
     default_machines,
+    seeded_sweep,
 )
 from .injector import FaultLedger
 
@@ -60,150 +62,74 @@ class ChaosRecord:
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(SweepReport):
     """Outcome of one chaos sweep."""
 
-    workload: str
     baseline_digests: dict[str, str] = field(default_factory=dict)
-    records: list[ChaosRecord] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def total_injected(self) -> int:
         return sum(r.ledger.injected for r in self.records)
 
-    def summary(self) -> str:
-        injected = self.total_injected()
+    def headline(self) -> str:
         detected = sum(r.ledger.detected for r in self.records)
         tolerated = sum(r.ledger.tolerated for r in self.records)
-        lines = [
+        return (
             f"chaos[{self.workload}]: {len(self.records)} faulted run(s), "
-            f"{injected} fault(s) injected = {detected} detected + "
+            f"{self.total_injected()} fault(s) injected = {detected} detected + "
             f"{tolerated} tolerated, {'OK' if self.ok else 'FAIL'}"
-        ]
-        for rec in self.records:
-            lines.append(
-                f"  {rec.label:34s} cycles={rec.cycles:<10d} "
-                f"digest={rec.digest[:12]} mode={rec.mode} "
-                f"injected={rec.ledger.injected} quarantined={rec.quarantined}"
-            )
-        for failure in self.failures:
-            lines.append(f"  FAIL: {failure}")
-        return "\n".join(lines)
+        )
+
+    def line(self, rec: ChaosRecord) -> str:
+        return (
+            f"{rec.label:34s} cycles={rec.cycles:<10d} "
+            f"digest={rec.digest[:12]} mode={rec.mode} "
+            f"injected={rec.ledger.injected} quarantined={rec.quarantined}"
+        )
 
 
+def _known_end_mode(cell: Cell, obs: Observables, _ref: Observables) -> list[str]:
+    if obs.report.mode in ("normal", "monitor-only"):
+        return []
+    return [f"{cell.label}: unknown end mode {obs.report.mode!r}"]
+
+
+@dataclass
 class ChaosHarness:
     """Runs one workload across the machine × strategy × seed matrix."""
 
-    def __init__(
-        self,
-        workload: WorkloadSpec,
-        machines: Mapping[str, Callable[[], Machine]] | None = None,
-        strategies: tuple[str, ...] = CHAOS_STRATEGIES,
-        seeds: tuple[int, ...] = (0,),
-        fault_config: FaultConfig | None = None,
-        max_bundles: int | None = None,
-    ) -> None:
-        self.workload = workload
-        self.machines = dict(machines) if machines is not None else default_machines()
-        self.strategies = strategies
-        self.seeds = seeds
-        #: per-cell plans are this template re-seeded per run
-        self.fault_config = fault_config if fault_config is not None else FaultConfig()
-        self.max_bundles = max_bundles
+    workload: WorkloadSpec
+    machines: Mapping[str, Callable[[], Machine]] | None = None
+    strategies: tuple[str, ...] = CHAOS_STRATEGIES
+    seeds: tuple[int, ...] = (0,)
+    #: per-cell plans are this template re-seeded per run
+    fault_config: FaultConfig | None = None
 
-    def _baseline(self, mname: str, factory: Callable[[], Machine]) -> str:
-        """Fault-free reference digest (plain run, no COBRA, no faults)."""
-        machine = factory()
-        prog = self.workload.build(machine)
-        prog.run(max_bundles=self.max_bundles)
-        return _digest(_snapshot_arrays(prog))
-
-    def _faulted(
-        self, mname: str, factory: Callable[[], Machine], strategy: str, seed: int
-    ) -> tuple[ChaosRecord | None, str | None]:
-        # deferred: repro.core imports repro.faults at module scope
-        from ..core.framework import run_with_cobra
-
-        machine = factory()
-        prog = self.workload.build(machine)
-        config = replace(
-            machine.config.cobra, faults=replace(self.fault_config, seed=seed)
-        )
-        label = f"{mname}/{strategy}/seed={seed}"
-        try:
-            result, report = run_with_cobra(
-                prog, strategy, config=config, max_bundles=self.max_bundles
-            )
-        except Exception as exc:  # the invariant is *zero* escapes
-            return None, f"{label}: unhandled {type(exc).__name__}: {exc}"
-        record = ChaosRecord(
-            machine=mname,
-            strategy=strategy,
-            seed=seed,
-            cycles=result.cycles,
-            digest=_digest(_snapshot_arrays(prog)),
-            mode=report.mode,
-            quarantined=sum(report.quarantined.values()),
-            recoveries=len(report.recovery_log),
-            ledger=report.faults,
-        )
-        return record, None
+    def __post_init__(self) -> None:
+        if self.machines is None:
+            self.machines = default_machines()
+        if self.fault_config is None:
+            self.fault_config = FaultConfig()
 
     def run(self, jobs: int = 1) -> ChaosReport:
-        from ..parallel import run_tasks
-
-        machines = sorted(self.machines.items())
-        # fault-free references and faulted cells are all independent
-        # (fresh machine, fresh build, per-cell seed), so they fan out
-        # together; the merge below walks the same ordered matrix the
-        # sequential sweep would, keeping the report byte-identical at
-        # any job count
-        baseline_tasks = [
-            (self._baseline, (mname, factory)) for mname, factory in machines
-        ]
-        cells = [
-            (mname, factory, strategy, seed)
-            for mname, factory in machines
-            for strategy in self.strategies
-            for seed in self.seeds
-        ]
-        outcomes = run_tasks(
-            baseline_tasks + [(self._faulted, cell) for cell in cells],
-            jobs=jobs,
+        swept = seeded_sweep(
+            self.workload, self.machines, self.strategies, self.seeds,
+            lambda strategy, seed: (
+                strategy, {"faults": replace(self.fault_config, seed=seed)}
+            ),
+            jobs,
+            checks=(_known_end_mode,),
+            injected=lambda obs: obs.ledger.injected,
         )
-        report = ChaosReport(self.workload.name)
-        for (mname, _factory), digest in zip(machines, outcomes):
-            report.baseline_digests[mname] = digest
-        for (mname, _factory, strategy, seed), (record, error) in zip(
-            cells, outcomes[len(machines):]
-        ):
-            if error is not None:
-                report.failures.append(error)
-                continue
-            report.records.append(record)
-            base = report.baseline_digests[mname]
-            if record.digest != base:
-                report.failures.append(
-                    f"{record.label}: output digest {record.digest[:12]} "
-                    f"differs from fault-free {base[:12]} — a fault "
-                    "reached program correctness"
+        return ChaosReport(
+            self.workload.name,
+            [
+                ChaosRecord(
+                    cell.machine, *cell.axis, obs.cycles, obs.digest,
+                    obs.report.mode, sum(obs.report.quarantined.values()),
+                    len(obs.report.recovery_log), obs.ledger,
                 )
-            if not record.ledger.accounted:
-                report.failures.append(
-                    f"{record.label}: {record.ledger.outstanding} injected "
-                    "fault(s) unaccounted (neither detected nor tolerated)"
-                )
-            if record.mode not in ("normal", "monitor-only"):
-                report.failures.append(
-                    f"{record.label}: unknown end mode {record.mode!r}"
-                )
-        if report.records and report.total_injected() == 0:
-            report.failures.append(
-                "fault schedule injected nothing across the whole matrix — "
-                "raise the rates or the run length; this sweep proved nothing"
-            )
-        return report
+                for cell, obs in swept.runs
+            ],
+            swept.failures,
+            {mname: ref.digest for mname, ref in swept.references.items()},
+        )

@@ -16,10 +16,11 @@ replays at rejoin to reconcile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from ..config import FleetAgentConfig, FleetFaultConfig
+from ..scenario import run_cell
 from .transport import ChannelResult, simulate_channel
 from .wire import encode_frame
 
@@ -58,40 +59,29 @@ class InstanceResult:
     batches: int             # window batches queued on the wire
     degraded: bool
     ramp_retired: int | None
-    fleet_lines: tuple[str, ...]
     channel: ChannelResult
+
+
+def _wire_traffic(cobra, result) -> tuple[str, list, list]:
+    """(profile key, outbox frames, send times) of a stopped engine."""
+    outbox = cobra.fleet_outbox
+    return (
+        outbox.key,
+        outbox.frames(cobra.optimizer.export_profile_entry()),
+        outbox.send_times(result.retired),
+    )
 
 
 def run_instance(spec: InstanceSpec) -> InstanceResult:
     """Run one instance solo-equivalent and capture its channel."""
-    # deferred: repro.core imports repro.fleet lazily and vice versa
-    from ..core.framework import Cobra
-    from ..cpu.scheduler import Scheduler
-    from ..validate.differential import _digest, _snapshot_arrays
-
-    machine = spec.machine()
-    if spec.jit is not None:
-        for core in machine.cores:
-            core.jit_enabled = spec.jit
-    prog = spec.workload.build(machine)
-    config = machine.config.cobra
+    delta = {"fleet": spec.fleet}
     if spec.optimize_interval is not None:
-        config = replace(config, optimize_interval=spec.optimize_interval)
-    config = replace(config, fleet=spec.fleet)
-    cobra = Cobra(machine, prog.image, spec.strategy, config)
-    scheduler = Scheduler([th.core for th in prog.threads])
-    cobra.install(scheduler)
-    try:
-        result = prog.run(max_bundles=spec.max_bundles, scheduler=scheduler)
-    finally:
-        cobra.stop()
-    report = cobra.report()
-    digest = _digest(_snapshot_arrays(prog))
-    verified = spec.workload.verify(prog) if spec.workload.verify else None
-
-    outbox = cobra.fleet_outbox
-    frames = outbox.frames(cobra.optimizer.export_profile_entry())
-    times = outbox.send_times(result.retired)
+        delta["optimize_interval"] = spec.optimize_interval
+    obs = run_cell(
+        spec.machine, spec.workload, spec.strategy, delta,
+        jit=spec.jit, max_bundles=spec.max_bundles, inspect=_wire_traffic,
+    )
+    key, frames, times = obs.extra
     if spec.fleet.degraded:
         # partitioned: nothing reaches the daemon this round; the clean
         # encodings are the rejoin/reconcile payload
@@ -99,31 +89,27 @@ def run_instance(spec: InstanceSpec) -> InstanceResult:
     else:
         channel = simulate_channel(frames, times, spec.faults, spec.instance)
 
+    report = obs.report
     fl = report.fleet
     if spec.fleet.degraded:
-        fl["degraded_interval"] = (0, result.retired)
+        fl["degraded_interval"] = (0, obs.retired)
     counts: dict[str, int] = {}
     for event in channel.events:
         counts[event.kind] = counts.get(event.kind, 0) + 1
     if counts:
         fl["faults"] = counts
-    fleet_lines = tuple(
-        line for line in report.summary().splitlines()
-        if line.lstrip().startswith("fleet[")
-    )
     return InstanceResult(
         instance=spec.instance,
         round_no=spec.round_no,
-        key=outbox.key,
-        digest=digest,
-        cycles=result.cycles,
-        retired=result.retired,
-        verified=verified,
+        key=key,
+        digest=obs.digest,
+        cycles=obs.cycles,
+        retired=obs.retired,
+        verified=obs.verified,
         seeded=fl["seeded"],
         deployed=len(report.deployments),
         batches=fl["batches"],
         degraded=spec.fleet.degraded,
         ramp_retired=report.ramp_retired,
-        fleet_lines=fleet_lines,
         channel=channel,
     )

@@ -27,18 +27,23 @@ Proved per run, recorded in :class:`FleetReport`:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 from ..config import FleetAgentConfig, FleetFaultConfig
 from ..errors import FleetError
 from ..faults.injector import FaultEvent, FaultLedger
 from ..parallel import run_tasks
 from ..persist.journal import MemoryDisk
+from ..scenario import MachineRecipe, WorkloadSpec, daxpy_spec, run_cell
 from .agent import InstanceResult, InstanceSpec, run_instance
 from .daemon import FLEET_JOURNAL, FleetDaemon
 from .faults import build_ledger, partition_draw
 
 __all__ = ["FleetRecord", "FleetReport", "FleetHarness"]
+
+#: Daemon snapshot cadence (accepted batches) for harness-driven fleets.
+SNAPSHOT_INTERVAL = 32
 
 
 @dataclass(frozen=True)
@@ -154,92 +159,49 @@ class FleetReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        payload = {
-            "workload": self.workload,
-            "instances": self.instances,
-            "cold": self.cold,
-            "warm": self.warm,
-            "quorum": self.quorum,
-            "reference_digest": self.reference_digest,
-            "key": self.key,
-            "published": self.published,
-            "daemon": self.daemon,
-            "records": [
-                {
-                    "instance": r.instance,
-                    "round": r.round,
-                    "digest": r.digest,
-                    "cycles": r.cycles,
-                    "retired": r.retired,
-                    "ramp_retired": r.ramp_retired,
-                    "seeded": r.seeded,
-                    "deployed": r.deployed,
-                    "batches": r.batches,
-                    "degraded": r.degraded,
-                    "quarantined": r.quarantined,
-                    "delivered": r.delivered,
-                    "verified": r.verified,
-                }
-                for r in self.records
-            ],
-            "ledger": None
-            if self.ledger is None
-            else {
-                "seed": self.ledger.seed,
-                "injected": self.ledger.injected,
-                "detected": self.ledger.detected,
-                "tolerated": self.ledger.tolerated,
-                "accounted": self.ledger.accounted,
-                "by_kind": dict(sorted(self.ledger.by_kind.items())),
-            },
-            "failures": self.failures,
-            "ok": self.ok,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["records"] = [asdict(r) for r in self.records]
+        if self.ledger is not None:
+            payload["ledger"] = {
+                key: getattr(self.ledger, key)
+                for key in ("seed", "injected", "detected", "tolerated",
+                            "accounted", "by_kind")
+            }
+        payload["ok"] = self.ok
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+@dataclass
 class FleetHarness:
     """Runs one fleet (cold round, central ingest, warm round, checks)."""
 
-    def __init__(
-        self,
-        workload=None,
-        machine=None,
-        instances: int = 8,
-        quorum: int | None = None,
-        strategy: str = "adaptive",
-        optimize_interval: int | None = 10_000,
-        faults: FleetFaultConfig | None = None,
-        flush_interval: int = 1,
-        max_bundles: int | None = None,
-        snapshot_interval: int = 32,
-        reference_digest: str | None = None,
-        jit: bool | None = None,
-    ) -> None:
-        if instances < 1:
-            raise FleetError(f"instances must be >= 1, got {instances}")
-        # deferred: repro.validate imports repro.core which lazily uses fleet
-        from ..validate.differential import MachineRecipe, daxpy_spec
+    workload: WorkloadSpec | None = None
+    machine: Callable[[], object] | None = None
+    instances: int = 8
+    quorum: int | None = None
+    strategy: str = "adaptive"
+    optimize_interval: int | None = 10_000
+    faults: FleetFaultConfig | None = None
+    flush_interval: int = 1
+    max_bundles: int | None = None
+    reference_digest: str | None = None
+    jit: bool | None = None
 
-        self.workload = workload if workload is not None else daxpy_spec(2048, 4, 12)
-        self.machine = machine if machine is not None else MachineRecipe("smp", 4, 4)
-        self.instances = instances
-        self.cold = max(1, instances // 2)
-        self.warm = instances - self.cold
-        quorum = quorum if quorum is not None else min(2, self.cold)
-        if not 1 <= quorum <= instances:
+    def __post_init__(self) -> None:
+        if self.instances < 1:
+            raise FleetError(f"instances must be >= 1, got {self.instances}")
+        if self.workload is None:
+            self.workload = daxpy_spec(2048, 4, 12)
+        if self.machine is None:
+            self.machine = MachineRecipe("smp", 4, 4)
+        self.cold = max(1, self.instances // 2)
+        self.warm = self.instances - self.cold
+        if self.quorum is None:
+            self.quorum = min(2, self.cold)
+        if not 1 <= self.quorum <= self.instances:
             raise FleetError(
-                f"quorum must be in [1, {instances}], got {quorum}"
+                f"quorum must be in [1, {self.instances}], got {self.quorum}"
             )
-        self.quorum = quorum
-        self.strategy = strategy
-        self.optimize_interval = optimize_interval
-        self.faults = faults
-        self.flush_interval = flush_interval
-        self.max_bundles = max_bundles
-        self.snapshot_interval = snapshot_interval
-        self.reference_digest = reference_digest
-        self.jit = jit
 
     # -- instance naming (zero-padded so sorted order == numeric order) ----
 
@@ -248,9 +210,10 @@ class FleetHarness:
         return [f"i{idx:0{width}d}" for idx in range(self.instances)]
 
     def _spec(
-        self, name: str, round_no: int, degraded: bool,
-        published: int, quarantined: int, entry: dict | None,
+        self, name: str, round_no: int, published: int, quarantined: int,
+        entry: dict | None,
     ) -> InstanceSpec:
+        degraded = bool(self.faults) and partition_draw(self.faults, name, round_no)
         fleet = FleetAgentConfig(
             instance=name,
             instances=self.instances,
@@ -275,21 +238,14 @@ class FleetHarness:
         )
 
     def _reference(self) -> str:
-        from dataclasses import replace
-
-        from ..core.framework import run_with_cobra
-        from ..validate.differential import _digest, _snapshot_arrays
-
-        machine = self.machine()
-        if self.jit is not None:
-            for core in machine.cores:
-                core.jit_enabled = self.jit
-        prog = self.workload.build(machine)
-        config = machine.config.cobra
+        """Output digest of the same workload run solo (no fleet attached)."""
+        delta = {}
         if self.optimize_interval is not None:
-            config = replace(config, optimize_interval=self.optimize_interval)
-        run_with_cobra(prog, self.strategy, config, max_bundles=self.max_bundles)
-        return _digest(_snapshot_arrays(prog))
+            delta["optimize_interval"] = self.optimize_interval
+        return run_cell(
+            self.machine, self.workload, self.strategy, delta,
+            jit=self.jit, max_bundles=self.max_bundles,
+        ).digest
 
     # -- central ingest ------------------------------------------------------
 
@@ -333,7 +289,7 @@ class FleetHarness:
         recovered = FleetDaemon.recover(
             disk,
             quorum=self.quorum,
-            snapshot_interval=self.snapshot_interval,
+            snapshot_interval=SNAPSHOT_INTERVAL,
             snapshots_kept=daemon.snapshots_kept,
         )
         event = FaultEvent(0, "daemon_crash", "fleet", "detected")
@@ -406,8 +362,6 @@ class FleetHarness:
             else self._reference()
         )
         names = self._names()
-        cold_names = names[: self.cold]
-        warm_names = names[self.cold :]
         failures: list[str] = []
         state = {
             "crashed": False,
@@ -418,18 +372,24 @@ class FleetHarness:
             "expected_crc": 0,
             "events": [],
         }
-
         daemon = FleetDaemon(
-            MemoryDisk(), quorum=self.quorum,
-            snapshot_interval=self.snapshot_interval,
+            MemoryDisk(), quorum=self.quorum, snapshot_interval=SNAPSHOT_INTERVAL
         )
         # the shadow never crashes: recovery must be state-invisible
         shadow = FleetDaemon(
-            MemoryDisk(), quorum=self.quorum,
-            snapshot_interval=self.snapshot_interval,
+            MemoryDisk(), quorum=self.quorum, snapshot_interval=SNAPSHOT_INTERVAL
         )
 
-        def round_events(results: list[InstanceResult]) -> None:
+        def run_round(
+            round_no: int, round_names: list[str], published: int, entry: dict | None
+        ) -> list[InstanceResult]:
+            """Dispatch one round, ingest and reconcile it, settle its faults."""
+            nonlocal daemon
+            specs = [
+                self._spec(name, round_no, published, len(daemon.quarantined), entry)
+                for name in round_names
+            ]
+            results = run_tasks([(run_instance, (spec,)) for spec in specs], jobs=jobs)
             for res in sorted(results, key=lambda r: r.instance):
                 if res.degraded:
                     event = FaultEvent(0, "partition", "fleet", "detected")
@@ -438,26 +398,14 @@ class FleetHarness:
                         "merged at rejoin"
                     )
                     state["events"].append(event)
+            daemon = self._ingest(daemon, shadow, results, state)
+            self._reconcile(daemon, results)
+            self._reconcile(shadow, results)
+            self._claim(daemon, results, state, failures)
+            return results
 
         # -- round 0: cold half ------------------------------------------
-        cold_specs = [
-            self._spec(
-                name, 0,
-                degraded=bool(self.faults)
-                and partition_draw(self.faults, name, 0),
-                published=0, quarantined=0, entry=None,
-            )
-            for name in cold_names
-        ]
-        cold_results = run_tasks(
-            [(run_instance, (spec,)) for spec in cold_specs], jobs=jobs
-        )
-        round_events(cold_results)
-        daemon = self._ingest(daemon, shadow, cold_results, state)
-        self._reconcile(daemon, cold_results)
-        self._reconcile(shadow, cold_results)
-        self._claim(daemon, cold_results, state, failures)
-
+        cold_results = run_round(0, names[: self.cold], 0, None)
         key = cold_results[0].key
         entry = daemon.published_entry(key)
         published = daemon.published_count(key)
@@ -476,25 +424,7 @@ class FleetHarness:
             )
 
         # -- round 1: warm half, dispatched with the published entry ------
-        warm_specs = [
-            self._spec(
-                name, 1,
-                degraded=bool(self.faults)
-                and partition_draw(self.faults, name, 1),
-                published=published,
-                quarantined=len(daemon.quarantined),
-                entry=entry,
-            )
-            for name in warm_names
-        ]
-        warm_results = run_tasks(
-            [(run_instance, (spec,)) for spec in warm_specs], jobs=jobs
-        )
-        round_events(warm_results)
-        daemon = self._ingest(daemon, shadow, warm_results, state)
-        self._reconcile(daemon, warm_results)
-        self._reconcile(shadow, warm_results)
-        self._claim(daemon, warm_results, state, failures)
+        warm_results = run_round(1, names[self.cold :], published, entry)
 
         # -- invariants ----------------------------------------------------
         all_results = cold_results + warm_results

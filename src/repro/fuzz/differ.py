@@ -1,7 +1,8 @@
 """Differential execution of one scenario across all must-agree axes.
 
-Every generated scenario is executed across thirteen must-agree axes,
-each on a fresh machine with an identical program build:
+Every generated scenario is executed across the thirteen axes of the
+:data:`AXES` table, each one :func:`repro.scenario.run_cell` on a fresh
+machine with an identical program build:
 
 1. ``none``      — plain interpreter, no COBRA (ground truth);
 2. ``adaptive``  — COBRA adaptive, trace JIT on, HPM samples captured;
@@ -19,7 +20,8 @@ each on a fresh machine with an identical program build:
    ledger must be fully accounted;
 6. ``ckpt``      — adaptive persisting to a fresh in-memory checkpoint
    store, straight through;
-7. a crash run killed at the midpoint durable write of axis 6's store;
+7. ``crash``     — a run killed at the midpoint durable write of axis
+   6's store (it must die there, and records no digest);
 8. ``resume``    — warm restart from the crashed store; outputs must
    match the straight-through run and the recovery ledger must account
    every discarded artifact;
@@ -51,29 +53,29 @@ merges in submission order — byte-identical at any ``--jobs``.
 
 from __future__ import annotations
 
-import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from ..config import (
     FaultConfig,
+    FleetFaultConfig,
     GovernorConfig,
     OverloadConfig,
     PersistConfig,
     ProfileDBConfig,
 )
-from ..cpu.scheduler import Scheduler
 from ..errors import SimulatedCrash
-from ..hpm.sample import Sample
 from ..persist.journal import MemoryDisk
 from ..persist.profiledb import PROFILEDB_NAME
-from ..validate.differential import _digest, _snapshot_arrays
+from ..scenario import Observables, WorkloadSpec, run_cell
 from ..validate.recovery import zero_rate_faults
 from .driver import build_scenario, scenario_machine
 from .generator import ScenarioParams, generate_params
 from .report import Divergence, FuzzReport, ScenarioResult
 
-__all__ = ["DifferentialFuzzer", "run_scenario", "RunObservables"]
+__all__ = ["DifferentialFuzzer", "run_scenario", "Axis", "AXES"]
 
 #: Moderate rates for the faulted axis — enough injections to exercise
 #: detection/tolerance paths on a tiny run without drowning it.
@@ -82,150 +84,132 @@ FAULT_RATES = dict(sample_rate=0.05, patch_rate=0.3, loop_rate=0.1)
 #: Runaway backstop: generated scenarios finish in well under this.
 MAX_BUNDLES = 3_000_000
 
+#: The observables a pure fast path / pure observer must leave untouched.
+FULL = ("digest", "cycles", "retired", "events", "n_samples", "samples_sha")
 
-@dataclass(frozen=True)
-class RunObservables:
-    """Everything one axis run exposes for bit-equality comparison."""
-
-    digest: str
-    cycles: int
-    retired: int
-    events: tuple[tuple[str, int], ...]
-    n_samples: int
-    samples_sha: str
-    compiles: int
-    ledger_accounted: bool | None   # None = no injector armed
-    durable_ops: int = 0
-    tree_links: int = 0             # compiled-to-compiled exit handoffs
+#: Per-scenario scratch stores shared between axes, created on first use:
+#: "ckpt"/"crash" checkpoint disks and the "db" profile database.
+Stores = defaultdict[str, MemoryDisk]
 
 
-def _sample_key(s: Sample) -> str:
-    return (
-        f"{s.index},{s.pc},{s.pid},{s.thread_id},{s.cpu_id},"
-        f"{s.counters},{s.btb},{s.miss_pc},{s.miss_latency},{s.miss_addr},{s.cycles}"
-    )
+# -- config deltas, one per perturbed axis: (params, stores) -> delta ----------
 
 
-def _samples_sha(samples: list[Sample]) -> str:
-    h = hashlib.sha256()
-    for s in samples:
-        h.update(_sample_key(s).encode())
-        h.update(b"\n")
-    return h.hexdigest()
+def _faulted(p: ScenarioParams, _stores: Stores) -> dict:
+    return {"faults": FaultConfig(seed=p.fault_seed, **FAULT_RATES)}
 
 
-def _run_axis(
-    params: ScenarioParams,
-    *,
-    cobra: bool,
-    jit: bool,
-    osr: bool = True,
-    faults: FaultConfig | None = None,
-    disk: MemoryDisk | None = None,
-    profile_db: MemoryDisk | None = None,
-    governor: GovernorConfig | None = None,
-) -> RunObservables:
-    """One differential cell: fresh machine, fresh build, one execution."""
-    # deferred: repro.core imports repro.validate at module scope
-    from ..core.framework import Cobra
+def _persisting(store: str, crash: bool = False) -> Callable[[ScenarioParams, Stores], dict]:
+    """Checkpoint into ``stores[store]``; ``crash`` dies at the midpoint
+    durable write of the straight-through ("ckpt") run."""
 
-    machine = scenario_machine(params)
-    prog = build_scenario(params, machine)
-    # the per-core JIT/OSR defaults track REPRO_TRACE_JIT at import;
-    # force them per axis so the sweep is environment-independent
-    for core in machine.cores:
-        core.jit_enabled = jit
-        core.osr_enabled = jit and osr
-
-    captured: list[Sample] = []
-    ledger_accounted: bool | None = None
-    durable_ops = 0
-    if not cobra:
-        result = prog.run(max_bundles=MAX_BUNDLES)
-        compiles = 0
-        tree_links = 0
-    else:
-        config = machine.config.cobra
-        if faults is not None:
-            config = replace(config, faults=faults)
-        if disk is not None:
-            config = replace(config, persist=PersistConfig(disk=disk))
-        if profile_db is not None:
-            config = replace(
-                config, profile_db=ProfileDBConfig(disk=profile_db)
+    def delta(p: ScenarioParams, stores: Stores) -> dict:
+        faults = zero_rate_faults(p.fault_seed)
+        if crash:
+            faults = replace(
+                faults,
+                crash_write=max(1, stores["ckpt"].durable_ops // 2),
+                crash_torn_bytes=7,
             )
-        if governor is not None:
-            config = replace(config, governor=governor)
-        engine = Cobra(machine, prog.image, "adaptive", config)
-        for monitor in engine.monitors:
-            monitor.drain = _TappedDrain(monitor.drain, captured)
-        scheduler = Scheduler([th.core for th in prog.threads])
-        engine.install(scheduler)
-        try:
-            result = prog.run(max_bundles=MAX_BUNDLES, scheduler=scheduler)
-        finally:
-            engine.stop()
-        for monitor in engine.monitors:
-            captured.extend(monitor.usb)   # stragglers never drained
-        report = engine.report()
-        compiles = (report.fastpath or {}).get("compiles", 0)
-        tree_links = (report.fastpath or {}).get("tree_links", 0)
-        if report.faults is not None:
-            ledger_accounted = report.faults.accounted
-        if disk is not None:
-            durable_ops = disk.durable_ops
-    arrays = _snapshot_arrays(prog)
-    return RunObservables(
-        digest=_digest(arrays),
-        cycles=result.cycles,
-        retired=result.retired,
-        events=tuple(sorted(result.events.snapshot().items())),
-        n_samples=len(captured),
-        samples_sha=_samples_sha(captured),
-        compiles=compiles,
-        ledger_accounted=ledger_accounted,
-        durable_ops=durable_ops,
-        tree_links=tree_links,
+        return {"faults": faults, "persist": PersistConfig(disk=stores[store])}
+
+    return delta
+
+
+def _db(_p: ScenarioParams, stores: Stores) -> dict:
+    return {"profile_db": ProfileDBConfig(disk=stores["db"])}
+
+
+def _db_corrupt(_p: ScenarioParams, stores: Stores) -> dict:
+    corrupt = MemoryDisk()
+    blob = bytearray(stores["db"].files.get(PROFILEDB_NAME, b""))
+    if blob:
+        blob[len(blob) // 2] ^= 0xFF
+    corrupt.files[PROFILEDB_NAME] = blob
+    return {"profile_db": ProfileDBConfig(disk=corrupt)}
+
+
+def _overloaded(p: ScenarioParams, _stores: Stores) -> dict:
+    overload = OverloadConfig(
+        seed=p.fault_seed,
+        shrink_rate=0.2, flood_rate=0.2,
+        disk_rate=0.1, storm_rate=0.1,
+        max_events=6,
     )
+    return {
+        "governor": GovernorConfig(
+            sample_queue_depth=64, budget_floor=48, overload=overload
+        )
+    }
 
 
 @dataclass(frozen=True)
-class _ScenarioBuild:
-    """Picklable ``WorkloadSpec.build`` wrapper over the generator."""
+class Axis:
+    """One must-agree axis: a perturbation and what it may not change."""
 
-    params: ScenarioParams
+    name: str
+    #: the axis whose observables this one is diffed against
+    versus: str | None = None
+    #: the divergence label, e.g. ``"jit-off vs jit-on"``
+    title: str = ""
+    #: which observables must agree with ``versus``
+    agree: tuple[str, ...] = ("digest",)
+    #: the run's fault ledger must be fully accounted
+    ledger: bool = False
+    #: run only if this earlier axis completed (its store is the input)
+    needs: str | None = None
+    #: CobraConfig delta of the perturbation (``None`` = unperturbed)
+    delta: Callable[[ScenarioParams, Stores], dict] | None = None
+    strategy: str = "adaptive"
+    jit: bool = True
+    osr: bool = True
+    #: the run must die with SimulatedCrash (and so records no digest)
+    crashes: bool = False
+    #: run as a two-instance fleet instead of a solo cell
+    fleet: bool = False
 
-    def __call__(self, machine):
-        return build_scenario(self.params, machine)
+
+AXES = (
+    Axis("none", strategy="none"),
+    Axis("adaptive", "none", "adaptive vs none"),
+    Axis("jit-off", "adaptive", "jit-off vs jit-on", FULL, jit=False),
+    # OSR entry/trace trees only widen where compiled code may be
+    # entered — with them off the run must stay fully bit-identical
+    # (jit-off agreement then pins the whole JIT ladder transitively)
+    Axis("osr-off", "adaptive", "osr-off vs osr-on", FULL, osr=False),
+    Axis("faulted", "none", "faulted vs clean", ledger=True, delta=_faulted),
+    Axis("ckpt", "none", "checkpoint vs none", delta=_persisting("ckpt")),
+    Axis("crash", needs="ckpt", delta=_persisting("crash", crash=True),
+         crashes=True),
+    Axis("resume", "ckpt", "resume vs straight-through", ledger=True,
+         needs="crash", delta=_persisting("crash")),
+    # a cold database only records; it must not perturb the run
+    Axis("db-cold", "adaptive", "db-cold vs adaptive", FULL, delta=_db),
+    Axis("db-warm", "none", "db-warm vs none", needs="db-cold", delta=_db),
+    # a damaged database must load as absent, never half-seed
+    Axis("db-corrupt", "adaptive", "db-corrupt vs adaptive", FULL,
+         needs="db-cold", delta=_db_corrupt),
+    Axis("overloaded", "none", "overloaded vs clean", ledger=True,
+         delta=_overloaded),
+    Axis("fleet-faulted", "none", "fleet-faulted vs none", needs="none",
+         fleet=True),
+)
 
 
-@dataclass(frozen=True)
-class _ScenarioMachine:
-    """Picklable machine factory for one scenario's parameters."""
-
-    params: ScenarioParams
-
-    def __call__(self):
-        return scenario_machine(self.params)
-
-
-def _run_fleet_axis(params: ScenarioParams, reference_digest: str):
-    """Axis 11: a fleet of two under a hostile transport schedule."""
-    from ..config import FleetFaultConfig
+def _run_fleet_axis(workload: WorkloadSpec, machine, fault_seed: int,
+                    reference_digest: str):
+    """A fleet of two under a hostile transport schedule."""
     from ..fleet import FleetHarness
-    from ..validate.differential import WorkloadSpec
 
     faults = FleetFaultConfig(
-        seed=params.fault_seed,
+        seed=fault_seed,
         frame_rate=0.2,
         partition_rate=0.25,
         daemon_crash_batch=3,
     )
     harness = FleetHarness(
-        workload=WorkloadSpec(
-            name=f"fuzz-{params.seed}", build=_ScenarioBuild(params), verify=None
-        ),
-        machine=_ScenarioMachine(params),
+        workload=workload,
+        machine=machine,
         instances=2,
         quorum=1,
         faults=faults,
@@ -237,31 +221,21 @@ def _run_fleet_axis(params: ScenarioParams, reference_digest: str):
     return harness.run(jobs=1)
 
 
-class _TappedDrain:
-    """Wraps ``MonitoringThread.drain`` to record every delivered sample."""
-
-    def __init__(self, inner, sink: list) -> None:
-        self._inner = inner
-        self._sink = sink
-
-    def __call__(self) -> list:
-        out = self._inner()
-        self._sink.extend(out)
-        return out
-
-
 def run_scenario(params: ScenarioParams) -> ScenarioResult:
     """Execute the full axis sweep for one scenario."""
-    seed, fault_seed = params.seed, params.fault_seed
     divergences: list[Divergence] = []
     digests: list[tuple[str, str]] = []
-    obs: dict[str, RunObservables] = {}
+    obs: dict[str, Observables] = {}
+    completed: set[str] = set()
+    stores: Stores = defaultdict(MemoryDisk)
+    workload = WorkloadSpec(f"fuzz-{params.seed}", partial(build_scenario, params))
+    machine = partial(scenario_machine, params)
 
     def diverge(axis: str, observable: str, expected: object, actual: object) -> None:
         divergences.append(
             Divergence(
-                seed=seed,
-                fault_seed=fault_seed,
+                seed=params.seed,
+                fault_seed=params.fault_seed,
                 axis=axis,
                 observable=observable,
                 expected=str(expected),
@@ -269,156 +243,57 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
             )
         )
 
-    def attempt(axis: str, **kwargs) -> RunObservables | None:
+    for axis in AXES:
+        if axis.needs is not None and axis.needs not in completed:
+            continue
+        delta = axis.delta(params, stores) if axis.delta else None
+        wanted = "SimulatedCrash" if axis.crashes else "no exception"
         try:
-            out = _run_axis(params, **kwargs)
-        except Exception as exc:  # noqa: BLE001 — any escape is a finding
-            diverge(axis, "exception", "no exception", f"{type(exc).__name__}: {exc}")
-            return None
-        obs[axis] = out
-        digests.append((axis, out.digest))
-        return out
-
-    none = attempt("none", cobra=False, jit=True)
-    adaptive = attempt("adaptive", cobra=True, jit=True)
-    if none and adaptive and adaptive.digest != none.digest:
-        diverge("adaptive vs none", "digest", none.digest, adaptive.digest)
-
-    nojit = attempt("jit-off", cobra=True, jit=False)
-    if adaptive and nojit:
-        for observable in ("digest", "cycles", "retired", "events",
-                           "n_samples", "samples_sha"):
-            want, got = getattr(adaptive, observable), getattr(nojit, observable)
-            if want != got:
-                diverge("jit-off vs jit-on", observable, want, got)
-
-    noosr = attempt("osr-off", cobra=True, jit=True, osr=False)
-    if adaptive and noosr:
-        # OSR entry/trace trees only widen where compiled code may be
-        # entered — with them off the run must stay fully bit-identical
-        # (jit-off agreement then pins the whole JIT ladder transitively)
-        for observable in ("digest", "cycles", "retired", "events",
-                           "n_samples", "samples_sha"):
-            want, got = getattr(adaptive, observable), getattr(noosr, observable)
-            if want != got:
-                diverge("osr-off vs osr-on", observable, want, got)
-
-    faulted = attempt(
-        "faulted", cobra=True, jit=True,
-        faults=FaultConfig(seed=fault_seed, **FAULT_RATES),
-    )
-    if faulted:
-        if none and faulted.digest != none.digest:
-            diverge("faulted vs clean", "digest", none.digest, faulted.digest)
-        if faulted.ledger_accounted is False:
-            diverge("faulted vs clean", "ledger", "accounted", "unaccounted")
-
-    straight_disk = MemoryDisk()
-    straight = attempt(
-        "ckpt", cobra=True, jit=True,
-        faults=zero_rate_faults(fault_seed), disk=straight_disk,
-    )
-    if straight:
-        if none and straight.digest != none.digest:
-            diverge("checkpoint vs none", "digest", none.digest, straight.digest)
-        crash_disk = MemoryDisk()
-        crash_write = max(1, straight.durable_ops // 2)
-        crash_faults = replace(
-            zero_rate_faults(fault_seed),
-            crash_write=crash_write, crash_torn_bytes=7,
-        )
-        store_usable = True
-        try:
-            _run_axis(params, cobra=True, jit=True, faults=crash_faults,
-                      disk=crash_disk)
-            diverge("crash", "exception", "SimulatedCrash",
-                    f"run completed past durable write {crash_write}")
-        except SimulatedCrash:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            store_usable = False
-            diverge("crash", "exception", "SimulatedCrash",
-                    f"{type(exc).__name__}: {exc}")
-        if store_usable:
-            resumed = attempt(
-                "resume", cobra=True, jit=True,
-                faults=zero_rate_faults(fault_seed), disk=crash_disk,
-            )
-            if resumed:
-                if resumed.digest != straight.digest:
-                    diverge("resume vs straight-through", "digest",
-                            straight.digest, resumed.digest)
-                if resumed.ledger_accounted is False:
-                    diverge("resume vs straight-through", "ledger",
-                            "accounted", "unaccounted")
-
-    db_disk = MemoryDisk()
-    db_cold = attempt("db-cold", cobra=True, jit=True, profile_db=db_disk)
-    if adaptive and db_cold:
-        # a cold database only records; it must not perturb the run
-        for observable in ("digest", "cycles", "retired", "events",
-                           "n_samples", "samples_sha"):
-            want, got = getattr(adaptive, observable), getattr(db_cold, observable)
-            if want != got:
-                diverge("db-cold vs adaptive", observable, want, got)
-    if db_cold:
-        db_warm = attempt("db-warm", cobra=True, jit=True, profile_db=db_disk)
-        if db_warm and none and db_warm.digest != none.digest:
-            diverge("db-warm vs none", "digest", none.digest, db_warm.digest)
-        corrupt_disk = MemoryDisk()
-        blob = bytearray(db_disk.files.get(PROFILEDB_NAME, b""))
-        if blob:
-            blob[len(blob) // 2] ^= 0xFF
-        corrupt_disk.files[PROFILEDB_NAME] = blob
-        db_corrupt = attempt(
-            "db-corrupt", cobra=True, jit=True, profile_db=corrupt_disk
-        )
-        if adaptive and db_corrupt:
-            # a damaged database must load as absent, never half-seed
-            for observable in ("digest", "cycles", "retired", "events",
-                               "n_samples", "samples_sha"):
-                want, got = (
-                    getattr(adaptive, observable), getattr(db_corrupt, observable)
+            if axis.fleet:
+                fleet = _run_fleet_axis(
+                    workload, machine, params.fault_seed, obs["none"].digest
                 )
-                if want != got:
-                    diverge("db-corrupt vs adaptive", observable, want, got)
-
-    overloaded = attempt(
-        "overloaded", cobra=True, jit=True,
-        governor=GovernorConfig(
-            sample_queue_depth=64, budget_floor=48,
-            overload=OverloadConfig(
-                seed=fault_seed,
-                shrink_rate=0.2, flood_rate=0.2,
-                disk_rate=0.1, storm_rate=0.1,
-                max_events=6,
-            ),
-        ),
-    )
-    if overloaded:
-        if none and overloaded.digest != none.digest:
-            diverge("overloaded vs clean", "digest", none.digest, overloaded.digest)
-        if overloaded.ledger_accounted is False:
-            diverge("overloaded vs clean", "ledger", "accounted", "unaccounted")
-
-    if none:
-        try:
-            fleet = _run_fleet_axis(params, none.digest)
+                digests.append((axis.name, fleet.records[0].digest))
+                for failure in fleet.failures:
+                    diverge(axis.title, "fleet", "ok", failure)
+                continue
+            out = run_cell(
+                machine, workload, axis.strategy, delta,
+                jit=axis.jit, osr=axis.osr, tap=True, max_bundles=MAX_BUNDLES,
+            )
         except Exception as exc:  # noqa: BLE001 — any escape is a finding
-            diverge("fleet-faulted", "exception", "no exception",
-                    f"{type(exc).__name__}: {exc}")
-        else:
-            digests.append(("fleet-faulted", fleet.records[0].digest))
-            for failure in fleet.failures:
-                diverge("fleet-faulted vs none", "fleet", "ok", failure)
+            if axis.crashes and isinstance(exc, SimulatedCrash):
+                completed.add(axis.name)
+            else:
+                diverge(axis.name, "exception", wanted, f"{type(exc).__name__}: {exc}")
+            continue
+        completed.add(axis.name)
+        if axis.crashes:
+            # it survived: report that, but the intact store still resumes
+            diverge(
+                axis.name, "exception", wanted,
+                f"run completed past durable write {delta['faults'].crash_write}",
+            )
+            continue
+        obs[axis.name] = out
+        digests.append((axis.name, out.digest))
+        reference = obs.get(axis.versus)
+        if reference is not None:
+            for observable in axis.agree:
+                want, got = getattr(reference, observable), getattr(out, observable)
+                if want != got:
+                    diverge(axis.title, observable, want, got)
+        if axis.ledger and out.ledger is not None and not out.ledger.accounted:
+            diverge(axis.title, "ledger", "accounted", "unaccounted")
 
+    adaptive = obs.get("adaptive")
     return ScenarioResult(
         params=params,
         digests=tuple(digests),
         divergences=tuple(divergences),
-        samples=obs["adaptive"].n_samples if "adaptive" in obs else 0,
-        compiles=obs["adaptive"].compiles if "adaptive" in obs else 0,
-        tree_links=obs["adaptive"].tree_links if "adaptive" in obs else 0,
+        samples=adaptive.n_samples if adaptive else 0,
+        compiles=adaptive.fastpath["compiles"] if adaptive else 0,
+        tree_links=adaptive.fastpath["tree_links"] if adaptive else 0,
     )
 
 
@@ -431,21 +306,14 @@ class DifferentialFuzzer:
         pairs: Sequence[tuple[int, int]] | None = None,
         fault_seed: int | None = None,
     ) -> None:
-        if pairs is not None:
-            self.params = [
-                generate_params(s, fault_seed=f) for s, f in pairs
-            ]
-        else:
-            self.params = [
-                generate_params(s, fault_seed=fault_seed) for s in (seeds or ())
-            ]
+        if pairs is None:
+            pairs = [(seed, fault_seed) for seed in seeds or ()]
+        self.params = [generate_params(s, fault_seed=f) for s, f in pairs]
 
     def run(self, jobs: int = 1) -> FuzzReport:
+        # deferred: building scenarios never needs the process pool
         from ..parallel import run_tasks
 
-        outcomes = run_tasks(
-            [(run_scenario, (p,)) for p in self.params], jobs=jobs
+        return FuzzReport(
+            run_tasks([(run_scenario, (p,)) for p in self.params], jobs=jobs)
         )
-        report = FuzzReport()
-        report.results.extend(outcomes)
-        return report

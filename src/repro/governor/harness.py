@@ -1,9 +1,11 @@
 """Overload harness: pressure schedules must never change outputs.
 
-Mirrors :class:`repro.faults.chaos.ChaosHarness`, but sweeps *overload
-schedules* (seeded budget shrinks, sample floods, slow-disk latency,
-daemon ingest storms) against the ungoverned clean run.  The contract
-it enforces is the graceful-degradation invariant:
+One axis set over :mod:`repro.scenario`: the reference is each
+machine's ungoverned plain run, the perturbed cells are adaptive COBRA
+runs under seeded *overload schedules* (a ``CobraConfig.governor``
+delta: budget shrinks, sample floods, slow-disk latency, daemon ingest
+storms).  The contract the sweep enforces is the graceful-degradation
+invariant:
 
 * under any overload schedule, committed outputs are bit-identical to
   the clean run — degradation may only forgo optimization, never change
@@ -30,11 +32,13 @@ from typing import Callable, Mapping
 from ..config import GovernorConfig, OverloadConfig
 from ..cpu.machine import Machine
 from ..faults.injector import FaultLedger
-from ..validate.differential import (
+from ..scenario import (
+    Cell,
+    Observables,
+    SweepReport,
     WorkloadSpec,
-    _digest,
-    _snapshot_arrays,
     default_machines,
+    seeded_sweep,
 )
 from .core import max_recovery_wakes
 from .ladder import RUNGS
@@ -78,197 +82,120 @@ class OverloadRecord:
 
 
 @dataclass
-class OverloadReport:
+class OverloadReport(SweepReport):
     """Outcome of one overload sweep."""
 
-    workload: str
     baseline_digests: dict[str, str] = field(default_factory=dict)
-    records: list[OverloadRecord] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def total_injected(self) -> int:
         return sum(r.governor.get("injected", 0) for r in self.records)
 
-    def summary(self) -> str:
-        lines = [
+    def headline(self) -> str:
+        return (
             f"overload[{self.workload}]: {len(self.records)} governed run(s), "
             f"{self.total_injected()} overload event(s) injected, "
             f"{'OK' if self.ok else 'FAIL'}"
-        ]
-        for rec in self.records:
-            gov = rec.governor
-            lines.append(
-                f"  {rec.label:34s} cycles={rec.cycles:<10d} "
-                f"digest={rec.digest[:12]} rung={gov['rung']} "
-                f"injected={gov['injected']} evicted={gov['evictions']} "
-                f"shed={gov['shed_samples']} refused={gov['deploys_refused']} "
-                f"transitions={len(gov['transitions'])}"
-            )
-        for failure in self.failures:
-            lines.append(f"  FAIL: {failure}")
-        return "\n".join(lines)
+        )
+
+    def line(self, rec: OverloadRecord) -> str:
+        gov = rec.governor
+        return (
+            f"{rec.label:34s} cycles={rec.cycles:<10d} "
+            f"digest={rec.digest[:12]} rung={gov['rung']} "
+            f"injected={gov['injected']} evicted={gov['evictions']} "
+            f"shed={gov['shed_samples']} refused={gov['deploys_refused']} "
+            f"transitions={len(gov['transitions'])}"
+        )
 
 
+@dataclass
 class OverloadHarness:
     """Runs one workload across the machine × schedule × seed matrix."""
 
-    def __init__(
-        self,
-        workload: WorkloadSpec,
-        machines: Mapping[str, Callable[[], Machine]] | None = None,
-        schedules: Mapping[str, dict] | None = None,
-        seeds: tuple[int, ...] = (0,),
-        governor: GovernorConfig | None = None,
-        max_bundles: int | None = None,
-    ) -> None:
-        self.workload = workload
-        self.machines = dict(machines) if machines is not None else default_machines()
-        self.schedules = (
-            dict(schedules) if schedules is not None else dict(OVERLOAD_SCHEDULES)
-        )
-        self.seeds = tuple(seeds)
-        #: per-cell configs are this template with the cell's overload
-        #: plan attached; the small sample queue makes floods actually
-        #: shed on short runs
-        self.governor = (
-            governor
-            if governor is not None
-            else GovernorConfig(sample_queue_depth=16, budget_floor=48)
-        )
-        self.max_bundles = max_bundles
+    workload: WorkloadSpec
+    machines: Mapping[str, Callable[[], Machine]] | None = None
+    schedules: Mapping[str, dict] | None = None
+    seeds: tuple[int, ...] = (0,)
+    #: per-cell configs are this template with the cell's overload plan
+    #: attached
+    governor: GovernorConfig | None = None
 
-    def _baseline(self, mname: str, factory: Callable[[], Machine]) -> str:
-        """Clean reference digest (plain run, no COBRA, no governor)."""
-        machine = factory()
-        prog = self.workload.build(machine)
-        prog.run(max_bundles=self.max_bundles)
-        return _digest(_snapshot_arrays(prog))
+    def __post_init__(self) -> None:
+        if self.machines is None:
+            self.machines = default_machines()
+        if self.schedules is None:
+            self.schedules = OVERLOAD_SCHEDULES
+        if self.governor is None:
+            # the small sample queue makes floods actually shed on short runs
+            self.governor = GovernorConfig(sample_queue_depth=16, budget_floor=48)
 
-    def _governed(
-        self, mname: str, factory: Callable[[], Machine], schedule: str, seed: int
-    ) -> tuple[OverloadRecord | None, str | None]:
-        # deferred: repro.core imports repro.validate at module scope
-        from ..core.framework import run_with_cobra
-
-        machine = factory()
-        prog = self.workload.build(machine)
+    def _perturb(self, schedule: str, seed: int) -> tuple[str, dict]:
         overload = OverloadConfig(seed=seed, **self.schedules[schedule])
-        config = replace(
-            machine.config.cobra,
-            governor=replace(self.governor, overload=overload),
+        return "adaptive", {
+            "governor": replace(self.governor, overload=overload),
             # frequent wakes: overload draws happen per optimizer wake,
             # and the ladder needs enough observations within one run to
             # escalate under pressure *and* walk back to full
-            optimize_interval=5_000,
-        )
-        label = f"{mname}/{schedule}/seed={seed}"
-        try:
-            result, report = run_with_cobra(
-                prog, "adaptive", config=config, max_bundles=self.max_bundles
-            )
-        except Exception as exc:  # the invariant is *zero* escapes
-            return None, f"{label}: unhandled {type(exc).__name__}: {exc}"
-        record = OverloadRecord(
-            machine=mname,
-            schedule=schedule,
-            seed=seed,
-            cycles=result.cycles,
-            digest=_digest(_snapshot_arrays(prog)),
-            governor=report.governor or {},
-            ledger=report.faults,
-        )
-        return record, None
+            "optimize_interval": 5_000,
+        }
 
-    def _check(self, record: OverloadRecord, report: OverloadReport) -> None:
-        base = report.baseline_digests[record.machine]
-        gov = record.governor
-        if record.digest != base:
-            report.failures.append(
-                f"{record.label}: output digest {record.digest[:12]} differs "
-                f"from clean {base[:12]} — overload reached program correctness"
-            )
-        if record.ledger is not None and not record.ledger.accounted:
-            report.failures.append(
-                f"{record.label}: {record.ledger.outstanding} event(s) "
-                "unaccounted (neither detected nor tolerated)"
-            )
-        if gov.get("injected", 0) and record.ledger is None:
-            report.failures.append(
-                f"{record.label}: overload injected but no ledger attached"
-            )
+    def _check(self, cell: Cell, obs: Observables, _ref: Observables) -> list[str]:
+        """Ladder well-formedness and recovery convergence of one cell."""
+        gov = obs.report.governor or {}
+        out = []
+        if gov.get("injected", 0) and obs.ledger is None:
+            out.append(f"{cell.label}: overload injected but no ledger attached")
         rung = "full"
         for t in gov.get("transitions", ()):
             frm, to = t["from"], t["to"]
             if frm != rung or abs(RUNGS.index(to) - RUNGS.index(frm)) != 1:
-                report.failures.append(
-                    f"{record.label}: malformed transition {frm} -> {to} "
+                out.append(
+                    f"{cell.label}: malformed transition {frm} -> {to} "
                     f"(ladder was at {rung})"
                 )
             elif RUNGS.index(to) > RUNGS.index(frm):
                 if t["pressure"] < self.governor.escalate_pressure:
-                    report.failures.append(
-                        f"{record.label}: escalation {frm} -> {to} at pressure "
+                    out.append(
+                        f"{cell.label}: escalation {frm} -> {to} at pressure "
                         f"{t['pressure']:.3f} below the escalation threshold"
                     )
             else:
                 if t["streak"] < self.governor.recovery_windows:
-                    report.failures.append(
-                        f"{record.label}: recovery {frm} -> {to} after only "
+                    out.append(
+                        f"{cell.label}: recovery {frm} -> {to} after only "
                         f"{t['streak']} calm window(s)"
                     )
             rung = to
         if rung != gov.get("rung"):
-            report.failures.append(
-                f"{record.label}: transition log ends at {rung} but the "
+            out.append(
+                f"{cell.label}: transition log ends at {rung} but the "
                 f"governor reports rung {gov.get('rung')}"
             )
         calm = gov.get("wakes", 0) - gov.get("last_pressure_wake", 0)
         if gov.get("rung") != "full" and calm >= max_recovery_wakes(self.governor):
-            report.failures.append(
-                f"{record.label}: still at rung {gov.get('rung')} after "
+            out.append(
+                f"{cell.label}: still at rung {gov.get('rung')} after "
                 f"{calm} calm wake(s) — recovery never converged"
             )
+        return out
 
     def run(self, jobs: int = 1) -> OverloadReport:
-        from ..parallel import run_tasks
-
-        machines = sorted(self.machines.items())
-        # clean references and governed cells are all independent
-        # (fresh machine, fresh build, per-cell seed), so they fan out
-        # together; the merge below walks the same ordered matrix the
-        # sequential sweep would, keeping the report byte-identical at
-        # any job count
-        baseline_tasks = [
-            (self._baseline, (mname, factory)) for mname, factory in machines
-        ]
-        cells = [
-            (mname, factory, schedule, seed)
-            for mname, factory in machines
-            for schedule in sorted(self.schedules)
-            for seed in self.seeds
-        ]
-        outcomes = run_tasks(
-            baseline_tasks + [(self._governed, cell) for cell in cells],
-            jobs=jobs,
+        swept = seeded_sweep(
+            self.workload, self.machines, sorted(self.schedules), self.seeds,
+            self._perturb, jobs,
+            checks=(self._check,),
+            injected=lambda obs: (obs.report.governor or {}).get("injected", 0),
+            noun="overload",
         )
-        report = OverloadReport(self.workload.name)
-        for (mname, _factory), digest in zip(machines, outcomes):
-            report.baseline_digests[mname] = digest
-        for (_mname, _factory, _schedule, _seed), (record, error) in zip(
-            cells, outcomes[len(machines):]
-        ):
-            if error is not None:
-                report.failures.append(error)
-                continue
-            report.records.append(record)
-            self._check(record, report)
-        if report.records and report.total_injected() == 0:
-            report.failures.append(
-                "overload schedule injected nothing across the whole matrix — "
-                "raise the rates or the run length; this sweep proved nothing"
-            )
-        return report
+        return OverloadReport(
+            self.workload.name,
+            [
+                OverloadRecord(
+                    cell.machine, *cell.axis, obs.cycles, obs.digest,
+                    obs.report.governor or {}, obs.ledger,
+                )
+                for cell, obs in swept.runs
+            ],
+            swept.failures,
+            {mname: ref.digest for mname, ref in swept.references.items()},
+        )

@@ -1,6 +1,6 @@
-"""Process-parallel scenario runner for the validation harnesses.
+"""Process-parallel scenario runner under :mod:`repro.scenario`.
 
-The differential, chaos, recovery and bench sweeps are matrices of
+The differential, chaos, recovery, overload and bench sweeps are matrices of
 *independent* cells — every cell builds a fresh machine and a fresh
 program, so there is no shared mutable state between them and the only
 coupling is the order results are folded into the report.  That makes
@@ -8,7 +8,7 @@ them embarrassingly parallel: :func:`run_tasks` fans cells out over a
 ``ProcessPoolExecutor`` and collects results **in submission order**,
 so the merged report is byte-identical at any job count.
 
-Determinism argument (DESIGN.md §9):
+Determinism argument (DESIGN.md §14):
 
 * the work list is built *before* dispatch, in the exact order the
   sequential sweep would visit it (seed-stable partitioning — the
@@ -21,7 +21,8 @@ Determinism argument (DESIGN.md §9):
   report.
 
 Tasks must be picklable (the workload specs and machine factories are
-frozen-dataclass recipes rather than closures for exactly this reason);
+partials and frozen-dataclass recipes rather than closures for exactly
+this reason);
 :func:`run_tasks` fails fast with a :class:`~repro.errors.ValidationError`
 naming the offender instead of letting the pool raise an opaque error
 mid-sweep.  A worker exception is re-raised in the parent at the same

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..config import VALIDATE_MODES
 from ..errors import InvariantViolation, ValidationError
 from ..memory.coherence import EXCLUSIVE, MODIFIED, SHARED, state_name
 from ..memory.hierarchy import (
@@ -53,9 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..memory.hierarchy import CpuCacheSystem
 
 __all__ = ["AccessEvent", "EvictEvent", "CoherenceChecker", "VALIDATE_MODES"]
-
-#: Legal values of ``CobraConfig.validate`` / the checker ``mode``.
-VALIDATE_MODES = ("off", "record", "strict")
 
 _KIND_NAMES = {
     LOAD: "load",

@@ -9,26 +9,37 @@ may shift coherence traffic and timing, but must never change what the
 program computes (cf. multi-version rewriters and BOLT, which treat
 output equivalence as the ship criterion).
 
-Each run executes on a **fresh machine** (programs are bound to their
-machine's memory), with a :class:`~repro.validate.checker.CoherenceChecker`
-attached, so every differential sweep is also a full invariant-checked
-run of both coherence backends.  Metric sanity is checked per run:
-counters must be internally consistent (coherent events cannot exceed
-bus transactions, an L3 miss implies an L2 miss, work was actually
-retired).
+The harness is one axis set over :mod:`repro.scenario`: the reference
+is the ``"none"`` cell of each machine, the perturbed cells are the
+COBRA strategies, and every cell runs with a
+:class:`~repro.validate.checker.CoherenceChecker` attached, so every
+differential sweep is also a full invariant-checked run of both
+coherence backends.  Its own invariants are metric sanity per run
+(coherent events cannot exceed bus transactions, an L3 miss implies an
+L2 miss, work was actually retired) and cross-machine agreement of the
+baselines.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
-from ..config import itanium2_smp, sgi_altix
 from ..cpu.machine import Machine
 from ..errors import InvariantViolation, ValidationError
-from ..runtime.team import ParallelProgram, RunResult
-from .checker import CoherenceChecker
+from ..scenario import (  # noqa: F401 — the spec vocabulary is public here too
+    ALL_STRATEGIES,
+    Cell,
+    MachineRecipe,
+    Observables,
+    Sweep,
+    WorkloadSpec,
+    daxpy_spec,
+    default_machines,
+    npb_spec,
+    run_cell,
+)
 
 __all__ = [
     "WorkloadSpec",
@@ -40,18 +51,6 @@ __all__ = [
     "default_machines",
 ]
 
-#: The full strategy matrix: unoptimized baseline + every COBRA mode.
-ALL_STRATEGIES = ("none", "noprefetch", "excl", "adaptive")
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """One workload the harness can rebuild on any machine."""
-
-    name: str
-    build: Callable[[Machine], ParallelProgram]
-    verify: Callable[[ParallelProgram], bool] | None = None
-
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -62,7 +61,6 @@ class RunRecord:
     cycles: int
     retired: int
     digest: str
-    arrays: Mapping[str, bytes]
     verified: bool | None
     checks: int
 
@@ -103,237 +101,85 @@ class DifferentialReport:
         return "\n".join(lines)
 
 
-def _snapshot_arrays(prog: ParallelProgram) -> dict[str, bytes]:
-    """Raw bytes of every program array (bit-exact, dtype-agnostic)."""
-    mem = prog.machine.mem
-    return {
-        name: mem.view_i64(alloc).tobytes()
-        for name, alloc in sorted(prog.arrays.items())
-    }
+def _sanity(cell: Cell, obs: Observables, _ref: Observables | None = None) -> list[str]:
+    """Per-run metric sanity: the counters must be internally consistent."""
+    ev = obs.mem_events()
+    out = []
+    if obs.cycles <= 0 or obs.retired <= 0:
+        out.append(f"{cell.label}: no work executed (cycles={obs.cycles})")
+    if ev.coherent_bus_events() > ev.bus_memory:
+        out.append(f"{cell.label}: coherent events exceed bus transactions")
+    if ev.l3_misses > ev.l2_misses:
+        out.append(f"{cell.label}: more L3 misses than L2 misses")
+    if ev.l3_misses > ev.bus_memory:
+        out.append(f"{cell.label}: L3 misses without bus transactions")
+    if obs.verified is False:
+        out.append(f"{cell.label}: workload numerical verification failed")
+    return out
 
 
-def _digest(arrays: Mapping[str, bytes]) -> str:
-    h = hashlib.sha256()
-    for name in sorted(arrays):
-        h.update(name.encode())
-        h.update(arrays[name])
-    return h.hexdigest()
-
-
+@dataclass
 class DifferentialHarness:
     """Runs one workload across the strategy × machine matrix."""
 
-    def __init__(
-        self,
-        workload: WorkloadSpec,
-        machines: Mapping[str, Callable[[], Machine]] | None = None,
-        strategies: tuple[str, ...] = ALL_STRATEGIES,
-        mode: str = "strict",
-        max_bundles: int | None = None,
-    ) -> None:
-        if "none" not in strategies:
+    workload: WorkloadSpec
+    machines: Mapping[str, Callable[[], Machine]] | None = None
+    strategies: tuple[str, ...] = ALL_STRATEGIES
+    mode: str = "strict"
+
+    def __post_init__(self) -> None:
+        if "none" not in self.strategies:
             raise ValidationError("strategy matrix needs the 'none' baseline")
-        if mode not in ("record", "strict"):
+        if self.mode not in ("record", "strict"):
             raise ValidationError(
-                f"harness mode must be 'record' or 'strict', got {mode!r}"
+                f"harness mode must be 'record' or 'strict', got {self.mode!r}"
             )
-        self.workload = workload
-        self.machines = dict(machines) if machines is not None else default_machines()
-        self.strategies = strategies
-        self.mode = mode
-        self.max_bundles = max_bundles
+        if self.machines is None:
+            self.machines = default_machines()
 
-    def _execute(
-        self, mname: str, factory: Callable[[], Machine], strategy: str
-    ) -> tuple[RunRecord, RunResult, list[InvariantViolation]]:
-        # imported here: core.framework imports repro.validate at module
-        # scope, so the reverse import must be deferred
-        from ..core.framework import run_with_cobra
-
-        machine = factory()
-        prog = self.workload.build(machine)
-        checker = CoherenceChecker(machine, mode=self.mode)
-        with checker:
-            if strategy == "none":
-                result: RunResult = prog.run(max_bundles=self.max_bundles)
-            else:
-                result, _report = run_with_cobra(
-                    prog, strategy, max_bundles=self.max_bundles
-                )
-        arrays = _snapshot_arrays(prog)
-        verified = self.workload.verify(prog) if self.workload.verify else None
-        record = RunRecord(
-            machine=mname,
-            strategy=strategy,
-            cycles=result.cycles,
-            retired=result.retired,
-            digest=_digest(arrays),
-            arrays=arrays,
-            verified=verified,
-            checks=checker.checks,
+    def _cell(self, mname: str, strategy: str) -> Cell:
+        return Cell(
+            f"{mname}/{strategy}", mname,
+            partial(run_cell, self.machines[mname], self.workload, strategy,
+                    check=self.mode),
+            (strategy,),
         )
-        return record, result, checker.violations
-
-    def _sanity(self, record: RunRecord, result: RunResult, out: list[str]) -> None:
-        ev = result.events
-        label = record.label
-        if record.cycles <= 0 or record.retired <= 0:
-            out.append(f"{label}: no work executed (cycles={record.cycles})")
-        if ev.coherent_bus_events() > ev.bus_memory:
-            out.append(f"{label}: coherent events exceed bus transactions")
-        if ev.l3_misses > ev.l2_misses:
-            out.append(f"{label}: more L3 misses than L2 misses")
-        if ev.l3_misses > ev.bus_memory:
-            out.append(f"{label}: L3 misses without bus transactions")
-        if record.verified is False:
-            out.append(f"{label}: workload numerical verification failed")
 
     def run(self, jobs: int = 1) -> DifferentialReport:
-        from ..parallel import run_tasks
-
-        # the cell list is built in sweep order and results are merged
-        # in that same order, so the report is byte-identical for any
-        # jobs value (repro.parallel's determinism contract)
-        cells = [
-            (mname, factory, strategy)
-            for mname, factory in sorted(self.machines.items())
-            for strategy in self.strategies
+        machines = sorted(self.machines)
+        references = [self._cell(mname, "none") for mname in machines]
+        swept = Sweep(
+            references,
+            [
+                self._cell(mname, strategy)
+                for mname in machines
+                for strategy in self.strategies
+                if strategy != "none"
+            ],
+            checks=(_sanity,),
+        ).run(jobs)
+        report = DifferentialReport(self.workload.name, mismatches=swept.failures)
+        baselines = [
+            (cell, swept.references[cell.machine])
+            for cell in references
+            if cell.machine in swept.references
         ]
-        outcomes = run_tasks(
-            [(self._execute, cell) for cell in cells], jobs=jobs
-        )
-        report = DifferentialReport(self.workload.name)
-        baselines: dict[str, RunRecord] = {}
-        for (mname, _factory, strategy), outcome in zip(cells, outcomes):
-            record, result, violations = outcome
-            report.records.append(record)
-            report.violations.extend(violations)
-            self._sanity(record, result, report.mismatches)
-            if strategy == "none":
-                baselines[mname] = record
-                continue
-            base = baselines[mname]
-            if record.digest != base.digest:
-                for name, data in base.arrays.items():
-                    if record.arrays.get(name) != data:
-                        report.mismatches.append(
-                            f"{record.label}: array {name!r} differs "
-                            f"from the {base.label} baseline"
-                        )
+        for cell, base in baselines:
+            report.mismatches.extend(_sanity(cell, base))
+        # report order is the matrix order — each machine's baseline, then
+        # its optimized cells (the sort is stable and baselines come first)
+        for cell, obs in sorted(baselines + swept.runs, key=lambda run: run[0].machine):
+            report.violations.extend(obs.violations)
+            report.records.append(RunRecord(
+                cell.machine, cell.axis[0], obs.cycles, obs.retired,
+                obs.digest, obs.verified, obs.checks,
+            ))
         # cross-machine: same program, same thread count -> same bits
-        first: RunRecord | None = None
-        for mname, base in baselines.items():
-            if first is None:
-                first = base
-            elif base.digest != first.digest:
+        bases = list(swept.references.items())
+        for mname, base in bases[1:]:
+            if base.digest != bases[0][1].digest:
                 report.mismatches.append(
-                    f"{base.label}: baseline output differs from {first.label} "
+                    f"{mname}/none: baseline output differs from {bases[0][0]}/none "
                     "(SMP vs cc-NUMA divergence)"
                 )
         return report
-
-
-# -- canned specs -------------------------------------------------------------
-#
-# The builders/verifiers/factories below are frozen-dataclass callables
-# rather than lambdas so WorkloadSpec and the machine maps pickle —
-# that is what lets the harnesses ship cells to worker processes
-# (`--jobs N`, see repro.parallel).
-
-
-@dataclass(frozen=True)
-class DaxpyBuild:
-    n_elems: int
-    n_threads: int
-    reps: int
-
-    def __call__(self, machine: Machine) -> ParallelProgram:
-        from ..workloads.daxpy import build_daxpy
-
-        return build_daxpy(machine, self.n_elems, self.n_threads, self.reps)
-
-
-@dataclass(frozen=True)
-class DaxpyVerify:
-    reps: int
-
-    def __call__(self, prog: ParallelProgram) -> bool:
-        from ..workloads.daxpy import verify_daxpy
-
-        return verify_daxpy(prog, self.reps)
-
-
-@dataclass(frozen=True)
-class NpbBuild:
-    name: str
-    n_threads: int
-    reps: int
-
-    def __call__(self, machine: Machine) -> ParallelProgram:
-        from ..workloads import BENCHMARKS
-
-        return BENCHMARKS[self.name].build(machine, self.n_threads, reps=self.reps)
-
-
-@dataclass(frozen=True)
-class NpbVerify:
-    name: str
-    reps: int
-
-    def __call__(self, prog: ParallelProgram) -> bool:
-        from ..workloads import BENCHMARKS
-
-        return BENCHMARKS[self.name].verify(prog, self.reps)
-
-
-@dataclass(frozen=True)
-class MachineRecipe:
-    """Picklable machine factory (``kind`` selects the config builder)."""
-
-    kind: str  # "smp" (bus) or "altix" (directory cc-NUMA)
-    n_cpus: int
-    scale: int
-
-    def __call__(self) -> Machine:
-        if self.kind == "smp":
-            return Machine(itanium2_smp(self.n_cpus, scale=self.scale))
-        if self.kind == "altix":
-            return Machine(sgi_altix(self.n_cpus, scale=self.scale))
-        raise ValidationError(f"unknown machine kind {self.kind!r}")
-
-
-def daxpy_spec(n_elems: int = 512, n_threads: int = 4, reps: int = 5) -> WorkloadSpec:
-    """The paper's DAXPY kernel as a differential workload."""
-    return WorkloadSpec(
-        name=f"daxpy-n{n_elems}-t{n_threads}-r{reps}",
-        build=DaxpyBuild(n_elems, n_threads, reps),
-        verify=DaxpyVerify(reps),
-    )
-
-
-def npb_spec(name: str, n_threads: int = 4, reps: int | None = None) -> WorkloadSpec:
-    """One NPB-like benchmark as a differential workload."""
-    from ..workloads import BENCHMARKS
-
-    bench = BENCHMARKS[name]
-    reps = reps or bench.default_reps
-    return WorkloadSpec(
-        name=f"{name}-t{n_threads}-r{reps}",
-        build=NpbBuild(name, n_threads, reps),
-        verify=NpbVerify(name, reps),
-    )
-
-
-def default_machines(n_threads: int = 4, scale: int = 16) -> dict[str, Callable[[], Machine]]:
-    """SMP-bus vs directory cc-NUMA, sized so both can host ``n_threads``.
-
-    Both machines run the workload with the *same* thread count so the
-    floating-point reduction order is identical and bit-equality holds
-    across coherence backends.
-    """
-    n_smp = max(4, n_threads)
-    n_numa = max(8, 2 * ((n_threads + 1) // 2))
-    return {
-        f"smp{n_smp}": MachineRecipe("smp", n_smp, scale),
-        f"altix{n_numa}": MachineRecipe("altix", n_numa, scale),
-    }

@@ -1,16 +1,16 @@
 """Recovery-equivalence harness: crash anywhere, recover everywhere.
 
-Mirrors :class:`repro.faults.chaos.ChaosHarness`, but instead of
-sweeping random fault schedules it sweeps *crash points*: the process
-is killed at every Nth durable persistence write (journal append or
-snapshot rename), optionally leaving a torn byte-prefix behind, and
-then restarted against the surviving checkpoint store.  The
-crash-consistency invariant it enforces, for every cell of the
-(machine x crash-point x tear-mode) matrix:
+One axis set over :mod:`repro.scenario`, sweeping *crash points*
+instead of fault schedules: the reference is each machine's
+uninterrupted persisting run; every perturbed cell kills the process at
+one durable persistence write (journal append or snapshot rename),
+optionally leaving a torn byte-prefix behind, and restarts against the
+surviving checkpoint store.  The crash-consistency invariant enforced
+for every cell of the (machine x crash-point x tear-mode) matrix:
 
 * **(A) output equivalence** — the resumed run's committed program
-  outputs are bit-identical to an uninterrupted reference run of the
-  same workload;
+  outputs are bit-identical to the uninterrupted reference run (the
+  engine's reference diff);
 * **(B) prefix durability** — the crashed store's journal is a valid
   byte-prefix of the reference run's journal, and every snapshot file
   both stores share is byte-identical (a crash may lose a suffix,
@@ -30,14 +30,23 @@ torn_bytes) coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping
 
 from ..config import FaultConfig, PersistConfig
 from ..cpu.machine import Machine
-from ..errors import SimulatedCrash
+from ..errors import SimulatedCrash, ValidationError
 from ..persist.journal import JOURNAL_NAME, MemoryDisk, scan_journal
-from .differential import WorkloadSpec, _digest, _snapshot_arrays, default_machines
+from ..scenario import (
+    Cell,
+    Observables,
+    Sweep,
+    SweepReport,
+    WorkloadSpec,
+    default_machines,
+    run_cell,
+)
 
 __all__ = [
     "RecoveryHarness",
@@ -50,6 +59,10 @@ __all__ = [
 #: (clean boundary), an integer k leaves a durable k-byte prefix of the
 #: record (torn write) for recovery to detect and discard.
 DEFAULT_TORN_MODES: tuple[int | None, ...] = (None, 7)
+
+#: Shortened optimizer wake interval so small sweep workloads actually
+#: deploy (the default interval outlives them).
+OPTIMIZE_INTERVAL = 30_000
 
 
 def zero_rate_faults(seed: int = 0) -> FaultConfig:
@@ -78,35 +91,23 @@ class RecoveryRecord:
 
     @property
     def label(self) -> str:
-        tear = "boundary" if self.torn_bytes is None else f"torn[{self.torn_bytes}B]"
-        return f"{self.machine}/write={self.crash_write}/{tear}"
+        return _label(self.machine, self.crash_write, self.torn_bytes)
 
     def to_json(self) -> dict:
-        return {
-            "machine": self.machine,
-            "crash_write": self.crash_write,
-            "torn_bytes": self.torn_bytes,
-            "digest": self.digest,
-            "replayed": self.replayed,
-            "discarded": self.discarded,
-            "warm_deploys": self.warm_deploys,
-            "accounted": self.accounted,
-        }
+        return asdict(self)
+
+
+def _label(machine: str, crash_write: int, torn: int | None) -> str:
+    tear = "boundary" if torn is None else f"torn[{torn}B]"
+    return f"{machine}/write={crash_write}/{tear}"
 
 
 @dataclass
-class RecoveryReport:
+class RecoveryReport(SweepReport):
     """Outcome of one crash-recovery sweep."""
 
-    workload: str
     reference_digests: dict[str, str] = field(default_factory=dict)
     durable_writes: dict[str, int] = field(default_factory=dict)
-    records: list[RecoveryRecord] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def total_discarded(self) -> int:
         return sum(r.discarded for r in self.records)
@@ -114,22 +115,20 @@ class RecoveryReport:
     def total_warm_deploys(self) -> int:
         return sum(r.warm_deploys for r in self.records)
 
-    def summary(self) -> str:
-        lines = [
+    def headline(self) -> str:
+        return (
             f"recovery[{self.workload}]: {len(self.records)} crash cell(s), "
             f"{self.total_discarded()} torn/corrupt artifact(s) discarded, "
             f"{self.total_warm_deploys()} warm redeploy(s), "
             f"{'OK' if self.ok else 'FAIL'}"
-        ]
-        for rec in self.records:
-            lines.append(
-                f"  {rec.label:34s} digest={rec.digest[:12]} "
-                f"replayed={rec.replayed} discarded={rec.discarded} "
-                f"warm_deploys={rec.warm_deploys}"
-            )
-        for failure in self.failures:
-            lines.append(f"  FAIL: {failure}")
-        return "\n".join(lines)
+        )
+
+    def line(self, rec: RecoveryRecord) -> str:
+        return (
+            f"{rec.label:34s} digest={rec.digest[:12]} "
+            f"replayed={rec.replayed} discarded={rec.discarded} "
+            f"warm_deploys={rec.warm_deploys}"
+        )
 
     def to_json(self) -> dict:
         return {
@@ -142,225 +141,175 @@ class RecoveryReport:
         }
 
 
+# -- cells (module-level so they pickle for --jobs) ---------------------------
+
+
+def _persisting_run(
+    machine: Callable[[], Machine], workload: WorkloadSpec, strategy: str,
+    disk: MemoryDisk, faults: FaultConfig,
+) -> Observables:
+    """One COBRA run persisting to ``disk``."""
+    return run_cell(machine, workload, strategy, {
+        "optimize_interval": OPTIMIZE_INTERVAL,
+        "persist": PersistConfig(disk=disk),
+        "faults": faults,
+    })
+
+
+def _reference(machine, workload: WorkloadSpec, strategy: str) -> Observables:
+    """Uninterrupted run; ``extra`` = (journal bytes, snapshots, op count)."""
+    disk = MemoryDisk()
+    obs = _persisting_run(machine, workload, strategy, disk, zero_rate_faults())
+    snapshots = {
+        name: bytes(data) for name, data in disk.files.items() if name != JOURNAL_NAME
+    }
+    journal = bytes(disk.files.get(JOURNAL_NAME, b""))
+    return replace(obs, extra=(journal, snapshots, disk.durable_ops))
+
+
+def _check_prefix(
+    label: str, disk: MemoryDisk, ref_journal: bytes,
+    ref_snapshots: dict[str, bytes], out: list[str],
+) -> None:
+    """(B): the crashed store never disagrees with durable history."""
+    data = bytes(disk.files.get(JOURNAL_NAME, b""))
+    _records, valid_len, _notes = scan_journal(data)
+    if data[:valid_len] != ref_journal[:valid_len]:
+        out.append(
+            f"{label}: crashed journal's valid prefix diverges from the "
+            "uninterrupted run's journal — durable history was rewritten"
+        )
+    for name, payload in disk.files.items():
+        if name == JOURNAL_NAME or name.endswith(".tmp"):
+            continue
+        ref = ref_snapshots.get(name)
+        if ref is not None and bytes(payload) != ref:
+            out.append(
+                f"{label}: snapshot {name} differs from the "
+                "uninterrupted run's copy"
+            )
+
+
+def _crash_cell(
+    machine, workload: WorkloadSpec, strategy: str, mname: str, crash_write: int,
+    torn: int | None, ref_journal: bytes, ref_snapshots: dict[str, bytes],
+) -> Observables:
+    """Crash, resume, resume again; ``extra`` = (record, failures)."""
+    failures: list[str] = []
+    label = _label(mname, crash_write, torn)
+    disk = MemoryDisk()
+    crash_faults = replace(
+        zero_rate_faults(), crash_write=crash_write, crash_torn_bytes=torn
+    )
+    try:
+        _persisting_run(machine, workload, strategy, disk, crash_faults)
+    except SimulatedCrash:
+        pass
+    else:
+        raise ValidationError("crash point was never reached (run completed)")
+    _check_prefix(label, disk, ref_journal, ref_snapshots, failures)
+
+    # (D): an identical copy of the crashed store must recover to an
+    # identical run before the original store gets mutated by repair
+    twin = disk.clone()
+    obs = _persisting_run(machine, workload, strategy, disk, zero_rate_faults())
+    again = _persisting_run(machine, workload, strategy, twin, zero_rate_faults())
+    stats, stats2 = obs.report.persist, again.report.persist
+    if again.digest != obs.digest:
+        failures.append(
+            f"{label}: resuming twice from the same store produced "
+            "different outputs — recovery is nondeterministic"
+        )
+    if (stats2.records_replayed, stats2.records_discarded) != (
+        stats.records_replayed, stats.records_discarded
+    ):
+        failures.append(
+            f"{label}: resuming twice replayed/discarded different "
+            "record counts — recovery is nondeterministic"
+        )
+
+    discarded = stats.records_discarded + stats.snapshots_discarded + stats.tmp_cleaned
+    observed = sum(1 for e in obs.ledger.events if e.surface == "persist")
+    if observed != discarded:  # (C)
+        failures.append(
+            f"{label}: {discarded} discarded artifact(s) but {observed} "
+            "persist event(s) on the ledger"
+        )
+    record = RecoveryRecord(
+        machine=mname,
+        crash_write=crash_write,
+        torn_bytes=torn,
+        digest=obs.digest,
+        replayed=stats.records_replayed,
+        discarded=discarded,
+        warm_deploys=sum(
+            1 for e in obs.report.events
+            if e.kind == "deploy" and e.reason.startswith("warm restart")
+        ),
+        accounted=obs.ledger.accounted,
+    )
+    return replace(obs, extra=(record, failures))
+
+
+@dataclass
 class RecoveryHarness:
     """Sweeps crash points across the machine matrix for one workload."""
 
-    def __init__(
-        self,
-        workload: WorkloadSpec,
-        machines: Mapping[str, Callable[[], Machine]] | None = None,
-        strategy: str = "noprefetch",
-        stride: int = 1,
-        torn_modes: tuple[int | None, ...] = DEFAULT_TORN_MODES,
-        optimize_interval: int | None = 30_000,
-        resume_twice: bool = True,
-        max_bundles: int | None = None,
-    ) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.workload = workload
-        self.machines = (
-            dict(machines)
-            if machines is not None
-            else default_machines(scale=4)
-        )
-        self.strategy = strategy
-        self.stride = stride
-        self.torn_modes = torn_modes
-        #: shortened wake interval so small sweep workloads actually
-        #: deploy (the default interval outlives them)
-        self.optimize_interval = optimize_interval
-        self.resume_twice = resume_twice
-        self.max_bundles = max_bundles
+    workload: WorkloadSpec
+    machines: Mapping[str, Callable[[], Machine]] | None = None
+    strategy: str = "noprefetch"
+    stride: int = 1
+    torn_modes: tuple[int | None, ...] = DEFAULT_TORN_MODES
 
-    # -- single runs ----------------------------------------------------------
+    def __post_init__(self) -> None:
+        if self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if self.machines is None:
+            self.machines = default_machines(scale=4)
 
-    def _run(self, factory: Callable[[], Machine], disk: MemoryDisk,
-             faults: FaultConfig):
-        """One COBRA run persisting to ``disk``; returns (prog, report)."""
-        # deferred: repro.core imports repro.validate at module scope
-        from ..core.framework import run_with_cobra
+    def _cells(self, references: dict[str, Observables]) -> list[Cell]:
+        """Every crash cell, in sweep order.
 
-        machine = factory()
-        prog = self.workload.build(machine)
-        config = machine.config.cobra
-        if self.optimize_interval is not None:
-            config = replace(config, optimize_interval=self.optimize_interval)
-        config = replace(config, persist=PersistConfig(disk=disk), faults=faults)
-        _result, report = run_with_cobra(
-            prog, self.strategy, config=config, max_bundles=self.max_bundles
-        )
-        return prog, report
-
-    def _reference(self, mname: str, factory: Callable[[], Machine]):
-        """Uninterrupted run: digest + journal bytes + snapshots + op count."""
-        disk = MemoryDisk()
-        prog, report = self._run(factory, disk, zero_rate_faults())
-        journal = bytes(disk.files.get(JOURNAL_NAME, b""))
-        snapshots = {
-            name: bytes(data)
-            for name, data in disk.files.items()
-            if name != JOURNAL_NAME
-        }
-        return _digest(_snapshot_arrays(prog)), journal, snapshots, disk.durable_ops, report
-
-    # -- per-cell checks ------------------------------------------------------
-
-    def _check_prefix(
-        self, label: str, disk: MemoryDisk, ref_journal: bytes,
-        ref_snapshots: dict[str, bytes], out: list[str],
-    ) -> None:
-        """(B): the crashed store never disagrees with durable history."""
-        data = bytes(disk.files.get(JOURNAL_NAME, b""))
-        _records, valid_len, _notes = scan_journal(data)
-        if data[:valid_len] != ref_journal[:valid_len]:
-            out.append(
-                f"{label}: crashed journal's valid prefix diverges from the "
-                "uninterrupted run's journal — durable history was rewritten"
-            )
-        for name, payload in disk.files.items():
-            if name == JOURNAL_NAME or name.endswith(".tmp"):
-                continue
-            ref = ref_snapshots.get(name)
-            if ref is not None and bytes(payload) != ref:
-                out.append(
-                    f"{label}: snapshot {name} differs from the "
-                    "uninterrupted run's copy"
-                )
-
-    def _cell(
-        self, mname: str, factory: Callable[[], Machine], crash_write: int,
-        torn: int | None, ref_digest: str, ref_journal: bytes,
-        ref_snapshots: dict[str, bytes],
-    ) -> tuple[RecoveryRecord | None, list[str]]:
-        failures: list[str] = []
-        tear = "boundary" if torn is None else f"torn[{torn}B]"
-        label = f"{mname}/write={crash_write}/{tear}"
-        disk = MemoryDisk()
-        crash_faults = replace(
-            zero_rate_faults(), crash_write=crash_write, crash_torn_bytes=torn
-        )
-        try:
-            self._run(factory, disk, crash_faults)
-            failures.append(
-                f"{label}: crash point was never reached (run completed)"
-            )
-            return None, failures
-        except SimulatedCrash:
-            pass
-        except Exception as exc:  # noqa: BLE001 — the invariant is *zero* escapes
-            failures.append(f"{label}: unhandled {type(exc).__name__}: {exc}")
-            return None, failures
-
-        self._check_prefix(label, disk, ref_journal, ref_snapshots, failures)
-
-        # (D): an identical copy of the crashed store must recover to an
-        # identical run before the original store gets mutated by repair
-        twin = disk.clone() if self.resume_twice else None
-
-        try:
-            prog, report = self._run(factory, disk, zero_rate_faults())
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"{label}: resume raised {type(exc).__name__}: {exc}")
-            return None, failures
-
-        digest = _digest(_snapshot_arrays(prog))
-        stats = report.persist
-        if digest != ref_digest:  # (A)
-            failures.append(
-                f"{label}: resumed output digest {digest[:12]} differs from "
-                f"uninterrupted reference {ref_digest[:12]}"
-            )
-        discarded = (
-            stats.records_discarded + stats.snapshots_discarded + stats.tmp_cleaned
-        )
-        ledger = report.faults
-        if ledger is None or not ledger.accounted:  # (C)
-            failures.append(f"{label}: resumed run's fault ledger unaccounted")
-        else:
-            observed = sum(1 for e in ledger.events if e.surface == "persist")
-            if observed != discarded:
-                failures.append(
-                    f"{label}: {discarded} discarded artifact(s) but {observed} "
-                    "persist event(s) on the ledger"
-                )
-
-        if twin is not None:
-            try:
-                prog2, report2 = self._run(factory, twin, zero_rate_faults())
-            except Exception as exc:  # noqa: BLE001
-                failures.append(
-                    f"{label}: second resume raised {type(exc).__name__}: {exc}"
-                )
-                return None, failures
-            digest2 = _digest(_snapshot_arrays(prog2))
-            stats2 = report2.persist
-            if digest2 != digest:
-                failures.append(
-                    f"{label}: resuming twice from the same store produced "
-                    "different outputs — recovery is nondeterministic"
-                )
-            if (stats2.records_replayed, stats2.records_discarded) != (
-                stats.records_replayed, stats.records_discarded
-            ):
-                failures.append(
-                    f"{label}: resuming twice replayed/discarded different "
-                    "record counts — recovery is nondeterministic"
-                )
-
-        warm_deploys = sum(
-            1
-            for e in report.events
-            if e.kind == "deploy" and e.reason.startswith("warm restart")
-        )
-        record = RecoveryRecord(
-            machine=mname,
-            crash_write=crash_write,
-            torn_bytes=torn,
-            digest=digest,
-            replayed=stats.records_replayed,
-            discarded=discarded,
-            warm_deploys=warm_deploys,
-            accounted=ledger.accounted if ledger is not None else False,
-        )
-        return record, failures
-
-    # -- the sweep ------------------------------------------------------------
-
-    def run(self, jobs: int = 1) -> RecoveryReport:
-        from ..parallel import run_tasks
-
-        report = RecoveryReport(self.workload.name)
-        any_txn = False
-        machines = sorted(self.machines.items())
-        # phase 1: uninterrupted references (the crash-point count of
-        # each machine's sweep is only known after its reference run)
-        references = run_tasks(
-            [(self._reference, (mname, factory)) for mname, factory in machines],
-            jobs=jobs,
-        )
-        # phase 2: every crash cell, enumerated in sweep order; cells
-        # receive the reference bytes as arguments so they are pure
-        # functions of the task tuple and fan out freely
+        The crash-point count of a machine's sweep is only known after
+        its reference run; cells receive the reference bytes as
+        arguments so they are pure functions of the task tuple.
+        """
         cells = []
-        for (mname, factory), ref in zip(machines, references):
-            ref_digest, ref_journal, ref_snapshots, n_ops, ref_report = ref
-            report.reference_digests[mname] = ref_digest
-            report.durable_writes[mname] = n_ops
-            if any(d.active for d in ref_report.deployments):
-                any_txn = True
+        for mname, ref in references.items():
+            journal, snapshots, n_ops = ref.extra
             for crash_write in range(1, n_ops + 1, self.stride):
                 for torn in self.torn_modes:
-                    cells.append(
-                        (mname, factory, crash_write, torn,
-                         ref_digest, ref_journal, ref_snapshots)
-                    )
-        outcomes = run_tasks([(self._cell, cell) for cell in cells], jobs=jobs)
-        for record, failures in outcomes:
-            report.failures.extend(failures)
-            if record is not None:
-                report.records.append(record)
-        if report.records and not any_txn:
+                    cells.append(Cell(
+                        _label(mname, crash_write, torn), mname,
+                        partial(
+                            _crash_cell, self.machines[mname], self.workload,
+                            self.strategy, mname, crash_write, torn, journal, snapshots,
+                        ),
+                    ))
+        return cells
+
+    def run(self, jobs: int = 1) -> RecoveryReport:
+        swept = Sweep(
+            [
+                Cell(
+                    f"{mname}/reference", mname,
+                    partial(_reference, factory, self.workload, self.strategy),
+                )
+                for mname, factory in sorted(self.machines.items())
+            ],
+            self._cells,
+            checks=(lambda _cell, obs, _ref: obs.extra[1],),
+        ).run(jobs)
+        report = RecoveryReport(
+            self.workload.name,
+            [obs.extra[0] for _cell, obs in swept.runs],
+            swept.failures,
+            {mname: ref.digest for mname, ref in swept.references.items()},
+            {mname: ref.extra[2] for mname, ref in swept.references.items()},
+        )
+        if report.records and not any(
+            d.active for ref in swept.references.values() for d in ref.report.deployments
+        ):
             report.failures.append(
                 "no reference run deployed anything — the sweep never "
                 "exercised deploy-transaction replay; grow the workload or "

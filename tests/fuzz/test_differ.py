@@ -106,3 +106,54 @@ class TestPlantedDivergence:
     def test_clean_run_after_fixture_teardown(self):
         # the monkeypatch must not leak: the same seed is clean again
         assert run_scenario(generate_params(self.SEED)).ok
+
+
+class TestAxesTable:
+    """``AXES`` is the single source of the sweep's shape and its docs."""
+
+    NAMES = (
+        "none", "adaptive", "jit-off", "osr-off", "faulted", "ckpt", "crash",
+        "resume", "db-cold", "db-warm", "db-corrupt", "overloaded",
+        "fleet-faulted",
+    )
+
+    def test_thirteen_axes_twelve_digest_labels_in_order(self):
+        from repro.fuzz.differ import AXES as TABLE
+
+        assert tuple(axis.name for axis in TABLE) == self.NAMES
+        # the crash run dies by design and records no digest; the rest
+        # are the labels every corpus entry's replay must produce
+        assert tuple(a.name for a in TABLE if not a.crashes) == AXES
+
+    def test_every_reference_and_dependency_runs_earlier(self):
+        from repro.fuzz.differ import AXES as TABLE
+
+        seen: set[str] = set()
+        for axis in TABLE:
+            assert axis.versus is None or axis.versus in seen, axis.name
+            assert axis.needs is None or axis.needs in seen, axis.name
+            seen.add(axis.name)
+
+    def test_docs_name_every_axis(self):
+        """Module docstring, ``repro fuzz`` help and the CI job comment
+        are written against the table, not from memory."""
+        import pathlib
+        import re
+
+        import repro.fuzz.differ as differ
+        from repro.cli import _parser
+
+        numbered = re.findall(r"^\s*(\d+)\. ``([\w-]+)``", differ.__doc__, re.M)
+        assert [name for _n, name in numbered] == list(self.NAMES)
+        assert [int(n) for n, _name in numbered] == list(range(1, 14))
+
+        titles = [a.title or a.name for a in differ.AXES if a.name != "none"]
+        subcommands = _parser()._subparsers._group_actions[0]
+        fuzz_help = next(
+            a.help for a in subcommands._choices_actions if a.dest == "fuzz"
+        )
+        ci = pathlib.Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
+        ci_text = " ".join(ci.read_text().replace("#", " ").split())
+        for title in titles:
+            assert title in " ".join(fuzz_help.split()), title
+            assert title in ci_text, title

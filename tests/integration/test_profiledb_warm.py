@@ -27,7 +27,7 @@ from repro.core import run_with_cobra
 from repro.cpu import Machine
 from repro.persist import PROFILEDB_NAME, MemoryDisk
 from repro.runtime import ParallelProgram
-from repro.validate.differential import _digest, _snapshot_arrays
+from repro.scenario import _digest, _snapshot_arrays
 
 N = 2048
 REPS = 14

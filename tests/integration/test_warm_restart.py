@@ -29,7 +29,7 @@ from repro.cpu import Machine
 from repro.errors import SimulatedCrash
 from repro.persist import JOURNAL_NAME, MemoryDisk, scan_journal
 from repro.runtime import ParallelProgram
-from repro.validate.differential import _digest, _snapshot_arrays
+from repro.scenario import _digest, _snapshot_arrays
 
 N = 2048
 REPS = 14

@@ -4,12 +4,12 @@ import json
 
 from repro.bench import (
     BENCH_SCHEMA,
-    BENCH_STRATEGIES,
     format_report,
     run_bench,
     run_case,
 )
 from repro.cli import main
+from repro.scenario import ALL_STRATEGIES
 
 CASE_KEYS = {
     "id", "benchmark", "machine", "strategy", "threads", "scale",
@@ -61,7 +61,7 @@ class TestRunBench:
         report = run_bench(
             benchmarks=("daxpy",), machines=("smp4",), samples=1, quick=True
         )
-        assert tuple(c["strategy"] for c in report["cases"]) == BENCH_STRATEGIES
+        assert tuple(c["strategy"] for c in report["cases"]) == ALL_STRATEGIES
 
 
 class TestBenchCli:

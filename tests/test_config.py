@@ -198,3 +198,59 @@ class TestGovernorConfigs:
         assert cobra.governor.trace_cache_budget == 96
         assert cobra.governor.overload.seed == 3
         assert CobraConfig().governor is None
+
+
+class TestEnvSchema:
+    """The REPRO_* table: one reader, documented from the same rows."""
+
+    def test_readme_table_is_rendered_from_the_schema(self):
+        import pathlib
+
+        from repro.config import ENV_VARS
+
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        for name, var in ENV_VARS.items():
+            assert f"| `{name}` | {var.values} | {var.effect} |" in readme
+        # and the table lists nothing the schema does not know
+        documented = {
+            line.split("`")[1] for line in readme.splitlines()
+            if line.startswith("| `REPRO_")
+        }
+        assert documented == set(ENV_VARS)
+
+    def test_only_the_schema_reads_the_environment(self):
+        import pathlib
+
+        src = pathlib.Path(__file__).parent.parent / "src" / "repro"
+        readers = sorted(
+            str(path.relative_to(src)) for path in src.rglob("*.py")
+            if "os.environ" in path.read_text() or "getenv" in path.read_text()
+        )
+        assert readers == ["config.py"]
+
+    def test_unset_and_blank_mean_no_override(self, monkeypatch):
+        from repro.config import ENV_VARS, env_value
+
+        for name in ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+            assert env_value(name) is None
+            monkeypatch.setenv(name, "   ")
+            assert env_value(name) is None
+
+    def test_values_parse_to_their_types(self, monkeypatch):
+        from repro.config import env_value
+
+        monkeypatch.setenv("REPRO_FAULTS", " 7 ")
+        assert env_value("REPRO_FAULTS") == 7
+        monkeypatch.setenv("REPRO_TRACE_JIT", "osr-off")
+        assert env_value("REPRO_TRACE_JIT") == "osr-off"
+
+    def test_junk_raises_the_one_line_diagnostic(self, monkeypatch):
+        import pytest
+
+        from repro.config import env_value
+        from repro.errors import CobraError
+
+        monkeypatch.setenv("REPRO_FLEET_QUORUM", "0")
+        with pytest.raises(CobraError, match="REPRO_FLEET_QUORUM must be a positive"):
+            env_value("REPRO_FLEET_QUORUM")

@@ -13,8 +13,11 @@ import dataclasses
 
 import pytest
 
-from repro.fuzz.differ import _run_axis
+from functools import partial
+
+from repro.fuzz import build_scenario, scenario_machine
 from repro.fuzz.generator import generate_params
+from repro.scenario import WorkloadSpec, run_cell
 
 #: 13 % 16 != 0: thread t's last element and thread t+1's first share a line.
 _SHARED_CHUNK = 13
@@ -34,18 +37,27 @@ def _params(loop_class: str, n_threads: int):
     )
 
 
+def _run(params, strategy):
+    """One scenario cell, JIT pinned on so the test is env-independent."""
+    return run_cell(
+        partial(scenario_machine, params),
+        WorkloadSpec("boundary", partial(build_scenario, params)),
+        strategy, jit=True, tap=True,
+    )
+
+
 class TestBoundarySharing:
     @pytest.mark.parametrize("loop_class", ["gather", "histogram"])
     @pytest.mark.parametrize("n_threads", [2, 4])
     def test_adaptive_bit_identical_on_shared_lines(self, loop_class, n_threads):
         params = _params(loop_class, n_threads)
         assert params.chunk % 16 != 0  # the premise: chunks share a line
-        none = _run_axis(params, cobra=False, jit=True)
-        adaptive = _run_axis(params, cobra=True, jit=True)
+        none = _run(params, "none")
+        adaptive = _run(params, "adaptive")
         assert adaptive.digest == none.digest
 
     def test_shared_line_scenarios_deterministic(self):
         params = _params("histogram", 2)
-        first = _run_axis(params, cobra=True, jit=True)
-        second = _run_axis(params, cobra=True, jit=True)
+        first = _run(params, "adaptive")
+        second = _run(params, "adaptive")
         assert first == second
