@@ -56,7 +56,8 @@ __all__ = [
 #: Schema tag written into BENCH_perf.json (bump on layout changes).
 #: /2 added the per-case ``fastpath`` block (trace-compile counters);
 #: /3 added the OSR/trace-tree counters to it (osr_entries, tree_links,
-#: resume_hits, promotions, exit_sites).
+#: resume_hits, promotions, exit_sites); spin_forwards and
+#: spin_iters_skipped joined it later without a bump (additive keys).
 BENCH_SCHEMA = "repro-bench-perf/3"
 
 #: ``--compare`` fails on wall-clock regressions beyond this fraction.
@@ -139,21 +140,12 @@ def fastpath_stats(machine: Machine) -> dict:
     does for digests and memory-event counters.
     """
     per_core = []
-    totals = {
-        "compiles": 0,
-        "invalidations": 0,
-        "entries": 0,
-        "iterations": 0,
-        "compiled_bundles": 0,
-        "osr_entries": 0,
-        "tree_links": 0,
-        "resume_hits": 0,
-        "promotions": 0,
-        "evicted": 0,
-        "exit_sites": 0,
-        "bundles": 0,
-        "decodes": 0,
-    }
+    summed = (
+        "compiles", "invalidations", "entries", "iterations",
+        "compiled_bundles", "osr_entries", "tree_links", "resume_hits",
+        "promotions", "evicted", "spin_forwards", "spin_iters_skipped",
+    )
+    totals = dict.fromkeys(summed + ("exit_sites", "bundles", "decodes"), 0)
     deopts: dict[str, int] = {}
     for core in machine.cores:
         stats = core.trace_jit.stats()
@@ -171,9 +163,7 @@ def fastpath_stats(machine: Machine) -> dict:
                 "decodes": decodes,
             }
         )
-        for key in ("compiles", "invalidations", "entries", "iterations",
-                    "compiled_bundles", "osr_entries", "tree_links",
-                    "resume_hits", "promotions", "evicted"):
+        for key in summed:
             totals[key] += stats[key]
         totals["exit_sites"] += len(stats["exit_sites"])
         totals["bundles"] += bundles

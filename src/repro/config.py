@@ -131,7 +131,8 @@ ENV_VARS: dict[str, EnvVar] = {
         "must be '0', '1' or 'osr-off', got",
         "`0` / `1` / `osr-off`",
         "per-core trace-JIT default: `0` interprets everything, `osr-off` "
-        "keeps loop-head traces but no mid-loop entry or trace trees",
+        "keeps loop-head traces but no mid-loop entry, trace trees or "
+        "spin-wait forwarding",
     ),
     "REPRO_FLEET_QUORUM": EnvVar(
         int, lambda quorum: quorum >= 1,

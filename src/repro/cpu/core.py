@@ -76,7 +76,8 @@ def _jit_defaults() -> tuple[bool, bool]:
     every bundle through the generic interpreter (the differential
     harness uses this to prove the two paths bit-identical), and
     ``REPRO_TRACE_JIT=osr-off`` keeps the JIT but pins loop-head-only
-    dispatch — no OSR entries, no trace trees (CI regression bisection).
+    dispatch — no OSR entries, no trace trees, no closed-form spin-wait
+    forwarding (CI regression bisection; the forwarding's oracle).
     """
     mode = env_value("REPRO_TRACE_JIT") or "1"
     return mode != "0", mode == "1"

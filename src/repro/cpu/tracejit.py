@@ -45,6 +45,13 @@ OSR-style mid-body entry (DESIGN.md §9):
   deoptimizes the whole tree before the next slice, while a
   byte-identical rollback leaves the whole tree resident.
 
+Identical work is done once (DESIGN.md §9): generated closures are
+content-addressed — :func:`_trace_fn` memoises the ready function under
+everything :func:`_generate` reads, so the cores of a machine and the
+machines of a process share one function per distinct trace — and a
+spin-wait trace (:func:`_idempotent_iteration`) advances, at its taken
+back-edge, all the iterations no exit can interrupt in closed form.
+
 The contract with the generic interpreter (DESIGN.md §9):
 
 * **bit-identical observables** — the closure replicates the generic
@@ -195,48 +202,79 @@ _SUPPORTED = (
 )
 
 
-_CODE_CACHE: dict = {}
-_CODE_CACHE_CAP = 1024  # generated sources are small; cap is a leak guard
+#: The operands of every op an idempotent iteration may hold besides its
+#: closing branch: op -> (registers read, registers written), each named
+#: by register file (g/f/p) and operand field (1..4 = r1..r4).
+_SPIN_OPERANDS = {
+    _LD8: ("g2", "g1"),
+    _LDFD: ("g2", "f1"),
+    _ADD: ("g2 g3", "g1"),
+    _SUB: ("g2 g3", "g1"),
+    _AND: ("g2 g3", "g1"),
+    _OR: ("g2 g3", "g1"),
+    _XOR: ("g2 g3", "g1"),
+    _SHLADD: ("g2 g3", "g1"),
+    _ADDI: ("g2", "g1"),
+    _SHL: ("g2", "g1"),
+    _SHR: ("g2", "g1"),
+    _MOV: ("g2", "g1"),
+    _MOVI: ("", "g1"),
+    _GETF: ("f2", "g1"),
+    _SETF: ("g2", "f1"),
+    _FMA: ("f2 f3 f4", "f1"),
+    _FADD: ("f2 f3", "f1"),
+    _FSUB: ("f2 f3", "f1"),
+    _FMUL: ("f2 f3", "f1"),
+    _FMAX: ("f2 f3", "f1"),
+    _FABS: ("f2", "f1"),
+    **{op: ("g3 g4" if op < _CMPI_LT else "g3", "p1 p2") for op in _PR_DEST_OPS},
+}
+
+#: (head, body, sor, bpc, mode, start) -> the ready ``__trace__`` function
+_TRACE_FNS: dict = {}
+_TRACE_FNS_CAP = 1024  # oldest-first eviction; the cap is a leak guard
 
 
-def _compile_source(source: str, filename: str):
-    """Parse-once cache for generated trace source.
+def _trace_fn(head, body, sor, bpc, mode, start=0):
+    """The compiled closure for one trace, generated once per process.
 
-    Cores simulating the same program emit byte-identical source for the
-    same trace head, and ``compile()`` dominates short-run wall clock.
-    The parsed code object is immutable and shared process-wide; each
-    ``exec`` still builds its own closure, so per-core state never leaks.
+    :func:`_generate` is a pure function of these arguments and the
+    ``__trace__`` it yields closes over nothing (machine state arrives
+    as call arguments), so the function itself is content-addressed:
+    every core, machine and run whose trace decodes to the same
+    ``body`` shares it, and a patched bundle is a different key.
     """
-    key = (filename, source)
-    code = _CODE_CACHE.get(key)
-    if code is None:
-        if len(_CODE_CACHE) >= _CODE_CACHE_CAP:
-            del _CODE_CACHE[next(iter(_CODE_CACHE))]
-        code = compile(source, filename, "exec")
-        _CODE_CACHE[key] = code
-    return code
+    key = (head, body, sor, bpc, mode, start)
+    fn = _TRACE_FNS.get(key)
+    if fn is None:
+        source = _generate(head, body, sor, bpc, mode, start)
+        namespace: dict = {}
+        exec(compile(source, f"<trace {head:#x}+{start}>", "exec"), namespace)  # noqa: S102
+        fn = namespace["__trace__"]
+        if len(_TRACE_FNS) >= _TRACE_FNS_CAP:
+            del _TRACE_FNS[next(iter(_TRACE_FNS))]
+        _TRACE_FNS[key] = fn
+    return fn
 
 
 class CompiledTrace:
     """One compiled trace node: closures plus validity/tree metadata."""
 
     __slots__ = (
-        "fn", "head", "sor", "addrs", "keys", "n_bundles", "source",
+        "fn", "head", "sor", "addrs", "keys", "n_bundles",
         "kind", "root", "body", "bpc", "entry_fns", "children", "last_used",
     )
 
-    def __init__(self, fn, head, sor, addrs, keys, n_bundles, source,
-                 kind, body, bpc):
+    def __init__(self, fn, head, sor, addrs, keys, n_bundles, kind, body, bpc):
         self.fn = fn
         self.head = head
         self.sor = sor
         self.addrs = addrs      # covered bundle addresses, in trace order
         self.keys = keys        # decode-cache content keys at compile time
         self.n_bundles = n_bundles
-        self.source = source    # generated Python (audits / debugging)
         self.kind = kind        # "loop" (steady-state) or "linear" (one pass)
         self.root = head        # tree root head (== head for root nodes)
-        self.body = body        # decoded bundles (OSR suffix compilation)
+        self.body = body        # ((addr, decoded), ...) — the codegen input
         self.bpc = bpc          # bundles_per_cycle baked into the codegen
         self.entry_fns: dict[int, object] = {}   # bundle idx -> OSR closure
         self.children: list[int] = []            # promoted side-exit heads
@@ -255,15 +293,7 @@ class CompiledTrace:
         fn = self.entry_fns.get(idx)
         if fn is None:
             mode = "entry" if self.kind == "loop" else "linear"
-            source = _generate(
-                self.head, self.body, self.sor, self.bpc, mode=mode, start=idx
-            )
-            namespace: dict = {}
-            exec(  # noqa: S102
-                _compile_source(source, f"<trace {self.head:#x}+{idx}>"),
-                namespace,
-            )
-            fn = namespace["__trace__"]
+            fn = _trace_fn(self.head, self.body, self.sor, self.bpc, mode, idx)
             self.entry_fns[idx] = fn
         return fn
 
@@ -380,19 +410,52 @@ def _walk_linear(start: int, dmap: dict) -> list[tuple[int, tuple]]:
     return body
 
 
-def _make_trace(head, body, sor, bpc, keys, kind, mode):
-    source = _generate(head, body, sor, bpc, mode=mode)
-    namespace: dict = {}
-    exec(_compile_source(source, f"<trace {head:#x}>"), namespace)  # noqa: S102
+def _idempotent_iteration(head: int, body) -> bool:
+    """Whether one pass over ``body`` maps the state it leaves to itself.
+
+    True for a spin-wait: the body closes with a guarded ``br.cond`` to
+    its own head (no rotation, no LC/EC change) and otherwise holds only
+    unguarded plain loads (no post-increment, not ``ld8.bias``),
+    compares and register-to-register ops, and no register is both
+    written in the iteration and live into it.  Re-running such an
+    iteration from the state it produced — memory untouched, as inside
+    a scheduler slice — reads the same inputs, writes the same values
+    and takes the same branch (DESIGN.md §9).
+    """
+    *inner, closer = [entry for _addr, decoded in body for entry in decoded[1]]
+    _, op, qp, _, _, _, _, target, _ = closer
+    if op != _BR_COND or not qp or target != head:
+        return False
+    written: set = set()
+    live_in: set = set()
+    for entry in inner:
+        operands = _SPIN_OPERANDS.get(entry[1])
+        if operands is None or entry[2]:
+            return False    # not a plain load/compare/ALU op, or guarded
+        if entry[1] in (_LD8, _LDFD) and (entry[7] or entry[8]):
+            return False    # post-increment or .bias
+        reads, writes = (
+            {(f[0], entry[2 + int(f[1])]) for f in fields.split()}
+            for fields in operands
+        )
+        live_in |= reads - written
+        written |= writes
+    if ("p", qp) not in written:
+        live_in.add(("p", qp))
+    live_in.discard(("g", 0))   # r0 reads as zero and cannot be written
+    return not written & live_in
+
+
+def _make_trace(head, body, sor, bpc, keys, kind):
+    body = tuple(body)
     addrs = tuple(addr for addr, _ in body)
     return CompiledTrace(
-        fn=namespace["__trace__"],
+        fn=_trace_fn(head, body, sor, bpc, kind),
         head=head,
         sor=sor,
         addrs=addrs,
         keys=tuple(keys.get(a) for a in addrs),
         n_bundles=len(body),
-        source=source,
         kind=kind,
         body=body,
         bpc=bpc,
@@ -416,8 +479,7 @@ def compile_trace(
     """
     try:
         body = _walk(head, dmap, relax=relax)
-        return _make_trace(head, body, sor, bundles_per_cycle, keys,
-                           "loop", "loop")
+        return _make_trace(head, body, sor, bundles_per_cycle, keys, "loop")
     except _TraceAbort:
         return None
 
@@ -440,8 +502,7 @@ def compile_linear_trace(
     """
     try:
         body = _walk_linear(start, dmap)
-        return _make_trace(start, body, sor, bundles_per_cycle, keys,
-                           "linear", "linear")
+        return _make_trace(start, body, sor, bundles_per_cycle, keys, "linear")
     except _TraceAbort:
         return None
 
@@ -460,7 +521,9 @@ def _generate(
     emitters:
 
     * ``"loop"`` — the steady-state closure: ``while True`` over the
-      whole body, back-edge to ``head`` continues in place;
+      whole body, back-edge to ``head`` continues in place (and, when
+      the body is an :func:`_idempotent_iteration`, first advances the
+      iterations no exit can interrupt in closed form);
     * ``"entry"`` — an OSR suffix of a loop trace: one pass over
       ``body[start:]``; a taken back-edge returns ``EXIT_LINK`` at
       ``head`` (the dispatch map then enters the steady-state closure);
@@ -470,6 +533,7 @@ def _generate(
     """
     sor32 = 32 + sor
     e = _Emit()
+    spin = mode == "loop" and _idempotent_iteration(head, body)
 
     # -- operand expressions, resolved at compile time ---------------------
 
@@ -549,6 +613,8 @@ def _generate(
         emit_retire(idx + 1, target)
         if target == head and mode == "loop":
             e("iters += 1")
+            if spin:
+                emit_spin_forward(base + idx, idx + 1)
             e("continue")
         elif target == head and mode == "entry":
             # OSR suffix reached the back-edge: hand off to the
@@ -556,6 +622,70 @@ def _generate(
             e(ret(str(target), EXIT_LINK))
         else:
             e(ret(str(target), EXIT_LINK if link else EXIT_SIDE))
+
+    def emit_spin_forward(branch_pc: int, closer_slots: int) -> None:
+        """Advance the iterations no per-bundle exit can interrupt.
+
+        Emitted at the taken back-edge of an idempotent iteration whose
+        loads all took the L2-hit arm: the next iterations repeat it
+        exactly, so ``m`` of them move every counter by a closed form —
+        ``m`` being the largest count that still leaves the bundle that
+        really exits (budget, cycle limit, sample) to the code above.
+        """
+        k = len(body)
+        slots = sum(decoded[0] for _, decoded in body[:-1]) + closer_slots
+        loads = [
+            sum(entry[1] in (_LD8, _LDFD) for entry in decoded[1])
+            for _, decoded in body
+        ]
+        n_loads, lead_loads = sum(loads), sum(loads[:-1])
+        m_bundles = "m" if k == 1 else f"m * {k}"
+        stall = f"{n_loads} * l2_hit_lat"
+        e("if hits:")
+        e.indent()
+        # executed < max_bundles before each skipped bundle
+        e(f"m = (max_bundles - executed) // {k}")
+        # cycles <= cycle_limit before the last skipped bundle: after
+        # n = m - 1 iterations and this one's leading bundles the clock
+        # reads cycles + n*stall + lead + (issue_tick + n*k + k-1) // bpc
+        lead = f" - {lead_loads} * l2_hit_lat" if lead_loads else ""
+        e(f"n = ({bpc} * (cycle_limit - cycles{lead} + 1) - {k} - issue_tick)"
+          f" // ({k} + {bpc} * {stall}) + 1")
+        e("if n < m:")
+        e.indent()
+        e("m = n")
+        e.dedent()
+        e("if sampling:")
+        e.indent()
+        # countdown > 0 after the last skipped bundle
+        e(f"n = (countdown - 1) // {slots}")
+        e("if n < m:")
+        e.indent()
+        e("m = n")
+        e.dedent()
+        e.dedent()
+        e("if m > 0:")
+        e.indent()
+        e(f"retired += m * {slots}")
+        e("if sampling:")
+        e.indent()
+        e(f"countdown -= m * {slots}")
+        e.dedent()
+        e(f"bundles_executed += {m_bundles}")
+        e(f"executed += {m_bundles}")
+        e("taken_branches += m")
+        e("iters += m")
+        e(f"issue_tick += {m_bundles}")
+        e(f"cycles += m * {stall} + issue_tick // {bpc}")
+        e(f"issue_tick %= {bpc}")
+        e(f"mem_events.loads += m * {n_loads}")
+        e(f"btb.extend((({branch_pc}, {head}),) * min(m, {_BTB_SIZE}))")
+        e(f"del btb[:-{_BTB_SIZE}]")
+        e("jit = core.trace_jit")
+        e("jit.spin_forwards += 1")
+        e("jit.spin_iters_skipped += m")
+        e.dedent()
+        e.dedent()
 
     def emit_rotate() -> None:
         """One register rotation (shared by ctop/wtop arms)."""
@@ -616,6 +746,8 @@ def _generate(
                 e.dedent()
                 e("else:")
                 e.indent()
+                if spin:
+                    e("hits = False")
                 emit_slow_access(LOAD, base, idx, charge=True)
                 e.dedent()
             e(f"off = a - {DATA_BASE}")
@@ -851,9 +983,14 @@ def _generate(
     e("mem_write_i64 = mem.write_i64")
     e("btb_append = btb.append")
     e("iters = 0")
+    if spin:
+        # osr-off replays every iteration: it is the forward's oracle
+        e("forward = core.osr_enabled")
     if mode == "loop":
         e("while True:")
         e.indent()
+        if spin:
+            e("hits = forward")
     emitted = body if mode == "loop" else body[start:]
     for n, (addr, decoded) in enumerate(emitted):
         n_total = decoded[0]
@@ -909,6 +1046,8 @@ class TraceJit:
         "promotions",
         "entry_compiles",
         "evicted",
+        "spin_forwards",
+        "spin_iters_skipped",
     )
 
     def __init__(self, threshold: int = HOT_THRESHOLD) -> None:
@@ -944,6 +1083,8 @@ class TraceJit:
         self.promotions = 0         # side-exit targets compiled into the tree
         self.entry_compiles = 0     # lazily generated OSR suffix closures
         self.evicted = 0            # nodes evicted by the resource governor
+        self.spin_forwards = 0      # closed-form advances of a spin-wait trace
+        self.spin_iters_skipped = 0  # iterations those advances stood for
 
     def sync(self, dcache) -> dict[int, _EntryPoint]:
         """Revalidate compiled traces against the decode journal.
@@ -1185,6 +1326,8 @@ class TraceJit:
             "resume_hits": self.resume_hits,
             "promotions": self.promotions,
             "evicted": self.evicted,
+            "spin_forwards": self.spin_forwards,
+            "spin_iters_skipped": self.spin_iters_skipped,
             "exit_sites": {
                 f"{head:#x}->{target:#x}": count
                 for (head, target), count in sorted(self.sites.items())

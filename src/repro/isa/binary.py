@@ -66,6 +66,14 @@ class BinaryImage:
         #: bumped on every mutation; decode caches compare it against the
         #: journal length to distinguish patches from structural changes
         self.version = 0
+        #: addr -> (bundle, decoded, key): the decode of ``bundle`` shared
+        #: by every core's DecodeCache (filled by :mod:`repro.isa.decode`).
+        #: An entry is live while ``bundles[addr] is bundle`` and the
+        #: bundle's slots are unchanged: patches and rollbacks install a
+        #: new Bundle object, ``link()`` (the one in-place slot rewrite)
+        #: clears the table, a syncing cache prunes what ``truncate`` /
+        #: ``free`` removed, and it dies with the image.
+        self.decode_memo: dict[int, tuple] = {}
         self._next = base
         self._linked = False
 
@@ -156,6 +164,7 @@ class BinaryImage:
                 if target is None:
                     raise BinaryError(f"undefined label {instr.label!r} at {addr:#x}")
                 bundle.slots[slot] = instr.clone(imm=target, label=None)
+        self.decode_memo.clear()
         self.version += 1
         self._linked = True
 

@@ -27,7 +27,14 @@ invalidates through the image's patch journal:
   ``image.version``;
 * when the version delta equals the journal delta, only the journaled
   addresses are re-decoded (patch / rollback — the common runtime case);
-* any other delta (append, link) rebuilds that image's entries.
+* any other delta (append, link, truncate, free) rebuilds that image's
+  entries and drops the addresses it no longer holds.
+
+Every core of a machine attaches the same images, so the decode of one
+bundle is computed once and kept on the image (``image.decode_memo``);
+each core's cache installs the shared tuple under its own ``map`` /
+``epoch`` / ``decodes``.  :meth:`DecodeCache.verify` never consults the
+memo — it re-decodes from the bundles.
 
 ``sync()`` is called once per scheduler slice; when nothing changed it
 is a handful of int compares.  Decode-time operand validation replaces
@@ -144,16 +151,17 @@ class DecodeCache:
         self.map: dict[int, tuple] = {}
         #: bundle address -> content key bytes (audit / property tests)
         self.keys: dict[int, bytes] = {}
-        #: bumped whenever sync() re-decodes anything — consumers holding
-        #: derived views (compiled traces) revalidate on epoch change
+        #: bumped whenever sync() installs or drops anything — consumers
+        #: holding derived views (compiled traces) revalidate on change
         self.epoch = 0
-        #: total decode_bundle calls (bundle decode events); a fetch that
-        #: is served from ``map`` costs none, so the cache hit rate over a
-        #: run is ``1 - decodes / bundles_fetched``
+        #: bundles sync() (re)installed into ``map``; a fetch served from
+        #: ``map`` costs none, so the cache hit rate over a run is
+        #: ``1 - decodes / bundles_fetched``.  The decode itself is shared
+        #: through ``image.decode_memo``, the count stays per core.
         self.decodes = 0
         self._images: list[BinaryImage] = []
-        #: per image: [version seen, journal length seen]
-        self._seen: list[list[int]] = []
+        #: per image: [version seen, journal length seen, addresses served]
+        self._seen: list[list] = []
 
     # -- wiring ------------------------------------------------------------
 
@@ -163,7 +171,7 @@ class DecodeCache:
             if known is image:
                 return
         self._images.append(image)
-        self._seen.append([-1, 0])  # forces a full build on first sync
+        self._seen.append([-1, 0, set()])  # forces a full build on first sync
 
     def images(self) -> list[BinaryImage]:
         return list(self._images)
@@ -177,35 +185,46 @@ class DecodeCache:
         """
         decoded_map = self.map
         keys = self.keys
-        dirty = 0
+        installed = 0
+        dropped = False
         for idx, image in enumerate(self._images):
             seen = self._seen[idx]
             version = image.version
             if version == seen[0]:
                 continue
+            bundles = image.bundles
+            memo = image.decode_memo
             journal = image.patches
             n_journal = len(journal)
             if seen[0] >= 0 and version - seen[0] == n_journal - seen[1]:
                 # Journaled invalidation: every mutation since the last
                 # sync was a patch or rollback, so only the journaled
                 # bundle addresses can have changed.
-                bundles = image.bundles
-                for patch in journal[seen[1]:]:
-                    bundle = bundles[patch.address]
-                    decoded_map[patch.address] = decode_bundle(bundle)
-                    keys[patch.address] = encode_bundle(bundle)
-                    dirty += 1
+                stale = [(p.address, bundles[p.address]) for p in journal[seen[1]:]]
             else:
-                # Structural change (first sync, append, link): rebuild
-                # this image's entries wholesale.
-                for addr, bundle in image.bundles.items():
-                    decoded_map[addr] = decode_bundle(bundle)
-                    keys[addr] = encode_bundle(bundle)
-                    dirty += 1
+                # Structural change (first sync, append, link, truncate,
+                # free): rebuild this image's entries wholesale and stop
+                # serving the addresses it no longer holds.
+                for addr in seen[2] - bundles.keys():
+                    decoded_map.pop(addr, None)
+                    keys.pop(addr, None)
+                    memo.pop(addr, None)
+                    dropped = True
+                seen[2] = set(bundles)
+                stale = bundles.items()
+            for addr, bundle in stale:
+                shared = memo.get(addr)
+                if shared is None or shared[0] is not bundle:
+                    shared = memo[addr] = (
+                        bundle, decode_bundle(bundle), encode_bundle(bundle)
+                    )
+                decoded_map[addr] = shared[1]
+                keys[addr] = shared[2]
+                installed += 1
             seen[0] = version
             seen[1] = n_journal
-        if dirty:
-            self.decodes += dirty
+        if installed or dropped:
+            self.decodes += installed
             self.epoch += 1
         return decoded_map
 

@@ -438,7 +438,7 @@ class TestObservability:
             "compiles", "invalidations", "entries", "iterations",
             "compiled_bundles", "osr_entries", "tree_links",
             "resume_hits", "promotions", "evicted", "exit_sites",
-            "deopts",
+            "deopts", "spin_forwards", "spin_iters_skipped",
         }
         assert set(stats["deopts"]) == set(DEOPT_REASONS)
         # the loop eventually exits through the back-edge falling through

@@ -256,7 +256,7 @@ def _jit_node(head: int, n_bundles: int, stamp: int):
 
     node = CompiledTrace(
         fn=lambda *args: None, head=head, sor=0, addrs=(head,), keys=(None,),
-        n_bundles=n_bundles, source="", kind="loop", body=[], bpc=2,
+        n_bundles=n_bundles, kind="loop", body=(), bpc=2,
     )
     node.last_used = stamp
     return node

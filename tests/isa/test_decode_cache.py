@@ -135,3 +135,136 @@ class TestDecodeCacheProperty:
                 _assert_cache_fresh(cache, image)
         cache.sync()
         _assert_cache_fresh(cache, image)
+
+
+class TestRemovedBundles:
+    """``free``/``truncate`` drop bundles; the cache must stop serving them."""
+
+    def _appended(self):
+        image = BinaryImage(0x4000_0000)
+        for i in range(4):
+            image.append(_bundle(Instruction(Op.MOVI, r1=4, imm=i)))
+        cache = DecodeCache()
+        cache.attach(image)
+        cache.sync()
+        return image, cache
+
+    def test_freed_bundle_is_no_longer_served(self):
+        image, cache = self._appended()
+        epoch = cache.epoch
+        assert image.free(image.base + 0x10, 1) == 1
+        assert image.base + 0x10 not in cache.sync()
+        assert cache.bytes_at(image.base + 0x10) is None
+        assert cache.verify() == []
+        assert cache.epoch > epoch  # derived views (compiled traces) revalidate
+
+    def test_truncated_tail_is_no_longer_served(self):
+        image, cache = self._appended()
+        assert image.truncate(image.base + 0x20) == 2
+        assert sorted(cache.sync()) == [image.base, image.base + 0x10]
+        assert cache.verify() == []
+
+    def test_image_emptied_by_free_still_bumps_the_epoch(self):
+        image, cache = self._appended()
+        epoch = cache.epoch
+        image.free(image.base, 4)
+        assert cache.sync() == {}
+        assert cache.epoch > epoch
+
+
+# -- shared decode: one image, several cores ---------------------------------
+
+_SHARED_OP = st.one_of(
+    st.tuples(st.just("append"), st.booleans()),
+    st.tuples(st.just("link")),
+    st.tuples(
+        st.just("patch_slot"), st.integers(0, 63), st.integers(0, 1),
+        st.integers(0, len(_PATCH_INSTRS) - 1),
+    ),
+    st.tuples(st.just("patch_bundle"), st.integers(0, 63), st.integers(0, 7)),
+    st.tuples(st.just("rollback")),
+    st.tuples(st.just("truncate"), st.integers(0, 63)),
+    st.tuples(st.just("free"), st.integers(0, 63), st.integers(1, 3)),
+    st.tuples(st.just("lazy-sync")),
+)
+
+
+class TestSharedDecodeProperty:
+    """Every core's cache rides the image's one memoised decode.
+
+    The memo must miss after anything that changes a bundle — ``link()``
+    rewrites slots in place, patches and rollbacks swap the Bundle — and
+    hold nothing the image dropped, whichever cache looks first.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_SHARED_OP, max_size=40))
+    def test_any_mutation_sequence_keeps_every_cache_fresh(self, ops):
+        image = _image()
+        image.mark("top", BASE)
+        eager = [DecodeCache(), DecodeCache()]   # two cores: sync every step
+        lazy = DecodeCache()                     # a third syncs when drawn
+        for cache in (*eager, lazy):
+            cache.attach(image)
+        live = []  # journaled patches not yet reverted, LIFO
+        for op in ops:
+            addrs = sorted(image.bundles)
+            pick = addrs[op[1] % len(addrs)] if addrs and len(op) > 1 else None
+            if op[0] == "append":
+                tail = (
+                    Instruction(Op.BR_COND, qp=6, label="top", unit="B")
+                    if op[1] else nop("I")
+                )
+                # the branch sits in slot 2; patches only touch slots 0 and 1
+                image.append(
+                    _bundle(Instruction(Op.MOVI, r1=4, imm=len(addrs)), nop("I"), tail)
+                )
+            elif op[0] == "link":
+                image.link()
+            elif op[0] == "patch_slot" and addrs:
+                image.patch_slot(pick, op[2], _PATCH_INSTRS[op[3]], reason="prop")
+                live.append(image.patches[-1])
+            elif op[0] == "patch_bundle" and addrs:
+                image.patch_bundle(
+                    pick, _bundle(Instruction(Op.MOVI, r1=5, imm=op[2])), reason="prop"
+                )
+                live.append(image.patches[-1])
+            elif op[0] == "rollback" and live:
+                image.revert_patch(live.pop())
+            elif op[0] == "truncate" and addrs:
+                image.truncate(pick)
+            elif op[0] == "free" and addrs:
+                image.free(pick, op[2])
+            elif op[0] == "lazy-sync":
+                assert lazy.verify() == []
+            live = [p for p in live if p.address in image.bundles]
+            for cache in eager:
+                assert cache.verify() == []
+            assert set(image.decode_memo) <= set(image.bundles)
+        for cache in (*eager, lazy):
+            assert cache.verify() == []
+        # the cores share one decode, they do not each hold a copy
+        for addr in image.bundles:
+            assert eager[0].map[addr] is eager[1].map[addr] is lazy.map[addr]
+            assert eager[0].keys[addr] is lazy.keys[addr]
+
+    def test_memo_dies_with_the_image(self):
+        import gc
+
+        sentinel = 0xDEC0DE
+        image = BinaryImage(BASE)
+        image.append(_bundle(Instruction(Op.MOVI, r1=4, imm=sentinel)))
+        cache = DecodeCache()
+        cache.attach(image)
+        cache.sync()
+
+        def survivors():
+            return [
+                o for o in gc.get_objects()
+                if isinstance(o, Bundle) and o.slots[0].imm == sentinel
+            ]
+
+        assert len(survivors()) == 1
+        del image, cache
+        gc.collect()
+        assert survivors() == []
