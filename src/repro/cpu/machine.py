@@ -11,6 +11,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ..config import MachineConfig
 from ..errors import MachineError
 from ..isa.binary import BinaryImage
@@ -22,6 +24,8 @@ from ..memory.hierarchy import CpuCacheSystem
 from .core import Core
 
 __all__ = ["Machine"]
+
+_RETIRED = attrgetter("retired")
 
 
 class Machine:
@@ -92,7 +96,8 @@ class Machine:
         return max(core.cycles for core in self.cores)
 
     def total_retired(self) -> int:
-        return sum(core.retired for core in self.cores)
+        # the optimizer's tick hook asks after every scheduler slice
+        return sum(map(_RETIRED, self.cores))
 
     def aggregate_events(self) -> MemEvents:
         """System-wide memory-event totals (COBRA's profiler input)."""

@@ -51,6 +51,10 @@ everything :func:`_generate` reads, so the cores of a machine and the
 machines of a process share one function per distinct trace — and a
 spin-wait trace (:func:`_idempotent_iteration`) advances, at its taken
 back-edge, all the iterations no exit can interrupt in closed form.
+Every other loop trace pays per iteration, not per bundle: a guard at
+the loop head proves that no budget or sample exit can fire inside the
+iteration and runs a version of the body that defers what that makes
+static, handing over to the per-bundle version when it fails.
 
 The contract with the generic interpreter (DESIGN.md §9):
 
@@ -179,6 +183,16 @@ _BTB_SIZE = 4
 
 _LOOP_BRANCHES = (_BR_CTOP, _BR_CLOOP, _BR_WTOP)
 
+#: L2-hit event counter -> the ops whose fast arm bumps it
+_HIT_EVENTS = {
+    "loads": (_LD8, _LDFD),
+    "stores": (_ST8, _STFD),
+    "prefetches": (_LFETCH,),
+}
+#: placeholder line of :func:`_generate`: which rotating registers the
+#: whole-iteration body loads is known once it has been emitted
+_UNPACK = "\0unpack"
+
 #: ops writing a general register through r1
 _GR_DEST_OPS = frozenset((
     _ADD, _ADDI, _SUB, _MOV, _MOVI, _AND, _OR, _XOR, _SHL, _SHR,
@@ -280,6 +294,16 @@ class CompiledTrace:
         self.children: list[int] = []            # promoted side-exit heads
         self.last_used = 0      # entry stamp for cold-first eviction
 
+    def _key(self, idx: int) -> tuple:
+        """Everything :func:`_generate` reads for the closure at ``idx``."""
+        mode = "entry" if idx and self.kind == "loop" else self.kind
+        return self.head, self.body, self.sor, self.bpc, mode, idx
+
+    def source(self, idx: int = 0) -> str:
+        """The generated source of :meth:`entry` ``idx`` — regenerated
+        from the memo key on demand (debugging aid; nothing is stored)."""
+        return _generate(*self._key(idx))
+
     def entry(self, idx: int):
         """The OSR entry closure starting at covered bundle ``idx``.
 
@@ -292,8 +316,7 @@ class CompiledTrace:
             return self.fn
         fn = self.entry_fns.get(idx)
         if fn is None:
-            mode = "entry" if self.kind == "loop" else "linear"
-            fn = _trace_fn(self.head, self.body, self.sor, self.bpc, mode, idx)
+            fn = _trace_fn(*self._key(idx))
             self.entry_fns[idx] = fn
         return fn
 
@@ -327,10 +350,6 @@ class _Emit:
 
     def dedent(self) -> None:
         self.depth -= 1
-
-
-def _wrap64(expr: str) -> str:
-    return f"((({expr}) + {_B63}) & {_M64}) - {_B63}"
 
 
 class _TraceAbort(Exception):
@@ -534,26 +553,56 @@ def _generate(
     sor32 = 32 + sor
     e = _Emit()
     spin = mode == "loop" and _idempotent_iteration(head, body)
+    # A steady-state closure holds its body twice (DESIGN.md §9 "Whole
+    # iterations"): ``checked``, every bundle testing budget and sampling,
+    # and ahead of it a version behind a loop-head guard that proves
+    # neither can fire in this iteration and defers what that makes
+    # static.  A spin body is already forwarded in closed form, and one
+    # around an inner loop (``relax``) leaves by that loop's back-edge
+    # before it ever completes an iteration: neither pays for a second.
+    all_slots = [(addr, entry) for addr, decoded in body for entry in decoded[1]]
+    whole = mode == "loop" and not spin and not any(
+        entry[1] in _LOOP_BRANCHES and entry[7] != head for _, entry in all_slots
+    )
+    checked = True
+    at = (0, 0)     # whole-iteration body: (bundles, slots) run, not yet counted
+    rotating = {"g": (32, sor), "f": (32, 96), "p": (16, 48)}
+    used: dict[str, set] = {"g": set(), "f": set(), "p": set()}
+    events = [ev for ev, of in _HIT_EVENTS.items()
+              if any(entry[1] in of for _, entry in all_slots)]
+    back_edges = {
+        addr + entry[0] for addr, entry in all_slots
+        if entry[7] == head and entry[1] in (*_LOOP_BRANCHES, _BR, _BR_COND)
+    }
+    # one back-edge site: its BTB entries are one constant, so n of them
+    # are min(n, BTB size) copies; several sites append as they go
+    back_edge = min(back_edges) if len(back_edges) == 1 else None
 
     # -- operand expressions, resolved at compile time ---------------------
+
+    def rot(file: str, r: int) -> str:
+        """A rotating register: index arithmetic, or its per-iteration local."""
+        first, size = rotating[file]
+        if checked:
+            return f"{file}rl[{first} + ({r - first} + rrb_{file}r) % {size}]"
+        used[file].add(r - first)
+        return f"{file}rl[{file}{r - first}]"
 
     def gr_r(r: int) -> str:
         if r == 0:
             return "0"
         if sor and 32 <= r < sor32:
-            return f"grl[32 + ({r - 32} + rrb_gr) % {sor}]"
+            return rot("g", r)
         return f"grl[{r}]"
 
     def gr_w(r: int) -> str:
         if r == 0:
             raise _TraceAbort("write to r0")
-        if sor and 32 <= r < sor32:
-            return f"grl[32 + ({r - 32} + rrb_gr) % {sor}]"
-        return f"grl[{r}]"
+        return gr_r(r)
 
     def fr_r(r: int) -> str:
         if r >= 32:
-            return f"frl[32 + ({r - 32} + rrb_fr) % 96]"
+            return rot("f", r)
         return f"frl[{r}]"
 
     def fr_w(r: int) -> str:
@@ -563,7 +612,7 @@ def _generate(
 
     def pr_r(p: int) -> str:
         if p >= 16:
-            return f"prl[16 + ({p - 16} + rrb_pr) % 48]"
+            return rot("p", p)
         return f"prl[{p}]"
 
     def pr_w(p: int) -> str:
@@ -571,16 +620,46 @@ def _generate(
             raise _TraceAbort("write to p0")
         return pr_r(p)
 
-    def ret(pc_expr: str, flag: int) -> str:
+    def ret(pc_expr: str, flag: int, slots: int | None = None) -> str:
+        """Leave the trace.  An exit of the whole-iteration body is a row
+        of static data for the epilogue below the loop: where, and the
+        (bundles, slots) run but not counted (``slots``: this bundle's)."""
+        if not checked:
+            j, s = at if slots is None else (at[0] + 1, at[1] + slots)
+            return f"out = ({pc_expr}, {j}, {s}, {flag}); break"
         return (
             f"return ({pc_expr}, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles, "
             f"retired, bundles_executed, taken_branches, issue_tick, "
             f"countdown, executed, iters, {flag})"
         )
 
+    def emit_flush() -> None:
+        """Publish what the whole-iteration body deferred: at every exit,
+        at the hand-over to the checked body and before any call out."""
+        if back_edge is not None:
+            e(f"btb.extend((({back_edge}, {head}),) * min(n_back, {_BTB_SIZE}))")
+            e(f"del btb[:-{_BTB_SIZE}]")
+            e("n_back = 0")
+        for ev in events:
+            e(f"mem_events.{ev} += n_{ev}")
+            e(f"n_{ev} = 0")
+
+    def emit_hit(ev: str) -> None:
+        e(f"mem_events.{ev} += 1" if checked else f"n_{ev} += 1")
+
+    def emit_wrapped(dest: str, expr: str) -> None:
+        """``dest = expr`` as a signed 64-bit value; the mask runs on overflow only."""
+        e(f"v = {expr}")
+        e(f"if not {-_B63} <= v < {_B63}:")
+        e.indent()
+        e(f"v = ((v + {_B63}) & {_M64}) - {_B63}")
+        e.dedent()
+        e(f"{dest} = v")
+
     def emit_retire(n_slots: int, next_pc: int) -> None:
         """The generic loop's end-of-bundle bookkeeping, constants folded."""
-        e(f"retired += {n_slots}")
+        if checked:
+            e(f"retired += {n_slots}")
         e("issue_tick += 1")
         e(f"if issue_tick >= {bpc}:")
         e.indent()
@@ -591,6 +670,8 @@ def _generate(
         e.indent()
         e("cycles += stall")
         e.dedent()
+        if not checked:
+            return  # the guard at the loop head stands for the rest
         e("bundles_executed += 1")
         e("executed += 1")
         e("if sampling:")
@@ -604,24 +685,38 @@ def _generate(
 
     def emit_taken(base: int, idx: int, target: int, link: bool = False) -> None:
         """Taken-branch exit: bookkeeping + retire, then leave or loop."""
+        loop_back = target == head and mode == "loop"
         e("taken_branches += 1")
-        e(f"btb_append(({base + idx}, {target}))")
-        e(f"if len(btb) > {_BTB_SIZE}:")
-        e.indent()
-        e("del btb[0]")
-        e.dedent()
+        if not checked and loop_back and back_edge is not None:
+            e("n_back += 1")
+        else:
+            if not checked:
+                emit_flush()    # earlier back-edges precede this entry
+            e(f"btb_append(({base + idx}, {target}))")
+            e(f"if len(btb) > {_BTB_SIZE}:")
+            e.indent()
+            e("del btb[0]")
+            e.dedent()
         emit_retire(idx + 1, target)
-        if target == head and mode == "loop":
+        if loop_back:
             e("iters += 1")
             if spin:
                 emit_spin_forward(base + idx, idx + 1)
+            if not checked:
+                e(f"retired += {at[1] + idx + 1}")
+                e(f"bundles_executed += {at[0] + 1}")
+                e(f"executed += {at[0] + 1}")
+                e("if sampling:")
+                e.indent()
+                e(f"countdown -= {at[1] + idx + 1}")
+                e.dedent()
             e("continue")
         elif target == head and mode == "entry":
             # OSR suffix reached the back-edge: hand off to the
             # steady-state closure through the dispatch map
             e(ret(str(target), EXIT_LINK))
         else:
-            e(ret(str(target), EXIT_LINK if link else EXIT_SIDE))
+            e(ret(str(target), EXIT_LINK if link else EXIT_SIDE, idx + 1))
 
     def emit_spin_forward(branch_pc: int, closer_slots: int) -> None:
         """Advance the iterations no per-bundle exit can interrupt.
@@ -694,9 +789,18 @@ def _generate(
         e("rrb_fr = (rrb_fr - 1) % 96")
         e("rrb_pr = (rrb_pr - 1) % 48")
 
-    def emit_post_inc(r2: int, imm: int) -> None:
-        e(f"na = {_wrap64(f'a + {imm}')}")
-        e(f"{gr_w(r2)} = na")
+    def emit_unpack() -> None:
+        """Load the rotating-register locals (per iteration; after a rotation)."""
+        if not checked:
+            e(_UNPACK)
+
+    def emit_post_inc(r2: int, imm: int, in_range: bool = False) -> None:
+        """``in_range``: ``a`` just passed the data-segment check, so adding
+        a sane immediate cannot leave the 64-bit range."""
+        if in_range and -_B63 // 2 <= imm < _B63 // 2:
+            e(f"{gr_w(r2)} = a + {imm}")
+        else:
+            emit_wrapped(gr_w(r2), f"a + {imm}")
 
     def emit_mem_addr(r2: int) -> None:
         e(f"a = {gr_r(r2)}")
@@ -706,6 +810,8 @@ def _generate(
         e("lru = l2_sets[line % l2_nsets]")
 
     def emit_slow_access(kind: int, base: int, idx: int, charge: bool) -> None:
+        if not checked:
+            emit_flush()
         if charge:
             e(f"stall += cache_access(cycles, a, {kind})")
         else:
@@ -729,7 +835,7 @@ def _generate(
             e.indent()
 
         if op == _LDFD or op == _LD8:
-            reader_fast = "mem_f64_item" if op == _LDFD else "mem_i64_item"
+            reader_fast = "mem_f64" if op == _LDFD else "mem_i64"
             reader_slow = "mem_read_f64" if op == _LDFD else "mem_read_i64"
             emit_mem_addr(r2)
             biased = op == _LD8 and excl
@@ -739,7 +845,7 @@ def _generate(
                 emit_l2_probe()
                 e("if line in lru:")
                 e.indent()
-                e("mem_events.loads += 1")
+                emit_hit("loads")
                 e("del lru[line]")
                 e("lru[line] = None")
                 e("stall += l2_hit_lat")
@@ -753,7 +859,7 @@ def _generate(
             e(f"off = a - {DATA_BASE}")
             e("if 0 <= off < mem_cap and not off & 7:")
             e.indent()
-            e(f"v = {reader_fast}(off >> 3)")
+            e(f"v = {reader_fast}[off >> 3]")
             e.dedent()
             e("else:")
             e.indent()
@@ -761,7 +867,7 @@ def _generate(
             e.dedent()
             e(f"{(fr_w if op == _LDFD else gr_w)(r1)} = v")
             if imm:
-                emit_post_inc(r2, imm)
+                emit_post_inc(r2, imm, in_range=True)
         elif op == _STFD or op == _ST8:
             emit_mem_addr(r2)
             emit_l2_probe()
@@ -771,7 +877,7 @@ def _generate(
             e("st = line_state[line]")
             e(f"if st != {SHARED}:")
             e.indent()
-            e("mem_events.stores += 1")
+            emit_hit("stores")
             e(f"if st != {MODIFIED}:")
             e.indent()
             e(f"line_state[line] = {MODIFIED}")
@@ -787,24 +893,23 @@ def _generate(
             e.indent()
             emit_slow_access(STORE, base, idx, charge=True)
             e.dedent()
-            if op == _STFD:
-                e(f"v = {fr_r(r3)}")
-            else:
-                e(f"v = {gr_r(r3)}")
             e(f"off = a - {DATA_BASE}")
             e("if 0 <= off < mem_cap and not off & 7:")
             e.indent()
             if op == _STFD:
-                e("mem_f64_set(off >> 3, v)")
+                e(f"mem_f64[off >> 3] = {fr_r(r3)}")
             else:
-                e(f"mem_i64_set(off >> 3, {_wrap64('v')})")
+                # a register holds a wrapped value; the view would
+                # refuse anything else where write_i64 wraps it
+                emit_wrapped("mem_i64[off >> 3]", gr_r(r3))
             e.dedent()
             e("else:")
             e.indent()
-            e(f"{'mem_write_f64' if op == _STFD else 'mem_write_i64'}(a, v)")
+            e(f"mem_write_f64(a, {fr_r(r3)})" if op == _STFD
+              else f"mem_write_i64(a, {gr_r(r3)})")
             e.dedent()
             if imm:
-                emit_post_inc(r2, imm)
+                emit_post_inc(r2, imm, in_range=True)
         elif op == _LFETCH:
             emit_mem_addr(r2)
             emit_l2_probe()
@@ -813,7 +918,7 @@ def _generate(
                 cond += f" and line_state[line] == {MODIFIED}"
             e(f"if {cond}:")
             e.indent()
-            e("mem_events.prefetches += 1")
+            emit_hit("prefetches")
             e("del lru[line]")
             e("lru[line] = None")
             e.dedent()
@@ -828,23 +933,24 @@ def _generate(
         elif op == _FMA:
             e(f"{fr_w(r1)} = {fr_r(r2)} * {fr_r(r3)} + {fr_r(r4)}")
         elif op == _ADD:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} + {gr_r(r3)}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} + {gr_r(r3)}")
         elif op == _ADDI:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} + {imm}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} + {imm}")
         elif op == _SUB:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} - {gr_r(r3)}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} - {gr_r(r3)}")
+        # & | ^ >> of wrapped operands stay in range: no wrap to pay
         elif op == _AND:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} & {gr_r(r3)}')}")
+            e(f"{gr_w(r1)} = {gr_r(r2)} & {gr_r(r3)}")
         elif op == _OR:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} | {gr_r(r3)}')}")
+            e(f"{gr_w(r1)} = {gr_r(r2)} | {gr_r(r3)}")
         elif op == _XOR:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} ^ {gr_r(r3)}')}")
+            e(f"{gr_w(r1)} = {gr_r(r2)} ^ {gr_r(r3)}")
         elif op == _SHL:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} << {imm}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} << {imm}")
         elif op == _SHR:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} >> {imm}')}")
+            e(f"{gr_w(r1)} = {gr_r(r2)} >> {imm}")
         elif op == _SHLADD:
-            e(f"{gr_w(r1)} = {_wrap64(f'({gr_r(r2)} << {imm}) + {gr_r(r3)}')}")
+            emit_wrapped(gr_w(r1), f"({gr_r(r2)} << {imm}) + {gr_r(r3)}")
         elif op == _MOV:
             e(f"{gr_w(r1)} = {gr_r(r2)}")
         elif op == _MOVI:
@@ -878,7 +984,7 @@ def _generate(
         elif op == _SETF:
             e(f"{fr_w(r1)} = float({gr_r(r2)})")
         elif op == _GETF:
-            e(f"{gr_w(r1)} = {_wrap64(f'int({fr_r(r2)})')}")
+            emit_wrapped(gr_w(r1), f"int({fr_r(r2)})")
         elif op == _FETCHADD8:
             emit_mem_addr(r2)
             e(f"stall += cache_access(cycles, a, {ATOMIC})")
@@ -914,6 +1020,7 @@ def _generate(
             e.dedent()
             emit_rotate()
             e("prl[16 + rrb_pr] = False")
+            emit_unpack()
             e.dedent()
         elif op == _BR_CLOOP:
             e("if lc > 0:")
@@ -944,6 +1051,7 @@ def _generate(
             e.dedent()
             emit_rotate()
             e("prl[16 + rrb_pr] = False")
+            emit_unpack()
             e.dedent()
         elif op == _BR or op == _BR_COND:
             # guard already evaluated (qp wrapper above) -> taken; an
@@ -973,49 +1081,99 @@ def _generate(
     e("l2_dirty = cache.l2_dirty")
     e("mem_events = cache.events")
     e("mem_cap = mem.capacity")
-    e("mem_f64_item = mem._f64.item")
-    e("mem_f64_set = mem._f64.__setitem__")
-    e("mem_i64_item = mem._i64.item")
-    e("mem_i64_set = mem._i64.__setitem__")
+    e("mem_f64 = mem._f64_mv")
+    e("mem_i64 = mem._i64_mv")
     e("mem_read_f64 = mem.read_f64")
     e("mem_write_f64 = mem.write_f64")
     e("mem_read_i64 = mem.read_i64")
     e("mem_write_i64 = mem.write_i64")
     e("btb_append = btb.append")
     e("iters = 0")
+    if whole:
+        for name in ([] if back_edge is None else ["back"]) + events:
+            e(f"n_{name} = 0")
     if spin:
         # osr-off replays every iteration: it is the forward's oracle
         e("forward = core.osr_enabled")
+
+    def emit_body() -> None:
+        """One pass over the bundles, as the ``checked`` version or not."""
+        nonlocal at
+        at = (0, 0)
+        emitted = body if mode == "loop" else body[start:]
+        for n, (addr, decoded) in enumerate(emitted):
+            n_total, entries = decoded
+            e(f"# -- bundle {addr:#x}")
+            e("if executed >= max_bundles or cycles > cycle_limit:" if checked
+              else "if cycles > cycle_limit:")
+            e.indent()
+            e(ret(str(addr), EXIT_BUDGET))
+            e.dedent()
+            e("stall = 0")
+            for entry in entries:
+                emit_slot(addr, entry)
+            # fall-through retirement (no branch taken in this bundle)
+            emit_retire(n_total, addr + BUNDLE_BYTES)
+            if not checked:
+                at = (at[0] + 1, at[1] + n_total)
+            if n == len(emitted) - 1:
+                if mode == "linear":
+                    # region end: chain to whatever follows it
+                    e(ret(str(addr + BUNDLE_BYTES), EXIT_LINK))
+                else:
+                    # fell past the back-edge bundle: the loop is done
+                    e(ret(str(addr + BUNDLE_BYTES), EXIT_LOOP))
+
     if mode == "loop":
         e("while True:")
         e.indent()
         if spin:
             e("hits = forward")
-    emitted = body if mode == "loop" else body[start:]
-    for n, (addr, decoded) in enumerate(emitted):
-        n_total = decoded[0]
-        entries = decoded[1]
-        e(f"# -- bundle {addr:#x}")
-        e("if executed >= max_bundles or cycles > cycle_limit:")
-        e.indent()
-        e(ret(str(addr), EXIT_BUDGET))
-        e.dedent()
-        e("stall = 0")
-        for entry in entries:
-            emit_slot(addr, entry)
-        # fall-through retirement (no branch taken in this bundle)
-        emit_retire(n_total, addr + BUNDLE_BYTES)
-        if n == len(emitted) - 1:
-            if mode == "linear":
-                # region end: chain to whatever follows it
-                e(ret(str(addr + BUNDLE_BYTES), EXIT_LINK))
-            else:
-                # fell past the back-edge bundle: the loop is done
-                e(ret(str(addr + BUNDLE_BYTES), EXIT_LOOP))
+        if whole:
+            # no budget or sample exit can fire inside this iteration
+            # (the longest path retires every slot of every bundle)
+            slots = sum(decoded[0] for _, decoded in body)
+            e(f"if executed + {len(body)} <= max_bundles and "
+              f"(not sampling or countdown > {slots}):")
+            e.indent()
+            checked = False
+            emit_unpack()
+            emit_body()
+            checked = True
+            e.dedent()
+            emit_flush()    # hand-over: the checked body finds the exit
+    emit_body()
     if mode == "loop":
         e.dedent()
+    if whole:
+        # the one way out of the whole-iteration body
+        emit_flush()
+        e("pc, done, slots, flag = out")
+        e("countdown -= slots if sampling else 0")
+        e("retired += slots")
+        e("bundles_executed += done")
+        e("executed += done")
+        e(ret("pc", "flag"))
     e.dedent()
-    return "\n".join(e.lines) + "\n"
+    # the rotating locals the whole-iteration body used, and their tables
+    unpack, tables = [], []
+    for file, offs in used.items():
+        if offs:
+            first, size = rotating[file]
+            offs = sorted(offs)
+            names = "".join(f"{file}{o}, " for o in offs)
+            unpack.append(f"{names}= ROT_{file}[rrb_{file}r]")
+            tables.append(
+                f"ROT_{file} = [tuple({first} + (o + r) % {size} for o in {offs}) "
+                f"for r in range({size})]"
+            )
+    lines = []
+    for line in e.lines:
+        if line.endswith(_UNPACK):
+            lines += [line[: -len(_UNPACK)] + u for u in unpack]
+        else:
+            lines.append(line)
+    return "\n".join(lines + tables) + "\n"
 
 
 # -- per-core management ------------------------------------------------------

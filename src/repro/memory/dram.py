@@ -59,6 +59,11 @@ class MemorySystem:
         self.capacity = capacity_bytes
         self._i64 = np.zeros(capacity_bytes // _WORD, dtype=np.int64)
         self._f64 = self._i64.view(np.float64)
+        # the same words for compiled traces: a memoryview subscript
+        # yields/takes a Python scalar at about half the cost of
+        # ``ndarray.item``/``__setitem__``
+        self._i64_mv = memoryview(self._i64)
+        self._f64_mv = memoryview(self._f64)
         self._align = align
         self._next = DATA_BASE
         self.allocations: dict[str, Allocation] = {}
