@@ -38,10 +38,19 @@ invisible to agents beyond latency.
 
 from __future__ import annotations
 
-import json
+import copy
 import math
+from bisect import bisect_left, insort
+from collections import Counter
+from types import SimpleNamespace
 
-from ..persist.journal import Disk, JournalWriter, MemoryDisk, scan_journal
+from ..persist.journal import (
+    Disk,
+    JournalWriter,
+    MemoryDisk,
+    canonical_json as _dumps,
+    scan_journal,
+)
 from ..persist.profiledb import empty_entry, merge_entries
 from ..persist.snapshot import SnapshotStore
 from .wire import decode_frame
@@ -54,6 +63,53 @@ FLEET_JOURNAL = "fleet.wal"
 
 _ENTRY_COUNTS = ("runs", "cpi_count", "flips")
 _DECISION_FIELDS = ("proven", "rolled_back", "back_branch", "hotness")
+
+
+class _Members:
+    """One JSON object of the state body, held as encoded members.
+
+    ``encode(name)`` gives the canonical JSON of a member's current
+    value.  It runs only for members touched since the last
+    :meth:`text`, and the joined text is kept until the next touch, so
+    a snapshot pays for what changed since the one before it.  Work is
+    booked on ``cost`` (the daemon's :attr:`FleetDaemon.cost`); neither
+    that nor ``encode`` may refer to the daemon, which would otherwise
+    sit in a reference cycle and outlive its last user until a GC pass.
+    """
+
+    __slots__ = ("cost", "encode", "members", "dirty", "joined")
+
+    def __init__(self, cost: SimpleNamespace, encode, names=()) -> None:
+        self.cost = cost
+        self.encode = encode
+        self.members: dict[str, str] = {}
+        #: touched names -> the new value's text, if the toucher had it
+        self.dirty: dict[str, str | None] = dict.fromkeys(names)
+        self.joined: str | None = None
+
+    def touch(self, name: str, text: str | None = None) -> None:
+        """``name``'s value changed (to what ``text`` encodes, if given)."""
+        self.dirty[name] = text
+
+    def drop(self, name: str) -> None:
+        self.dirty.pop(name, None)
+        if self.members.pop(name, None) is not None:
+            self.joined = None
+
+    def text(self) -> str:
+        members = self.members
+        if self.dirty or self.joined is None:
+            for name, text in self.dirty.items():
+                if text is None:
+                    text = self.encode(name)
+                members[name] = f"{_dumps(name)}:{text}"
+            self.cost.fragments_encoded += len(self.dirty)
+            self.cost.fragments_reused += len(members) - len(self.dirty)
+            self.dirty.clear()
+            self.joined = "{%s}" % ",".join(map(members.__getitem__, sorted(members)))
+        else:
+            self.cost.fragments_reused += len(members)
+        return self.joined
 
 
 class SeenSet:
@@ -167,6 +223,19 @@ class FleetDaemon:
         self.recovered: dict | None = None
         self.journal = JournalWriter(self.disk, name=FLEET_JOURNAL)
         self._snapshots = SnapshotStore(self.disk)
+        #: work counters (deterministic, in no report): state-body
+        #: members encoded / taken from the cache, published-entry folds
+        self.cost = SimpleNamespace(
+            fragments_encoded=0, fragments_reused=0, publish_folds=0
+        )
+        #: per-instance sorted window ordinals, kept beside ``windows``
+        self._ordinals: dict[str, list[int]] = {}
+        #: per-key digest -> number of non-quarantined instances holding it
+        self._tallies: dict[str, Counter] = {}
+        #: per-key (published entry, decision count), until the key's
+        #: store or the quarantine set changes
+        self._published: dict[str, tuple[dict | None, int]] = {}
+        self._reset_body_cache()
 
     # -- frame ingestion ---------------------------------------------------
 
@@ -208,7 +277,7 @@ class FleetDaemon:
             return {"k": "nack", "reason": "malformed"}
         fresh = instance not in self.instances
         changed = self.digests.get(key, {}).get(instance) != digest
-        self.instances.add(instance)
+        self._register(instance)
         self._note_digest(key, instance, digest)
         if fresh or changed:
             self.journal.append(
@@ -233,20 +302,24 @@ class FleetDaemon:
         if reason is not None:
             return self._quarantine(instance, reason)
         content = (batch.retired, batch.samples, batch.quarantined, batch.cpi)
-        accepted = self.windows.setdefault(instance, {})
+        accepted = self.windows.get(instance, {})
+        ordinals = self._ordinals.get(instance, [])
         prior = accepted.get(batch.window)
-        if prior is not None and prior != content:
+        if prior is None:
+            # retired counts only ever rise with the ordinal in the
+            # accepted map (a violator is quarantined, never inserted),
+            # so the two neighbours stand for every other window
+            at = bisect_left(ordinals, batch.window)
+            if (at and accepted[ordinals[at - 1]][0] > batch.retired) or (
+                at < len(ordinals) and accepted[ordinals[at]][0] < batch.retired
+            ):
+                return self._quarantine(instance, "time-travel")
+            self._insert_window(instance, batch.window, content)
+        elif prior != content:
             # a second, different batch for the same window ordinal:
             # the stream is rewriting history (cf. stale-index)
             return self._quarantine(instance, "window-conflict")
-        for ordinal, other in accepted.items():
-            if ordinal < batch.window and other[0] > batch.retired:
-                return self._quarantine(instance, "time-travel")
-            if ordinal > batch.window and other[0] < batch.retired:
-                return self._quarantine(instance, "time-travel")
-        accepted[batch.window] = content
-        self._shed_windows(accepted)
-        self.seen.setdefault(instance, SeenSet()).add(seq)
+        self._mark_seen(instance, seq)
         self.journal.append(
             "fleet-batch",
             {"i": instance, "n": seq, "key": key, "window": batch.to_payload()},
@@ -267,55 +340,123 @@ class FleetDaemon:
         if instance in self.quarantined:
             # the digest note just quarantined this very stream
             return {"k": "ack", "status": "quarantined"}
-        slot = self.store.setdefault(key, {})
-        existing = slot.get(instance)
-        slot[instance] = entry if existing is None else merge_entries(existing, entry)
-        self.seen.setdefault(instance, SeenSet()).add(seq)
-        self.journal.append(
-            "fleet-profile",
-            {"i": instance, "n": seq, "key": key, "digest": digest, "entry": entry},
+        # encoded once: the journal record and, for an instance's first
+        # profile, the store member of the state body share this text
+        text = _dumps(entry)
+        self._fold_profile(key, instance, entry, text)
+        self._mark_seen(instance, seq)
+        self.journal.append_body(
+            (
+                f'{{"digest":{_dumps(digest)},"entry":{text},"i":{_dumps(instance)},'
+                f'"key":{_dumps(key)},"n":{seq},"seq":{self.journal.next_seq},'
+                '"t":"fleet-profile"}'
+            ).encode()
         )
         self._accepted_one()
         return {"k": "ack", "status": "ok"}
 
     # -- defensive admission helpers ---------------------------------------
 
-    def _shed_windows(self, accepted: dict[int, tuple]) -> None:
-        """Enforce ``window_budget`` by dropping the oldest ordinals.
+    def _insert_window(self, instance: str, ordinal: int, content: tuple) -> None:
+        """Insert an accepted window under a new ordinal, then enforce
+        ``window_budget`` by dropping the oldest ordinals.
 
         Shedding after every accept keeps the retained dict equal to the
         top-K ordinals of everything accepted so far, whatever order the
         frames arrived in — dedup still holds because the *sequence*
         numbers stay in the seen-set even after their windows are shed.
         """
-        if self.window_budget is None or len(accepted) <= self.window_budget:
-            return
-        for ordinal in sorted(accepted)[: len(accepted) - self.window_budget]:
-            del accepted[ordinal]
+        accepted = self.windows.setdefault(instance, {})
+        ordinals = self._ordinals.setdefault(instance, [])
+        members = self._window_members.get(instance)
+        if members is None:
+            members = self._window_members[instance] = self._batch_members(accepted)
+        insort(ordinals, ordinal)
+        accepted[ordinal] = content
+        members.touch(str(ordinal))
+        if self.window_budget is not None:
+            excess = len(ordinals) - self.window_budget
+            if excess > 0:
+                for shed in ordinals[:excess]:
+                    del accepted[shed]
+                    members.drop(str(shed))
+                del ordinals[:excess]
+        self._windows_body.touch(instance)
+
+    def _mark_seen(self, instance: str, seq: int) -> None:
+        self.seen.setdefault(instance, SeenSet()).add(seq)
+        self._seen_body.touch(instance)
+
+    def _register(self, instance: str) -> None:
+        if instance not in self.instances:
+            self.instances.add(instance)
+            self._body_parts.pop("instances", None)
+
+    def _fold_profile(
+        self, key: str, instance: str, entry: dict, text: str | None = None
+    ) -> None:
+        """Fold an accepted entry (and its canonical JSON ``text``, if
+        the caller has it) into the store."""
+        slot = self.store.setdefault(key, {})
+        members = self._store_members.get(key)
+        if members is None:
+            members = self._store_members[key] = self._entry_members(slot)
+        existing = slot.get(instance)
+        if existing is None:
+            slot[instance] = entry
+            members.touch(instance, text)
+        else:
+            slot[instance] = merge_entries(existing, entry)
+            members.touch(instance)
+        self._published.pop(key, None)
 
     def _quarantine(self, instance: str, reason: str) -> dict:
         if instance not in self.quarantined:
-            self.quarantined[instance] = reason
+            self._mark_quarantined(instance, reason)
             self.journal.append(
                 "fleet-quarantine", {"i": instance, "reason": reason}
             )
         return {"k": "ack", "status": "quarantined", "reason": reason}
 
-    def _note_digest(self, key: str, instance: str, digest: str) -> None:
+    def _mark_quarantined(self, instance: str, reason: str) -> None:
+        self.quarantined[instance] = reason
+        self._body_parts.pop("quarantined", None)
+        self._published.clear()
+        for key, slot in self.digests.items():
+            if instance in slot:
+                self._untally(key, slot[instance])
+
+    def _untally(self, key: str, digest: str) -> None:
+        tally = self._tallies[key]
+        tally[digest] -= 1
+        if not tally[digest]:
+            del tally[digest]
+
+    def _set_digest(self, key: str, instance: str, digest: str) -> None:
         slot = self.digests.setdefault(key, {})
+        old = slot.get(instance)
+        if old == digest:
+            return
         slot[instance] = digest
-        counts: dict[str, int] = {}
-        for inst, d in slot.items():
-            if inst not in self.quarantined:
-                counts[d] = counts.get(d, 0) + 1
-        if not counts:
+        self._body_parts.pop("digests", None)
+        if instance not in self.quarantined:
+            if old is not None:
+                self._untally(key, old)
+            self._tallies.setdefault(key, Counter())[digest] += 1
+
+    def _note_digest(self, key: str, instance: str, digest: str) -> None:
+        self._set_digest(key, instance, digest)
+        counts = self._tallies.get(key)
+        if not counts or len(counts) == 1:
+            # nobody (not quarantined) holds a second digest to diverge by
             return
         best = max(counts.values())
-        winners = [d for d, c in sorted(counts.items()) if c == best]
+        winners = [d for d, c in counts.items() if c == best]
         if best < self.quorum or len(winners) != 1:
             # no digest commands a strict, quorum-backed majority yet
             return
         consensus = winners[0]
+        slot = self.digests[key]
         for inst in sorted(slot):
             if inst not in self.quarantined and slot[inst] != consensus:
                 self._quarantine(inst, "digest-divergence vs fleet consensus")
@@ -379,6 +520,25 @@ class FleetDaemon:
         *distinct* instances — one loud instance, however many runs it
         folds in, never publishes alone.
         """
+        # a copy: the caller may edit what it gets, the memo stays
+        return copy.deepcopy(self._publish(key)[0])
+
+    def published_count(self, key: str) -> int:
+        """Quorum-published (loop, optimization) decisions for ``key``."""
+        return self._publish(key)[1]
+
+    def _publish(self, key: str) -> tuple[dict | None, int]:
+        memo = self._published.get(key)
+        if memo is None:
+            entry = self._fold_published(key)
+            self.cost.publish_folds += 1
+            count = 0
+            if entry is not None:
+                count = sum(len(opts) for opts in entry["decisions"].values())
+            memo = self._published[key] = (entry, count)
+        return memo
+
+    def _fold_published(self, key: str) -> dict | None:
         per_instance = self.store.get(key, {})
         contributors = sorted(
             inst for inst in per_instance if inst not in self.quarantined
@@ -405,46 +565,81 @@ class FleetDaemon:
         merged["decisions"] = decisions
         return merged
 
-    def published_count(self, key: str) -> int:
-        """Quorum-published (loop, optimization) decisions for ``key``."""
-        entry = self.published_entry(key)
-        if entry is None:
-            return 0
-        return sum(len(opts) for opts in entry["decisions"].values())
-
     # -- durability ----------------------------------------------------------
 
     def _accepted_one(self) -> None:
         self.batches_accepted += 1
         if self.batches_accepted % self.snapshot_interval == 0:
-            self._snapshots.write(self.batches_accepted, self._state_payload())
+            self._snapshots.write_body(self.batches_accepted, self._state_body(True))
             self._snapshots.prune(self.snapshots_kept)
             self.snapshots_written += 1
 
-    def _state_payload(self) -> dict:
-        return {
-            "format": 1,
-            "quorum": self.quorum,
-            "instances": sorted(self.instances),
-            "seen": {
-                inst: s.to_payload() for inst, s in sorted(self.seen.items())
-            },
-            "windows": {
-                inst: {str(w): list(c) for w, c in sorted(ws.items())}
-                for inst, ws in sorted(self.windows.items())
-            },
-            "digests": {
-                key: dict(sorted(slot.items()))
-                for key, slot in sorted(self.digests.items())
-            },
-            "store": {
-                key: dict(sorted(slot.items()))
-                for key, slot in sorted(self.store.items())
-            },
-            "quarantined": dict(sorted(self.quarantined.items())),
-            "batches_accepted": self.batches_accepted,
-            "journal_seq": self.journal.next_seq,
+    def _reset_body_cache(self) -> None:
+        """Forget every encoded piece of the state body (state replaced)."""
+        seen = self.seen
+        self._seen_body = _Members(
+            self.cost, lambda inst: _dumps(seen[inst].to_payload()), seen
+        )
+        #: per instance, one member per accepted window (JSON sorts the
+        #: ``str(ordinal)`` keys as strings, and so does ``_Members``)
+        window_members = self._window_members = {
+            inst: self._batch_members(ws) for inst, ws in self.windows.items()
         }
+        self._windows_body = _Members(
+            self.cost, lambda inst: window_members[inst].text(), window_members
+        )
+        self._store_members = {
+            key: self._entry_members(slot) for key, slot in self.store.items()
+        }
+        #: encoded "instances" / "digests" / "quarantined" values, each
+        #: dropped by the code that changes what it encodes
+        self._body_parts: dict[str, str] = {}
+
+    def _batch_members(self, accepted: dict[int, tuple]) -> _Members:
+        return _Members(
+            self.cost, lambda w: _dumps(list(accepted[int(w)])), map(str, accepted)
+        )
+
+    def _entry_members(self, slot: dict[str, dict]) -> _Members:
+        return _Members(self.cost, lambda inst: _dumps(slot[inst]), slot)
+
+    def _state_body(self, journal_seq: bool) -> bytes:
+        """The state as canonical JSON, assembled from cached pieces.
+
+        Byte for byte ``json.dumps(payload, sort_keys=True,
+        separators=(",", ":"))`` of the payload dict (format 1: the
+        keys below, ``windows`` keyed by ``str(ordinal)``): every piece
+        is that encoder's text for one value, and pieces are joined
+        under their sorted keys.  ``journal_seq`` is the one volatile
+        key; :meth:`canonical_state` leaves it out.
+        """
+        parts = self._body_parts
+        if "instances" not in parts:
+            parts["instances"] = _dumps(sorted(self.instances))
+        if "digests" not in parts:
+            parts["digests"] = _dumps(self.digests)
+        if "quarantined" not in parts:
+            parts["quarantined"] = _dumps(self.quarantined)
+        store = ",".join(
+            f"{_dumps(key)}:{self._store_members[key].text()}"
+            for key in sorted(self._store_members)
+        )
+        seq = f'"journal_seq":{self.journal.next_seq},' if journal_seq else ""
+        return "".join((
+            f'{{"batches_accepted":{self.batches_accepted},"digests":',
+            parts["digests"],
+            ',"format":1,"instances":',
+            parts["instances"],
+            f',{seq}"quarantined":',
+            parts["quarantined"],
+            f',"quorum":{_dumps(self.quorum)},"seen":',
+            self._seen_body.text(),
+            ',"store":{',
+            store,
+            '},"windows":',
+            self._windows_body.text(),
+            "}",
+        )).encode()
 
     def canonical_state(self) -> bytes:
         """Canonical bytes of the convergent daemon state.
@@ -453,9 +648,7 @@ class FleetDaemon:
         position): two daemons that ingested the same frames — in any
         order, with any duplication — must agree on these bytes.
         """
-        payload = self._state_payload()
-        del payload["journal_seq"]
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        return self._state_body(False)
 
     def _restore(self, payload: dict) -> None:
         self.instances = set(payload.get("instances", []))
@@ -475,44 +668,43 @@ class FleetDaemon:
         }
         self.quarantined = dict(payload.get("quarantined", {}))
         self.batches_accepted = payload.get("batches_accepted", 0)
+        self._ordinals = {inst: sorted(ws) for inst, ws in self.windows.items()}
+        self._tallies = {
+            key: Counter(
+                d for inst, d in slot.items() if inst not in self.quarantined
+            )
+            for key, slot in self.digests.items()
+        }
+        self._published.clear()
+        self._reset_body_cache()
 
     def _replay(self, record: dict) -> None:
         """Re-apply one journal record (already validated at accept time)."""
         kind = record.get("t")
         if kind == "fleet-hello":
-            self.instances.add(record["i"])
-            self.digests.setdefault(record["key"], {})[record["i"]] = record[
-                "digest"
-            ]
+            self._register(record["i"])
+            self._set_digest(record["key"], record["i"], record["digest"])
         elif kind == "fleet-batch":
             from ..hpm.batch import WindowBatch
 
             batch = WindowBatch.from_payload(record["window"])
-            accepted = self.windows.setdefault(record["i"], {})
-            accepted[batch.window] = (
-                batch.retired,
-                batch.samples,
-                batch.quarantined,
-                batch.cpi,
-            )
-            self._shed_windows(accepted)
-            self.seen.setdefault(record["i"], SeenSet()).add(record["n"])
+            instance = record["i"]
+            if batch.window not in self.windows.get(instance, ()):
+                self._insert_window(
+                    instance,
+                    batch.window,
+                    (batch.retired, batch.samples, batch.quarantined, batch.cpi),
+                )
+            self._mark_seen(instance, record["n"])
             self.batches_accepted += 1
         elif kind == "fleet-profile":
-            slot = self.store.setdefault(record["key"], {})
-            existing = slot.get(record["i"])
-            slot[record["i"]] = (
-                record["entry"]
-                if existing is None
-                else merge_entries(existing, record["entry"])
-            )
-            self.digests.setdefault(record["key"], {})[record["i"]] = record[
-                "digest"
-            ]
-            self.seen.setdefault(record["i"], SeenSet()).add(record["n"])
+            self._fold_profile(record["key"], record["i"], record["entry"])
+            self._set_digest(record["key"], record["i"], record["digest"])
+            self._mark_seen(record["i"], record["n"])
             self.batches_accepted += 1
         elif kind == "fleet-quarantine":
-            self.quarantined.setdefault(record["i"], record["reason"])
+            if record["i"] not in self.quarantined:
+                self._mark_quarantined(record["i"], record["reason"])
 
     @classmethod
     def recover(

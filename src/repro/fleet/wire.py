@@ -53,7 +53,9 @@ def decode_frame(data: bytes) -> dict | None:
     A frame must be exactly one valid record — trailing bytes mean a
     truncated/concatenated transmission and are rejected wholesale.
     """
-    records, valid_len, _discarded = scan_journal(bytes(data))
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    records, valid_len, _discarded = scan_journal(data)
     if len(records) != 1 or valid_len != len(data):
         return None
     return records[0]

@@ -41,7 +41,9 @@ __all__ = [
     "JournalWriter",
     "JOURNAL_NAME",
     "RECORD_MAGIC",
+    "canonical_json",
     "encode_record",
+    "frame_record",
     "scan_journal",
 ]
 
@@ -56,16 +58,25 @@ _CRC = struct.Struct("<I")
 HEADER_BYTES = _HEAD.size + _CRC.size
 
 
+#: The one canonical JSON text of a value (sorted keys, no whitespace):
+#: journal records, wire frames and snapshot payloads are all this, and
+#: the text of a nested value is a substring of its parent's.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _canonical(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return canonical_json(payload).encode()
+
+
+def frame_record(body: bytes) -> bytes:
+    """Frame one already-encoded canonical-JSON record body."""
+    head = _HEAD.pack(RECORD_MAGIC, 0, len(body))
+    return head + _CRC.pack(zlib.crc32(body, zlib.crc32(head))) + body
 
 
 def encode_record(payload: dict) -> bytes:
     """One framed journal record for ``payload`` (canonical JSON)."""
-    body = _canonical(payload)
-    head = _HEAD.pack(RECORD_MAGIC, 0, len(body))
-    crc = zlib.crc32(head + body) & 0xFFFFFFFF
-    return head + _CRC.pack(crc) + body
+    return frame_record(_canonical(payload))
 
 
 def scan_journal(data: bytes) -> tuple[list[dict], int, list[str]]:
@@ -99,7 +110,7 @@ def scan_journal(data: bytes) -> tuple[list[dict], int, list[str]]:
             )
             break
         body = data[body_start : body_start + length]
-        want = zlib.crc32(data[offset : offset + _HEAD.size] + body) & 0xFFFFFFFF
+        want = zlib.crc32(body, zlib.crc32(data[offset : offset + _HEAD.size]))
         if crc != want:
             discarded.append(f"crc mismatch at offset {offset}")
             break
@@ -311,11 +322,16 @@ class JournalWriter:
 
     def append(self, kind: str, payload: dict) -> int:
         """Frame and durably append one record; return its sequence."""
-        seq = self.next_seq
         record = dict(payload)
         record["t"] = kind
-        record["seq"] = seq
-        data = encode_record(record)
+        record["seq"] = self.next_seq
+        return self.append_body(_canonical(record))
+
+    def append_body(self, body: bytes) -> int:
+        """Append a record whose canonical-JSON body the caller encoded
+        itself (``"seq"`` must be :attr:`next_seq`); return its sequence."""
+        seq = self.next_seq
+        data = frame_record(body)
         if self.gate is not None:
             self.gate(self.name, data, "append")
         self.disk.append(self.name, data)

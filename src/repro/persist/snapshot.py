@@ -30,13 +30,14 @@ import re
 import struct
 from dataclasses import dataclass, field
 
-from .journal import Disk
+from .journal import Disk, canonical_json
 
 __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_MAGIC",
     "SnapshotStore",
     "encode_snapshot",
+    "frame_snapshot",
     "decode_snapshot",
 ]
 
@@ -50,11 +51,16 @@ _DIGEST_BYTES = 32
 _SNAP_RE = re.compile(r"^snap-(\d{8})\.ckpt$")
 
 
-def encode_snapshot(payload: dict, fmt: int = SNAPSHOT_FORMAT) -> bytes:
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+def frame_snapshot(body: bytes, fmt: int = SNAPSHOT_FORMAT) -> bytes:
+    """Frame a payload the caller has already encoded as canonical JSON."""
     head = _HEAD.pack(SNAPSHOT_MAGIC, fmt, 0, len(body))
-    digest = hashlib.sha256(head + body).digest()
-    return head + digest + body
+    digest = hashlib.sha256(head)
+    digest.update(body)
+    return b"".join((head, digest.digest(), body))
+
+
+def encode_snapshot(payload: dict, fmt: int = SNAPSHOT_FORMAT) -> bytes:
+    return frame_snapshot(canonical_json(payload).encode(), fmt)
 
 
 def decode_snapshot(data: bytes) -> dict:
@@ -117,7 +123,11 @@ class SnapshotStore:
         return sorted(out)
 
     def write(self, version: int, payload: dict) -> None:
-        self.disk.write_atomic(self.name_for(version), encode_snapshot(payload))
+        self.write_body(version, canonical_json(payload).encode())
+
+    def write_body(self, version: int, body: bytes) -> None:
+        """:meth:`write` for a payload already encoded as canonical JSON."""
+        self.disk.write_atomic(self.name_for(version), frame_snapshot(body))
 
     def load_newest(self) -> SnapshotLoad:
         """Newest snapshot that verifies, falling back past corrupt ones."""

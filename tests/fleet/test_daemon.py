@@ -3,6 +3,8 @@ publishing, and crash recovery."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -170,6 +172,53 @@ class TestSanitizer:
         daemon.handle(encode_frame(batch_frame("i0", 2, KEY, backwards)))
         assert daemon.quarantined["i0"] == "time-travel"
 
+    @given(
+        stream=st.lists(
+            st.tuples(
+                st.integers(0, 9),                    # window ordinal
+                st.sampled_from([0, 0, 0, 0, -15, 15]),  # retired jitter
+                st.sampled_from([1.5, 1.5, 1.5, 2.5]),   # cpi (conflict bait)
+            ),
+            max_size=24,
+        ),
+        budget=st.sampled_from([None, 2, 3]),
+    )
+    @settings(max_examples=200, **COMMON)
+    def test_neighbour_check_is_the_full_scan(self, stream, budget):
+        """The time-travel check looks at two neighbours; the rule is
+        'no accepted window disagrees'.  Same verdict, same reason, same
+        retained windows at every step."""
+        daemon = FleetDaemon(window_budget=budget)
+        accepted: dict[int, tuple] = {}
+        verdict = None
+        for seq, (ordinal, jitter, cpi) in enumerate(stream, start=1):
+            retired = max(0, 10 * ordinal + jitter)
+            window = {"window": ordinal, "retired": retired, "samples": 10,
+                      "quarantined": 0, "cpi": cpi}
+            reply = daemon.handle(encode_frame(batch_frame("i0", seq, KEY, window)))
+            content = (retired, 10, 0, cpi)
+            if verdict is None:
+                prior = accepted.get(ordinal)
+                if prior is not None and prior != content:
+                    verdict = "window-conflict"
+                elif any(
+                    (o < ordinal and c[0] > retired) or (o > ordinal and c[0] < retired)
+                    for o, c in accepted.items()
+                ):
+                    verdict = "time-travel"
+                else:
+                    accepted[ordinal] = content
+                    if budget is not None:
+                        for shed in sorted(accepted)[: max(0, len(accepted) - budget)]:
+                            del accepted[shed]
+                want = {"k": "ack", "status": "ok"} if verdict is None else {
+                    "k": "ack", "status": "quarantined", "reason": verdict}
+            else:
+                want = {"k": "ack", "status": "quarantined"}
+            assert reply == want
+            assert daemon.windows.get("i0", {}) == accepted
+            assert daemon.quarantined == ({} if verdict is None else {"i0": verdict})
+
     def test_damaged_entry_quarantines(self):
         daemon = FleetDaemon()
         entry = _entry()
@@ -213,6 +262,79 @@ class TestConsensus:
         daemon.handle(encode_frame(hello_frame("i0", KEY, "x" * 16)))
         daemon.handle(encode_frame(hello_frame("i1", KEY, DIGEST)))
         assert not daemon.quarantined
+
+    def test_late_quarantine_interleaved_with_digest_changes(self):
+        other = "x" * 16
+        disk = MemoryDisk()
+        daemon = FleetDaemon(disk, quorum=3)
+        for inst, digest in (("i0", DIGEST), ("i1", DIGEST), ("i2", other), ("i3", other)):
+            daemon.handle(encode_frame(hello_frame(inst, KEY, digest)))
+        assert not daemon.quarantined  # two against two, quorum three
+        # i3 is caught lying about a batch: its vote is withdrawn
+        bad = dict(_window(0), samples=-1)
+        daemon.handle(encode_frame(batch_frame("i3", 1, KEY, bad)))
+        # a quarantined stream re-announcing itself counts for nothing:
+        # still two for DIGEST, so still no quorum-backed consensus
+        daemon.handle(encode_frame(hello_frame("i3", KEY, DIGEST)))
+        assert daemon.quarantined == {"i3": "samples-range"}
+        assert daemon.digests[KEY]["i3"] == DIGEST
+        # the third honest vote makes the consensus; i2 diverges from it
+        daemon.handle(encode_frame(hello_frame("i4", KEY, DIGEST)))
+        assert list(daemon.quarantined) == ["i3", "i2"]
+        # i4 changes its digest: the consensus loses its quorum, nobody
+        # is judged; the next honest vote restores it and i4 diverges
+        daemon.handle(encode_frame(hello_frame("i4", KEY, other)))
+        assert list(daemon.quarantined) == ["i3", "i2"]
+        daemon.handle(encode_frame(hello_frame("i5", KEY, DIGEST)))
+        assert list(daemon.quarantined) == ["i3", "i2", "i4"]
+        recovered = FleetDaemon.recover(disk, quorum=3)
+        assert recovered.quarantined == daemon.quarantined
+        assert recovered._tallies == daemon._tallies == {KEY: {DIGEST: 3}}
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["hello", "hello", "profile", "poison"]),
+                st.sampled_from(["i0", "i1", "i2", "i3", "i4"]),
+                st.sampled_from(["a" * 16, "b" * 16, "c" * 16]),
+            ),
+            max_size=30,
+        ),
+        quorum=st.integers(1, 3),
+    )
+    @settings(max_examples=150, **COMMON)
+    def test_tallies_are_a_recount(self, steps, quorum):
+        """Consensus by running tallies quarantines whom, and in the
+        order, a recount of every digest on every note would."""
+        daemon = FleetDaemon(quorum=quorum)
+        digests: dict[str, str] = {}
+        quarantined: list[str] = []
+        for seq, (kind, inst, digest) in enumerate(steps, start=1):
+            if kind == "poison":
+                frame = batch_frame(inst, seq, KEY, dict(_window(0), samples=-1))
+                if inst not in quarantined:
+                    quarantined.append(inst)
+            else:
+                frame = (
+                    hello_frame(inst, KEY, digest) if kind == "hello"
+                    else profile_frame(inst, seq, KEY, digest, _entry())
+                )
+                if kind == "hello" or inst not in quarantined:
+                    digests[inst] = digest
+                    counts: dict[str, int] = {}
+                    for i, d in digests.items():
+                        if i not in quarantined:
+                            counts[d] = counts.get(d, 0) + 1
+                    best = max(counts.values(), default=0)
+                    winners = [d for d, c in counts.items() if c == best]
+                    if best >= quorum and len(winners) == 1:
+                        quarantined.extend(
+                            i for i in sorted(digests)
+                            if i not in quarantined and digests[i] != winners[0]
+                        )
+            daemon.handle(encode_frame(frame))
+            assert list(daemon.quarantined) == quarantined
+            assert daemon.digests.get(KEY, {}) == digests
 
 
 class TestQuorumPublishing:
@@ -425,7 +547,7 @@ class TestSeenSet:
         # state where the old plain set held one int per frame forever
         assert seen.watermark == 501
         assert seen.residue == set()
-        payload = daemon._state_payload()["seen"]["i0"]
+        payload = json.loads(daemon.canonical_state())["seen"]["i0"]
         assert payload == {"w": 501, "r": []}
 
     def test_compacted_seen_survives_recovery(self):

@@ -55,6 +55,14 @@ class TestRejection:
         one = encode_frame(hello_frame("i0", "k", "d"))
         assert decode_frame(one + one) is None
 
+    def test_any_buffer_type_decodes_alike(self):
+        one = encode_frame(hello_frame("i0", "k", "d" * 16))
+        want = decode_frame(one)
+        assert want is not None
+        for kind in (bytearray, memoryview):
+            assert decode_frame(kind(one)) == want
+            assert decode_frame(kind(one + b"x")) is None
+
     def test_empty_and_garbage(self):
         assert decode_frame(b"") is None
         assert decode_frame(b"not a frame at all") is None

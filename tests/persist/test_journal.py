@@ -13,7 +13,7 @@ from repro.persist import (
     encode_record,
     scan_journal,
 )
-from repro.persist.journal import HEADER_BYTES
+from repro.persist.journal import HEADER_BYTES, frame_record
 
 
 class TestWireFormat:
@@ -149,3 +149,35 @@ class TestJournalWriter:
             writer.append("window", {"x": 1})
         assert calls and calls[0][0] == JOURNAL_NAME and calls[0][2] == "append"
         assert not disk.exists(JOURNAL_NAME)  # nothing landed
+
+    def test_append_body_is_append_of_the_same_record(self):
+        plain, encoded = MemoryDisk(), MemoryDisk()
+        JournalWriter(plain, next_seq=7).append("txn", {"y": 2, "a": [1.5, None]})
+        writer = JournalWriter(encoded, next_seq=7)
+        assert writer.append_body(b'{"a":[1.5,null],"seq":7,"t":"txn","y":2}') == 7
+        assert encoded.read(JOURNAL_NAME) == plain.read(JOURNAL_NAME)
+        assert writer.next_seq == 8 and writer.records_written == 1
+
+
+class TestChainedCrc:
+    """The CRC is computed head-then-body without joining the two; the
+    bytes on disk and every scan verdict are what the joined CRC gave."""
+
+    def test_frame_is_the_crc_of_head_plus_body(self):
+        import struct
+        import zlib
+
+        body = b'{"seq":0,"t":"window"}'
+        data = encode_record({"t": "window", "seq": 0})
+        assert data == frame_record(body)
+        head = data[:8]
+        assert struct.unpack_from("<I", data, 8)[0] == zlib.crc32(head + body)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_scan_verdicts_unchanged(self, kind):
+        payloads = [{"t": "window", "seq": i} for i in range(3)]
+        data = b"".join(encode_record(p) for p in payloads) + b"\xba\xc0torn"
+        records, valid_len, discarded = scan_journal(kind(data))
+        assert records == payloads
+        assert valid_len == len(data) - 6
+        assert discarded == [f"torn header at offset {valid_len} (6 byte(s))"]

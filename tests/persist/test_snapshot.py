@@ -67,6 +67,13 @@ class TestStore:
         assert load.payload == {"v": 1} and load.version == 1
         assert load.corrupt == [] and load.stray_tmp == []
 
+    def test_write_body_is_write_of_the_same_payload(self):
+        plain, encoded = MemoryDisk(), MemoryDisk()
+        SnapshotStore(plain).write(3, {"v": 3, "a": [1.5, None]})
+        SnapshotStore(encoded).write_body(3, b'{"a":[1.5,null],"v":3}')
+        assert encoded.files == plain.files
+        assert encoded.durable_ops == 1
+
     def test_falls_back_past_corrupt_newest(self):
         disk = MemoryDisk()
         store = SnapshotStore(disk)
