@@ -74,10 +74,6 @@ class Function:
     loop_head: int
     lfetch_sites: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def n_lfetch(self) -> int:
-        return len(self.lfetch_sites)
-
 
 class Emitter:
     """Accumulates instructions and packs them into bundles."""

@@ -36,6 +36,7 @@ from ..config import (
 )
 from ..cpu.machine import Machine
 from ..cpu.scheduler import Scheduler
+from ..cpu.tracejit import fastpath_stats
 from ..errors import CobraError, InvariantViolation, ProfileStateError
 from ..faults.injector import FaultInjector, FaultLedger
 from ..isa.binary import BinaryImage
@@ -435,8 +436,6 @@ class Cobra:
                 self.profile_db.save()
 
     def report(self) -> CobraReport:
-        from ..bench import fastpath_stats
-
         profiler = self.optimizer.profiler
         ledger = self.faults.ledger() if self.faults is not None else None
         if (

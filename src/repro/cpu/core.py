@@ -248,20 +248,6 @@ class Core:
         self.sample_interval = 0
         self.on_sample = None
 
-    def _fetch_bundle(self, addr: int):
-        for image in self.images:
-            bundle = image.bundles.get(addr)
-            if bundle is not None:
-                return bundle
-        raise SimulationFault("no code at address", pc=addr, cpu=self.cpu_id)
-
-    def _record_taken(self, branch_pc: int, target: int) -> None:
-        self.taken_branches += 1
-        btb = self.btb
-        btb.append((branch_pc, target))
-        if len(btb) > _BTB_SIZE:
-            del btb[0]
-
     # -- execution --------------------------------------------------------------
 
     def run(self, max_bundles: int, cycle_limit: int | None = None) -> int:

@@ -101,6 +101,7 @@ from ..memory.hierarchy import (
 __all__ = [
     "CompiledTrace",
     "TraceJit",
+    "fastpath_stats",
     "compile_trace",
     "compile_linear_trace",
     "DEOPT_REASONS",
@@ -1465,12 +1466,6 @@ class TraceJit:
             count += 1
         return count
 
-    def tree_shapes(self) -> list[list]:
-        """Canonical resident tree shapes for profile-DB persistence."""
-        return sorted(
-            [tr.root, tr.head, tr.kind, tr.sor] for tr in self.traces.values()
-        )
-
     def stats(self) -> dict:
         """Observability snapshot (bench / CobraReport fast-path lines)."""
         return {
@@ -1495,3 +1490,49 @@ class TraceJit:
                 for reason, count in zip(DEOPT_REASONS, self.deopts)
             },
         }
+
+
+def fastpath_stats(machine) -> dict:
+    """Aggregate :meth:`TraceJit.stats` over a machine's cores.
+
+    Every int-valued key of ``stats()`` is summed, so a counter added
+    there appears here (and in ``CobraReport.fastpath`` and the
+    ``repro bench`` matrix) without an edit.  Everything returned is a
+    deterministic function of the simulated run.
+    """
+    totals: dict = {}
+    deopts: dict[str, int] = {}
+    per_core = []
+    exit_sites = bundles = decodes = 0
+    for core in machine.cores:
+        stats = core.trace_jit.stats()
+        for key, value in stats.items():
+            if isinstance(value, int):
+                totals[key] = totals.get(key, 0) + value
+        for reason, count in stats["deopts"].items():
+            deopts[reason] = deopts.get(reason, 0) + count
+        exit_sites += len(stats["exit_sites"])
+        bundles += core.bundles_executed
+        decodes += core.decode_cache.decodes
+        per_core.append(
+            {
+                "cpu": core.cpu_id,
+                "compiles": stats["compiles"],
+                "compiled_bundles": stats["compiled_bundles"],
+                "osr_entries": stats["osr_entries"],
+                "tree_links": stats["tree_links"],
+                "resume_hits": stats["resume_hits"],
+                "bundles": core.bundles_executed,
+                "decodes": core.decode_cache.decodes,
+            }
+        )
+    totals["exit_sites"] = exit_sites
+    totals["coverage_pct"] = (
+        round(100.0 * totals["compiled_bundles"] / bundles, 2) if bundles else 0.0
+    )
+    totals["decode_cache_hit_pct"] = (
+        round(100.0 * (1.0 - decodes / bundles), 2) if bundles else 0.0
+    )
+    totals["deopts"] = {k: deopts[k] for k in sorted(deopts)}
+    totals["per_core"] = per_core
+    return totals

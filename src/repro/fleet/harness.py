@@ -26,7 +26,6 @@ Proved per run, recorded in :class:`FleetReport`:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
@@ -158,7 +157,7 @@ class FleetReport:
             lines.append(f"  FAIL: {failure}")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["records"] = [asdict(r) for r in self.records]
         if self.ledger is not None:
@@ -168,7 +167,7 @@ class FleetReport:
                             "accounted", "by_kind")
             }
         payload["ok"] = self.ok
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return payload
 
 
 @dataclass

@@ -131,8 +131,3 @@ class RegisterFile:
     def clear_rrb(self) -> None:
         """Reset all rename bases (``clrrrb``)."""
         self.rrb_gr = self.rrb_fr = self.rrb_pr = 0
-
-    def clear_rotating_predicates(self) -> None:
-        """Set ``p16..p63`` to false (SWP prologue convention)."""
-        for i in range(PR_ROT_START, 64):
-            self.pr[i] = False

@@ -81,10 +81,6 @@ class RunResult:
     def l3_misses(self) -> int:
         return self.events.l3_misses
 
-    @property
-    def bus_transactions(self) -> int:
-        return self.events.bus_memory
-
 
 class ParallelProgram:
     """Builder + executor for one multithreaded program."""

@@ -37,6 +37,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from .config import DEFAULT_SCALE, itanium2_smp, sgi_altix
 from .cpu.machine import Machine
 from .cpu.scheduler import Scheduler
+from .cpu.tracejit import fastpath_stats
 from .errors import ValidationError
 from .memory.events import MemEvents
 from .runtime.team import ParallelProgram
@@ -248,7 +249,6 @@ def run_cell(
     its return value travels in :attr:`Observables.extra`.
     """
     # deferred: repro.core and repro.validate import this module
-    from .bench import fastpath_stats
     from .core.framework import Cobra
     from .validate.checker import CoherenceChecker
 

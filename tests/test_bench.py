@@ -1,53 +1,60 @@
-"""Perf harness: schema, determinism assertion, CLI smoke."""
+"""Fidelity matrix: schema, determinism, the committed baseline, --compare."""
 
 import json
+import os
+from pathlib import Path
+from types import SimpleNamespace
 
 from repro.bench import (
     BENCH_SCHEMA,
+    MATRIX_BENCHMARKS,
     format_report,
     run_bench,
     run_case,
 )
 from repro.cli import main
-from repro.scenario import ALL_STRATEGIES
+from repro.config import env_value
+from repro.cpu.tracejit import TraceJit, fastpath_stats
+from repro.scenario import ALL_STRATEGIES, MACHINES
+
+BASELINE = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
 CASE_KEYS = {
     "id", "benchmark", "machine", "strategy", "threads", "scale",
-    "wall_s", "wall_s_median", "sim_cycles", "retired", "pmu_samples",
-    "cycles_per_sec", "retired_per_sec", "samples_per_sec",
-    "digest", "events", "fastpath",
+    "sim_cycles", "retired", "pmu_samples", "digest", "events", "fastpath",
 }
+
+
+def _dump(doc: dict) -> str:
+    """The bytes ``repro bench --out`` writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestRunCase:
     def test_schema_and_metrics(self):
-        case = run_case("daxpy", "smp4", "none", samples=1)
+        case = run_case("daxpy", "smp4", "none")
         assert set(case) == CASE_KEYS
         assert case["id"] == "smp4/daxpy/none"
         assert case["sim_cycles"] > 0 and case["retired"] > 0
-        assert case["cycles_per_sec"] > 0
         assert len(case["digest"]) == 64
         assert case["events"]["loads"] > 0
         assert case["pmu_samples"] == 0  # raw simulator, no profiler
 
     def test_cobra_strategy_reports_pmu_samples(self):
-        case = run_case("daxpy", "smp4", "adaptive", samples=1)
+        case = run_case("daxpy", "smp4", "adaptive")
         assert case["pmu_samples"] > 0
-        assert case["samples_per_sec"] > 0
 
     def test_samples_are_deterministic(self):
-        # two timed samples of the same case must agree on digest and
-        # counters (run_case raises otherwise)
-        case = run_case("cg", "smp4", "excl", samples=2)
-        assert len(case["wall_s"]) == 2
+        assert run_case("cg", "smp4", "excl") == run_case("cg", "smp4", "excl")
 
 
 class TestRunBench:
     def test_quick_matrix(self):
         report = run_bench(
             benchmarks=("daxpy",), machines=("smp4",),
-            strategies=("none", "adaptive"), samples=1, quick=True,
+            strategies=("none", "adaptive"),
         )
+        assert set(report) == {"schema", "cases", "totals"}
         assert report["schema"] == BENCH_SCHEMA
         assert [c["strategy"] for c in report["cases"]] == ["none", "adaptive"]
         assert report["totals"]["sim_cycles"] > 0
@@ -58,37 +65,113 @@ class TestRunBench:
         assert "smp4/daxpy/none" in table and "smp4/daxpy/adaptive" in table
 
     def test_default_strategy_matrix(self):
-        report = run_bench(
-            benchmarks=("daxpy",), machines=("smp4",), samples=1, quick=True
-        )
+        report = run_bench(benchmarks=("daxpy",), machines=("smp4",))
         assert tuple(c["strategy"] for c in report["cases"]) == ALL_STRATEGIES
+
+    def test_committed_baseline_is_a_fresh_run(self):
+        """BENCH_perf.json replays byte for byte over the full matrix.
+
+        It is regenerated (``repro bench --out BENCH_perf.json``) only
+        by a change that *means* to move simulated behaviour.  CI also
+        runs this file under ``REPRO_TRACE_JIT=osr-off``: architectural
+        results do not depend on the JIT mode, only ``fastpath`` does.
+        """
+        committed = json.loads(BASELINE.read_text())
+        fresh = run_bench(jobs=2)
+        assert [c["id"] for c in fresh["cases"]] == [
+            f"{m}/{b}/{s}"
+            for m in MACHINES for b in MATRIX_BENCHMARKS for s in ALL_STRATEGIES
+        ]
+        assert len(fresh["cases"]) == 24
+        if env_value("REPRO_TRACE_JIT") in (None, "1"):
+            assert _dump(fresh) == BASELINE.read_text()
+        else:
+            for doc in (committed, fresh):
+                for case in doc["cases"]:
+                    del case["fastpath"]
+            assert fresh == committed
 
 
 class TestBenchCli:
+    ARGV = ["bench", "--benchmarks", "daxpy", "--machines", "smp4",
+            "--strategies", "none"]
+
     def test_writes_json(self, tmp_path, capsys):
         out = tmp_path / "BENCH_perf.json"
-        rc = main([
-            "bench", "--quick", "--samples", "1", "--out", str(out),
-            "--benchmarks", "daxpy", "--strategies", "none",
-        ])
+        rc = main(self.ARGV + ["--out", str(out)])
         stdout = capsys.readouterr().out
         assert rc == 0
         assert f"wrote {out}" in stdout
         doc = json.loads(out.read_text())
         assert doc["schema"] == BENCH_SCHEMA
-        assert doc["quick"] is True
         assert len(doc["cases"]) == 1
+        assert out.read_text() == _dump(doc)
+
+    def test_compare_leaves_the_baseline_alone(self, tmp_path, capsys, monkeypatch):
+        # --out has no default: judging a run against the baseline
+        # must not replace the baseline with that run
+        monkeypatch.chdir(tmp_path)
+        main(self.ARGV + ["--out", "BENCH_perf.json"])
+        before = Path("BENCH_perf.json").read_bytes()
+        rc = main(self.ARGV + ["--compare", "BENCH_perf.json"])
+        stdout = capsys.readouterr().out
+        assert rc == 0 and "bench compare: OK" in stdout
+        assert os.listdir(tmp_path) == ["BENCH_perf.json"]
+        assert Path("BENCH_perf.json").read_bytes() == before
+
+    def test_compare_names_the_field_that_moved(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        main(self.ARGV + ["--out", str(baseline)])
+        doc = json.loads(baseline.read_text())
+        bus = doc["cases"][0]["events"]["bus_memory"]
+        doc["cases"][0]["events"]["bus_memory"] = bus + 1
+        doc["cases"][0]["fastpath"]["per_core"][2]["decodes"] = -1
+        baseline.write_text(_dump(doc))
+        capsys.readouterr()
+        rc = main(self.ARGV + ["--compare", str(baseline)])
+        stdout = capsys.readouterr().out
+        assert rc == 1
+        assert "smp4/daxpy/none" in stdout and "DIFFERS" in stdout
+        assert f"events.bus_memory: {bus + 1} -> {bus}" in stdout
+        assert "fastpath.per_core[2].decodes: -1 -> " in stdout
+        assert stdout.count(" -> ") == 2
+        assert "bench compare: FAIL" in stdout
+
+    def test_compare_rejects_a_timing_era_baseline(self, tmp_path, capsys):
+        old = tmp_path / "v3.json"
+        old.write_text(json.dumps({
+            "schema": "repro-bench-perf/3",
+            "cases": [{"id": "smp4/daxpy/none", "digest": "0" * 64,
+                       "sim_cycles": 1, "wall_s_median": 0.1}],
+        }))
+        rc = main(self.ARGV + ["--compare", str(old)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("repro: error: bad baseline report")
+        assert "repro-bench-perf/3" in captured.err
 
 
-class TestRunFleetCase:
-    def test_warm_half_skips_the_ramp(self):
-        from repro.bench import run_fleet_case
+class TestFastpathStats:
+    def test_sums_every_int_valued_stats_key(self):
+        """A counter added to ``TraceJit.stats()`` needs no aggregator edit."""
 
-        case = run_fleet_case(instances=4, jobs=2)
-        assert case["ok"] and case["digests_match"]
-        assert case["id"].startswith("fleet4/")
-        assert case["published"] >= 1
-        assert case["warm_seeded"]
-        assert case["cold_ramp_retired"] > 0
-        assert case["warm_ramp_retired"] == 0
-        assert case["ramp_reduction_pct"] == 100.0
+        class Jit(TraceJit):
+            def stats(self):
+                return {**super().stats(), "brand_new_counter": 7}
+
+        def core(cpu_id):
+            return SimpleNamespace(
+                cpu_id=cpu_id, trace_jit=Jit(), bundles_executed=10,
+                decode_cache=SimpleNamespace(decodes=5),
+            )
+
+        cores = [core(0), core(1)]
+        cores[0].trace_jit.compiles = 3
+        cores[1].trace_jit.compiles = 4
+        totals = fastpath_stats(SimpleNamespace(cores=cores))
+        assert totals["brand_new_counter"] == 14
+        assert totals["compiles"] == 7
+        int_keys = {k for k, v in TraceJit().stats().items() if isinstance(v, int)}
+        assert int_keys < set(totals)
+        assert totals["decode_cache_hit_pct"] == 50.0
+        assert [c["cpu"] for c in totals["per_core"]] == [0, 1]

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.bench import BENCH_SCHEMA
 from repro.cli import _parser, main
 from repro.config import ENV_VARS
 
@@ -88,9 +89,18 @@ EXPLICIT = [
     (["resume", "--checkpoint-dir", "{tmp}"], {}, "no resumable checkpoint"),
     (["fuzz", "--corpus", "{tmp}/nope.json"], {}, "bad corpus"),
     (["fuzz", "--corpus", "{tmp}/seed-only.json"], {}, "bad corpus"),
-    (["bench", "--quick", "--compare", "{tmp}/nope.json"], {}, "bad baseline report"),
-    (["bench", "--quick", "--compare", "{tmp}/not-json.txt"], {}, "bad baseline report"),
-    (["bench", "--quick", "--compare", "{tmp}/no-medians.json"], {}, "wall_s_median"),
+    (["bench", "--compare", "{tmp}/nope.json"], {}, "bad baseline report"),
+    (["bench", "--compare", "{tmp}/not-json.txt"], {}, "bad baseline report"),
+    (["bench", "--compare", "{tmp}/no-cycles.json"], {}, "sim_cycles"),
+    # an unwritable target is refused before the sweep runs, not after
+    (["bench", "--out", "/proc/nope/x.json"], {}, "cannot write '/proc/nope/x.json'"),
+    (["fuzz", "--seeds", "1", "--out", "/proc/nope/x.json"], {}, "cannot write"),
+    (["fleet", "--instances", "2", "--out", "/proc/nope/x.json"], {}, "cannot write"),
+    (["recovery", "--ledger-out", "/proc/nope/x.json"], {}, "cannot write"),
+    (["bench", "--out", "{tmp}"], {}, "Is a directory"),
+    (["daxpy", "--checkpoint-dir", "/proc/nope/ck"], {}, "cannot write '/proc/nope/ck'"),
+    (["npb", "cg", "--checkpoint-dir", "/proc/nope/ck"], {}, "cannot write"),
+    (["daxpy", "--profile-db", "/proc/nope/p.db"], {}, "cannot write '/proc/nope'"),
     # -- environment -------------------------------------------------------------
     (["table1"], {"REPRO_FAULTS": "-3"},
      "REPRO_FAULTS must be a non-negative integer seed, got '-3'"),
@@ -140,9 +150,10 @@ ROWS = EXPLICIT + list(_range_rows())
 def hostile_files(tmp_path):
     (tmp_path / "not-json.txt").write_text("not json at all")
     (tmp_path / "seed-only.json").write_text('{"entries": [{"seed": 1}]}')
-    (tmp_path / "no-medians.json").write_text(
-        json.dumps({"cases": [{"id": "smp4/daxpy/none", "digest": "0" * 64}]})
-    )
+    (tmp_path / "no-cycles.json").write_text(json.dumps({
+        "schema": BENCH_SCHEMA,
+        "cases": [{"id": "smp4/daxpy/none", "digest": "0" * 64}],
+    }))
     return tmp_path
 
 
