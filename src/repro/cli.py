@@ -890,13 +890,18 @@ def _check_env() -> None:
     """Reject malformed REPRO_* overrides before any work starts.
 
     The framework raises :class:`~repro.errors.CobraError` for these
-    too, but mid-run and per construction.
+    too, but mid-run and per construction.  The two that name a place
+    to write get the same up-front check as their flag forms.
     """
     try:
         for name in ENV_VARS:
             env_value(name)
     except CobraError as exc:
         raise UsageError(str(exc)) from None
+    if path := env_value("REPRO_CHECKPOINT"):
+        _writable(path, directory=True)
+    if path := env_value("REPRO_PROFILE_DB"):
+        _writable(os.path.dirname(path) or ".", directory=True)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,24 +11,24 @@ real hardware — every paper result is a normalized ratio (DESIGN.md §5).
 Hot-path structure: bundles are fetched from a per-core
 :class:`~repro.isa.decode.DecodeCache` — one dict lookup over all loaded
 images, serving pre-decoded ``(op, qp, r1, r2, r3, r4, imm, excl)``
-slot tuples — and the register-rename arithmetic of
-:class:`~repro.isa.registers.RegisterFile` is inlined with the rename
-bases held in locals (synced back to the register file at every exit,
-fault, and sampling interrupt).  Operand ranges are validated once at
-decode time; only the hardwired registers (r0, f0, f1, p0) keep their
-write guards in the interpreter.  The cache stays coherent with runtime
-patching through the images' journaled versions, checked once per
-``run()`` slice — COBRA only patches between scheduler slices.
+slot tuples — and register renaming is a lookup in the shared
+:func:`~repro.isa.registers.rename_table` rows selected by the rename
+bases, which live in locals together with the counters (published to
+the core and its register file at every exit, fault, and sampling
+interrupt).  Operand ranges are validated once at decode time; only
+the hardwired registers (r0, f0, f1, p0) keep their write guards in the
+interpreter.  The cache stays coherent with runtime patching through
+the images' journaled versions, checked once per ``run()`` slice —
+COBRA only patches between scheduler slices.
 
-Two memory fast paths are additionally inlined into the interpreter
-loop (both are exact replicas of the slow path's hit case, which stays
-authoritative): an L2-hit check against the cache's own tag-array set
-dicts, active only while no invariant validator is attached (the same
-condition that binds ``CpuCacheSystem.access_fn``), and the functional
-DRAM transfer via the backing ndarray's ``item``/``__setitem__`` with
-the in-range/aligned test done locally — out-of-range or unaligned
-addresses fall back to :class:`~repro.memory.dram.MemorySystem` for its
-precise errors.
+This loop is the reference the compiled traces are checked against
+(``REPRO_TRACE_JIT=0``), and it executes only what no trace covers — a
+few percent of a warm run's bundles (EXPERIMENTS.md "Interpreter
+traffic") — so it is written to be short, not fast: every memory op
+calls ``CpuCacheSystem.access_fn`` for timing and
+:class:`~repro.memory.dram.MemorySystem` for data.  The L2-hit fast
+path lives in ``CpuCacheSystem._access`` (authoritative) and in the
+trace emitter's replica of it; the interpreter reaches it by call.
 
 PMU hooks kept directly on the core for speed:
 
@@ -51,10 +51,16 @@ from ..errors import RegisterError, SimulationFault
 from ..isa.binary import BUNDLE_BYTES, BinaryImage
 from ..isa.decode import DecodeCache
 from ..isa.instructions import Op
-from ..isa.registers import RegisterFile
-from ..memory.address import LINE_SHIFT
-from ..memory.coherence import MODIFIED, SHARED
-from ..memory.dram import DATA_BASE, MemorySystem
+from ..isa.registers import (
+    FR_ROT_SIZE,
+    FR_ROT_START,
+    GR_ROT_START,
+    PR_ROT_SIZE,
+    PR_ROT_START,
+    RegisterFile,
+    rename_table,
+)
+from ..memory.dram import MemorySystem
 from ..memory.hierarchy import (
     ATOMIC,
     LOAD,
@@ -84,7 +90,6 @@ def _jit_defaults() -> tuple[bool, bool]:
 
 
 # opcode constants hoisted for dispatch speed
-_NOP = int(Op.NOP)
 _ADD = int(Op.ADD)
 _ADDI = int(Op.ADDI)
 _SUB = int(Op.SUB)
@@ -97,18 +102,12 @@ _SHL = int(Op.SHL)
 _SHR = int(Op.SHR)
 _SHLADD = int(Op.SHLADD)
 _CMP_LT = int(Op.CMP_LT)
-_CMP_LE = int(Op.CMP_LE)
-_CMP_EQ = int(Op.CMP_EQ)
-_CMP_NE = int(Op.CMP_NE)
 _CMPI_LT = int(Op.CMPI_LT)
-_CMPI_LE = int(Op.CMPI_LE)
-_CMPI_EQ = int(Op.CMPI_EQ)
 _CMPI_NE = int(Op.CMPI_NE)
 _MOV_LC_IMM = int(Op.MOV_LC_IMM)
 _MOV_LC_REG = int(Op.MOV_LC_REG)
 _MOV_EC_IMM = int(Op.MOV_EC_IMM)
 _ALLOC = int(Op.ALLOC)
-_CLRRRB = int(Op.CLRRRB)
 _MOV_PR_ROT = int(Op.MOV_PR_ROT)
 _LD8 = int(Op.LD8)
 _ST8 = int(Op.ST8)
@@ -278,8 +277,7 @@ class Core:
                 # modes): republish entry points under the new policy
                 tjit.osr = osr_on
                 tjit._rebuild_dispatch()
-            dispatch = tjit.sync(dcache)
-            dispatch_get = dispatch.get
+            dispatch_get = tjit.sync(dcache).get
             hot = tjit.hot
             hot_get = hot.get
             jit_threshold = tjit.threshold
@@ -292,907 +290,403 @@ class Core:
             if resume is not None and resume[0] != generation:
                 resume = None   # traces changed under the hint
         else:
-            dispatch_get = None
             hot = None
-            osr_on = False
-            resume = None
         regs = self.regs
         grl = regs.gr
         frl = regs.fr
         prl = regs.pr
-        lc = regs.lc
-        ec = regs.ec
-        sor = regs.sor
-        sor32 = 32 + sor
-        rrb_gr = regs.rrb_gr
-        rrb_fr = regs.rrb_fr
-        rrb_pr = regs.rrb_pr
+        fmaps = rename_table(128, FR_ROT_START, FR_ROT_SIZE)
+        pmaps = rename_table(64, PR_ROT_START, PR_ROT_SIZE)
         cache = self.cache
-        cache_access = cache.access_fn
-        # Inline L2-hit fast path, mirroring ``CpuCacheSystem._access``'s
-        # (same transitions, same ``l2_hit`` charge; the del/re-insert is
-        # the LRU promotion).  Bound to the no-validator condition exactly
-        # like ``access_fn``, and re-read after every sample callback.
-        # During this core's slice only this core mutates its own L2
-        # (snoops go to *other* caches), so the hoisted refs stay live;
-        # ``CacheArray.clear`` empties the set dicts in place.
-        fast_mem = cache.validator is None
-        if fast_mem:
-            l2_sets = cache._l2_sets
-            l2_nsets = cache._l2_nsets
-            l2_hit_lat = cache._l2_hit
-            line_state = cache.state
-            l2_dirty = cache.l2_dirty
-            mem_events = cache.events
         mem = self.mem
         mem_read_f64 = mem.read_f64
         mem_write_f64 = mem.write_f64
         mem_read_i64 = mem.read_i64
         mem_write_i64 = mem.write_i64
-        # Functional data access inlined: the in-range/aligned check runs
-        # here and the ndarray ``item``/``__setitem__`` bound methods do
-        # the transfer (``item`` yields a Python scalar, same as the
-        # ``float()``/``int()`` in MemorySystem); out-of-range or
-        # unaligned addresses fall back to the wrappers for their
-        # precise errors.  The backing arrays are created once in
-        # MemorySystem.__init__ and never rebound.
-        mem_cap = mem.capacity
-        mem_f64_item = mem._f64.item
-        mem_f64_set = mem._f64.__setitem__
-        mem_i64_item = mem._i64.item
-        mem_i64_set = mem._i64.__setitem__
         btb = self.btb
         btb_append = btb.append
         call_stack = self.call_stack
         bundles_per_cycle = self.bundles_per_cycle
-        pc = self.pc
-        cycles = self.cycles
-        retired = self.retired
-        bundles_executed = self.bundles_executed
-        taken_branches = self.taken_branches
-        issue_tick = self._issue_tick
-        countdown = self._sample_countdown
-        # only the sample handler can change the interval mid-run, and
-        # the reload block below re-reads it after every callback
-        sampling = self.sample_interval
         executed = 0
 
-        try:
-            while executed < max_bundles and cycles <= cycle_limit:
-                if dispatch_get is not None and fast_mem:
-                    if resume is not None:
-                        # budget exit from the previous slice: the hint
-                        # is single-use and pre-validated by generation
-                        if resume[1] == pc:
-                            ep = resume[2]
-                            tjit.resume_hits += 1
+        while True:
+            # One pass per sampling interrupt.  Architectural and timing
+            # state lives in locals while bundles execute and is
+            # published by the one ``finally`` below — at the end of the
+            # slice, at a fault, and before the sample handler runs.
+            # The handler may charge cycles, re-arm sampling or attach a
+            # validator, so everything it can touch is (re)loaded here.
+            pc = self.pc
+            cycles = self.cycles
+            retired = self.retired
+            bundles_executed = self.bundles_executed
+            taken_branches = self.taken_branches
+            issue_tick = self._issue_tick
+            countdown = self._sample_countdown
+            sampling = self.sample_interval
+            lc = regs.lc
+            ec = regs.ec
+            sor = regs.sor
+            rrb_gr = regs.rrb_gr
+            rrb_fr = regs.rrb_fr
+            rrb_pr = regs.rrb_pr
+            gmaps = rename_table(128, GR_ROT_START, sor)
+            cache_access = cache.access_fn
+            # compiled traces inline the L2-hit path: legal only while
+            # no validator has to see every access
+            tracing = tjit is not None and cache.validator is None
+            try:
+                while executed < max_bundles and cycles <= cycle_limit:
+                    if tracing:
+                        if resume is not None:
+                            # budget exit from the previous slice: the hint
+                            # is single-use and pre-validated by generation
+                            if resume[1] == pc:
+                                ep = resume[2]
+                                tjit.resume_hits += 1
+                            else:
+                                ep = dispatch_get(pc)
+                            resume = None
                         else:
                             ep = dispatch_get(pc)
-                        resume = None
-                    else:
-                        ep = dispatch_get(pc)
-                    if ep is not None and ep.trace.sor == sor:
-                        tr = ep.trace
-                        fn = ep.fn
-                        if fn is None:
-                            # first entry at this mid-trace index: build
-                            # the OSR suffix closure (cached thereafter)
-                            fn = tjit.materialize(ep)
-                        before = bundles_executed
-                        (
-                            pc, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
-                            retired, bundles_executed, taken_branches,
-                            issue_tick, countdown, executed, t_iters, flag,
-                        ) = fn(
-                            self, cache, mem, grl, frl, prl, btb, lc, ec,
-                            rrb_gr, rrb_fr, rrb_pr, cycles, retired,
-                            bundles_executed, taken_branches, issue_tick,
-                            countdown, sampling, executed, max_bundles,
-                            cycle_limit,
-                        )
-                        tjit.entries += 1
-                        tr.last_used = tjit.entries
-                        if ep.idx:
-                            tjit.osr_entries += 1
-                        tjit.iters += t_iters
-                        tjit.compiled_bundles += bundles_executed - before
-                        tjit.deopts[flag] += 1
-                        if flag == EXIT_SAMPLE:
-                            # the trace retired a bundle that expired the
-                            # sampling countdown: fire the PMU interrupt
-                            # exactly as the generic path below does
-                            countdown = sampling
-                            cycles += self.sample_overhead
-                            self.pc = pc
-                            self.cycles = cycles
-                            self.retired = retired
-                            self.bundles_executed = bundles_executed
-                            self.taken_branches = taken_branches
-                            self._issue_tick = issue_tick
-                            self._sample_countdown = countdown
-                            regs.lc = lc
-                            regs.ec = ec
-                            regs.rrb_gr = rrb_gr
-                            regs.rrb_fr = rrb_fr
-                            regs.rrb_pr = rrb_pr
-                            self.on_sample(self)  # type: ignore[misc]
-                            pc = self.pc
-                            cycles = self.cycles
-                            retired = self.retired
-                            bundles_executed = self.bundles_executed
-                            taken_branches = self.taken_branches
-                            issue_tick = self._issue_tick
-                            countdown = self._sample_countdown
-                            sampling = self.sample_interval
-                            fast_mem = cache.validator is None
-                            if fast_mem:
-                                l2_sets = cache._l2_sets
-                                l2_nsets = cache._l2_nsets
-                                l2_hit_lat = cache._l2_hit
-                                line_state = cache.state
-                                l2_dirty = cache.l2_dirty
-                                mem_events = cache.events
-                            cache_access = cache.access_fn
-                            lc = regs.lc
-                            ec = regs.ec
-                            sor = regs.sor
-                            sor32 = 32 + sor
-                            rrb_gr = regs.rrb_gr
-                            rrb_fr = regs.rrb_fr
-                            rrb_pr = regs.rrb_pr
-                        elif flag == EXIT_BUDGET:
-                            # the slice ends here; remember the probe so
-                            # the next slice resumes without paying it
-                            nep = dispatch_get(pc)
-                            if nep is not None:
-                                self._resume = (generation, pc, nep)
-                        elif osr_on:
-                            # architectural exit (loop/side/link): count
-                            # the (head, target) site; a hot site grows
-                            # the trace tree at the target
-                            site = (tr.head, pc)
-                            n = sites_get(site, 0) + 1
-                            sites[site] = n
-                            if n == jit_threshold:
-                                tjit.promote(
-                                    tr, pc, dmap, dcache.keys, sor,
-                                    bundles_per_cycle,
-                                )
-                            if dispatch_get(pc) is not None:
-                                tjit.tree_links += 1
-                        continue
-                base = pc & _BMASK
-                decoded = dmap_get(base)
-                if decoded is None:
-                    raise SimulationFault(
-                        "no code at address", pc=base, cpu=self.cpu_id
-                    )
-                slot = pc & _SMASK
-                n_total = decoded[0]
-                entries = decoded[1]
-                taken = False
-                stall = 0
-                if slot:  # mid-bundle entry (rare: branch targets are slot 0)
-                    entries = tuple(e for e in entries if e[0] >= slot)
-                for idx, op, qp, r1, r2, r3, r4, imm, excl in entries:
-                    if qp:
-                        pv = (
-                            prl[qp]
-                            if qp < 16
-                            else prl[16 + (qp - 16 + rrb_pr) % 48]
-                        )
-                        # predicated off; br.wtop still evaluates (below)
-                        if not pv and op != _BR_WTOP:
+                        if ep is not None and ep.trace.sor == sor:
+                            tr = ep.trace
+                            fn = ep.fn
+                            if fn is None:
+                                # first entry at this mid-trace index: build
+                                # the OSR suffix closure (cached thereafter)
+                                fn = tjit.materialize(ep)
+                            before = bundles_executed
+                            (
+                                pc, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
+                                retired, bundles_executed, taken_branches,
+                                issue_tick, countdown, executed, t_iters, flag,
+                            ) = fn(
+                                self, cache, mem, grl, frl, prl, btb, lc, ec,
+                                rrb_gr, rrb_fr, rrb_pr, cycles, retired,
+                                bundles_executed, taken_branches, issue_tick,
+                                countdown, sampling, executed, max_bundles,
+                                cycle_limit,
+                            )
+                            tjit.entries += 1
+                            tr.last_used = tjit.entries
+                            if ep.idx:
+                                tjit.osr_entries += 1
+                            tjit.iters += t_iters
+                            tjit.compiled_bundles += bundles_executed - before
+                            tjit.deopts[flag] += 1
+                            if flag == EXIT_SAMPLE:
+                                # the trace retired a bundle that expired
+                                # the sampling countdown
+                                break
+                            if flag == EXIT_BUDGET:
+                                # the slice ends here; remember the probe so
+                                # the next slice resumes without paying it
+                                nep = dispatch_get(pc)
+                                if nep is not None:
+                                    self._resume = (generation, pc, nep)
+                            elif osr_on:
+                                # architectural exit (loop/side/link): count
+                                # the (head, target) site; a hot site grows
+                                # the trace tree at the target
+                                site = (tr.head, pc)
+                                n = sites_get(site, 0) + 1
+                                sites[site] = n
+                                if n == jit_threshold:
+                                    tjit.promote(
+                                        tr, pc, dmap, dcache.keys, sor,
+                                        bundles_per_cycle,
+                                    )
+                                if dispatch_get(pc) is not None:
+                                    tjit.tree_links += 1
                             continue
-                    if op == _LDFD:
-                        a = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
+                    base = pc & _BMASK
+                    decoded = dmap_get(base)
+                    if decoded is None:
+                        raise SimulationFault(
+                            "no code at address", pc=base, cpu=self.cpu_id
                         )
-                        hit = fast_mem
-                        if hit:
-                            line = a >> LINE_SHIFT
-                            lru = l2_sets[line % l2_nsets]
-                            if line in lru:
-                                mem_events.loads += 1
-                                del lru[line]
-                                lru[line] = None
-                                stall += l2_hit_lat
+                    slot = pc & _SMASK
+                    n_total = decoded[0]
+                    entries = decoded[1]
+                    if slot:  # mid-bundle entry (rare: branch targets are slot 0)
+                        entries = tuple(e for e in entries if e[0] >= slot)
+                    target = None
+                    stall = 0
+                    # logical -> physical register numbers under the
+                    # current rename bases (refreshed after an in-bundle
+                    # rotation, clrrrb or alloc)
+                    gm = gmaps[rrb_gr % len(gmaps)]
+                    fm = fmaps[rrb_fr]
+                    pm = pmaps[rrb_pr]
+                    for idx, op, qp, r1, r2, r3, r4, imm, excl in entries:
+                        # predicated off; br.wtop still evaluates (below)
+                        if qp and not prl[pm[qp]] and op != _BR_WTOP:
+                            continue
+                        if op <= _SHLADD:
+                            # integer ALU: gr[r1] = f(gr[r2], gr[r3] | imm)
+                            a = grl[gm[r2]]
+                            if op == _ADD:
+                                v = a + grl[gm[r3]]
+                            elif op == _ADDI:
+                                v = a + imm
+                            elif op == _SUB:
+                                v = a - grl[gm[r3]]
+                            elif op == _MOV:
+                                v = a
+                            elif op == _MOVI:
+                                v = imm
+                            elif op == _AND:
+                                v = a & grl[gm[r3]]
+                            elif op == _OR:
+                                v = a | grl[gm[r3]]
+                            elif op == _XOR:
+                                v = a ^ grl[gm[r3]]
+                            elif op == _SHL:
+                                v = a << imm
+                            elif op == _SHR:
+                                v = a >> imm
                             else:
-                                hit = False
-                        if not hit:
-                            stall += cache_access(cycles, a, LOAD)
-                            dp = cache.dear_pending
-                            if dp is not None:
-                                self.dear = (base + idx, a, dp)
-                                cache.dear_pending = None
-                        off = a - DATA_BASE
-                        if 0 <= off < mem_cap and not off & 7:
-                            v = mem_f64_item(off >> 3)
-                        else:
-                            v = mem_read_f64(a)
-                        if r1 < 32:
-                            if r1 > 1:
-                                frl[r1] = v
+                                v = (a << imm) + grl[gm[r3]]
+                            if not r1:
+                                raise RegisterError("r0 is read-only")
+                            grl[gm[r1]] = ((v + _B63) & _M64) - _B63
+                        elif op <= _CMPI_NE:
+                            # compares: (pr[r1], pr[r2]) = (c, not c);
+                            # CMPI_xx sits four above CMP_xx
+                            a = grl[gm[r3]]
+                            b = imm if op >= _CMPI_LT else grl[gm[r4]]
+                            rel = (op - _CMP_LT) & 3
+                            if rel == 0:
+                                c = a < b
+                            elif rel == 1:
+                                c = a <= b
+                            elif rel == 2:
+                                c = a == b
                             else:
+                                c = a != b
+                            if not r1:
+                                raise RegisterError("p0 is read-only")
+                            prl[pm[r1]] = c
+                            if not r2:
+                                raise RegisterError("p0 is read-only")
+                            prl[pm[r2]] = not c
+                        elif op <= _MOV_PR_ROT:
+                            # application registers / SWP setup
+                            if op == _MOV_LC_IMM:
+                                lc = imm
+                            elif op == _MOV_LC_REG:
+                                lc = grl[gm[r2]]
+                            elif op == _MOV_EC_IMM:
+                                ec = imm
+                            elif op == _MOV_PR_ROT:
+                                # note: writes physical rotating predicates
+                                # (rrb-independent only when rrb is 0, which
+                                # is how compilers use it)
+                                mask = int(imm)
+                                for i in range(16, 64):
+                                    prl[i] = bool(mask & (1 << i))
+                            else:
+                                if op == _ALLOC:
+                                    regs.alloc_rotating(imm)
+                                    sor = regs.sor
+                                    gmaps = rename_table(128, GR_ROT_START, sor)
+                                else:  # clrrrb
+                                    rrb_gr = rrb_fr = rrb_pr = 0
+                                gm = gmaps[rrb_gr % len(gmaps)]
+                                fm = fmaps[rrb_fr]
+                                pm = pmaps[rrb_pr]
+                        elif op <= _LFETCH:
+                            # memory: timing from the cache hierarchy, data
+                            # from the backing store, one post-increment
+                            a = grl[gm[r2]]
+                            if op == _LFETCH:
+                                # non-blocking: never stalls the issuer
+                                cache_access(
+                                    cycles, a, PREFETCH_EXCL if excl else PREFETCH
+                                )
+                            else:
+                                if op == _ST8 or op == _STFD:
+                                    kind = STORE
+                                else:
+                                    kind = LOAD_BIAS if excl else LOAD
+                                stall += cache_access(cycles, a, kind)
+                                dp = cache.dear_pending
+                                if dp is not None:
+                                    self.dear = (base + idx, a, dp)
+                                    cache.dear_pending = None
+                                if op == _LD8:
+                                    v = mem_read_i64(a)
+                                    if not r1:
+                                        raise RegisterError("r0 is read-only")
+                                    grl[gm[r1]] = v
+                                elif op == _LDFD:
+                                    v = mem_read_f64(a)
+                                    if r1 < 2:
+                                        raise RegisterError(f"f{r1} is read-only")
+                                    frl[fm[r1]] = v
+                                elif op == _ST8:
+                                    mem_write_i64(a, grl[gm[r3]])
+                                else:
+                                    mem_write_f64(a, frl[fm[r3]])
+                            if imm:
+                                if not r2:
+                                    raise RegisterError("r0 is read-only")
+                                grl[gm[r2]] = ((a + imm + _B63) & _M64) - _B63
+                        elif op == _GETF:
+                            # the one op of the FP range that writes a GR
+                            v = int(frl[fm[r2]])
+                            if not r1:
+                                raise RegisterError("r0 is read-only")
+                            grl[gm[r1]] = ((v + _B63) & _M64) - _B63
+                        elif op <= _FMAX:
+                            # floating point: fr[r1] = f(fr[r2], fr[r3], fr[r4])
+                            if op == _SETF:
+                                v = float(grl[gm[r2]])
+                            else:
+                                a = frl[fm[r2]]
+                                if op == _FMA:
+                                    v = a * frl[fm[r3]] + frl[fm[r4]]
+                                elif op == _FADD:
+                                    v = a + frl[fm[r3]]
+                                elif op == _FSUB:
+                                    v = a - frl[fm[r3]]
+                                elif op == _FMUL:
+                                    v = a * frl[fm[r3]]
+                                elif op == _FABS:
+                                    v = abs(a)
+                                else:  # fmax
+                                    b = frl[fm[r3]]
+                                    v = a if a >= b else b
+                            if r1 < 2:
                                 raise RegisterError(f"f{r1} is read-only")
-                        else:
-                            frl[32 + (r1 - 32 + rrb_fr) % 96] = v
-                        if imm:
-                            na = ((a + imm + _B63) & _M64) - _B63
-                            if r2 < 32 or r2 >= sor32:
-                                if r2:
-                                    grl[r2] = na
-                                else:
-                                    raise RegisterError("r0 is read-only")
+                            frl[fm[r1]] = v
+                        elif op <= _BR_RET:
+                            # branches only decide ``target``; the taken-
+                            # branch bookkeeping follows the slot loop
+                            if op == _BR or op == _BR_COND:
+                                # guard already passed (qp true) -> taken
+                                target = imm
+                            elif op == _BR_CLOOP:
+                                if lc > 0:
+                                    lc -= 1
+                                    target = imm
+                            elif op == _BR_CALL:
+                                call_stack.append(base + BUNDLE_BYTES)
+                                target = imm
+                            elif op == _BR_RET:
+                                if not call_stack:
+                                    raise SimulationFault(
+                                        "br.ret with empty call stack",
+                                        pc=base + slot,
+                                        cpu=self.cpu_id,
+                                    )
+                                target = call_stack.pop()
                             else:
-                                grl[32 + (r2 - 32 + rrb_gr) % sor] = na
-                    elif op == _STFD:
-                        a = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                        hit = fast_mem
-                        if hit:
-                            line = a >> LINE_SHIFT
-                            lru = l2_sets[line % l2_nsets]
-                            if line in lru:
-                                st = line_state[line]
-                                if st != SHARED:
-                                    mem_events.stores += 1
-                                    if st != MODIFIED:
-                                        line_state[line] = MODIFIED
-                                    l2_dirty.add(line)
-                                    del lru[line]
-                                    lru[line] = None
-                                    stall += l2_hit_lat
-                                else:
-                                    hit = False
-                            else:
-                                hit = False
-                        if not hit:
-                            stall += cache_access(cycles, a, STORE)
-                            dp = cache.dear_pending
-                            if dp is not None:
-                                self.dear = (base + idx, a, dp)
-                                cache.dear_pending = None
-                        v = (
-                            frl[r3]
-                            if r3 < 32
-                            else frl[32 + (r3 - 32 + rrb_fr) % 96]
-                        )
-                        off = a - DATA_BASE
-                        if 0 <= off < mem_cap and not off & 7:
-                            mem_f64_set(off >> 3, v)
-                        else:
-                            mem_write_f64(a, v)
-                        if imm:
-                            na = ((a + imm + _B63) & _M64) - _B63
-                            if r2 < 32 or r2 >= sor32:
-                                if r2:
-                                    grl[r2] = na
-                                else:
-                                    raise RegisterError("r0 is read-only")
-                            else:
-                                grl[32 + (r2 - 32 + rrb_gr) % sor] = na
-                    elif op == _LFETCH:
-                        a = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                        hit = fast_mem
-                        if hit:
-                            line = a >> LINE_SHIFT
-                            lru = l2_sets[line % l2_nsets]
-                            if line in lru and (
-                                not excl or line_state[line] == MODIFIED
-                            ):
-                                mem_events.prefetches += 1
-                                del lru[line]
-                                lru[line] = None
-                            else:
-                                hit = False
-                        if not hit:
-                            cache_access(
-                                cycles, a, PREFETCH_EXCL if excl else PREFETCH
+                                # br.ctop / br.wtop: continue while the
+                                # count (ctop) or the branch predicate
+                                # (wtop: qp, not a guard) holds, then drain
+                                # EC epilog stages; rotate either way
+                                stage = False
+                                if op == _BR_CTOP and lc > 0:
+                                    lc -= 1
+                                    stage = True
+                                    target = imm
+                                elif op == _BR_WTOP and prl[pm[qp]]:
+                                    target = imm
+                                elif ec > 1:
+                                    ec -= 1
+                                    target = imm
+                                elif ec > 0:
+                                    ec -= 1
+                                if sor:
+                                    rrb_gr = (rrb_gr - 1) % sor
+                                rrb_fr = (rrb_fr - 1) % FR_ROT_SIZE
+                                rrb_pr = (rrb_pr - 1) % PR_ROT_SIZE
+                                prl[PR_ROT_START + rrb_pr] = stage
+                                gm = gmaps[rrb_gr % len(gmaps)]
+                                fm = fmaps[rrb_fr]
+                                pm = pmaps[rrb_pr]
+                            if target is not None:
+                                break
+                        elif op == _HALT:
+                            self.halted = True
+                            retired += idx + 1 - slot
+                            cycles += 1 + stall
+                            bundles_executed += 1
+                            return executed + 1
+                        elif op == _FETCHADD8:
+                            a = grl[gm[r2]]
+                            stall += cache_access(cycles, a, ATOMIC)
+                            old = mem_read_i64(a)
+                            mem_write_i64(a, old + imm)
+                            if not r1:
+                                raise RegisterError("r0 is read-only")
+                            grl[gm[r1]] = old
+                        else:  # pragma: no cover - defensive
+                            raise SimulationFault(
+                                f"illegal opcode {op}", pc=base + slot, cpu=self.cpu_id
                             )
-                        if imm:
-                            na = ((a + imm + _B63) & _M64) - _B63
-                            if r2 < 32 or r2 >= sor32:
-                                if r2:
-                                    grl[r2] = na
-                                else:
-                                    raise RegisterError("r0 is read-only")
-                            else:
-                                grl[32 + (r2 - 32 + rrb_gr) % sor] = na
-                    elif op == _FMA:
-                        v = (
-                            frl[r2] if r2 < 32 else frl[32 + (r2 - 32 + rrb_fr) % 96]
-                        ) * (
-                            frl[r3] if r3 < 32 else frl[32 + (r3 - 32 + rrb_fr) % 96]
-                        ) + (
-                            frl[r4] if r4 < 32 else frl[32 + (r4 - 32 + rrb_fr) % 96]
-                        )
-                        if r1 < 32:
-                            if r1 > 1:
-                                frl[r1] = v
-                            else:
-                                raise RegisterError(f"f{r1} is read-only")
-                        else:
-                            frl[32 + (r1 - 32 + rrb_fr) % 96] = v
-                    elif op == _ADD:
-                        v = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        ) + (
-                            grl[r3]
-                            if r3 < 32 or r3 >= sor32
-                            else grl[32 + (r3 - 32 + rrb_gr) % sor]
-                        )
-                        v = ((v + _B63) & _M64) - _B63
-                        if r1 < 32 or r1 >= sor32:
-                            if r1:
-                                grl[r1] = v
-                            else:
-                                raise RegisterError("r0 is read-only")
-                        else:
-                            grl[32 + (r1 - 32 + rrb_gr) % sor] = v
-                    elif op == _ADDI:
-                        v = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        ) + imm
-                        v = ((v + _B63) & _M64) - _B63
-                        if r1 < 32 or r1 >= sor32:
-                            if r1:
-                                grl[r1] = v
-                            else:
-                                raise RegisterError("r0 is read-only")
-                        else:
-                            grl[32 + (r1 - 32 + rrb_gr) % sor] = v
-                    elif op == _LD8:
-                        a = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                        hit = fast_mem and not excl
-                        if hit:
-                            line = a >> LINE_SHIFT
-                            lru = l2_sets[line % l2_nsets]
-                            if line in lru:
-                                mem_events.loads += 1
-                                del lru[line]
-                                lru[line] = None
-                                stall += l2_hit_lat
-                            else:
-                                hit = False
-                        if not hit:
-                            stall += cache_access(
-                                cycles, a, LOAD_BIAS if excl else LOAD
-                            )
-                            dp = cache.dear_pending
-                            if dp is not None:
-                                self.dear = (base + idx, a, dp)
-                                cache.dear_pending = None
-                        off = a - DATA_BASE
-                        if 0 <= off < mem_cap and not off & 7:
-                            v = mem_i64_item(off >> 3)
-                        else:
-                            v = mem_read_i64(a)
-                        if r1 < 32 or r1 >= sor32:
-                            if r1:
-                                grl[r1] = v
-                            else:
-                                raise RegisterError("r0 is read-only")
-                        else:
-                            grl[32 + (r1 - 32 + rrb_gr) % sor] = v
-                        if imm:
-                            na = ((a + imm + _B63) & _M64) - _B63
-                            if r2 < 32 or r2 >= sor32:
-                                if r2:
-                                    grl[r2] = na
-                                else:
-                                    raise RegisterError("r0 is read-only")
-                            else:
-                                grl[32 + (r2 - 32 + rrb_gr) % sor] = na
-                    elif op == _ST8:
-                        a = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                        hit = fast_mem
-                        if hit:
-                            line = a >> LINE_SHIFT
-                            lru = l2_sets[line % l2_nsets]
-                            if line in lru:
-                                st = line_state[line]
-                                if st != SHARED:
-                                    mem_events.stores += 1
-                                    if st != MODIFIED:
-                                        line_state[line] = MODIFIED
-                                    l2_dirty.add(line)
-                                    del lru[line]
-                                    lru[line] = None
-                                    stall += l2_hit_lat
-                                else:
-                                    hit = False
-                            else:
-                                hit = False
-                        if not hit:
-                            stall += cache_access(cycles, a, STORE)
-                            dp = cache.dear_pending
-                            if dp is not None:
-                                self.dear = (base + idx, a, dp)
-                                cache.dear_pending = None
-                        v = (
-                            grl[r3]
-                            if r3 < 32 or r3 >= sor32
-                            else grl[32 + (r3 - 32 + rrb_gr) % sor]
-                        )
-                        off = a - DATA_BASE
-                        if 0 <= off < mem_cap and not off & 7:
-                            # registers hold wrapped signed-64 values, but
-                            # mirror write_i64's defensive wrap exactly
-                            mem_i64_set(off >> 3, ((v + _B63) & _M64) - _B63)
-                        else:
-                            mem_write_i64(a, v)
-                        if imm:
-                            na = ((a + imm + _B63) & _M64) - _B63
-                            if r2 < 32 or r2 >= sor32:
-                                if r2:
-                                    grl[r2] = na
-                                else:
-                                    raise RegisterError("r0 is read-only")
-                            else:
-                                grl[32 + (r2 - 32 + rrb_gr) % sor] = na
-                    elif op == _BR_CTOP:
-                        if lc > 0:
-                            lc -= 1
-                            if sor:
-                                rrb_gr = (rrb_gr - 1) % sor
-                            rrb_fr = (rrb_fr - 1) % 96
-                            rrb_pr = (rrb_pr - 1) % 48
-                            prl[16 + rrb_pr] = True
-                            taken = True
-                        elif ec > 1:
-                            ec -= 1
-                            if sor:
-                                rrb_gr = (rrb_gr - 1) % sor
-                            rrb_fr = (rrb_fr - 1) % 96
-                            rrb_pr = (rrb_pr - 1) % 48
-                            prl[16 + rrb_pr] = False
-                            taken = True
-                        else:
-                            if ec > 0:
-                                ec -= 1
-                            if sor:
-                                rrb_gr = (rrb_gr - 1) % sor
-                            rrb_fr = (rrb_fr - 1) % 96
-                            rrb_pr = (rrb_pr - 1) % 48
-                            prl[16 + rrb_pr] = False
-                        if taken:
-                            pc = imm
-                            taken_branches += 1
-                            btb_append((base + idx, imm))
-                            if len(btb) > _BTB_SIZE:
-                                del btb[0]
-                            if hot is not None:
-                                hits = hot_get(imm, 0) + 1
-                                hot[imm] = hits
-                                if hits == jit_threshold:
-                                    tjit.compile(
-                                        imm, dmap, dcache.keys, sor,
-                                        bundles_per_cycle,
-                                    )
-                            break
-                    elif op == _BR_CLOOP:
-                        if lc > 0:
-                            lc -= 1
-                            pc = imm
-                            taken = True
-                            taken_branches += 1
-                            btb_append((base + idx, imm))
-                            if len(btb) > _BTB_SIZE:
-                                del btb[0]
-                            if hot is not None:
-                                hits = hot_get(imm, 0) + 1
-                                hot[imm] = hits
-                                if hits == jit_threshold:
-                                    tjit.compile(
-                                        imm, dmap, dcache.keys, sor,
-                                        bundles_per_cycle,
-                                    )
-                            break
-                    elif op == _BR_WTOP:
-                        # qp is the *branch* predicate here, not a guard
-                        if (
-                            prl[qp]
-                            if qp < 16
-                            else prl[16 + (qp - 16 + rrb_pr) % 48]
-                        ):
-                            if sor:
-                                rrb_gr = (rrb_gr - 1) % sor
-                            rrb_fr = (rrb_fr - 1) % 96
-                            rrb_pr = (rrb_pr - 1) % 48
-                            prl[16 + rrb_pr] = False
-                            taken = True
-                        elif ec > 1:
-                            ec -= 1
-                            if sor:
-                                rrb_gr = (rrb_gr - 1) % sor
-                            rrb_fr = (rrb_fr - 1) % 96
-                            rrb_pr = (rrb_pr - 1) % 48
-                            prl[16 + rrb_pr] = False
-                            taken = True
-                        else:
-                            if ec > 0:
-                                ec -= 1
-                            if sor:
-                                rrb_gr = (rrb_gr - 1) % sor
-                            rrb_fr = (rrb_fr - 1) % 96
-                            rrb_pr = (rrb_pr - 1) % 48
-                            prl[16 + rrb_pr] = False
-                        if taken:
-                            pc = imm
-                            taken_branches += 1
-                            btb_append((base + idx, imm))
-                            if len(btb) > _BTB_SIZE:
-                                del btb[0]
-                            if hot is not None:
-                                hits = hot_get(imm, 0) + 1
-                                hot[imm] = hits
-                                if hits == jit_threshold:
-                                    tjit.compile(
-                                        imm, dmap, dcache.keys, sor,
-                                        bundles_per_cycle,
-                                    )
-                            break
-                    elif op == _BR_COND:
-                        # guard already passed (qp true) -> taken
-                        pc = imm
-                        taken = True
+
+                    # architectural slots this bundle retired: everything
+                    # up to the taken branch, or the whole (possibly
+                    # partial) bundle — NOP padding retires without being
+                    # iterated
+                    if target is None:
+                        n_slots = n_total - slot
+                        pc = base + BUNDLE_BYTES
+                    else:
+                        n_slots = idx + 1 - slot
+                        pc = target
                         taken_branches += 1
-                        btb_append((base + idx, imm))
+                        btb_append((base + idx, target))
                         if len(btb) > _BTB_SIZE:
                             del btb[0]
-                        if hot is not None and imm <= base:
-                            # backward conditional branch: spin-waits,
-                            # compiler-generated outer loops — arm the
-                            # target like a modulo-loop back-edge
-                            hits = hot_get(imm, 0) + 1
-                            hot[imm] = hits
+                        # loop back-edges arm their head for compilation;
+                        # so do backward conditional branches (spin-waits,
+                        # compiler-generated outer loops)
+                        if hot is not None and (
+                            _BR_CTOP <= op <= _BR_WTOP
+                            or op == _BR_COND and target <= base
+                        ):
+                            hits = hot_get(target, 0) + 1
+                            hot[target] = hits
                             if hits == jit_threshold:
                                 tjit.compile(
-                                    imm, dmap, dcache.keys, sor,
+                                    target, dmap, dcache.keys, sor,
                                     bundles_per_cycle,
                                 )
-                        break
-                    elif op == _BR:
-                        pc = imm
-                        taken = True
-                        taken_branches += 1
-                        btb_append((base + idx, imm))
-                        if len(btb) > _BTB_SIZE:
-                            del btb[0]
-                        break
-                    elif _CMP_LT <= op <= _CMPI_NE:
-                        a = (
-                            grl[r3]
-                            if r3 < 32 or r3 >= sor32
-                            else grl[32 + (r3 - 32 + rrb_gr) % sor]
-                        )
-                        if op >= _CMPI_LT:
-                            b = imm
-                            op -= 4  # CMPI_xx -> CMP_xx for one compare chain
-                        else:
-                            b = (
-                                grl[r4]
-                                if r4 < 32 or r4 >= sor32
-                                else grl[32 + (r4 - 32 + rrb_gr) % sor]
-                            )
-                        if op == _CMP_LT:
-                            c = a < b
-                        elif op == _CMP_LE:
-                            c = a <= b
-                        elif op == _CMP_EQ:
-                            c = a == b
-                        else:
-                            c = a != b
-                        if r1 < 16:
-                            if r1:
-                                prl[r1] = c
-                            else:
-                                raise RegisterError("p0 is read-only")
-                        else:
-                            prl[16 + (r1 - 16 + rrb_pr) % 48] = c
-                        if r2 < 16:
-                            if r2:
-                                prl[r2] = not c
-                            else:
-                                raise RegisterError("p0 is read-only")
-                        else:
-                            prl[16 + (r2 - 16 + rrb_pr) % 48] = not c
-                    elif op == _MOV:
-                        v = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                        if r1 < 32 or r1 >= sor32:
-                            if r1:
-                                grl[r1] = v
-                            else:
-                                raise RegisterError("r0 is read-only")
-                        else:
-                            grl[32 + (r1 - 32 + rrb_gr) % sor] = v
-                    elif op == _MOVI:
-                        v = ((imm + _B63) & _M64) - _B63
-                        if r1 < 32 or r1 >= sor32:
-                            if r1:
-                                grl[r1] = v
-                            else:
-                                raise RegisterError("r0 is read-only")
-                        else:
-                            grl[32 + (r1 - 32 + rrb_gr) % sor] = v
-                    elif op == _SUB or op == _AND or op == _OR or op == _XOR:
-                        a = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                        b = (
-                            grl[r3]
-                            if r3 < 32 or r3 >= sor32
-                            else grl[32 + (r3 - 32 + rrb_gr) % sor]
-                        )
-                        if op == _SUB:
-                            v = a - b
-                        elif op == _AND:
-                            v = a & b
-                        elif op == _OR:
-                            v = a | b
-                        else:
-                            v = a ^ b
-                        v = ((v + _B63) & _M64) - _B63
-                        if r1 < 32 or r1 >= sor32:
-                            if r1:
-                                grl[r1] = v
-                            else:
-                                raise RegisterError("r0 is read-only")
-                        else:
-                            grl[32 + (r1 - 32 + rrb_gr) % sor] = v
-                    elif op == _SHL or op == _SHR or op == _SHLADD:
-                        a = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                        if op == _SHL:
-                            v = a << imm
-                        elif op == _SHR:
-                            v = a >> imm
-                        else:
-                            v = (a << imm) + (
-                                grl[r3]
-                                if r3 < 32 or r3 >= sor32
-                                else grl[32 + (r3 - 32 + rrb_gr) % sor]
-                            )
-                        v = ((v + _B63) & _M64) - _B63
-                        if r1 < 32 or r1 >= sor32:
-                            if r1:
-                                grl[r1] = v
-                            else:
-                                raise RegisterError("r0 is read-only")
-                        else:
-                            grl[32 + (r1 - 32 + rrb_gr) % sor] = v
-                    elif op == _FADD or op == _FSUB or op == _FMUL or op == _FMAX:
-                        a = frl[r2] if r2 < 32 else frl[32 + (r2 - 32 + rrb_fr) % 96]
-                        b = frl[r3] if r3 < 32 else frl[32 + (r3 - 32 + rrb_fr) % 96]
-                        if op == _FADD:
-                            v = a + b
-                        elif op == _FSUB:
-                            v = a - b
-                        elif op == _FMUL:
-                            v = a * b
-                        else:
-                            v = a if a >= b else b
-                        if r1 < 32:
-                            if r1 > 1:
-                                frl[r1] = v
-                            else:
-                                raise RegisterError(f"f{r1} is read-only")
-                        else:
-                            frl[32 + (r1 - 32 + rrb_fr) % 96] = v
-                    elif op == _FABS:
-                        v = abs(
-                            frl[r2] if r2 < 32 else frl[32 + (r2 - 32 + rrb_fr) % 96]
-                        )
-                        if r1 < 32:
-                            if r1 > 1:
-                                frl[r1] = v
-                            else:
-                                raise RegisterError(f"f{r1} is read-only")
-                        else:
-                            frl[32 + (r1 - 32 + rrb_fr) % 96] = v
-                    elif op == _SETF:
-                        v = float(
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                        if r1 < 32:
-                            if r1 > 1:
-                                frl[r1] = v
-                            else:
-                                raise RegisterError(f"f{r1} is read-only")
-                        else:
-                            frl[32 + (r1 - 32 + rrb_fr) % 96] = v
-                    elif op == _GETF:
-                        v = int(
-                            frl[r2] if r2 < 32 else frl[32 + (r2 - 32 + rrb_fr) % 96]
-                        )
-                        v = ((v + _B63) & _M64) - _B63
-                        if r1 < 32 or r1 >= sor32:
-                            if r1:
-                                grl[r1] = v
-                            else:
-                                raise RegisterError("r0 is read-only")
-                        else:
-                            grl[32 + (r1 - 32 + rrb_gr) % sor] = v
-                    elif op == _FETCHADD8:
-                        a = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                        stall += cache_access(cycles, a, ATOMIC)
-                        old = mem_read_i64(a)
-                        mem_write_i64(a, old + imm)
-                        if r1 < 32 or r1 >= sor32:
-                            if r1:
-                                grl[r1] = old
-                            else:
-                                raise RegisterError("r0 is read-only")
-                        else:
-                            grl[32 + (r1 - 32 + rrb_gr) % sor] = old
-                    elif op == _MOV_LC_IMM:
-                        lc = imm
-                    elif op == _MOV_LC_REG:
-                        lc = (
-                            grl[r2]
-                            if r2 < 32 or r2 >= sor32
-                            else grl[32 + (r2 - 32 + rrb_gr) % sor]
-                        )
-                    elif op == _MOV_EC_IMM:
-                        ec = imm
-                    elif op == _ALLOC:
-                        regs.alloc_rotating(imm)
-                        sor = regs.sor
-                        sor32 = 32 + sor
-                    elif op == _MOV_PR_ROT:
-                        mask = int(imm)
-                        for i in range(16, 64):
-                            prl[i] = bool(mask & (1 << i))
-                        # note: writes physical rotating predicates
-                        # (rrb-independent only when rrb is 0, which is
-                        # how compilers use it)
-                    elif op == _CLRRRB:
-                        regs.clear_rrb()
-                        rrb_gr = rrb_fr = rrb_pr = 0
-                    elif op == _BR_CALL:
-                        call_stack.append(base + BUNDLE_BYTES)
-                        pc = imm
-                        taken = True
-                        taken_branches += 1
-                        btb_append((base + idx, imm))
-                        if len(btb) > _BTB_SIZE:
-                            del btb[0]
-                        break
-                    elif op == _BR_RET:
-                        if not call_stack:
-                            raise SimulationFault(
-                                "br.ret with empty call stack",
-                                pc=base + slot,
-                                cpu=self.cpu_id,
-                            )
-                        pc = call_stack.pop()
-                        taken = True
-                        taken_branches += 1
-                        btb_append((base + idx, pc))
-                        if len(btb) > _BTB_SIZE:
-                            del btb[0]
-                        break
-                    elif op == _HALT:
-                        self.halted = True
-                        retired += idx + 1 - slot
+                    retired += n_slots
+                    issue_tick += 1
+                    if issue_tick >= bundles_per_cycle:
+                        issue_tick = 0
                         cycles += 1 + stall
-                        bundles_executed += 1
-                        return executed + 1
-                    else:  # pragma: no cover - defensive
-                        raise SimulationFault(
-                            f"illegal opcode {op}", pc=base + slot, cpu=self.cpu_id
-                        )
-
-                # architectural slots this bundle retired: everything up
-                # to the taken branch, or the whole (possibly partial)
-                # bundle — NOP padding retires without being iterated
-                n_slots = (idx + 1 - slot) if taken else (n_total - slot)
-                if not taken:
-                    pc = base + BUNDLE_BYTES
-                retired += n_slots
-                issue_tick += 1
-                if issue_tick >= bundles_per_cycle:
-                    issue_tick = 0
-                    cycles += 1 + stall
+                    else:
+                        cycles += stall
+                    bundles_executed += 1
+                    executed += 1
+                    if sampling:
+                        countdown -= n_slots
+                        if countdown <= 0:
+                            break
                 else:
-                    cycles += stall
-                bundles_executed += 1
-                executed += 1
-
-                if sampling:
-                    countdown -= n_slots
-                    if countdown <= 0:
-                        countdown = sampling
-                        cycles += self.sample_overhead
-                        # publish the architectural state the observer sees
-                        self.pc = pc
-                        self.cycles = cycles
-                        self.retired = retired
-                        self.bundles_executed = bundles_executed
-                        self.taken_branches = taken_branches
-                        self._issue_tick = issue_tick
-                        self._sample_countdown = countdown
-                        regs.lc = lc
-                        regs.ec = ec
-                        regs.rrb_gr = rrb_gr
-                        regs.rrb_fr = rrb_fr
-                        regs.rrb_pr = rrb_pr
-                        self.on_sample(self)  # type: ignore[misc]
-                        # the handler may have charged cycles or re-armed
-                        # sampling: reload everything it can touch
-                        pc = self.pc
-                        cycles = self.cycles
-                        retired = self.retired
-                        bundles_executed = self.bundles_executed
-                        taken_branches = self.taken_branches
-                        issue_tick = self._issue_tick
-                        countdown = self._sample_countdown
-                        sampling = self.sample_interval
-                        fast_mem = cache.validator is None
-                        if fast_mem:
-                            l2_sets = cache._l2_sets
-                            l2_nsets = cache._l2_nsets
-                            l2_hit_lat = cache._l2_hit
-                            line_state = cache.state
-                            l2_dirty = cache.l2_dirty
-                            mem_events = cache.events
-                        cache_access = cache.access_fn
-                        lc = regs.lc
-                        ec = regs.ec
-                        sor = regs.sor
-                        sor32 = 32 + sor
-                        rrb_gr = regs.rrb_gr
-                        rrb_fr = regs.rrb_fr
-                        rrb_pr = regs.rrb_pr
-
-            return executed
-        finally:
-            self.pc = pc
-            self.cycles = cycles
-            self.retired = retired
-            self.bundles_executed = bundles_executed
-            self.taken_branches = taken_branches
-            self._issue_tick = issue_tick
-            self._sample_countdown = countdown
-            regs.lc = lc
-            regs.ec = ec
-            regs.rrb_gr = rrb_gr
-            regs.rrb_fr = rrb_fr
-            regs.rrb_pr = rrb_pr
+                    return executed
+                # sampling interrupt (generic and EXIT_SAMPLE paths alike):
+                # re-arm the countdown and charge the handler's cost on
+                # the monitored thread before it observes the state
+                countdown = sampling
+                cycles += self.sample_overhead
+            finally:
+                self.pc = pc
+                self.cycles = cycles
+                self.retired = retired
+                self.bundles_executed = bundles_executed
+                self.taken_branches = taken_branches
+                self._issue_tick = issue_tick
+                self._sample_countdown = countdown
+                regs.lc = lc
+                regs.ec = ec
+                regs.rrb_gr = rrb_gr
+                regs.rrb_fr = rrb_fr
+                regs.rrb_pr = rrb_pr
+            self.on_sample(self)  # type: ignore[misc]

@@ -59,8 +59,11 @@ static, handing over to the per-bundle version when it fails.
 The contract with the generic interpreter (DESIGN.md §9):
 
 * **bit-identical observables** — the closure replicates the generic
-  loop's cycle accounting, L2-hit fast path, DEAR/BTB updates and
-  retirement arithmetic statement for statement; per-bundle it checks
+  loop's cycle accounting, DEAR/BTB updates and retirement arithmetic
+  statement for statement, and its L2-hit arm replicates
+  ``CpuCacheSystem._access``'s (which the interpreter reaches by call,
+  not by copy: an access hook sees every access of an interpreted
+  bundle and only the calls out of a compiled one); per-bundle it checks
   the same ``max_bundles``/``cycle_limit`` budget the scheduler uses to
   keep cores' clocks entangled, so even *slice boundaries* fall on the
   same bundle as the generic path;
@@ -83,6 +86,8 @@ rotation geometry; the interpreter guards both at every entry.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..isa.binary import BUNDLE_BYTES
 from ..isa.instructions import Op
@@ -135,7 +140,6 @@ MIN_LINEAR_BUNDLES = 2
 #: enough to hold the fastpath bench's >=97% coverage floor.
 HOT_THRESHOLD = 3
 
-_NOP = int(Op.NOP)
 _ADD = int(Op.ADD)
 _ADDI = int(Op.ADDI)
 _SUB = int(Op.SUB)
@@ -148,11 +152,7 @@ _SHL = int(Op.SHL)
 _SHR = int(Op.SHR)
 _SHLADD = int(Op.SHLADD)
 _CMP_LT = int(Op.CMP_LT)
-_CMP_LE = int(Op.CMP_LE)
-_CMP_EQ = int(Op.CMP_EQ)
-_CMP_NE = int(Op.CMP_NE)
 _CMPI_LT = int(Op.CMPI_LT)
-_CMPI_NE = int(Op.CMPI_NE)
 _MOV_LC_IMM = int(Op.MOV_LC_IMM)
 _MOV_LC_REG = int(Op.MOV_LC_REG)
 _MOV_EC_IMM = int(Op.MOV_EC_IMM)
@@ -178,7 +178,6 @@ _FETCHADD8 = int(Op.FETCHADD8)
 
 _B63 = 1 << 63
 _M64 = (1 << 64) - 1
-_BMASK = ~(BUNDLE_BYTES - 1)
 _SMASK = BUNDLE_BYTES - 1
 _BTB_SIZE = 4
 
@@ -194,28 +193,48 @@ _HIT_EVENTS = {
 #: whole-iteration body loads is known once it has been emitted
 _UNPACK = "\0unpack"
 
-#: ops writing a general register through r1
-_GR_DEST_OPS = frozenset((
-    _ADD, _ADDI, _SUB, _MOV, _MOVI, _AND, _OR, _XOR, _SHL, _SHR,
-    _SHLADD, _GETF, _LD8, _FETCHADD8,
+#: Straight-line register ops: op -> (destination, value, wraps).  The
+#: value is an expression over operand reads named by register file
+#: (g/f) and operand field (2..4 = r2..r4), ``imm`` and ``wimm`` (the
+#: immediate wrapped to 64 bits); the destination names what ``r1``
+#: (compares: ``r1`` and, negated, ``r2``) selects the same way.
+#: ``wraps``: the value can leave the signed 64-bit range — & | ^ >> of
+#: wrapped operands cannot.  :func:`_generate` emits each from its row.
+_REG_OPS = {
+    _ADD: ("g1", "{g2} + {g3}", True),
+    _ADDI: ("g1", "{g2} + {imm}", True),
+    _SUB: ("g1", "{g2} - {g3}", True),
+    _MOV: ("g1", "{g2}", False),
+    _MOVI: ("g1", "{wimm}", False),
+    _AND: ("g1", "{g2} & {g3}", False),
+    _OR: ("g1", "{g2} | {g3}", False),
+    _XOR: ("g1", "{g2} ^ {g3}", False),
+    _SHL: ("g1", "{g2} << {imm}", True),
+    _SHR: ("g1", "{g2} >> {imm}", False),
+    _SHLADD: ("g1", "({g2} << {imm}) + {g3}", True),
+    _GETF: ("g1", "int({f2})", True),
+    _SETF: ("f1", "float({g2})", False),
+    _FMA: ("f1", "{f2} * {f3} + {f4}", False),
+    _FADD: ("f1", "{f2} + {f3}", False),
+    _FSUB: ("f1", "{f2} - {f3}", False),
+    _FMUL: ("f1", "{f2} * {f3}", False),
+    _FABS: ("f1", "abs({f2})", False),
+    _FMAX: ("f1", "{f2} if {f2} >= {f3} else {f3}", False),
+    # cmp.lt/le/eq/ne against r4, then the same four against imm
+    **{
+        first + n: ("p1 p2", f"{{g3}} {rel} {{{other}}}", False)
+        for first, other in ((_CMP_LT, "g4"), (_CMPI_LT, "imm"))
+        for n, rel in enumerate(("<", "<=", "==", "!="))
+    },
+}
+
+_OPERAND = re.compile(r"\{([gf]\d)\}")
+
+_SUPPORTED = frozenset(_REG_OPS) | frozenset((
+    _LD8, _ST8, _LDFD, _STFD, _LFETCH, _FETCHADD8,
+    _MOV_LC_IMM, _MOV_LC_REG, _MOV_EC_IMM,
+    _BR, _BR_COND, _BR_CTOP, _BR_CLOOP, _BR_WTOP,
 ))
-#: ops writing a float register through r1
-_FR_DEST_OPS = frozenset((_LDFD, _FMA, _FADD, _FSUB, _FMUL, _SETF, _FABS, _FMAX))
-#: ops writing two predicate registers through r1/r2
-_PR_DEST_OPS = frozenset(range(_CMP_LT, _CMPI_NE + 1))
-#: memory ops whose nonzero imm post-increments the gr addressed by r2
-_POSTINC_OPS = frozenset((_LD8, _ST8, _LDFD, _STFD, _LFETCH))
-
-_SUPPORTED = (
-    _GR_DEST_OPS
-    | _FR_DEST_OPS
-    | _PR_DEST_OPS
-    | frozenset((
-        _MOV_LC_IMM, _MOV_LC_REG, _MOV_EC_IMM, _ST8, _STFD, _LFETCH,
-        _BR, _BR_COND, _BR_CTOP, _BR_CLOOP, _BR_WTOP,
-    ))
-)
-
 
 #: The operands of every op an idempotent iteration may hold besides its
 #: closing branch: op -> (registers read, registers written), each named
@@ -223,26 +242,8 @@ _SUPPORTED = (
 _SPIN_OPERANDS = {
     _LD8: ("g2", "g1"),
     _LDFD: ("g2", "f1"),
-    _ADD: ("g2 g3", "g1"),
-    _SUB: ("g2 g3", "g1"),
-    _AND: ("g2 g3", "g1"),
-    _OR: ("g2 g3", "g1"),
-    _XOR: ("g2 g3", "g1"),
-    _SHLADD: ("g2 g3", "g1"),
-    _ADDI: ("g2", "g1"),
-    _SHL: ("g2", "g1"),
-    _SHR: ("g2", "g1"),
-    _MOV: ("g2", "g1"),
-    _MOVI: ("", "g1"),
-    _GETF: ("f2", "g1"),
-    _SETF: ("g2", "f1"),
-    _FMA: ("f2 f3 f4", "f1"),
-    _FADD: ("f2 f3", "f1"),
-    _FSUB: ("f2 f3", "f1"),
-    _FMUL: ("f2 f3", "f1"),
-    _FMAX: ("f2 f3", "f1"),
-    _FABS: ("f2", "f1"),
-    **{op: ("g3 g4" if op < _CMPI_LT else "g3", "p1 p2") for op in _PR_DEST_OPS},
+    **{op: (" ".join(_OPERAND.findall(value)), dest)
+       for op, (dest, value, _) in _REG_OPS.items()},
 }
 
 #: (head, body, sor, bpc, mode, start) -> the ready ``__trace__`` function
@@ -621,6 +622,9 @@ def _generate(
             raise _TraceAbort("write to p0")
         return pr_r(p)
 
+    read = {"g": gr_r, "f": fr_r}
+    write = {"g": gr_w, "f": fr_w}
+
     def ret(pc_expr: str, flag: int, slots: int | None = None) -> str:
         """Leave the trace.  An exit of the whole-iteration body is a row
         of static data for the epilogue below the loop: where, and the
@@ -931,61 +935,20 @@ def _generate(
             e.dedent()
             if imm:
                 emit_post_inc(r2, imm)
-        elif op == _FMA:
-            e(f"{fr_w(r1)} = {fr_r(r2)} * {fr_r(r3)} + {fr_r(r4)}")
-        elif op == _ADD:
-            emit_wrapped(gr_w(r1), f"{gr_r(r2)} + {gr_r(r3)}")
-        elif op == _ADDI:
-            emit_wrapped(gr_w(r1), f"{gr_r(r2)} + {imm}")
-        elif op == _SUB:
-            emit_wrapped(gr_w(r1), f"{gr_r(r2)} - {gr_r(r3)}")
-        # & | ^ >> of wrapped operands stay in range: no wrap to pay
-        elif op == _AND:
-            e(f"{gr_w(r1)} = {gr_r(r2)} & {gr_r(r3)}")
-        elif op == _OR:
-            e(f"{gr_w(r1)} = {gr_r(r2)} | {gr_r(r3)}")
-        elif op == _XOR:
-            e(f"{gr_w(r1)} = {gr_r(r2)} ^ {gr_r(r3)}")
-        elif op == _SHL:
-            emit_wrapped(gr_w(r1), f"{gr_r(r2)} << {imm}")
-        elif op == _SHR:
-            e(f"{gr_w(r1)} = {gr_r(r2)} >> {imm}")
-        elif op == _SHLADD:
-            emit_wrapped(gr_w(r1), f"({gr_r(r2)} << {imm}) + {gr_r(r3)}")
-        elif op == _MOV:
-            e(f"{gr_w(r1)} = {gr_r(r2)}")
-        elif op == _MOVI:
-            e(f"{gr_w(r1)} = {((imm + _B63) & _M64) - _B63}")
-        elif op in _PR_DEST_OPS:
-            a_expr = gr_r(r3)
-            if op >= _CMPI_LT:
-                b_expr = str(imm)
-                base_op = op - 4
+        elif op in _REG_OPS:
+            dest, value, wraps = _REG_OPS[op]
+            value = value.format(
+                imm=imm, wimm=((imm + _B63) & _M64) - _B63,
+                **{f: read[f[0]](entry[2 + int(f[1])]) for f in _OPERAND.findall(value)},
+            )
+            if dest == "p1 p2":
+                e(f"c = {value}")
+                e(f"{pr_w(r1)} = c")
+                e(f"{pr_w(r2)} = not c")
+            elif wraps:
+                emit_wrapped(write[dest[0]](r1), value)
             else:
-                b_expr = gr_r(r4)
-                base_op = op
-            rel = {
-                _CMP_LT: "<", _CMP_LE: "<=", _CMP_EQ: "==", _CMP_NE: "!=",
-            }[base_op]
-            e(f"c = {a_expr} {rel} {b_expr}")
-            e(f"{pr_w(r1)} = c")
-            e(f"{pr_w(r2)} = not c")
-        elif op == _FADD:
-            e(f"{fr_w(r1)} = {fr_r(r2)} + {fr_r(r3)}")
-        elif op == _FSUB:
-            e(f"{fr_w(r1)} = {fr_r(r2)} - {fr_r(r3)}")
-        elif op == _FMUL:
-            e(f"{fr_w(r1)} = {fr_r(r2)} * {fr_r(r3)}")
-        elif op == _FMAX:
-            e(f"fa = {fr_r(r2)}")
-            e(f"fb = {fr_r(r3)}")
-            e(f"{fr_w(r1)} = fa if fa >= fb else fb")
-        elif op == _FABS:
-            e(f"{fr_w(r1)} = abs({fr_r(r2)})")
-        elif op == _SETF:
-            e(f"{fr_w(r1)} = float({gr_r(r2)})")
-        elif op == _GETF:
-            emit_wrapped(gr_w(r1), f"int({fr_r(r2)})")
+                e(f"{write[dest[0]](r1)} = {value}")
         elif op == _FETCHADD8:
             emit_mem_addr(r2)
             e(f"stall += cache_access(cycles, a, {ATOMIC})")

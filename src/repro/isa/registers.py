@@ -21,9 +21,14 @@ pipeline stage is visible as ``r33`` in the next.
 
 from __future__ import annotations
 
+import functools
+
 from ..errors import RegisterError
 
-__all__ = ["RegisterFile", "GR_ROT_START", "FR_ROT_START", "FR_ROT_SIZE", "PR_ROT_START", "PR_ROT_SIZE"]
+__all__ = [
+    "RegisterFile", "rename_table",
+    "GR_ROT_START", "FR_ROT_START", "FR_ROT_SIZE", "PR_ROT_START", "PR_ROT_SIZE",
+]
 
 GR_ROT_START = 32
 FR_ROT_START = 32
@@ -32,6 +37,27 @@ PR_ROT_START = 16
 PR_ROT_SIZE = 48
 
 _MASK64 = (1 << 64) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def rename_table(n_regs: int, first: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Logical -> physical register numbers, one row per rename base.
+
+    For a file of ``n_regs`` registers whose ``size`` registers from
+    ``first`` rotate, ``table[rrb % len(table)][idx]`` is the physical
+    register behind logical ``idx`` under rename base ``rrb`` — the
+    rule :class:`RegisterFile` applies one access at a time, tabulated
+    for the interpreter.  Built on first use, once per geometry (the
+    GR file has one per rotating-region size), and shared by every core.
+    """
+    last = first + size
+    return tuple(
+        tuple(
+            first + (idx - first + rrb) % size if first <= idx < last else idx
+            for idx in range(n_regs)
+        )
+        for rrb in range(size or 1)
+    )
 
 
 class RegisterFile:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import itanium2_smp
 from repro.cpu import Machine, Scheduler
-from repro.errors import SimulationFault
+from repro.errors import RegisterError, SimulationFault
 from repro.isa import assemble
 
 
@@ -330,3 +330,98 @@ class TestTiming:
         assert core.cycles >= 50 * len(fired)
         core.disable_sampling()
         assert core.sample_interval == 0
+
+
+#: the faulting instruction sits predicated off in a hot loop and is
+#: switched on in iteration 10 — long after a JIT-on core has tried to
+#: compile the loop (and refused: hardwired destinations, ``br.ret``),
+#: so both modes must fault in the same state
+_FAULT_LOOP = """
+mov ar.lc=20
+mov r8=0
+.loop:
+add r8=1,r8
+cmp.eq p6,p7=r8,r9
+{{
+(p6) mov r5=7
+(p6) {faulting}
+(p6) mov r6=9
+}}
+br.cloop.sptk .loop
+halt
+"""
+
+#: (faulting instruction, exception, message, what the fault left behind)
+FAULTS = [
+    # the prefetch is issued, then its post-increment finds r0
+    ("lfetch [r0],8", RegisterError, "r0 is read-only",
+     lambda regs, ev, a: ev.prefetches == 1 and regs.gr[0] == 0),
+    # the load is issued and read; r0 faults before the post-increment
+    ("ld8 r0=[r4],8", RegisterError, "r0 is read-only",
+     lambda regs, ev, a: ev.loads == 1 and regs.gr[0] == 0 and regs.read_gr(4) == a),
+    ("ldfd f1=[r4],8", RegisterError, "f1 is read-only",
+     lambda regs, ev, a: ev.loads == 1 and regs.fr[1] == 1.0 and regs.read_gr(4) == a),
+    ("setf f0=r4", RegisterError, "f0 is read-only",
+     lambda regs, ev, a: regs.fr[0] == 0.0),
+    ("getf r0=f1", RegisterError, "r0 is read-only",
+     lambda regs, ev, a: regs.gr[0] == 0),
+    # the first compare target is written before the second is looked at
+    ("cmp.eq p10,p0=r0,r0", RegisterError, "p0 is read-only",
+     lambda regs, ev, a: regs.read_pr(10) and regs.pr[0] is True),
+    ("cmp.eq p0,p10=r0,r0", RegisterError, "p0 is read-only",
+     lambda regs, ev, a: not regs.read_pr(10) and regs.pr[0] is True),
+    ("br.ret", SimulationFault, "br.ret with empty call stack",
+     lambda regs, ev, a: True),
+]
+
+
+class TestFaultOrder:
+    """Every fault leaves the writes that preceded it, and nothing else."""
+
+    @pytest.mark.parametrize("jit", (True, False), ids=("jit", "interp"))
+    @pytest.mark.parametrize("row", FAULTS, ids=[row[0] for row in FAULTS])
+    def test_fault_leaves_the_earlier_writes(self, smp2, row, jit):
+        faulting, error, message, left = row
+        machine = smp2
+        a = machine.mem.alloc("a", 128).base
+        image = assemble(_FAULT_LOOP.format(faulting=faulting))
+        machine.load_image(image)
+        core = machine.cores[0]
+        core.jit_enabled = jit
+        core.regs.write_gr(4, a)
+        core.regs.write_gr(9, 10)
+        core.start(image.base)
+        with pytest.raises(error, match=message) as caught:
+            Scheduler(machine.cores).run_until_halt(10_000)
+        regs = core.regs
+        # nine whole iterations, then the faulting bundle's first slot
+        assert regs.read_gr(8) == 10 and regs.lc == 11
+        assert regs.read_gr(5) == 7 and regs.read_gr(6) == 0
+        assert left(regs, machine.caches[0].events, a)
+        # the faulting bundle did not retire: the core still points at it
+        bundle = core.pc
+        assert image.bundles[bundle].slots[0].r1 == 5
+        if error is SimulationFault:
+            assert (caught.value.pc, caught.value.cpu) == (bundle, 0)
+
+    @pytest.mark.parametrize("jit", (True, False), ids=("jit", "interp"))
+    def test_mid_bundle_entry_skips_the_earlier_slots(self, jit):
+        machine = Machine(itanium2_smp(1))
+        image = assemble(
+            "{\nmov r5=7\nmov r6=8\nmov r7=9\n}\n"
+            "{\nmov r10=1\nmov r11=2\nbr.ret\n}\n"
+        )
+        machine.load_image(image)
+        core = machine.cores[0]
+        core.jit_enabled = jit
+        core.start(image.base + 1)
+        assert core.run(1) == 1
+        assert [core.regs.read_gr(r) for r in (5, 6, 7)] == [0, 8, 9]
+        assert (core.pc, core.retired) == (image.base + 16, 2)
+        # a fault names the slot the bundle was entered at
+        core.pc += 2
+        with pytest.raises(SimulationFault, match="empty call stack") as caught:
+            core.run(1)
+        assert caught.value.pc == image.base + 18
+        assert [core.regs.read_gr(r) for r in (10, 11)] == [0, 0]
+        assert (core.pc, core.retired) == (image.base + 18, 2)

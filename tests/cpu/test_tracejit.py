@@ -14,7 +14,12 @@ from __future__ import annotations
 
 from repro.config import itanium2_smp
 from repro.cpu import Machine, Scheduler
-from repro.cpu.tracejit import DEOPT_REASONS, HOT_THRESHOLD, MAX_TRACE_BUNDLES
+from repro.cpu.tracejit import (
+    _REG_OPS,
+    DEOPT_REASONS,
+    HOT_THRESHOLD,
+    MAX_TRACE_BUNDLES,
+)
 from repro.isa import assemble
 from repro.isa.instructions import Instruction, Op
 from repro.workloads import build_daxpy
@@ -117,6 +122,51 @@ class TestEquivalence:
     def test_wtop(self):
         fast = _assert_equivalent(WTOP_SRC)
         assert fast.regs.read_gr(1) == 150
+
+    def test_every_register_op_row(self):
+        # one instruction from every row of the emitter's op table
+        src = """
+        mov ar.lc=40
+        mov r1=-7
+        mov r2=3
+        .loop:
+        add r3=r1,r2
+        add r1=5,r1
+        sub r4=r3,r2
+        mov r5=r4
+        mov r6=-123456789
+        and r7=r3,r2
+        or r8=r3,r2
+        xor r9=r3,r2
+        shl r10=r3,59
+        shr r11=r10,2
+        shladd r12=r3,2,r1
+        setf f2=r3
+        fabs f3=f2
+        fmax f4=f2,f3
+        fmax f5=f3,f2
+        fma f6=f2,f3,f4
+        fadd f7=f6,f2
+        fsub f8=f7,f3
+        fmul f9=f8,f2
+        getf r13=f9
+        cmp.lt p6,p7=r3,r2
+        cmp.le p8,p9=r3,r2
+        cmp.eq p10,p11=r3,r2
+        cmp.ne p12,p13=r3,r2
+        cmp.lt p14,p15=r3,3
+        (p6) cmp.le p6,p7=r3,3
+        (p9) cmp.eq p8,p9=r3,3
+        (p12) cmp.ne p10,p11=r3,3
+        (p14) add r14=1,r14
+        br.cloop.sptk .loop
+        halt
+        """
+        ops = {int(slot.op) for bundle in assemble(src).bundles.values()
+               for slot in bundle.slots}
+        assert ops >= set(_REG_OPS)
+        fast = _assert_equivalent(src)
+        assert fast.regs.read_fr(4) == fast.regs.read_fr(5) == 196.0
 
     def test_cold_loop_never_compiles(self):
         # fewer back-edges than the hot threshold: the generic

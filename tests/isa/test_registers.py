@@ -6,9 +6,12 @@ from hypothesis import given, strategies as st
 from repro.errors import RegisterError
 from repro.isa.registers import (
     FR_ROT_SIZE,
+    FR_ROT_START,
     GR_ROT_START,
     PR_ROT_SIZE,
+    PR_ROT_START,
     RegisterFile,
+    rename_table,
 )
 
 
@@ -151,3 +154,30 @@ class TestRotation:
         regs.rotate()
         visible = sorted(regs.read_gr(GR_ROT_START + i) for i in range(8))
         assert visible == before
+
+
+class TestRenameTable:
+    """The interpreter's rename tables against the rule they tabulate."""
+
+    @given(
+        sor=st.integers(0, 96),
+        # a base left by a larger region survives a shrinking ``alloc``
+        rrb_gr=st.integers(0, 95),
+        rrb_fr=st.integers(0, FR_ROT_SIZE - 1),
+        rrb_pr=st.integers(0, PR_ROT_SIZE - 1),
+    )
+    def test_lookup_equals_the_register_file_rule(self, sor, rrb_gr, rrb_fr, rrb_pr):
+        regs = RegisterFile()
+        regs.alloc_rotating(sor)
+        regs.rrb_gr, regs.rrb_fr, regs.rrb_pr = rrb_gr, rrb_fr, rrb_pr
+        for table, rrb, phys in (
+            (rename_table(128, GR_ROT_START, sor), rrb_gr, regs._phys_gr),
+            (rename_table(128, FR_ROT_START, FR_ROT_SIZE), rrb_fr, regs._phys_fr),
+            (rename_table(64, PR_ROT_START, PR_ROT_SIZE), rrb_pr, regs._phys_pr),
+        ):
+            row = table[rrb % len(table)]
+            assert list(row) == [phys(idx) for idx in range(len(row))]
+
+    def test_built_once_per_geometry(self):
+        assert rename_table(128, GR_ROT_START, 8) is rename_table(128, GR_ROT_START, 8)
+        assert len(rename_table(128, GR_ROT_START, 0)) == 1

@@ -107,6 +107,8 @@ EXPLICIT = [
     (["table1"], {"REPRO_FAULTS": "lots"}, "'lots'"),
     (["table1"], {"REPRO_CHECKPOINT": "{tmp}/not-json.txt"},
      "REPRO_CHECKPOINT must name a checkpoint directory"),
+    (["daxpy"], {"REPRO_CHECKPOINT": "/proc/nope/ck"}, "cannot write '/proc/nope/ck'"),
+    (["daxpy"], {"REPRO_PROFILE_DB": "/proc/nope/p.db"}, "cannot write '/proc/nope'"),
     (["table1"], {"REPRO_TRACE_JIT": "yes"},
      "REPRO_TRACE_JIT must be '0', '1' or 'osr-off', got 'yes'"),
     (["table1"], {"REPRO_TRACE_JIT": "2"}, "'2'"),
