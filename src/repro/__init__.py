@@ -28,38 +28,44 @@ Subpackages:
   every correctness sweep (``run_cell`` + ``Sweep``).
 """
 
-from .config import (
-    CobraConfig,
-    MachineConfig,
-    itanium2_smp,
-    sgi_altix,
-)
-from .cpu import Machine, Scheduler
-from .core import Cobra, CobraReport, run_with_cobra
-from .runtime import ParallelProgram, RunResult
-from .validate import CoherenceChecker, DifferentialHarness
-from .workloads import BENCHMARKS, REPORTED, build_daxpy, verify_daxpy, working_set_elems
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MachineConfig",
-    "CobraConfig",
-    "itanium2_smp",
-    "sgi_altix",
-    "Machine",
-    "Scheduler",
-    "Cobra",
-    "CobraReport",
-    "run_with_cobra",
-    "ParallelProgram",
-    "RunResult",
-    "CoherenceChecker",
-    "DifferentialHarness",
-    "BENCHMARKS",
-    "REPORTED",
-    "build_daxpy",
-    "verify_daxpy",
-    "working_set_elems",
-    "__version__",
-]
+#: Public name -> defining submodule.  ``import repro`` loads none of
+#: them: a name is imported on first access (PEP 562) and then cached in
+#: the module namespace (DESIGN.md §2 "Import layering").
+_EXPORTS = {
+    "MachineConfig": "config",
+    "CobraConfig": "config",
+    "itanium2_smp": "config",
+    "sgi_altix": "config",
+    "Machine": "cpu.machine",
+    "Scheduler": "cpu.scheduler",
+    "Cobra": "core.framework",
+    "CobraReport": "core.framework",
+    "run_with_cobra": "core.framework",
+    "ParallelProgram": "runtime.team",
+    "RunResult": "runtime.team",
+    "CoherenceChecker": "validate.checker",
+    "DifferentialHarness": "validate.differential",
+    "BENCHMARKS": "workloads.npb.common",
+    "REPORTED": "workloads.npb",
+    "build_daxpy": "workloads.daxpy",
+    "verify_daxpy": "workloads.daxpy",
+    "working_set_elems": "workloads.daxpy",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -32,15 +32,6 @@ import sys
 from dataclasses import replace
 from typing import Callable, Iterable
 
-from .analysis import format_table1
-from .bench import (
-    MATRIX_BENCHMARKS,
-    check_baseline,
-    compare_reports,
-    format_report,
-    matrix_case,
-    run_bench,
-)
 from .config import (
     ENV_VARS,
     FaultConfig,
@@ -49,14 +40,22 @@ from .config import (
     OverloadConfig,
     PersistConfig,
     ProfileDBConfig,
+    default_blas_threads,
     env_value,
 )
-from .core import STRATEGIES
 from .errors import CobraError, FleetError, WorkloadError
-from .faults import CHAOS_STRATEGIES, ChaosHarness
-from .isa import Op, disassemble
-from .persist import FileDisk, MemoryDisk, recover
-from .scenario import (
+
+# This module is the front door of both entry points (``python -m repro``
+# and the ``repro`` console script) and nothing above imports numpy, so
+# this is the one place that runs before numpy in every command.
+default_blas_threads()
+
+# Each handler imports its own harness (analysis, bench, faults, fleet,
+# fuzz, governor, persist, validate): a command loads what it runs
+# (DESIGN.md §2 "Import layering").
+from .core.policy import STRATEGIES  # noqa: E402
+from .isa import Op, disassemble  # noqa: E402
+from .scenario import (  # noqa: E402
     ALL_STRATEGIES,
     MACHINES,
     MachineRecipe,
@@ -66,8 +65,7 @@ from .scenario import (
     npb_spec,
     run_cell,
 )
-from .validate import DifferentialHarness, RecoveryHarness, check_image
-from .workloads import BENCHMARKS, working_set_elems
+from .workloads.npb.common import BENCHMARKS  # noqa: E402
 
 __all__ = ["main"]
 
@@ -160,6 +158,8 @@ def _workload(meta: dict) -> tuple[MachineRecipe, WorkloadSpec]:
     recipe = replace(MACHINES[mname], scale=int(meta.get("scale", 16)))
     threads = int(meta.get("threads") or recipe.n_cpus)
     if meta.get("cmd") == "daxpy":
+        from .workloads.daxpy import working_set_elems
+
         n = working_set_elems(meta.get("working_set", "128K"), recipe.scale)
         return recipe, daxpy_spec(n, threads, int(meta.get("reps", 20)))
     if meta.get("cmd") == "npb" and meta.get("benchmark") in BENCHMARKS:
@@ -250,6 +250,8 @@ def _cmd_single(args) -> int:
 
 def _cmd_resume(args) -> int:
     """Warm-restart a checkpointed run from its workload descriptor."""
+    from .persist import FileDisk, recover
+
     if not os.path.isdir(args.checkpoint_dir):
         raise UsageError(f"no checkpoint directory {args.checkpoint_dir!r}")
     meta = recover(FileDisk(args.checkpoint_dir)).meta
@@ -265,6 +267,8 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .analysis import format_table1
+
     counts = {}
     for name, bench in BENCHMARKS.items():
         prog = bench.build(MachineRecipe("smp", 4, args.scale)(), 4, reps=1)
@@ -316,6 +320,8 @@ def _sweep(args, harness_for, after=None, n_elems: int = 512) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validate import DifferentialHarness, check_image
+
     for name in args.strategies or ():
         _choose("strategy", name, ALL_STRATEGIES)
     # the harness needs the "none" reference run to diff against
@@ -344,6 +350,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
+    from .faults import CHAOS_STRATEGIES, ChaosHarness
+
     for name in args.strategies or ():
         _choose("strategy", name, STRATEGIES)
     fault_config = FaultConfig(
@@ -360,7 +368,6 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_overload(args) -> int:
-    # deferred: the governor package pulls in the whole runtime stack
     from .governor import OVERLOAD_SCHEDULES, OverloadHarness
 
     for name in args.schedules or ():
@@ -376,6 +383,8 @@ def _cmd_overload(args) -> int:
 
 
 def _cmd_recovery(args) -> int:
+    from .validate import RecoveryHarness
+
     _choose("strategy", args.strategy, STRATEGIES)
     torn_modes = (None, args.torn_bytes) if args.torn_bytes else (None,)
     # small-scale machines: the sweep workloads must actually cross the
@@ -400,7 +409,6 @@ def _cmd_recovery(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    # deferred: the fuzz package pulls in the whole runtime stack
     from .fuzz import DifferentialFuzzer, shrink
     from .fuzz.report import repro_command
 
@@ -443,6 +451,14 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import (
+        MATRIX_BENCHMARKS,
+        check_baseline,
+        compare_reports,
+        format_report,
+        run_bench,
+    )
+
     for name in args.strategies or ():
         _choose("strategy", name, ALL_STRATEGIES)
     for name in args.benchmarks or ():
@@ -470,6 +486,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_warm(args) -> int:
+    from .bench import MATRIX_BENCHMARKS, matrix_case
+    from .persist import MemoryDisk
+
     _choose("strategy", args.strategy, STRATEGIES)
     for name in args.workloads:
         _choose("benchmark", name, MATRIX_BENCHMARKS)
@@ -515,7 +534,6 @@ def _cmd_warm(args) -> int:
 
 
 def _cmd_fleet(args) -> int:
-    # deferred: the fleet package pulls in the whole runtime stack
     from .fleet import FleetHarness
 
     quorum = args.quorum or env_value("REPRO_FLEET_QUORUM")
@@ -670,7 +688,7 @@ def _parser() -> _Parser:
     _seed_flags(chaos, "fault", "(machine, strategy)")
     chaos.add_argument(
         "--strategies", nargs="+", default=None, metavar="STRATEGY",
-        help=f"COBRA strategies to fault (default: {' '.join(CHAOS_STRATEGIES)})",
+        help=f"COBRA strategies to fault (default: {' '.join(STRATEGIES)})",
     )
     # the rates' [0, 1] range is FaultConfig's to enforce
     for flag, default, unit, surface in (
@@ -911,7 +929,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         parser.check_ranges(args)
         args.check_ranges(args)
-        return args.func(args)
+        code = args.func(args)
+        # a closed or full stdout fails here, not in the interpreter's
+        # own flush at shutdown, where nothing can catch it
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself is gone: what is still buffered goes to
+            # devnull, or shutdown would fail on it a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            # the reader left (`repro table1 | head -1`): not an error to report
+            return 1
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     except (UsageError, WorkloadError, FleetError, ValueError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2

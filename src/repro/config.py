@@ -51,6 +51,7 @@ __all__ = [
     "EnvVar",
     "ENV_VARS",
     "env_value",
+    "default_blas_threads",
 ]
 
 #: Default capacity scale factor between real Itanium 2 caches and the
@@ -160,6 +161,20 @@ def env_value(name: str) -> object | None:
     if value is None or not var.valid(value):
         raise CobraError(f"{name} {var.expects} {raw!r}")
     return value
+
+
+def default_blas_threads() -> None:
+    """Keep OpenBLAS from starting a worker pool for this process.
+
+    The CLI calls this before its first import of numpy: the pool costs
+    ~70 ms of every command and the package's only BLAS calls are three
+    ``np.dot``s over CSR row slices.  An explicit user value wins, a
+    library ``import repro`` never gets here, and no other variable is
+    set — ``OMP_NUM_THREADS`` would reach into libraries that are not
+    ours.  (It lives here because this module is the only one that
+    touches ``os.environ``.)
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ accounted as detected or tolerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..config import (
     VALIDATE_MODES,
@@ -38,18 +39,24 @@ from ..cpu.machine import Machine
 from ..cpu.scheduler import Scheduler
 from ..cpu.tracejit import fastpath_stats
 from ..errors import CobraError, InvariantViolation, ProfileStateError
-from ..faults.injector import FaultInjector, FaultLedger
 from ..isa.binary import BinaryImage
-from ..persist.manager import PersistenceManager, PersistStats
-from ..persist.profiledb import ProfileDB, image_digest, profile_key
 from ..runtime.team import ParallelProgram, RunResult
-from ..validate.checker import CoherenceChecker
 from .monitor import MonitoringThread
 from .optimizer import OptEvent, OptimizationThread
 from .policy import STRATEGIES
 from .tracecache import Deployment, TraceCache
 
+if TYPE_CHECKING:
+    from ..faults.injector import FaultInjector, FaultLedger
+    from ..persist.manager import PersistenceManager, PersistStats
+    from ..persist.profiledb import ProfileDB
+
 __all__ = ["Cobra", "CobraReport", "run_with_cobra"]
+
+# The attachments below (faults, persist, validate, governor, fleet) are
+# imported where a run arms them, not here: an unarmed attachment costs
+# nothing at run time, and so nothing at import time either (DESIGN.md
+# §2 "Import layering").
 
 
 @dataclass
@@ -220,7 +227,11 @@ def _fault_injector(config: CobraConfig) -> FaultInjector | None:
     """Build the injector from config, with the env-var override."""
     seed = env_value("REPRO_FAULTS")
     fault_config = config.faults if seed is None else FaultConfig(seed=seed)
-    return FaultInjector(fault_config) if fault_config is not None else None
+    if fault_config is None:
+        return None
+    from ..faults.injector import FaultInjector
+
+    return FaultInjector(fault_config)
 
 
 def _persistence(
@@ -233,6 +244,8 @@ def _persistence(
     )
     if persist_config is None:
         return None
+    from ..persist.manager import PersistenceManager
+
     return PersistenceManager(persist_config, faults)
 
 
@@ -250,6 +263,8 @@ def _profile_db(config: CobraConfig) -> ProfileDB | None:
     db_config = config.profile_db if path is None else ProfileDBConfig(path=path)
     if db_config is None:
         return None
+    from ..persist.profiledb import ProfileDB
+
     return ProfileDB.from_config(db_config)
 
 
@@ -302,11 +317,13 @@ class Cobra:
             raise CobraError(
                 f"unknown validate mode {mode!r} (use one of {VALIDATE_MODES})"
             )
-        self.checker = CoherenceChecker(machine, mode) if mode != "off" else None
-        if self.checker is not None:
+        self.checker = None
+        if mode != "off":
+            from ..validate.checker import CoherenceChecker
+
             # recorded violations feed the optimizer watchdog's
             # escalation (strict mode raises before it matters)
-            checker = self.checker
+            self.checker = checker = CoherenceChecker(machine, mode)
             self.optimizer.watch_violations(lambda: len(checker.violations))
         # crash-consistent checkpointing (repro.persist): recover any
         # existing state, then warm-start — previously proven
@@ -336,6 +353,8 @@ class Cobra:
         self._profile_source = "off"
         self._profile_seeded = 0
         if self.profile_db is not None:
+            from ..persist.profiledb import profile_key
+
             self.profile_db.load()
             self._profile_key = profile_key(program, machine.config, strategy)
             if self.profile_db.stats.future_format:
@@ -369,6 +388,7 @@ class Cobra:
         self._fleet_seeded = 0
         if self.config.fleet is not None:
             from ..fleet.outbox import FleetOutbox
+            from ..persist.profiledb import image_digest, profile_key
 
             fl = self.config.fleet
             self.fleet_outbox = FleetOutbox(

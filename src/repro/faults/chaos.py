@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 from ..config import FaultConfig
+from ..core.policy import STRATEGIES
 from ..cpu.machine import Machine
 from ..scenario import (
     Cell,
@@ -39,7 +40,7 @@ __all__ = ["ChaosHarness", "ChaosRecord", "ChaosReport", "CHAOS_STRATEGIES"]
 
 #: Strategies worth faulting: every COBRA mode that actually monitors
 #: and patches ("none" has no runtime to attack — it is the reference).
-CHAOS_STRATEGIES = ("noprefetch", "excl", "adaptive")
+CHAOS_STRATEGIES = STRATEGIES
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .config import DEFAULT_SCALE, itanium2_smp, sgi_altix
+from .core.framework import Cobra
 from .cpu.machine import Machine
 from .cpu.scheduler import Scheduler
 from .cpu.tracejit import fastpath_stats
@@ -95,7 +96,7 @@ def daxpy_spec(n_elems: int = 512, n_threads: int = 4, reps: int = 5) -> Workloa
 
 def npb_spec(name: str, n_threads: int = 4, reps: int | None = None) -> WorkloadSpec:
     """One NPB-like benchmark as a sweep workload."""
-    from .workloads import BENCHMARKS
+    from .workloads.npb.common import BENCHMARKS
 
     bench = BENCHMARKS[name]
     reps = reps or bench.default_reps
@@ -248,17 +249,19 @@ def run_cell(
     result)`` runs against the live COBRA engine after it stopped and
     its return value travels in :attr:`Observables.extra`.
     """
-    # deferred: repro.core and repro.validate import this module
-    from .core.framework import Cobra
-    from .validate.checker import CoherenceChecker
-
     m = machine()
     if jit is not None:
         for core in m.cores:
             core.jit_enabled = jit
             core.osr_enabled = jit and osr
     prog = workload.build(m)
-    checker = CoherenceChecker(m, mode=check) if check is not None else None
+    checker = None
+    if check is not None:
+        # deferred: an attachment (DESIGN.md §2 "Import layering"), and
+        # repro.validate imports this module
+        from .validate.checker import CoherenceChecker
+
+        checker = CoherenceChecker(m, mode=check)
     captured: list = []
     engine = report = extra = None
     with checker if checker is not None else nullcontext():

@@ -15,7 +15,9 @@ compares the simulated arrays against the mirror.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from importlib import import_module
 
 import numpy as np
 
@@ -93,14 +95,41 @@ class NpbBenchmark:
         raise NotImplementedError
 
 
-#: Registry: benchmark name -> instance.
-BENCHMARKS: dict[str, NpbBenchmark] = {}
+#: Benchmark name -> defining module, in the paper's order (Table 1).
+_MODULES = {
+    "bt": "bt", "sp": "sp", "lu": "lu", "ft": "ft",
+    "mg": "mg", "cg": "cg", "ep": "ep", "is": "is_",
+}
+_registered: dict[str, NpbBenchmark] = {}
+
+
+class _Registry(Mapping):
+    """Benchmark name -> instance, read-only.
+
+    Knows all eight names without importing any of them: a benchmark's
+    module is imported, and registers its instance, when that name is
+    first looked up — ``repro npb cg`` never builds MG's grids.
+    """
+
+    def __getitem__(self, name: str) -> NpbBenchmark:
+        if name not in _registered:
+            import_module(f".{_MODULES[name]}", __package__)
+        return _registered[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_MODULES)
+
+    def __len__(self) -> int:
+        return len(_MODULES)
+
+
+BENCHMARKS = _Registry()
 
 
 def register(bench: NpbBenchmark) -> NpbBenchmark:
-    if bench.name in BENCHMARKS:
+    if bench.name in _registered:
         raise WorkloadError(f"benchmark {bench.name!r} already registered")
-    BENCHMARKS[bench.name] = bench
+    _registered[bench.name] = bench
     return bench
 
 

@@ -38,6 +38,16 @@ class TestCli:
     def test_disasm_unknown(self, capsys):
         assert main(["disasm", "nope"]) == 2
 
+    def test_npb_unknown_benchmark_keeps_its_invalid_choice_text(self, capsys):
+        """The choices come from the lazy registry's names, sorted, as
+        they came from the eager one's."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["npb", "nope"])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert "{bt,cg,ep,ft,is,lu,mg,sp}" in err
+        assert "argument benchmark: invalid choice: 'nope' (choose from " in err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -6,12 +6,17 @@ with exactly one stderr line starting ``repro: error:`` and never a
 traceback.  Range rows are generated from the parser's own range table
 (every ranged flag of every subcommand, below and above); the explicit
 rows carry the message substrings the CLI has promised so far, plus the
-inputs that used to escape as tracebacks or run vacuously.
+inputs that used to escape as tracebacks or run vacuously.  A hostile
+*stdout* — the reader gone, the device full — needs a real file
+descriptor, so those rows run in a subprocess (the second table).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -191,3 +196,45 @@ def test_every_numeric_flag_has_a_range_or_a_library_check():
             if action.type in (int, float):
                 flag = action.option_strings[0]
                 assert flag in ranged | library_checked, f"{command} {flag}"
+
+
+#: (argv, what stdout is, exit code, stderr): a reader that left
+#: (``repro table1 | head -1``) ends the command silently, any other
+#: failure to write the report is the one error line.
+STDOUT_ROWS = [
+    (["table1"], "closed pipe", 1, ""),
+    (["disasm", "daxpy"], "closed pipe", 1, ""),
+    (["table1"], "/dev/full", 2, "repro: error: [Errno 28] No space left on device\n"),
+    (["disasm", "daxpy"], "/dev/full", 2,
+     "repro: error: [Errno 28] No space left on device\n"),
+]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, stdout, code, stderr", STDOUT_ROWS,
+    ids=[f"{' '.join(row[0])} > {row[1]}" for row in STDOUT_ROWS],
+)
+def test_hostile_stdout_is_never_a_traceback(
+    argv, stdout, code, stderr, unbuffered, child_env
+):
+    """Unbuffered, the failing write is a ``print`` inside the command;
+    buffered, it is the flush at the end of ``main`` — and whatever is
+    still buffered then must not fail interpreter shutdown a second time
+    (that would be exit code 120 and an ``Exception ignored`` block)."""
+    if stdout == "/dev/full" and not os.path.exists(stdout):
+        pytest.skip("no /dev/full on this platform")
+    if stdout == "closed pipe":
+        reader, fd = os.pipe()
+        os.close(reader)         # the reader left before the command started
+    else:
+        fd = os.open(stdout, os.O_WRONLY)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], stdout=fd,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(fd)
+    assert (done.returncode, done.stderr) == (code, stderr)

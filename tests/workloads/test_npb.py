@@ -5,7 +5,9 @@ import pytest
 from repro.config import itanium2_smp, sgi_altix
 from repro.cpu import Machine
 from repro.isa import Op
+from repro.errors import WorkloadError
 from repro.workloads import BENCHMARKS, REPORTED
+from repro.workloads.npb.common import register
 
 ALL = sorted(BENCHMARKS)
 
@@ -16,6 +18,26 @@ class TestRegistry:
 
     def test_reported_excludes_ep_is(self):
         assert set(REPORTED) == set(BENCHMARKS) - {"ep", "is"}
+
+    def test_read_only_mapping_in_the_papers_order(self):
+        """The registry names all eight without importing them and
+        imports one on lookup (tests/test_import_budget.py pins which);
+        to its callers it is the dict it used to be, minus mutation."""
+        paper_order = ["bt", "sp", "lu", "ft", "mg", "cg", "ep", "is"]
+        assert list(BENCHMARKS) == paper_order and len(BENCHMARKS) == 8
+        assert "cg" in BENCHMARKS and "nope" not in BENCHMARKS
+        assert [name for name, _bench in BENCHMARKS.items()] == paper_order
+        assert all(bench.name == name for name, bench in BENCHMARKS.items())
+        assert BENCHMARKS["is"] is BENCHMARKS["is"]
+        assert BENCHMARKS.get("nope") is None
+        with pytest.raises(KeyError, match="nope"):
+            BENCHMARKS["nope"]
+        with pytest.raises(TypeError):
+            BENCHMARKS["cg"] = BENCHMARKS["mg"]
+
+    def test_register_rejects_a_duplicate_name(self):
+        with pytest.raises(WorkloadError, match="'cg' already registered"):
+            register(BENCHMARKS["cg"])
 
 
 class TestCorrectness:
