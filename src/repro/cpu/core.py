@@ -349,7 +349,9 @@ class Core:
                             resume = None
                         else:
                             ep = dispatch_get(pc)
-                        if ep is not None and ep.trace.sor == sor:
+                        # a base a shrinking `alloc` left >= sor is read modulo
+                        # sor here; a trace indexes its sor-row tables with it
+                        if ep is not None and ep.trace.sor == sor and rrb_gr < (sor or 1):
                             tr = ep.trace
                             fn = ep.fn
                             if fn is None:

@@ -90,7 +90,7 @@ from __future__ import annotations
 import re
 
 from ..isa.binary import BUNDLE_BYTES
-from ..isa.instructions import Op
+from ..isa.instructions import Op, operands
 from ..memory.address import LINE_SHIFT
 from ..memory.coherence import MODIFIED, SHARED
 from ..memory.dram import DATA_BASE
@@ -238,10 +238,11 @@ _SUPPORTED = frozenset(_REG_OPS) | frozenset((
 
 #: The operands of every op an idempotent iteration may hold besides its
 #: closing branch: op -> (registers read, registers written), each named
-#: by register file (g/f/p) and operand field (1..4 = r1..r4).
+#: by register file (g/f/p) and operand field (1..4 = r1..r4).  The two
+#: loads come from their ISA rows (destination first, GRs spelt ``r``).
 _SPIN_OPERANDS = {
-    _LD8: ("g2", "g1"),
-    _LDFD: ("g2", "f1"),
+    **{op: tuple(kind.replace("r", "g") for kind in reversed(operands(Op(op))))
+       for op in (_LD8, _LDFD)},
     **{op: (" ".join(_OPERAND.findall(value)), dest)
        for op, (dest, value, _) in _REG_OPS.items()},
 }

@@ -1,10 +1,11 @@
 """A small assembler for the simulated ISA.
 
-Accepts the same textual syntax the disassembler emits (which follows
-the paper's Figure 2), so `assemble(disassemble(img))` round-trips.
-Intended for tests, examples, and hand-written micro-kernels; the
-compiler builds :class:`~repro.isa.instructions.Instruction` objects
-directly.
+Accepts the textual syntax the disassembler emits (which follows the
+paper's Figure 2): both read the same rows of
+:data:`~repro.isa.instructions.SYNTAX`, so ``assemble(disassemble(img))``
+round-trips by construction.  Intended for tests, examples, and
+hand-written micro-kernels; the compiler builds
+:class:`~repro.isa.instructions.Instruction` objects directly.
 
 Supported forms::
 
@@ -19,71 +20,131 @@ Supported forms::
 
 Loose instructions are packed three to a bundle; a label or a branch
 flushes the current bundle (labels must land on bundle boundaries).
+
+A line is matched against the rows that share its mnemonic, first match
+wins.  A register number outside its file, and anything that matches no
+row — an operand of the wrong register file, a missing or extra operand,
+a completer the row does not know — is an :class:`AssemblyError`
+carrying the line.  Whitespace is free around ``=`` and ``,``.  A
+mnemonic whose rows all spell the same plain completers (``fma.d``, or
+none) ignores the completers it is given (``fma``, ``setf``); one whose
+completers pick the row or set a field (``cmp.eq``, ``br.cond``,
+``ld8[.bias]``, ``lfetch[.excl][.hint]``, ``nop[.unit]``) takes exactly
+those, the optional ones in any order.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from ..errors import AssemblyError
 from .binary import BinaryImage
 from .bundle import Bundle
-from .instructions import Instruction, Op
+from .instructions import BRANCH_HINTS, LFETCH_HINTS, SYNTAX, Instruction, Op, pieces
 
 __all__ = ["assemble", "parse_instruction"]
 
 _LABEL_RE = re.compile(r"^([.\w$]+):$")
-_PRED_RE = re.compile(r"^\((p\d+)\)\s+(.*)$")
-_REG_RE = re.compile(r"^([rfp])(\d+)$")
+_PRED_RE = re.compile(r"^\(p(\d+)\)\s+(.*)$")
 
-_CMP_OPS = {
-    "lt": (Op.CMP_LT, Op.CMPI_LT),
-    "le": (Op.CMP_LE, Op.CMPI_LE),
-    "eq": (Op.CMP_EQ, Op.CMPI_EQ),
-    "ne": (Op.CMP_NE, Op.CMPI_NE),
+#: What only the assembler spells: aliases of a mnemonic, and pseudo-ops
+#: written as rows of the opcode they assemble to (fields a row does not
+#: name stay 0, so ``mov f4=f5`` is ``fadd.d f4=f5,f0``).
+_ALIASES = {"adds": "add", "movl": "mov"}
+_PSEUDO = [
+    (Op.NOP, "nop"),
+    (Op.FADD, "mov {f1}={f2}"),
+    (Op.FADD, "mov {f1}=0"),
+]
+
+_REGISTERS = {"r": 128, "f": 128, "p": 64}
+_IMM = r"(?P<imm>[-+]?\d\w*)"
+
+#: operand piece of a row -> the regex that reads it back
+_READ = {
+    "{imm}": _IMM,
+    "{imm:#x}": _IMM,
+    "{target}": r"(?P<target>\S+)",
+    "[,imm]": rf"(?:\s*,\s*{_IMM})?",
 }
 
-_BR_OPS = {"cond": Op.BR_COND, "ctop": Op.BR_CTOP, "cloop": Op.BR_CLOOP, "wtop": Op.BR_WTOP}
+#: completer piece of a row -> word it accepts -> (field, value)
+_COMPLETERS = {
+    "[.unit]": {u.lower(): ("unit", u) for u in "MIFB"},
+    "[.bias]": {"bias": ("excl", True)},
+    "[.excl]": {"excl": ("excl", True)},
+    "[.hint]": {h: ("hint", h) for h in LFETCH_HINTS},
+    "[.bhint]": {h: ("hint", h) for h in BRANCH_HINTS},
+}
 
 
-def _reg(token: str, kind: str, line: int) -> int:
-    m = _REG_RE.match(token.strip())
-    if not m or m.group(1) != kind:
-        raise AssemblyError(f"expected {kind}-register, got {token!r}", line)
-    return int(m.group(2))
+def _operand_regex(text: str) -> re.Pattern:
+    out = []
+    for piece in pieces(text):
+        if piece in _READ:
+            out.append(_READ[piece])
+        elif piece[0] == "{":
+            out.append(rf"{piece[1]}(?P<{piece[1:3]}>\d+)")     # "{f1}" reads f<n>
+        else:
+            out.append(re.sub(r"([=,])", r"\\s*\1\\s*", re.escape(piece)))
+    return re.compile("".join(out))
 
 
-def _int(token: str, line: int) -> int:
+@functools.cache
+def _forms() -> dict[str, list]:
+    """mnemonic -> [[op, fixed completers, optional completers, operands]].
+
+    Built on the first parse: compiling ~50 regexes costs every process
+    10+ ms, and only ``assemble`` callers ever need them.
+    """
+    forms: dict[str, list] = {}
+    for op, text in [(op, text) for op, (_, text) in SYNTAX.items()] + _PSEUDO:
+        mnemonic, _, operand_text = text.partition(" ")
+        head, *optional = pieces(mnemonic)
+        name, *fixed = head.split(".")
+        words = {w: fv for piece in optional for w, fv in _COMPLETERS[piece].items()}
+        forms.setdefault(name, []).append([op, fixed, words, _operand_regex(operand_text)])
+    for rows in forms.values():
+        # one spelling of plain completers for the whole mnemonic: they
+        # pick no row and set no field, so the line's are ignored
+        if all(fixed == rows[0][1] and not words for _, fixed, words, _ in rows):
+            for row in rows:
+                row[1] = None
+    return forms
+
+
+def _completers(given: list[str], fixed: list[str] | None, words: dict) -> dict | None:
+    """Fields the line's completers set under one row, None if not its."""
+    if fixed is None:
+        return {}
+    if given[: len(fixed)] != fixed:
+        return None
+    fields: dict = {}
+    for word in given[len(fixed):]:
+        field, value = words.get(word, (None, None))
+        if field is None or field in fields:
+            return None
+        fields[field] = value
+    return fields
+
+
+def _register(file: str, number: str, line: int) -> int:
+    if int(number) >= _REGISTERS[file]:
+        raise AssemblyError(f"no register {file}{number}", line)
+    return int(number)
+
+
+def _operand(key: str, text: str, line: int) -> tuple[str, object]:
+    """The field a matched operand sets, and its value."""
+    if key not in ("imm", "target"):
+        return "r" + key[1], _register(key[0], text, line)
     try:
-        return int(token.strip(), 0)
+        return "imm", int(text, 0)
     except ValueError:
-        raise AssemblyError(f"bad integer {token!r}", line) from None
-
-
-def _split_eq(body: str, line: int) -> tuple[str, str]:
-    if "=" not in body:
-        raise AssemblyError(f"expected '=' in {body!r}", line)
-    lhs, rhs = body.split("=", 1)
-    return lhs.strip(), rhs.strip()
-
-
-def _mem_operand(token: str, line: int) -> tuple[int, int]:
-    """Parse ``[rN]`` or ``[rN],imm`` -> (address register, post-inc)."""
-    token = token.strip()
-    m = re.match(r"^\[(r\d+)\](?:,(.+))?$", token)
-    if not m:
-        raise AssemblyError(f"bad memory operand {token!r}", line)
-    addr = _reg(m.group(1), "r", line)
-    inc = _int(m.group(2), line) if m.group(2) else 0
-    return addr, inc
-
-
-def _store_source(token: str, line: int) -> tuple[str, int]:
-    """Parse a store's ``rN`` or ``rN,imm`` source (post-increment form)."""
-    if "," in token:
-        src, inc = token.split(",", 1)
-        return src.strip(), _int(inc, line)
-    return token.strip(), 0
+        if key == "target":
+            return "label", text
+        raise AssemblyError(f"bad integer {text!r}", line) from None
 
 
 def parse_instruction(text: str, line: int = 0) -> Instruction:
@@ -92,159 +153,26 @@ def parse_instruction(text: str, line: int = 0) -> Instruction:
     qp = 0
     m = _PRED_RE.match(text)
     if m:
-        qp = int(m.group(1)[1:])
+        qp = _register("p", m.group(1), line)
         text = m.group(2).strip()
     if text.endswith(";;"):
         text = text[:-2].strip()
-
-    parts = text.split(None, 1)
-    mnemonic = parts[0]
-    body = parts[1].strip() if len(parts) > 1 else ""
-    dots = mnemonic.split(".")
-    name = dots[0]
-
-    if name == "nop":
-        unit = dots[1].upper() if len(dots) > 1 else "I"
-        return Instruction(Op.NOP, qp=qp, unit=unit)
-    if name == "halt":
-        return Instruction(Op.HALT, qp=qp, unit="B")
-    if name == "clrrrb":
-        return Instruction(Op.CLRRRB, qp=qp)
-    if name == "alloc":
-        lhs, rhs = _split_eq(body, line)
-        if lhs != "rot":
-            raise AssemblyError(f"alloc expects rot=<n>, got {body!r}", line)
-        return Instruction(Op.ALLOC, qp=qp, imm=_int(rhs, line))
-    if name in ("add", "adds"):
-        lhs, rhs = _split_eq(body, line)
-        dest = _reg(lhs, "r", line)
-        a, b = (s.strip() for s in rhs.split(","))
-        if a.startswith("r"):
-            return Instruction(Op.ADD, qp=qp, r1=dest, r2=_reg(a, "r", line), r3=_reg(b, "r", line))
-        return Instruction(Op.ADDI, qp=qp, r1=dest, imm=_int(a, line), r2=_reg(b, "r", line))
-    if name == "sub":
-        lhs, rhs = _split_eq(body, line)
-        a, b = (s.strip() for s in rhs.split(","))
-        return Instruction(Op.SUB, qp=qp, r1=_reg(lhs, "r", line), r2=_reg(a, "r", line), r3=_reg(b, "r", line))
-    if name in ("and", "or", "xor"):
-        lhs, rhs = _split_eq(body, line)
-        a, b = (s.strip() for s in rhs.split(","))
-        op = {"and": Op.AND, "or": Op.OR, "xor": Op.XOR}[name]
-        return Instruction(op, qp=qp, r1=_reg(lhs, "r", line), r2=_reg(a, "r", line), r3=_reg(b, "r", line))
-    if name in ("shl", "shr"):
-        lhs, rhs = _split_eq(body, line)
-        a, b = (s.strip() for s in rhs.split(","))
-        op = Op.SHL if name == "shl" else Op.SHR
-        return Instruction(op, qp=qp, r1=_reg(lhs, "r", line), r2=_reg(a, "r", line), imm=_int(b, line))
-    if name == "shladd":
-        lhs, rhs = _split_eq(body, line)
-        a, b, c = (s.strip() for s in rhs.split(","))
-        return Instruction(
-            Op.SHLADD, qp=qp, r1=_reg(lhs, "r", line), r2=_reg(a, "r", line),
-            imm=_int(b, line), r3=_reg(c, "r", line),
-        )
-    if name in ("mov", "movl"):
-        lhs, rhs = _split_eq(body, line)
-        if lhs == "ar.lc":
-            if rhs.startswith("r"):
-                return Instruction(Op.MOV_LC_REG, qp=qp, r2=_reg(rhs, "r", line))
-            return Instruction(Op.MOV_LC_IMM, qp=qp, imm=_int(rhs, line))
-        if lhs == "ar.ec":
-            return Instruction(Op.MOV_EC_IMM, qp=qp, imm=_int(rhs, line))
-        if lhs == "pr.rot":
-            return Instruction(Op.MOV_PR_ROT, qp=qp, imm=_int(rhs, line))
-        if lhs.startswith("f"):
-            # pseudo: mov fX=fY -> fadd fX=fY,f0 ; mov fX=0 -> fadd fX=f0,f0
-            dest = _reg(lhs, "f", line)
-            if rhs.startswith("f") and _REG_RE.match(rhs):
-                return Instruction(Op.FADD, qp=qp, r1=dest, r2=_reg(rhs, "f", line), r3=0)
-            if _int(rhs, line) == 0:
-                return Instruction(Op.FADD, qp=qp, r1=dest, r2=0, r3=0)
-            raise AssemblyError("mov fX=<imm> only supports 0 (use setf)", line)
-        dest = _reg(lhs, "r", line)
-        if rhs.startswith("r") and _REG_RE.match(rhs):
-            return Instruction(Op.MOV, qp=qp, r1=dest, r2=_reg(rhs, "r", line))
-        return Instruction(Op.MOVI, qp=qp, r1=dest, imm=_int(rhs, line))
-    if name == "cmp":
-        if len(dots) < 2 or dots[1] not in _CMP_OPS:
-            raise AssemblyError(f"unknown compare {mnemonic!r}", line)
-        reg_op, imm_op = _CMP_OPS[dots[1]]
-        lhs, rhs = _split_eq(body, line)
-        pt, pf = (s.strip() for s in lhs.split(","))
-        a, b = (s.strip() for s in rhs.split(","))
-        common = dict(qp=qp, r1=_reg(pt, "p", line), r2=_reg(pf, "p", line), r3=_reg(a, "r", line))
-        if b.startswith("r") and _REG_RE.match(b):
-            return Instruction(reg_op, r4=_reg(b, "r", line), **common)
-        return Instruction(imm_op, imm=_int(b, line), **common)
-    if name == "ld8":
-        lhs, rhs = _split_eq(body, line)
-        addr, inc = _mem_operand(rhs, line)
-        return Instruction(
-            Op.LD8, qp=qp, r1=_reg(lhs, "r", line), r2=addr, imm=inc,
-            excl=("bias" in dots), unit="M",
-        )
-    if name == "fetchadd8":
-        lhs, rhs = _split_eq(body, line)
-        addr, inc = _mem_operand(rhs, line)
-        return Instruction(Op.FETCHADD8, qp=qp, r1=_reg(lhs, "r", line), r2=addr, imm=inc, unit="M")
-    if name == "st8":
-        lhs, rhs = _split_eq(body, line)
-        addr, _ = _mem_operand(lhs, line)
-        src, inc = _store_source(rhs, line)
-        return Instruction(Op.ST8, qp=qp, r2=addr, r3=_reg(src, "r", line), imm=inc, unit="M")
-    if name == "ldfd":
-        lhs, rhs = _split_eq(body, line)
-        addr, inc = _mem_operand(rhs, line)
-        return Instruction(Op.LDFD, qp=qp, r1=_reg(lhs, "f", line), r2=addr, imm=inc, unit="M")
-    if name == "stfd":
-        lhs, rhs = _split_eq(body, line)
-        addr, _ = _mem_operand(lhs, line)
-        src, inc = _store_source(rhs, line)
-        return Instruction(Op.STFD, qp=qp, r2=addr, r3=_reg(src, "f", line), imm=inc, unit="M")
-    if name == "lfetch":
-        addr, inc = _mem_operand(body, line)
-        hint = next((d for d in dots[1:] if d in ("nt1", "nt2", "nta")), None)
-        return Instruction(
-            Op.LFETCH, qp=qp, r2=addr, imm=inc, hint=hint, excl=("excl" in dots), unit="M",
-        )
-    if name in ("fma", "fadd", "fsub", "fmul", "fmax", "fabs"):
-        lhs, rhs = _split_eq(body, line)
-        dest = _reg(lhs, "f", line)
-        srcs = [_reg(s, "f", line) for s in rhs.split(",")]
-        if name == "fma":
-            return Instruction(Op.FMA, qp=qp, r1=dest, r2=srcs[0], r3=srcs[1], r4=srcs[2])
-        if name == "fabs":
-            return Instruction(Op.FABS, qp=qp, r1=dest, r2=srcs[0])
-        op = {"fadd": Op.FADD, "fsub": Op.FSUB, "fmul": Op.FMUL, "fmax": Op.FMAX}[name]
-        return Instruction(op, qp=qp, r1=dest, r2=srcs[0], r3=srcs[1])
-    if name == "setf":
-        lhs, rhs = _split_eq(body, line)
-        return Instruction(Op.SETF, qp=qp, r1=_reg(lhs, "f", line), r2=_reg(rhs, "r", line))
-    if name == "getf":
-        lhs, rhs = _split_eq(body, line)
-        return Instruction(Op.GETF, qp=qp, r1=_reg(lhs, "r", line), r2=_reg(rhs, "f", line))
-    if name == "br":
-        hint = dots[2] if len(dots) > 2 else None
-
-        def target_kwargs(text: str) -> dict:
-            try:
-                return {"imm": int(text, 0)}
-            except ValueError:
-                return {"label": text or None}
-
-        if len(dots) == 1:
-            return Instruction(Op.BR, qp=qp, unit="B", **target_kwargs(body))
-        kind = dots[1]
-        if kind == "call":
-            return Instruction(Op.BR_CALL, qp=qp, unit="B", **target_kwargs(body))
-        if kind == "ret":
-            return Instruction(Op.BR_RET, qp=qp, unit="B")
-        if kind in _BR_OPS:
-            return Instruction(
-                _BR_OPS[kind], qp=qp, hint=hint, unit="B", **target_kwargs(body)
+    mnemonic, body = (text.split(None, 1) + ["", ""])[:2]
+    name, *given = mnemonic.split(".")
+    rows = _forms().get(_ALIASES.get(name, name))
+    if rows is None:
+        raise AssemblyError(f"unknown mnemonic {mnemonic!r}", line)
+    for op, fixed, words, regex in rows:
+        fields = _completers(given, fixed, words)
+        m = regex.fullmatch(body)
+        if fields is not None and m is not None:
+            fields.setdefault("unit", SYNTAX[op][0])
+            fields.update(
+                _operand(key, value, line)
+                for key, value in m.groupdict().items() if value is not None
             )
-        raise AssemblyError(f"unknown branch {mnemonic!r}", line)
-    raise AssemblyError(f"unknown mnemonic {mnemonic!r}", line)
+            return Instruction(op, qp=qp, **fields)
+    raise AssemblyError(f"{text!r} is no form of {name!r}", line)
 
 
 def _pad_bundle(instrs: list[Instruction]) -> Bundle:

@@ -11,7 +11,7 @@ deployment replaces a whole entry bundle with a branch.
 from __future__ import annotations
 
 from ..errors import BundleError
-from .instructions import Instruction, Op
+from .instructions import SYNTAX, Instruction, Op, operands
 
 __all__ = ["Bundle", "BUNDLE_BYTES", "SLOTS_PER_BUNDLE"]
 
@@ -30,6 +30,12 @@ _COMPATIBLE = {
     "L": {"I", "A"},  # movl occupies L+X; modeled as one long slot
 }
 
+#: Ops the assembler leaves 'A' that touch an FR: they issue on an F unit.
+_F_OPS = frozenset(
+    op for op, (unit, _) in SYNTAX.items()
+    if unit == "A" and any(kind[0] == "f" for kind in operands(op))
+)
+
 
 def _default_unit(instr: Instruction) -> str:
     """Issue unit of an instruction; 'A' = ALU op usable on M or I."""
@@ -37,7 +43,7 @@ def _default_unit(instr: Instruction) -> str:
         return "M"
     if instr.is_branch:
         return "B"
-    if instr.op in (Op.FMA, Op.FADD, Op.FSUB, Op.FMUL, Op.FABS, Op.FMAX, Op.SETF, Op.GETF):
+    if instr.op in _F_OPS:
         return "F"
     return instr.unit
 

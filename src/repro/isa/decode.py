@@ -47,10 +47,7 @@ from __future__ import annotations
 from ..errors import RegisterError
 from .binary import BinaryImage
 from .bundle import Bundle
-from .instructions import (
-    Instruction,
-    Op,
-)
+from .instructions import Instruction, Op, operands
 
 __all__ = [
     "DecodeCache",
@@ -65,14 +62,8 @@ DecodedSlot = tuple
 
 _NOP = int(Op.NOP)
 
-#: Compare opcodes write predicate registers through r1/r2.
-_PR_TARGET_OPS = frozenset(
-    int(op)
-    for op in (
-        Op.CMP_LT, Op.CMP_LE, Op.CMP_EQ, Op.CMP_NE,
-        Op.CMPI_LT, Op.CMPI_LE, Op.CMPI_EQ, Op.CMPI_NE,
-    )
-)
+#: Opcodes whose r1/r2 name predicate registers (the compares).
+_PR_TARGET_OPS = frozenset(int(op) for op in Op if "p1" in operands(op))
 
 
 def decode_instruction(instr: Instruction) -> DecodedSlot:

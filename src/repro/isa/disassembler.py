@@ -1,5 +1,9 @@
 """Textual disassembly in the paper's (IA-64 assembly) style.
 
+An instruction prints as its row of
+:data:`~repro.isa.instructions.SYNTAX` with each piece filled in from
+the instruction's fields — there is no per-opcode code here, so what
+this module prints is, row by row, what the assembler parses.
 ``format_bundle`` reproduces the layout of the paper's Figure 2::
 
     { .mmb
@@ -11,113 +15,44 @@
 
 from __future__ import annotations
 
+import functools
+
 from .bundle import Bundle
-from .instructions import Instruction, Op
+from .instructions import SYNTAX, Instruction, Op, pieces
 
 __all__ = ["format_instruction", "format_bundle", "disassemble"]
 
-_CMP_SUFFIX = {
-    Op.CMP_LT: "lt", Op.CMPI_LT: "lt",
-    Op.CMP_LE: "le", Op.CMPI_LE: "le",
-    Op.CMP_EQ: "eq", Op.CMPI_EQ: "eq",
-    Op.CMP_NE: "ne", Op.CMPI_NE: "ne",
+#: piece of a row -> what it prints for an instruction
+_WRITE = {
+    "{imm}": lambda i: str(i.imm),
+    "{imm:#x}": lambda i: f"{int(i.imm):#x}",
+    "{target}": lambda i: i.label if i.label is not None else f"{int(i.imm):#x}",
+    "[.unit]": lambda i: f".{i.unit.lower()}",
+    "[.bias]": lambda i: ".bias" if i.excl else "",
+    "[.excl]": lambda i: ".excl" if i.excl else "",
+    "[.hint]": lambda i: f".{i.hint}" if i.hint else "",
+    "[.bhint]": lambda i: f".{i.hint or 'sptk'}",
+    "[,imm]": lambda i: f",{i.imm}" if i.imm else "",
 }
 
 
-def _postinc(instr: Instruction) -> str:
-    return f",{instr.imm}" if instr.imm else ""
+def _writer(piece: str):
+    if piece in _WRITE:
+        return _WRITE[piece]
+    if piece[0] != "{":
+        return piece    # literal text
+    file, field = piece[1], "r" + piece[2]      # "{f1}": FR named by r1
+    return lambda i: f"{file}{getattr(i, field)}"
 
 
-def _target(instr: Instruction) -> str:
-    if instr.label is not None:
-        return instr.label
-    return f"{int(instr.imm):#x}"
+@functools.cache
+def _writers(op: Op) -> tuple:
+    return tuple(_writer(piece) for piece in pieces(SYNTAX[op][1]))
 
 
 def format_instruction(instr: Instruction) -> str:
     """Render one instruction without its qualifying-predicate prefix."""
-    op = instr.op
-    if op is Op.NOP:
-        return f"nop.{instr.unit.lower()} 0"
-    if op is Op.ADD:
-        return f"add r{instr.r1}=r{instr.r2},r{instr.r3}"
-    if op is Op.ADDI:
-        return f"add r{instr.r1}={instr.imm},r{instr.r2}"
-    if op is Op.SUB:
-        return f"sub r{instr.r1}=r{instr.r2},r{instr.r3}"
-    if op is Op.MOV:
-        return f"mov r{instr.r1}=r{instr.r2}"
-    if op is Op.MOVI:
-        return f"mov r{instr.r1}={instr.imm}"
-    if op in (Op.AND, Op.OR, Op.XOR):
-        return f"{op.name.lower()} r{instr.r1}=r{instr.r2},r{instr.r3}"
-    if op is Op.SHL:
-        return f"shl r{instr.r1}=r{instr.r2},{instr.imm}"
-    if op is Op.SHR:
-        return f"shr r{instr.r1}=r{instr.r2},{instr.imm}"
-    if op is Op.SHLADD:
-        return f"shladd r{instr.r1}=r{instr.r2},{instr.imm},r{instr.r3}"
-    if op in (Op.CMP_LT, Op.CMP_LE, Op.CMP_EQ, Op.CMP_NE):
-        return f"cmp.{_CMP_SUFFIX[op]} p{instr.r1},p{instr.r2}=r{instr.r3},r{instr.r4}"
-    if op in (Op.CMPI_LT, Op.CMPI_LE, Op.CMPI_EQ, Op.CMPI_NE):
-        return f"cmp.{_CMP_SUFFIX[op]} p{instr.r1},p{instr.r2}=r{instr.r3},{instr.imm}"
-    if op is Op.MOV_LC_IMM:
-        return f"mov ar.lc={instr.imm}"
-    if op is Op.MOV_LC_REG:
-        return f"mov ar.lc=r{instr.r2}"
-    if op is Op.MOV_EC_IMM:
-        return f"mov ar.ec={instr.imm}"
-    if op is Op.ALLOC:
-        return f"alloc rot={instr.imm}"
-    if op is Op.CLRRRB:
-        return "clrrrb"
-    if op is Op.MOV_PR_ROT:
-        return f"mov pr.rot={int(instr.imm):#x}"
-    if op is Op.FETCHADD8:
-        return f"fetchadd8 r{instr.r1}=[r{instr.r2}],{instr.imm}"
-    if op is Op.LD8:
-        mnem = "ld8.bias" if instr.excl else "ld8"
-        return f"{mnem} r{instr.r1}=[r{instr.r2}]{_postinc(instr)}"
-    if op is Op.ST8:
-        return f"st8 [r{instr.r2}]=r{instr.r3}{_postinc(instr)}"
-    if op is Op.LDFD:
-        return f"ldfd f{instr.r1}=[r{instr.r2}]{_postinc(instr)}"
-    if op is Op.STFD:
-        return f"stfd [r{instr.r2}]=f{instr.r3}{_postinc(instr)}"
-    if op is Op.LFETCH:
-        mnem = "lfetch"
-        if instr.excl:
-            mnem += ".excl"
-        if instr.hint:
-            mnem += f".{instr.hint}"
-        return f"{mnem} [r{instr.r2}]{_postinc(instr)}"
-    if op is Op.FMA:
-        return f"fma.d f{instr.r1}=f{instr.r2},f{instr.r3},f{instr.r4}"
-    if op in (Op.FADD, Op.FSUB, Op.FMUL, Op.FMAX):
-        return f"{op.name.lower()}.d f{instr.r1}=f{instr.r2},f{instr.r3}"
-    if op is Op.FABS:
-        return f"fabs f{instr.r1}=f{instr.r2}"
-    if op is Op.SETF:
-        return f"setf.d f{instr.r1}=r{instr.r2}"
-    if op is Op.GETF:
-        return f"getf.d r{instr.r1}=f{instr.r2}"
-    if op is Op.BR:
-        return f"br {_target(instr)}"
-    if op is Op.BR_COND:
-        return f"br.cond.{instr.hint or 'sptk'} {_target(instr)}"
-    if op is Op.BR_CTOP:
-        return f"br.ctop.{instr.hint or 'sptk'} {_target(instr)}"
-    if op is Op.BR_CLOOP:
-        return f"br.cloop.{instr.hint or 'sptk'} {_target(instr)}"
-    if op is Op.BR_WTOP:
-        return f"br.wtop.{instr.hint or 'sptk'} {_target(instr)}"
-    if op is Op.BR_CALL:
-        return f"br.call {_target(instr)}"
-    if op is Op.BR_RET:
-        return "br.ret"
-    if op is Op.HALT:
-        return "halt"
-    raise AssertionError(f"unhandled opcode {op!r}")  # pragma: no cover
+    return "".join(w if type(w) is str else w(instr) for w in _writers(instr.op))
 
 
 def format_predicated(instr: Instruction) -> str:

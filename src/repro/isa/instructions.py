@@ -8,23 +8,32 @@ the SWP setup instructions (``alloc``, ``clrrrb``, ``mov pr.rot``,
 ``mov lc/ec``).
 
 Instructions are plain slotted objects dispatched by integer opcode in
-the interpreter; operand meaning per opcode is documented on the
-:class:`Op` members.  Register operands occupy the generic ``r1..r4``
-fields (destination first); ``imm`` holds immediates, post-increment
-amounts, or resolved branch targets; ``label`` holds a symbolic branch
-target until link time.
+the interpreter.  What an opcode *does* is the comment on its
+:class:`Op` member; how it is *written* — mnemonic, which register file
+each of the generic ``r1..r4`` fields (destination first) names, and
+the issue unit the assembler gives it — is its row of :data:`SYNTAX`,
+the one table the assembler, the disassembler and every per-opcode list
+in the package read.  ``imm`` holds immediates, post-increment amounts,
+or resolved branch targets; ``label`` holds a symbolic branch target
+until link time.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from enum import IntEnum
 from typing import Any
 
-__all__ = ["Op", "Instruction", "MEMORY_OPS", "BRANCH_OPS", "LOOP_BRANCH_OPS"]
+__all__ = [
+    "Op", "Instruction", "SYNTAX", "pieces", "operands", "LFETCH_HINTS",
+    "BRANCH_HINTS", "MEMORY_OPS", "BRANCH_OPS", "LOOP_BRANCH_OPS",
+]
 
 
 class Op(IntEnum):
-    """Opcodes. Operand conventions are given per member."""
+    """Opcodes.  The comment on a member is its effect; its text, operand
+    kinds and unit are its row of :data:`SYNTAX`."""
 
     NOP = 0          # unit: which issue unit the nop fills
     # -- integer ALU --------------------------------------------------
@@ -82,13 +91,98 @@ class Op(IntEnum):
     FETCHADD8 = 47   # r1 = mem[gr[r2]]; mem[gr[r2]] += imm  (atomic)
 
 
+#: Completers ``[.hint]`` (lfetch locality) and ``[.bhint]`` (branch
+#: whether-hint) accept; any other spelling is an assembly error.
+LFETCH_HINTS = ("nt1", "nt2", "nta")
+BRANCH_HINTS = ("sptk", "spnt", "dptk")
+
+#: The ISA's syntax, one row per opcode: ``(unit, text)``.  ``unit`` is
+#: the issue unit the assembler gives the instruction ('A' = ALU op
+#: usable on M or I; a nop's completer overrides it).  ``text`` is the
+#: Figure-2 spelling with ``{f1}`` = register file ``f``, field ``r1``;
+#: ``{imm}``/``{imm:#x}``/``{target}`` = the immediate, or the label when
+#: there is one; and pieces the source may leave out: ``[.bias]``/
+#: ``[.excl]`` (printed when ``excl``), ``[.hint]`` (when set),
+#: ``[.bhint]`` (always, ``sptk`` by default), ``[.unit]`` (always) and
+#: ``[,imm]`` (a post-increment, when non-zero).  Rows that share a
+#: mnemonic are tried in this order when parsing.
+SYNTAX: dict[Op, tuple[str, str]] = {
+    Op.NOP: ("I", "nop[.unit] 0"),
+    Op.ADD: ("A", "add {r1}={r2},{r3}"),
+    Op.ADDI: ("A", "add {r1}={imm},{r2}"),
+    Op.SUB: ("A", "sub {r1}={r2},{r3}"),
+    Op.MOV: ("A", "mov {r1}={r2}"),
+    Op.MOVI: ("A", "mov {r1}={imm}"),
+    Op.AND: ("A", "and {r1}={r2},{r3}"),
+    Op.OR: ("A", "or {r1}={r2},{r3}"),
+    Op.XOR: ("A", "xor {r1}={r2},{r3}"),
+    Op.SHL: ("A", "shl {r1}={r2},{imm}"),
+    Op.SHR: ("A", "shr {r1}={r2},{imm}"),
+    Op.SHLADD: ("A", "shladd {r1}={r2},{imm},{r3}"),
+    Op.CMP_LT: ("A", "cmp.lt {p1},{p2}={r3},{r4}"),
+    Op.CMP_LE: ("A", "cmp.le {p1},{p2}={r3},{r4}"),
+    Op.CMP_EQ: ("A", "cmp.eq {p1},{p2}={r3},{r4}"),
+    Op.CMP_NE: ("A", "cmp.ne {p1},{p2}={r3},{r4}"),
+    Op.CMPI_LT: ("A", "cmp.lt {p1},{p2}={r3},{imm}"),
+    Op.CMPI_LE: ("A", "cmp.le {p1},{p2}={r3},{imm}"),
+    Op.CMPI_EQ: ("A", "cmp.eq {p1},{p2}={r3},{imm}"),
+    Op.CMPI_NE: ("A", "cmp.ne {p1},{p2}={r3},{imm}"),
+    Op.MOV_LC_IMM: ("A", "mov ar.lc={imm}"),
+    Op.MOV_LC_REG: ("A", "mov ar.lc={r2}"),
+    Op.MOV_EC_IMM: ("A", "mov ar.ec={imm}"),
+    Op.ALLOC: ("A", "alloc rot={imm}"),
+    Op.CLRRRB: ("A", "clrrrb"),
+    Op.MOV_PR_ROT: ("A", "mov pr.rot={imm:#x}"),
+    Op.LD8: ("M", "ld8[.bias] {r1}=[{r2}][,imm]"),
+    Op.ST8: ("M", "st8 [{r2}]={r3}[,imm]"),
+    Op.LDFD: ("M", "ldfd {f1}=[{r2}][,imm]"),
+    Op.STFD: ("M", "stfd [{r2}]={f3}[,imm]"),
+    Op.LFETCH: ("M", "lfetch[.excl][.hint] [{r2}][,imm]"),
+    Op.FMA: ("A", "fma.d {f1}={f2},{f3},{f4}"),
+    Op.FADD: ("A", "fadd.d {f1}={f2},{f3}"),
+    Op.FSUB: ("A", "fsub.d {f1}={f2},{f3}"),
+    Op.FMUL: ("A", "fmul.d {f1}={f2},{f3}"),
+    Op.SETF: ("A", "setf.d {f1}={r2}"),
+    Op.GETF: ("A", "getf.d {r1}={f2}"),
+    Op.FABS: ("A", "fabs {f1}={f2}"),
+    Op.FMAX: ("A", "fmax.d {f1}={f2},{f3}"),
+    Op.BR: ("B", "br {target}"),
+    Op.BR_COND: ("B", "br.cond[.bhint] {target}"),
+    Op.BR_CTOP: ("B", "br.ctop[.bhint] {target}"),
+    Op.BR_CLOOP: ("B", "br.cloop[.bhint] {target}"),
+    Op.BR_WTOP: ("B", "br.wtop[.bhint] {target}"),
+    Op.BR_CALL: ("B", "br.call {target}"),
+    Op.BR_RET: ("B", "br.ret"),
+    Op.HALT: ("B", "halt"),
+    Op.FETCHADD8: ("M", "fetchadd8 {r1}=[{r2}],{imm}"),
+}
+
+
+@functools.cache
+def pieces(text: str) -> tuple[str, ...]:
+    """A row's text cut into literals, ``{field}``s and ``[optional]``s.
+
+    Cut on first use, not at import: no command that only runs code
+    prints or parses any (DESIGN.md §2 "The ISA is described once").
+    """
+    return tuple(p for p in re.split(r"(\{[\w:#]+\}|\[[.,]\w+\])", text) if p)
+
+
+def operands(op: Op) -> tuple[str, ...]:
+    """Register operands of ``op`` in text order: ``("f1", "r2")`` =
+    field ``r1`` names an FR, ``r2`` a GR.
+
+    Plain string work, no regex: the per-opcode sets other modules
+    derive from it are built at import.
+    """
+    return tuple(c[:2] for c in SYNTAX[op][1].split("{")[1:] if c[2:3] == "}")
+
+
 #: Opcodes that access the data memory hierarchy.
-MEMORY_OPS = frozenset({Op.LD8, Op.ST8, Op.LDFD, Op.STFD, Op.LFETCH, Op.FETCHADD8})
+MEMORY_OPS = frozenset(op for op, (unit, _) in SYNTAX.items() if unit == "M")
 
 #: All control-transfer opcodes.
-BRANCH_OPS = frozenset(
-    {Op.BR, Op.BR_COND, Op.BR_CTOP, Op.BR_CLOOP, Op.BR_WTOP, Op.BR_CALL, Op.BR_RET}
-)
+BRANCH_OPS = frozenset(op for op, (_, text) in SYNTAX.items() if text.startswith("br"))
 
 #: The loop branches the paper's Table 1 counts.
 LOOP_BRANCH_OPS = frozenset({Op.BR_CTOP, Op.BR_CLOOP, Op.BR_WTOP})

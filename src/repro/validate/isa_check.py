@@ -26,7 +26,7 @@ from ..isa.assembler import assemble
 from ..isa.binary import BinaryImage
 from ..isa.bundle import Bundle
 from ..isa.disassembler import disassemble
-from ..isa.instructions import Instruction, Op, nop
+from ..isa.instructions import BRANCH_HINTS, LFETCH_HINTS, SYNTAX, Instruction, Op, nop
 
 __all__ = [
     "encode_instruction",
@@ -38,10 +38,10 @@ __all__ = [
 ]
 
 #: Branch ops whose omitted hint prints (and reparses) as ``sptk``.
-_HINTED_BRANCHES = frozenset({Op.BR_COND, Op.BR_CTOP, Op.BR_CLOOP, Op.BR_WTOP})
+_HINTED_BRANCHES = frozenset(op for op, (_, text) in SYNTAX.items() if "[.bhint]" in text)
 
 _UNIT_CODE = {"M": 0, "I": 1, "F": 2, "B": 3, "A": 4}
-_HINT_CODE = {None: 0, "sptk": 1, "spnt": 2, "dptk": 3, "nt1": 4, "nt2": 5, "nta": 6}
+_HINT_CODE = {hint: code for code, hint in enumerate((None, *BRANCH_HINTS, *LFETCH_HINTS))}
 
 
 def encode_instruction(instr: Instruction) -> bytes:

@@ -15,13 +15,14 @@ from __future__ import annotations
 from repro.config import itanium2_smp
 from repro.cpu import Machine, Scheduler
 from repro.cpu.tracejit import (
+    _OPERAND,
     _REG_OPS,
     DEOPT_REASONS,
     HOT_THRESHOLD,
     MAX_TRACE_BUNDLES,
 )
 from repro.isa import assemble
-from repro.isa.instructions import Instruction, Op
+from repro.isa.instructions import Instruction, Op, operands
 from repro.workloads import build_daxpy
 
 
@@ -167,6 +168,15 @@ class TestEquivalence:
         assert ops >= set(_REG_OPS)
         fast = _assert_equivalent(src)
         assert fast.regs.read_fr(4) == fast.regs.read_fr(5) == 196.0
+
+    def test_register_op_rows_name_the_isa_tables_operands(self):
+        # the emitter keeps its own table (the value expressions are its
+        # business); which file and field each operand names is the ISA's
+        for op, (dest, value, _) in _REG_OPS.items():
+            kinds = [kind.replace("r", "g") for kind in operands(Op(op))]
+            written = dest.split()
+            assert kinds[:len(written)] == written, Op(op).name
+            assert set(kinds[len(written):]) == set(_OPERAND.findall(value)), Op(op).name
 
     def test_cold_loop_never_compiles(self):
         # fewer back-edges than the hot threshold: the generic

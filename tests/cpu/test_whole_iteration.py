@@ -288,6 +288,49 @@ def test_whole_iterations_are_exact(
     )
 
 
+def test_a_rename_base_left_stale_by_a_shrinking_alloc():
+    """``alloc rot=16``, a ctop loop that leaves ``rrb_gr`` = 11, ``alloc
+    rot=8``, then a hot loop that does not rotate: the interpreter reads
+    the stale base modulo ``sor``, a whole-iteration body indexes a table
+    of ``sor`` rows with it — so a trace is not entered on such a base."""
+    source = """
+        alloc rot=16
+        mov ar.lc=4
+        mov ar.ec=1
+        mov pr.rot=0x10000
+        .a:
+        add r40=1,r40
+        br.ctop.sptk .a
+        alloc rot=8
+        mov ar.lc=50
+        .b:
+        add r33=1,r33
+        add r9=r9,r33
+        br.cloop.sptk .b
+        halt
+    """
+    runs = []
+    for mode in (JIT_OFF, OSR_OFF, JIT_ON):
+        machine = Machine(itanium2_smp(1))
+        image = assemble(source)
+        machine.load_image(image)
+        (core,) = machine.cores
+        core.jit_enabled, core.osr_enabled = mode
+        core.start(image.base)
+        Scheduler(machine.cores).run_until_halt(100_000)
+        regs = core.regs
+        runs.append((
+            (regs.rrb_gr, regs.sor, regs.read_gr(9), core.cycles, core.retired),
+            tuple(regs.gr), tuple(regs.fr), tuple(regs.pr),
+            (regs.lc, regs.ec, regs.rrb_fr, regs.rrb_pr),
+            core.pc, core.bundles_executed, core.taken_branches, tuple(core.btb),
+            tuple(sorted(machine.caches[0].events.snapshot().items())),
+        ))
+    assert runs[0][0] == (11, 8, 1377, 30, 178)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
 def test_only_steady_state_closures_hold_the_body_twice():
     shape = ("ctop", 0b001001, True, "mid")
     trace = _loop_trace(shape)

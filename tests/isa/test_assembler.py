@@ -84,11 +84,71 @@ class TestParseInstruction:
             "mov f10=3",
             "alloc x=3",
             "br.zork .loop",
+            # an operand short: a bare ValueError before the syntax table
+            "add r1=r2",
+            # a register number outside its file: used to assemble and
+            # die at first decode as a RegisterError that named no line
+            "ld8 r999=[r2]",
+            "fma.d f300=f1,f2,f3",
+            "cmp.lt p70,p1=r2,r3",
+            "(p99) add r1=r2,r3",
+            # a branch without a target: used to be a branch to address 0
+            "br.cond.sptk",
+            "br",
+            # a completer that would have carried meaning: used to be
+            # dropped, or stored unchecked
+            "lfetch.nt9 [r2]",
+            "lfetch.fault.nt1 [r2]",
+            "br.cond.zork .x",
         ],
     )
     def test_rejects_garbage(self, bad):
         with pytest.raises(AssemblyError):
             parse_instruction(bad)
+        with pytest.raises(AssemblyError, match=r"^line 3: ") as caught:
+            assemble(f".x:\nhalt\n{bad}\n")
+        assert caught.value.line == 3
+
+    #: spellings the table does not print but the assembler has always
+    #: read, each with the instruction it has always built
+    STILL_ACCEPTED = [
+        # completers that carry nothing may be left out, or be anything
+        ("setf f0=r4", Instruction(Op.SETF, r1=0, r2=4)),
+        ("getf r38=f33", Instruction(Op.GETF, r1=38, r2=33)),
+        ("fma f40=f8,f33,f9", Instruction(Op.FMA, r1=40, r2=8, r3=33, r4=9)),
+        ("fadd f11=f11,f10", Instruction(Op.FADD, r1=11, r2=11, r3=10)),
+        ("fma.s1 f40=f8,f33,f9", Instruction(Op.FMA, r1=40, r2=8, r3=33, r4=9)),
+        # aliases
+        ("adds r1=-8,r3", Instruction(Op.ADDI, r1=1, r2=3, imm=-8)),
+        ("adds r1=r2,r3", Instruction(Op.ADD, r1=1, r2=2, r3=3)),
+        ("movl r1=0x80000000", Instruction(Op.MOVI, r1=1, imm=0x80000000)),
+        # pseudo-ops
+        ("mov f10=f5", Instruction(Op.FADD, r1=10, r2=5, r3=0)),
+        ("mov f10=0", Instruction(Op.FADD, r1=10, r2=0, r3=0)),
+        ("nop", Instruction(Op.NOP, unit="I")),
+        # whitespace is free around = and ,
+        ("add r1 = r2 , r3", Instruction(Op.ADD, r1=1, r2=2, r3=3)),
+        ("ld8 r1 = [r2], 8", Instruction(Op.LD8, r1=1, r2=2, imm=8, unit="M")),
+        ("st8 [r2] = r3 , 8", Instruction(Op.ST8, r2=2, r3=3, imm=8, unit="M")),
+        ("cmp.lt p6 , p7 = r8 , 15", Instruction(Op.CMPI_LT, r1=6, r2=7, r3=8, imm=15)),
+        ("mov ar.lc = 99", Instruction(Op.MOV_LC_IMM, imm=99)),
+        # lfetch's completers in either order
+        ("lfetch.nt1.excl [r43]",
+         Instruction(Op.LFETCH, r2=43, hint="nt1", excl=True, unit="M")),
+        ("lfetch.excl.nt1 [r43]",
+         Instruction(Op.LFETCH, r2=43, hint="nt1", excl=True, unit="M")),
+        # an omitted branch hint stays omitted; a stop bit is ignored
+        ("br.cond .x", Instruction(Op.BR_COND, label=".x", unit="B")),
+        ("(p6) br.cond.spnt 0x40 ;;", Instruction(Op.BR_COND, qp=6, imm=0x40, hint="spnt", unit="B")),
+    ]
+
+    @pytest.mark.parametrize("text,built", STILL_ACCEPTED, ids=[t for t, _ in STILL_ACCEPTED])
+    def test_still_accepted(self, text, built):
+        assert parse_instruction(text) == built
+
+    def test_immediates_are_shapes_not_ranges(self):
+        # the executing core rejects the value (RegisterError), not the table
+        assert parse_instruction("alloc rot=200") == Instruction(Op.ALLOC, imm=200)
 
 
 class TestAssemble:

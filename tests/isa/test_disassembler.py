@@ -1,11 +1,19 @@
 """Disassembler rendering + property-based round-trips."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.isa import Bundle, Op, assemble, disassemble, format_bundle
 from repro.isa.assembler import parse_instruction
 from repro.isa.disassembler import format_instruction, format_predicated
-from repro.isa.instructions import Instruction, nop
+from repro.isa.instructions import (
+    BRANCH_HINTS,
+    LFETCH_HINTS,
+    SYNTAX,
+    Instruction,
+    nop,
+    pieces,
+)
 
 
 class TestBundleRendering:
@@ -121,3 +129,44 @@ def test_assemble_disassemble_round_trip(instrs):
     image1 = assemble(source)
     image2 = assemble(disassemble(image1))
     assert [b for _, b in image1.iter_bundles()] == [b for _, b in image2.iter_bundles()]
+
+
+# -- every row of the syntax table ---------------------------------------------
+
+_label = st.from_regex(r"\.?[a-z_][\w$.]*", fullmatch=True)
+_word = st.integers(-(2**63), 2**64 - 1)
+
+#: piece of a row -> the fields it stands for, drawn over all it can print
+_DRAW = {
+    "{imm}": st.builds(dict, imm=_word),
+    "{imm:#x}": st.builds(dict, imm=_word),
+    "{target}": st.builds(dict, imm=st.integers(0, 2**40)) | st.builds(dict, label=_label),
+    "[,imm]": st.builds(dict, imm=st.just(0) | _word),      # off | on
+    "[.unit]": st.builds(dict, unit=st.sampled_from("MIFB")),
+    "[.bias]": st.builds(dict, excl=st.booleans()),
+    "[.excl]": st.builds(dict, excl=st.booleans()),
+    "[.hint]": st.builds(dict, hint=st.sampled_from((None, *LFETCH_HINTS))),
+    "[.bhint]": st.builds(dict, hint=st.sampled_from((None, *BRANCH_HINTS))),
+}
+_FILES = {"r": 128, "f": 128, "p": 64}
+
+
+@pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name)
+@given(data=st.data(), qp=st.integers(0, 63))
+def test_every_row_round_trips(op, data, qp):
+    """What a row prints, the same row parses back to the instruction."""
+    unit, text = SYNTAX[op]
+    fields = {"unit": unit}
+    for piece in pieces(text):
+        if piece in _DRAW:
+            fields.update(data.draw(_DRAW[piece], label=piece))
+        elif piece[0] == "{":
+            number = data.draw(st.integers(0, _FILES[piece[1]] - 1), label=piece)
+            fields["r" + piece[2]] = number
+    instr = Instruction(op, qp=qp, **fields)
+    printed = format_predicated(instr)
+    parsed = parse_instruction(printed)
+    if "[.bhint]" in text and instr.hint is None:
+        instr = instr.clone(hint="sptk")    # an omitted hint prints as the default
+    assert parsed == instr, printed
+    assert format_predicated(parsed) == printed

@@ -1,14 +1,21 @@
 """Instruction objects: classification, cloning, equality."""
 
+import pathlib
+import re
+
 import pytest
 
+from repro.isa import assembler, disassembler
 from repro.isa.instructions import (
     BRANCH_OPS,
     LOOP_BRANCH_OPS,
     MEMORY_OPS,
+    SYNTAX,
     Instruction,
     Op,
     nop,
+    operands,
+    pieces,
 )
 
 
@@ -58,3 +65,42 @@ class TestCloneAndEquality:
     def test_nop_units(self):
         assert nop("M").unit == "M"
         assert nop().op is Op.NOP
+
+
+class TestSyntaxTable:
+    def test_one_row_per_opcode(self):
+        assert list(SYNTAX) == list(Op)
+        texts = [text for _, text in SYNTAX.values()]
+        assert len(set(texts)) == len(texts)    # no two opcodes print alike
+
+    @pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name)
+    def test_every_piece_is_known_to_both_sides(self, op):
+        unit, text = SYNTAX[op]
+        assert Instruction(op, unit=unit).unit == unit
+        mnemonic = text.partition(" ")[0]
+        for piece in pieces(text):
+            if piece[0] not in "{[":
+                assert not set(piece) & set("{}"), f"stray brace in {text!r}"
+            elif piece[1:-1] in operands(op):
+                assert piece[1] in "rfp" and "r" + piece[2] in Instruction.__slots__
+            else:
+                assert piece in disassembler._WRITE
+                read = assembler._COMPLETERS if piece in mnemonic else assembler._READ
+                assert piece in read
+
+    def test_design_table_is_rendered_from_the_rows(self):
+        design = (pathlib.Path(__file__).parents[2] / "DESIGN.md").read_text()
+        for op, (unit, text) in SYNTAX.items():
+            assert f"| `{op.name}` | {unit} | `{text}` |" in design
+        # and the table lists nothing else, in opcode order
+        documented = re.findall(r"^\| `(\w+)` \| [MIFBA] \| `.*` \|$", design, re.M)
+        assert documented == [op.name for op in Op]
+
+    def test_operand_kinds_are_the_register_pieces(self):
+        assert operands(Op.STFD) == ("r2", "f3")
+        assert operands(Op.CMPI_EQ) == ("p1", "p2", "r3")
+        assert operands(Op.MOV_PR_ROT) == operands(Op.BR_COND) == ()
+        for op in Op:
+            kinds = tuple(p[1:-1] for p in pieces(SYNTAX[op][1])
+                          if p[0] == "{" and p[2:] in ("1}", "2}", "3}", "4}"))
+            assert operands(op) == kinds

@@ -5,6 +5,8 @@ of one small invocation of every sweep subcommand, captured at the
 commit *before* the harnesses moved onto :mod:`repro.scenario`.  Each
 must replay byte-identically — and at any ``--jobs``, which is the
 determinism contract of :func:`repro.parallel.run_tasks`.
+``disasm_daxpy.txt`` (captured before the disassembler became a walk
+over ``isa.instructions.SYNTAX``) pins the printer's bytes the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ GOLDENS = sorted((pathlib.Path(__file__).parent / "golden" / "cli").glob("*.txt"
 def _cases():
     for path in GOLDENS:
         command, _exit, _stdout = path.read_text().split("\n", 2)
-        jobs = (1, 2) if " warm " not in command else (None,)  # warm has no --jobs
+        # warm and disasm have no --jobs
+        jobs = (None,) if command.split()[2] in ("warm", "disasm") else (1, 2)
         for n in jobs:
             yield pytest.param(path, n, id=f"{path.stem}-jobs{n or 1}")
 
@@ -31,6 +34,7 @@ def test_every_sweep_subcommand_has_a_golden():
     assert {p.stem for p in GOLDENS} == {
         "validate", "chaos", "recovery", "overload",
         "fleet_clean", "fleet_faulted", "fuzz", "warm",
+        "disasm_daxpy",     # not a sweep: the printer's bytes
     }
 
 

@@ -27,6 +27,7 @@ from repro.validate import (
     encode_instruction,
 )
 from repro.workloads import build_daxpy
+from repro.workloads.npb import BENCHMARKS
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -174,6 +175,17 @@ def test_compiled_daxpy_image_passes_all_isa_checks():
     machine = Machine(itanium2_smp(4))
     prog = build_daxpy(machine, 2048, 4, outer_reps=1)
     assert check_image(prog.image, mode="strict") == []
+
+
+@pytest.mark.parametrize("kernel", ["daxpy", *BENCHMARKS])
+def test_every_compiled_image_reassembles_to_itself(kernel):
+    """All nine images, 1,587 bundles (``repro validate`` checks two)."""
+    machine = Machine(itanium2_smp(4))
+    if kernel == "daxpy":
+        image = build_daxpy(machine, 256, 4, outer_reps=1).image
+    else:
+        image = BENCHMARKS[kernel].build(machine, 4, reps=1).image
+    assert check_roundtrip(image, mode="strict") == []
 
 
 def test_handwritten_source_roundtrips():
