@@ -3,11 +3,13 @@
 ``repro bench`` runs a fixed machine/benchmark/strategy matrix once
 and records, per case, only what the simulator determines: the sha256
 digest of the output arrays, simulated cycles, retired instructions,
-HPM samples, the memory-event counters and the trace-JIT ``fastpath``
-block.  The report is therefore byte-identical across runs, hosts,
-``--jobs`` and ``PYTHONHASHSEED``, and ``--compare`` against the
-committed ``BENCH_perf.json`` is exact equality: a change that moves
-any field changed what the simulator *does*, not how fast it does it.
+HPM samples, the memory-event counters, the trace-JIT ``fastpath``
+block and what the optimizer did (its ``OptEvent`` rows and the
+deployments live at run end).  The report is therefore byte-identical
+across runs, hosts, ``--jobs`` and ``PYTHONHASHSEED``, and
+``--compare`` against the committed ``BENCH_perf.json`` is exact
+equality: a change that moves any field changed what the simulator
+*does*, not how fast it does it.
 
 Nothing here reads a clock.  Host-speed claims go through
 ``benchmarks/e2e/compare.py --ab``.
@@ -21,6 +23,7 @@ from typing import Iterable, Iterator
 from .scenario import (
     ALL_STRATEGIES,
     MACHINES,
+    MATRIX_BENCHMARKS,
     MachineRecipe,
     WorkloadSpec,
     daxpy_spec,
@@ -41,10 +44,10 @@ __all__ = [
 
 #: Schema tag written into BENCH_perf.json (bump on layout changes).
 #: /4 dropped every host-dependent field (wall seconds, rates, host,
-#: creation time); a /3 file is not a baseline for ``--compare``.
-BENCH_SCHEMA = "repro-bench-perf/4"
-
-MATRIX_BENCHMARKS = ("daxpy", "cg", "mg")
+#: creation time); /5 added ``opt_events`` and ``deployments`` per case
+#: and the four remaining reported kernels.  An older file is not a
+#: baseline for ``--compare``.
+BENCH_SCHEMA = "repro-bench-perf/5"
 
 #: Fixed cache scale for all bench runs (matches the validate default).
 BENCH_SCALE = 16
@@ -69,6 +72,7 @@ def run_case(benchmark: str, machine_name: str, strategy: str) -> dict:
     """
     recipe, workload = matrix_case(benchmark, machine_name)
     obs = run_cell(recipe, workload, strategy)
+    report = obs.report
     return {
         "id": f"{machine_name}/{benchmark}/{strategy}",
         "benchmark": benchmark,
@@ -78,10 +82,18 @@ def run_case(benchmark: str, machine_name: str, strategy: str) -> dict:
         "scale": BENCH_SCALE,
         "sim_cycles": obs.cycles,
         "retired": obs.retired,
-        "pmu_samples": obs.report.samples if obs.report is not None else 0,
+        "pmu_samples": report.samples if report is not None else 0,
         "digest": obs.digest,
         "events": dict(obs.events),
         "fastpath": obs.fastpath,
+        "opt_events": [
+            [e.retired, e.kind, e.loop_head, e.optimization, e.reason]
+            for e in (report.events if report is not None else ())
+        ],
+        "deployments": [
+            [d.loop.head, d.optimization, d.n_rewrites]
+            for d in (report.deployments if report is not None else ())
+        ],
     }
 
 

@@ -58,6 +58,7 @@ from .isa import Op, disassemble  # noqa: E402
 from .scenario import (  # noqa: E402
     ALL_STRATEGIES,
     MACHINES,
+    MATRIX_BENCHMARKS,
     MachineRecipe,
     WorkloadSpec,
     daxpy_spec,
@@ -452,7 +453,6 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .bench import (
-        MATRIX_BENCHMARKS,
         check_baseline,
         compare_reports,
         format_report,
@@ -486,7 +486,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_warm(args) -> int:
-    from .bench import MATRIX_BENCHMARKS, matrix_case
+    from .bench import matrix_case
     from .persist import MemoryDisk
 
     _choose("strategy", args.strategy, STRATEGIES)
@@ -816,7 +816,7 @@ def _parser() -> _Parser:
     )
     bench.add_argument(
         "--benchmarks", nargs="+", default=None, metavar="BENCH",
-        help="subset of daxpy/cg/mg",
+        help=f"subset of {'/'.join(MATRIX_BENCHMARKS)}",
     )
     bench.add_argument(
         "--machines", nargs="+", default=None, metavar="MACHINE",
@@ -842,7 +842,7 @@ def _parser() -> _Parser:
     )
     warm.add_argument(
         "--workloads", nargs="+", default=["daxpy", "cg"],
-        help="benchmark names (daxpy/cg/mg)",
+        help=f"benchmark names ({'/'.join(MATRIX_BENCHMARKS)})",
     )
     warm.add_argument("--machine", choices=sorted(MACHINES), default="smp4")
     warm.add_argument(

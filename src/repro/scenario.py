@@ -42,10 +42,12 @@ from .cpu.tracejit import fastpath_stats
 from .errors import ValidationError
 from .memory.events import MemEvents
 from .runtime.team import ParallelProgram
+from .workloads.npb import REPORTED
 
 __all__ = [
     "ALL_STRATEGIES",
     "MACHINES",
+    "MATRIX_BENCHMARKS",
     "WorkloadSpec",
     "MachineRecipe",
     "Observables",
@@ -126,6 +128,10 @@ class MachineRecipe:
 #: The paper's two platforms by CLI/bench name; a workload defaults to
 #: one thread per CPU.
 MACHINES = {"smp4": MachineRecipe("smp", 4), "altix8": MachineRecipe("altix", 8)}
+
+#: The fidelity matrix's workloads (:mod:`repro.bench`): DAXPY plus every
+#: kernel a paper figure is drawn from.
+MATRIX_BENCHMARKS = ("daxpy", *REPORTED)
 
 
 def default_machines(n_threads: int = 4, scale: int = 16) -> dict[str, MachineRecipe]:

@@ -22,7 +22,13 @@ BASELINE = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 CASE_KEYS = {
     "id", "benchmark", "machine", "strategy", "threads", "scale",
     "sim_cycles", "retired", "pmu_samples", "digest", "events", "fastpath",
+    "opt_events", "deployments",
 }
+
+#: What tier-1 replays: every ``smp4`` row, and on ``altix8`` the three
+#: benchmarks the matrix held before /5.  CI replays all 56 cases
+#: (``repro bench --compare BENCH_perf.json``).
+TIER1_ALTIX = ("daxpy", "cg", "mg")
 
 
 def _dump(doc: dict) -> str:
@@ -39,10 +45,16 @@ class TestRunCase:
         assert len(case["digest"]) == 64
         assert case["events"]["loads"] > 0
         assert case["pmu_samples"] == 0  # raw simulator, no profiler
+        assert case["opt_events"] == [] and case["deployments"] == []
 
-    def test_cobra_strategy_reports_pmu_samples(self):
+    def test_cobra_strategy_reports_what_the_optimizer_did(self):
         case = run_case("daxpy", "smp4", "adaptive")
         assert case["pmu_samples"] > 0
+        deploys = [row for row in case["opt_events"] if row[1] == "deploy"]
+        assert deploys and all(len(row) == 5 for row in case["opt_events"])
+        for head, optimization, n_rewrites in case["deployments"]:
+            assert [head, optimization] in [row[2:4] for row in deploys]
+            assert n_rewrites > 0
 
     def test_samples_are_deterministic(self):
         assert run_case("cg", "smp4", "excl") == run_case("cg", "smp4", "excl")
@@ -69,7 +81,7 @@ class TestRunBench:
         assert tuple(c["strategy"] for c in report["cases"]) == ALL_STRATEGIES
 
     def test_committed_baseline_is_a_fresh_run(self):
-        """BENCH_perf.json replays byte for byte over the full matrix.
+        """BENCH_perf.json replays byte for byte (tier-1: 40 of 56 cases).
 
         It is regenerated (``repro bench --out BENCH_perf.json``) only
         by a change that *means* to move simulated behaviour.  CI also
@@ -77,19 +89,26 @@ class TestRunBench:
         results do not depend on the JIT mode, only ``fastpath`` does.
         """
         committed = json.loads(BASELINE.read_text())
-        fresh = run_bench(jobs=2)
-        assert [c["id"] for c in fresh["cases"]] == [
+        assert BASELINE.read_text() == _dump(committed)
+        assert committed["schema"] == BENCH_SCHEMA
+        assert [c["id"] for c in committed["cases"]] == [
             f"{m}/{b}/{s}"
             for m in MACHINES for b in MATRIX_BENCHMARKS for s in ALL_STRATEGIES
         ]
-        assert len(fresh["cases"]) == 24
-        if env_value("REPRO_TRACE_JIT") in (None, "1"):
-            assert _dump(fresh) == BASELINE.read_text()
-        else:
-            for doc in (committed, fresh):
-                for case in doc["cases"]:
-                    del case["fastpath"]
-            assert fresh == committed
+        assert len(committed["cases"]) == 56
+        fresh = run_bench(machines=("smp4",), jobs=2)["cases"]
+        fresh += run_bench(TIER1_ALTIX, ("altix8",), jobs=2)["cases"]
+        assert len(fresh) == 40
+        by_id = {c["id"]: c for c in committed["cases"]}
+        if env_value("REPRO_TRACE_JIT") not in (None, "1"):
+            for case in (*fresh, *by_id.values()):
+                del case["fastpath"]
+        for case in fresh:
+            assert _dump(case) == _dump(by_id[case["id"]]), case["id"]
+
+    def test_readme_names_the_matrix(self):
+        readme = (BASELINE.parent / "README.md").read_text()
+        assert f"pinned {'/'.join(MATRIX_BENCHMARKS)} ×" in readme
 
 
 class TestBenchCli:
