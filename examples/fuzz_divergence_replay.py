@@ -21,7 +21,7 @@ Run:  python examples/fuzz_divergence_replay.py
 
 from __future__ import annotations
 
-import repro.core.optimizer as optimizer
+from repro.core.opts import REWRITES
 from repro.fuzz import DifferentialFuzzer, generate_params, run_scenario, shrink
 from repro.fuzz.generator import describe
 from repro.fuzz.report import repro_command
@@ -30,9 +30,8 @@ from repro.isa.instructions import Instruction, Op
 PLANT_SEED = 12  # a scenario whose adaptive run deploys noprefetch
 
 
-def corrupting_rewrite(sites=None):
+def corrupting_rewrite(program, trace):
     """The planted bug: lfetch becomes a store of zero."""
-    del sites
 
     def rewrite(instr):
         if instr.op is Op.LFETCH:
@@ -49,8 +48,8 @@ def main() -> None:
     assert report.ok
 
     print("\n== 2. plant the bug ==")
-    original = optimizer.make_noprefetch_rewrite
-    optimizer.make_noprefetch_rewrite = corrupting_rewrite
+    original = REWRITES["noprefetch"]
+    REWRITES["noprefetch"] = corrupting_rewrite
     try:
         params = generate_params(PLANT_SEED)
         print(f"scenario: {describe(params)}")
@@ -75,7 +74,7 @@ def main() -> None:
         print(f"  {outcome.summary()}")
         assert not run_scenario(outcome.params).ok
     finally:
-        optimizer.make_noprefetch_rewrite = original
+        REWRITES["noprefetch"] = original
 
     print("\n== bug removed: the same seed is clean again ==")
     assert run_scenario(generate_params(PLANT_SEED)).ok

@@ -86,10 +86,7 @@ def run_case(benchmark: str, machine_name: str, strategy: str) -> dict:
         "digest": obs.digest,
         "events": dict(obs.events),
         "fastpath": obs.fastpath,
-        "opt_events": [
-            [e.retired, e.kind, e.loop_head, e.optimization, e.reason]
-            for e in (report.events if report is not None else ())
-        ],
+        "opt_events": [e.row() for e in (report.events if report is not None else ())],
         "deployments": [
             [d.loop.head, d.optimization, d.n_rewrites]
             for d in (report.deployments if report is not None else ())

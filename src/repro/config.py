@@ -91,6 +91,11 @@ class EnvVar:
     values: str
     #: what setting it does, as shown in the README table
     effect: str
+    #: the ``CobraConfig`` field a set value overrides (``None``: the
+    #: variable is read where it applies, not through ``CobraConfig``) ...
+    overrides: str | None = None
+    #: ... with ``to_config(value)``
+    to_config: Callable[[object], object] = lambda value: value
 
 
 ENV_VARS: dict[str, EnvVar] = {
@@ -100,12 +105,14 @@ ENV_VARS: dict[str, EnvVar] = {
         "`off` / `record` / `strict`",
         "overrides `CobraConfig.validate`: attach the coherence invariant "
         "checker to every COBRA run",
+        "validate",
     ),
     "REPRO_FAULTS": EnvVar(
         int, lambda seed: seed >= 0,
         "must be a non-negative integer seed, got",
         "integer seed >= 0",
         "overrides `CobraConfig.faults` with a default-rate fault schedule",
+        "faults", lambda seed: FaultConfig(seed=seed),
     ),
     "REPRO_CHECKPOINT": EnvVar(
         str, lambda path: os.path.isdir(path) or not os.path.exists(path),
@@ -113,12 +120,14 @@ ENV_VARS: dict[str, EnvVar] = {
         "directory path",
         "overrides `CobraConfig.persist`: journal + snapshot store in that "
         "directory",
+        "persist", lambda directory: PersistConfig(directory=directory),
     ),
     "REPRO_PROFILE_DB": EnvVar(
         str, lambda path: not os.path.isdir(path),
         "must name a profile-database file, got directory",
         "file path",
         "overrides `CobraConfig.profile_db`: cross-run profile database file",
+        "profile_db", lambda path: ProfileDBConfig(path=path),
     ),
     "REPRO_GOVERNOR": EnvVar(
         str, ("0", "1").__contains__,
@@ -126,6 +135,7 @@ ENV_VARS: dict[str, EnvVar] = {
         "`0` / `1`",
         "overrides `CobraConfig.governor`: `1` arms a default-budget "
         "resource governor, `0` leaves it off",
+        "governor", lambda armed: GovernorConfig() if armed == "1" else None,
     ),
     "REPRO_TRACE_JIT": EnvVar(
         str, ("0", "1", "osr-off").__contains__,
@@ -175,6 +185,27 @@ def default_blas_threads() -> None:
     touches ``os.environ``.)
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+#: The bounds a config field can be held to; the key completes the
+#: diagnostic ``"<field> must be <bound>, got <value>"``.
+_BOUNDS: dict[str, Callable[[object], bool]] = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "a non-negative integer": lambda v: v >= 0,
+}
+
+
+def _require(config: object, bound: str, *names: str) -> None:
+    """``ValueError`` unless each named field is unset (``None``) or in ``bound``."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not _BOUNDS[bound](value):
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -274,20 +305,12 @@ class FaultConfig:
     crash_torn_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("sample_rate", "patch_rate", "loop_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.seed < 0:
-            # seeds name fault schedules in ledgers, CI matrices, and
-            # CLI replays; negatives have no meaning there
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.crash_write is not None and self.crash_write < 1:
-            raise ValueError(f"crash_write must be >= 1, got {self.crash_write}")
-        if self.crash_torn_bytes is not None and self.crash_torn_bytes < 0:
-            raise ValueError(
-                f"crash_torn_bytes must be >= 0, got {self.crash_torn_bytes}"
-            )
+        _require(self, "in [0, 1]", "sample_rate", "patch_rate", "loop_rate")
+        # seeds name fault schedules in ledgers, CI matrices, and CLI
+        # replays; negatives have no meaning there
+        _require(self, "a non-negative integer", "seed")
+        _require(self, ">= 1", "crash_write")
+        _require(self, ">= 0", "crash_torn_bytes")
 
 
 @dataclass(frozen=True)
@@ -324,20 +347,9 @@ class FleetFaultConfig:
     backoff_cap: int = 512
 
     def __post_init__(self) -> None:
-        for name in ("frame_rate", "partition_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.daemon_crash_batch is not None and self.daemon_crash_batch < 1:
-            raise ValueError(
-                f"daemon_crash_batch must be >= 1, got {self.daemon_crash_batch}"
-            )
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 1:
-            raise ValueError(f"backoff_base must be >= 1, got {self.backoff_base}")
+        _require(self, "in [0, 1]", "frame_rate", "partition_rate")
+        _require(self, "a non-negative integer", "seed")
+        _require(self, ">= 1", "daemon_crash_batch", "max_attempts", "backoff_base")
         if self.backoff_cap < self.backoff_base:
             raise ValueError(
                 f"backoff_cap must be >= backoff_base, got {self.backoff_cap}"
@@ -379,18 +391,12 @@ class FleetAgentConfig:
     def __post_init__(self) -> None:
         if not self.instance:
             raise ValueError("instance id must be a non-empty string")
-        if self.instances < 1:
-            raise ValueError(f"instances must be >= 1, got {self.instances}")
-        if self.quorum < 1:
-            raise ValueError(f"quorum must be >= 1, got {self.quorum}")
+        _require(self, ">= 1", "instances", "quorum")
         if self.quorum > self.instances:
             raise ValueError(
                 f"quorum ({self.quorum}) cannot exceed fleet size ({self.instances})"
             )
-        if self.flush_interval < 1:
-            raise ValueError(
-                f"flush_interval must be >= 1, got {self.flush_interval}"
-            )
+        _require(self, ">= 1", "flush_interval")
 
 
 @dataclass(frozen=True)
@@ -423,12 +429,7 @@ class PersistConfig:
     def __post_init__(self) -> None:
         if self.directory is None and self.disk is None:
             raise ValueError("PersistConfig needs a directory or an injectable disk")
-        if self.snapshot_interval < 1:
-            raise ValueError(
-                f"snapshot_interval must be >= 1, got {self.snapshot_interval}"
-            )
-        if self.snapshots_kept < 1:
-            raise ValueError(f"snapshots_kept must be >= 1, got {self.snapshots_kept}")
+        _require(self, ">= 1", "snapshot_interval", "snapshots_kept")
 
 
 @dataclass(frozen=True)
@@ -495,22 +496,12 @@ class OverloadConfig:
     max_events: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("shrink_rate", "flood_rate", "disk_rate", "storm_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError(
-                f"shrink_factor must be in (0, 1), got {self.shrink_factor}"
-            )
-        if self.flood_factor < 2:
-            raise ValueError(f"flood_factor must be >= 2, got {self.flood_factor}")
-        if self.flood_windows < 1:
-            raise ValueError(f"flood_windows must be >= 1, got {self.flood_windows}")
-        if self.max_events < 0:
-            raise ValueError(f"max_events must be >= 0, got {self.max_events}")
+        _require(self, "in [0, 1]", "shrink_rate", "flood_rate", "disk_rate", "storm_rate")
+        _require(self, "a non-negative integer", "seed")
+        _require(self, "in (0, 1)", "shrink_factor")
+        _require(self, ">= 2", "flood_factor")
+        _require(self, ">= 1", "flood_windows")
+        _require(self, ">= 0", "max_events")
 
 
 @dataclass(frozen=True)
@@ -556,23 +547,12 @@ class GovernorConfig:
     overload: OverloadConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.trace_cache_budget is not None and self.trace_cache_budget < 1:
-            raise ValueError(
-                f"trace_cache_budget must be >= 1, got {self.trace_cache_budget}"
-            )
-        if self.jit_node_budget is not None and self.jit_node_budget < 1:
-            raise ValueError(
-                f"jit_node_budget must be >= 1, got {self.jit_node_budget}"
-            )
-        for name in ("sample_queue_depth", "profile_db_entries",
-                     "outbox_batches", "budget_floor", "recovery_windows"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        for name in ("escalate_pressure", "recover_pressure"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {value}")
+        _require(
+            self, ">= 1", "trace_cache_budget", "jit_node_budget",
+            "sample_queue_depth", "profile_db_entries", "outbox_batches",
+            "budget_floor", "recovery_windows",
+        )
+        _require(self, "in (0, 1]", "escalate_pressure", "recover_pressure")
         if self.recover_pressure >= self.escalate_pressure:
             # the hysteresis band must be non-empty or the ladder would
             # oscillate on a pressure level sitting exactly at the edge
@@ -646,6 +626,32 @@ class CobraConfig:
     #: invariant violations) the optimizer reverts every active
     #: deployment and drops to monitor-only degraded mode.
     fault_escalation_threshold: int = 8
+
+    def __post_init__(self) -> None:
+        _require(
+            self, ">= 1", "sampling_interval", "optimize_interval",
+            "trace_cache_bundles", "fault_escalation_threshold",
+        )
+        _require(
+            self, ">= 0", "sample_overhead_cycles", "dear_latency_floor",
+            "coherent_latency_threshold", "min_loop_samples",
+        )
+        _require(
+            self, "in [0, 1]", "coherent_ratio_threshold", "noprefetch_coherent_share"
+        )
+        if self.validate not in VALIDATE_MODES:
+            raise ValueError(
+                f"validate must be one of {VALIDATE_MODES}, got {self.validate!r}"
+            )
+
+    def with_env(self) -> "CobraConfig":
+        """This config with every set ``REPRO_*`` override applied."""
+        fields = {
+            var.overrides: var.to_config(value)
+            for name, var in ENV_VARS.items()
+            if var.overrides is not None and (value := env_value(name)) is not None
+        }
+        return replace(self, **fields) if fields else self
 
 
 @dataclass(frozen=True)

@@ -26,19 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..config import (
-    VALIDATE_MODES,
-    CobraConfig,
-    FaultConfig,
-    GovernorConfig,
-    PersistConfig,
-    ProfileDBConfig,
-    env_value,
-)
+from ..config import CobraConfig
 from ..cpu.machine import Machine
 from ..cpu.scheduler import Scheduler
 from ..cpu.tracejit import fastpath_stats
-from ..errors import CobraError, InvariantViolation, ProfileStateError
+from ..errors import CobraError, InvariantViolation
 from ..isa.binary import BinaryImage
 from ..runtime.team import ParallelProgram, RunResult
 from .monitor import MonitoringThread
@@ -47,9 +39,8 @@ from .policy import STRATEGIES
 from .tracecache import Deployment, TraceCache
 
 if TYPE_CHECKING:
-    from ..faults.injector import FaultInjector, FaultLedger
-    from ..persist.manager import PersistenceManager, PersistStats
-    from ..persist.profiledb import ProfileDB
+    from ..faults.injector import FaultLedger
+    from ..persist.manager import PersistStats
 
 __all__ = ["Cobra", "CobraReport", "run_with_cobra"]
 
@@ -223,51 +214,6 @@ class CobraReport:
         return "\n".join(lines)
 
 
-def _fault_injector(config: CobraConfig) -> FaultInjector | None:
-    """Build the injector from config, with the env-var override."""
-    seed = env_value("REPRO_FAULTS")
-    fault_config = config.faults if seed is None else FaultConfig(seed=seed)
-    if fault_config is None:
-        return None
-    from ..faults.injector import FaultInjector
-
-    return FaultInjector(fault_config)
-
-
-def _persistence(
-    config: CobraConfig, faults: FaultInjector | None
-) -> PersistenceManager | None:
-    """Build the checkpoint manager from config, with the env override."""
-    directory = env_value("REPRO_CHECKPOINT")
-    persist_config = (
-        config.persist if directory is None else PersistConfig(directory=directory)
-    )
-    if persist_config is None:
-        return None
-    from ..persist.manager import PersistenceManager
-
-    return PersistenceManager(persist_config, faults)
-
-
-def _governor_config(config: CobraConfig) -> GovernorConfig | None:
-    """The governor plan from config, with the env-var override."""
-    armed = env_value("REPRO_GOVERNOR")
-    if armed is None:
-        return config.governor
-    return GovernorConfig() if armed == "1" else None
-
-
-def _profile_db(config: CobraConfig) -> ProfileDB | None:
-    """Build the cross-run profile DB from config, with the env override."""
-    path = env_value("REPRO_PROFILE_DB")
-    db_config = config.profile_db if path is None else ProfileDBConfig(path=path)
-    if db_config is None:
-        return None
-    from ..persist.profiledb import ProfileDB
-
-    return ProfileDB.from_config(db_config)
-
-
 class Cobra:
     """COBRA attached to one machine + program."""
 
@@ -284,7 +230,15 @@ class Cobra:
         self.program = program
         self.config = config or machine.config.cobra
         self.strategy = strategy
-        self.faults = _fault_injector(self.config)
+        # what is armed: the config with every REPRO_* override applied
+        # (config.ENV_VARS), so CI can run any example or benchmark with
+        # an attachment on
+        armed = self.config.with_env()
+        self.faults = None
+        if armed.faults is not None:
+            from ..faults.injector import FaultInjector
+
+            self.faults = FaultInjector(armed.faults)
         self.trace_cache = TraceCache(self.config.trace_cache_bundles, faults=self.faults)
         machine.load_image(self.trace_cache.image)
         self.monitors = [
@@ -298,63 +252,54 @@ class Cobra:
         # resource governor (repro.governor): wired like the persistence
         # manager — every governed structure holds a reference, None
         # anywhere means ungoverned, bit-identical behaviour
-        gov_config = _governor_config(self.config)
         self.governor = None
-        if gov_config is not None:
+        if armed.governor is not None:
             from ..governor.core import ResourceGovernor
 
             self.governor = ResourceGovernor(
-                gov_config, self.config.trace_cache_bundles, faults=self.faults
+                armed.governor, self.config.trace_cache_bundles, faults=self.faults
             )
             self.trace_cache.governor = self.governor
             for monitor in self.monitors:
                 monitor.governor = self.governor
             self.optimizer.governor = self.governor
-        # invariant checking (repro.validate): the config knob, overridable
-        # per-process so CI can run any example/benchmark under strict mode
-        mode = env_value("REPRO_VALIDATE") or self.config.validate
-        if mode not in VALIDATE_MODES:
-            raise CobraError(
-                f"unknown validate mode {mode!r} (use one of {VALIDATE_MODES})"
-            )
+        # invariant checking (repro.validate)
         self.checker = None
-        if mode != "off":
+        if armed.validate != "off":
             from ..validate.checker import CoherenceChecker
 
             # recorded violations feed the optimizer watchdog's
             # escalation (strict mode raises before it matters)
-            self.checker = checker = CoherenceChecker(machine, mode)
+            self.checker = checker = CoherenceChecker(machine, armed.validate)
             self.optimizer.watch_violations(lambda: len(checker.violations))
         # crash-consistent checkpointing (repro.persist): recover any
         # existing state, then warm-start — previously proven
         # deployments go live before the first instruction runs
-        self.persist = _persistence(self.config, self.faults)
+        self.persist = None
         self.resumed = False
-        if self.persist is not None:
+        if armed.persist is not None:
+            from ..persist.manager import PersistenceManager
+
+            self.persist = PersistenceManager(armed.persist, self.faults)
             recovered = self.persist.open()
             self.trace_cache.persist = self.persist
             self.optimizer.persist = self.persist
             if recovered.state is not None:
+                from ..persist.recover import empty_state
+
                 self.resumed = True
-                profiler_state = recovered.state.get("profiler")
-                if profiler_state:
-                    self.optimizer.profiler.restore_state(profiler_state)
-                per_cpu = recovered.state.get("samples_per_cpu", {})
-                for monitor in self.monitors:
-                    monitor.prior_samples = int(
-                        per_cpu.get(str(monitor.core.cpu_id), 0)
-                    )
-                self.optimizer.warm_start(recovered.state)
+                self.optimizer.warm_start({**empty_state(), **recovered.state})
         # cross-run profile database (repro.persist.profiledb): a hit
         # seeds the profiler + proven deployments before the first
         # instruction; absence/corruption just means a cold ramp
-        self.profile_db = _profile_db(self.config)
+        self.profile_db = None
         self._profile_key: str | None = None
         self._profile_source = "off"
         self._profile_seeded = 0
-        if self.profile_db is not None:
-            from ..persist.profiledb import profile_key
+        if armed.profile_db is not None:
+            from ..persist.profiledb import ProfileDB, profile_key
 
+            self.profile_db = ProfileDB.from_config(armed.profile_db)
             self.profile_db.load()
             self._profile_key = profile_key(program, machine.config, strategy)
             if self.profile_db.stats.future_format:
@@ -371,16 +316,14 @@ class Cobra:
                     self._profile_source = "checkpoint"
                 elif not self.profile_db.seed:
                     self._profile_source = "seed-off"
+                elif (seeded := self._seed(entry, "profile-db")) is not None:
+                    self._profile_seeded = seeded
+                    self._profile_source = "hit"
                 else:
-                    try:
-                        self._profile_seeded = self.optimizer.seed_from_profile(entry)
-                        self._profile_source = "hit"
-                    except ProfileStateError:
-                        # validate-then-commit left the optimizer cold;
-                        # drop the damaged entry so this run's record
-                        # replaces it
-                        self.profile_db.discard(self._profile_key)
-                        self._profile_source = "entry-invalid"
+                    # drop the damaged entry so this run's record
+                    # replaces it
+                    self.profile_db.discard(self._profile_key)
+                    self._profile_source = "entry-invalid"
         # fleet mode (repro.fleet): the outbox passively observes every
         # optimizer wake; a daemon-pushed quorum-gated entry warm-starts
         # through the same seed_from_profile path as a profile-DB hit
@@ -399,15 +342,20 @@ class Cobra:
             )
             self.optimizer.outbox = self.fleet_outbox
             if fl.entry is not None and not fl.degraded and not self.resumed:
-                try:
-                    self._fleet_seeded = self.optimizer.seed_from_profile(
-                        fl.entry, source="fleet"
-                    )
-                except ProfileStateError:
-                    # the daemon validates entries before pushing; a
-                    # damaged one still only costs the cold ramp
-                    self._fleet_seeded = 0
+                # the daemon validates entries before pushing; a
+                # damaged one still only costs the cold ramp
+                self._fleet_seeded = self._seed(fl.entry, "fleet") or 0
         self._installed = False
+
+    def _seed(self, entry: dict, source: str) -> int | None:
+        """Warm-start from a profile entry; ``None`` = it is unsound and
+        the optimizer was left cold (nothing is touched before the whole
+        entry has been checked)."""
+        from ..persist.profiledb import entry_anomaly
+
+        if entry_anomaly(entry) is not None:
+            return None
+        return self.optimizer.seed_from_profile(entry, source)
 
     def install(self, scheduler: Scheduler) -> None:
         """Start monitoring and hook the optimization thread in."""

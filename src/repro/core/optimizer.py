@@ -41,12 +41,11 @@ from ..cpu.machine import Machine
 from ..errors import TraceCacheError
 from ..isa.binary import BinaryImage
 from .monitor import MonitoringThread
-from .opts import make_noprefetch_rewrite
-from .opts.excl import associate_stored_streams, make_excl_rewrite
-from .policy import Decision, decide, proven_decisions
+from .opts import REWRITES
+from .policy import EVIDENCE, decide, proven_decisions
 from .profiler import SystemProfiler
 from .tracecache import Deployment, TraceCache
-from .tracesel import LoopTrace, _scan_lfetch, select_loop_traces
+from .tracesel import LoopTrace, select_loop_traces
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
@@ -62,6 +61,14 @@ MODES = ("normal", "monitor-only")
 #: surge means the sampling path itself is sick).
 _QUARANTINE_SURGE = 4
 
+#: How the two reasons other code keys on begin.  The producer formats
+#: with the constant and the consumer asks the :class:`OptEvent`
+#: predicate, so rewording a message cannot silently zero the profile
+#: database's ``rolled_back`` evidence or the recovery harness's check
+#: (a typed cause field is ROADMAP item 4).
+REGRESSION = "CPI "
+WARM_RESTART = "warm restart"
+
 
 @dataclass(frozen=True)
 class OptEvent:
@@ -72,6 +79,21 @@ class OptEvent:
     loop_head: int | None
     optimization: str | None
     reason: str
+
+    def row(self) -> list:
+        """``[retired, kind, loop_head, optimization, reason]`` — the
+        journal's ``decision`` record, a checkpoint's ``events`` item
+        and a ``BENCH_perf.json`` ``opt_events`` row; ``OptEvent(*row)``
+        is the way back."""
+        return [self.retired, self.kind, self.loop_head, self.optimization, self.reason]
+
+    def is_regression(self) -> bool:
+        """A rollback because CPI got worse: evidence against the optimization."""
+        return self.kind == "rollback" and self.reason.startswith(REGRESSION)
+
+    def is_warm_redeploy(self) -> bool:
+        """A deployment put back from a checkpoint at warm restart."""
+        return self.kind == "deploy" and self.reason.startswith(WARM_RESTART)
 
 
 @dataclass
@@ -129,9 +151,6 @@ class OptimizationThread:
         #: checkpoint or profile-DB entry, ``None`` if never reached.
         #: This is the profiling-ramp metric the warm-start gate checks.
         self.warm_at_retired: int | None = None
-        #: retired count of the first successful deployment (``None`` =
-        #: nothing deployed)
-        self.first_deploy_retired: int | None = None
         #: persistence manager (:mod:`repro.persist`); wired by the
         #: framework after construction, ``None`` = no journaling
         self.persist = None
@@ -148,14 +167,19 @@ class OptimizationThread:
         """Register a recorded-violation counter for the watchdog."""
         self._violation_source = source
 
-    def _log(self, event: OptEvent) -> None:
+    def _log(
+        self,
+        retired: int,
+        kind: str,
+        loop_head: int | None,
+        optimization: str | None,
+        reason: str,
+    ) -> None:
         """Record one optimizer event (and journal it when persisting)."""
+        event = OptEvent(retired, kind, loop_head, optimization, reason)
         self.events.append(event)
         if self.persist is not None:
-            self.persist.log_decision(
-                [event.retired, event.kind, event.loop_head,
-                 event.optimization, event.reason]
-            )
+            self.persist.log_decision(event.row())
 
     def _note_cpi(self, value: float) -> None:
         """Record one windowed CPI observation."""
@@ -185,6 +209,56 @@ class OptimizationThread:
                         self.faults.tolerated(event, "victim already down")
         self.wake()
 
+    # -- going live, coming down ------------------------------------------------
+
+    def _go_live(
+        self,
+        retired: int,
+        trace: LoopTrace,
+        optimization: str,
+        reason: str,
+        failed: str = "",
+        replacing: Deployment | None = None,
+    ) -> tuple[Deployment | None, str | None]:
+        """Put ``optimization`` live on ``trace``: the one path every
+        deployment takes, cold or warm.
+
+        Builds the rewrite (:data:`~repro.core.opts.REWRITES`), takes
+        down the version it is ``replacing`` — only once the new one is
+        known to build — deploys, and logs the outcome: a ``deploy``
+        event carrying ``reason``, or a ``skip`` event whose reason is
+        ``failed`` + the trace cache's refusal.  Returns ``(deployment,
+        refusal)``; at most one is not ``None``.
+        """
+        rewrite = REWRITES[optimization](self.program, trace)
+        if rewrite is None:
+            self._log(retired, "skip", trace.head, optimization,
+                      "no store-associated prefetch in loop")
+            return None, None
+        if replacing is not None:
+            self.trace_cache.rollback(self.program, replacing)
+            self._log(retired, "rollback", trace.head, replacing.optimization,
+                      f"phase now prefers {optimization}: version flip")
+        try:
+            deployment = self.trace_cache.deploy(
+                self.program, trace, rewrite, optimization
+            )
+        except TraceCacheError as exc:
+            self._log(retired, "skip", trace.head, optimization, f"{failed}{exc}")
+            return None, str(exc)
+        self._log(retired, "deploy", trace.head, optimization, reason)
+        return deployment, None
+
+    def _revert_all(self, retired: int, reason: str | None = None) -> None:
+        """Take every active deployment down, logging ``reason`` per loop
+        if given (a pending evaluation finds its deployment inactive at
+        the next wake and stands down)."""
+        for deployment in self.deployments():
+            self.trace_cache.rollback(self.program, deployment)
+            if reason is not None:
+                self._log(retired, "rollback", deployment.loop.head,
+                          deployment.optimization, reason)
+
     # -- watchdog ---------------------------------------------------------------
 
     def _strike(self, retired: int, reason: str) -> None:
@@ -195,18 +269,10 @@ class OptimizationThread:
             and self.fault_strikes >= self.config.fault_escalation_threshold
         ):
             self.mode = "monitor-only"
-            for deployment in self.trace_cache.deployments:
-                if deployment.active:
-                    self.trace_cache.rollback(self.program, deployment)
-            self._pending_eval = None
+            self._revert_all(retired)
             self._log(
-                OptEvent(
-                    retired,
-                    "degrade",
-                    None,
-                    None,
-                    f"monitor-only after {self.fault_strikes} fault strike(s): {reason}",
-                )
+                retired, "degrade", None, None,
+                f"monitor-only after {self.fault_strikes} fault strike(s): {reason}",
             )
 
     def _watchdog(self, retired: int) -> None:
@@ -221,13 +287,8 @@ class OptimizationThread:
                         retired, f"monitor {monitor.core.cpu_id} died"
                     )
                 self._log(
-                    OptEvent(
-                        retired,
-                        "recover",
-                        None,
-                        None,
-                        f"monitor {monitor.core.cpu_id} restarted by watchdog",
-                    )
+                    retired, "recover", None, None,
+                    f"monitor {monitor.core.cpu_id} restarted by watchdog",
                 )
         if self.faults is not None:
             quarantined = self.profiler.quarantined_total
@@ -267,24 +328,11 @@ class OptimizationThread:
 
             kind = "degrade" if RUNGS.index(rung) > RUNGS.index(before) else "recover"
             self._log(
-                OptEvent(
-                    retired, kind, None, None,
-                    f"governor: {before} -> {rung} "
-                    f"(pressure {gov.last_pressure:.2f})",
-                )
+                retired, kind, None, None,
+                f"governor: {before} -> {rung} (pressure {gov.last_pressure:.2f})",
             )
         if rung in ("monitor-only", "frozen", "off"):
-            for deployment in self.trace_cache.deployments:
-                if deployment.active:
-                    self.trace_cache.rollback(self.program, deployment)
-                    self._log(
-                        OptEvent(
-                            retired, "rollback", deployment.loop.head,
-                            deployment.optimization,
-                            f"governor rung {rung}: deployment reverted",
-                        )
-                    )
-            self._pending_eval = None
+            self._revert_all(retired, f"governor rung {rung}: deployment reverted")
         if rung in ("frozen", "off"):
             for monitor in self.monitors:
                 if monitor.running:
@@ -316,9 +364,10 @@ class OptimizationThread:
         deferring = False
         if self._pending_eval is not None and self.config.enable_rollback:
             deployment, before_cpi, wakes_left = self._pending_eval
+            head, optimization = deployment.loop.head, deployment.optimization
             if not deployment.active:
-                # reverted underneath the evaluation (phase change or
-                # degraded-mode sweep): nothing left to judge
+                # reverted underneath the evaluation (phase change,
+                # governor rung or degraded-mode sweep): nothing to judge
                 self._pending_eval = None
             elif wakes_left > 0:
                 self._pending_eval = (deployment, before_cpi, wakes_left - 1)
@@ -329,26 +378,15 @@ class OptimizationThread:
                 if after_cpi == 0.0:
                     # empty window: no retired instructions, no signal —
                     # neither a pass nor a regression
-                    self._log(
-                        OptEvent(
-                            retired,
-                            "skip",
-                            deployment.loop.head,
-                            deployment.optimization,
-                            "empty evaluation window: no signal",
-                        )
-                    )
+                    self._log(retired, "skip", head, optimization,
+                              "empty evaluation window: no signal")
                 elif before_cpi > 0 and after_cpi > before_cpi * 1.03:
                     self.trace_cache.rollback(self.program, deployment)
-                    self.blacklist.add(deployment.loop.head)
+                    self.blacklist.add(head)
                     self._log(
-                        OptEvent(
-                            retired,
-                            "rollback",
-                            deployment.loop.head,
-                            deployment.optimization,
-                            f"CPI {before_cpi:.2f} -> {after_cpi:.2f} after deployment",
-                        )
+                        retired, "rollback", head, optimization,
+                        f"{REGRESSION}{before_cpi:.2f} -> {after_cpi:.2f} "
+                        "after deployment",
                     )
                 else:
                     self._note_cpi(after_cpi)
@@ -369,23 +407,11 @@ class OptimizationThread:
         # where it no longer does (e.g. the working set outgrew the
         # caches), revert — without blacklisting, so the optimization
         # can come back if the earlier behaviour returns.  This scan
-        # also runs while an evaluation is deferring (rollback is
-        # idempotent, so the eval path finding its deployment already
-        # inactive is safe).
+        # also runs while an evaluation is deferring.
         if ratio < self.config.coherent_ratio_threshold:
-            for deployment in list(self.trace_cache.deployments):
-                if not deployment.active:
-                    continue
-                self.trace_cache.rollback(self.program, deployment)
-                self._log(
-                    OptEvent(
-                        retired,
-                        "rollback",
-                        deployment.loop.head,
-                        deployment.optimization,
-                        f"coherent ratio fell to {ratio:.2f}: phase change",
-                    )
-                )
+            self._revert_all(
+                retired, f"coherent ratio fell to {ratio:.2f}: phase change"
+            )
 
         if deferring:
             # keep the evaluation window open (no reset, no decay) so
@@ -405,20 +431,6 @@ class OptimizationThread:
         self.profiler.new_window()
         self._persist_wake()
 
-    def _build_rewrite(self, trace: LoopTrace, optimization: str, retired: int):
-        """The rewrite callable for ``optimization``, or ``None`` + skip log."""
-        if optimization == "noprefetch":
-            return make_noprefetch_rewrite()
-        # .excl only on prefetches feeding stored streams (§4)
-        selection = associate_stored_streams(self.program, trace)
-        if selection is not None and not selection:
-            self._log(
-                OptEvent(retired, "skip", trace.head, "excl",
-                         "no store-associated prefetch in loop")
-            )
-            return None
-        return make_excl_rewrite(selection)
-
     def _deploy_one(self, retired: int, ratio: float) -> None:
         """Select one hot loop and deploy (or re-dispatch) a trace for it.
 
@@ -428,72 +440,62 @@ class OptimizationThread:
         one deployed — usually a cheap head-redirect re-dispatch, since
         the trace cache keeps every built version resident.
         """
-        traces = select_loop_traces(self.profiler, self.program)
         warm = len(self._cpi_history) >= 3
-        for trace in traces:
+        for trace in select_loop_traces(self.profiler, self.program):
             if trace.head in self.blacklist:
                 continue
-            active = self.trace_cache.active_optimization(trace.head)
-            decision: Decision = decide(trace, self.strategy, self.config, ratio)
-            if active is not None:
+            current = self.trace_cache.active_deployment(trace.head)
+            decision = decide(trace, self.strategy, self.config, ratio)
+            wanted = decision.optimization
+            if current is not None:
                 # multi-version dispatch: flip only on a clear, warm
                 # preference for another version; everything else keeps
                 # the live one (the phase-change scan in wake() already
                 # handles "no optimization warranted at all")
-                if (
-                    decision.optimization is None
-                    or decision.optimization == active
-                    or not warm
-                ):
+                if wanted is None or wanted == current.optimization or not warm:
                     continue
-                rewrite = self._build_rewrite(trace, decision.optimization, retired)
-                if rewrite is None:
-                    continue
-                current = self.trace_cache.active_deployment(trace.head)
-                self.trace_cache.rollback(self.program, current)
-                self._log(
-                    OptEvent(
-                        retired, "rollback", trace.head, active,
-                        f"phase now prefers {decision.optimization}: version flip",
-                    )
-                )
-            else:
-                if decision.optimization is None:
-                    self._log(
-                        OptEvent(retired, "skip", trace.head, None, decision.reason)
-                    )
-                    continue
-                if not warm:
-                    self._log(
-                        OptEvent(retired, "skip", trace.head, decision.optimization,
-                                 "profile not warm yet")
-                    )
-                    continue
-                rewrite = self._build_rewrite(trace, decision.optimization, retired)
-                if rewrite is None:
-                    continue
+            elif wanted is None:
+                self._log(retired, "skip", trace.head, None, decision.reason)
+                continue
+            elif not warm:
+                self._log(retired, "skip", trace.head, wanted, "profile not warm yet")
+                continue
             history = self._cpi_history[-3:]
             before_cpi = sum(history) / len(history)
-            try:
-                deployment = self.trace_cache.deploy(
-                    self.program, trace, rewrite, decision.optimization
-                )
-            except TraceCacheError as exc:
-                self._log(
-                    OptEvent(retired, "skip", trace.head, decision.optimization, str(exc))
-                )
-                if self.faults is not None:
-                    self._strike(retired, f"deployment failed: {exc}")
-                continue
-            if self.first_deploy_retired is None:
-                self.first_deploy_retired = retired
-            self._log(
-                OptEvent(
-                    retired, "deploy", trace.head, decision.optimization, decision.reason
-                )
+            deployment, refusal = self._go_live(
+                retired, trace, wanted, decision.reason, replacing=current
             )
-            self._pending_eval = (deployment, before_cpi, 2)
-            break  # one deployment per wake-up
+            if refusal is not None and self.faults is not None:
+                self._strike(retired, f"deployment failed: {refusal}")
+            if deployment is not None:
+                self._pending_eval = (deployment, before_cpi, 2)
+                break  # one deployment per wake-up
+
+    def _redeploy(self, records: list[dict], reason: str, failed: str) -> int:
+        """Put proven deployments live again; return how many went live.
+
+        ``records`` are :attr:`Deployment.RECORD`s (a checkpoint's) or
+        carry at least its loop fields and ``optimization`` (a profile
+        entry's).  No pending evaluation is armed — the cold windows of
+        this run would compare a warm before-CPI against a restart
+        transient and revert an optimization proven over whole prior
+        runs — but the phase-change scan and the regression check on
+        *future* deployments apply unchanged.
+        """
+        deployed = 0
+        for record in records:
+            trace = Deployment.loop_of(record, self.program)
+            if (
+                trace.head in self.blacklist
+                or not trace.lfetch_sites  # none, too, if the image lacks the loop
+                or self.trace_cache.active_deployment(trace.head) is not None
+            ):
+                continue
+            deployment, _ = self._go_live(
+                0, trace, str(record["optimization"]), reason, failed
+            )
+            deployed += deployment is not None
+        return deployed
 
     # -- persistence (repro.persist) -----------------------------------------------
 
@@ -508,28 +510,16 @@ class OptimizationThread:
             self.outbox.on_wake(retired, window_cpi, self.profiler)
 
     def export_state(self) -> dict:
-        """JSON-serializable control-plane state (one 'window' record)."""
+        """JSON-serializable control-plane state (one 'window' record);
+        the keys are :func:`repro.persist.recover.empty_state`'s."""
         return {
             "profiler": self.profiler.export_state(),
             "cpi_history": list(self._cpi_history),
             "blacklist": sorted(self.blacklist),
             "mode": self.mode,
             "fault_strikes": self.fault_strikes,
-            "events": [
-                [e.retired, e.kind, e.loop_head, e.optimization, e.reason]
-                for e in self.events
-            ],
-            "deployments": [
-                {
-                    "head": d.loop.head,
-                    "back_branch": d.loop.back_branch,
-                    "hotness": d.loop.hotness,
-                    "optimization": d.optimization,
-                    "n_rewrites": d.n_rewrites,
-                }
-                for d in self.trace_cache.deployments
-                if d.active
-            ],
+            "events": [e.row() for e in self.events],
+            "deployments": [d.record() for d in self.deployments()],
             "samples_per_cpu": {
                 str(m.core.cpu_id): m.prior_samples + m.samples_taken
                 for m in self.monitors
@@ -539,61 +529,35 @@ class OptimizationThread:
     def warm_start(self, state: dict) -> None:
         """Resume from a recovered control-plane state (re-adaptation).
 
-        Restores the profile aggregates' companions (CPI history,
-        blacklist, mode, event history) and immediately re-deploys the
-        previously proven optimizations — no cold profiling ramp.  The
-        redeployments stay subject to the normal policy: no pending
-        evaluation is armed (the restart transient would compare a warm
-        before-CPI against cold-start windows and revert a good trace),
-        but the phase-change coherent-ratio scan and the regression
-        check on *future* deployments apply unchanged.
+        ``state`` holds every key :meth:`export_state` writes.  Restores
+        the profile aggregates and their companions (per-CPU sample
+        counts, CPI history, blacklist, mode, event history) and
+        immediately re-deploys the previously proven optimizations — no
+        cold profiling ramp (:meth:`_redeploy`).
         """
-        self._cpi_history = [float(x) for x in state.get("cpi_history", [])][-4:]
+        if state["profiler"]:
+            self.profiler.restore_state(state["profiler"])
+        for monitor in self.monitors:
+            monitor.prior_samples = int(
+                state["samples_per_cpu"].get(str(monitor.core.cpu_id), 0)
+            )
+        self._cpi_history = [float(x) for x in state["cpi_history"]][-4:]
         if len(self._cpi_history) >= 3:
             # the checkpointed profile is already warm: no cold ramp
             self.warm_at_retired = 0
-        self.blacklist = {int(h) for h in state.get("blacklist", [])}
-        self.mode = str(state.get("mode", "normal"))
-        self.fault_strikes = int(state.get("fault_strikes", 0))
-        self.events = [
-            OptEvent(int(e[0]), str(e[1]), e[2], e[3], str(e[4]))
-            for e in state.get("events", [])
-        ]
+        self.blacklist = {int(h) for h in state["blacklist"]}
+        self.mode = str(state["mode"])
+        self.fault_strikes = int(state["fault_strikes"])
+        self.events = [OptEvent(*row) for row in state["events"]]
         # the restored quarantine total predates this session: without
         # re-basing, the first watchdog pass would read the whole prior
         # history as one surge and strike immediately
         self._quarantine_seen = self.profiler.quarantined_total
-        if self.mode != "normal":
-            return  # a degraded session resumes degraded: never re-patch
-        for dep in state.get("deployments", []):
-            head = int(dep["head"])
-            if head in self.blacklist or head not in self.program.bundles:
-                continue
-            trace = LoopTrace(
-                head=head,
-                back_branch=int(dep["back_branch"]),
-                hotness=int(dep["hotness"]),
-            )
-            trace.lfetch_sites = _scan_lfetch(self.program, head, trace.end_bundle)
-            optimization = str(dep["optimization"])
-            if optimization == "noprefetch":
-                rewrite = make_noprefetch_rewrite()
-            else:
-                selection = associate_stored_streams(self.program, trace)
-                if selection is not None and not selection:
-                    continue
-                rewrite = make_excl_rewrite(selection)
-            try:
-                self.trace_cache.deploy(self.program, trace, rewrite, optimization)
-            except TraceCacheError as exc:
-                self._log(
-                    OptEvent(0, "skip", head, optimization,
-                             f"warm redeploy failed: {exc}")
-                )
-                continue
-            self._log(
-                OptEvent(0, "deploy", head, optimization,
-                         "warm restart: re-deployed from checkpoint")
+        if self.mode == "normal":  # a degraded session resumes degraded
+            self._redeploy(
+                state["deployments"],
+                f"{WARM_RESTART}: re-deployed from checkpoint",
+                "warm redeploy failed: ",
             )
 
     # -- cross-run profile database (repro.persist.profiledb) -----------------------
@@ -605,65 +569,29 @@ class OptimizationThread:
         database hit, ``"fleet"`` for a daemon-pushed, quorum-gated
         entry — same deployment path, different provenance.
 
-        Restores the profiler aggregates (strictly validated — a torn
-        entry raises :class:`~repro.errors.ProfileStateError` and the
-        caller stays cold), seeds the CPI baseline from the entry's
-        steady-state mean, and immediately deploys the best proven
-        optimization per loop.  Like :meth:`warm_start`, no pending
-        evaluation is armed: seeded deployments stay subject to the
-        phase-change scan and future regression checks, but the cold
-        windows of this run must not revert an optimization proven over
-        whole prior runs.
+        ``entry`` must be sound (:func:`repro.persist.profiledb.
+        entry_anomaly` is ``None`` — :class:`~repro.core.framework.Cobra`
+        checks before it calls).  Restores the profiler aggregates,
+        seeds the CPI baseline from the entry's steady-state mean, and
+        puts the best proven optimization per loop live
+        (:meth:`_redeploy`).
         """
-        prof = entry.get("profiler")
-        if prof is not None:
-            self.profiler.restore_state(prof)
+        if entry.get("profiler") is not None:
+            self.profiler.restore_state(entry["profiler"])
             # prior-run quarantine noise is not this run's signal
             self.profiler.quarantined = {}
             self.profiler.quarantined_total = 0
             self._quarantine_seen = 0
-        cpi_count = int(entry.get("cpi_count", 0))
-        if cpi_count > 0:
-            mean = float(entry.get("cpi_total", 0.0)) / cpi_count
+        if entry["cpi_count"] > 0:
+            mean = entry["cpi_total"] / entry["cpi_count"]
             if mean > 0.0:
                 self._cpi_history = [mean, mean, mean]
                 self.warm_at_retired = 0
-        deployed = 0
-        for head, optimization, rec in proven_decisions(entry, self.strategy):
-            if head in self.blacklist or head not in self.program.bundles:
-                continue
-            if self.trace_cache.is_deployed(head):
-                continue
-            trace = LoopTrace(
-                head=head,
-                back_branch=int(rec.get("back_branch", head)),
-                hotness=int(rec.get("hotness", 0)),
-            )
-            trace.lfetch_sites = _scan_lfetch(self.program, head, trace.end_bundle)
-            if not trace.lfetch_sites:
-                continue
-            if optimization == "noprefetch":
-                rewrite = make_noprefetch_rewrite()
-            else:
-                selection = associate_stored_streams(self.program, trace)
-                if selection is not None and not selection:
-                    continue
-                rewrite = make_excl_rewrite(selection)
-            try:
-                self.trace_cache.deploy(self.program, trace, rewrite, optimization)
-            except TraceCacheError as exc:
-                self._log(
-                    OptEvent(0, "skip", head, optimization,
-                             f"{source} redeploy failed: {exc}")
-                )
-                continue
-            if self.first_deploy_retired is None:
-                self.first_deploy_retired = 0
-            self._log(
-                OptEvent(0, "deploy", head, optimization,
-                         f"{source}: re-deployed proven optimization")
-            )
-            deployed += 1
+        deployed = self._redeploy(
+            proven_decisions(entry, self.strategy),
+            f"{source}: re-deployed proven optimization",
+            f"{source} redeploy failed: ",
+        )
         # warm-start the trace JIT too: recompile persisted tree shapes
         # so compiled dispatch is live from retired 0 instead of after
         # every head re-proves hot.  Best-effort and timing-neutral —
@@ -680,9 +608,9 @@ class OptimizationThread:
                     )
             if seeded:
                 self._log(
-                    OptEvent(0, "deploy", None, None,
-                             f"{source}: {seeded} trace-tree node(s) "
-                             "recompiled for warm dispatch")
+                    0, "deploy", None, None,
+                    f"{source}: {seeded} trace-tree node(s) "
+                    "recompiled for warm dispatch",
                 )
         return deployed
 
@@ -700,27 +628,19 @@ class OptimizationThread:
         prof["quarantined_total"] = 0
         decisions: dict[str, dict] = {}
 
-        def record(head: int, optimization: str) -> dict:
-            return decisions.setdefault(str(head), {}).setdefault(
-                optimization,
-                {"proven": 0, "rolled_back": 0, "back_branch": 0, "hotness": 0},
-            )
+        def note(head, optimization, n_rewrites=None, **evidence) -> None:
+            slot = decisions.setdefault(str(head), {})
+            seen = slot.get(optimization, {})
+            slot[optimization] = {
+                field: combine(seen.get(field, 0), evidence.get(field, 0))
+                for field, combine in EVIDENCE.items()
+            }
 
-        for d in self.trace_cache.deployments:
-            if not d.active:
-                continue
-            rec = record(d.loop.head, d.optimization)
-            rec["proven"] += 1
-            rec["back_branch"] = max(rec["back_branch"], d.loop.back_branch)
-            rec["hotness"] = max(rec["hotness"], d.loop.hotness)
+        for d in self.deployments():
+            note(**d.record(), proven=1)
         for e in self.events:
-            if (
-                e.kind == "rollback"
-                and e.loop_head is not None
-                and e.optimization
-                and e.reason.startswith("CPI ")
-            ):
-                record(int(e.loop_head), str(e.optimization))["rolled_back"] += 1
+            if e.is_regression():
+                note(e.loop_head, e.optimization, rolled_back=1)
         return {
             "runs": 1,
             "profiler": prof,

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable
 
 from ...isa.binary import BinaryImage
-from ...isa.bundle import BUNDLE_BYTES
 from ...isa.instructions import Instruction, Op
 from ..tracesel import LoopTrace
 
@@ -31,16 +30,12 @@ def find_rmw_load_regs(image: BinaryImage, loop: LoopTrace) -> set[int]:
     """Address registers of read-modify-write ``ld8``/``st8`` pairs."""
     load_regs: set[int] = set()
     store_regs: set[int] = set()
-    addr = loop.head
-    while addr <= loop.end_bundle:
-        bundle = image.bundles.get(addr)
-        if bundle is not None:
-            for instr in bundle.slots:
-                if instr.op is Op.LD8 and not instr.imm and not instr.excl:
-                    load_regs.add(instr.r2)
-                elif instr.op is Op.ST8 and not instr.imm:
-                    store_regs.add(instr.r2)
-        addr += BUNDLE_BYTES
+    for _, bundle in loop.bundles(image):
+        for instr in bundle.slots:
+            if instr.op is Op.LD8 and not instr.imm and not instr.excl:
+                load_regs.add(instr.r2)
+            elif instr.op is Op.ST8 and not instr.imm:
+                store_regs.add(instr.r2)
     return load_regs & store_regs
 
 

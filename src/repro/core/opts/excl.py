@@ -51,27 +51,20 @@ def associate_stored_streams(image: BinaryImage, loop: LoopTrace) -> set[int] | 
     """
     store_regs: set[int] = set()
     lfetch_regs: set[int] = set()
-    addr = loop.head
-    while addr <= loop.end_bundle:
-        bundle = image.bundles.get(addr)
-        if bundle is not None:
-            for instr in bundle.slots:
-                if instr.op in (Op.STFD, Op.ST8):
-                    store_regs.add(instr.r2)
-                elif instr.op is Op.LFETCH:
-                    lfetch_regs.add(instr.r2)
-        addr += BUNDLE_BYTES
+    for _, bundle in loop.bundles(image):
+        for instr in bundle.slots:
+            if instr.op in (Op.STFD, Op.ST8):
+                store_regs.add(instr.r2)
+            elif instr.op is Op.LFETCH:
+                lfetch_regs.add(instr.r2)
 
     # scan the preamble for prefetch-register derivations rPF = dist + rBASE
     derived: dict[int, set[int]] = {}
-    addr = max(image.base, loop.head - _PREAMBLE_BUNDLES * BUNDLE_BYTES)
-    while addr < loop.head:
-        bundle = image.bundles.get(addr)
-        if bundle is not None:
-            for instr in bundle.slots:
-                if instr.op is Op.ADDI and instr.imm > 0:
-                    derived.setdefault(instr.r1, set()).add(instr.r2)
-        addr += BUNDLE_BYTES
+    preamble = max(image.base, loop.head - _PREAMBLE_BUNDLES * BUNDLE_BYTES)
+    for _, bundle in image.bundles_in(preamble, loop.head - BUNDLE_BYTES):
+        for instr in bundle.slots:
+            if instr.op is Op.ADDI and instr.imm > 0:
+                derived.setdefault(instr.r1, set()).add(instr.r2)
 
     rotating_queue = any(reg >= _ROT_BASE for reg in lfetch_regs)
     if rotating_queue:

@@ -20,17 +20,12 @@ from ...isa.instructions import Instruction, Op, nop
 __all__ = ["make_noprefetch_rewrite"]
 
 
-def make_noprefetch_rewrite(
-    sites: set[tuple[int, int]] | None = None,
-) -> Callable[[Instruction], Instruction | None]:
-    """Build a rewrite turning lfetch into nop.
+def make_noprefetch_rewrite() -> Callable[[Instruction], Instruction | None]:
+    """Build a rewrite turning every lfetch of the trace into a nop.
 
-    ``sites`` optionally restricts the rewrite to specific
-    (bundle address, slot) locations; ``None`` rewrites every lfetch in
-    the trace (the loop was already selected by the profile, so all of
-    its prefetches are implicated).
+    Selection happens at loop granularity (paper §4): the loop was
+    picked by the profile, so all of its prefetches are implicated.
     """
-    del sites  # site-level selection happens at loop granularity (paper §4)
 
     def rewrite(instr: Instruction) -> Instruction | None:
         if instr.op is Op.LFETCH:

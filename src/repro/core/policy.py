@@ -19,14 +19,23 @@ loop, which is the selectivity that protects useful prefetches.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from ..config import CobraConfig
 from .tracesel import LoopTrace
 
-__all__ = ["Decision", "decide", "proven_decisions", "STRATEGIES"]
+__all__ = ["Decision", "decide", "proven_decisions", "STRATEGIES", "EVIDENCE"]
 
 STRATEGIES = ("noprefetch", "excl", "adaptive")
+
+#: What the profile database keeps per (loop, optimization) decision, and
+#: how two sightings combine: the proven/rolled-back run counts add, the
+#: loop's geometry (two :attr:`~repro.core.tracecache.Deployment.RECORD`
+#: fields) keeps its largest value.  All are non-negative integers.
+EVIDENCE = dict(
+    proven=operator.add, rolled_back=operator.add, back_branch=max, hotness=max
+)
 
 
 @dataclass(frozen=True)
@@ -87,35 +96,28 @@ def decide(
     )
 
 
-def proven_decisions(entry: dict, strategy: str) -> list[tuple[int, str, dict]]:
-    """Best proven optimization per loop from a profile-DB entry.
+def proven_decisions(entry: dict, strategy: str) -> list[dict]:
+    """Best proven optimization per loop from a (validated) profile-DB entry.
 
     ``entry["decisions"]`` maps loop head -> optimization -> evidence
     (``proven``/``rolled_back`` counts plus loop geometry).  Only
     optimizations with positive net evidence qualify, filtered to what
     ``strategy`` is allowed to deploy; ties break deterministically on
     (net evidence, hotness, optimization name) so the same entry always
-    seeds the same deployments.  Returns ``(head, optimization,
-    record)`` tuples in ascending head order.
+    seeds the same deployments.  Returns one go-live record per loop —
+    the evidence plus ``head`` and ``optimization`` — in ascending head
+    order.
     """
-    out: list[tuple[int, str, dict]] = []
-    for head_str, opts in sorted(
-        entry.get("decisions", {}).items(), key=lambda kv: int(kv[0])
-    ):
-        if not isinstance(opts, dict):
-            continue
-        best: tuple[tuple[int, int, str], str, dict] | None = None
-        for optimization, rec in sorted(opts.items()):
-            if strategy not in ("adaptive", optimization):
-                continue
-            if not isinstance(rec, dict):
-                continue
-            net = int(rec.get("proven", 0)) - int(rec.get("rolled_back", 0))
-            if net <= 0:
-                continue
-            score = (net, int(rec.get("hotness", 0)), optimization)
-            if best is None or score > best[0]:
-                best = (score, optimization, rec)
-        if best is not None:
-            out.append((int(head_str), best[1], best[2]))
+    out: list[dict] = []
+    for head, opts in sorted(entry["decisions"].items(), key=lambda kv: int(kv[0])):
+        net, _, optimization = max(
+            (
+                (rec["proven"] - rec["rolled_back"], rec["hotness"], optimization)
+                for optimization, rec in opts.items()
+                if strategy in ("adaptive", optimization)
+            ),
+            default=(0, 0, None),
+        )
+        if net > 0:
+            out.append({**opts[optimization], "head": int(head), "optimization": optimization})
     return out

@@ -25,7 +25,9 @@ perturb at most the sampling density, never the decision inputs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import operator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from ..config import CobraConfig
 from ..errors import ProfileStateError
@@ -37,7 +39,156 @@ from .monitor import MonitoringThread
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
 
-__all__ = ["SystemProfiler"]
+__all__ = ["SystemProfiler", "STATE", "COUNT", "Leaf", "Record", "Map"]
+
+
+# -- the persisted shape ------------------------------------------------------
+#
+# A profile leaves the process as JSON (checkpoint windows, profile-
+# database entries, fleet frames) and comes back as untrusted input.  Its
+# shape is written once, as a tree of the node kinds below, and every
+# keeper walks that tree: ``load`` validates a JSON value and returns its
+# live form (raising :class:`~repro.errors.ProfileStateError` naming the
+# path of the first problem); ``merge`` folds two valid JSON values into
+# one, in canonical order (the profile database).
+
+
+def _fail(path: str, message: str) -> ProfileStateError:
+    return ProfileStateError(message, path=path)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """A scalar: ``legal(value)`` is the whole check."""
+
+    legal: Callable[[object], bool]
+    what: str  # completes "expected ..."
+    merge: Callable = operator.add
+
+    def load(self, value: object, path: str) -> object:
+        if not self.legal(value):
+            raise _fail(path, f"expected {self.what}, got {value!r}")
+        return value
+
+
+INT = Leaf(_is_int, "an integer")
+COUNT = Leaf(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+#: bus/coherent deltas decay by a float factor each window, so an
+#: exported snapshot legitimately holds either type
+NUM = Leaf(lambda v: _is_int(v) or isinstance(v, float), "a number")
+
+
+class IntSet:
+    """A sorted JSON list of integers; live form ``set``, merge = union."""
+
+    def load(self, value: object, path: str) -> set[int]:
+        if not isinstance(value, list):
+            raise _fail(path, f"expected a list, got {type(value).__name__}")
+        return {INT.load(v, f"{path}[{i}]") for i, v in enumerate(value)}
+
+    def merge(self, a: list, b: list) -> list:
+        return sorted({*a, *b})
+
+
+class Record:
+    """A JSON object with exactly these fields, in this order."""
+
+    def __init__(self, **fields) -> None:
+        self.fields = fields
+
+    def load(self, value: object, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise _fail(path, f"expected an object, got {type(value).__name__}")
+        live = {}
+        for name, node in self.fields.items():
+            if name not in value:
+                raise _fail(f"{path}.{name}", "missing key")
+            # fields of the state itself are named bare: "btb[0]"
+            where = name if path == "state" else f"{path}.{name}"
+            live[name] = node.load(value[name], where)
+        return live
+
+    def merge(self, a: dict, b: dict) -> dict:
+        return {name: node.merge(a[name], b[name]) for name, node in self.fields.items()}
+
+
+class Map:
+    """A JSON object whose keys parse with ``key`` and sort by it."""
+
+    def __init__(self, key: Callable, item, what: str = "") -> None:
+        self.key, self.item, self.what = key, item, what
+
+    def load(self, value: object, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise _fail(path, "expected an object")
+        live = {}
+        for raw, item in value.items():
+            where = f"{path}[{raw}]"
+            try:
+                key = self.key(raw)
+            except (TypeError, ValueError):
+                raise _fail(where, f"non-integer {self.what} key {raw!r}") from None
+            live[key] = self.item.load(item, where)
+        return live
+
+    def merge(self, a: dict, b: dict) -> dict:
+        # an item only one side holds is that side's, as it stands
+        return {
+            key: self.item.merge(a[key], b[key]) if key in a and key in b
+            else a.get(key, b.get(key))
+            for key in sorted({*a, *b}, key=self.key)
+        }
+
+
+class Counts:
+    """A JSON list of ``[*key, count]`` integer rows; live ``{key: count}``."""
+
+    def __init__(self, *columns: str) -> None:
+        self.columns = columns
+
+    def load(self, value: object, path: str) -> dict:
+        if not isinstance(value, list):
+            raise _fail(path, "expected a list")
+        live = {}
+        for i, row in enumerate(value):
+            if not isinstance(row, list) or len(row) != len(self.columns):
+                raise _fail(
+                    f"{path}[{i}]",
+                    f"expected [{', '.join(self.columns)}], got {row!r}",
+                )
+            *key, count = (INT.load(v, f"{path}[{i}][{j}]") for j, v in enumerate(row))
+            live[tuple(key)] = count
+        return live
+
+    def merge(self, a: list, b: list) -> list:
+        total: dict[tuple, int] = {}
+        for *key, count in (*a, *b):
+            total[tuple(key)] = total.get(tuple(key), 0) + count
+        return [[*key, count] for key, count in sorted(total.items())]
+
+
+#: One miss site (the fields of :class:`~repro.core.filters.MissStats`).
+MISS = Record(
+    samples=INT, coherent=INT, total_latency=INT, lines=IntSet(), threads=IntSet()
+)
+
+#: :meth:`SystemProfiler.export_state`'s output.  Only aggregates: the
+#: per-perfmon-session ordering state (``_last_meta``/``_last_counters``)
+#: is left out — sample indices and PMD snapshots restart with each
+#: process, so that state is meaningless across a restart.
+STATE = Record(
+    misses=Record(by_pc=Map(int, MISS, "pc"), total_events=INT, total_coherent=INT),
+    btb=Counts("branch", "target", "count"),
+    samples_seen=INT,
+    quarantined=Map(str, INT),
+    quarantined_total=INT,
+    bus_delta=NUM,
+    coherent_delta=NUM,
+)
 
 
 class SystemProfiler:
@@ -146,24 +297,16 @@ class SystemProfiler:
     # -- persistence (repro.persist) -------------------------------------------
 
     def export_state(self) -> dict:
-        """JSON-serializable snapshot of the aggregate profile.
-
-        Only aggregates are exported.  The per-perfmon-session ordering
-        state (``_last_meta``/``_last_counters``) is deliberately left
-        out: sample indices and PMD snapshots restart with each process,
-        so that state is meaningless across a restart.
-        """
+        """JSON-serializable snapshot of the aggregate profile (:data:`STATE`)."""
         return {
             "misses": {
                 "by_pc": {
                     str(pc): {
-                        "samples": s.samples,
-                        "coherent": s.coherent,
-                        "total_latency": s.total_latency,
-                        "lines": sorted(s.lines),
-                        "threads": sorted(s.threads),
+                        name: sorted(value) if isinstance(value, set) else value
+                        for name in MISS.fields
+                        for value in (getattr(stats, name),)
                     }
-                    for pc, s in sorted(self.misses.by_pc.items())
+                    for pc, stats in sorted(self.misses.by_pc.items())
                 },
                 "total_events": self.misses.total_events,
                 "total_coherent": self.misses.total_coherent,
@@ -179,109 +322,30 @@ class SystemProfiler:
     def restore_state(self, state: dict) -> None:
         """Warm-restart the aggregates from :meth:`export_state` output.
 
-        Validate-then-commit: the whole state is checked and rebuilt
-        into fresh structures before any live field is assigned, and a
-        structural problem anywhere raises
+        Validate-then-commit: :data:`STATE` checks the whole state and
+        rebuilds it into fresh structures before any live field is
+        assigned, and a structural problem anywhere raises
         :class:`~repro.errors.ProfileStateError` — a torn or
-        schema-drifted profile can never half-warm-start the optimizer
-        (an earlier version ``.get()``-defaulted missing keys and would
-        happily restore half a profile).
+        schema-drifted profile can never half-warm-start the optimizer.
 
         The ordering/delta state stays reset: restoring last-seen sample
         indices would quarantine every fresh sample of the new session
         as ``stale-index``, and a stale counter snapshot would turn the
         first delta into wraparound garbage.
         """
-
-        def fail(path: str, message: str) -> "ProfileStateError":
-            return ProfileStateError(message, path=path)
-
-        def need(mapping: object, key: str, path: str) -> object:
-            if not isinstance(mapping, dict):
-                raise fail(path, f"expected an object, got {type(mapping).__name__}")
-            if key not in mapping:
-                raise fail(f"{path}.{key}", "missing key")
-            return mapping[key]
-
-        def as_int(value: object, path: str) -> int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise fail(path, f"expected an integer, got {value!r}")
-            return value
-
-        def as_num(value: object, path: str) -> "int | float":
-            # bus/coherent deltas decay by a float factor each window,
-            # so an exported snapshot legitimately holds either type
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise fail(path, f"expected a number, got {value!r}")
-            return value
-
-        def as_int_list(value: object, path: str) -> list[int]:
-            if not isinstance(value, list):
-                raise fail(path, f"expected a list, got {type(value).__name__}")
-            return [as_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-        if not isinstance(state, dict):
-            raise fail("state", f"expected an object, got {type(state).__name__}")
-
-        misses = need(state, "misses", "state")
-        by_pc_raw = need(misses, "by_pc", "misses")
-        if not isinstance(by_pc_raw, dict):
-            raise fail("misses.by_pc", "expected an object")
-        by_pc: dict[int, MissStats] = {}
-        for pc_str, s in by_pc_raw.items():
-            path = f"misses.by_pc[{pc_str}]"
-            try:
-                pc = int(pc_str)
-            except (TypeError, ValueError):
-                raise fail(path, f"non-integer pc key {pc_str!r}") from None
-            by_pc[pc] = MissStats(
-                pc=pc,
-                samples=as_int(need(s, "samples", path), f"{path}.samples"),
-                coherent=as_int(need(s, "coherent", path), f"{path}.coherent"),
-                total_latency=as_int(
-                    need(s, "total_latency", path), f"{path}.total_latency"
-                ),
-                lines=set(as_int_list(need(s, "lines", path), f"{path}.lines")),
-                threads=set(as_int_list(need(s, "threads", path), f"{path}.threads")),
-            )
-        total_events = as_int(need(misses, "total_events", "misses"), "misses.total_events")
-        total_coherent = as_int(
-            need(misses, "total_coherent", "misses"), "misses.total_coherent"
-        )
-
-        btb_raw = need(state, "btb", "state")
-        if not isinstance(btb_raw, list):
-            raise fail("btb", "expected a list")
-        btb_pairs: dict[tuple[int, int], int] = {}
-        for i, row in enumerate(btb_raw):
-            if not isinstance(row, list) or len(row) != 3:
-                raise fail(f"btb[{i}]", f"expected [branch, target, count], got {row!r}")
-            b, t, c = (as_int(v, f"btb[{i}][{j}]") for j, v in enumerate(row))
-            btb_pairs[(b, t)] = c
-
-        samples_seen = as_int(need(state, "samples_seen", "state"), "samples_seen")
-        quarantined_raw = need(state, "quarantined", "state")
-        if not isinstance(quarantined_raw, dict):
-            raise fail("quarantined", "expected an object")
-        quarantined = {
-            str(k): as_int(v, f"quarantined[{k}]") for k, v in quarantined_raw.items()
+        live = STATE.load(state, "state")
+        misses = live["misses"]
+        self.misses.by_pc = {
+            pc: MissStats(pc, **fields) for pc, fields in misses["by_pc"].items()
         }
-        quarantined_total = as_int(
-            need(state, "quarantined_total", "state"), "quarantined_total"
-        )
-        bus_delta = as_num(need(state, "bus_delta", "state"), "bus_delta")
-        coherent_delta = as_num(need(state, "coherent_delta", "state"), "coherent_delta")
-
-        # every field validated: commit atomically
-        self.misses.by_pc = by_pc
-        self.misses.total_events = total_events
-        self.misses.total_coherent = total_coherent
-        self.btb_pairs = btb_pairs
-        self.samples_seen = samples_seen
-        self.quarantined = quarantined
-        self.quarantined_total = quarantined_total
-        self._bus_delta = bus_delta
-        self._coherent_delta = coherent_delta
+        self.misses.total_events = misses["total_events"]
+        self.misses.total_coherent = misses["total_coherent"]
+        self.btb_pairs = live["btb"]
+        self.samples_seen = live["samples_seen"]
+        self.quarantined = live["quarantined"]
+        self.quarantined_total = live["quarantined_total"]
+        self._bus_delta = live["bus_delta"]
+        self._coherent_delta = live["coherent_delta"]
         self._last_counters = {}
         self._last_meta = {}
 

@@ -37,8 +37,8 @@ never race each other into an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 from ..errors import TraceCacheError
 from ..isa.binary import BinaryImage, Patch
@@ -58,6 +58,11 @@ TRACE_BASE = 0x5000_0000
 UNTOUCHED = "untouched"
 
 
+def _branch_to(target: int) -> Bundle:
+    """The one-bundle unconditional branch (head redirect, trace exit)."""
+    return Bundle([nop("M"), nop("I"), Instruction(Op.BR, imm=target, unit="B")])
+
+
 @dataclass
 class Deployment:
     """One deployed optimized trace."""
@@ -68,6 +73,27 @@ class Deployment:
     head_patch: Patch           # journal entry for the redirection patch
     n_rewrites: int
     active: bool = True
+
+    #: "What was deployed", spelt once (field -> type): the checkpoint
+    #: state's ``deployments``, the journal's ``txn`` records, the warm
+    #: redeploy loop and the profile database's loop geometry all carry
+    #: these fields under these names.
+    RECORD: ClassVar[dict[str, type]] = {
+        "head": int, "back_branch": int, "hotness": int,
+        "optimization": str, "n_rewrites": int,
+    }
+
+    def record(self) -> dict:
+        loop = self.loop
+        values = (loop.head, loop.back_branch, loop.hotness, self.optimization, self.n_rewrites)
+        return dict(zip(self.RECORD, values))
+
+    @staticmethod
+    def loop_of(record: dict, image: BinaryImage) -> LoopTrace:
+        """The loop a record names, re-read from ``image``."""
+        return LoopTrace.scan(
+            image, int(record["head"]), int(record["back_branch"]), int(record["hotness"])
+        )
 
 
 @dataclass
@@ -99,15 +125,11 @@ class VersionSet:
     """
 
     loop: LoopTrace
-    versions: dict = None       # optimization -> TraceVersion
+    versions: dict = field(default_factory=dict)  # optimization -> TraceVersion
     active: str = UNTOUCHED
     ever_active: bool = False
     flips: int = 0
     reuses: int = 0
-
-    def __post_init__(self) -> None:
-        if self.versions is None:
-            self.versions = {}
 
 
 class TraceCache:
@@ -160,20 +182,12 @@ class TraceCache:
             if vs.active != UNTOUCHED and vs.active in vs.versions
         )
 
-    def is_deployed(self, head: int) -> bool:
-        return any(d.active and d.loop.head == head for d in self.deployments)
-
     def active_deployment(self, head: int) -> Deployment | None:
         """The live deployment for ``head``, or ``None``."""
         for d in self.deployments:
             if d.active and d.loop.head == head:
                 return d
         return None
-
-    def active_optimization(self, head: int) -> str | None:
-        """Which optimization is live for ``head`` (``None`` = untouched)."""
-        d = self.active_deployment(head)
-        return d.optimization if d is not None else None
 
     def version_report(self) -> list[dict]:
         """Per-loop resident versions, active one, and flip counts."""
@@ -264,25 +278,22 @@ class TraceCache:
                 f"trace cache full ({self.used_bundles}/{self.capacity} bundles; "
                 "injected exhaustion)"
             )
-        if self.governor is not None:
-            needed = loop.n_bundles + 1  # + exit branch bundle
-            if not self.governor.admit_deploy(self.active_bundles, needed):
-                self.governor.note_refused(loop.head, needed)
-                raise TraceCacheError(
-                    f"deploy of loop {loop.head:#x} refused: live trace usage "
-                    f"{self.active_bundles}+{needed} exceeds governed headroom "
-                    f"(budget {self.governor.trace_budget})"
-                )
+        n_bundles = loop.n_bundles + 1  # + exit branch bundle
+        if self.governor is not None and not self.governor.admit_deploy(
+            self.active_bundles, n_bundles
+        ):
+            self.governor.note_refused(loop.head, n_bundles)
+            raise TraceCacheError(
+                f"deploy of loop {loop.head:#x} refused: live trace usage "
+                f"{self.active_bundles}+{n_bundles} exceeds governed headroom "
+                f"(budget {self.governor.trace_budget})"
+            )
+        # multi-version dispatch: while a structurally fresh copy of this
+        # loop under this optimization is still resident, only the head
+        # redirect needs to be (re)written
         resident = self._fresh_resident(program, loop, optimization, fault)
         built_fresh = resident is None
-        if resident is not None:
-            # multi-version dispatch: a structurally fresh copy of this
-            # loop under this optimization is still resident — only the
-            # head redirect needs to be (re)written
-            entry = resident.entry
-            n_rewrites = resident.n_rewrites
-        else:
-            n_bundles = loop.n_bundles + 1  # + exit branch bundle
+        if built_fresh:
             budget = self.capacity
             if self.governor is not None:
                 budget = min(budget, self.governor.trace_budget)
@@ -304,12 +315,9 @@ class TraceCache:
             offset = entry - loop.head
             lo, hi = loop.head, loop.end_bundle
             n_rewrites = 0
-            source: list[Bundle] = []
+            source = tuple(bundle for _, bundle in loop.bundles(program))
 
-            addr = lo
-            while addr <= hi:
-                bundle = program.fetch_bundle(addr)
-                source.append(bundle)
+            for bundle in source:
                 new_slots = []
                 for instr in bundle.slots:
                     replacement = rewrite(instr)
@@ -321,13 +329,9 @@ class TraceCache:
                         instr = instr.clone(imm=instr.imm + offset)
                     new_slots.append(instr)
                 self.image.append(Bundle(new_slots, bundle.template))
-                addr += BUNDLE_BYTES
 
             # exit branch: fall-through out of the loop returns to the program
-            exit_target = hi + BUNDLE_BYTES
-            self.image.append(
-                Bundle([nop("M"), nop("I"), Instruction(Op.BR, imm=exit_target, unit="B")])
-            )
+            self.image.append(_branch_to(hi + BUNDLE_BYTES))
 
             if fault is not None and fault.kind == "stale_image":
                 # the program image moved on while the trace was being
@@ -348,14 +352,11 @@ class TraceCache:
                     f"image version changed during deployment of loop {loop.head:#x} "
                     "(stale trace discarded)"
                 )
-            resident = TraceVersion(
-                optimization, entry, n_rewrites, n_bundles, tuple(source)
-            )
+            resident = TraceVersion(optimization, entry, n_rewrites, n_bundles, source)
 
         # atomic redirection: one bundle replaced by a branch to the trace
-        redirect = Bundle(
-            [nop("M"), nop("I"), Instruction(Op.BR, imm=entry, unit="B")]
-        )
+        entry = resident.entry
+        redirect = _branch_to(entry)
         written = redirect
         if fault is not None and fault.kind == "torn_patch":
             written = self._tear(program.fetch_bundle(loop.head), redirect, entry)
@@ -385,16 +386,13 @@ class TraceCache:
                 f"torn redirect write at {loop.head:#x} detected and reverted"
             )
 
-        deployment = Deployment(loop, entry, optimization, head_patch, n_rewrites)
+        deployment = Deployment(loop, entry, optimization, head_patch, resident.n_rewrites)
         self.deployments.append(deployment)
         self._activate(loop, resident, built_fresh)
         if self.persist is not None:
             # journaled only after the verify-after-write passed: the
             # WAL records committed transactions, not attempts
-            self.persist.log_txn(
-                "deploy", loop.head, loop.back_branch, loop.hotness,
-                optimization, n_rewrites,
-            )
+            self.persist.log_txn("deploy", **deployment.record())
         return deployment
 
     def _fresh_resident(
@@ -432,17 +430,7 @@ class TraceCache:
                 f"image version changed during redeployment of loop {loop.head:#x} "
                 "(attempt refused, resident trace kept)"
             )
-        addr, i = loop.head, 0
-        while addr <= loop.end_bundle:
-            if i >= len(version.source) or program.bundles.get(addr) != version.source[i]:
-                del vs.versions[optimization]
-                self.recovery_log.append(
-                    f"stale: resident {optimization} trace for loop {loop.head:#x} rebuilt"
-                )
-                return None
-            addr += BUNDLE_BYTES
-            i += 1
-        if i != len(version.source):
+        if tuple(bundle for _, bundle in loop.bundles(program)) != version.source:
             del vs.versions[optimization]
             self.recovery_log.append(
                 f"stale: resident {optimization} trace for loop {loop.head:#x} rebuilt"
@@ -504,9 +492,5 @@ class TraceCache:
             vs.flips += 1
             vs.active = UNTOUCHED
         if self.persist is not None:
-            self.persist.log_txn(
-                "rollback", deployment.loop.head, deployment.loop.back_branch,
-                deployment.loop.hotness, deployment.optimization,
-                deployment.n_rewrites,
-            )
+            self.persist.log_txn("rollback", **deployment.record())
         return True

@@ -15,8 +15,10 @@ working on opaque binaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..isa.binary import BinaryImage, pc_bundle
+from ..isa.bundle import BUNDLE_BYTES, Bundle
 from ..isa.instructions import Op
 from .filters import MissStats
 from .profiler import SystemProfiler
@@ -34,13 +36,35 @@ class LoopTrace:
     lfetch_sites: list[tuple[int, int]] = field(default_factory=list)
     misses: list[MissStats] = field(default_factory=list)
 
+    @classmethod
+    def scan(
+        cls, image: BinaryImage, head: int, back_branch: int, hotness: int
+    ) -> "LoopTrace":
+        """The loop ``[head, back_branch]`` with its lfetch sites read from ``image``.
+
+        Every trace is made here: a candidate off the BTB profile and a
+        loop named by a checkpoint or profile-database record alike.
+        """
+        trace = cls(head, back_branch, hotness)
+        trace.lfetch_sites = [
+            (addr, slot)
+            for addr, bundle in trace.bundles(image)
+            for slot, instr in enumerate(bundle.slots)
+            if instr.op is Op.LFETCH
+        ]
+        return trace
+
     @property
     def end_bundle(self) -> int:
         return pc_bundle(self.back_branch)
 
     @property
     def n_bundles(self) -> int:
-        return (self.end_bundle - self.head) // 16 + 1
+        return (self.end_bundle - self.head) // BUNDLE_BYTES + 1
+
+    def bundles(self, image: BinaryImage) -> Iterator[tuple[int, Bundle]]:
+        """``(address, bundle)`` over the loop's range of ``image``."""
+        return image.bundles_in(self.head, self.end_bundle)
 
     def sample_count(self) -> int:
         return sum(m.samples for m in self.misses)
@@ -54,20 +78,6 @@ class LoopTrace:
 
     def contains(self, pc: int) -> bool:
         return self.head <= pc <= self.back_branch
-
-
-def _scan_lfetch(image: BinaryImage, head: int, end_bundle: int) -> list[tuple[int, int]]:
-    """All (bundle, slot) lfetch sites in the loop's address range."""
-    sites = []
-    addr = head
-    while addr <= end_bundle:
-        bundle = image.bundles.get(addr)
-        if bundle is not None:
-            for slot, instr in enumerate(bundle.slots):
-                if instr.op is Op.LFETCH:
-                    sites.append((addr, slot))
-        addr += 16
-    return sites
 
 
 def select_loop_traces(
@@ -88,7 +98,7 @@ def select_loop_traces(
         end = pc_bundle(branch)
         if head not in image.bundles or end not in image.bundles:
             continue  # stale BTB entry from another image (e.g. trace cache)
-        if (end - head) // 16 + 1 > max_bundles:
+        if (end - head) // BUNDLE_BYTES + 1 > max_bundles:
             continue
         # calls and returns also appear as "backward taken branches" in
         # the BTB; COBRA inspects the binary to keep only loop-closing
@@ -96,9 +106,7 @@ def select_loop_traces(
         closer = image.bundles[end].slots[branch & 0xF]
         if closer.op in (Op.BR_CALL, Op.BR_RET):
             continue
-        trace = LoopTrace(head=head, back_branch=branch, hotness=count)
-        trace.lfetch_sites = _scan_lfetch(image, head, trace.end_bundle)
-        traces.append(trace)
+        traces.append(LoopTrace.scan(image, head, branch, count))
         if len(traces) >= max_loops:
             break
 

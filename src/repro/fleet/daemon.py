@@ -39,7 +39,6 @@ invisible to agents beyond latency.
 from __future__ import annotations
 
 import copy
-import math
 from bisect import bisect_left, insort
 from collections import Counter
 from types import SimpleNamespace
@@ -51,7 +50,7 @@ from ..persist.journal import (
     canonical_json as _dumps,
     scan_journal,
 )
-from ..persist.profiledb import empty_entry, merge_entries
+from ..persist.profiledb import empty_entry, entry_anomaly, merge_entries
 from ..persist.snapshot import SnapshotStore
 from .wire import decode_frame
 
@@ -60,9 +59,6 @@ __all__ = ["FLEET_JOURNAL", "FleetDaemon", "SeenSet"]
 #: Journal file name inside the daemon's disk namespace (kept distinct
 #: from the per-run checkpoint journal so one disk can host both).
 FLEET_JOURNAL = "fleet.wal"
-
-_ENTRY_COUNTS = ("runs", "cpi_count", "flips")
-_DECISION_FIELDS = ("proven", "rolled_back", "back_branch", "hotness")
 
 
 class _Members:
@@ -329,7 +325,7 @@ class FleetDaemon:
 
     def _handle_profile(self, frame: dict, instance: str, seq: int, key: str) -> dict:
         entry = frame.get("entry")
-        reason = self._entry_anomaly(entry)
+        reason = entry_anomaly(entry)
         if reason is not None:
             return self._quarantine(instance, reason)
         digest = frame.get("digest")
@@ -460,54 +456,6 @@ class FleetDaemon:
         for inst in sorted(slot):
             if inst not in self.quarantined and slot[inst] != consensus:
                 self._quarantine(inst, "digest-divergence vs fleet consensus")
-
-    def _entry_anomaly(self, entry: object) -> str | None:
-        """Structural validation of a pushed profile entry."""
-        if not isinstance(entry, dict):
-            return "entry-type"
-        for name in _ENTRY_COUNTS:
-            value = entry.get(name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                return f"entry-{name}-range"
-        cpi_total = entry.get("cpi_total")
-        if (
-            not isinstance(cpi_total, (int, float))
-            or isinstance(cpi_total, bool)
-            or not math.isfinite(cpi_total)
-            or cpi_total < 0
-        ):
-            return "entry-cpi_total-range"
-        decisions = entry.get("decisions")
-        if not isinstance(decisions, dict):
-            return "entry-decisions-type"
-        for opts in decisions.values():
-            if not isinstance(opts, dict):
-                return "entry-decisions-type"
-            for rec in opts.values():
-                if not isinstance(rec, dict):
-                    return "entry-decisions-type"
-                for field in _DECISION_FIELDS:
-                    value = rec.get(field)
-                    if (
-                        not isinstance(value, int)
-                        or isinstance(value, bool)
-                        or value < 0
-                    ):
-                        return f"entry-decision-{field}-range"
-        profiler = entry.get("profiler")
-        if profiler is not None:
-            # same validate-then-commit restore the agent itself would
-            # run on this state; a scratch profiler keeps it side-effect
-            # free on the daemon
-            from ..config import CobraConfig
-            from ..core.profiler import SystemProfiler
-            from ..errors import ProfileStateError
-
-            try:
-                SystemProfiler(CobraConfig()).restore_state(profiler)
-            except ProfileStateError as exc:
-                return f"entry-profiler: {exc}"
-        return None
 
     # -- decision publishing -----------------------------------------------
 

@@ -188,6 +188,13 @@ class BinaryImage:
     def iter_bundles(self) -> Iterator[tuple[int, Bundle]]:
         return iter(sorted(self.bundles.items()))
 
+    def bundles_in(self, lo: int, hi: int) -> Iterator[tuple[int, Bundle]]:
+        """``(address, bundle)`` of every bundle present in ``[lo, hi]``, ascending."""
+        for addr in range(lo, hi + 1, BUNDLE_BYTES):
+            bundle = self.bundles.get(addr)
+            if bundle is not None:
+                yield addr, bundle
+
     # -- runtime patching (COBRA deployment path) ----------------------------
 
     def patch_slot(self, addr: int, slot: int, instr: Instruction, reason: str = "") -> None:

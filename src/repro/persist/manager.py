@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..config import PersistConfig
+from ..core.tracecache import Deployment
 from ..errors import SimulatedCrash
 from .journal import JOURNAL_NAME, Disk, FileDisk, JournalWriter
 from .recover import RecoveredState, recover, repair
@@ -143,18 +144,10 @@ class PersistenceManager:
         optimization: str,
         n_rewrites: int,
     ) -> None:
-        """A trace-cache deploy/rollback committed: journal the delta."""
-        self._append(
-            "txn",
-            {
-                "op": op,
-                "head": head,
-                "back_branch": back_branch,
-                "hotness": hotness,
-                "optimization": optimization,
-                "n_rewrites": n_rewrites,
-            },
-        )
+        """A trace-cache deploy/rollback committed: journal the delta
+        (``op`` + a :attr:`~repro.core.tracecache.Deployment.RECORD`)."""
+        values = (head, back_branch, hotness, optimization, n_rewrites)
+        self._append("txn", {"op": op, **dict(zip(Deployment.RECORD, values))})
 
     def log_decision(self, event: list) -> None:
         """One optimizer event (deploy/rollback/skip/recover/degrade)."""

@@ -36,9 +36,13 @@ ramp), never what the program computes.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
+from ..core.policy import EVIDENCE
+from ..core.profiler import COUNT, STATE, Leaf, Map, Record
+from ..errors import ProfileStateError
 from ..isa.binary import BinaryImage
 from .journal import Disk, FileDisk
 from .snapshot import decode_snapshot, encode_snapshot
@@ -53,6 +57,7 @@ __all__ = [
     "profile_key",
     "merge_entries",
     "empty_entry",
+    "entry_anomaly",
 ]
 
 #: Default file name inside the backing disk.
@@ -102,6 +107,24 @@ def profile_key(image: BinaryImage, machine_config, strategy: str) -> str:
 # -- entries ------------------------------------------------------------------
 
 
+#: An entry's scalars: name -> legal-value test.  Every one merges by
+#: addition; ``profiler`` (a :data:`~repro.core.profiler.STATE` or
+#: ``None``), ``decisions`` and ``jit_trees`` are the other three keys.
+_SCALARS = {
+    "runs": COUNT.legal,
+    "cpi_total": lambda v: COUNT.legal(v)
+    or (isinstance(v, float) and math.isfinite(v) and v >= 0),
+    "cpi_count": COUNT.legal,
+    "flips": COUNT.legal,
+}
+
+#: ``decisions``: loop head -> optimization -> evidence
+_DECISIONS = Map(
+    int,
+    Map(str, Record(**{f: Leaf(COUNT.legal, COUNT.what, fn) for f, fn in EVIDENCE.items()})),
+)
+
+
 def empty_entry() -> dict:
     """A zero entry (the merge identity)."""
     return {
@@ -115,81 +138,37 @@ def empty_entry() -> dict:
     }
 
 
-def _merge_profilers(a: dict | None, b: dict | None) -> dict | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    by_pc: dict[str, dict] = {}
-    for prof in (a, b):
-        for pc, s in prof["misses"]["by_pc"].items():
-            cur = by_pc.get(pc)
-            if cur is None:
-                by_pc[pc] = {
-                    "samples": s["samples"],
-                    "coherent": s["coherent"],
-                    "total_latency": s["total_latency"],
-                    "lines": sorted(s["lines"]),
-                    "threads": sorted(s["threads"]),
-                }
-            else:
-                cur["samples"] += s["samples"]
-                cur["coherent"] += s["coherent"]
-                cur["total_latency"] += s["total_latency"]
-                cur["lines"] = sorted(set(cur["lines"]) | set(s["lines"]))
-                cur["threads"] = sorted(set(cur["threads"]) | set(s["threads"]))
-    btb: dict[tuple[int, int], int] = {}
-    for prof in (a, b):
-        for branch, target, count in prof["btb"]:
-            btb[(branch, target)] = btb.get((branch, target), 0) + count
-    return {
-        "misses": {
-            "by_pc": {pc: by_pc[pc] for pc in sorted(by_pc, key=int)},
-            "total_events": a["misses"]["total_events"] + b["misses"]["total_events"],
-            "total_coherent": (
-                a["misses"]["total_coherent"] + b["misses"]["total_coherent"]
-            ),
-        },
-        "btb": [[bt[0], bt[1], c] for bt, c in sorted(btb.items())],
-        "samples_seen": a["samples_seen"] + b["samples_seen"],
-        # quarantine counters are per-session noise, not profile signal;
-        # a seeded run must start with a clean quarantine ledger
-        "quarantined": {},
-        "quarantined_total": 0,
-        "bus_delta": a["bus_delta"] + b["bus_delta"],
-        "coherent_delta": a["coherent_delta"] + b["coherent_delta"],
-    }
+def entry_anomaly(entry: object) -> str | None:
+    """Why ``entry`` is not a sound profile entry, or ``None``.
 
-
-def _canon_decision(rec: dict) -> dict:
-    # rebuild in fixed field order: merged output must be byte-canonical
-    # regardless of the key order either input happened to carry
-    return {
-        "proven": rec["proven"],
-        "rolled_back": rec["rolled_back"],
-        "back_branch": rec["back_branch"],
-        "hotness": rec["hotness"],
-    }
-
-
-def _merge_decisions(a: dict, b: dict) -> dict:
-    out: dict[str, dict] = {}
-    for decisions in (a, b):
-        for head, opts in decisions.items():
-            slot = out.setdefault(head, {})
-            for optimization, rec in opts.items():
-                cur = slot.get(optimization)
-                if cur is None:
-                    slot[optimization] = _canon_decision(rec)
-                else:
-                    cur["proven"] = cur["proven"] + rec["proven"]
-                    cur["rolled_back"] = cur["rolled_back"] + rec["rolled_back"]
-                    cur["back_branch"] = max(cur["back_branch"], rec["back_branch"])
-                    cur["hotness"] = max(cur["hotness"], rec["hotness"])
-    return {
-        head: {opt: out[head][opt] for opt in sorted(out[head])}
-        for head in sorted(out, key=int)
-    }
+    The reason names the field.  It is the fleet daemon's quarantine
+    reason for a pushed entry; a run offered an unsound entry stays
+    cold.
+    """
+    if not isinstance(entry, dict):
+        return "entry-type"
+    for name, legal in _SCALARS.items():
+        if not legal(entry.get(name)):
+            return f"entry-{name}-range"
+    decisions = entry.get("decisions")
+    if not isinstance(decisions, dict) or not all(
+        isinstance(head, str)
+        and head.isdecimal()
+        and isinstance(opts, dict)
+        and all(isinstance(rec, dict) for rec in opts.values())
+        for head, opts in decisions.items()
+    ):
+        return "entry-decisions-type"
+    for field in EVIDENCE:
+        for opts in decisions.values():
+            if not all(COUNT.legal(rec.get(field)) for rec in opts.values()):
+                return f"entry-decision-{field}-range"
+    if entry.get("profiler") is not None:
+        try:
+            STATE.load(entry["profiler"], "state")
+        except ProfileStateError as exc:
+            return f"entry-profiler: {exc}"
+    return None
 
 
 def _merge_trees(a, b) -> list:
@@ -210,21 +189,26 @@ def merge_entries(a: dict, b: dict) -> dict:
     """Merge two entries for the same key.
 
     Pure and commutative/associative: counts and deltas add, line/thread
-    sets union, decision evidence adds per ``(loop, optimization)`` —
-    so N runs folding into the database produce the same entry in any
-    order, and two databases merged either way agree byte-for-byte.
+    sets union, decision evidence combines per ``(loop, optimization)``
+    (:data:`~repro.core.policy.EVIDENCE`) — so N runs folding into the
+    database produce the same entry in any order, and two databases
+    merged either way agree byte-for-byte.
     """
-    return {
-        "runs": a["runs"] + b["runs"],
-        "profiler": _merge_profilers(a.get("profiler"), b.get("profiler")),
-        "cpi_total": a["cpi_total"] + b["cpi_total"],
-        "cpi_count": a["cpi_count"] + b["cpi_count"],
-        "decisions": _merge_decisions(a["decisions"], b["decisions"]),
-        "flips": a["flips"] + b["flips"],
-        # additive schema field: entries written before trace-tree
-        # persistence merge as having no shapes
-        "jit_trees": _merge_trees(a.get("jit_trees"), b.get("jit_trees")),
-    }
+    merged = {name: a[name] + b[name] for name in _SCALARS}
+    pa, pb = a.get("profiler"), b.get("profiler")
+    if pa is None or pb is None:
+        merged["profiler"] = pb if pa is None else pa
+    else:
+        # quarantine counters are per-session noise, not profile signal;
+        # a seeded run must start with a clean quarantine ledger
+        merged["profiler"] = {
+            **STATE.merge(pa, pb), "quarantined": {}, "quarantined_total": 0
+        }
+    merged["decisions"] = _DECISIONS.merge(a["decisions"], b["decisions"])
+    # additive schema field: entries written before trace-tree
+    # persistence merge as having no shapes
+    merged["jit_trees"] = _merge_trees(a.get("jit_trees"), b.get("jit_trees"))
+    return merged
 
 
 # -- the store ----------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.tracecache import Deployment
 from .journal import JOURNAL_NAME, Disk, scan_journal
 from .snapshot import SnapshotStore
 
@@ -33,7 +34,9 @@ __all__ = ["RecoveredState", "recover", "repair", "empty_state"]
 
 
 def empty_state() -> dict:
-    """Control-plane state of a run that has not completed a wake yet."""
+    """Control-plane state of a run that has not completed a wake yet:
+    the keys of :meth:`~repro.core.optimizer.OptimizationThread.
+    export_state`, which a warm start reads a recovered state laid over."""
     return {
         "profiler": None,
         "cpi_history": [],
@@ -76,21 +79,15 @@ class RecoveredState:
 
 
 def _apply_txn(state: dict, record: dict) -> None:
+    """A deploy replaces its loop's deployment record, a rollback drops it."""
+    txn = {
+        name: kind(record.get(name, kind()))
+        for name, kind in Deployment.RECORD.items()
+    }
     deployments: list[dict] = state.setdefault("deployments", [])
-    head = int(record.get("head", -1))
+    deployments[:] = [d for d in deployments if int(d["head"]) != txn["head"]]
     if record.get("op") == "deploy":
-        deployments[:] = [d for d in deployments if int(d["head"]) != head]
-        deployments.append(
-            {
-                "head": head,
-                "back_branch": int(record.get("back_branch", 0)),
-                "hotness": int(record.get("hotness", 0)),
-                "optimization": str(record.get("optimization", "")),
-                "n_rewrites": int(record.get("n_rewrites", 0)),
-            }
-        )
-    else:  # rollback
-        deployments[:] = [d for d in deployments if int(d["head"]) != head]
+        deployments.append(txn)
 
 
 def recover(disk: Disk) -> RecoveredState:

@@ -242,10 +242,7 @@ def _crash_cell(
         digest=obs.digest,
         replayed=stats.records_replayed,
         discarded=discarded,
-        warm_deploys=sum(
-            1 for e in obs.report.events
-            if e.kind == "deploy" and e.reason.startswith("warm restart")
-        ),
+        warm_deploys=sum(e.is_warm_redeploy() for e in obs.report.events),
         accounted=obs.ledger.accounted,
     )
     return replace(obs, extra=(record, failures))

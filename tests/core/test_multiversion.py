@@ -73,7 +73,7 @@ class TestResidentReuse:
         vs = cache.version_sets[loop.head]
         assert sorted(vs.versions) == ["excl", "noprefetch"]
         assert vs.active == "excl"
-        assert cache.active_optimization(loop.head) == "excl"
+        assert cache.active_deployment(loop.head).optimization == "excl"
 
     def test_version_report_shape(self, smp2):
         prog, fn = _program(smp2)

@@ -138,6 +138,18 @@ class TestRestoreState:
             (lambda s: s.update(btb=[[1, 2, "3"]]), "btb"),
             (lambda s: s.update(samples_seen=1.5), "samples_seen"),
             (lambda s: s.update(quarantined=[]), "quarantined"),
+            (lambda s: s.update(misses=[]), "misses"),
+            (lambda s: s["misses"].update(by_pc=[]), "misses.by_pc"),
+            (lambda s: s["misses"]["by_pc"].update({"4096": 7}), "misses.by_pc[4096]"),
+            (
+                lambda s: s["misses"]["by_pc"]["4096"].update(threads=[0, "1"]),
+                "misses.by_pc[4096].threads[1]",
+            ),
+            (lambda s: s["misses"].update(total_events=None), "misses.total_events"),
+            (lambda s: s.update(btb=[[1, 2, True]]), "btb[0][2]"),
+            (lambda s: s.update(btb={}), "btb"),
+            (lambda s: s.update(quarantined={"stale-index": "2"}), "quarantined[stale-index]"),
+            (lambda s: s.update(coherent_delta="3"), "coherent_delta"),
         ],
     )
     def test_structural_damage_raises_with_path(self, mutate, path_fragment):
@@ -146,6 +158,26 @@ class TestRestoreState:
         with pytest.raises(ProfileStateError) as err:
             _profiler().restore_state(state)
         assert path_fragment in str(err.value)
+
+    def test_merge_is_a_walk_of_the_same_shape(self):
+        from repro.core.profiler import STATE
+
+        a, b = _valid_state(), _valid_state()
+        b["misses"]["by_pc"]["4096"].update(samples=1, lines=[2, 9])
+        b["misses"]["by_pc"]["8192"] = dict(b["misses"]["by_pc"]["4096"])
+        b["btb"] = [[4160, 4096, 1], [4200, 4100, 2]]
+        merged = STATE.merge(a, b)
+        assert merged["misses"]["by_pc"]["4096"] == {
+            "samples": 5, "coherent": 4, "total_latency": 1600,
+            "lines": [1, 2, 9], "threads": [0],
+        }
+        assert list(merged["misses"]["by_pc"]) == ["4096", "8192"]
+        assert merged["btb"] == [[4160, 4096, 8], [4200, 4100, 2]]
+        assert merged["bus_delta"] == 20 and list(merged) == list(a)
+        # and what merge writes, restore accepts
+        p = _profiler()
+        p.restore_state(merged)
+        assert p.export_state() == merged
 
     def test_non_dict_state_raises(self):
         with pytest.raises(ProfileStateError):

@@ -114,7 +114,7 @@ class TestDeployment:
         cache.deploy(prog.image, loop, make_noprefetch_rewrite(), "np")
         with pytest.raises(TraceCacheError):
             cache.deploy(prog.image, loop, make_excl_rewrite(), "excl")
-        assert cache.is_deployed(loop.head)
+        assert cache.active_deployment(loop.head) is not None
         assert cache.overlaps_active(loop.head, loop.end_bundle)
 
     def test_capacity_enforced(self, smp2):

@@ -3,6 +3,7 @@ publishing, and crash recovery."""
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -232,6 +233,29 @@ class TestSanitizer:
         entry["profiler"] = {"not": "a profiler"}
         daemon.handle(encode_frame(profile_frame("i0", 0, KEY, DIGEST, entry)))
         assert daemon.quarantined["i0"].startswith("entry-profiler")
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda e: e.update(runs=1.5), "entry-runs-range"),
+            (lambda e: e.update(cpi_total=float("inf")), "entry-cpi_total-range"),
+            (lambda e: e.pop("flips"), "entry-flips-range"),
+            (lambda e: e.update(decisions={"64": []}), "entry-decisions-type"),
+            # a head that is not a decimal string would sink the publish fold
+            (lambda e: e.update(decisions={"x64": {}}), "entry-decisions-type"),
+            (
+                lambda e: e.update(decisions={"64": {"excl": {**DECISIONS["64"]["noprefetch"], "hotness": -1}}}),
+                "entry-decision-hotness-range",
+            ),
+        ],
+    )
+    def test_entry_damage_table(self, damage, reason):
+        daemon = FleetDaemon()
+        entry = _entry(copy.deepcopy(DECISIONS))
+        damage(entry)
+        daemon.handle(encode_frame(profile_frame("i0", 0, KEY, DIGEST, entry)))
+        assert daemon.quarantined["i0"] == reason
+        assert daemon.published_entry(KEY) is None
 
     def test_quarantine_is_sticky(self):
         daemon = FleetDaemon()

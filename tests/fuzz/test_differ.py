@@ -46,11 +46,10 @@ class TestParallelMerge:
         assert seq.to_json() == par.to_json()
 
 
-def _corrupting_rewrite(sites=None):
+def _corrupting_rewrite(program, trace):
     """A broken ``noprefetch`` rewrite: instead of nopping the lfetch it
     stores zero through the prefetch pointer — silent data corruption
     that only the digest comparison can catch."""
-    del sites
 
     def rewrite(instr):
         if instr.op is Op.LFETCH:
@@ -62,9 +61,9 @@ def _corrupting_rewrite(sites=None):
 
 @pytest.fixture
 def planted_bug(monkeypatch):
-    import repro.core.optimizer as optimizer
+    from repro.core.opts import REWRITES
 
-    monkeypatch.setattr(optimizer, "make_noprefetch_rewrite", _corrupting_rewrite)
+    monkeypatch.setitem(REWRITES, "noprefetch", _corrupting_rewrite)
 
 
 class TestPlantedDivergence:

@@ -16,16 +16,20 @@ tests use:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.compiler import StreamLoop, Term
+from repro.bench import matrix_case
 from repro.config import ProfileDBConfig, itanium2_smp
-from repro.core import run_with_cobra
+from repro.core import Cobra, run_with_cobra
+from repro.core.optimizer import REGRESSION
 from repro.cpu import Machine
-from repro.persist import PROFILEDB_NAME, MemoryDisk
+from repro.persist import PROFILEDB_NAME, MemoryDisk, ProfileDB, merge_entries
+from repro.persist.profiledb import empty_entry, entry_anomaly
 from repro.runtime import ParallelProgram
 from repro.scenario import _digest, _snapshot_arrays
 
@@ -140,6 +144,109 @@ class TestWarmStart:
         assert "profile-db: hit" in text
         assert "warm at 0 retired" in text
         assert "versions [" in text
+
+
+def _recorded(disk) -> tuple[str, dict]:
+    db = ProfileDB(disk)
+    db.load()
+    ((key, entry),) = db.entries.items()
+    return key, entry
+
+
+def _offer(key: str, entry: dict):
+    """A fresh runtime attached to a database holding just ``entry``."""
+    disk = MemoryDisk()
+    db = ProfileDB(disk)
+    db.entries[key] = entry
+    db.save()
+    machine = Machine(itanium2_smp(THREADS, scale=4))
+    config = dataclasses.replace(
+        machine.config.cobra, profile_db=ProfileDBConfig(disk=disk)
+    )
+    return Cobra(machine, _build(machine).image, "noprefetch", config)
+
+
+class TestEntryCycle:
+    """export -> merge -> validate -> seed accepts its own output and
+    turns away every single-field damage, naming the field."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        disk = MemoryDisk()
+        _prog, _result, report = _run(disk)
+        return (*_recorded(disk), report)
+
+    def test_the_cycle_accepts_its_own_output(self, recorded):
+        key, entry, report = recorded
+        assert entry_anomaly(entry) is None
+        assert merge_entries(entry, empty_entry()) == entry
+        doubled = merge_entries(entry, entry)
+        assert entry_anomaly(doubled) is None
+        assert doubled["runs"] == 2
+        cobra = _offer(key, doubled)
+        assert cobra._profile_source == "hit"
+        assert [(d.loop.head, d.optimization) for d in cobra.optimizer.deployments()] == [
+            (d.loop.head, d.optimization) for d in report.deployments
+        ]
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda e: e.update(runs=-1), "entry-runs-range"),
+            (lambda e: e.update(cpi_total=float("nan")), "entry-cpi_total-range"),
+            (lambda e: e.pop("cpi_count"), "entry-cpi_count-range"),
+            (lambda e: e.update(flips=True), "entry-flips-range"),
+            (lambda e: e.update(decisions=[]), "entry-decisions-type"),
+            (lambda e: e["decisions"].update(zzz={}), "entry-decisions-type"),
+            (
+                lambda e: next(iter(e["decisions"].values()))["noprefetch"].pop("back_branch"),
+                "entry-decision-back_branch-range",
+            ),
+            (
+                lambda e: next(iter(e["decisions"].values()))["noprefetch"].update(proven="1"),
+                "entry-decision-proven-range",
+            ),
+            (lambda e: e["profiler"].update(btb=[[1, 2]]), "entry-profiler: btb[0]"),
+            (lambda e: e["profiler"].pop("samples_seen"), "entry-profiler: state.samples_seen"),
+        ],
+    )
+    def test_single_field_damage_is_named_and_leaves_the_run_cold(
+        self, recorded, damage, named
+    ):
+        key, entry, _report = recorded
+        entry = copy.deepcopy(entry)
+        damage(entry)
+        assert entry_anomaly(entry).startswith(named)
+        cobra = _offer(key, entry)
+        assert cobra._profile_source == "entry-invalid"
+        assert not cobra.optimizer.deployments() and not cobra.optimizer.events
+        assert cobra.optimizer.profiler.samples_seen == 0
+        assert cobra.optimizer.warm_at_retired is None
+
+    def test_a_regression_rollback_is_the_evidence_against(self):
+        """The producer's text (``REGRESSION``) and the consumer's
+        predicate (``OptEvent.is_regression``) stay one definition."""
+        recipe, workload = matrix_case("sp", "altix8")
+        machine = recipe()
+        disk = MemoryDisk()
+        config = dataclasses.replace(
+            machine.config.cobra, profile_db=ProfileDBConfig(disk=disk)
+        )
+        _result, report = run_with_cobra(workload.build(machine), "noprefetch", config=config)
+        regressions = [e for e in report.events if e.is_regression()]
+        assert regressions
+        assert all(
+            e.kind == "rollback" and e.reason.startswith(REGRESSION) for e in regressions
+        )
+        assert [e for e in report.events if e.reason.startswith("CPI")] == regressions
+        _key, entry = _recorded(disk)
+        against = {
+            (int(head), opt): rec["rolled_back"]
+            for head, opts in entry["decisions"].items()
+            for opt, rec in opts.items()
+            if rec["rolled_back"]
+        }
+        assert against == {(e.loop_head, e.optimization): 1 for e in regressions}
 
 
 class TestKeyIsolation:

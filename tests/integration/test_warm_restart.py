@@ -24,10 +24,11 @@ import pytest
 
 from repro.compiler import StreamLoop, Term
 from repro.config import FaultConfig, PersistConfig, itanium2_smp
-from repro.core import run_with_cobra
+from repro.core import Cobra, Deployment, run_with_cobra
+from repro.core.optimizer import WARM_RESTART
 from repro.cpu import Machine
 from repro.errors import SimulatedCrash
-from repro.persist import JOURNAL_NAME, MemoryDisk, scan_journal
+from repro.persist import JOURNAL_NAME, MemoryDisk, recover, scan_journal
 from repro.runtime import ParallelProgram
 from repro.scenario import _digest, _snapshot_arrays
 
@@ -126,6 +127,46 @@ class TestWarmRestart:
         text = report.summary()
         assert "warm restart: resumed from checkpoint" in text
         assert "persistence:" in text
+
+
+class TestOneRecordAtEveryKeeper:
+    """``Deployment.RECORD`` is the one spelling of "what was deployed":
+    the live deployment, the journal's txn records, the recovered state
+    and a fresh runtime's warm redeploys must all hold the same set."""
+
+    @pytest.mark.parametrize("strategy", ["noprefetch", "excl"])
+    def test_the_record_round_trips(self, strategy):
+        def records(rows):
+            return sorted(tuple(row[name] for name in Deployment.RECORD) for row in rows)
+
+        disk = MemoryDisk()
+        machine = Machine(itanium2_smp(THREADS, scale=4))
+        prog = _build(machine)
+        config = dataclasses.replace(
+            machine.config.cobra, optimize_interval=30_000,
+            persist=PersistConfig(disk=disk),
+        )
+        _result, report = run_with_cobra(prog, strategy, config=config)
+        live = records(d.record() for d in report.deployments)
+        assert live and all(len(row) == len(Deployment.RECORD) for row in live)
+
+        journaled = {}
+        for rec in scan_journal(disk.read(JOURNAL_NAME))[0]:
+            if rec["t"] == "txn" and rec["op"] == "deploy":
+                journaled[rec["head"]] = rec
+            elif rec["t"] == "txn":
+                journaled.pop(rec["head"], None)
+        assert records(journaled.values()) == live
+        assert records(recover(disk).state["deployments"]) == live
+
+        fresh = Machine(itanium2_smp(THREADS, scale=4))
+        cobra = Cobra(fresh, _build(fresh).image, strategy, config)
+        assert cobra.resumed
+        assert records(d.record() for d in cobra.optimizer.deployments()) == live
+        # the producer's text and the consumer's predicate cannot drift
+        warm = [e for e in cobra.optimizer.events if e.is_warm_redeploy()]
+        assert len(warm) == len(live)
+        assert all(e.reason.startswith(WARM_RESTART) and e.retired == 0 for e in warm)
 
 
 class TestCrashRecovery:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from repro.config import itanium2_smp
+from repro.core import Cobra
+from repro.cpu import Machine
 from repro.persist import (
     JOURNAL_NAME,
     JournalWriter,
@@ -12,6 +15,7 @@ from repro.persist import (
     repair,
     scan_journal,
 )
+from repro.workloads import build_daxpy
 
 
 def _store_with(records, snapshot=None):
@@ -170,7 +174,11 @@ class TestEmptyState:
     def test_shape_matches_optimizer_export(self):
         state = empty_state()
         assert state["deployments"] == [] and state["mode"] == "normal"
-        assert set(state) >= {
+        assert set(state) == {
             "profiler", "cpi_history", "blacklist", "mode",
             "fault_strikes", "events", "deployments", "samples_per_cpu",
         }
+        machine = Machine(itanium2_smp(2, scale=4))
+        prog = build_daxpy(machine, 64, 2, outer_reps=1)
+        exported = Cobra(machine, prog.image).optimizer.export_state()
+        assert list(exported) == list(state)

@@ -47,7 +47,7 @@ class TestRunCase:
         assert case["pmu_samples"] == 0  # raw simulator, no profiler
         assert case["opt_events"] == [] and case["deployments"] == []
 
-    def test_cobra_strategy_reports_what_the_optimizer_did(self):
+    def test_cobra_strategy_reports_pmu_samples(self):
         case = run_case("daxpy", "smp4", "adaptive")
         assert case["pmu_samples"] > 0
         deploys = [row for row in case["opt_events"] if row[1] == "deploy"]

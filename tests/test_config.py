@@ -68,6 +68,69 @@ class TestPresets:
             )
 
 
+class TestCobraConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("optimize_interval", -5, "optimize_interval must be >= 1, got -5"),
+            ("sampling_interval", 0, "sampling_interval must be >= 1, got 0"),
+            ("trace_cache_bundles", 0, "trace_cache_bundles must be >= 1, got 0"),
+            ("fault_escalation_threshold", 0,
+             "fault_escalation_threshold must be >= 1, got 0"),
+            ("min_loop_samples", -1, "min_loop_samples must be >= 0, got -1"),
+            ("sample_overhead_cycles", -1, "sample_overhead_cycles must be >= 0, got -1"),
+            ("dear_latency_floor", -1, "dear_latency_floor must be >= 0, got -1"),
+            ("coherent_latency_threshold", -1,
+             "coherent_latency_threshold must be >= 0, got -1"),
+            ("coherent_ratio_threshold", 7.0,
+             "coherent_ratio_threshold must be in [0, 1], got 7.0"),
+            ("noprefetch_coherent_share", -0.5,
+             "noprefetch_coherent_share must be in [0, 1], got -0.5"),
+            ("validate", "paranoid",
+             "validate must be one of ('off', 'record', 'strict'), got 'paranoid'"),
+        ],
+    )
+    def test_out_of_range_fields_are_refused(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            CobraConfig(**{field: value})
+        assert str(err.value) == message
+        # the same door for every way a config is made
+        with pytest.raises(ValueError):
+            itanium2_smp(4).with_cobra(**{field: value})
+
+    def test_boundary_values_are_legal(self):
+        CobraConfig(
+            min_loop_samples=0, coherent_ratio_threshold=1.0,
+            noprefetch_coherent_share=0.0, fault_escalation_threshold=1,
+        )
+
+    def test_env_overrides_are_rows_of_the_schema(self, monkeypatch, tmp_path):
+        from repro.config import ENV_VARS
+
+        for name in ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+        base = CobraConfig()
+        assert base.with_env() is base
+        monkeypatch.setenv("REPRO_FAULTS", "7")
+        monkeypatch.setenv("REPRO_VALIDATE", "record")
+        monkeypatch.setenv("REPRO_GOVERNOR", "1")
+        monkeypatch.setenv("REPRO_CHECKPOINT", str(tmp_path / "ckpt"))
+        monkeypatch.setenv("REPRO_PROFILE_DB", str(tmp_path / "p.db"))
+        armed = base.with_env()
+        assert armed.faults.seed == 7 and armed.validate == "record"
+        assert armed.governor is not None
+        assert armed.persist.directory == str(tmp_path / "ckpt")
+        assert armed.profile_db.path == str(tmp_path / "p.db")
+        monkeypatch.setenv("REPRO_GOVERNOR", "0")
+        assert armed.with_env().governor is None
+        # every row that says it overrides a field names a real one
+        for name, var in ENV_VARS.items():
+            assert (var.overrides is not None) == ("overrides `CobraConfig." in var.effect)
+            if var.overrides is not None:
+                assert f"`CobraConfig.{var.overrides}`" in var.effect
+                assert hasattr(base, var.overrides)
+
+
 class TestPersistConfig:
     def test_needs_directory_or_disk(self):
         from repro.config import PersistConfig
