@@ -1,15 +1,16 @@
 """Regenerate ``benchmarks/fuzz/corpus.json``.
 
 Scans generator seeds in order and keeps the first 50 whose scenarios
-jointly cover every loop class in both *trace-tree* regimes the runtime
-has — "tree-linked" meaning the adaptive axis chained at least one
-compiled trace exit into another compiled trace (nested loops, epilogue
-drains, early-exit tails promoted into the tree), "tree-free" meaning
-every compiled trace always fell back to the interpreter at its exits.
-``gather`` and ``histogram`` are exempt from the tree-free cell: their
-shapes (CSR inner nests, bin-update early exits) are exactly the
-tree-eligible ones and always chain, so that regime does not exist for
-them.  With OSR entry the 3-back-edge hot threshold makes every
+jointly cover every loop class in the *trace-tree* regime it has —
+"tree-linked" meaning the adaptive axis chained at least one compiled
+trace exit into another compiled trace (nested loops, epilogue drains,
+early-exit tails promoted into the tree), "tree-free" meaning every
+compiled trace always fell back to the interpreter at its exits.  Only
+``gather`` builds a tree (its CSR inner nests always chain); the other
+classes run one loop a thread, which has no second trace to chain to —
+in 2,000 seeds none links.  (Until a trace became one closure entered
+anywhere, an OSR suffix handing over to its own loop closure counted as
+a link, which gave every class a "linked" cell.)  With OSR entry the 3-back-edge hot threshold makes every
 generated scenario JIT-eligible, so ``jit_eligible`` is recorded per
 entry but no longer a coverage dimension.  Every kept entry must
 already be divergence-free; the committed corpus is the frozen
@@ -31,16 +32,15 @@ from repro.fuzz.generator import LOOP_CLASSES, generate_params
 TARGET = 50
 OUT = os.path.join(os.path.dirname(__file__), "corpus.json")
 
-#: loop classes whose generated shapes always chain compiled exits
-ALWAYS_LINKED = ("gather", "histogram")
+#: loop classes whose generated shapes always chain compiled exits; the
+#: others never do
+ALWAYS_LINKED = ("gather",)
 
 
 def main() -> None:
     entries = []
     covered: set[tuple[str, bool]] = set()
-    wanted = {(cls, True) for cls in LOOP_CLASSES} | {
-        (cls, False) for cls in LOOP_CLASSES if cls not in ALWAYS_LINKED
-    }
+    wanted = {(cls, cls in ALWAYS_LINKED) for cls in LOOP_CLASSES}
     seed = 0
     while len(entries) < TARGET:
         params = generate_params(seed)

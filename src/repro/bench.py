@@ -17,9 +17,11 @@ Nothing here reads a clock.  Host-speed claims go through
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from typing import Iterable, Iterator
 
+from .cpu.tracejit import WORK_COUNTERS
 from .scenario import (
     ALL_STRATEGIES,
     MACHINES,
@@ -151,6 +153,11 @@ def _diff(path: str, base, cur) -> Iterator[str]:
         yield f"{path}: {base} -> {cur}"
 
 
+#: a :func:`_diff` line of a work counter, machine-wide or per core
+_WORK_LEAF = re.compile(
+    rf"fastpath\.(?:per_core\[\d+\]\.)?(?:{'|'.join(map(re.escape, WORK_COUNTERS))}): ")
+
+
 def check_baseline(doc: dict) -> dict:
     """A loaded BENCH_perf.json, checked for what :func:`compare_reports` reads."""
     if doc["schema"] != BENCH_SCHEMA:
@@ -165,6 +172,9 @@ def compare_reports(baseline: dict, current: dict) -> tuple[list[str], bool]:
 
     Returns ``(lines, ok)``.  ``ok`` is False when any field of a case
     present in both reports differs; every differing field is named.
+    A ``fastpath`` leaf named in ``tracejit.WORK_COUNTERS`` counts how
+    the host got through the run, not what the simulated machine did: a
+    case in which only those moved reads ``moved (work)`` and passes.
     Cases present in only one report are noted but don't fail the
     comparison — a sub-matrix run can be judged against the full file.
     """
@@ -177,9 +187,11 @@ def compare_reports(baseline: dict, current: dict) -> tuple[list[str], bool]:
             lines.append(f"{cid:<28} not run")
             continue
         changed = list(_diff("", base_cases[cid], cur_cases[cid]))
-        ok = ok and not changed
-        lines.append(f"{cid:<28} {'DIFFERS' if changed else 'identical'}")
-        lines.extend(f"  {line}" for line in changed)
+        work = [_WORK_LEAF.match(line) is not None for line in changed]
+        ok = ok and all(work)
+        verdict = "identical" if not changed else "moved (work)" if all(work) else "DIFFERS"
+        lines.append(f"{cid:<28} {verdict}")
+        lines.extend(f"  {line}{'  (work)' if w else ''}" for line, w in zip(changed, work))
     for cid in sorted(set(cur_cases) - set(base_cases)):
         lines.append(f"{cid:<28} new case (not in baseline)")
     return lines, ok

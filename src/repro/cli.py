@@ -53,7 +53,6 @@ default_blas_threads()
 # Each handler imports its own harness (analysis, bench, faults, fleet,
 # fuzz, governor, persist, validate): a command loads what it runs
 # (DESIGN.md §2 "Import layering").
-from .core.policy import STRATEGIES  # noqa: E402
 from .isa import Op, disassemble  # noqa: E402
 from .scenario import (  # noqa: E402
     ALL_STRATEGIES,
@@ -71,7 +70,9 @@ from .workloads.npb.common import BENCHMARKS  # noqa: E402
 __all__ = ["main"]
 
 # Strategy names accepted by daxpy/npb.  "baseline" runs the raw
-# simulator (the engine's "none"); the rest come from the COBRA policy.
+# simulator (the engine's "none"); the rest are the COBRA policy's
+# (``core.policy.STRATEGIES``, which only a command that runs COBRA loads).
+STRATEGIES = ALL_STRATEGIES[1:]
 CLI_STRATEGIES = ("baseline",) + STRATEGIES
 
 

@@ -353,22 +353,17 @@ class Core:
                         # sor here; a trace indexes its sor-row tables with it
                         if ep is not None and ep.trace.sor == sor and rrb_gr < (sor or 1):
                             tr = ep.trace
-                            fn = ep.fn
-                            if fn is None:
-                                # first entry at this mid-trace index: build
-                                # the OSR suffix closure (cached thereafter)
-                                fn = tjit.materialize(ep)
                             before = bundles_executed
                             (
                                 pc, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
                                 retired, bundles_executed, taken_branches,
                                 issue_tick, countdown, executed, t_iters, flag,
-                            ) = fn(
+                            ) = tr.fn(
                                 self, cache, mem, grl, frl, prl, btb, lc, ec,
                                 rrb_gr, rrb_fr, rrb_pr, cycles, retired,
                                 bundles_executed, taken_branches, issue_tick,
                                 countdown, sampling, executed, max_bundles,
-                                cycle_limit,
+                                cycle_limit, ep.idx, tr.head,
                             )
                             tjit.entries += 1
                             tr.last_used = tjit.entries

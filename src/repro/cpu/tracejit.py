@@ -23,13 +23,12 @@ OSR-style mid-body entry (DESIGN.md §9):
 
 * **OSR entry** — every covered bundle address of a compiled trace is a
   legal entry point.  The interpreter's dispatch map resolves any pc to
-  an :class:`_EntryPoint` ``(trace, bundle index)``; entering at a
-  nonzero index lazily compiles a *suffix closure* that ingests the
+  an :class:`_EntryPoint` ``(trace, bundle index)`` and passes the index
+  to the trace's one closure as ``start``: the closure ingests the
   current architectural state (rotation indices, predicates, LC/EC,
-  sampling countdown — the same 22-argument capture contract the
-  steady-state closure uses) and executes from that bundle.  A suffix
-  that reaches the back-edge hands off to the steady-state closure via
-  the ``EXIT_LINK`` flag instead of re-interpreting;
+  sampling countdown — the 24-argument capture contract), skips the
+  bundles before ``start`` in its per-bundle body and, at the back-edge
+  of a loop, carries on into steady state in the same call;
 * **side-exit chaining** — architectural trace exits (``EXIT_LOOP``,
   ``EXIT_SIDE``, ``EXIT_LINK``) are counted per ``(head, target)`` exit
   site; a site crossing the hot threshold promotes the target into a
@@ -46,9 +45,11 @@ OSR-style mid-body entry (DESIGN.md §9):
   byte-identical rollback leaves the whole tree resident.
 
 Identical work is done once (DESIGN.md §9): generated closures are
-content-addressed — :func:`_trace_fn` memoises the ready function under
-everything :func:`_generate` reads, so the cores of a machine and the
-machines of a process share one function per distinct trace — and a
+position-independent — the head arrives as the argument ``H`` — and
+content-addressed: :func:`_trace_fn` memoises the ready function under
+everything :func:`_generate` reads, so the cores of a machine, the
+machines of a process and every text address one kernel template is
+instantiated at share one function per distinct trace shape — and a
 spin-wait trace (:func:`_idempotent_iteration`) advances, at its taken
 back-edge, all the iterations no exit can interrupt in closed form.
 Every other loop trace pays per iteration, not per bundle: a guard at
@@ -106,6 +107,7 @@ from ..memory.hierarchy import (
 __all__ = [
     "CompiledTrace",
     "TraceJit",
+    "WORK_COUNTERS",
     "fastpath_stats",
     "compile_trace",
     "compile_linear_trace",
@@ -119,7 +121,7 @@ EXIT_LOOP = 0      # loop completed (back-edge not taken) — normal epilog exit
 EXIT_SAMPLE = 1    # sampling countdown expired — fire the PMU interrupt
 EXIT_BUDGET = 2    # max_bundles / cycle_limit slice boundary reached
 EXIT_SIDE = 3      # a conditional branch left the trace mid-body
-EXIT_LINK = 4      # normal completion handoff (OSR suffix / linear region end)
+EXIT_LINK = 4      # normal completion handoff (linear region end)
 
 DEOPT_REASONS = ("loop-exit", "sample", "budget", "side-exit", "link")
 
@@ -182,6 +184,8 @@ _SMASK = BUNDLE_BYTES - 1
 _BTB_SIZE = 4
 
 _LOOP_BRANCHES = (_BR_CTOP, _BR_CLOOP, _BR_WTOP)
+#: the ops a trace may hold whose ``imm`` is a code address
+_BRANCHES = (_BR, _BR_COND, *_LOOP_BRANCHES)
 
 #: L2-hit event counter -> the ops whose fast arm bumps it
 _HIT_EVENTS = {
@@ -247,27 +251,47 @@ _SPIN_OPERANDS = {
        for op, (dest, value, _) in _REG_OPS.items()},
 }
 
-#: (head, body, sor, bpc, mode, start) -> the ready ``__trace__`` function
+#: (head, body, sor, bpc, kind) -> the ready ``__trace__`` function; one
+#: function sits under the key of every head that decoded its shape and
+#: under the shape itself, which is the key of the same trace at head 0
 _TRACE_FNS: dict = {}
 _TRACE_FNS_CAP = 1024  # oldest-first eviction; the cap is a leak guard
 
 
-def _trace_fn(head, body, sor, bpc, mode, start=0):
-    """The compiled closure for one trace, generated once per process.
+def _relative(head, body):
+    """``body`` as it reads at head 0: bundle addresses and branch targets
+    minus ``head`` — what traces of one kernel template instantiated at
+    different text addresses have in common."""
+    return tuple(
+        (addr - head, (n_total, tuple(
+            (*entry[:7], entry[7] - head, entry[8]) if entry[1] in _BRANCHES else entry
+            for entry in entries
+        )))
+        for addr, (n_total, entries) in body
+    )
 
-    :func:`_generate` is a pure function of these arguments and the
-    ``__trace__`` it yields closes over nothing (machine state arrives
-    as call arguments), so the function itself is content-addressed:
-    every core, machine and run whose trace decodes to the same
-    ``body`` shares it, and a patched bundle is a different key.
+
+def _trace_fn(head, body, sor, bpc, kind):
+    """The compiled closure for one trace, generated once per shape.
+
+    :func:`_generate` is a pure function of the head-relative body and
+    the ``__trace__`` it yields closes over nothing (machine state, the
+    entry index and the head arrive as call arguments), so the function
+    is content-addressed twice over: every core, machine and run whose
+    trace decodes to the same ``body`` finds it under the absolute key
+    with one lookup, every head of the same shape under the relative
+    one, and a patched bundle is a different key of both kinds.
     """
-    key = (head, body, sor, bpc, mode, start)
+    key = (head, body, sor, bpc, kind)
     fn = _TRACE_FNS.get(key)
     if fn is None:
-        source = _generate(head, body, sor, bpc, mode, start)
-        namespace: dict = {}
-        exec(compile(source, f"<trace {head:#x}+{start}>", "exec"), namespace)  # noqa: S102
-        fn = namespace["__trace__"]
+        if head:
+            fn = _trace_fn(0, _relative(head, body), sor, bpc, kind)
+        else:
+            namespace: dict = {}
+            name = f"<trace +0x0..+{body[-1][0]:#x} {kind}>"
+            exec(compile(_generate(body, sor, bpc, kind), name, "exec"), namespace)  # noqa: S102
+            fn = namespace["__trace__"]
         if len(_TRACE_FNS) >= _TRACE_FNS_CAP:
             del _TRACE_FNS[next(iter(_TRACE_FNS))]
         _TRACE_FNS[key] = fn
@@ -275,15 +299,15 @@ def _trace_fn(head, body, sor, bpc, mode, start=0):
 
 
 class CompiledTrace:
-    """One compiled trace node: closures plus validity/tree metadata."""
+    """One compiled trace node: the closure plus validity/tree metadata."""
 
     __slots__ = (
         "fn", "head", "sor", "addrs", "keys", "n_bundles",
-        "kind", "root", "body", "bpc", "entry_fns", "children", "last_used",
+        "kind", "root", "body", "bpc", "children", "last_used",
     )
 
     def __init__(self, fn, head, sor, addrs, keys, n_bundles, kind, body, bpc):
-        self.fn = fn
+        self.fn = fn            # shared by every head of this shape
         self.head = head
         self.sor = sor
         self.addrs = addrs      # covered bundle addresses, in trace order
@@ -293,46 +317,26 @@ class CompiledTrace:
         self.root = head        # tree root head (== head for root nodes)
         self.body = body        # ((addr, decoded), ...) — the codegen input
         self.bpc = bpc          # bundles_per_cycle baked into the codegen
-        self.entry_fns: dict[int, object] = {}   # bundle idx -> OSR closure
         self.children: list[int] = []            # promoted side-exit heads
         self.last_used = 0      # entry stamp for cold-first eviction
 
-    def _key(self, idx: int) -> tuple:
-        """Everything :func:`_generate` reads for the closure at ``idx``."""
-        mode = "entry" if idx and self.kind == "loop" else self.kind
-        return self.head, self.body, self.sor, self.bpc, mode, idx
-
-    def source(self, idx: int = 0) -> str:
-        """The generated source of :meth:`entry` ``idx`` — regenerated
-        from the memo key on demand (debugging aid; nothing is stored)."""
-        return _generate(*self._key(idx))
-
-    def entry(self, idx: int):
-        """The OSR entry closure starting at covered bundle ``idx``.
-
-        Lazily generated and cached: a loop trace's suffix executes
-        ``body[idx:]`` once and hands off to the steady-state closure at
-        the back-edge (``EXIT_LINK``); a linear trace's suffix is just
-        the region tail.  Index 0 is the trace's own ``fn``.
-        """
-        if idx == 0:
-            return self.fn
-        fn = self.entry_fns.get(idx)
-        if fn is None:
-            fn = _trace_fn(*self._key(idx))
-            self.entry_fns[idx] = fn
-        return fn
+    def source(self) -> str:
+        """The source ``fn`` was compiled from — position-independent, so
+        the head it runs at here leads as a comment.  Regenerated from the
+        memo key on demand (debugging aid; nothing is stored)."""
+        relative = _relative(self.head, self.body)
+        return (f"# entered with H = {self.head:#x}\n"
+                + _generate(relative, self.sor, self.bpc, self.kind))
 
 
 class _EntryPoint:
     """One dispatch-map slot: a trace and the covered-bundle index."""
 
-    __slots__ = ("trace", "idx", "fn")
+    __slots__ = ("trace", "idx")
 
-    def __init__(self, trace: CompiledTrace, idx: int, fn=None) -> None:
+    def __init__(self, trace: CompiledTrace, idx: int) -> None:
         self.trace = trace
         self.idx = idx
-        self.fn = fn            # None until materialized (lazy OSR suffix)
 
 
 # -- code generation ----------------------------------------------------------
@@ -529,33 +533,29 @@ def compile_linear_trace(
         return None
 
 
-def _generate(
-    head: int,
-    body: list[tuple[int, tuple]],
-    sor: int,
-    bpc: int,
-    mode: str = "loop",
-    start: int = 0,
-) -> str:
-    """Emit the closure source for one trace.
+def _generate(body, sor: int, bpc: int, kind: str) -> str:
+    """Emit the closure source for one trace shape.
 
-    ``mode`` selects the control skeleton around the shared slot
-    emitters:
+    ``body`` is head-relative (:func:`_relative`) and so is the source:
+    the trace's head arrives as the argument ``H`` and every code address
+    the closure publishes — exit pcs, BTB entries, DEAR pcs — is ``H``
+    plus a constant.  The closure is entered at any covered bundle: the
+    argument ``start`` is that bundle's index, and the per-bundle body
+    skips the bundles before it (DESIGN.md §9 "OSR entry").  ``kind``
+    selects the control skeleton around the shared slot emitters:
 
-    * ``"loop"`` — the steady-state closure: ``while True`` over the
-      whole body, back-edge to ``head`` continues in place (and, when
-      the body is an :func:`_idempotent_iteration`, first advances the
-      iterations no exit can interrupt in closed form);
-    * ``"entry"`` — an OSR suffix of a loop trace: one pass over
-      ``body[start:]``; a taken back-edge returns ``EXIT_LINK`` at
-      ``head`` (the dispatch map then enters the steady-state closure);
-    * ``"linear"`` — a straight-line region (``start`` slices for OSR
-      entry): one pass; the region end or its closing unconditional
-      branch returns ``EXIT_LINK``, conditional exits ``EXIT_SIDE``.
+    * ``"loop"`` — ``while True`` over the whole body, back-edge to the
+      head continues in place (and, when the body is an
+      :func:`_idempotent_iteration`, first advances the iterations no
+      exit can interrupt in closed form);
+    * ``"linear"`` — a straight-line region: one pass; the region end or
+      its closing unconditional branch returns ``EXIT_LINK``,
+      conditional exits ``EXIT_SIDE``.
     """
     sor32 = 32 + sor
     e = _Emit()
-    spin = mode == "loop" and _idempotent_iteration(head, body)
+    loop = kind == "loop"
+    spin = loop and _idempotent_iteration(0, body)
     # A steady-state closure holds its body twice (DESIGN.md §9 "Whole
     # iterations"): ``checked``, every bundle testing budget and sampling,
     # and ahead of it a version behind a loop-head guard that proves
@@ -564,8 +564,8 @@ def _generate(
     # around an inner loop (``relax``) leaves by that loop's back-edge
     # before it ever completes an iteration: neither pays for a second.
     all_slots = [(addr, entry) for addr, decoded in body for entry in decoded[1]]
-    whole = mode == "loop" and not spin and not any(
-        entry[1] in _LOOP_BRANCHES and entry[7] != head for _, entry in all_slots
+    whole = loop and not spin and not any(
+        entry[1] in _LOOP_BRANCHES and entry[7] for _, entry in all_slots
     )
     checked = True
     at = (0, 0)     # whole-iteration body: (bundles, slots) run, not yet counted
@@ -575,13 +575,17 @@ def _generate(
               if any(entry[1] in of for _, entry in all_slots)]
     back_edges = {
         addr + entry[0] for addr, entry in all_slots
-        if entry[7] == head and entry[1] in (*_LOOP_BRANCHES, _BR, _BR_COND)
+        if not entry[7] and entry[1] in _BRANCHES
     }
     # one back-edge site: its BTB entries are one constant, so n of them
     # are min(n, BTB size) copies; several sites append as they go
     back_edge = min(back_edges) if len(back_edges) == 1 else None
 
     # -- operand expressions, resolved at compile time ---------------------
+
+    def code(offset: int) -> str:
+        """The code address ``offset`` bytes from the trace's head."""
+        return f"H + {offset}" if offset > 0 else f"H - {-offset}" if offset else "H"
 
     def rot(file: str, r: int) -> str:
         """A rotating register: index arithmetic, or its per-iteration local."""
@@ -643,7 +647,7 @@ def _generate(
         """Publish what the whole-iteration body deferred: at every exit,
         at the hand-over to the checked body and before any call out."""
         if back_edge is not None:
-            e(f"btb.extend((({back_edge}, {head}),) * min(n_back, {_BTB_SIZE}))")
+            e(f"btb.extend((({code(back_edge)}, H),) * min(n_back, {_BTB_SIZE}))")
             e(f"del btb[:-{_BTB_SIZE}]")
             e("n_back = 0")
         for ev in events:
@@ -685,20 +689,20 @@ def _generate(
         e(f"countdown -= {n_slots}")
         e("if countdown <= 0:")
         e.indent()
-        e(ret(str(next_pc), EXIT_SAMPLE))
+        e(ret(code(next_pc), EXIT_SAMPLE))
         e.dedent()
         e.dedent()
 
     def emit_taken(base: int, idx: int, target: int, link: bool = False) -> None:
         """Taken-branch exit: bookkeeping + retire, then leave or loop."""
-        loop_back = target == head and mode == "loop"
+        loop_back = loop and not target
         e("taken_branches += 1")
         if not checked and loop_back and back_edge is not None:
             e("n_back += 1")
         else:
             if not checked:
                 emit_flush()    # earlier back-edges precede this entry
-            e(f"btb_append(({base + idx}, {target}))")
+            e(f"btb_append(({code(base + idx)}, {code(target)}))")
             e(f"if len(btb) > {_BTB_SIZE}:")
             e.indent()
             e("del btb[0]")
@@ -716,13 +720,11 @@ def _generate(
                 e.indent()
                 e(f"countdown -= {at[1] + idx + 1}")
                 e.dedent()
+            else:
+                e("start = 0")  # a mid-body entry has run its partial iteration
             e("continue")
-        elif target == head and mode == "entry":
-            # OSR suffix reached the back-edge: hand off to the
-            # steady-state closure through the dispatch map
-            e(ret(str(target), EXIT_LINK))
         else:
-            e(ret(str(target), EXIT_LINK if link else EXIT_SIDE, idx + 1))
+            e(ret(code(target), EXIT_LINK if link else EXIT_SIDE, idx + 1))
 
     def emit_spin_forward(branch_pc: int, closer_slots: int) -> None:
         """Advance the iterations no per-bundle exit can interrupt.
@@ -780,7 +782,7 @@ def _generate(
         e(f"cycles += m * {stall} + issue_tick // {bpc}")
         e(f"issue_tick %= {bpc}")
         e(f"mem_events.loads += m * {n_loads}")
-        e(f"btb.extend((({branch_pc}, {head}),) * min(m, {_BTB_SIZE}))")
+        e(f"btb.extend((({code(branch_pc)}, H),) * min(m, {_BTB_SIZE}))")
         e(f"del btb[:-{_BTB_SIZE}]")
         e("jit = core.trace_jit")
         e("jit.spin_forwards += 1")
@@ -826,7 +828,7 @@ def _generate(
             e("dp = cache.dear_pending")
             e("if dp is not None:")
             e.indent()
-            e(f"core.dear = ({base + idx}, a, dp)")
+            e(f"core.dear = ({code(base + idx)}, a, dp)")
             e("cache.dear_pending = None")
             e.dedent()
 
@@ -1024,7 +1026,7 @@ def _generate(
             # exit (link), not a deviation from the trace
             emit_taken(
                 base, idx, imm,
-                link=(mode == "linear" and op == _BR and qp == 0),
+                link=(not loop and op == _BR and qp == 0),
             )
         else:  # pragma: no cover — the walkers filter unsupported ops
             raise _TraceAbort(f"unsupported opcode {op}")
@@ -1036,7 +1038,8 @@ def _generate(
 
     e("def __trace__(core, cache, mem, grl, frl, prl, btb, lc, ec, rrb_gr, "
       "rrb_fr, rrb_pr, cycles, retired, bundles_executed, taken_branches, "
-      "issue_tick, countdown, sampling, executed, max_bundles, cycle_limit):")
+      "issue_tick, countdown, sampling, executed, max_bundles, cycle_limit, "
+      "start, H):")
     e.indent()
     e("cache_access = cache.access_fn")
     e("l2_sets = cache._l2_sets")
@@ -1065,14 +1068,17 @@ def _generate(
         """One pass over the bundles, as the ``checked`` version or not."""
         nonlocal at
         at = (0, 0)
-        emitted = body if mode == "loop" else body[start:]
-        for n, (addr, decoded) in enumerate(emitted):
+        for n, (addr, decoded) in enumerate(body):
             n_total, entries = decoded
-            e(f"# -- bundle {addr:#x}")
+            e(f"# -- bundle +{addr:#x}")
+            skippable = checked and n < len(body) - 1   # the last never is
+            if skippable:
+                e(f"if start <= {n}:")  # entered at or before this bundle
+                e.indent()
             e("if executed >= max_bundles or cycles > cycle_limit:" if checked
               else "if cycles > cycle_limit:")
             e.indent()
-            e(ret(str(addr), EXIT_BUDGET))
+            e(ret(code(addr), EXIT_BUDGET))
             e.dedent()
             e("stall = 0")
             for entry in entries:
@@ -1081,24 +1087,24 @@ def _generate(
             emit_retire(n_total, addr + BUNDLE_BYTES)
             if not checked:
                 at = (at[0] + 1, at[1] + n_total)
-            if n == len(emitted) - 1:
-                if mode == "linear":
-                    # region end: chain to whatever follows it
-                    e(ret(str(addr + BUNDLE_BYTES), EXIT_LINK))
-                else:
-                    # fell past the back-edge bundle: the loop is done
-                    e(ret(str(addr + BUNDLE_BYTES), EXIT_LOOP))
+            if n == len(body) - 1:
+                # fell past the back-edge bundle: the loop is done; a
+                # region's end chains to whatever follows it
+                e(ret(code(addr + BUNDLE_BYTES), EXIT_LOOP if loop else EXIT_LINK))
+            if skippable:
+                e.dedent()
 
-    if mode == "loop":
+    if loop:
         e("while True:")
         e.indent()
         if spin:
-            e("hits = forward")
+            # a partial iteration says nothing about the loads it skipped
+            e("hits = forward and not start")
         if whole:
             # no budget or sample exit can fire inside this iteration
             # (the longest path retires every slot of every bundle)
             slots = sum(decoded[0] for _, decoded in body)
-            e(f"if executed + {len(body)} <= max_bundles and "
+            e(f"if executed + {len(body)} <= max_bundles and not start and "
               f"(not sampling or countdown > {slots}):")
             e.indent()
             checked = False
@@ -1108,7 +1114,7 @@ def _generate(
             e.dedent()
             emit_flush()    # hand-over: the checked body finds the exit
     emit_body()
-    if mode == "loop":
+    if loop:
         e.dedent()
     if whole:
         # the one way out of the whole-iteration body
@@ -1167,7 +1173,6 @@ class TraceJit:
         "tree_links",
         "resume_hits",
         "promotions",
-        "entry_compiles",
         "evicted",
         "spin_forwards",
         "spin_iters_skipped",
@@ -1204,7 +1209,6 @@ class TraceJit:
         self.tree_links = 0         # trace exits chaining into another trace
         self.resume_hits = 0        # budget exits resumed without a re-probe
         self.promotions = 0         # side-exit targets compiled into the tree
-        self.entry_compiles = 0     # lazily generated OSR suffix closures
         self.evicted = 0            # nodes evicted by the resource governor
         self.spin_forwards = 0      # closed-form advances of a spin-wait trace
         self.spin_iters_skipped = 0  # iterations those advances stood for
@@ -1258,20 +1262,18 @@ class TraceJit:
         """Publish a trace's entry points into the dispatch map.
 
         Every covered bundle is an OSR entry; on address conflicts a
-        trace's *own* head (index 0: the steady-state/region closure)
-        wins over another trace's mid-body suffix.  With OSR off only
-        the head is published (loop-boundary dispatch, PR-5 behavior).
+        trace's *own* head (index 0) wins over another trace's mid-body
+        entry.  With OSR off only the head is published (loop-boundary
+        dispatch, PR-5 behavior).
         """
         d = self.dispatch
         if not self.osr:
-            d[trace.head] = _EntryPoint(trace, 0, trace.fn)
+            d[trace.head] = _EntryPoint(trace, 0)
             return
         for i, addr in enumerate(trace.addrs):
             cur = d.get(addr)
             if cur is None or (i == 0 and cur.idx != 0):
-                d[addr] = _EntryPoint(
-                    trace, i, trace.fn if i == 0 else trace.entry_fns.get(i)
-                )
+                d[addr] = _EntryPoint(trace, i)
 
     def _rebuild_dispatch(self) -> None:
         # deterministic: traces iterate in compile order, and the
@@ -1285,16 +1287,6 @@ class TraceJit:
         self.traces[trace.head] = trace
         self.compiles += 1
         self._register(trace)
-
-    def materialize(self, ep: _EntryPoint):
-        """Generate (or fetch) the OSR suffix closure for one entry."""
-        trace = ep.trace
-        fn = trace.entry_fns.get(ep.idx)
-        if fn is None:
-            fn = trace.entry(ep.idx)
-            self.entry_compiles += 1
-        ep.fn = fn
-        return fn
 
     def compile(
         self, head: int, dmap: dict, keys: dict, sor: int, bpc: int
@@ -1328,7 +1320,7 @@ class TraceJit:
 
         Loop-shaped targets (nested-loop heads) become loop nodes even
         when a parent's OSR entry already covers the address — a
-        dedicated steady-state closure beats one-iteration suffix calls
+        dedicated steady-state closure beats one-iteration mid-body calls
         and takes over the dispatch slot.  Straight-line targets get a
         linear node the same way (head slots win over mid-body slots).
         """
@@ -1345,7 +1337,7 @@ class TraceJit:
         trace = compile_trace(target, dmap, keys, sor, bpc, relax=True)
         if trace is None:
             # straight-line fallback: a dedicated region node beats a
-            # per-call OSR suffix (idx-0 registration takes the slot)
+            # per-call mid-body entry (idx-0 registration takes the slot)
             trace = compile_linear_trace(target, dmap, keys, sor, bpc)
         if trace is None:
             self.blacklist.add(target)
@@ -1431,7 +1423,12 @@ class TraceJit:
         return count
 
     def stats(self) -> dict:
-        """Observability snapshot (bench / CobraReport fast-path lines)."""
+        """Observability snapshot (bench / CobraReport fast-path lines).
+
+        Every key is a deterministic function of the simulated run; the
+        ones in :data:`WORK_COUNTERS` also depend on how the JIT cuts it
+        into closure calls.
+        """
         return {
             "compiles": self.compiles,
             "invalidations": self.invalidations,
@@ -1454,6 +1451,22 @@ class TraceJit:
                 for reason, count in zip(DEOPT_REASONS, self.deopts)
             },
         }
+
+
+#: The ``fastpath`` leaves that count host work — how many closure calls
+#: a run was cut into (``entries``), the back-edges taken inside them,
+#: partial iterations included (``iterations``), how each call ended
+#: (``deopts.link`` off a region's end, ``deopts.budget`` on the slice
+#: budget), whether the exit landed on another entry point
+#: (``tree_links``, under how many ``exit_sites``) and whether the next
+#: slice found the resume hint (``resume_hits``) — rather than what the
+#: simulated machine did.  A change to the JIT may move these and nothing
+#: else (DESIGN.md §9 "Work counters"); ``repro bench --compare`` reads
+#: such a move as ``moved (work)``.
+WORK_COUNTERS = (
+    "entries", "iterations", "tree_links", "resume_hits", "exit_sites",
+    "deopts.link", "deopts.budget",
+)
 
 
 def fastpath_stats(machine) -> dict:

@@ -35,7 +35,6 @@ from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .config import DEFAULT_SCALE, itanium2_smp, sgi_altix
-from .core.framework import Cobra
 from .cpu.machine import Machine
 from .cpu.scheduler import Scheduler
 from .cpu.tracejit import fastpath_stats
@@ -275,6 +274,9 @@ def run_cell(
         if strategy == "none":
             result = prog.run(max_bundles=max_bundles)
         else:
+            # deferred: a build-only command (table1, disasm) never gets here
+            from .core.framework import Cobra
+
             config = replace(m.config.cobra, **delta) if delta else m.config.cobra
             engine = Cobra(m, prog.image, strategy, config)
             if tap:

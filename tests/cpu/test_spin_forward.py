@@ -10,6 +10,7 @@ margin, sampling interval and arrival skew.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -216,6 +217,47 @@ def test_long_wait_is_forwarded_not_replayed(body, l2_hit):
     )[0]
     assert waiter["spin_forwards"] > 0
     assert waiter["spin_iters_skipped"] > 10 * waiter["spin_forwards"]
+
+
+#: seeded faults in a spin trace's source: what a mid-body entry and the
+#: head argument added to the forward (tests/cpu/test_whole_iteration.py
+#: seeds the rest of the closure)
+FAULTS = {
+    "a mid-body entry forwards on the loads it did not see":
+        (r"hits = forward and not start", "hits = forward"),
+    "forwarded BTB entries: H + dropped":
+        (r"btb\.extend\(\(\(H \+ (\d+), H\),\) \* min\(m, ", r"btb.extend(((\1, H),) * min(m, "),
+    "forwarded BTB entries: target's H dropped":
+        (r"btb\.extend\(\(\((.*), H\),\) \* min\(m, ", r"btb.extend(((\1, 0),) * min(m, "),
+}
+#: a long wait in slices that end inside the four-bundle thrash body, so
+#: that the next enters it past the nine loads that miss; one in whole slices
+FAULT_RUNS = (
+    (2, "thrash", [[0, 0], [3000, 1500]], 7, 16, 0, 0, 1),
+    (2, "barrier", [[0, 0], [150, 90]], 512, 16, 30, 5),
+)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_seeded_faults_are_caught(fault):
+    pattern, change = FAULTS[fault]
+    generate = tracejit._generate
+    seeded = []
+
+    def faulty(*shape):
+        source = generate(*shape)
+        seeded.append(len(re.findall(pattern, source)))
+        return re.sub(pattern, change, source)
+
+    caught = False
+    for run in FAULT_RUNS:
+        oracle = _run(JIT_OFF, *run)[:2]
+        with mock.patch.multiple(tracejit, _TRACE_FNS={}, _generate=faulty):
+            try:
+                caught |= _run(JIT_ON, *run)[:2] != oracle
+            except Exception:   # noqa: BLE001 - a crashing mutant is a caught one
+                caught = True
+    assert any(seeded) and caught
 
 
 def _classify(body: str, closer: str = "(p8) br.cond .wait") -> bool:

@@ -11,10 +11,12 @@ and branch-history counters.
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import itanium2_smp
-from repro.cpu import Machine, Scheduler
+from repro.cpu import Machine, Scheduler, tracejit
 from repro.isa import assemble
 
 COMMON = dict(
@@ -156,7 +158,7 @@ def test_wtop_compiled_matches_generic(kernel, trip):
     lc=st.integers(8, 40),
     ec=st.integers(1, 4),
     interval=st.integers(3, 23),
-    slice_bundles=st.integers(5, 64),
+    slice_bundles=st.integers(1, 64),
 )
 @settings(**COMMON)
 def test_osr_entry_matches_generic_from_mid_loop_state(
@@ -168,9 +170,8 @@ def test_osr_entry_matches_generic_from_mid_loop_state(
     bundles (capturing rotation bases, predicates, LC/EC and the
     countdown mid-iteration) and random slice sizes force budget exits
     at arbitrary boundaries; with OSR on, every re-dispatch after either
-    kind of interruption may enter the trace mid-body through a suffix
-    closure.  All three policies must agree on the full architectural
-    state.
+    kind of interruption may enter the trace mid-body.  All three
+    policies must agree on the full architectural state.
     """
     body = "\n".join(kernel)
     src = (
@@ -216,3 +217,74 @@ def test_cloop_counter_sweep(lc, step):
     assert fast.regs.read_gr(1) & ((1 << 64) - 1) == (
         step * (lc + 1)
     ) & ((1 << 64) - 1)
+
+
+@given(
+    kernel=KERNEL,
+    tail=st.lists(KERNEL_OP, min_size=6, max_size=12),
+    lc=st.integers(2, 9),
+    ec=st.integers(1, 3),
+    interval=st.sampled_from((0, 4, 11)),
+    slice_bundles=st.integers(1, 3),
+)
+@settings(**COMMON)
+def test_every_covered_bundle_is_an_entry(
+    kernel, tail, lc, ec, interval, slice_bundles
+):
+    """Slices of one to three bundles end a trace at every bundle, so the
+    next slice enters the same closure with every covered index as
+    ``start`` — a loop's and, in the region behind it, a linear trace's."""
+    body, region = "\n".join(kernel), "\n".join(tail)
+    src = (
+        "clrrrb\nalloc rot=8\nmov r1=3\nmov r2=5\nmov r3=7\nmov r4=9\n"
+        f".outer:\nmov pr.rot=0x10000\nmov ar.lc={lc}\nmov ar.ec={ec}\n"
+        f".loop:\n{body}\nbr.ctop.sptk .loop\n"
+        f".tail:\n{region}\n"
+        "add r10=1,r10\ncmp.lt p8,p9=r10,r11\n(p8) br.cond .outer\nhalt\n"
+    )
+    image = assemble(src)
+    started: set = set()
+    trace_fn = tracejit._trace_fn
+
+    def recording(head, *shape):
+        fn = trace_fn(head, *shape)
+        if not head:
+            return fn   # the shape, looked up on behalf of a head
+
+        def entered(*args):
+            started.add((head, args[-2]))
+            assert args[-1] == head
+            return fn(*args)
+
+        return entered
+
+    def execute(jit):
+        machine = Machine(itanium2_smp(1))
+        machine.load_image(image)
+        core = machine.cores[0]
+        core.jit_enabled = core.osr_enabled = jit
+        core.trace_jit.threshold = 2
+        core.regs.write_gr(11, 8)       # trips of the outer loop
+        if interval:
+            core.enable_sampling(interval, lambda c: None)
+        core.start(image.base)
+        for _ in range(100_000):
+            if core.halted:
+                break
+            core.run(slice_bundles)
+        assert core.halted
+        return core
+
+    ref = execute(jit=False)
+    with mock.patch.object(tracejit, "_trace_fn", recording):
+        fast = execute(jit=True)
+    assert _arch_state(ref) == _arch_state(fast), src
+    traces = fast.trace_jit.traces
+    # (a sampling interrupt that always falls on the loop's exit hides
+    # the exit site the region would be promoted from)
+    kinds = {tr.kind for tr in traces.values()}
+    assert kinds == {"loop", "linear"} or interval and kinds == {"loop"}, src
+    if slice_bundles == 1:
+        for tr in traces.values():
+            assert {idx for head, idx in started if head == tr.head} == {
+                *range(tr.n_bundles)}, src

@@ -9,7 +9,9 @@ of the same code, so it is only admissible with oracles: ``osr-off``
 runs the same closures from loop heads only, the generic interpreter
 runs one bundle at a time, and the same closures with the guard forced
 false never leave the per-bundle body.  All must agree on everything a
-run can observe.  The seeded faults at the end show the comparison has teeth.
+run can observe.  The same comparison holds the entry index ``start`` and
+the head ``H`` every closure takes as arguments (DESIGN.md §9 "OSR entry").
+The seeded faults at the end show the comparison has teeth.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ def _run(mode, shape, trips, slice_bundles, margin, interval, overhead,
         core.jit_enabled, core.osr_enabled = mode
         core.trace_jit.threshold = threshold
         watch(core, machine.caches[core.cpu_id])
+        machine.caches[core.cpu_id].dear_threshold = 8     # as armed by the HPM
         if mode[0] and not threshold:
             dcache = core.decode_cache
             core.trace_jit.compile(
@@ -211,7 +214,8 @@ def _loop_trace(shape) -> tracejit.CompiledTrace:
 
 
 def _loop_source(shape) -> str:
-    return _loop_trace(shape).source()
+    """What ``_generate`` returns for ``shape``: below the line naming a head."""
+    return _loop_trace(shape).source().split("\n", 1)[1]
 
 
 def _agrees(fast, oracle) -> bool:
@@ -338,11 +342,12 @@ def test_only_steady_state_closures_hold_the_body_twice():
     steady = trace.source()
     assert len(_GUARD.findall(steady)) == 1
     assert steady.count("# -- bundle") == 2 * k
-    # an OSR suffix and a linear region run once per call: one body each
-    for idx in range(1, k):
-        suffix = trace.source(idx)
-        assert not _GUARD.search(suffix) and "ROT_" not in suffix
-        assert suffix.count("# -- bundle") == k - idx
+    # every bundle of the per-bundle body but the last can be entered past
+    assert [int(n) for n in re.findall(r"if start <= (\d+):", steady)] == [*range(k - 1)]
+    # a linear region runs once per call: one body
+    region = tracejit._generate(tracejit._relative(trace.head, trace.body), 8, 2, "linear")
+    assert not _GUARD.search(region) and "ROT_" not in region and "while" not in region
+    assert region.count("# -- bundle") == region.count("if start <=") + 1
     # a spin-wait is forwarded in closed form instead (PR 13)
     spin = assemble(".wait:\nld8 r28=[r26]\ncmp.eq p8,p9=r28,r27\n(p8) br.cond .wait\nhalt\n")
     machine = Machine(itanium2_smp(1))
@@ -370,19 +375,22 @@ def test_only_steady_state_closures_hold_the_body_twice():
 def test_source_is_regenerated_not_stored():
     trace = _loop_trace(("cloop", 0b000011, False, "last"))
     assert not any("source" in slot for slot in tracejit.CompiledTrace.__slots__)
-    for idx in range(trace.n_bundles):
-        namespace: dict = {}
-        exec(compile(trace.source(idx), "<source>", "exec"), namespace)  # noqa: S102
-        # the text on show is the text that runs
-        assert namespace["__trace__"].__code__.co_code == trace.entry(idx).__code__.co_code
-        assert namespace["__trace__"].__code__.co_consts == trace.entry(idx).__code__.co_consts
+    namespace: dict = {}
+    exec(compile(trace.source(), "<source>", "exec"), namespace)  # noqa: S102
+    # the text on show is the text that runs, wherever it was assembled
+    assert namespace["__trace__"].__code__.co_code == trace.fn.__code__.co_code
+    assert namespace["__trace__"].__code__.co_consts == trace.fn.__code__.co_consts
+    assert trace.source().startswith(f"# entered with H = {trace.head:#x}\n")
+    assert f"{trace.head:#x}" not in trace.source().split("\n", 1)[1]
+    assert trace.fn.__code__.co_filename == (
+        f"<trace +0x0..+{16 * (trace.n_bundles - 1):#x} loop>")
 
 
 # -- the comparison has teeth --------------------------------------------------
 
 _B63 = 1 << 63
-_ROW = r"out = \((\d+), (\d+), (\d+), (\d)\); break"
-_ROW_PAST_0 = r"out = \((\d+), (\d+), ([1-9]\d*), (\d)\); break"
+_ROW = r"out = \((H(?: [+-] \d+)?), (\d+), (\d+), (\d)\); break"
+_ROW_PAST_0 = r"out = \((H(?: [+-] \d+)?), (\d+), ([1-9]\d*), (\d)\); break"
 _BACK_EDGE = (r"iters \+= 1\n *retired \+= (\d+)\n *bundles_executed \+= (\d+)\n"
               r" *executed \+= (\d+)\n *if sampling:\n *countdown -= (\d+)\n")
 #: the rest of a flush block, then what the flush was emitted ahead of
@@ -397,10 +405,12 @@ _AHEAD_OF = {
 #: seeded faults in the generated source: name -> (pattern, change), the
 #: change a replacement template or (group, delta) to move one number.
 #: ``SITE`` faults are seeded at one occurrence at a time and each must be
-#: caught on its own shape; the others go in everywhere at once (most of
-#: their sites cannot show them: a BTB that already holds four copies of
-#: the back-edge, a wrap that never sees a boundary value) and must be
-#: caught on at least one shape.
+#: caught on its own shape; ``EVERYWHERE`` ones go in everywhere at once
+#: (most of their sites cannot show them: a BTB that already holds four
+#: copies of the back-edge, a wrap that never sees a boundary value) and
+#: must be caught on at least one shape; ``ANY_SITE`` ones — the entry
+#: index and the head, mostly in the per-bundle body the battery was not
+#: drawn to cover — go in at one occurrence at a time until one shows.
 SITE = {
     "sample guard > becomes >=": (r"countdown > (\d+)\):", r"countdown >= \1):"),
     "budget guard admits k-1": (r"if executed \+ (\d+) <= max_bundles", (1, -1)),
@@ -414,6 +424,21 @@ SITE = {
     "L2-hit load not counted": (r"n_loads \+= 1", "pass"),
     "L2-hit store not counted": (r"n_stores \+= 1", "pass"),
     "L2-hit prefetch not counted": (r"n_prefetches \+= 1", "pass"),
+    "exit row: H + dropped": (r"out = \(H \+ (\d+), ", r"out = (\1, "),
+}
+ANY_SITE = {
+    "entry index: start <= n becomes start < n":
+        (r"if start <= (\d+):", r"if start < \1:"),
+    "entry index not reset at the back-edge": (r"start = 0", "pass"),
+    "whole iterations from a mid-body entry":
+        (r"max_bundles and not start and ", "max_bundles and "),
+    "return: H + dropped": (r"return \(H \+ (\d+), lc", r"return (\1, lc"),
+    "BTB entry: H + dropped": (r"btb_append\(\(H \+ (\d+), ", r"btb_append((\1, "),
+    "BTB entry: target's H dropped": (r"btb_append\((.*), H [+-] (\d+)\)\)",
+                                      r"btb_append(\1, \2))"),
+    "deferred BTB entries: H + dropped":
+        (r"btb\.extend\(\(\(H \+ (\d+), H\)", r"btb.extend(((\1, H)"),
+    "DEAR pc: H + dropped": (r"core\.dear = \(H \+ (\d+), ", r"core.dear = (\1, "),
 }
 EVERYWHERE = {
     "back-edge BTB entry not counted": (r"n_back \+= 1", "pass"),
@@ -464,7 +489,7 @@ def _moved(m: re.Match, change) -> str:
 
 def _mutants(source: str):
     """``(fault, site or None, mutated source)`` for one closure."""
-    for fault, (pattern, change) in SITE.items():
+    for fault, (pattern, change) in (SITE | ANY_SITE).items():
         for n, m in enumerate(re.finditer(pattern, source)):
             yield fault, n, source[: m.start()] + _moved(m, change) + source[m.end():]
     for fault, (pattern, change) in EVERYWHERE.items():
@@ -507,21 +532,27 @@ def _survivors(shape) -> frozenset:
     source = _loop_source(shape)
     runs = list(_battery(_loop_trace(shape).n_bundles))
     oracle: dict = {}
+
+    def shows(run) -> bool:
+        if run not in oracle:
+            oracle[run] = _run(JIT_OFF, shape, *run)[0]
+        try:
+            return not _agrees(_run(JIT_ON, shape, *run)[0], oracle[run])
+        except Exception:   # noqa: BLE001 - a crashing mutant is a caught one
+            return True
+
     alive = set()
+    hidden: dict = {}   # an ``ANY_SITE`` fault -> no site tried so far shows it
     for fault, site, mutated in _mutants(source):
+        if hidden.get(fault) is False:
+            continue    # one site is enough
         with _with_source(lambda text, mutated=mutated: mutated if text == source else text):
-            for run in runs:
-                if run not in oracle:
-                    oracle[run] = _run(JIT_OFF, shape, *run)[0]
-                try:
-                    caught = not _agrees(_run(JIT_ON, shape, *run)[0], oracle[run])
-                except Exception:   # noqa: BLE001 - a crashing mutant is a caught one
-                    caught = True
-                if caught:
-                    break
-            else:
-                alive.add((fault, site))
-    return frozenset(alive)
+            caught = any(shows(run) for run in runs)
+        if fault in ANY_SITE:
+            hidden[fault] = not caught
+        elif not caught:
+            alive.add((fault, site))
+    return frozenset(alive | {(fault, None) for fault, still in hidden.items() if still})
 
 
 #: faults seeded everywhere at once that a shape cannot show, by index
@@ -558,5 +589,5 @@ def test_every_fault_is_seeded_and_caught_somewhere():
         seeded |= faults
         caught |= faults - {fault for fault, _ in _survivors(shape)}
     # a pattern that no longer matches the generated source seeds nothing
-    assert seeded == set(SITE) | set(EVERYWHERE)
+    assert seeded == set(SITE) | set(EVERYWHERE) | set(ANY_SITE)
     assert caught == seeded

@@ -13,9 +13,10 @@ CORPUS = os.path.join(
     os.path.dirname(__file__), "..", "..", "benchmarks", "fuzz", "corpus.json"
 )
 
-#: loop classes whose generated shapes always chain compiled exits —
-#: the tree-free regime does not exist for them (see make_corpus.py)
-ALWAYS_LINKED = ("gather", "histogram")
+#: loop classes whose generated shapes always chain compiled exits; the
+#: others run one loop a thread and have no second trace to chain to, so
+#: each class has one tree regime (see make_corpus.py)
+ALWAYS_LINKED = ("gather",)
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +30,11 @@ class TestCorpusShape:
         assert len(corpus["entries"]) == 50
 
     def test_covers_every_loop_class_in_both_tree_regimes(self, corpus):
+        """Both regimes are in the corpus, each class in the one it has."""
         cells = {
             (e["loop_class"], e["tree_linked"]) for e in corpus["entries"]
         }
-        for cls in LOOP_CLASSES:
-            assert (cls, True) in cells, f"{cls}: no tree-linked entry"
-            if cls not in ALWAYS_LINKED:
-                assert (cls, False) in cells, f"{cls}: no tree-free entry"
+        assert cells == {(cls, cls in ALWAYS_LINKED) for cls in LOOP_CLASSES}
 
     def test_everything_is_jit_eligible_under_osr(self, corpus):
         # with OSR entry the hot threshold is 3 back-edges — every

@@ -156,6 +156,30 @@ class TestBenchCli:
         assert stdout.count(" -> ") == 2
         assert "bench compare: FAIL" in stdout
 
+    def test_compare_lets_host_work_counters_move(self, tmp_path, capsys):
+        """Only ``tracejit.WORK_COUNTERS`` leaves moved: named, and passed."""
+        baseline = tmp_path / "baseline.json"
+        main(self.ARGV + ["--out", str(baseline)])
+        doc = json.loads(baseline.read_text())
+        fastpath = doc["cases"][0]["fastpath"]
+        fastpath["entries"] += 7
+        fastpath["deopts"]["budget"] += 1
+        fastpath["per_core"][1]["tree_links"] += 2
+        baseline.write_text(_dump(doc))
+        capsys.readouterr()
+        rc = main(self.ARGV + ["--compare", str(baseline)])
+        stdout = capsys.readouterr().out
+        assert rc == 0 and "bench compare: OK" in stdout
+        assert "moved (work)" in stdout and "DIFFERS" not in stdout
+        assert stdout.count(" -> ") == stdout.count("  (work)\n") == 3
+        # one architectural leaf beside them fails the case as before
+        fastpath["osr_entries"] += 1
+        baseline.write_text(_dump(doc))
+        rc = main(self.ARGV + ["--compare", str(baseline)])
+        stdout = capsys.readouterr().out
+        assert rc == 1 and "DIFFERS" in stdout and "moved (work)" not in stdout
+        assert stdout.count(" -> ") == 4 and stdout.count("  (work)\n") == 3
+
     def test_compare_rejects_a_timing_era_baseline(self, tmp_path, capsys):
         old = tmp_path / "v3.json"
         old.write_text(json.dumps({

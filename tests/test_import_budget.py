@@ -3,9 +3,11 @@
 COBRA is preloaded into every process it optimizes, so what it costs
 before the first instruction runs is part of its overhead; here that
 cost is ``import`` (DESIGN.md §2 "Import layering").  A command loads
-the kernel packages plus the one workload it runs; an attachment
-(faults, persist, validate, governor, fleet) or a harness loads only
-when a flag or ``REPRO_*`` variable arms it.
+the kernel packages plus the one workload it runs — and COBRA itself
+(``core``, ``hpm``) only if it runs a program, which ``table1`` and
+``disasm`` do not; an attachment (faults, persist, validate, governor,
+fleet) or a harness loads only when a flag or ``REPRO_*`` variable arms
+it.
 
 Every case runs in a fresh interpreter.  The lists hold ``repro.*``
 names only, so they are the same on every Python version; an eager
@@ -23,17 +25,13 @@ import sys
 
 import pytest
 
-#: What every command loads: config, errors, isa, memory, cpu, hpm,
-#: runtime, compiler, core, scenario, the CLI and the workload registry.
+#: What every command loads: config, errors, isa, memory, cpu, runtime,
+#: compiler, scenario, the CLI and the workload registry.
 KERNEL = """
 repro repro.cli repro.compiler repro.compiler.codegen repro.compiler.kernels
-repro.compiler.prefetch repro.config repro.core repro.core.filters
-repro.core.framework repro.core.monitor repro.core.optimizer repro.core.opts
-repro.core.opts.bias repro.core.opts.excl repro.core.opts.noprefetch
-repro.core.policy repro.core.profiler repro.core.tracecache repro.core.tracesel
+repro.compiler.prefetch repro.config
 repro.cpu repro.cpu.core repro.cpu.machine repro.cpu.scheduler repro.cpu.tracejit
-repro.errors repro.hpm repro.hpm.batch repro.hpm.btb repro.hpm.counters
-repro.hpm.dear repro.hpm.events repro.hpm.perfmon repro.hpm.sample repro.isa
+repro.errors repro.isa
 repro.isa.assembler repro.isa.binary repro.isa.bundle repro.isa.decode
 repro.isa.disassembler repro.isa.instructions repro.isa.registers repro.memory
 repro.memory.address repro.memory.bus repro.memory.cache repro.memory.coherence
@@ -43,14 +41,29 @@ repro.runtime.barrier repro.runtime.team repro.runtime.thread repro.scenario
 repro.workloads repro.workloads.npb repro.workloads.npb.common
 """.split()
 
+#: What a command that runs a program loads on top: the paper's framework
+#: and the performance monitor it samples.
+COBRA = """
+repro.core repro.core.filters
+repro.core.framework repro.core.monitor repro.core.optimizer repro.core.opts
+repro.core.opts.bias repro.core.opts.excl repro.core.opts.noprefetch
+repro.core.policy repro.core.profiler repro.core.tracecache repro.core.tracesel
+repro.hpm repro.hpm.batch repro.hpm.btb repro.hpm.counters
+repro.hpm.dear repro.hpm.events repro.hpm.perfmon repro.hpm.sample
+""".split()
+
+#: commands that build an image and print: they run nothing
+BUILD_ONLY = ("table1", "disasm")
+
 NPB_KERNELS = [
     f"repro.workloads.npb.{m}"
     for m in ("bt", "cg", "ep", "ft", "grid", "is_", "lu", "mg", "sp")
 ]
 
-#: The four ``cli_cold`` commands of ``benchmarks/e2e``: argv -> what
-#: they load on top of :data:`KERNEL`.
+#: The four ``cli_cold`` commands of ``benchmarks/e2e`` and ``disasm``:
+#: argv -> what they load on top of :data:`KERNEL` (and :data:`COBRA`).
 COMMANDS = {
+    ("disasm", "daxpy"): ["repro.workloads.daxpy"],
     ("table1",): [
         "repro.analysis", "repro.analysis.metrics", "repro.analysis.report",
         *NPB_KERNELS,
@@ -101,12 +114,12 @@ def run(child_env):
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_a_command_loads_the_kernel_and_its_workload(argv, run):
-    """At the parent all four commands loaded the same 88 modules; the
-    issue named <= 73 for ``table1`` and <= 62 for the others beforehand
-    (here 72 and 61)."""
+    """Before PR 18 every command loaded the same 88 modules; a running
+    command loads 61 now, ``table1`` 51 and ``disasm daxpy`` 40."""
     code, _stdout, modules = run(argv)
     assert code == 0
-    assert modules == sorted(KERNEL + COMMANDS[argv])
+    cobra = [] if argv[0] in BUILD_ONLY else COBRA
+    assert modules == sorted(KERNEL + cobra + COMMANDS[argv])
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
@@ -116,6 +129,14 @@ def test_no_attachment_or_harness_on_the_default_path(argv, run):
         assert not [m for m in modules if m == package or m.startswith(package + ".")]
     if argv != ("table1",):
         assert "repro.analysis" not in modules
+
+
+def test_the_front_door_names_the_policys_strategies():
+    """The CLI spells the strategy names without importing ``core``."""
+    from repro import cli
+    from repro.core.policy import STRATEGIES
+
+    assert cli.STRATEGIES == STRATEGIES
 
 
 def test_npb_cg_loads_no_kernel_but_cg(run):
