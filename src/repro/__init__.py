@@ -14,7 +14,7 @@ Subpackages:
 
 - :mod:`repro.isa` — IA-64-like ISA: bundles, predication, rotation,
   ``lfetch`` hints, patchable binaries, assembler/disassembler;
-- :mod:`repro.memory` — caches, MESI snooping bus, cc-NUMA directory;
+- :mod:`repro.memory` — caches, one MESI fabric (SMP bus = one node, cc-NUMA = several);
 - :mod:`repro.cpu` — interpreter cores, machines, time-ordered scheduler;
 - :mod:`repro.hpm` — PMU counters, BTB, DEAR, perfmon-like sampling;
 - :mod:`repro.runtime` — threads, OpenMP-style parallel programs;

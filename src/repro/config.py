@@ -239,7 +239,8 @@ class BusConfig:
     ``occupancy_data`` is the number of cycles a full cache-line data
     transfer holds the bus; ``occupancy_ctrl`` covers address-only
     transactions (upgrades/invalidates).  Queueing delay emerges from
-    the busy-until bookkeeping in :class:`repro.memory.bus.SnoopBus`.
+    the per-node busy-until bookkeeping in
+    :class:`repro.memory.fabric.CoherentFabric`.
     """
 
     occupancy_data: int = 8
@@ -669,8 +670,7 @@ class MachineConfig:
     scale: int = DEFAULT_SCALE
 
     def __post_init__(self) -> None:
-        if self.n_cpus < 1:
-            raise ValueError("n_cpus must be >= 1")
+        _require(self, ">= 1", "n_cpus", "cpus_per_node", "scale")
         if self.n_cpus % self.cpus_per_node:
             raise ValueError("n_cpus must be a multiple of cpus_per_node")
 
@@ -678,16 +678,14 @@ class MachineConfig:
     def n_nodes(self) -> int:
         return self.n_cpus // self.cpus_per_node
 
-    @property
-    def is_numa(self) -> bool:
-        return self.n_nodes > 1
-
     def with_cobra(self, **kwargs: object) -> "MachineConfig":
         """Return a copy with selected COBRA parameters overridden."""
         return replace(self, cobra=replace(self.cobra, **kwargs))
 
 
 def _scaled_cache(real_bytes: int, scale: int, assoc: int) -> CacheConfig:
+    if scale < 1:  # the presets divide before MachineConfig gets to look
+        raise ValueError(f"scale must be >= 1, got {scale}")
     size = real_bytes // scale
     # keep the geometry legal after scaling
     while size % (LINE_SIZE * assoc):

@@ -1,12 +1,12 @@
 """Machine assembly: cores + cache hierarchies + fabric + memory.
 
-``Machine.from_config`` builds either platform from a
-:class:`~repro.config.MachineConfig`:
-
-* single-node configs get a :class:`~repro.memory.bus.SnoopBus` (the
-  4-way Itanium 2 SMP server);
-* multi-node configs get a :class:`~repro.memory.directory.DirectoryFabric`
-  (the SGI Altix cc-NUMA system) with first-touch page placement.
+``Machine(config)`` builds either platform from a
+:class:`~repro.config.MachineConfig` the same way: one
+:class:`~repro.memory.fabric.CoherentFabric` with ``config.n_nodes``
+node buses, CPU ``i`` on node ``i // cpus_per_node``.  The 4-way
+Itanium 2 SMP server is the one-node machine; the SGI Altix cc-NUMA
+system has two CPUs per node and first-touch page placement between
+them.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from operator import attrgetter
 from ..config import MachineConfig
 from ..errors import MachineError
 from ..isa.binary import BinaryImage
-from ..memory.bus import SnoopBus
-from ..memory.directory import DirectoryFabric
 from ..memory.dram import MemorySystem
 from ..memory.events import MemEvents
+from ..memory.fabric import CoherentFabric
 from ..memory.hierarchy import CpuCacheSystem
 from .core import Core
 
@@ -34,22 +33,13 @@ class Machine:
     def __init__(self, config: MachineConfig, memory_bytes: int = 8 << 20) -> None:
         self.config = config
         self.mem = MemorySystem(memory_bytes)
-        if config.is_numa:
-            self.fabric = DirectoryFabric(
-                config.n_nodes, config.bus, config.latency, self.mem
-            )
-        else:
-            self.fabric = SnoopBus(config.bus, config.latency)
+        self.fabric = CoherentFabric(config.n_nodes, config.bus, config.latency, self.mem)
         self.caches = [
             CpuCacheSystem(cpu, cpu // config.cpus_per_node, config, self.fabric)
             for cpu in range(config.n_cpus)
         ]
         self.cores = [Core(cpu, self.caches[cpu], self.mem) for cpu in range(config.n_cpus)]
         self._next_text = 0x4000_0000
-
-    @classmethod
-    def from_config(cls, config: MachineConfig, memory_bytes: int = 8 << 20) -> "Machine":
-        return cls(config, memory_bytes)
 
     @property
     def n_cpus(self) -> int:

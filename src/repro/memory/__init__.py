@@ -6,12 +6,11 @@ produced mechanistically by this package.
 """
 
 from .address import LINE_SHIFT, PAGE_SHIFT, line_base, line_of, lines_spanned, page_of
-from .bus import SnoopBus
 from .cache import CacheArray
 from .coherence import EXCLUSIVE, MODIFIED, SHARED, state_name
-from .directory import DirectoryFabric
 from .dram import DATA_BASE, Allocation, MemorySystem
 from .events import MemEvents
+from .fabric import CoherentFabric
 from .hierarchy import ATOMIC, LOAD, LOAD_BIAS, PREFETCH, PREFETCH_EXCL, STORE, CpuCacheSystem
 
 __all__ = [
@@ -21,13 +20,12 @@ __all__ = [
     "page_of",
     "line_base",
     "lines_spanned",
-    "SnoopBus",
     "CacheArray",
     "SHARED",
     "EXCLUSIVE",
     "MODIFIED",
     "state_name",
-    "DirectoryFabric",
+    "CoherentFabric",
     "MemorySystem",
     "Allocation",
     "DATA_BASE",

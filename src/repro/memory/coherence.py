@@ -1,11 +1,13 @@
 """MESI (Illinois) coherence protocol states and invariants.
 
-The 4-way Itanium 2 SMP server in the paper runs MESI over its
-front-side bus; the SGI Altix runs an equivalent directory protocol.
+Both of the paper's platforms run it, over one implementation
+(:mod:`repro.memory.fabric`): the 4-way Itanium 2 SMP server is the
+fabric with a single node, the SGI Altix the same with several.
 States are small ints for speed; ``INVALID`` is represented by *absence*
 from a cache's state map, so the constants start at 1.
 
-Protocol invariants (property-tested in ``tests/memory``):
+Protocol invariants (property-tested in ``tests/memory``, enumerated in
+``tests/validate/test_coherence_properties.py``):
 
 * at most one cache holds a line in M or E;
 * if any cache holds M or E, no other cache holds the line at all;

@@ -33,7 +33,7 @@ from .coherence import EXCLUSIVE, MODIFIED, SHARED
 from .events import MemEvents
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .bus import SnoopBus
+    from .fabric import CoherentFabric
 
 __all__ = ["CpuCacheSystem", "LOAD", "STORE", "PREFETCH", "PREFETCH_EXCL", "LOAD_BIAS", "ATOMIC"]
 
@@ -71,7 +71,9 @@ class CpuCacheSystem:
         "_l2_hit",
     )
 
-    def __init__(self, cpu_id: int, node_id: int, config: MachineConfig, fabric) -> None:
+    def __init__(
+        self, cpu_id: int, node_id: int, config: MachineConfig, fabric: "CoherentFabric"
+    ) -> None:
         self.cpu_id = cpu_id
         self.node_id = node_id
         self.l2 = CacheArray(config.l2)
@@ -183,31 +185,6 @@ class CpuCacheSystem:
                 self.dear_pending = latency
             return wait + latency + self._install(now, line, install)
 
-        if kind == STORE:
-            ev.stores += 1
-            if st is not None:
-                extra = 0
-                if st == SHARED:
-                    wait, latency = self.fabric.upgrade(now, self, line)
-                    extra = wait + int(latency * self._sf)
-                    if latency > self.dear_threshold:
-                        self.dear_pending = latency
-                self.state[line] = MODIFIED
-                self.l2_dirty.add(line)
-                if self.l2.touch(line):
-                    return lat.l2_hit + extra
-                ev.l2_misses += 1
-                return lat.l3_hit + extra + self._promote(line)
-            ev.l2_misses += 1
-            ev.l3_misses += 1
-            wait, latency, _ = self.fabric.read_excl(now, self, line)
-            if latency > self.dear_threshold:
-                self.dear_pending = latency
-            stall = wait + int(latency * self._sf)
-            stall += self._install(now, line, MODIFIED)
-            self.l2_dirty.add(line)
-            return stall
-
         if kind == PREFETCH:
             ev.prefetches += 1
             if st is not None:
@@ -252,35 +229,32 @@ class CpuCacheSystem:
             self.excl_alloc.add(line)
             return wait + self._occ_data + extra
 
-        if kind == ATOMIC:
-            # fetchadd8: read-modify-write, fully serializing (no store buffer)
+        # Ownership arm: STORE, ATOMIC (fetchadd8) and LOAD_BIAS (ld8.bias)
+        # all end owning the line -- an upgrade from S, a read-for-ownership
+        # from I.  They differ in three things only:
+        #  * what is counted: a store is a store, ld8.bias a load,
+        #    fetchadd8 (read-modify-write) both;
+        #  * only a store is buffered: it stalls for ``store_factor`` of the
+        #    protocol latency and arms the DEAR with all of it (the PMU
+        #    reports the latency, not the stall); the other two serialize
+        #    and stall for the whole latency;
+        #  * ld8.bias asks for ownership but writes nothing: a hit on an
+        #    owned line (E or M) leaves its state and L2 dirtiness alone.
+        store = kind == STORE
+        if not store:
             ev.loads += 1
+        if kind != LOAD_BIAS:
             ev.stores += 1
-            if st is not None:
-                extra = 0
-                if st == SHARED:
-                    wait, latency = self.fabric.upgrade(now, self, line)
-                    extra = wait + latency
-                self.state[line] = MODIFIED
-                self.l2_dirty.add(line)
-                if self.l2.touch(line):
-                    return lat.l2_hit + extra
-                ev.l2_misses += 1
-                return lat.l3_hit + extra + self._promote(line)
-            ev.l2_misses += 1
-            ev.l3_misses += 1
-            wait, latency, _ = self.fabric.read_excl(now, self, line)
-            stall = wait + latency + self._install(now, line, MODIFIED)
-            self.l2_dirty.add(line)
-            return stall
-
-        # LOAD_BIAS: ld8.bias — a load that requests exclusive ownership
-        ev.loads += 1
         if st is not None:
             extra = 0
             if st == SHARED:
                 wait, latency = self.fabric.upgrade(now, self, line)
+                if store:
+                    if latency > self.dear_threshold:
+                        self.dear_pending = latency
+                    latency = int(latency * self._sf)
                 extra = wait + latency
+            if st == SHARED or kind != LOAD_BIAS:
                 self.state[line] = MODIFIED
                 self.l2_dirty.add(line)
             if self.l2.touch(line):
@@ -290,6 +264,10 @@ class CpuCacheSystem:
         ev.l2_misses += 1
         ev.l3_misses += 1
         wait, latency, _ = self.fabric.read_excl(now, self, line)
+        if store:
+            if latency > self.dear_threshold:
+                self.dear_pending = latency
+            latency = int(latency * self._sf)
         stall = wait + latency + self._install(now, line, MODIFIED)
         self.l2_dirty.add(line)
         return stall
@@ -316,14 +294,13 @@ class CpuCacheSystem:
             vstate = self.state.pop(victim3, None)
             self.l2.remove(victim3)
             self.l2_dirty.discard(victim3)
-            wrote_back = False
-            if vstate == MODIFIED:
+            # dirty, or the cast-out of an exclusively-prefetched (never
+            # stored) line
+            wrote_back = vstate == MODIFIED or (
+                vstate == EXCLUSIVE and victim3 in self.excl_alloc
+            )
+            if wrote_back:
                 extra += self.fabric.writeback(now, self, victim3)
-                wrote_back = True
-            elif vstate == EXCLUSIVE and victim3 in self.excl_alloc:
-                # cast-out of an exclusively-prefetched (never stored) line
-                extra += self.fabric.writeback(now, self, victim3)
-                wrote_back = True
             self.excl_alloc.discard(victim3)
             if self.validator is not None:
                 self.validator.on_evict(self, victim3, vstate, wrote_back)

@@ -1,4 +1,4 @@
-"""Runtime MESI/directory invariant checking.
+"""Runtime MESI invariant checking.
 
 The :class:`CoherenceChecker` subscribes to the memory hierarchies of
 one :class:`~repro.cpu.machine.Machine` (via
@@ -14,9 +14,10 @@ every completed access, the protocol invariants documented in
   exclusive prefetch in E or M, ...);
 * **protocol-model** — the observed global state of the accessed line
   matches a shadow directory the checker advances by the documented
-  transition rules (for the directory fabric this *is* the "directory
-  state mirrors cache states" check: the shadow plays the directory,
-  the cache state maps are ground truth);
+  transition rules (the fabric keeps no directory of its own — it asks
+  the caches — so this *is* the "directory state mirrors cache states"
+  check, in either topology: the shadow plays the directory, the cache
+  state maps are ground truth);
 * **writeback-on-dirty-evict** — evicting an M line (or an
   exclusively-prefetched E line) performs a bus writeback;
 * **structure** — L2 ⊆ L3 inclusion, the state map mirrors the L3 tags,

@@ -6,22 +6,31 @@ from repro.config import itanium2_smp, sgi_altix
 from repro.cpu import Machine
 from repro.errors import MachineError
 from repro.isa import assemble
-from repro.memory.bus import SnoopBus
-from repro.memory.directory import DirectoryFabric
+from repro.memory import CoherentFabric, CpuCacheSystem
 
 
 class TestBuilders:
-    def test_smp_uses_snoop_bus(self):
+    def test_smp_is_the_one_node_fabric(self):
         machine = Machine(itanium2_smp(4))
-        assert isinstance(machine.fabric, SnoopBus)
+        assert isinstance(machine.fabric, CoherentFabric)
+        assert machine.fabric.n_nodes == 1
         assert machine.n_cpus == 4
+        assert all(machine.node_of(cpu) == 0 for cpu in range(4))
         assert all(c.node_id == 0 for c in machine.caches)
 
-    def test_altix_uses_directory(self):
+    def test_altix_is_the_same_fabric_with_two_cpus_per_node(self):
         machine = Machine(sgi_altix(8))
-        assert isinstance(machine.fabric, DirectoryFabric)
-        assert machine.config.n_nodes == 4
+        assert isinstance(machine.fabric, CoherentFabric)  # the same class: no machine kinds
+        assert machine.fabric.n_nodes == machine.config.n_nodes == 4
         assert machine.node_of(0) == 0 and machine.node_of(7) == 3
+        assert [c.node_id for c in machine.caches] == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    @pytest.mark.parametrize("node_id", [-1, 2])
+    def test_fabric_refuses_a_cache_on_an_unknown_node(self, node_id):
+        machine = Machine(sgi_altix(4))  # nodes 0 and 1
+        with pytest.raises(ValueError, match=f"on node {node_id}, fabric has nodes 0..1"):
+            CpuCacheSystem(9, node_id, machine.config, machine.fabric)
+        assert len(machine.fabric.caches) == 4
 
     def test_scaled_cache_geometry(self):
         cfg = itanium2_smp(4, scale=16)

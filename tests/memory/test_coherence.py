@@ -1,9 +1,9 @@
-"""MESI protocol over the snooping bus: transitions, events, invariants."""
+"""MESI protocol over the coherent fabric, in both topologies: transitions, events, invariants."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import itanium2_smp
+from repro.config import itanium2_smp, sgi_altix
 from repro.cpu import Machine
 from repro.memory import (
     ATOMIC,
@@ -26,14 +26,22 @@ def _caches(n=2):
 
 
 class TestTransitions:
+    """One protocol suite; the subclass below reruns it across two nodes."""
+
+    @staticmethod
+    def pair():
+        """Two caches of a fresh machine: here, both on the one node."""
+        caches = Machine(itanium2_smp(4)).caches
+        return caches[0], caches[1]
+
     def test_cold_load_installs_exclusive(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         c0.access(0, LINE, LOAD)
         assert c0.state_of(LINE >> 7) == EXCLUSIVE
         assert c1.state_of(LINE >> 7) is None
 
     def test_second_reader_shares(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         c0.access(0, LINE, LOAD)
         c1.access(0, LINE, LOAD)
         assert c0.state_of(LINE >> 7) == SHARED
@@ -41,7 +49,7 @@ class TestTransitions:
         assert c1.events.bus_rd_hit == 1
 
     def test_store_miss_takes_modified_and_invalidates(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         c0.access(0, LINE, LOAD)
         c1.access(0, LINE, STORE)
         assert c1.state_of(LINE >> 7) == MODIFIED
@@ -50,7 +58,7 @@ class TestTransitions:
         assert c1.events.bus_rd_inval == 1
 
     def test_store_on_exclusive_is_silent(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         c0.access(0, LINE, LOAD)
         bus_before = c0.events.bus_memory
         c0.access(0, LINE, STORE)
@@ -58,7 +66,7 @@ class TestTransitions:
         assert c0.events.bus_memory == bus_before  # E -> M without the bus
 
     def test_store_on_shared_upgrades(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         c0.access(0, LINE, LOAD)
         c1.access(0, LINE, LOAD)
         c0.access(0, LINE, STORE)
@@ -67,29 +75,30 @@ class TestTransitions:
         assert c0.events.upgrades == 1
 
     def test_read_of_modified_is_hitm_with_writeback(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         c0.access(0, LINE, STORE)
         stall = c1.access(0, LINE, LOAD)
         assert c1.events.bus_rd_hitm == 1
+        assert c1.events.coherent_misses == 1
         assert c0.events.writebacks == 1  # owner flushed
         assert c0.state_of(LINE >> 7) == SHARED
         assert c1.state_of(LINE >> 7) == SHARED
         assert stall >= c1.lat.cache_to_cache  # the coherent-miss band
 
     def test_plain_prefetch_installs_shared(self):
-        _, (c0, _) = _caches()
+        c0, _ = self.pair()
         c0.access(0, LINE, PREFETCH)
         assert c0.state_of(LINE >> 7) == SHARED  # "the usual shared state"
 
     def test_prefetch_excl_installs_exclusive_and_invalidates(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         c1.access(0, LINE, LOAD)
         c0.access(0, LINE, PREFETCH_EXCL)
         assert c0.state_of(LINE >> 7) == EXCLUSIVE
         assert c1.state_of(LINE >> 7) is None
 
     def test_prefetch_excl_covers_later_store(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         c1.access(0, LINE, LOAD)
         c0.access(0, LINE, PREFETCH_EXCL)
         bus_before = c0.events.bus_memory
@@ -98,19 +107,39 @@ class TestTransitions:
         assert stall == c0.lat.l2_hit
 
     def test_atomic_is_store_like(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         c1.access(0, LINE, LOAD)
         c0.access(0, LINE, ATOMIC)
         assert c0.state_of(LINE >> 7) == MODIFIED
         assert c1.state_of(LINE >> 7) is None
 
     def test_coherent_ratio_tracks_events(self):
-        _, (c0, c1) = _caches()
+        c0, c1 = self.pair()
         for i in range(8):
             addr = LINE + 128 * i
             c0.access(0, addr, STORE)
             c1.access(0, addr, LOAD)
         assert c1.events.coherent_ratio() > 0.5
+
+    def test_third_cpu_store_invalidates_every_sharer(self):
+        c0, c1 = self.pair()
+        c2 = c0.fabric.caches[3]
+        for cache in (c0, c1):
+            cache.access(0, LINE, LOAD)
+        c2.access(0, LINE, STORE)
+        assert c2.state_of(LINE >> 7) == MODIFIED
+        assert c0.state_of(LINE >> 7) is None
+        assert c1.state_of(LINE >> 7) is None
+
+
+class TestTransitionsAcrossNodes(TestTransitions):
+    """The same transitions with the two caches on different nodes."""
+
+    @staticmethod
+    def pair():
+        caches = Machine(sgi_altix(4)).caches  # nodes: {0,1}, {2,3}
+        assert caches[0].node_id != caches[2].node_id
+        return caches[0], caches[2]
 
 
 class TestStateNames:

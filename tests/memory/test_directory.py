@@ -1,8 +1,12 @@
-"""cc-NUMA directory fabric: locality-dependent latencies and events."""
+"""The fabric across nodes: locality-dependent latencies.
+
+The protocol itself (states, events) is ``test_coherence.py``'s
+``TestTransitionsAcrossNodes``.
+"""
 
 from repro.config import sgi_altix
 from repro.cpu import Machine
-from repro.memory import EXCLUSIVE, LOAD, MODIFIED, SHARED, STORE
+from repro.memory import LOAD, STORE
 
 BASE = 0x8000_0000
 
@@ -44,28 +48,3 @@ class TestLatencies:
         caches[2].access(0, BASE, LOAD)  # remote sharer
         stall = caches[0].access(0, BASE, STORE)
         assert stall >= lat.interconnect_hop
-
-
-class TestProtocolParity:
-    """The directory implements the same MESI state machine as the bus."""
-
-    def test_states_match_snooping_semantics(self):
-        _, caches = _numa()
-        line = BASE >> 7
-        caches[0].access(0, BASE, LOAD)
-        assert caches[0].state_of(line) == EXCLUSIVE
-        caches[2].access(0, BASE, LOAD)
-        assert caches[0].state_of(line) == SHARED
-        assert caches[2].state_of(line) == SHARED
-        caches[3].access(0, BASE, STORE)
-        assert caches[3].state_of(line) == MODIFIED
-        assert caches[0].state_of(line) is None
-        assert caches[2].state_of(line) is None
-
-    def test_events_counted(self):
-        _, caches = _numa()
-        caches[0].access(0, BASE, STORE)
-        caches[2].access(0, BASE, LOAD)
-        assert caches[2].events.bus_rd_hitm == 1
-        assert caches[0].events.writebacks == 1
-        assert caches[2].events.coherent_misses == 1

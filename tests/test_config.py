@@ -1,5 +1,7 @@
 """Machine configuration: scaling, validation, platform presets."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (
@@ -25,11 +27,11 @@ class TestCacheConfig:
 class TestPresets:
     def test_smp_is_single_node(self):
         cfg = itanium2_smp(4)
-        assert not cfg.is_numa and cfg.n_nodes == 1
+        assert cfg.cpus_per_node == 4 and cfg.n_nodes == 1
 
     def test_altix_is_two_cpus_per_node(self):
         cfg = sgi_altix(8)
-        assert cfg.is_numa and cfg.cpus_per_node == 2 and cfg.n_nodes == 4
+        assert cfg.cpus_per_node == 2 and cfg.n_nodes == 4
 
     @pytest.mark.parametrize("scale", [1, 2, 4, 8, 16, 32])
     def test_scaling_preserves_line_size(self, scale):
@@ -66,6 +68,25 @@ class TestPresets:
                 name="bad", n_cpus=3, cpus_per_node=2,
                 l2=CacheConfig(16 * 1024), l3=CacheConfig(192 * 1024, associativity=4),
             )
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: replace(sgi_altix(4), cpus_per_node=0), "cpus_per_node must be >= 1, got 0"),
+            (lambda: replace(sgi_altix(4), cpus_per_node=-2), "cpus_per_node must be >= 1, got -2"),
+            (lambda: replace(sgi_altix(4), n_cpus=0), "n_cpus must be >= 1, got 0"),
+            (lambda: replace(sgi_altix(4), scale=0), "scale must be >= 1, got 0"),
+            (lambda: itanium2_smp(0), "n_cpus must be >= 1, got 0"),
+            (lambda: itanium2_smp(4, scale=0), "scale must be >= 1, got 0"),
+            (lambda: sgi_altix(4, scale=0), "scale must be >= 1, got 0"),
+            (lambda: sgi_altix(4, scale=-8), "scale must be >= 1, got -8"),
+        ],
+    )
+    def test_hostile_machine_shapes_are_refused_by_field(self, build, message):
+        # not ZeroDivisionError, and never a machine with negative node ids
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 class TestCobraConfig:

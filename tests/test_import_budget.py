@@ -34,8 +34,8 @@ repro.cpu repro.cpu.core repro.cpu.machine repro.cpu.scheduler repro.cpu.traceji
 repro.errors repro.isa
 repro.isa.assembler repro.isa.binary repro.isa.bundle repro.isa.decode
 repro.isa.disassembler repro.isa.instructions repro.isa.registers repro.memory
-repro.memory.address repro.memory.bus repro.memory.cache repro.memory.coherence
-repro.memory.directory repro.memory.dram repro.memory.events
+repro.memory.address repro.memory.cache repro.memory.coherence
+repro.memory.dram repro.memory.events repro.memory.fabric
 repro.memory.hierarchy repro.runtime repro.runtime.affinity
 repro.runtime.barrier repro.runtime.team repro.runtime.thread repro.scenario
 repro.workloads repro.workloads.npb repro.workloads.npb.common
@@ -115,7 +115,7 @@ def run(child_env):
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_a_command_loads_the_kernel_and_its_workload(argv, run):
     """Before PR 18 every command loaded the same 88 modules; a running
-    command loads 61 now, ``table1`` 51 and ``disasm daxpy`` 40."""
+    command loads 60 now, ``table1`` 50 and ``disasm daxpy`` 39."""
     code, _stdout, modules = run(argv)
     assert code == 0
     cobra = [] if argv[0] in BUILD_ONLY else COBRA

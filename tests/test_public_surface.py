@@ -71,6 +71,20 @@ def test_dir_lists_every_export_before_anything_is_loaded(child_env):
     )
 
 
+def test_memory_exports_the_one_fabric():
+    """``SnoopBus`` and ``DirectoryFabric`` became ``CoherentFabric`` (PR 23);
+    no alias is kept, and the modules that held them are gone."""
+    from repro import memory
+
+    assert "CoherentFabric" in memory.__all__
+    assert memory.CoherentFabric.__module__ == "repro.memory.fabric"
+    assert all(hasattr(memory, name) for name in memory.__all__)
+    assert not {"SnoopBus", "DirectoryFabric"} & set(dir(memory))
+    for gone in ("repro.memory.bus", "repro.memory.directory"):
+        with pytest.raises(ModuleNotFoundError):
+            import_module(gone)
+
+
 def test_npb_instances_are_the_registry_entries():
     from repro.workloads import npb
 
