@@ -189,25 +189,25 @@ class OptimizationThread:
 
     # -- scheduler hook ---------------------------------------------------------
 
-    def tick(self) -> None:
-        """Called between scheduling slices; cheap until the wake point."""
+    def tick(self) -> int:
+        """Scheduler hook: wake if the wake point — the aggregate retired
+        count ``_last_wake + optimize_interval`` — is due; return how many
+        retired instructions remain to the next one (the scheduler calls
+        again only then)."""
         retired = self.machine.total_retired()
-        if retired - self._last_wake < self.config.optimize_interval:
-            return
-        self._last_wake = retired
-        if self.faults is not None:
-            event = self.faults.loop_fault()
-            if event is not None:
-                if event.kind == "missed_wakeup":
-                    # the wake signal is lost; adaptation waits a period
-                    return
-                if event.kind == "monitor_death":
-                    victim = self.monitors[self.faults.choice(len(self.monitors))]
-                    if victim.running:
-                        victim.kill()
-                    else:
-                        self.faults.tolerated(event, "victim already down")
-        self.wake()
+        if retired - self._last_wake >= self.config.optimize_interval:
+            self._last_wake = retired
+            event = self.faults.loop_fault() if self.faults is not None else None
+            if event is not None and event.kind == "monitor_death":
+                victim = self.monitors[self.faults.choice(len(self.monitors))]
+                if victim.running:
+                    victim.kill()
+                else:
+                    self.faults.tolerated(event, "victim already down")
+            # a missed wake-up signal is lost; adaptation waits a period
+            if event is None or event.kind != "missed_wakeup":
+                self.wake()
+        return self._last_wake + self.config.optimize_interval - retired
 
     # -- going live, coming down ------------------------------------------------
 

@@ -19,7 +19,9 @@ interrupt).  Operand ranges are validated once at decode time; only
 the hardwired registers (r0, f0, f1, p0) keep their write guards in the
 interpreter.  The cache stays coherent with runtime patching through
 the images' journaled versions, checked once per ``run()`` slice —
-COBRA only patches between scheduler slices.
+COBRA only patches between scheduler slices.  ``run()`` resumes one
+suspended body per core (:meth:`Core._run_slices`), so the locals a
+core never rebinds are bound once, not at every slice.
 
 This loop is the reference the compiled traces are checked against
 (``REPRO_TRACE_JIT=0``), and it executes only what no trace covers — a
@@ -70,7 +72,7 @@ from ..memory.hierarchy import (
     STORE,
     CpuCacheSystem,
 )
-from .tracejit import EXIT_BUDGET, EXIT_SAMPLE, TraceJit
+from .tracejit import EXIT_BUDGET, EXIT_SAMPLE, TraceJit, trace_env
 
 __all__ = ["Core"]
 
@@ -170,7 +172,7 @@ class Core:
         "_tjit",
         "jit_enabled",
         "osr_enabled",
-        "_resume",
+        "_slices",
     )
 
     def __init__(
@@ -205,10 +207,9 @@ class Core:
         self._issue_tick = 0
         self._tjit = TraceJit()
         self.jit_enabled, self.osr_enabled = _jit_defaults()
-        # budget-exit resume hint: (tjit generation, pc, entry point);
-        # lets the next slice re-enter the interrupted trace without a
-        # dispatch re-probe (invalidation/eviction bumps the generation)
-        self._resume: tuple | None = None
+        # the suspended body of run(), waiting for its first slice
+        self._slices = self._run_slices()
+        next(self._slices)
 
     # -- program control -----------------------------------------------------
 
@@ -261,36 +262,37 @@ class Core:
             return 0
         if cycle_limit is None:
             cycle_limit = 1 << 62
+        try:
+            return self._slices.send((max_bundles, cycle_limit))
+        except BaseException as end:
+            # the body ended — at ``halt`` (StopIteration) or at a fault
+            # it published; the next slice starts a new one
+            self._slices = self._run_slices()
+            next(self._slices)
+            if isinstance(end, StopIteration):
+                return end.value
+            raise
+
+    def _run_slices(self):
+        """The body of :meth:`run`: one ``send`` per slice, ``yield``s
+        how many bundles ran.
+
+        What a core never rebinds — register lists, rename rows, memory
+        accessors, the decoded and dispatch maps, the BTB and the trace
+        environment — is bound here once; each slice re-syncs only what
+        can change between slices: the decode journal, the trace
+        generation, the JIT flags, the validator and the sampling state.
+        """
         dcache = self._dcache
-        dmap = dcache.sync()
+        dmap = dcache.map
         dmap_get = dmap.get
-        # Trace dispatch state.  sync() revalidates compiled traces
-        # against the decode journal at the same once-per-slice cadence
-        # the decoded map itself refreshes, so a patched bundle can
-        # never execute through a stale trace (COBRA patches between
-        # scheduler slices; within a slice both views are equally live).
-        tjit = self._tjit if self.jit_enabled else None
-        if tjit is not None:
-            osr_on = self.osr_enabled
-            if tjit.osr != osr_on:
-                # flag flipped since the last slice (differ axes, CI
-                # modes): republish entry points under the new policy
-                tjit.osr = osr_on
-                tjit._rebuild_dispatch()
-            dispatch_get = tjit.sync(dcache).get
-            hot = tjit.hot
-            hot_get = hot.get
-            jit_threshold = tjit.threshold
-            sites = tjit.sites
-            sites_get = sites.get
-            # read after sync(): invalidation may have bumped it
-            generation = tjit.generation
-            resume = self._resume
-            self._resume = None
-            if resume is not None and resume[0] != generation:
-                resume = None   # traces changed under the hint
-        else:
-            hot = None
+        dkeys = dcache.keys
+        tjit = self._tjit
+        dispatch_get = tjit.dispatch.get
+        hot = tjit.hot
+        hot_get = hot.get
+        sites = tjit.sites
+        sites_get = sites.get
         regs = self.regs
         grl = regs.gr
         frl = regs.fr
@@ -307,383 +309,417 @@ class Core:
         btb_append = btb.append
         call_stack = self.call_stack
         bundles_per_cycle = self.bundles_per_cycle
+        env = trace_env(self)
+        # budget-exit resume hint, (generation, pc, entry point): the next
+        # slice with the JIT on re-enters the interrupted trace without a
+        # dispatch re-probe (invalidation/eviction bumps the generation)
+        pending = None
         executed = 0
 
         while True:
-            # One pass per sampling interrupt.  Architectural and timing
-            # state lives in locals while bundles execute and is
-            # published by the one ``finally`` below — at the end of the
-            # slice, at a fault, and before the sample handler runs.
-            # The handler may charge cycles, re-arm sampling or attach a
-            # validator, so everything it can touch is (re)loaded here.
-            pc = self.pc
-            cycles = self.cycles
-            retired = self.retired
-            bundles_executed = self.bundles_executed
-            taken_branches = self.taken_branches
-            issue_tick = self._issue_tick
-            countdown = self._sample_countdown
-            sampling = self.sample_interval
-            lc = regs.lc
-            ec = regs.ec
-            sor = regs.sor
-            rrb_gr = regs.rrb_gr
-            rrb_fr = regs.rrb_fr
-            rrb_pr = regs.rrb_pr
-            gmaps = rename_table(128, GR_ROT_START, sor)
-            cache_access = cache.access_fn
-            # compiled traces inline the L2-hit path: legal only while
-            # no validator has to see every access
-            tracing = tjit is not None and cache.validator is None
-            try:
-                while executed < max_bundles and cycles <= cycle_limit:
-                    if tracing:
-                        if resume is not None:
-                            # budget exit from the previous slice: the hint
-                            # is single-use and pre-validated by generation
-                            if resume[1] == pc:
-                                ep = resume[2]
-                                tjit.resume_hits += 1
+            max_bundles, cycle_limit = yield executed
+            executed = 0
+            dcache.sync()
+            # Trace dispatch state.  sync() revalidates compiled traces
+            # against the decode journal at the same once-per-slice cadence
+            # the decoded map itself refreshes, so a patched bundle can
+            # never execute through a stale trace (COBRA patches between
+            # scheduler slices; within a slice both views are equally live).
+            jit = self.jit_enabled
+            if jit:
+                osr_on = self.osr_enabled
+                if tjit.osr != osr_on:
+                    # flag flipped since the last slice (differ axes, CI
+                    # modes): republish entry points under the new policy
+                    tjit.osr = osr_on
+                    tjit._rebuild_dispatch()
+                tjit.sync(dcache)
+                jit_threshold = tjit.threshold
+                # read after sync(): invalidation may have bumped it
+                generation = tjit.generation
+                resume, pending = pending, None
+                if resume is not None and resume[0] != generation:
+                    resume = None   # traces changed under the hint
+            # the hand-off counters, published with the rest below
+            trace_entries, osr_entries = tjit.entries, tjit.osr_entries
+            iters, compiled_bundles = tjit.iters, tjit.compiled_bundles
+            while True:
+                # One pass per sampling interrupt.  Architectural and timing
+                # state lives in locals while bundles execute and is
+                # published by the one ``finally`` below — at the end of the
+                # slice, at a fault, and before the sample handler runs.
+                # The handler may charge cycles, re-arm sampling or attach a
+                # validator, so everything it can touch is (re)loaded here.
+                pc = self.pc
+                cycles = self.cycles
+                retired = self.retired
+                bundles_executed = self.bundles_executed
+                taken_branches = self.taken_branches
+                issue_tick = self._issue_tick
+                countdown = self._sample_countdown
+                sampling = self.sample_interval
+                lc = regs.lc
+                ec = regs.ec
+                sor = regs.sor
+                rrb_gr = regs.rrb_gr
+                rrb_fr = regs.rrb_fr
+                rrb_pr = regs.rrb_pr
+                gmaps = rename_table(128, GR_ROT_START, sor)
+                cache_access = cache.access_fn
+                # compiled traces inline the L2-hit path: legal only while
+                # no validator has to see every access
+                tracing = jit and cache.validator is None
+                try:
+                    while executed < max_bundles and cycles <= cycle_limit:
+                        if tracing:
+                            if resume is not None:
+                                # budget exit from the previous slice: the hint
+                                # is single-use and pre-validated by generation
+                                if resume[1] == pc:
+                                    ep = resume[2]
+                                    tjit.resume_hits += 1
+                                else:
+                                    ep = dispatch_get(pc)
+                                resume = None
                             else:
                                 ep = dispatch_get(pc)
-                            resume = None
-                        else:
-                            ep = dispatch_get(pc)
-                        # a base a shrinking `alloc` left >= sor is read modulo
-                        # sor here; a trace indexes its sor-row tables with it
-                        if ep is not None and ep.trace.sor == sor and rrb_gr < (sor or 1):
-                            tr = ep.trace
-                            before = bundles_executed
-                            (
-                                pc, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
-                                retired, bundles_executed, taken_branches,
-                                issue_tick, countdown, executed, t_iters, flag,
-                            ) = tr.fn(
-                                self, cache, mem, grl, frl, prl, btb, lc, ec,
-                                rrb_gr, rrb_fr, rrb_pr, cycles, retired,
-                                bundles_executed, taken_branches, issue_tick,
-                                countdown, sampling, executed, max_bundles,
-                                cycle_limit, ep.idx, tr.head,
-                            )
-                            tjit.entries += 1
-                            tr.last_used = tjit.entries
-                            if ep.idx:
-                                tjit.osr_entries += 1
-                            tjit.iters += t_iters
-                            tjit.compiled_bundles += bundles_executed - before
-                            tjit.deopts[flag] += 1
-                            if flag == EXIT_SAMPLE:
-                                # the trace retired a bundle that expired
-                                # the sampling countdown
-                                break
-                            if flag == EXIT_BUDGET:
-                                # the slice ends here; remember the probe so
-                                # the next slice resumes without paying it
-                                nep = dispatch_get(pc)
-                                if nep is not None:
-                                    self._resume = (generation, pc, nep)
-                            elif osr_on:
-                                # architectural exit (loop/side/link): count
-                                # the (head, target) site; a hot site grows
-                                # the trace tree at the target
-                                site = (tr.head, pc)
-                                n = sites_get(site, 0) + 1
-                                sites[site] = n
-                                if n == jit_threshold:
-                                    tjit.promote(
-                                        tr, pc, dmap, dcache.keys, sor,
-                                        bundles_per_cycle,
-                                    )
-                                if dispatch_get(pc) is not None:
-                                    tjit.tree_links += 1
-                            continue
-                    base = pc & _BMASK
-                    decoded = dmap_get(base)
-                    if decoded is None:
-                        raise SimulationFault(
-                            "no code at address", pc=base, cpu=self.cpu_id
-                        )
-                    slot = pc & _SMASK
-                    n_total = decoded[0]
-                    entries = decoded[1]
-                    if slot:  # mid-bundle entry (rare: branch targets are slot 0)
-                        entries = tuple(e for e in entries if e[0] >= slot)
-                    target = None
-                    stall = 0
-                    # logical -> physical register numbers under the
-                    # current rename bases (refreshed after an in-bundle
-                    # rotation, clrrrb or alloc)
-                    gm = gmaps[rrb_gr % len(gmaps)]
-                    fm = fmaps[rrb_fr]
-                    pm = pmaps[rrb_pr]
-                    for idx, op, qp, r1, r2, r3, r4, imm, excl in entries:
-                        # predicated off; br.wtop still evaluates (below)
-                        if qp and not prl[pm[qp]] and op != _BR_WTOP:
-                            continue
-                        if op <= _SHLADD:
-                            # integer ALU: gr[r1] = f(gr[r2], gr[r3] | imm)
-                            a = grl[gm[r2]]
-                            if op == _ADD:
-                                v = a + grl[gm[r3]]
-                            elif op == _ADDI:
-                                v = a + imm
-                            elif op == _SUB:
-                                v = a - grl[gm[r3]]
-                            elif op == _MOV:
-                                v = a
-                            elif op == _MOVI:
-                                v = imm
-                            elif op == _AND:
-                                v = a & grl[gm[r3]]
-                            elif op == _OR:
-                                v = a | grl[gm[r3]]
-                            elif op == _XOR:
-                                v = a ^ grl[gm[r3]]
-                            elif op == _SHL:
-                                v = a << imm
-                            elif op == _SHR:
-                                v = a >> imm
-                            else:
-                                v = (a << imm) + grl[gm[r3]]
-                            if not r1:
-                                raise RegisterError("r0 is read-only")
-                            grl[gm[r1]] = ((v + _B63) & _M64) - _B63
-                        elif op <= _CMPI_NE:
-                            # compares: (pr[r1], pr[r2]) = (c, not c);
-                            # CMPI_xx sits four above CMP_xx
-                            a = grl[gm[r3]]
-                            b = imm if op >= _CMPI_LT else grl[gm[r4]]
-                            rel = (op - _CMP_LT) & 3
-                            if rel == 0:
-                                c = a < b
-                            elif rel == 1:
-                                c = a <= b
-                            elif rel == 2:
-                                c = a == b
-                            else:
-                                c = a != b
-                            if not r1:
-                                raise RegisterError("p0 is read-only")
-                            prl[pm[r1]] = c
-                            if not r2:
-                                raise RegisterError("p0 is read-only")
-                            prl[pm[r2]] = not c
-                        elif op <= _MOV_PR_ROT:
-                            # application registers / SWP setup
-                            if op == _MOV_LC_IMM:
-                                lc = imm
-                            elif op == _MOV_LC_REG:
-                                lc = grl[gm[r2]]
-                            elif op == _MOV_EC_IMM:
-                                ec = imm
-                            elif op == _MOV_PR_ROT:
-                                # note: writes physical rotating predicates
-                                # (rrb-independent only when rrb is 0, which
-                                # is how compilers use it)
-                                mask = int(imm)
-                                for i in range(16, 64):
-                                    prl[i] = bool(mask & (1 << i))
-                            else:
-                                if op == _ALLOC:
-                                    regs.alloc_rotating(imm)
-                                    sor = regs.sor
-                                    gmaps = rename_table(128, GR_ROT_START, sor)
-                                else:  # clrrrb
-                                    rrb_gr = rrb_fr = rrb_pr = 0
-                                gm = gmaps[rrb_gr % len(gmaps)]
-                                fm = fmaps[rrb_fr]
-                                pm = pmaps[rrb_pr]
-                        elif op <= _LFETCH:
-                            # memory: timing from the cache hierarchy, data
-                            # from the backing store, one post-increment
-                            a = grl[gm[r2]]
-                            if op == _LFETCH:
-                                # non-blocking: never stalls the issuer
-                                cache_access(
-                                    cycles, a, PREFETCH_EXCL if excl else PREFETCH
+                            # a sor-free trace runs at any sor; otherwise a base
+                            # a shrinking `alloc` left >= sor is read modulo sor
+                            # here, and a trace indexes its sor-row tables with it
+                            if ep is not None and (
+                                (tr := ep.trace).sor == sor and rrb_gr < (sor or 1)
+                                or tr.sor_free
+                            ):
+                                before = bundles_executed
+                                (
+                                    pc, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
+                                    retired, bundles_executed, taken_branches,
+                                    issue_tick, countdown, executed, t_iters, flag,
+                                ) = tr.fn(
+                                    env, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
+                                    retired, bundles_executed, taken_branches,
+                                    issue_tick, countdown, sampling, executed,
+                                    max_bundles, cycle_limit, ep.idx, tr.head,
                                 )
-                            else:
-                                if op == _ST8 or op == _STFD:
-                                    kind = STORE
-                                else:
-                                    kind = LOAD_BIAS if excl else LOAD
-                                stall += cache_access(cycles, a, kind)
-                                dp = cache.dear_pending
-                                if dp is not None:
-                                    self.dear = (base + idx, a, dp)
-                                    cache.dear_pending = None
-                                if op == _LD8:
-                                    v = mem_read_i64(a)
-                                    if not r1:
-                                        raise RegisterError("r0 is read-only")
-                                    grl[gm[r1]] = v
-                                elif op == _LDFD:
-                                    v = mem_read_f64(a)
-                                    if r1 < 2:
-                                        raise RegisterError(f"f{r1} is read-only")
-                                    frl[fm[r1]] = v
-                                elif op == _ST8:
-                                    mem_write_i64(a, grl[gm[r3]])
-                                else:
-                                    mem_write_f64(a, frl[fm[r3]])
-                            if imm:
-                                if not r2:
-                                    raise RegisterError("r0 is read-only")
-                                grl[gm[r2]] = ((a + imm + _B63) & _M64) - _B63
-                        elif op == _GETF:
-                            # the one op of the FP range that writes a GR
-                            v = int(frl[fm[r2]])
-                            if not r1:
-                                raise RegisterError("r0 is read-only")
-                            grl[gm[r1]] = ((v + _B63) & _M64) - _B63
-                        elif op <= _FMAX:
-                            # floating point: fr[r1] = f(fr[r2], fr[r3], fr[r4])
-                            if op == _SETF:
-                                v = float(grl[gm[r2]])
-                            else:
-                                a = frl[fm[r2]]
-                                if op == _FMA:
-                                    v = a * frl[fm[r3]] + frl[fm[r4]]
-                                elif op == _FADD:
-                                    v = a + frl[fm[r3]]
-                                elif op == _FSUB:
-                                    v = a - frl[fm[r3]]
-                                elif op == _FMUL:
-                                    v = a * frl[fm[r3]]
-                                elif op == _FABS:
-                                    v = abs(a)
-                                else:  # fmax
-                                    b = frl[fm[r3]]
-                                    v = a if a >= b else b
-                            if r1 < 2:
-                                raise RegisterError(f"f{r1} is read-only")
-                            frl[fm[r1]] = v
-                        elif op <= _BR_RET:
-                            # branches only decide ``target``; the taken-
-                            # branch bookkeeping follows the slot loop
-                            if op == _BR or op == _BR_COND:
-                                # guard already passed (qp true) -> taken
-                                target = imm
-                            elif op == _BR_CLOOP:
-                                if lc > 0:
-                                    lc -= 1
-                                    target = imm
-                            elif op == _BR_CALL:
-                                call_stack.append(base + BUNDLE_BYTES)
-                                target = imm
-                            elif op == _BR_RET:
-                                if not call_stack:
-                                    raise SimulationFault(
-                                        "br.ret with empty call stack",
-                                        pc=base + slot,
-                                        cpu=self.cpu_id,
-                                    )
-                                target = call_stack.pop()
-                            else:
-                                # br.ctop / br.wtop: continue while the
-                                # count (ctop) or the branch predicate
-                                # (wtop: qp, not a guard) holds, then drain
-                                # EC epilog stages; rotate either way
-                                stage = False
-                                if op == _BR_CTOP and lc > 0:
-                                    lc -= 1
-                                    stage = True
-                                    target = imm
-                                elif op == _BR_WTOP and prl[pm[qp]]:
-                                    target = imm
-                                elif ec > 1:
-                                    ec -= 1
-                                    target = imm
-                                elif ec > 0:
-                                    ec -= 1
-                                if sor:
-                                    rrb_gr = (rrb_gr - 1) % sor
-                                rrb_fr = (rrb_fr - 1) % FR_ROT_SIZE
-                                rrb_pr = (rrb_pr - 1) % PR_ROT_SIZE
-                                prl[PR_ROT_START + rrb_pr] = stage
-                                gm = gmaps[rrb_gr % len(gmaps)]
-                                fm = fmaps[rrb_fr]
-                                pm = pmaps[rrb_pr]
-                            if target is not None:
-                                break
-                        elif op == _HALT:
-                            self.halted = True
-                            retired += idx + 1 - slot
-                            cycles += 1 + stall
-                            bundles_executed += 1
-                            return executed + 1
-                        elif op == _FETCHADD8:
-                            a = grl[gm[r2]]
-                            stall += cache_access(cycles, a, ATOMIC)
-                            old = mem_read_i64(a)
-                            mem_write_i64(a, old + imm)
-                            if not r1:
-                                raise RegisterError("r0 is read-only")
-                            grl[gm[r1]] = old
-                        else:  # pragma: no cover - defensive
+                                trace_entries += 1
+                                tr.last_used = trace_entries
+                                if ep.idx:
+                                    osr_entries += 1
+                                iters += t_iters
+                                compiled_bundles += bundles_executed - before
+                                tjit.deopts[flag] += 1
+                                if flag == EXIT_SAMPLE:
+                                    # the trace retired a bundle that expired
+                                    # the sampling countdown
+                                    break
+                                if flag == EXIT_BUDGET:
+                                    # the slice ends here; remember the probe so
+                                    # the next slice resumes without paying it
+                                    nep = dispatch_get(pc)
+                                    if nep is not None:
+                                        pending = (generation, pc, nep)
+                                elif osr_on:
+                                    # architectural exit (loop/side/link): count
+                                    # the (head, target) site; a hot site grows
+                                    # the trace tree at the target
+                                    site = (tr.head, pc)
+                                    n = sites_get(site, 0) + 1
+                                    sites[site] = n
+                                    if n == jit_threshold:
+                                        tjit.promote(
+                                            tr, pc, dmap, dkeys, sor, bundles_per_cycle
+                                        )
+                                    if dispatch_get(pc) is not None:
+                                        tjit.tree_links += 1
+                                continue
+                        base = pc & _BMASK
+                        decoded = dmap_get(base)
+                        if decoded is None:
                             raise SimulationFault(
-                                f"illegal opcode {op}", pc=base + slot, cpu=self.cpu_id
+                                "no code at address", pc=base, cpu=self.cpu_id
                             )
-
-                    # architectural slots this bundle retired: everything
-                    # up to the taken branch, or the whole (possibly
-                    # partial) bundle — NOP padding retires without being
-                    # iterated
-                    if target is None:
-                        n_slots = n_total - slot
-                        pc = base + BUNDLE_BYTES
-                    else:
-                        n_slots = idx + 1 - slot
-                        pc = target
-                        taken_branches += 1
-                        btb_append((base + idx, target))
-                        if len(btb) > _BTB_SIZE:
-                            del btb[0]
-                        # loop back-edges arm their head for compilation;
-                        # so do backward conditional branches (spin-waits,
-                        # compiler-generated outer loops)
-                        if hot is not None and (
-                            _BR_CTOP <= op <= _BR_WTOP
-                            or op == _BR_COND and target <= base
-                        ):
-                            hits = hot_get(target, 0) + 1
-                            hot[target] = hits
-                            if hits == jit_threshold:
-                                tjit.compile(
-                                    target, dmap, dcache.keys, sor,
-                                    bundles_per_cycle,
+                        slot = pc & _SMASK
+                        n_total = decoded[0]
+                        entries = decoded[1]
+                        if slot:  # mid-bundle entry (rare: branch targets are slot 0)
+                            entries = tuple(e for e in entries if e[0] >= slot)
+                        target = None
+                        stall = 0
+                        # logical -> physical register numbers under the
+                        # current rename bases (refreshed after an in-bundle
+                        # rotation, clrrrb or alloc)
+                        gm = gmaps[rrb_gr % len(gmaps)]
+                        fm = fmaps[rrb_fr]
+                        pm = pmaps[rrb_pr]
+                        for idx, op, qp, r1, r2, r3, r4, imm, excl in entries:
+                            # predicated off; br.wtop still evaluates (below)
+                            if qp and not prl[pm[qp]] and op != _BR_WTOP:
+                                continue
+                            if op <= _SHLADD:
+                                # integer ALU: gr[r1] = f(gr[r2], gr[r3] | imm)
+                                a = grl[gm[r2]]
+                                if op == _ADD:
+                                    v = a + grl[gm[r3]]
+                                elif op == _ADDI:
+                                    v = a + imm
+                                elif op == _SUB:
+                                    v = a - grl[gm[r3]]
+                                elif op == _MOV:
+                                    v = a
+                                elif op == _MOVI:
+                                    v = imm
+                                elif op == _AND:
+                                    v = a & grl[gm[r3]]
+                                elif op == _OR:
+                                    v = a | grl[gm[r3]]
+                                elif op == _XOR:
+                                    v = a ^ grl[gm[r3]]
+                                elif op == _SHL:
+                                    v = a << imm
+                                elif op == _SHR:
+                                    v = a >> imm
+                                else:
+                                    v = (a << imm) + grl[gm[r3]]
+                                if not r1:
+                                    raise RegisterError("r0 is read-only")
+                                grl[gm[r1]] = ((v + _B63) & _M64) - _B63
+                            elif op <= _CMPI_NE:
+                                # compares: (pr[r1], pr[r2]) = (c, not c);
+                                # CMPI_xx sits four above CMP_xx
+                                a = grl[gm[r3]]
+                                b = imm if op >= _CMPI_LT else grl[gm[r4]]
+                                rel = (op - _CMP_LT) & 3
+                                if rel == 0:
+                                    c = a < b
+                                elif rel == 1:
+                                    c = a <= b
+                                elif rel == 2:
+                                    c = a == b
+                                else:
+                                    c = a != b
+                                if not r1:
+                                    raise RegisterError("p0 is read-only")
+                                prl[pm[r1]] = c
+                                if not r2:
+                                    raise RegisterError("p0 is read-only")
+                                prl[pm[r2]] = not c
+                            elif op <= _MOV_PR_ROT:
+                                # application registers / SWP setup
+                                if op == _MOV_LC_IMM:
+                                    lc = imm
+                                elif op == _MOV_LC_REG:
+                                    lc = grl[gm[r2]]
+                                elif op == _MOV_EC_IMM:
+                                    ec = imm
+                                elif op == _MOV_PR_ROT:
+                                    # note: writes physical rotating predicates
+                                    # (rrb-independent only when rrb is 0, which
+                                    # is how compilers use it)
+                                    mask = int(imm)
+                                    for i in range(16, 64):
+                                        prl[i] = bool(mask & (1 << i))
+                                else:
+                                    if op == _ALLOC:
+                                        regs.alloc_rotating(imm)
+                                        sor = regs.sor
+                                        gmaps = rename_table(128, GR_ROT_START, sor)
+                                    else:  # clrrrb
+                                        rrb_gr = rrb_fr = rrb_pr = 0
+                                    gm = gmaps[rrb_gr % len(gmaps)]
+                                    fm = fmaps[rrb_fr]
+                                    pm = pmaps[rrb_pr]
+                            elif op <= _LFETCH:
+                                # memory: timing from the cache hierarchy, data
+                                # from the backing store, one post-increment
+                                a = grl[gm[r2]]
+                                if op == _LFETCH:
+                                    # non-blocking: never stalls the issuer
+                                    cache_access(
+                                        cycles, a, PREFETCH_EXCL if excl else PREFETCH
+                                    )
+                                else:
+                                    if op == _ST8 or op == _STFD:
+                                        kind = STORE
+                                    else:
+                                        kind = LOAD_BIAS if excl else LOAD
+                                    stall += cache_access(cycles, a, kind)
+                                    dp = cache.dear_pending
+                                    if dp is not None:
+                                        self.dear = (base + idx, a, dp)
+                                        cache.dear_pending = None
+                                    if op == _LD8:
+                                        v = mem_read_i64(a)
+                                        if not r1:
+                                            raise RegisterError("r0 is read-only")
+                                        grl[gm[r1]] = v
+                                    elif op == _LDFD:
+                                        v = mem_read_f64(a)
+                                        if r1 < 2:
+                                            raise RegisterError(f"f{r1} is read-only")
+                                        frl[fm[r1]] = v
+                                    elif op == _ST8:
+                                        mem_write_i64(a, grl[gm[r3]])
+                                    else:
+                                        mem_write_f64(a, frl[fm[r3]])
+                                if imm:
+                                    if not r2:
+                                        raise RegisterError("r0 is read-only")
+                                    grl[gm[r2]] = ((a + imm + _B63) & _M64) - _B63
+                            elif op == _GETF:
+                                # the one op of the FP range that writes a GR
+                                v = int(frl[fm[r2]])
+                                if not r1:
+                                    raise RegisterError("r0 is read-only")
+                                grl[gm[r1]] = ((v + _B63) & _M64) - _B63
+                            elif op <= _FMAX:
+                                # floating point: fr[r1] = f(fr[r2], fr[r3], fr[r4])
+                                if op == _SETF:
+                                    v = float(grl[gm[r2]])
+                                else:
+                                    a = frl[fm[r2]]
+                                    if op == _FMA:
+                                        v = a * frl[fm[r3]] + frl[fm[r4]]
+                                    elif op == _FADD:
+                                        v = a + frl[fm[r3]]
+                                    elif op == _FSUB:
+                                        v = a - frl[fm[r3]]
+                                    elif op == _FMUL:
+                                        v = a * frl[fm[r3]]
+                                    elif op == _FABS:
+                                        v = abs(a)
+                                    else:  # fmax
+                                        b = frl[fm[r3]]
+                                        v = a if a >= b else b
+                                if r1 < 2:
+                                    raise RegisterError(f"f{r1} is read-only")
+                                frl[fm[r1]] = v
+                            elif op <= _BR_RET:
+                                # branches only decide ``target``; the taken-
+                                # branch bookkeeping follows the slot loop
+                                if op == _BR or op == _BR_COND:
+                                    # guard already passed (qp true) -> taken
+                                    target = imm
+                                elif op == _BR_CLOOP:
+                                    if lc > 0:
+                                        lc -= 1
+                                        target = imm
+                                elif op == _BR_CALL:
+                                    call_stack.append(base + BUNDLE_BYTES)
+                                    target = imm
+                                elif op == _BR_RET:
+                                    if not call_stack:
+                                        raise SimulationFault(
+                                            "br.ret with empty call stack",
+                                            pc=base + slot,
+                                            cpu=self.cpu_id,
+                                        )
+                                    target = call_stack.pop()
+                                else:
+                                    # br.ctop / br.wtop: continue while the
+                                    # count (ctop) or the branch predicate
+                                    # (wtop: qp, not a guard) holds, then drain
+                                    # EC epilog stages; rotate either way
+                                    stage = False
+                                    if op == _BR_CTOP and lc > 0:
+                                        lc -= 1
+                                        stage = True
+                                        target = imm
+                                    elif op == _BR_WTOP and prl[pm[qp]]:
+                                        target = imm
+                                    elif ec > 1:
+                                        ec -= 1
+                                        target = imm
+                                    elif ec > 0:
+                                        ec -= 1
+                                    if sor:
+                                        rrb_gr = (rrb_gr - 1) % sor
+                                    rrb_fr = (rrb_fr - 1) % FR_ROT_SIZE
+                                    rrb_pr = (rrb_pr - 1) % PR_ROT_SIZE
+                                    prl[PR_ROT_START + rrb_pr] = stage
+                                    gm = gmaps[rrb_gr % len(gmaps)]
+                                    fm = fmaps[rrb_fr]
+                                    pm = pmaps[rrb_pr]
+                                if target is not None:
+                                    break
+                            elif op == _HALT:
+                                self.halted = True
+                                retired += idx + 1 - slot
+                                cycles += 1 + stall
+                                bundles_executed += 1
+                                return executed + 1
+                            elif op == _FETCHADD8:
+                                a = grl[gm[r2]]
+                                stall += cache_access(cycles, a, ATOMIC)
+                                old = mem_read_i64(a)
+                                mem_write_i64(a, old + imm)
+                                if not r1:
+                                    raise RegisterError("r0 is read-only")
+                                grl[gm[r1]] = old
+                            else:  # pragma: no cover - defensive
+                                raise SimulationFault(
+                                    f"illegal opcode {op}", pc=base + slot, cpu=self.cpu_id
                                 )
-                    retired += n_slots
-                    issue_tick += 1
-                    if issue_tick >= bundles_per_cycle:
-                        issue_tick = 0
-                        cycles += 1 + stall
+
+                        # architectural slots this bundle retired: everything
+                        # up to the taken branch, or the whole (possibly
+                        # partial) bundle — NOP padding retires without being
+                        # iterated
+                        if target is None:
+                            n_slots = n_total - slot
+                            pc = base + BUNDLE_BYTES
+                        else:
+                            n_slots = idx + 1 - slot
+                            pc = target
+                            taken_branches += 1
+                            btb_append((base + idx, target))
+                            if len(btb) > _BTB_SIZE:
+                                del btb[0]
+                            # loop back-edges arm their head for compilation;
+                            # so do backward conditional branches (spin-waits,
+                            # compiler-generated outer loops)
+                            if jit and (
+                                _BR_CTOP <= op <= _BR_WTOP
+                                or op == _BR_COND and target <= base
+                            ):
+                                hits = hot_get(target, 0) + 1
+                                hot[target] = hits
+                                if hits == jit_threshold:
+                                    tjit.compile(
+                                        target, dmap, dkeys, sor, bundles_per_cycle
+                                    )
+                        retired += n_slots
+                        issue_tick += 1
+                        if issue_tick >= bundles_per_cycle:
+                            issue_tick = 0
+                            cycles += 1 + stall
+                        else:
+                            cycles += stall
+                        bundles_executed += 1
+                        executed += 1
+                        if sampling:
+                            countdown -= n_slots
+                            if countdown <= 0:
+                                break
                     else:
-                        cycles += stall
-                    bundles_executed += 1
-                    executed += 1
-                    if sampling:
-                        countdown -= n_slots
-                        if countdown <= 0:
-                            break
-                else:
-                    return executed
-                # sampling interrupt (generic and EXIT_SAMPLE paths alike):
-                # re-arm the countdown and charge the handler's cost on
-                # the monitored thread before it observes the state
-                countdown = sampling
-                cycles += self.sample_overhead
-            finally:
-                self.pc = pc
-                self.cycles = cycles
-                self.retired = retired
-                self.bundles_executed = bundles_executed
-                self.taken_branches = taken_branches
-                self._issue_tick = issue_tick
-                self._sample_countdown = countdown
-                regs.lc = lc
-                regs.ec = ec
-                regs.rrb_gr = rrb_gr
-                regs.rrb_fr = rrb_fr
-                regs.rrb_pr = rrb_pr
-            self.on_sample(self)  # type: ignore[misc]
+                        break   # the slice is done
+                    # sampling interrupt (generic and EXIT_SAMPLE paths alike):
+                    # re-arm the countdown and charge the handler's cost on
+                    # the monitored thread before it observes the state
+                    countdown = sampling
+                    cycles += self.sample_overhead
+                finally:
+                    self.pc = pc
+                    self.cycles = cycles
+                    self.retired = retired
+                    self.bundles_executed = bundles_executed
+                    self.taken_branches = taken_branches
+                    self._issue_tick = issue_tick
+                    self._sample_countdown = countdown
+                    regs.lc = lc
+                    regs.ec = ec
+                    regs.rrb_gr = rrb_gr
+                    regs.rrb_fr = rrb_fr
+                    regs.rrb_pr = rrb_pr
+                    tjit.entries, tjit.osr_entries = trace_entries, osr_entries
+                    tjit.iters, tjit.compiled_bundles = iters, compiled_bundles
+                self.on_sample(self)  # type: ignore[misc]

@@ -86,7 +86,8 @@ class Machine:
         return max(core.cycles for core in self.cores)
 
     def total_retired(self) -> int:
-        # the optimizer's tick hook asks after every scheduler slice
+        # the optimizer asks at its wake points: the scheduler calls its
+        # tick hook only when the retired count it keeps reaches one
         return sum(map(_RETIRED, self.cores))
 
     def aggregate_events(self) -> MemEvents:

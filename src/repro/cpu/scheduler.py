@@ -10,10 +10,12 @@ bundle-count quantum is *wrong* here: it lets the leader ratchet the
 bus ``busy_until`` to its own miss-inflated clock and charges laggards
 the gap as phantom queueing delay.)
 
-``on_tick`` callbacks run between scheduling slices — COBRA's
-optimization thread lives there: it is not a simulated core (the paper
-runs it on spare capacity; DESIGN.md §6), but it observes and patches
-the machine while the worker threads execute.
+Tick hooks run between scheduling slices — COBRA's optimization thread
+lives there: it is not a simulated core (the paper runs it on spare
+capacity; DESIGN.md §15), but it observes and patches the machine while
+the worker threads execute.  A hook may return how many more retired
+instructions pass before it has anything to do; the scheduler, which
+counts them anyway, calls it again only then (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -42,10 +44,19 @@ class Scheduler:
         if not self.cores:
             raise MachineError("scheduler needs at least one core")
         self.margin = margin
-        self.on_tick: list[Callable[[], None]] = []
+        #: instructions the scheduled cores have retired, kept per slice:
+        #: a slice changes only the running core's count
+        self.retired = sum(core.retired for core in self.cores)
+        #: [hook, retired count at which it is next due]
+        self._hooks: list[list] = []
+        self._due = 0   # the earliest of those
 
-    def add_tick_hook(self, hook: Callable[[], None]) -> None:
-        self.on_tick.append(hook)
+    def add_tick_hook(self, hook: Callable[[], int | None]) -> None:
+        """Call ``hook()`` after the next slice; it returns how many more
+        retired instructions pass before it is due again, or ``None`` to
+        run after every slice."""
+        self._hooks.append([hook, 0])
+        self._due = 0
 
     def _slice(self) -> int:
         """Run one scheduling slice; return bundles executed (0 = done)."""
@@ -62,11 +73,26 @@ class Scheduler:
         if lowest is None:
             return 0
         limit = (second if second is not None else lowest.cycles + 100_000) + self.margin
-        ran = lowest.run(_SLICE_BUNDLES, cycle_limit=limit)
-        if ran == 0 and not lowest.halted:
-            # guarantee forward progress even if already past the limit
-            ran = lowest.run(1)
+        before = lowest.retired
+        try:
+            ran = lowest.run(_SLICE_BUNDLES, cycle_limit=limit)
+            if ran == 0 and not lowest.halted:
+                # guarantee forward progress even if already past the limit
+                ran = lowest.run(1)
+        finally:
+            self.retired += lowest.retired - before
         return ran
+
+    def _tick(self) -> None:
+        """Call the hooks that are due; note when each is due next."""
+        retired = self.retired
+        due = 1 << 62
+        for entry in self._hooks:
+            if retired >= entry[1]:
+                wait = entry[0]()
+                entry[1] = 0 if wait is None else retired + wait
+            due = min(due, entry[1])
+        self._due = due
 
     def run_until_halt(self, max_bundles: int | None = None) -> int:
         """Run all cores to completion; return total bundles executed.
@@ -85,14 +111,13 @@ class Scheduler:
                 raise MachineError(
                     f"execution exceeded {budget} bundles (livelock or runaway loop?)"
                 )
-            for hook in self.on_tick:
-                hook()
+            if self.retired >= self._due:
+                self._tick()
 
     def step(self) -> bool:
         """Advance one slice; return False when all cores have halted."""
-        ran = self._slice()
-        if ran == 0:
+        if self._slice() == 0:
             return False
-        for hook in self.on_tick:
-            hook()
+        if self.retired >= self._due:
+            self._tick()
         return True

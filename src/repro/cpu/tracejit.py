@@ -25,8 +25,9 @@ OSR-style mid-body entry (DESIGN.md §9):
   legal entry point.  The interpreter's dispatch map resolves any pc to
   an :class:`_EntryPoint` ``(trace, bundle index)`` and passes the index
   to the trace's one closure as ``start``: the closure ingests the
-  current architectural state (rotation indices, predicates, LC/EC,
-  sampling countdown — the 24-argument capture contract), skips the
+  current architectural state (rotation indices, LC/EC, the counters
+  and the sampling countdown by value, the register lists and BTB in
+  the core's :func:`trace_env`), skips the
   bundles before ``start`` in its per-bundle body and, at the back-edge
   of a loop, carries on into steady state in the same call;
 * **side-exit chaining** — architectural trace exits (``EXIT_LOOP``,
@@ -83,7 +84,8 @@ The contract with the generic interpreter (DESIGN.md §9):
 
 The closure executes only while the memory fast path is legal (no
 coherence validator attached) and while ``sor`` matches the compiled
-rotation geometry; the interpreter guards both at every entry.
+rotation geometry — unless the body is :func:`_sor_free`, the same code
+at every ``sor``; the interpreter guards both at every entry.
 """
 
 from __future__ import annotations
@@ -251,9 +253,16 @@ _SPIN_OPERANDS = {
        for op, (dest, value, _) in _REG_OPS.items()},
 }
 
+#: op -> the decoded-entry fields (3..6 = r1..r4) its ISA row names a GR
+_GR_FIELDS = {
+    op: tuple(2 + int(kind[1]) for kind in operands(Op(op)) if kind[0] == "r")
+    for op in _SUPPORTED
+}
+
 #: (head, body, sor, bpc, kind) -> the ready ``__trace__`` function; one
 #: function sits under the key of every head that decoded its shape and
 #: under the shape itself, which is the key of the same trace at head 0
+#: (a :func:`_sor_free` body is keyed at sor 0, whatever it compiled at)
 _TRACE_FNS: dict = {}
 _TRACE_FNS_CAP = 1024  # oldest-first eviction; the cap is a leak guard
 
@@ -302,14 +311,15 @@ class CompiledTrace:
     """One compiled trace node: the closure plus validity/tree metadata."""
 
     __slots__ = (
-        "fn", "head", "sor", "addrs", "keys", "n_bundles",
+        "fn", "head", "sor", "sor_free", "addrs", "keys", "n_bundles",
         "kind", "root", "body", "bpc", "children", "last_used",
     )
 
     def __init__(self, fn, head, sor, addrs, keys, n_bundles, kind, body, bpc):
         self.fn = fn            # shared by every head of this shape
         self.head = head
-        self.sor = sor
+        self.sor = sor          # what it compiled at (``jit_trees`` records it)
+        self.sor_free = _sor_free(body)     # dispatched at any sor
         self.addrs = addrs      # covered bundle addresses, in trace order
         self.keys = keys        # decode-cache content keys at compile time
         self.n_bundles = n_bundles
@@ -340,6 +350,24 @@ class _EntryPoint:
 
 
 # -- code generation ----------------------------------------------------------
+
+#: What a closure reads of its core besides the state passed by value:
+#: one tuple per core (:func:`trace_env`), unpacked by the closure's first line
+_ENV = ("core, cache, grl, frl, prl, btb, btb_append, l2_sets, l2_nsets, l2_hit_lat, "
+        "line_state, l2_dirty, mem_events, mem_cap, mem_f64, mem_i64, mem_read_f64, "
+        "mem_write_f64, mem_read_i64, mem_write_i64")
+
+
+def trace_env(core) -> tuple:
+    """The environment ``core`` hands every trace it enters, in
+    :data:`_ENV` order: objects the core never rebinds, bound once."""
+    cache, mem, regs = core.cache, core.mem, core.regs
+    return (
+        core, cache, regs.gr, regs.fr, regs.pr, core.btb, core.btb.append,
+        cache._l2_sets, cache._l2_nsets, cache._l2_hit, cache.state,
+        cache.l2_dirty, cache.events, mem.capacity, mem._f64_mv, mem._i64_mv,
+        mem.read_f64, mem.write_f64, mem.read_i64, mem.write_i64,
+    )
 
 
 class _Emit:
@@ -472,11 +500,20 @@ def _idempotent_iteration(head: int, body) -> bool:
     return not written & live_in
 
 
+def _sor_free(body) -> bool:
+    """Whether ``body`` generates the same code at every ``sor``: it names
+    no GR of the rotating region (r32 and up) and rotates nothing."""
+    return not any(
+        entry[1] in (_BR_CTOP, _BR_WTOP) or any(entry[f] >= 32 for f in _GR_FIELDS[entry[1]])
+        for _, (_, entries) in body for entry in entries
+    )
+
+
 def _make_trace(head, body, sor, bpc, keys, kind):
     body = tuple(body)
     addrs = tuple(addr for addr, _ in body)
     return CompiledTrace(
-        fn=_trace_fn(head, body, sor, bpc, kind),
+        fn=_trace_fn(head, body, 0 if _sor_free(body) else sor, bpc, kind),
         head=head,
         sor=sor,
         addrs=addrs,
@@ -500,7 +537,8 @@ def compile_trace(
 
     ``dmap``/``keys`` are the core's synced :class:`DecodeCache` views;
     ``sor`` and ``bundles_per_cycle`` are baked into the generated code
-    (the interpreter guards ``sor`` equality at every trace entry).
+    (the interpreter guards ``sor`` equality at every entry of a trace
+    that is not :func:`_sor_free`).
     ``relax`` admits inner-loop back-edges as side exits (trace trees).
     """
     try:
@@ -821,9 +859,9 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
         if not checked:
             emit_flush()
         if charge:
-            e(f"stall += cache_access(cycles, a, {kind})")
+            e(f"stall += cache.access_fn(cycles, a, {kind})")
         else:
-            e(f"cache_access(cycles, a, {kind})")
+            e(f"cache.access_fn(cycles, a, {kind})")
         if kind in (LOAD, STORE, LOAD_BIAS):
             e("dp = cache.dear_pending")
             e("if dp is not None:")
@@ -954,7 +992,7 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
                 e(f"{write[dest[0]](r1)} = {value}")
         elif op == _FETCHADD8:
             emit_mem_addr(r2)
-            e(f"stall += cache_access(cycles, a, {ATOMIC})")
+            e(f"stall += cache.access_fn(cycles, a, {ATOMIC})")
             e("old = mem_read_i64(a)")
             e(f"mem_write_i64(a, old + {imm})")
             e(f"{gr_w(r1)} = old")
@@ -1036,26 +1074,11 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
 
     # -- function body -----------------------------------------------------
 
-    e("def __trace__(core, cache, mem, grl, frl, prl, btb, lc, ec, rrb_gr, "
-      "rrb_fr, rrb_pr, cycles, retired, bundles_executed, taken_branches, "
-      "issue_tick, countdown, sampling, executed, max_bundles, cycle_limit, "
-      "start, H):")
+    e("def __trace__(env, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles, retired, "
+      "bundles_executed, taken_branches, issue_tick, countdown, sampling, "
+      "executed, max_bundles, cycle_limit, start, H):")
     e.indent()
-    e("cache_access = cache.access_fn")
-    e("l2_sets = cache._l2_sets")
-    e("l2_nsets = cache._l2_nsets")
-    e("l2_hit_lat = cache._l2_hit")
-    e("line_state = cache.state")
-    e("l2_dirty = cache.l2_dirty")
-    e("mem_events = cache.events")
-    e("mem_cap = mem.capacity")
-    e("mem_f64 = mem._f64_mv")
-    e("mem_i64 = mem._i64_mv")
-    e("mem_read_f64 = mem.read_f64")
-    e("mem_write_f64 = mem.write_f64")
-    e("mem_read_i64 = mem.read_i64")
-    e("mem_write_i64 = mem.write_i64")
-    e("btb_append = btb.append")
+    e(f"{_ENV} = env")
     e("iters = 0")
     if whole:
         for name in ([] if back_edge is None else ["back"]) + events:
@@ -1213,7 +1236,7 @@ class TraceJit:
         self.spin_forwards = 0      # closed-form advances of a spin-wait trace
         self.spin_iters_skipped = 0  # iterations those advances stood for
 
-    def sync(self, dcache) -> dict[int, _EntryPoint]:
+    def sync(self, dcache) -> None:
         """Revalidate compiled traces against the decode journal.
 
         Called once per ``run()`` slice, right after ``DecodeCache.sync``
@@ -1222,8 +1245,7 @@ class TraceJit:
         trace.  Staleness is tree-wide: a key mismatch under *any* node
         invalidates every node sharing that root (the tree's covered-
         bundle union is its validity domain), while a patch + byte-
-        identical rollback leaves the whole tree resident.  Returns the
-        entry-point dispatch map.
+        identical rollback leaves the whole tree resident.
         """
         epoch = dcache.epoch
         if epoch != self.epoch_seen:
@@ -1256,7 +1278,6 @@ class TraceJit:
             # sites must not promote against stale parents, and patched
             # code re-proves its exits like a blacklisted head does
             self.sites.clear()
-        return self.dispatch
 
     def _register(self, trace: CompiledTrace) -> None:
         """Publish a trace's entry points into the dispatch map.

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..errors import HpmError
-from .events import PmuEvent, read_event
+from .events import PmuEvent, event_reader
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cpu.core import Core
@@ -25,40 +25,45 @@ class PerformanceCounters:
 
     Counters are virtualized on top of the simulator's free-running
     totals: programming or resetting a counter records the current total
-    as its base.
+    as its base.  Programming binds the counter's reader
+    (:func:`~repro.hpm.events.event_reader`), so a read — four per
+    sampling interrupt — is one call, not a walk over the event list.
     """
 
     def __init__(self, core: "Core") -> None:
         self.core = core
         self._events: list[PmuEvent | None] = [None] * N_COUNTERS
+        self._readers: list = [None] * N_COUNTERS
         self._base: list[int] = [0] * N_COUNTERS
 
     def program(self, index: int, event: PmuEvent) -> None:
         """Bind ``event`` to counter ``index`` and zero it."""
         if not 0 <= index < N_COUNTERS:
             raise HpmError(f"counter index {index} out of range")
+        reader = event_reader(self.core, event)
         self._events[index] = event
-        self._base[index] = read_event(self.core, event)
+        self._readers[index] = reader
+        self._base[index] = reader()
 
     def event_of(self, index: int) -> PmuEvent | None:
         return self._events[index]
 
+    def _reader(self, index: int):
+        reader = self._readers[index]
+        if reader is None:
+            raise HpmError(f"counter {index} not programmed")
+        return reader
+
     def read(self, index: int) -> int:
         """Current value of counter ``index`` since it was programmed."""
-        event = self._events[index]
-        if event is None:
-            raise HpmError(f"counter {index} not programmed")
-        return (read_event(self.core, event) - self._base[index]) & COUNTER_MASK
+        return (self._reader(index)() - self._base[index]) & COUNTER_MASK
 
     def reset(self, index: int) -> None:
-        event = self._events[index]
-        if event is None:
-            raise HpmError(f"counter {index} not programmed")
-        self._base[index] = read_event(self.core, event)
+        self._base[index] = self._reader(index)()
 
     def read_all(self) -> tuple[int, int, int, int]:
         """Snapshot of all four counters (unprogrammed read as 0)."""
-        out = []
-        for i in range(N_COUNTERS):
-            out.append(self.read(i) if self._events[i] is not None else 0)
-        return tuple(out)  # type: ignore[return-value]
+        return tuple(  # type: ignore[return-value]
+            0 if reader is None else (reader() - base) & COUNTER_MASK
+            for reader, base in zip(self._readers, self._base)
+        )

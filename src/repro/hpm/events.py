@@ -10,14 +10,13 @@ names follow the Itanium 2 reference manual events the paper uses
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
-
-from ..errors import HpmError
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cpu.core import Core
 
-__all__ = ["PmuEvent", "read_event"]
+__all__ = ["PmuEvent", "event_reader", "read_event"]
 
 
 class PmuEvent(Enum):
@@ -40,37 +39,34 @@ class PmuEvent(Enum):
     BR_TAKEN = "BR_TAKEN"
 
 
+#: event -> where it counts: an attribute of the core, or (``mem``) of
+#: its CPU's memory events
+_SOURCES = {
+    PmuEvent.CPU_CYCLES: ("core", "cycles"),
+    PmuEvent.IA64_INST_RETIRED: ("core", "retired"),
+    PmuEvent.LOADS_RETIRED: ("mem", "loads"),
+    PmuEvent.STORES_RETIRED: ("mem", "stores"),
+    PmuEvent.DATA_PREFETCHES: ("mem", "prefetches"),
+    PmuEvent.L2_MISSES: ("mem", "l2_misses"),
+    PmuEvent.L3_MISSES: ("mem", "l3_misses"),
+    PmuEvent.L2_WRITEBACKS: ("mem", "l2_writebacks"),
+    PmuEvent.L3_WRITEBACKS: ("mem", "writebacks"),
+    PmuEvent.BUS_MEMORY: ("mem", "bus_memory"),
+    PmuEvent.BUS_RD_HIT: ("mem", "bus_rd_hit"),
+    PmuEvent.BUS_RD_HITM: ("mem", "bus_rd_hitm"),
+    PmuEvent.BUS_RD_INVAL: ("mem", "bus_rd_inval"),
+    PmuEvent.BUS_RD_INVAL_ALL_HITM: ("mem", "bus_rd_inval_hitm"),
+    PmuEvent.BR_TAKEN: ("core", "taken_branches"),
+}
+
+
+def event_reader(core: "Core", event: PmuEvent) -> Callable[[], int]:
+    """A function of no arguments returning ``event``'s free-running
+    value on ``core`` — bound once, read at every sample."""
+    where, name = _SOURCES[event]
+    return partial(getattr, core if where == "core" else core.cache.events, name)
+
+
 def read_event(core: "Core", event: PmuEvent) -> int:
     """Current free-running value of ``event`` on ``core``."""
-    ev = core.cache.events
-    if event is PmuEvent.CPU_CYCLES:
-        return core.cycles
-    if event is PmuEvent.IA64_INST_RETIRED:
-        return core.retired
-    if event is PmuEvent.LOADS_RETIRED:
-        return ev.loads
-    if event is PmuEvent.STORES_RETIRED:
-        return ev.stores
-    if event is PmuEvent.DATA_PREFETCHES:
-        return ev.prefetches
-    if event is PmuEvent.L2_MISSES:
-        return ev.l2_misses
-    if event is PmuEvent.L3_MISSES:
-        return ev.l3_misses
-    if event is PmuEvent.L2_WRITEBACKS:
-        return ev.l2_writebacks
-    if event is PmuEvent.L3_WRITEBACKS:
-        return ev.writebacks
-    if event is PmuEvent.BUS_MEMORY:
-        return ev.bus_memory
-    if event is PmuEvent.BUS_RD_HIT:
-        return ev.bus_rd_hit
-    if event is PmuEvent.BUS_RD_HITM:
-        return ev.bus_rd_hitm
-    if event is PmuEvent.BUS_RD_INVAL:
-        return ev.bus_rd_inval
-    if event is PmuEvent.BUS_RD_INVAL_ALL_HITM:
-        return ev.bus_rd_inval_hitm
-    if event is PmuEvent.BR_TAKEN:
-        return core.taken_branches
-    raise HpmError(f"unknown event {event!r}")  # pragma: no cover
+    return event_reader(core, event)()

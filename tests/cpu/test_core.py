@@ -425,3 +425,76 @@ class TestFaultOrder:
         assert caught.value.pc == image.base + 18
         assert [core.regs.read_gr(r) for r in (10, 11)] == [0, 0]
         assert (core.pc, core.retired) == (image.base + 18, 2)
+
+
+class TestSlices:
+    """``run`` resumes one suspended body per core, slice after slice:
+    what may change between two slices must take effect at the next."""
+
+    FAULT_SRC = (
+        "mov ar.lc=60\n.loop:\nadd r1=1,r1\nbr.cloop.sptk .loop\nbr.ret\n"
+        ".back:\nadd r2=1,r2\nhalt\n"
+    )
+
+    @pytest.mark.parametrize("jit", (True, False), ids=("jit", "interp"))
+    def test_a_fault_mid_slice_publishes_and_the_core_reenters(self, jit):
+        machine = Machine(itanium2_smp(1))
+        image = assemble(self.FAULT_SRC)
+        machine.load_image(image)
+        core = machine.cores[0]
+        core.jit_enabled = jit
+        core.start(image.base)
+        with pytest.raises(SimulationFault, match="empty call stack") as caught:
+            core.run(512)
+        # the loop ran (compiled, with the JIT on) and the faulting
+        # bundle did not retire: the core points at it
+        assert caught.value.pc == core.pc == image.base + 0x20
+        assert (core.cycles, core.retired, core.bundles_executed) == (31, 186, 62)
+        assert core.trace_jit.compiled_bundles == (58 if jit else 0)
+        core.call_stack.append(image.labels[".back"])
+        assert core.run(512) == 2 and core.halted
+        assert core.regs.read_gr(2) == 1
+        assert (core.cycles, core.retired, core.bundles_executed) == (32, 191, 64)
+
+    def test_flags_and_a_validator_take_effect_at_the_next_slice(self):
+        machine = Machine(itanium2_smp(1))
+        image = assemble(
+            "mov ar.lc=400\n.loop:\nld8 r3=[r4]\nadd r1=1,r1\nadd r2=1,r2\n"
+            "add r5=1,r5\nbr.cloop.sptk .loop\nhalt\n"
+        )
+        machine.load_image(image)
+        core = machine.cores[0]
+        core.jit_enabled = core.osr_enabled = True
+        core.regs.write_gr(4, machine.mem.alloc("d", 128).base)
+        core.start(image.base)
+        tjit = core.trace_jit
+
+        def entries_in_a_slice():
+            before = tjit.entries
+            assert core.run(20) == 20
+            return tjit.entries - before
+
+        while not tjit.traces:
+            entries_in_a_slice()
+        assert entries_in_a_slice() > 0
+        core.jit_enabled = False
+        assert entries_in_a_slice() == 0
+        core.jit_enabled = True
+        assert entries_in_a_slice() > 0
+        assert len(tjit.dispatch) > len(tjit.traces)    # every covered bundle
+        core.osr_enabled = False
+        entries_in_a_slice()
+        assert tjit.osr is False and set(tjit.dispatch) == set(tjit.traces)
+        seen = []
+
+        class Recorder:
+            def after_access(self, cache, line, kind):
+                seen.append(line)
+
+            def on_evict(self, *args):
+                pass
+
+        machine.attach_validator(Recorder())
+        assert entries_in_a_slice() == 0 and seen
+        machine.detach_validator()
+        assert entries_in_a_slice() > 0

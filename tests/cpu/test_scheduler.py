@@ -1,11 +1,15 @@
 """Time-ordered scheduler: clock synchronization, hooks, budgets."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import itanium2_smp
+from repro.core import Cobra
 from repro.cpu import Machine, Scheduler
 from repro.errors import MachineError
 from repro.isa import assemble
+from repro.workloads import build_daxpy, working_set_elems
 
 
 def _spin_image(label: str, iters: int):
@@ -74,3 +78,68 @@ class TestScheduling:
         machine = Machine(itanium2_smp(1))
         sched = Scheduler(machine.cores)  # core is halted by default
         assert sched.step() is False
+
+
+def _steps(sched):
+    """Drive ``sched`` one slice at a time; return how many slices ran."""
+    n = 0
+    while sched.step():
+        n += 1
+    return n
+
+
+def _cobra_run(drive):
+    """A DAXPY run under COBRA, waking often enough to deploy, driven by
+    ``drive(scheduler)``; everything observable of it, and a log of a
+    second (non-optimizer) tick hook."""
+    machine = Machine(itanium2_smp(4, scale=4))
+    prog = build_daxpy(machine, working_set_elems("128K", 4), 4, outer_reps=10)
+    config = dataclasses.replace(machine.config.cobra, optimize_interval=10_000)
+    cobra = Cobra(machine, prog.image, "adaptive", config)
+    sched = Scheduler([th.core for th in prog.threads])
+    cobra.install(sched)
+    ticks = []
+    sched.add_tick_hook(lambda: ticks.append(sched.retired))
+    for th in prog.threads:
+        th.start()
+    slices = drive(sched)
+    cobra.stop()
+    report = cobra.report()
+    assert sched.retired == machine.total_retired()
+    observed = (
+        [(c.cycles, c.retired, c.bundles_executed) for c in machine.cores],
+        [e.row() for e in report.events],
+        [d.record() for d in report.deployments],
+        report.fastpath,
+    )
+    return observed, ticks, slices
+
+
+class TestTickHooks:
+    def test_step_matches_run_until_halt_under_cobra(self):
+        whole, _, _ = _cobra_run(lambda sched: sched.run_until_halt())
+        stepped, ticks, slices = _cobra_run(_steps)
+        assert stepped == whole
+        events = whole[1]
+        assert [row[1] for row in events].count("deploy") == 1 and whole[2]
+        # the non-optimizer hook publishes no wake point: every slice
+        assert len(ticks) == slices
+
+    def test_a_hook_runs_again_when_its_wake_point_is_due(self):
+        machine = Machine(itanium2_smp(2))
+        image = _spin_image("t", 2000)
+        machine.load_image(image)
+        for core in machine.cores:
+            core.start(image.labels["__t"])
+        sched = Scheduler(machine.cores)
+        woken, every = [], []
+        sched.add_tick_hook(lambda: woken.append(sched.retired) or 500)
+        sched.add_tick_hook(lambda: every.append(sched.retired))
+        slices = _steps(sched)
+        assert len(every) == slices and len(woken) < slices
+        # called after the first slice, then at the first slice that
+        # reaches each published point
+        assert woken[0] == every[0]
+        for before, after in zip(woken, woken[1:]):
+            assert after >= before + 500
+            assert after == min(r for r in every if r >= before + 500)

@@ -223,6 +223,33 @@ class TestEquivalence:
         assert fast.trace_jit.compiles == 0
         assert fast.trace_jit.blacklist
 
+    def test_loop_compiled_before_an_alloc_runs_compiled_after_it(self):
+        # the same counted loop twice, the second time under a rotating
+        # region an `alloc` opened: a body that names no r32+ and rotates
+        # nothing is the same code at any sor, so its one trace must serve
+        # both passes — the head's hot counter is past the trigger by
+        # then, so a trace refused here would never be compiled again
+        src = """
+        mov r2=0
+        .outer:
+        mov ar.lc=20
+        .loop:
+        add r1=1,r1
+        br.cloop.sptk .loop
+        alloc rot=8
+        add r2=1,r2
+        cmp.lt p6,p7=r2,2
+        (p6) br.cond .outer
+        halt
+        """
+        fast = _assert_equivalent(src)
+        assert fast.regs.sor == 8 and fast.regs.read_gr(1) == 42
+        # 21 iterations a pass; only the first pass's ramp is interpreted
+        # (the HOT_THRESHOLD back-edges it takes to compile the loop)
+        assert fast.trace_jit.compiled_bundles == 2 * 21 - HOT_THRESHOLD
+        loops = [tr for tr in fast.trace_jit.traces.values() if tr.kind == "loop"]
+        assert [(tr.sor, tr.sor_free) for tr in loops] == [(0, True)]
+
     def test_daxpy_memory_loop(self):
         # ld/st/float path through a real workload, end to end
         def run(jit):

@@ -251,10 +251,12 @@ def test_every_covered_bundle_is_an_entry(
         if not head:
             return fn   # the shape, looked up on behalf of a head
 
-        def entered(*args):
-            started.add((head, args[-2]))
-            assert args[-1] == head
-            return fn(*args)
+        def entered(env, *state):
+            # (environment, registers and counters by value..., start, H)
+            started.add((head, state[-2]))
+            assert state[-1] == head
+            assert env == tracejit.trace_env(env[0])   # the core's own
+            return fn(env, *state)
 
         return entered
 

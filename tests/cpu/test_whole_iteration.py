@@ -396,7 +396,7 @@ _BACK_EDGE = (r"iters \+= 1\n *retired \+= (\d+)\n *bundles_executed \+= (\d+)\n
 #: the rest of a flush block, then what the flush was emitted ahead of
 _REST = r"(?=(?:\n *(?:del btb\[:-4\]|n_\w+ = 0|mem_events\.\w+ \+= n_\w+))*\n *"
 _AHEAD_OF = {
-    "a call out": _REST + r"(?:stall \+= )?cache_access\()",
+    "a call out": _REST + r"(?:stall \+= )?cache\.access_fn\()",
     "a side exit's BTB entry": _REST + r"btb_append\()",
     "the hand-over": _REST + r"# -- bundle)",
     "the epilogue": _REST + r"pc, done, slots, flag = out)",
