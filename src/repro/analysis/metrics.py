@@ -33,13 +33,6 @@ class Comparison:
         return self.baseline.cycles / self.optimized.cycles
 
     @property
-    def normalized_time(self) -> float:
-        """Optimized execution time normalized to the baseline (Fig. 3/5)."""
-        if self.baseline.cycles == 0:
-            return 0.0
-        return self.optimized.cycles / self.baseline.cycles
-
-    @property
     def normalized_l3(self) -> float:
         """Optimized L3 misses / baseline L3 misses (Fig. 6)."""
         base = self.baseline.events.l3_misses

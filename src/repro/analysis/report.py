@@ -19,8 +19,8 @@ def format_series_table(
 ) -> str:
     """Render one figure: rows = strategies, columns = benchmarks + avg.
 
-    ``metric`` is one of ``speedup``, ``normalized_time``,
-    ``normalized_l3``, ``normalized_bus``.
+    ``metric`` is one of ``speedup``, ``normalized_l3``,
+    ``normalized_bus``.
     """
     first = next(iter(series_by_strategy.values()))
     names = [c.name for c in first.comparisons]

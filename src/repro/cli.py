@@ -537,9 +537,8 @@ def _cmd_warm(args) -> int:
 def _cmd_fleet(args) -> int:
     from .fleet import FleetHarness
 
-    quorum = args.quorum or env_value("REPRO_FLEET_QUORUM")
-    if quorum is not None and quorum > args.instances:
-        raise UsageError(f"quorum {quorum} exceeds --instances {args.instances}")
+    if args.quorum > args.instances:
+        raise UsageError(f"quorum {args.quorum} exceeds --instances {args.instances}")
     faults = None
     if args.fault_seed is not None:
         # the full hostile schedule: frame faults of every kind, network
@@ -558,9 +557,8 @@ def _cmd_fleet(args) -> int:
         # threshold (cf. the recovery sweep)
         machine=MachineRecipe("smp", max(4, args.threads), 4),
         instances=args.instances,
-        quorum=quorum,
+        quorum=args.quorum or None,
         faults=faults,
-        flush_interval=args.flush_interval,
     ).run(jobs=args.jobs)
     print(report.summary())
     if args.out:
@@ -872,7 +870,7 @@ def _parser() -> _Parser:
     fleet.ranged(
         "--quorum", 0, type=int, default=0, metavar="Q",
         help="independent instances required before a decision is "
-        "published (0 = REPRO_FLEET_QUORUM or min(2, cold count))",
+        "published (0 = min(2, cold count))",
     )
     fleet.ranged(
         "--fault-seed", 0, type=int, default=None, metavar="SEED",
@@ -888,10 +886,6 @@ def _parser() -> _Parser:
     fleet.ranged(
         "--reps", 1, type=int, default=12,
         help="outer repetitions per instance (enough for a deployment)",
-    )
-    fleet.ranged(
-        "--flush-interval", 1, type=int, default=1, metavar="K",
-        help="queue one telemetry batch every K optimizer wakes",
     )
     fleet.add_argument(
         "--out", default=None, metavar="PATH",

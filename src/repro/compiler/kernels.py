@@ -104,23 +104,6 @@ class StreamLoop:
         if len(self.terms) > 8:
             raise CompilerError(f"{self.name}: too many terms (max 8)")
 
-    @property
-    def load_arrays(self) -> tuple[str, ...]:
-        """Distinct arrays read, in first-use order."""
-        seen: dict[str, None] = {}
-        for term in self.terms:
-            seen.setdefault(term.array, None)
-        if self.scale is not None:
-            seen.setdefault(self.scale, None)
-        return tuple(seen)
-
-    @property
-    def streams(self) -> tuple[str, ...]:
-        """Distinct arrays touched (prefetch targets), dest included."""
-        seen = dict.fromkeys(self.load_arrays)
-        seen.setdefault(self.dest, None)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class ReduceLoop:
@@ -135,12 +118,6 @@ class ReduceLoop:
         _check_name(self.name, "src_a", self.src_a)
         if self.src_b is not None:
             _check_name(self.name, "src_b", self.src_b)
-
-    @property
-    def streams(self) -> tuple[str, ...]:
-        if self.src_b is None or self.src_b == self.src_a:
-            return (self.src_a,)
-        return (self.src_a, self.src_b)
 
 
 @dataclass(frozen=True)
@@ -193,12 +170,6 @@ class IntSumLoop:
         for arr, shift in self.sources:
             _check_name(self.name, "source array", arr)
             _check_shift(f"{self.name}[{arr}]", shift)
-
-    @property
-    def streams(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(arr for arr, _ in self.sources)
-        seen.setdefault(self.dest, None)
-        return tuple(seen)
 
 
 @dataclass(frozen=True)

@@ -145,12 +145,6 @@ ENV_VARS: dict[str, EnvVar] = {
         "keeps loop-head traces but no mid-loop entry, trace trees or "
         "spin-wait forwarding",
     ),
-    "REPRO_FLEET_QUORUM": EnvVar(
-        int, lambda quorum: quorum >= 1,
-        "must be a positive integer, got",
-        "integer >= 1",
-        "`repro fleet` publication quorum when `--quorum` is 0",
-    ),
 }
 
 
@@ -194,8 +188,6 @@ _BOUNDS: dict[str, Callable[[object], bool]] = {
     ">= 1": lambda v: v >= 1,
     ">= 2": lambda v: v >= 2,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
-    "in (0, 1)": lambda v: 0.0 < v < 1.0,
-    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
     "a non-negative integer": lambda v: v >= 0,
 }
 
@@ -327,7 +319,8 @@ class FleetFaultConfig:
     degrades to local-only optimization until it rejoins at the round
     boundary.  ``daemon_crash_batch`` kills the daemon after the Nth
     accepted batch (1-based); it must recover from its journal+snapshot
-    store and resume mid-fleet.
+    store and resume mid-fleet.  A faulted frame's retransmit waits one
+    seeded backoff delay (:func:`repro.fleet.faults.backoff_delays`).
     """
 
     seed: int = 0
@@ -339,22 +332,11 @@ class FleetFaultConfig:
     partition_rate: float = 0.0
     #: crash the daemon after the Nth accepted batch; None disables
     daemon_crash_batch: int | None = None
-    #: send attempts per frame before the agent gives up (rejoin merge
-    #: still reconciles the data)
-    max_attempts: int = 6
-    #: first retransmit backoff, in virtual transport ticks
-    backoff_base: int = 4
-    #: backoff ceiling — no delay in the schedule ever exceeds this
-    backoff_cap: int = 512
 
     def __post_init__(self) -> None:
         _require(self, "in [0, 1]", "frame_rate", "partition_rate")
         _require(self, "a non-negative integer", "seed")
-        _require(self, ">= 1", "daemon_crash_batch", "max_attempts", "backoff_base")
-        if self.backoff_cap < self.backoff_base:
-            raise ValueError(
-                f"backoff_cap must be >= backoff_base, got {self.backoff_cap}"
-            )
+        _require(self, ">= 1", "daemon_crash_batch")
 
 
 @dataclass(frozen=True)
@@ -386,8 +368,6 @@ class FleetAgentConfig:
     degraded: bool = False
     #: daemon-pushed profile entry (None = cold start)
     entry: dict | None = None
-    #: optimizer wakes folded into each telemetry batch
-    flush_interval: int = 1
 
     def __post_init__(self) -> None:
         if not self.instance:
@@ -397,7 +377,6 @@ class FleetAgentConfig:
             raise ValueError(
                 f"quorum ({self.quorum}) cannot exceed fleet size ({self.instances})"
             )
-        _require(self, ">= 1", "flush_interval")
 
 
 @dataclass(frozen=True)
@@ -409,20 +388,16 @@ class PersistConfig:
     Exactly one of ``directory`` (a real filesystem checkpoint
     directory) or ``disk`` (an injectable
     :class:`~repro.persist.journal.Disk`, for deterministic tests and
-    the crash sweeps) must be provided.
+    the crash sweeps) must be provided.  A store that already holds
+    state is recovered and warm-started from; the snapshot cadence is
+    :mod:`repro.persist.manager`'s ``SNAPSHOT_INTERVAL`` and
+    ``SNAPSHOTS_KEPT``.
     """
 
     #: checkpoint directory on the real filesystem
     directory: str | None = None
     #: injectable disk; overrides ``directory`` when set
     disk: object | None = None
-    #: window (wake) records between automatic snapshots
-    snapshot_interval: int = 4
-    #: newest snapshots retained by pruning
-    snapshots_kept: int = 3
-    #: recover and warm-start from existing state (``False`` wipes the
-    #: store and starts cold)
-    resume: bool = True
     #: workload descriptor journaled for ``repro resume`` (None = keep
     #: whatever descriptor the store already holds)
     meta: dict | None = None
@@ -430,7 +405,6 @@ class PersistConfig:
     def __post_init__(self) -> None:
         if self.directory is None and self.disk is None:
             raise ValueError("PersistConfig needs a directory or an injectable disk")
-        _require(self, ">= 1", "snapshot_interval", "snapshots_kept")
 
 
 @dataclass(frozen=True)
@@ -444,17 +418,14 @@ class ProfileDBConfig:
     tests and the fuzz corruption cells) must be provided.  Unlike the
     checkpoint store, the database outlives any single run and is keyed
     by binary digest + machine descriptor + strategy, so one file can
-    serve many workloads and machines.
+    serve many workloads and machines.  A run warm-starts from a
+    matching entry and folds its own profile back in at stop.
     """
 
     #: database file path on the real filesystem
     path: str | None = None
     #: injectable disk; overrides ``path`` when set
     disk: object | None = None
-    #: warm-start from a matching entry when one exists
-    seed: bool = True
-    #: fold this run's profile back into the database at stop
-    record: bool = True
 
     def __post_init__(self) -> None:
         if self.path is None and self.disk is None:
@@ -469,9 +440,9 @@ class OverloadConfig:
     injection).  All draws come from one PRNG seeded by ``seed`` —
     *separate* from the fault injector's PRNG, so arming overload never
     perturbs an armed fault schedule.  Rates are per optimizer wake:
-    ``shrink_rate`` multiplies the trace-cache budget by
-    ``shrink_factor`` (clamped at the governor's floor), ``flood_rate``
-    makes monitors deliver ``flood_factor`` copies of each sample for
+    ``shrink_rate`` multiplies the trace-cache budget by the governor's
+    ``SHRINK_FACTOR`` (clamped at its floor), ``flood_rate`` makes
+    monitors deliver ``flood_factor`` copies of each sample for
     ``flood_windows`` wakes, ``disk_rate`` charges synthetic slow-disk
     latency pressure, and ``storm_rate`` charges synthetic daemon
     ingest-queue pressure.  ``max_events`` caps total injections (0 =
@@ -487,8 +458,6 @@ class OverloadConfig:
     disk_rate: float = 0.0
     #: per-wake probability of a daemon ingest storm
     storm_rate: float = 0.0
-    #: budget multiplier applied by each shrink event
-    shrink_factor: float = 0.5
     #: sample multiplication during a flood (2 = every sample doubled)
     flood_factor: int = 3
     #: optimizer wakes a flood lasts
@@ -499,7 +468,6 @@ class OverloadConfig:
     def __post_init__(self) -> None:
         _require(self, "in [0, 1]", "shrink_rate", "flood_rate", "disk_rate", "storm_rate")
         _require(self, "a non-negative integer", "seed")
-        _require(self, "in (0, 1)", "shrink_factor")
         _require(self, ">= 2", "flood_factor")
         _require(self, ">= 1", "flood_windows")
         _require(self, ">= 0", "max_events")
@@ -515,13 +483,15 @@ class GovernorConfig:
     bound — trace-cache bundles (cold-first eviction instead of
     permanent refusal), HPM sample-queue depth (drop-oldest with ledger
     accounting), profile-database entries (cold-key compaction at
-    save), and the fleet outbox — and drives a five-rung
-    graceful-degradation ladder (``full → no-new-compiles →
-    monitor-only → frozen → off``) with hysteresis: escalate one rung
-    per wake while pressure is at or above ``escalate_pressure``,
-    recover one rung only after ``recovery_windows`` consecutive wakes
-    at or below ``recover_pressure``.  Degradation only ever forgoes
-    optimization; output semantics never change.
+    save), each core's compiled trace-tree footprint, and the fleet
+    outbox — and drives a five-rung graceful-degradation ladder
+    (``full → no-new-compiles → monitor-only → frozen → off``) with
+    hysteresis.  The budgets not set below are constants of
+    :mod:`repro.governor.core` (``PROFILE_DB_ENTRIES``,
+    ``JIT_NODE_BUDGET``, ``OUTBOX_BATCHES``), the ladder's thresholds
+    those of :mod:`repro.governor.ladder`.
+    Degradation only ever forgoes optimization; output semantics never
+    change.
     """
 
     #: trace-cache bundle budget (``None`` = the cache's own capacity;
@@ -529,38 +499,15 @@ class GovernorConfig:
     trace_cache_budget: int | None = None
     #: per-monitor sample-queue depth before drop-oldest backpressure
     sample_queue_depth: int = 4096
-    #: profile-database entry count kept by compaction at save
-    profile_db_entries: int = 256
-    #: fleet-outbox window batches kept before shedding the oldest
-    outbox_batches: int = 1024
     #: overload shrink events never push the trace budget below this
     budget_floor: int = 64
-    #: per-core compiled-trace footprint (bundles) before the governor
-    #: evicts cold trace-tree nodes (``None`` = unbounded)
-    jit_node_budget: int | None = 512
-    #: pressure at or above this escalates one rung per wake
-    escalate_pressure: float = 0.85
-    #: pressure at or below this counts toward recovery
-    recover_pressure: float = 0.60
-    #: consecutive calm wakes required before recovering one rung
-    recovery_windows: int = 3
     #: seeded overload-injection plan (``None`` = no injection)
     overload: OverloadConfig | None = None
 
     def __post_init__(self) -> None:
         _require(
-            self, ">= 1", "trace_cache_budget", "jit_node_budget",
-            "sample_queue_depth", "profile_db_entries", "outbox_batches",
-            "budget_floor", "recovery_windows",
+            self, ">= 1", "trace_cache_budget", "sample_queue_depth", "budget_floor"
         )
-        _require(self, "in (0, 1]", "escalate_pressure", "recover_pressure")
-        if self.recover_pressure >= self.escalate_pressure:
-            # the hysteresis band must be non-empty or the ladder would
-            # oscillate on a pressure level sitting exactly at the edge
-            raise ValueError(
-                f"recover_pressure ({self.recover_pressure}) must be below "
-                f"escalate_pressure ({self.escalate_pressure})"
-            )
 
 
 @dataclass(frozen=True)

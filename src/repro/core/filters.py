@@ -34,14 +34,6 @@ class MissStats:
     lines: set[int] = field(default_factory=set)
     threads: set[int] = field(default_factory=set)
 
-    @property
-    def coherent_share(self) -> float:
-        return self.coherent / self.samples if self.samples else 0.0
-
-    @property
-    def mean_latency(self) -> float:
-        return self.total_latency / self.samples if self.samples else 0.0
-
 
 class MissProfile:
     """Accumulates level-two-filtered miss events across all threads."""

@@ -314,8 +314,6 @@ class Cobra:
                     # the checkpoint warm start already ran and is
                     # strictly fresher than any cross-run aggregate
                     self._profile_source = "checkpoint"
-                elif not self.profile_db.seed:
-                    self._profile_source = "seed-off"
                 elif (seeded := self._seed(entry, "profile-db")) is not None:
                     self._profile_seeded = seeded
                     self._profile_source = "hit"
@@ -338,7 +336,6 @@ class Cobra:
                 fl.instance,
                 profile_key(program, machine.config, strategy),
                 image_digest(program),
-                flush_interval=fl.flush_interval,
             )
             self.optimizer.outbox = self.fleet_outbox
             if fl.entry is not None and not fl.degraded and not self.resumed:
@@ -383,7 +380,7 @@ class Cobra:
             # warm-start seed for the next one (no-ops after a crash:
             # the dead disk swallows the writes)
             self.persist.close(self.optimizer.export_state())
-        if self.profile_db is not None and self.profile_db.record:
+        if self.profile_db is not None:
             # a simulated crash killed the process: it cannot have
             # written its profile out either
             crashed = self.persist is not None and getattr(
@@ -394,12 +391,12 @@ class Cobra:
                     self._profile_key, self.optimizer.export_profile_entry()
                 )
                 if self.governor is not None:
+                    from ..governor.core import PROFILE_DB_ENTRIES
+
                     # cold-key compaction at snapshot time: the entry
                     # budget is enforced on what actually hits disk
                     self.governor.note_compacted(
-                        self.profile_db.compact(
-                            self.governor.config.profile_db_entries
-                        )
+                        self.profile_db.compact(PROFILE_DB_ENTRIES)
                     )
                 self.profile_db.save()
 

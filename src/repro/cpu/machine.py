@@ -32,7 +32,7 @@ class Machine:
 
     def __init__(self, config: MachineConfig, memory_bytes: int = 8 << 20) -> None:
         self.config = config
-        self.mem = MemorySystem(memory_bytes)
+        self.mem = MemorySystem(memory_bytes, n_nodes=config.n_nodes)
         self.fabric = CoherentFabric(config.n_nodes, config.bus, config.latency, self.mem)
         self.caches = [
             CpuCacheSystem(cpu, cpu // config.cpus_per_node, config, self.fabric)
@@ -44,9 +44,6 @@ class Machine:
     @property
     def n_cpus(self) -> int:
         return self.config.n_cpus
-
-    def node_of(self, cpu: int) -> int:
-        return cpu // self.config.cpus_per_node
 
     # -- code ------------------------------------------------------------------
 
@@ -96,8 +93,3 @@ class Machine:
         for cache in self.caches:
             total.add(cache.events)
         return total
-
-    def events_of(self, cpu: int) -> MemEvents:
-        if not 0 <= cpu < self.n_cpus:
-            raise MachineError(f"no cpu {cpu}")
-        return self.caches[cpu].events

@@ -374,9 +374,6 @@ class FaultInjector:
                 return event
         return None
 
-    def injected_count(self) -> int:
-        return len(self.events)
-
     def ledger(self) -> FaultLedger:
         by_kind: dict[str, int] = {}
         detected = tolerated = 0

@@ -27,11 +27,18 @@ __all__ = [
     "TransportFaults",
     "backoff_delays",
     "build_ledger",
+    "BACKOFF_BASE",
+    "BACKOFF_CAP",
 ]
+
+#: First retransmit backoff, in virtual transport ticks ...
+BACKOFF_BASE = 4
+#: ... and the ceiling no delay of the schedule exceeds.
+BACKOFF_CAP = 512
 
 
 def backoff_delays(
-    seed: object, attempts: int, base: int = 4, cap: int = 512
+    seed: object, attempts: int, base: int = BACKOFF_BASE, cap: int = BACKOFF_CAP
 ) -> list[int]:
     """Capped exponential backoff with deterministic seeded jitter.
 
@@ -96,7 +103,7 @@ class TransportFaults:
 
     def delay_ticks(self) -> int:
         """Extra virtual transport ticks a delayed frame is held."""
-        return (1 + self.rng.randrange(4)) * self.config.backoff_base
+        return (1 + self.rng.randrange(4)) * BACKOFF_BASE
 
 
 def partition_draw(config: FleetFaultConfig, instance: str, round_no: int) -> bool:

@@ -181,7 +181,6 @@ class FleetHarness:
     strategy: str = "adaptive"
     optimize_interval: int | None = 10_000
     faults: FleetFaultConfig | None = None
-    flush_interval: int = 1
     max_bundles: int | None = None
     reference_digest: str | None = None
     jit: bool | None = None
@@ -221,7 +220,6 @@ class FleetHarness:
             quarantined=quarantined,
             degraded=degraded,
             entry=None if degraded else entry,
-            flush_interval=self.flush_interval,
         )
         return InstanceSpec(
             instance=name,

@@ -3,11 +3,11 @@
 The fleet agent's half of the split is deliberately thin: the full
 COBRA runtime (monitors, profiler, optimizer, trace cache) still runs
 in-process exactly as in a solo run, and the outbox only *observes* it
-— one :class:`~repro.hpm.batch.WindowBatch` per optimizer wake (or per
-``flush_interval`` wakes), plus the run's final mergeable profile
-entry.  It never mutates runtime state and draws no randomness, which
-is what keeps a fleet instance's outputs and cycle counts bit-identical
-to the same run without an outbox.
+— one :class:`~repro.hpm.batch.WindowBatch` per optimizer wake, plus
+the run's final mergeable profile entry.  It never mutates runtime
+state and draws no randomness, which is what keeps a fleet instance's
+outputs and cycle counts bit-identical to the same run without an
+outbox.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ __all__ = ["FleetOutbox"]
 class FleetOutbox:
     """Collects sequence-numbered wire frames during one instance run."""
 
-    def __init__(
-        self, instance: str, key: str, digest: str, flush_interval: int = 1
-    ) -> None:
+    def __init__(self, instance: str, key: str, digest: str) -> None:
         self.instance = instance
         self.key = key
         self.digest = digest
-        self.flush_interval = flush_interval
         self.windows: list[WindowBatch] = []
-        self._wakes = 0
         # monotonic batch ordinal: equals len(windows) until the
         # governor sheds oldest batches under an outbox bound, after
         # which ordinals must keep advancing (the daemon quarantines
@@ -40,9 +36,6 @@ class FleetOutbox:
 
     def on_wake(self, retired: int, window_cpi: float, profiler) -> None:
         """Optimizer wake hook (wired like the persistence hook)."""
-        self._wakes += 1
-        if self._wakes % self.flush_interval:
-            return
         batch = WindowBatch(
             window=self._window_seq,
             retired=retired,

@@ -99,19 +99,12 @@ def simulate_channel(
         if event is None:
             deliver(tick, data)
             continue
-        delays = backoff_delays(
-            f"{config.seed}:{instance}:{idx}",
-            config.max_attempts,
-            config.backoff_base,
-            config.backoff_cap,
-        )
+        # the first retransmit always goes through: one backoff delay
+        (backoff,) = backoff_delays(f"{config.seed}:{instance}:{idx}", 1)
         if event.kind == "drop_frame":
             result.attempts += 1  # the send that vanished
-            if config.max_attempts > 1:
-                event.note = f"retransmitted after backoff ({delays[0]} tick(s))"
-                deliver(tick + delays[0], data)
-            else:
-                event.note = "gave up after 1 attempt(s); reconciled at rejoin"
+            event.note = f"retransmitted after backoff ({backoff} tick(s))"
+            deliver(tick + backoff, data)
         elif event.kind == "dup_frame":
             event.note = "receiver sequence-number dedup"
             deliver(tick, data)
@@ -131,7 +124,7 @@ def simulate_channel(
             damaged = bytearray(data)
             damaged[flip] ^= 0xFF
             deliver(tick, bytes(damaged))
-            deliver(tick + delays[0], data)  # clean retransmit
+            deliver(tick + backoff, data)  # clean retransmit
         else:  # poison_batch: CRC-valid, payload lies
             deliver(tick, encode_frame(_poison_payload(payload)))
     if faults is not None:

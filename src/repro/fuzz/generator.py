@@ -21,7 +21,7 @@ runtime has:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ScenarioParams", "generate_params", "LOOP_CLASSES", "describe"]
 
@@ -124,10 +124,6 @@ def generate_params(seed: int, *, fault_seed: int | None = None) -> ScenarioPara
         multiversion=rng.random() < 0.3,
         prologue_prefetch=rng.random() < 0.7,
     )
-
-
-def with_fault_seed(params: ScenarioParams, fault_seed: int) -> ScenarioParams:
-    return replace(params, fault_seed=fault_seed)
 
 
 def describe(params: ScenarioParams) -> str:

@@ -7,21 +7,21 @@ the five-rung hysteresis ladder, and
 that no overload schedule can change program outputs.
 """
 
-from .core import OverloadInjector, ResourceGovernor, max_recovery_wakes
+from .core import OverloadInjector, ResourceGovernor
 from .harness import (
     OVERLOAD_SCHEDULES,
     OverloadHarness,
     OverloadRecord,
     OverloadReport,
 )
-from .ladder import RUNGS, DegradationLadder
+from .ladder import MAX_RECOVERY_WAKES, RUNGS, DegradationLadder
 
 __all__ = [
     "RUNGS",
     "DegradationLadder",
     "ResourceGovernor",
     "OverloadInjector",
-    "max_recovery_wakes",
+    "MAX_RECOVERY_WAKES",
     "OverloadHarness",
     "OverloadRecord",
     "OverloadReport",

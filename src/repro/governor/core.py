@@ -29,12 +29,29 @@ import random
 from typing import TYPE_CHECKING
 
 from ..config import FaultConfig, GovernorConfig, OverloadConfig
-from .ladder import RUNGS, DegradationLadder
+from .ladder import RECOVER_PRESSURE, DegradationLadder
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
 
-__all__ = ["ResourceGovernor", "OverloadInjector"]
+__all__ = [
+    "ResourceGovernor",
+    "OverloadInjector",
+    "PROFILE_DB_ENTRIES",
+    "OUTBOX_BATCHES",
+    "JIT_NODE_BUDGET",
+    "SHRINK_FACTOR",
+]
+
+#: Profile-database entries kept by compaction at save.
+PROFILE_DB_ENTRIES = 256
+#: Fleet-outbox window batches kept before the oldest are shed.
+OUTBOX_BATCHES = 1024
+#: Per-core compiled-trace footprint (bundles) before cold trace-tree
+#: nodes are evicted.
+JIT_NODE_BUDGET = 512
+#: Trace-budget multiplier of one overload shrink event.
+SHRINK_FACTOR = 0.5
 
 
 class OverloadInjector:
@@ -91,11 +108,7 @@ class ResourceGovernor:
         self.trace_budget = budget
         #: per-monitor sample-queue depth (drop-oldest past this)
         self.sample_budget = config.sample_queue_depth
-        self.ladder = DegradationLadder(
-            config.escalate_pressure,
-            config.recover_pressure,
-            config.recovery_windows,
-        )
+        self.ladder = DegradationLadder()
         self.overload = (
             OverloadInjector(config.overload) if config.overload is not None else None
         )
@@ -116,7 +129,7 @@ class ResourceGovernor:
 
         self.wakes = 0
         self.last_pressure = 0.0
-        #: wake index of the last observation above ``recover_pressure``
+        #: wake index of the last observation above ``RECOVER_PRESSURE``
         #: (the harness bounds recovery time from this)
         self.last_pressure_wake = 0
         self.deploys_refused = 0
@@ -152,7 +165,7 @@ class ResourceGovernor:
         recovered to ``full`` can never immediately push itself back
         over the escalation edge by deploying.
         """
-        headroom = self.config.recover_pressure * self.trace_budget
+        headroom = RECOVER_PRESSURE * self.trace_budget
         return active_bundles + n_bundles <= headroom
 
     def note_evicted(self, victims: list[tuple[int, str, int]]) -> None:
@@ -213,7 +226,7 @@ class ResourceGovernor:
                 "db_compacted",
                 "governor",
                 f"profile-db compaction dropped {count} coldest entr(y/ies) "
-                f"at budget {self.config.profile_db_entries}",
+                f"at budget {PROFILE_DB_ENTRIES}",
             )
 
     def flood_extra(self) -> int:
@@ -239,27 +252,22 @@ class ResourceGovernor:
             self.note_evicted(trace_cache.evict_cold(self.trace_budget))
         # the trace JIT's tree nodes are a second compiled footprint:
         # bound each core's resident bundles the same cold-first way
-        jit_budget = self.config.jit_node_budget
-        if cores is not None and jit_budget is not None:
-            for core in cores:
-                tjit = core.trace_jit
-                if tjit.compiled_footprint() > jit_budget:
-                    self.note_jit_evicted(
-                        core.cpu_id, tjit.evict_cold(jit_budget)
-                    )
-        if outbox is not None and len(outbox.windows) > self.config.outbox_batches:
-            shed = len(outbox.windows) - self.config.outbox_batches
+        for core in cores or ():
+            tjit = core.trace_jit
+            if tjit.compiled_footprint() > JIT_NODE_BUDGET:
+                self.note_jit_evicted(core.cpu_id, tjit.evict_cold(JIT_NODE_BUDGET))
+        if outbox is not None and len(outbox.windows) > OUTBOX_BATCHES:
+            shed = len(outbox.windows) - OUTBOX_BATCHES
             del outbox.windows[:shed]
             self.shed_batches += shed
             self.faults.observe(
                 "batches_shed",
                 "governor",
-                f"outbox shed {shed} oldest batch(es) at budget "
-                f"{self.config.outbox_batches}",
+                f"outbox shed {shed} oldest batch(es) at budget {OUTBOX_BATCHES}",
             )
         pressure = self._pressure(trace_cache, outbox)
         self.last_pressure = pressure
-        if pressure > self.config.recover_pressure:
+        if pressure > RECOVER_PRESSURE:
             self.last_pressure_wake = self.wakes
         transition = self.ladder.observe(pressure)
         if transition is not None:
@@ -284,9 +292,7 @@ class ResourceGovernor:
         overload = self.config.overload
         if kind == "budget_shrink":
             old = self.trace_budget
-            new = max(
-                self.config.budget_floor, int(old * overload.shrink_factor)
-            )
+            new = max(self.config.budget_floor, int(old * SHRINK_FACTOR))
             self.trace_budget = new
             event = self.faults.inject(
                 "budget_shrink", "governor", f"trace budget {old} -> {new}"
@@ -340,9 +346,7 @@ class ResourceGovernor:
             min(1.0, self._ingest_backlog),
         ]
         if outbox is not None:
-            components.append(
-                min(1.0, len(outbox.windows) / self.config.outbox_batches)
-            )
+            components.append(min(1.0, len(outbox.windows) / OUTBOX_BATCHES))
         return max(components)
 
     # -- reporting ---------------------------------------------------------
@@ -365,8 +369,3 @@ class ResourceGovernor:
             "injected": self.overload.injected if self.overload is not None else 0,
             "transitions": list(self.transitions),
         }
-
-
-def max_recovery_wakes(config: GovernorConfig) -> int:
-    """Calm wakes that guarantee return to ``full`` from any rung."""
-    return (len(RUNGS) - 1) * config.recovery_windows

@@ -16,8 +16,7 @@ invariant:
   only at or above the escalation threshold, recoveries only after a
   full calm streak;
 * the ladder returns to ``full`` once pressure has been clear for the
-  guaranteed recovery horizon (``(len(RUNGS)-1) * recovery_windows``
-  calm wakes).
+  guaranteed recovery horizon (``MAX_RECOVERY_WAKES`` calm wakes).
 
 Each cell of the (machine × schedule × seed) matrix runs on a fresh
 machine with a fresh program build, so schedules cannot contaminate
@@ -40,8 +39,7 @@ from ..scenario import (
     default_machines,
     seeded_sweep,
 )
-from .core import max_recovery_wakes
-from .ladder import RUNGS
+from .ladder import ESCALATE_PRESSURE, MAX_RECOVERY_WAKES, RECOVERY_WINDOWS, RUNGS
 
 __all__ = [
     "OverloadHarness",
@@ -62,6 +60,10 @@ OVERLOAD_SCHEDULES: dict[str, dict] = {
         max_events=8,
     ),
 }
+
+
+#: The governor report counters of what the budgets took away.
+GOVERNED = ("evictions", "shed_samples", "deploys_refused")
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,14 @@ class OverloadHarness:
         if self.schedules is None:
             self.schedules = OVERLOAD_SCHEDULES
         if self.governor is None:
-            # the small sample queue makes floods actually shed on short runs
-            self.governor = GovernorConfig(sample_queue_depth=16, budget_floor=48)
+            # budgets that the short sweep runs reach: a flood overfills a
+            # 4-sample queue; 7 bundles admit one 4-bundle trace (the
+            # headroom is RECOVER_PRESSURE * 7 = 4.2), and one shrink
+            # halves that to the floor of 3, which refuses the next deploy
+            # and evicts a copy the ladder has rolled back
+            self.governor = GovernorConfig(
+                sample_queue_depth=4, trace_cache_budget=7, budget_floor=3
+            )
 
     def _perturb(self, schedule: str, seed: int) -> tuple[str, dict]:
         overload = OverloadConfig(seed=seed, **self.schedules[schedule])
@@ -154,13 +162,13 @@ class OverloadHarness:
                     f"(ladder was at {rung})"
                 )
             elif RUNGS.index(to) > RUNGS.index(frm):
-                if t["pressure"] < self.governor.escalate_pressure:
+                if t["pressure"] < ESCALATE_PRESSURE:
                     out.append(
                         f"{cell.label}: escalation {frm} -> {to} at pressure "
                         f"{t['pressure']:.3f} below the escalation threshold"
                     )
             else:
-                if t["streak"] < self.governor.recovery_windows:
+                if t["streak"] < RECOVERY_WINDOWS:
                     out.append(
                         f"{cell.label}: recovery {frm} -> {to} after only "
                         f"{t['streak']} calm window(s)"
@@ -172,7 +180,7 @@ class OverloadHarness:
                 f"governor reports rung {gov.get('rung')}"
             )
         calm = gov.get("wakes", 0) - gov.get("last_pressure_wake", 0)
-        if gov.get("rung") != "full" and calm >= max_recovery_wakes(self.governor):
+        if gov.get("rung") != "full" and calm >= MAX_RECOVERY_WAKES:
             out.append(
                 f"{cell.label}: still at rung {gov.get('rung')} after "
                 f"{calm} calm wake(s) — recovery never converged"
@@ -187,6 +195,15 @@ class OverloadHarness:
             injected=lambda obs: (obs.report.governor or {}).get("injected", 0),
             noun="overload",
         )
+        if swept.runs and not any(
+            obs.report.governor[counter]
+            for _cell, obs in swept.runs
+            for counter in GOVERNED
+        ):
+            swept.failures.append(
+                "the governor evicted, shed and refused nothing across the whole "
+                "matrix — tighten the budgets; this sweep proved nothing"
+            )
         return OverloadReport(
             self.workload.name,
             [

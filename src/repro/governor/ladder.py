@@ -30,10 +30,27 @@ to ``off`` and stays, at ``recover`` it climbs cleanly back to ``full``.
 
 from __future__ import annotations
 
-__all__ = ["RUNGS", "DegradationLadder"]
+__all__ = [
+    "RUNGS",
+    "DegradationLadder",
+    "ESCALATE_PRESSURE",
+    "RECOVER_PRESSURE",
+    "RECOVERY_WINDOWS",
+    "MAX_RECOVERY_WAKES",
+]
 
 #: Service rungs in escalation order (index 0 = fully operational).
 RUNGS = ("full", "no-new-compiles", "monitor-only", "frozen", "off")
+
+#: The governor's ladder: pressure at or above this escalates one rung
+#: per wake ...
+ESCALATE_PRESSURE = 0.85
+#: ... pressure at or below this counts toward recovery ...
+RECOVER_PRESSURE = 0.60
+#: ... and this many consecutive calm wakes recover one rung.
+RECOVERY_WINDOWS = 3
+#: Calm wakes that guarantee the governor's return to ``full`` from any rung.
+MAX_RECOVERY_WAKES = (len(RUNGS) - 1) * RECOVERY_WINDOWS
 
 
 class DegradationLadder:
@@ -41,9 +58,9 @@ class DegradationLadder:
 
     def __init__(
         self,
-        escalate: float = 0.85,
-        recover: float = 0.60,
-        recovery_windows: int = 3,
+        escalate: float = ESCALATE_PRESSURE,
+        recover: float = RECOVER_PRESSURE,
+        recovery_windows: int = RECOVERY_WINDOWS,
     ) -> None:
         if not 0.0 < recover < escalate <= 1.0:
             raise ValueError(

@@ -28,10 +28,3 @@ class BranchTraceBuffer:
         """The last up-to-four (branch address, target address) pairs,
         oldest first."""
         return tuple(self.core.btb)
-
-    def last_backward(self) -> tuple[int, int] | None:
-        """Most recent backward taken branch (a loop-closing candidate)."""
-        for branch, target in reversed(self.core.btb):
-            if target <= branch:
-                return branch, target
-        return None

@@ -2,10 +2,9 @@
 
 Mirrors the structure the paper describes (§3.1–3.2): the "kernel"
 driver programs each CPU's PMU, arms an overflow interrupt every
-``interval`` retired instructions, and on each interrupt copies a
-:class:`~repro.hpm.sample.Sample` into the per-CPU Kernel Sampling
-Buffer, then signals the registered listener (COBRA's monitoring
-thread), which drains the buffer into its User Sampling Buffer.
+``interval`` retired instructions, and on each interrupt hands a
+:class:`~repro.hpm.sample.Sample` to the registered listener (COBRA's
+monitoring thread), which queues it in its User Sampling Buffer.
 
 The interrupt + copy cost is charged to the monitored core
 (``overhead_cycles``), which is how the framework's monitoring overhead
@@ -38,7 +37,6 @@ class PerfmonSession:
         self.pmu = PerformanceCounters(core)
         self.btb = BranchTraceBuffer(core)
         self.dear = DataEventAddressRegister(core)
-        self.kernel_buffer: list[Sample] = []
         self._listener: Callable[[Sample], None] | None = None
         self._index = 0
         self._active = False
@@ -93,15 +91,8 @@ class PerfmonSession:
             cycles=core.cycles,
         )
         self._index += 1
-        self.kernel_buffer.append(sample)
         if self._listener is not None:
             self._listener(sample)
-
-    def drain(self) -> list[Sample]:
-        """Remove and return all buffered samples."""
-        out = self.kernel_buffer
-        self.kernel_buffer = []
-        return out
 
 
 class PerfmonDriver:
@@ -109,11 +100,6 @@ class PerfmonDriver:
 
     def __init__(self, cores: list["Core"], pid: int = 0) -> None:
         self.sessions = [PerfmonSession(core, pid) for core in cores]
-
-    def session(self, cpu: int) -> PerfmonSession:
-        if not 0 <= cpu < len(self.sessions):
-            raise HpmError(f"no perfmon session for cpu {cpu}")
-        return self.sessions[cpu]
 
     def stop_all(self) -> None:
         for session in self.sessions:

@@ -164,9 +164,6 @@ class DecodeCache:
         self._images.append(image)
         self._seen.append([-1, 0, set()])  # forces a full build on first sync
 
-    def images(self) -> list[BinaryImage]:
-        return list(self._images)
-
     # -- coherence with the images ----------------------------------------
 
     def sync(self) -> dict[int, tuple]:
@@ -220,10 +217,6 @@ class DecodeCache:
         return decoded_map
 
     # -- audit --------------------------------------------------------------
-
-    def bytes_at(self, addr: int) -> bytes | None:
-        """Content key the cache is serving for ``addr`` (post-sync)."""
-        return self.keys.get(addr)
 
     def verify(self) -> list[str]:
         """Compare every served entry against a fresh decode.

@@ -5,7 +5,7 @@ bus transactions, coherent snoop events, access latencies — are all
 produced mechanistically by this package.
 """
 
-from .address import LINE_SHIFT, PAGE_SHIFT, line_base, line_of, lines_spanned, page_of
+from .address import LINE_SHIFT, PAGE_SHIFT
 from .cache import CacheArray
 from .coherence import EXCLUSIVE, MODIFIED, SHARED, state_name
 from .dram import DATA_BASE, Allocation, MemorySystem
@@ -16,10 +16,6 @@ from .hierarchy import ATOMIC, LOAD, LOAD_BIAS, PREFETCH, PREFETCH_EXCL, STORE, 
 __all__ = [
     "LINE_SHIFT",
     "PAGE_SHIFT",
-    "line_of",
-    "page_of",
-    "line_base",
-    "lines_spanned",
     "CacheArray",
     "SHARED",
     "EXCLUSIVE",

@@ -1,4 +1,4 @@
-"""Address arithmetic helpers.
+"""Address arithmetic: the line and page shifts.
 
 Data addresses are byte addresses.  Cache state is tracked at line
 granularity using integer *line ids* (``addr >> line_shift``); NUMA
@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from ..config import LINE_SIZE, PAGE_SIZE
 
-__all__ = [
-    "LINE_SHIFT",
-    "PAGE_SHIFT",
-    "line_of",
-    "page_of",
-    "line_base",
-    "lines_spanned",
-]
+__all__ = ["LINE_SHIFT", "PAGE_SHIFT"]
 
 LINE_SHIFT = LINE_SIZE.bit_length() - 1
 PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
@@ -24,24 +17,3 @@ PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 assert (1 << LINE_SHIFT) == LINE_SIZE, "line size must be a power of two"
 assert (1 << PAGE_SHIFT) == PAGE_SIZE, "page size must be a power of two"
 
-
-def line_of(addr: int) -> int:
-    """Line id containing byte address ``addr``."""
-    return addr >> LINE_SHIFT
-
-
-def page_of(addr: int) -> int:
-    """Page id containing byte address ``addr``."""
-    return addr >> PAGE_SHIFT
-
-
-def line_base(line: int) -> int:
-    """First byte address of line id ``line``."""
-    return line << LINE_SHIFT
-
-
-def lines_spanned(addr: int, nbytes: int) -> range:
-    """Line ids touched by the byte range ``[addr, addr + nbytes)``."""
-    if nbytes <= 0:
-        return range(0)
-    return range(addr >> LINE_SHIFT, ((addr + nbytes - 1) >> LINE_SHIFT) + 1)

@@ -53,10 +53,14 @@ class Allocation:
 class MemorySystem:
     """Backing store + bump allocator + first-touch page homes."""
 
-    def __init__(self, capacity_bytes: int = 8 << 20, align: int = 128) -> None:
+    def __init__(
+        self, capacity_bytes: int = 8 << 20, align: int = 128, n_nodes: int = 1
+    ) -> None:
         if capacity_bytes % _WORD:
             raise MemoryError_("capacity must be word-aligned")
         self.capacity = capacity_bytes
+        #: NUMA nodes a page can be homed on
+        self.n_nodes = n_nodes
         self._i64 = np.zeros(capacity_bytes // _WORD, dtype=np.int64)
         self._f64 = self._i64.view(np.float64)
         # the same words for compiled traces: a memoryview subscript
@@ -153,5 +157,9 @@ class MemorySystem:
 
     def place_pages(self, alloc: Allocation, node: int) -> None:
         """Pin all of an allocation's pages to ``node`` (explicit placement)."""
+        if not 0 <= node < self.n_nodes:
+            raise MemoryError_(
+                f"cannot place {alloc.name!r} on node {node}: n_nodes is {self.n_nodes}"
+            )
         for page in range(alloc.base >> PAGE_SHIFT, ((alloc.end - 1) >> PAGE_SHIFT) + 1):
             self.page_home[page] = node

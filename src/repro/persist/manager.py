@@ -24,7 +24,12 @@ from .snapshot import SnapshotStore
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
 
-__all__ = ["PersistenceManager", "PersistStats"]
+__all__ = ["PersistenceManager", "PersistStats", "SNAPSHOT_INTERVAL", "SNAPSHOTS_KEPT"]
+
+#: Window (wake) records between automatic snapshots.
+SNAPSHOT_INTERVAL = 4
+#: Newest snapshots retained by pruning.
+SNAPSHOTS_KEPT = 3
 
 
 @dataclass
@@ -45,7 +50,6 @@ class PersistenceManager:
     """Journals and snapshots the COBRA control plane on one disk."""
 
     def __init__(self, config: PersistConfig, faults: "FaultInjector | None" = None) -> None:
-        self.config = config
         self.disk: Disk = config.disk if config.disk is not None else FileDisk(config.directory)
         self.faults = faults
         self.store = SnapshotStore(self.disk)
@@ -60,11 +64,6 @@ class PersistenceManager:
 
     def open(self) -> RecoveredState:
         """Recover + repair the store; arm the journal for appending."""
-        if not self.config.resume:
-            # explicit fresh start: the operator asked to discard the
-            # previous state rather than resume it
-            for name in self.disk.listdir():
-                self.disk.delete(name)
         recovered = recover(self.disk)
         repair(self.disk, recovered)
 
@@ -132,7 +131,7 @@ class PersistenceManager:
         self._last_state = state
         self._append("window", {"state": state})
         self._windows_since_snapshot += 1
-        if self._windows_since_snapshot >= self.config.snapshot_interval:
+        if self._windows_since_snapshot >= SNAPSHOT_INTERVAL:
             self.snapshot_now()
 
     def log_txn(
@@ -173,7 +172,7 @@ class PersistenceManager:
         self.stats.snapshots_written += 1
         self._next_snapshot_version += 1
         self._windows_since_snapshot = 0
-        self.store.prune(self.config.snapshots_kept)
+        self.store.prune(SNAPSHOTS_KEPT)
 
     def close(self, state: dict) -> None:
         """End of run: journal the final state and snapshot it."""

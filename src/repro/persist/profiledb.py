@@ -235,18 +235,9 @@ class ProfileDBStats:
 class ProfileDB:
     """One profile database file on an injectable disk."""
 
-    def __init__(
-        self,
-        disk: Disk,
-        name: str = PROFILEDB_NAME,
-        *,
-        seed: bool = True,
-        record: bool = True,
-    ) -> None:
+    def __init__(self, disk: Disk, name: str = PROFILEDB_NAME) -> None:
         self.disk = disk
         self.name = name
-        self.seed = seed
-        self.record = record
         self.entries: dict[str, dict] = {}
         self.stats = ProfileDBStats()
 
@@ -254,14 +245,9 @@ class ProfileDB:
     def from_config(cls, config) -> "ProfileDB":
         """Build from a :class:`~repro.config.ProfileDBConfig`."""
         if config.disk is not None:
-            return cls(config.disk, seed=config.seed, record=config.record)
+            return cls(config.disk)
         directory, name = os.path.split(config.path)
-        return cls(
-            FileDisk(directory or "."),
-            name=name or PROFILEDB_NAME,
-            seed=config.seed,
-            record=config.record,
-        )
+        return cls(FileDisk(directory or "."), name=name or PROFILEDB_NAME)
 
     def load(self) -> None:
         """Read the store; any damage loads as empty, never raises."""

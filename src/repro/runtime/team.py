@@ -77,10 +77,6 @@ class RunResult:
     events: MemEvents                 # system-wide delta
     per_cpu_events: list[dict[str, int]]
 
-    @property
-    def l3_misses(self) -> int:
-        return self.events.l3_misses
-
 
 class ParallelProgram:
     """Builder + executor for one multithreaded program."""

@@ -27,11 +27,7 @@ from ...cpu.machine import Machine
 from ...errors import WorkloadError
 from ...runtime.team import ParallelProgram
 
-__all__ = ["NpbBenchmark", "BENCHMARKS", "register", "apply_stream", "grid_elems"]
-
-
-def grid_elems(side: int) -> int:
-    return side * side
+__all__ = ["NpbBenchmark", "BENCHMARKS", "register", "apply_stream"]
 
 
 def apply_stream(
@@ -53,24 +49,6 @@ def apply_stream(
     if template.scale is not None:
         acc = acc * arrays[template.scale][start : start + n]
     arrays[template.dest][start : start + n] = acc
-
-
-def apply_gather(
-    arrays: dict[str, np.ndarray],
-    ptr: np.ndarray,
-    col: np.ndarray,
-    val: np.ndarray,
-    x_name: str,
-    y_name: str,
-    rows: int,
-    row0: int = 0,
-) -> None:
-    """NumPy mirror of one GatherLoop region (CSR SpMV accumulate)."""
-    x = arrays[x_name]
-    y = arrays[y_name]
-    for i in range(row0, row0 + rows):
-        lo, hi = int(ptr[i]), int(ptr[i + 1])
-        y[i] += float(np.dot(val[lo:hi], x[col[lo:hi]]))
 
 
 class NpbBenchmark:

@@ -20,7 +20,7 @@ from ...compiler.kernels import GatherLoop, ReduceLoop, StreamLoop, Term
 from ...compiler.prefetch import AGGRESSIVE, PrefetchPlan
 from ...cpu.machine import Machine
 from ...runtime.team import Call, ParallelProgram, static_chunks
-from .common import NpbBenchmark, apply_gather, apply_stream, register
+from .common import NpbBenchmark, apply_stream, register
 
 __all__ = ["FT"]
 

@@ -30,13 +30,12 @@ class TestComparison:
     def test_ratios(self):
         c = _comparison()
         assert c.speedup == 1.25
-        assert c.normalized_time == 0.8
         assert abs(c.normalized_l3 - 0.7) < 1e-12
         assert c.normalized_bus == 0.75
 
     def test_zero_division_guards(self):
         c = Comparison("z", _result(0, 0, 0), _result(0, 0, 0))
-        assert c.speedup == 0.0 and c.normalized_time == 0.0
+        assert c.speedup == 0.0
         assert c.normalized_l3 == 0.0 and c.normalized_bus == 0.0
 
 
@@ -78,10 +77,10 @@ class TestRendering:
     def test_series_table_without_paper_row(self):
         series = {"excl": ExperimentSeries("excl")}
         series["excl"].add(_comparison("cg"))
-        text = format_series_table(series, "normalized_time", paper_row=None)
+        text = format_series_table(series, "normalized_bus", paper_row=None)
         assert "cg" in text and "excl" in text
         assert "paper" not in text
-        assert "0.800" in text  # 800/1000 normalized time
+        assert "0.750" in text  # 150/200 normalized bus transactions
 
     def test_series_table_fills_missing_paper_cells(self):
         series = {"np": ExperimentSeries("np")}

@@ -6,9 +6,7 @@ from repro.compiler import (
     ComputeLoop,
     GatherLoop,
     IntSumLoop,
-    ReduceLoop,
     StreamLoop,
-    Term,
 )
 from repro.errors import CompilerError
 
@@ -18,34 +16,14 @@ class TestStreamLoop:
         with pytest.raises(CompilerError):
             StreamLoop("x", dest="d", terms=())
 
-    def test_streams_dedup_and_order(self):
-        loop = StreamLoop(
-            "x",
-            dest="d",
-            terms=(Term("a", 1.0, 0), Term("b", 1.0, 0), Term("a", 2.0, 1)),
-            scale="w",
-        )
-        assert loop.load_arrays == ("a", "b", "w")
-        assert loop.streams == ("a", "b", "w", "d")
-
-    def test_dest_aliasing_source_not_duplicated(self):
-        loop = StreamLoop("x", dest="a", terms=(Term("a", 1.0, 0),))
-        assert loop.streams == ("a",)
-
 
 class TestOthers:
-    def test_reduce_streams(self):
-        assert ReduceLoop("r", src_a="a").streams == ("a",)
-        assert ReduceLoop("r", src_a="a", src_b="b").streams == ("a", "b")
-        assert ReduceLoop("r", src_a="a", src_b="a").streams == ("a",)
-
     def test_intsum_validation(self):
         with pytest.raises(CompilerError):
             IntSumLoop("m", dest="d", sources=())
         with pytest.raises(CompilerError):
             IntSumLoop("m", dest="d", sources=tuple(("s", i) for i in range(11)))
-        loop = IntSumLoop("m", dest="d", sources=(("a", 0), ("a", 8)))
-        assert loop.streams == ("a", "d")
+        IntSumLoop("m", dest="d", sources=(("a", 0), ("a", 8)))
 
     def test_compute_validation(self):
         with pytest.raises(CompilerError):

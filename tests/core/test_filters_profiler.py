@@ -37,8 +37,7 @@ class TestMissProfile:
         profile.add_sample(_sample(miss=(0x100, 195, 0x8000_0080)))  # coherent band
         stats = profile.by_pc[0x100]
         assert stats.samples == 2 and stats.coherent == 1
-        assert stats.coherent_share == 0.5
-        assert stats.mean_latency == (140 + 195) / 2
+        assert stats.total_latency == 140 + 195
         assert len(stats.lines) == 2
 
     def test_level_one_floor(self):

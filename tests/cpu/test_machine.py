@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import itanium2_smp, sgi_altix
 from repro.cpu import Machine
-from repro.errors import MachineError
 from repro.isa import assemble
 from repro.memory import CoherentFabric, CpuCacheSystem
 
@@ -15,14 +14,12 @@ class TestBuilders:
         assert isinstance(machine.fabric, CoherentFabric)
         assert machine.fabric.n_nodes == 1
         assert machine.n_cpus == 4
-        assert all(machine.node_of(cpu) == 0 for cpu in range(4))
         assert all(c.node_id == 0 for c in machine.caches)
 
     def test_altix_is_the_same_fabric_with_two_cpus_per_node(self):
         machine = Machine(sgi_altix(8))
         assert isinstance(machine.fabric, CoherentFabric)  # the same class: no machine kinds
         assert machine.fabric.n_nodes == machine.config.n_nodes == 4
-        assert machine.node_of(0) == 0 and machine.node_of(7) == 3
         assert [c.node_id for c in machine.caches] == [0, 0, 1, 1, 2, 2, 3, 3]
 
     @pytest.mark.parametrize("node_id", [-1, 2])
@@ -58,12 +55,6 @@ class TestAggregates:
         assert all(image in core.images for core in machine.cores)
         machine.load_image(image)  # idempotent
         assert all(core.images.count(image) == 1 for core in machine.cores)
-
-    def test_events_of_bounds(self):
-        machine = Machine(itanium2_smp(2))
-        machine.events_of(1)
-        with pytest.raises(MachineError):
-            machine.events_of(2)
 
     def test_aggregate_events_sum(self):
         machine = Machine(itanium2_smp(2))

@@ -62,7 +62,7 @@ class TestDeterminism:
     def test_zero_rate_never_fires(self):
         inj = FaultInjector(FaultConfig(sample_rate=0.0, patch_rate=0.0, loop_rate=0.0))
         assert all(entry is None for entry in _schedule(inj))
-        assert inj.injected_count() == 0
+        assert inj.events == []
 
     def test_kinds_filter_restricts_draws(self):
         inj = FaultInjector(

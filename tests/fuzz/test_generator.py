@@ -9,7 +9,6 @@ from repro.fuzz.generator import (
     ScenarioParams,
     describe,
     generate_params,
-    with_fault_seed,
 )
 
 
@@ -25,12 +24,6 @@ class TestDeterminism:
         base = generate_params(12)
         forced = generate_params(12, fault_seed=base.fault_seed)
         assert forced == base
-
-    def test_with_fault_seed_replaces_only_fault_seed(self):
-        base = generate_params(5)
-        other = with_fault_seed(base, 999)
-        assert other.fault_seed == 999
-        assert dataclasses.replace(other, fault_seed=base.fault_seed) == base
 
 
 class TestCoverage:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import FaultConfig, GovernorConfig, OverloadConfig
 from repro.core.tracecache import UNTOUCHED, TraceCache, TraceVersion, VersionSet
 from repro.core.tracesel import LoopTrace
 from repro.faults import FaultInjector
-from repro.governor import ResourceGovernor, max_recovery_wakes
+from repro.governor import MAX_RECOVERY_WAKES, ResourceGovernor
 from repro.isa.bundle import Bundle
 from repro.isa.instructions import nop
 
@@ -116,7 +115,7 @@ class TestEvictionDeterminism:
 
 class TestAdmission:
     def test_admit_keeps_live_footprint_under_recovery_headroom(self):
-        gov = _governor(trace_cache_budget=100, recover_pressure=0.6)
+        gov = _governor(trace_cache_budget=100)
         assert gov.admit_deploy(0, 60)
         assert not gov.admit_deploy(0, 61)
         assert gov.admit_deploy(50, 10)
@@ -182,7 +181,6 @@ class TestGovernedWake:
 
     def test_sustained_flood_walks_the_ladder_down(self):
         gov = _governor(
-            recovery_windows=2,
             overload=OverloadConfig(seed=0, flood_rate=1.0, flood_windows=2),
         )
         cache = _empty_cache()
@@ -199,7 +197,6 @@ class TestGovernedWake:
 
     def test_calm_wakes_recover_to_full_within_the_guaranteed_horizon(self):
         config = GovernorConfig(
-            recovery_windows=2,
             overload=OverloadConfig(
                 seed=0, flood_rate=1.0, flood_windows=1, max_events=4
             ),
@@ -208,13 +205,14 @@ class TestGovernedWake:
         cache = _empty_cache()
         for _ in range(4):
             gov.on_wake(0, cache)      # schedule exhausts (max_events)
-        for _ in range(max_recovery_wakes(config) + 1):
+        for _ in range(MAX_RECOVERY_WAKES + 1):
             gov.on_wake(0, cache)
         assert gov.rung == "full"
         assert gov.overload.injected == 4
 
-    def test_outbox_batches_shed_oldest_with_accounting(self):
-        gov = _governor(outbox_batches=2)
+    def test_outbox_batches_shed_oldest_with_accounting(self, monkeypatch):
+        monkeypatch.setattr("repro.governor.core.OUTBOX_BATCHES", 2)
+        gov = _governor()
         outbox = SimpleNamespace(windows=["b0", "b1", "b2", "b3"])
         gov.on_wake(0, _empty_cache(), outbox=outbox)
         assert outbox.windows == ["b2", "b3"]
@@ -237,7 +235,6 @@ class TestGovernedWake:
     def test_identical_seeds_produce_identical_reports(self):
         def run():
             gov = _governor(
-                recovery_windows=2,
                 overload=OverloadConfig(
                     seed=9, shrink_rate=0.3, flood_rate=0.3,
                     disk_rate=0.3, storm_rate=0.3, max_events=10,
@@ -272,8 +269,9 @@ class TestJitFootprintBudget:
             tjit.traces[node.head] = node
         return SimpleNamespace(cpu_id=1, trace_jit=tjit)
 
-    def test_cold_tree_nodes_evicted_to_budget_with_ledger(self):
-        gov = _governor(jit_node_budget=4)
+    def test_cold_tree_nodes_evicted_to_budget_with_ledger(self, monkeypatch):
+        monkeypatch.setattr("repro.governor.core.JIT_NODE_BUDGET", 4)
+        gov = _governor()
         core = self._core_with_nodes((3, 2, 2))
         gov.on_wake(0, _empty_cache(), cores=[core])
         tjit = core.trace_jit
@@ -291,25 +289,13 @@ class TestJitFootprintBudget:
         assert tjit.generation >= 1
 
     def test_within_budget_is_a_noop(self):
-        gov = _governor(jit_node_budget=16)
+        gov = _governor()
         core = self._core_with_nodes((3, 2))
         gov.on_wake(0, _empty_cache(), cores=[core])
         assert len(core.trace_jit.traces) == 2
         assert gov.jit_evictions == 0
 
-    def test_unbounded_when_budget_is_none(self):
-        gov = _governor(jit_node_budget=None)
-        core = self._core_with_nodes((50, 50, 50))
-        gov.on_wake(0, _empty_cache(), cores=[core])
-        assert len(core.trace_jit.traces) == 3
-        assert gov.jit_evictions == 0
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError, match="jit_node_budget"):
-            GovernorConfig(jit_node_budget=0)
-
 
 class TestRecoveryHorizon:
     def test_max_recovery_wakes_covers_the_whole_ladder(self):
-        config = GovernorConfig(recovery_windows=3)
-        assert max_recovery_wakes(config) == 12   # 4 rungs x 3 windows
+        assert MAX_RECOVERY_WAKES == 12   # 4 rungs x 3 windows

@@ -59,16 +59,6 @@ class TestSession:
         assert miss.miss_latency > 12
         assert miss.miss_line == miss.miss_addr >> 7
 
-    def test_kernel_buffer_drain(self):
-        machine = Machine(itanium2_smp(1))
-        image = _streaming_program(machine)
-        session = PerfmonSession(machine.cores[0])
-        session.configure(EVENTS, interval=500, dear_min_latency=12)
-        machine.cores[0].start(image.base)
-        Scheduler(machine.cores).run_until_halt(1_000_000)
-        buffered = session.drain()
-        assert buffered and session.drain() == []
-
     def test_configure_validation(self):
         machine = Machine(itanium2_smp(1))
         session = PerfmonSession(machine.cores[0])
@@ -85,9 +75,7 @@ class TestSession:
     def test_driver_facade(self):
         machine = Machine(itanium2_smp(2))
         driver = PerfmonDriver(machine.cores)
-        assert driver.session(1).core is machine.cores[1]
-        with pytest.raises(HpmError):
-            driver.session(2)
+        assert [session.core for session in driver.sessions] == machine.cores
         driver.stop_all()
 
 
@@ -99,8 +87,8 @@ class TestBtbAndDear:
         Scheduler(machine.cores).run_until_halt(1_000_000)
         btb = BranchTraceBuffer(machine.cores[0])
         assert len(btb.snapshot()) == 4
-        backward = btb.last_backward()
-        assert backward is not None and backward[1] <= backward[0]
+        # a loop-closing (backward) taken branch is among the pairs
+        assert any(target <= branch for branch, target in btb.snapshot())
 
     def test_dear_threshold_filters(self):
         machine = Machine(itanium2_smp(1))

@@ -1,7 +1,10 @@
 """First-touch page placement effects on the Altix (paper §3.2)."""
 
-from repro.config import sgi_altix
+import pytest
+
+from repro.config import itanium2_smp, sgi_altix
 from repro.cpu import Machine
+from repro.errors import MemoryError_
 from repro.workloads import build_daxpy, verify_daxpy, working_set_elems
 
 
@@ -23,3 +26,16 @@ def test_serial_init_misplacement_costs_remote_latency():
     assert node0_only > first_touch * 1.2, (
         "pages homed on one node must pay remote-memory latency"
     )
+
+
+@pytest.mark.parametrize("config, node", [
+    (itanium2_smp(4), 3), (itanium2_smp(4), 1), (sgi_altix(4), 2), (sgi_altix(4), -1),
+])
+def test_placing_pages_on_a_node_the_machine_lacks_is_refused(config, node):
+    """Refused at the call, naming the node and the node count; it used
+    to be accepted and end the run in an IndexError inside the fabric."""
+    machine = Machine(config)
+    alloc = machine.mem.alloc("x", 4096)
+    with pytest.raises(MemoryError_, match=f"node {node}: n_nodes is {config.n_nodes}"):
+        machine.mem.place_pages(alloc, node)
+    assert machine.mem.page_home == {}

@@ -24,7 +24,7 @@ import pytest
 
 from repro.compiler import StreamLoop, Term
 from repro.bench import matrix_case
-from repro.config import ProfileDBConfig, itanium2_smp
+from repro.config import GovernorConfig, ProfileDBConfig, itanium2_smp
 from repro.core import Cobra, run_with_cobra
 from repro.core.optimizer import REGRESSION
 from repro.cpu import Machine
@@ -297,3 +297,32 @@ class TestDeterminism:
         _run(disk)  # loads empty, records, saves
         _prog, _result, report = _run(disk)
         assert report.profile_db["source"] == "hit"
+
+
+class TestGovernedCompaction:
+    def test_stop_compacts_coldest_first_with_a_ledger_event(self, monkeypatch):
+        """Over the governor's entry budget, ``Cobra.stop()`` drops the
+        entries with the fewest runs (ties by key) before it saves."""
+        monkeypatch.setattr("repro.governor.core.PROFILE_DB_ENTRIES", 2)
+        disk = MemoryDisk()
+        db = ProfileDB(disk)
+        db.entries = {
+            key: {**empty_entry(), "runs": runs}
+            for key, runs in (("-cold-a", 1), ("-hot", 5), ("-cold-b", 1))
+        }
+        db.save()
+        machine = Machine(itanium2_smp(THREADS, scale=4))
+        config = dataclasses.replace(
+            machine.config.cobra, optimize_interval=30_000,
+            profile_db=ProfileDBConfig(disk=disk), governor=GovernorConfig(),
+        )
+        _result, report = run_with_cobra(_build(machine), "noprefetch", config=config)
+
+        saved = ProfileDB(disk)
+        saved.load()
+        # the run's own entry has one run too: "-" sorts before any
+        # digest, so the tie drops the two planted cold entries
+        assert sorted(saved.entries) == ["-hot", report.profile_db["key"]]
+        assert report.governor["db_compacted"] == 2
+        (event,) = [e for e in report.faults.events if e.kind == "db_compacted"]
+        assert event.status == "detected" and "2 coldest" in event.note

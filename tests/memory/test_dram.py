@@ -85,7 +85,7 @@ class TestFirstTouch:
         assert mem.home_node(a.base + 1024, toucher_node=0) == 0  # next page
 
     def test_place_pages(self):
-        mem = MemorySystem(1 << 20)
+        mem = MemorySystem(1 << 20, n_nodes=4)
         a = mem.alloc("a", 4096)
         mem.place_pages(a, node=2)
         assert mem.home_node(a.base, toucher_node=0) == 2

@@ -424,28 +424,10 @@ class TestFleetCli:
         err = capsys.readouterr().err
         assert rc == 2 and "--fault-seed must be >= 0" in err
 
-    def test_bad_flush_interval(self, capsys):
-        rc = main(["fleet", "--flush-interval", "0"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "--flush-interval must be >= 1" in err
-
     def test_unknown_workload(self, capsys):
         rc = main(["fleet", "--workload", "nope"])
         err = capsys.readouterr().err
         assert rc == 2 and "unknown workload 'nope'" in err
-
-    def test_malformed_env_quorum(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_QUORUM", "two")
-        rc = main(["fleet", "--instances", "2"])
-        err = capsys.readouterr().err
-        assert rc == 2 and err.count("\n") == 1
-        assert "REPRO_FLEET_QUORUM must be a positive integer, got 'two'" in err
-
-    def test_env_quorum_applied(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_QUORUM", "1")
-        rc = main(["fleet", "--instances", "2"])
-        captured = capsys.readouterr().out
-        assert rc == 0 and "quorum=1" in captured
 
 
 class TestGovernorCli:

@@ -73,7 +73,6 @@ EXPLICIT = [
     (["fleet", "--instances", "0"], {}, "--instances must be >= 1"),
     (["fleet", "--quorum", "-1"], {}, "--quorum must be >= 0"),
     (["fleet", "--fault-seed", "-1"], {}, "--fault-seed must be >= 0"),
-    (["fleet", "--flush-interval", "0"], {}, "--flush-interval must be >= 1"),
     (["daxpy", "--trace-cache-budget", "0"], {}, "--trace-cache-budget must be >= 1"),
     (["daxpy", "--overload-seed", "-1"], {}, "--overload-seed must be >= 0"),
     (["overload", "--seed", "-1"], {}, "--seed must be >= 0"),
@@ -121,8 +120,6 @@ EXPLICIT = [
     (["table1"], {"REPRO_PROFILE_DB": "{tmp}"},
      "REPRO_PROFILE_DB must name a profile-database file"),
     (["table1"], {"REPRO_GOVERNOR": "on"}, "REPRO_GOVERNOR must be '0' or '1', got 'on'"),
-    (["fleet", "--instances", "2"], {"REPRO_FLEET_QUORUM": "two"},
-     "REPRO_FLEET_QUORUM must be a positive integer, got 'two'"),
     (["daxpy"], {"REPRO_VALIDATE": "bogus"},
      "REPRO_VALIDATE must be 'off', 'record' or 'strict', got 'bogus'"),
     # -- used to be tracebacks or vacuous runs --------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: ``src/repro`` may not grow past this without a reason on record.
-BUDGET = 13_385
+BUDGET = 13_228
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
@@ -27,7 +27,8 @@ _LAYOUT = {
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def code_lines(source: str) -> int:
+def code_line_set(source: str) -> set[int]:
+    """Line numbers of the code lines of ``source``."""
     lines: set[int] = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _LAYOUT:
@@ -36,7 +37,11 @@ def code_lines(source: str) -> int:
         if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
             doc = node.body[0]
             lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
-    return len(lines)
+    return lines
+
+
+def code_lines(source: str) -> int:
+    return len(code_line_set(source))
 
 
 def count(path: Path) -> int:

@@ -163,15 +163,7 @@ class TestPersistConfig:
         from repro.config import PersistConfig
 
         cfg = PersistConfig(directory="/tmp/ckpt")
-        assert cfg.resume and cfg.snapshot_interval >= 1
-
-    def test_intervals_validated(self):
-        from repro.config import PersistConfig
-
-        with pytest.raises(ValueError, match="snapshot_interval"):
-            PersistConfig(directory="x", snapshot_interval=0)
-        with pytest.raises(ValueError, match="snapshots_kept"):
-            PersistConfig(directory="x", snapshots_kept=0)
+        assert cfg.disk is None and cfg.meta is None
 
     def test_cobra_config_carries_persist(self):
         from repro.config import PersistConfig
@@ -194,16 +186,6 @@ class TestFleetConfigs:
         with pytest.raises(ValueError, match="daemon_crash_batch"):
             FleetFaultConfig(daemon_crash_batch=0)
 
-    def test_fault_backoff_validated(self):
-        from repro.config import FleetFaultConfig
-
-        with pytest.raises(ValueError, match="max_attempts"):
-            FleetFaultConfig(max_attempts=0)
-        with pytest.raises(ValueError, match="backoff_base"):
-            FleetFaultConfig(backoff_base=0)
-        with pytest.raises(ValueError, match="backoff_cap"):
-            FleetFaultConfig(backoff_base=64, backoff_cap=32)
-
     def test_agent_config_validated(self):
         from repro.config import FleetAgentConfig
 
@@ -215,8 +197,6 @@ class TestFleetConfigs:
             FleetAgentConfig(instance="i0", quorum=0)
         with pytest.raises(ValueError, match="cannot exceed"):
             FleetAgentConfig(instance="i0", instances=2, quorum=3)
-        with pytest.raises(ValueError, match="flush_interval"):
-            FleetAgentConfig(instance="i0", flush_interval=0)
 
     def test_cobra_config_carries_fleet(self):
         from repro.config import FleetAgentConfig
@@ -236,8 +216,6 @@ class TestGovernorConfigs:
             OverloadConfig(storm_rate=-0.1)
         with pytest.raises(ValueError, match="seed"):
             OverloadConfig(seed=-1)
-        with pytest.raises(ValueError, match="shrink_factor"):
-            OverloadConfig(shrink_factor=1.0)
         with pytest.raises(ValueError, match="flood_factor"):
             OverloadConfig(flood_factor=1)
         with pytest.raises(ValueError, match="flood_windows"):
@@ -252,24 +230,8 @@ class TestGovernorConfigs:
             GovernorConfig(trace_cache_budget=0)
         with pytest.raises(ValueError, match="sample_queue_depth"):
             GovernorConfig(sample_queue_depth=0)
-        with pytest.raises(ValueError, match="profile_db_entries"):
-            GovernorConfig(profile_db_entries=0)
-        with pytest.raises(ValueError, match="outbox_batches"):
-            GovernorConfig(outbox_batches=0)
         with pytest.raises(ValueError, match="budget_floor"):
             GovernorConfig(budget_floor=0)
-        with pytest.raises(ValueError, match="recovery_windows"):
-            GovernorConfig(recovery_windows=0)
-
-    def test_hysteresis_band_must_be_non_empty(self):
-        from repro.config import GovernorConfig
-
-        with pytest.raises(ValueError, match="escalate_pressure"):
-            GovernorConfig(escalate_pressure=1.2)
-        with pytest.raises(ValueError, match="recover_pressure"):
-            GovernorConfig(recover_pressure=0.0)
-        with pytest.raises(ValueError, match="must be below"):
-            GovernorConfig(escalate_pressure=0.5, recover_pressure=0.5)
 
     def test_cobra_config_carries_governor(self):
         from repro.config import GovernorConfig, OverloadConfig
@@ -335,6 +297,6 @@ class TestEnvSchema:
         from repro.config import env_value
         from repro.errors import CobraError
 
-        monkeypatch.setenv("REPRO_FLEET_QUORUM", "0")
-        with pytest.raises(CobraError, match="REPRO_FLEET_QUORUM must be a positive"):
-            env_value("REPRO_FLEET_QUORUM")
+        monkeypatch.setenv("REPRO_FAULTS", "-1")
+        with pytest.raises(CobraError, match="REPRO_FAULTS must be a non-negative"):
+            env_value("REPRO_FAULTS")

@@ -7,7 +7,7 @@ from repro.compiler.kernels import StreamLoop, Term
 from repro.config import itanium2_smp
 from repro.cpu import Machine
 from repro.errors import WorkloadError
-from repro.workloads.npb.common import StencilSpec, apply_gather, apply_stream
+from repro.workloads.npb.common import StencilSpec, apply_stream
 from repro.workloads.npb.grid import GridBenchmark
 
 
@@ -49,14 +49,6 @@ class TestMirrors:
         template = StreamLoop("t", dest="d", terms=(Term("a", 1.0, 0),), scale="w")
         apply_stream(arrays, template, start=0, n=16)
         assert np.allclose(arrays["d"], 3.0 * np.arange(16))
-
-    def test_apply_gather_accumulates(self):
-        arrays = {"x": np.array([1.0, 2.0, 3.0]), "y": np.array([10.0, 0.0])}
-        ptr = np.array([0, 2, 3])
-        col = np.array([0, 2, 1])
-        val = np.array([1.0, 1.0, 5.0])
-        apply_gather(arrays, ptr, col, val, "x", "y", rows=2)
-        assert np.allclose(arrays["y"], [14.0, 10.0])
 
 
 class TestCustomGrid:
