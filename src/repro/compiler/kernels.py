@@ -19,15 +19,28 @@ Each template instance compiles to one shared *function* that all
 threads call with per-chunk parameters in registers, so one binary is
 executed by every thread — which is what makes COBRA's single patch
 visible to all of them.
+
+Each template also carries its executable meaning, ``apply(mem, start,
+n, origin)``: one call over ``n`` elements as NumPy operations on
+``mem`` (array name -> contents, updated in place).  ``origin`` maps an
+array name (or ``"result"``, a reduction's slot) to ``(array, element)``
+— the element the template's index 0 refers to; an array it omits is
+indexed from ``start`` when the loop index walks it, and from element 0
+when data indexes it (CSR positions, gathered columns, histogram bins).
+``ParallelProgram.evaluate`` replays a program's recorded schedule
+through these methods to verify the simulated arrays; they read no
+register, no binary and no calling convention, so a code-generation bug
+cannot hide in them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from dataclasses import dataclass, field
+import numpy as np
 
-from ..errors import CompilerError
+from ..errors import CompilerError, WorkloadError
 
 __all__ = [
     "Term",
@@ -47,6 +60,26 @@ __all__ = [
 #: generator reason about halo allocation instead of chasing wild
 #: addresses into unrelated arrays.
 MAX_SHIFT = 1 << 20
+
+
+def _window(mem: dict, origin: dict, name: str, start: int, shift: int, n: int) -> np.ndarray:
+    """The ``n`` elements of ``name`` from loop index 0 plus ``shift``."""
+    array, at = origin.get(name, (name, start))
+    view, lo = mem[array], at + shift
+    if lo < 0 or lo + n > len(view):
+        raise WorkloadError(f"{name}: [{lo}, {lo + n}) is outside {array!r}")
+    return view[lo : lo + n]
+
+
+def _pick(mem: dict, origin: dict, name: str, index: np.ndarray) -> tuple:
+    """``(array, positions)`` of the elements of ``name`` that data
+    indexes (counted from element 0 unless overridden) — bounds-checked,
+    never wrapped around."""
+    array, at = origin.get(name, (name, 0))
+    view, pos = mem[array], at + index
+    if len(pos) and (pos.min() < 0 or pos.max() >= len(view)):
+        raise WorkloadError(f"{name}: an index is outside {array!r}")
+    return view, pos
 
 
 def _check_name(owner: str, what: str, name: object) -> None:
@@ -104,6 +137,16 @@ class StreamLoop:
         if len(self.terms) > 8:
             raise CompilerError(f"{self.name}: too many terms (max 8)")
 
+    def apply(self, mem: dict, start: int, n: int, origin: dict) -> None:
+        """Terms accumulate in order, then the optional scale multiplies."""
+        acc = None
+        for t in self.terms:
+            term = t.coef * _window(mem, origin, t.array, start, t.shift, n)
+            acc = term if acc is None else term + acc
+        if self.scale is not None:
+            acc = acc * _window(mem, origin, self.scale, start, 0, n)
+        _window(mem, origin, self.dest, start, 0, n)[:] = acc
+
 
 @dataclass(frozen=True)
 class ReduceLoop:
@@ -118,6 +161,14 @@ class ReduceLoop:
         _check_name(self.name, "src_a", self.src_a)
         if self.src_b is not None:
             _check_name(self.name, "src_b", self.src_b)
+
+    def apply(self, mem: dict, start: int, n: int, origin: dict) -> None:
+        """The sum, accumulated in loop order, overwrites the result slot."""
+        terms = _window(mem, origin, self.src_a, start, 0, n)
+        if self.src_b is not None:
+            terms = terms * _window(mem, origin, self.src_b, start, 0, n)
+        array, slot = origin["result"]
+        mem[array][slot] = np.add.accumulate(terms)[-1]
 
 
 @dataclass(frozen=True)
@@ -147,6 +198,19 @@ class GatherLoop:
                 f"got {tuple(roles.values())!r}"
             )
 
+    def apply(self, mem: dict, start: int, n: int, origin: dict) -> None:
+        """Rows from ``start``; ``ptr`` holds absolute positions in
+        ``col``/``val``, ``col`` absolute indices into ``x``.  Each row's
+        products sum in order from zero, then add into ``y``."""
+        ptr = _window(mem, origin, self.ptr, start, 0, n + 1)
+        k = np.arange(ptr[0], ptr[-1])
+        rows = np.repeat(np.arange(n), np.diff(ptr))
+        col, pos = _pick(mem, origin, self.col, k)
+        x, xpos = _pick(mem, origin, self.x, col[pos])
+        val, vpos = _pick(mem, origin, self.val, k)
+        sums = np.bincount(rows, weights=x[xpos] * val[vpos], minlength=n)
+        _window(mem, origin, self.y, start, 0, n)[:] += sums
+
 
 @dataclass(frozen=True)
 class IntSumLoop:
@@ -171,6 +235,12 @@ class IntSumLoop:
             _check_name(self.name, "source array", arr)
             _check_shift(f"{self.name}[{arr}]", shift)
 
+    def apply(self, mem: dict, start: int, n: int, origin: dict) -> None:
+        total = 0
+        for arr, shift in self.sources:
+            total = total + _window(mem, origin, arr, start, shift, n)
+        _window(mem, origin, self.dest, start, 0, n)[:] = total
+
 
 @dataclass(frozen=True)
 class HistogramLoop:
@@ -187,6 +257,12 @@ class HistogramLoop:
         if self.key == self.cnt:
             raise CompilerError(f"{self.name}: key and cnt must be distinct arrays")
 
+    def apply(self, mem: dict, start: int, n: int, origin: dict) -> None:
+        """Keys from ``start`` are absolute bin indices into ``cnt``."""
+        key = _window(mem, origin, self.key, start, 0, n)
+        cnt, bins = _pick(mem, origin, self.cnt, key)
+        np.add.at(cnt, bins, 1)
+
 
 @dataclass(frozen=True)
 class ComputeLoop:
@@ -202,6 +278,9 @@ class ComputeLoop:
             raise CompilerError(f"{self.name}: flops_per_iter must be an integer")
         if not 1 <= self.flops_per_iter <= 16:
             raise CompilerError(f"{self.name}: flops_per_iter out of range")
+
+    def apply(self, mem: dict, start: int, n: int, origin: dict) -> None:
+        """Registers only: no memory effect."""
 
 
 KernelTemplate = (

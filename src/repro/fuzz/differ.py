@@ -4,7 +4,9 @@ Every generated scenario is executed across the thirteen axes of the
 :data:`AXES` table, each one :func:`repro.scenario.run_cell` on a fresh
 machine with an identical program build:
 
-1. ``none``      — plain interpreter, no COBRA (ground truth);
+1. ``none``      — plain interpreter, no COBRA (ground truth); its
+   arrays must match ``ParallelProgram.evaluate``, the schedule replayed
+   through the kernel templates' NumPy meaning (observable ``value``);
 2. ``adaptive``  — COBRA adaptive, trace JIT on, HPM samples captured;
 3. ``jit-off``   — identical but with the trace JIT disabled on every
    core; must match axis 2 *fully* — output bytes, cycles, retired
@@ -69,6 +71,7 @@ from ..config import (
 from ..errors import SimulatedCrash
 from ..persist.journal import MemoryDisk
 from ..persist.profiledb import PROFILEDB_NAME
+from ..runtime.team import ParallelProgram
 from ..scenario import Observables, WorkloadSpec, run_cell
 from ..validate.recovery import zero_rate_faults
 from .driver import build_scenario, scenario_machine
@@ -228,7 +231,9 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
     obs: dict[str, Observables] = {}
     completed: set[str] = set()
     stores: Stores = defaultdict(MemoryDisk)
-    workload = WorkloadSpec(f"fuzz-{params.seed}", partial(build_scenario, params))
+    workload = WorkloadSpec(
+        f"fuzz-{params.seed}", partial(build_scenario, params), ParallelProgram.check
+    )
     machine = partial(scenario_machine, params)
 
     def diverge(axis: str, observable: str, expected: object, actual: object) -> None:
@@ -277,6 +282,8 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
             continue
         obs[axis.name] = out
         digests.append((axis.name, out.digest))
+        if axis.name == "none" and out.verified is False:
+            diverge(axis.name, "value", "evaluation", "differs")
         reference = obs.get(axis.versus)
         if reference is not None:
             for observable in axis.agree:

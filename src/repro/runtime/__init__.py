@@ -1,12 +1,10 @@
 """Simulated threading / OpenMP-like runtime."""
 
-from .affinity import bind_threads
 from .barrier import emit_barrier
 from .team import Call, ParallelProgram, RunResult, static_chunks
 from .thread import SimThread
 
 __all__ = [
-    "bind_threads",
     "emit_barrier",
     "Call",
     "ParallelProgram",

@@ -11,6 +11,12 @@
 * an optional in-binary outer repetition loop (the ``j`` loop of the
   paper's DAXPY example, Figure 1).
 
+It also records the logical schedule — each call's template, chunk and
+array origins, the initial array contents and the outer repetitions —
+and :meth:`ParallelProgram.evaluate` replays it through the templates'
+NumPy meaning, which is what :meth:`ParallelProgram.check` compares the
+simulated arrays against.  Thread ``t`` runs on CPU ``t``.
+
 Work distribution is OpenMP static scheduling: "computations inside a
 loop are distributed based on the loop index range regardless of data
 locations" (paper §5.1) — which is exactly what creates boundary
@@ -20,7 +26,7 @@ removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +40,6 @@ from ..isa.binary import BinaryImage
 from ..isa.instructions import Instruction, Op
 from ..memory.dram import Allocation
 from ..memory.events import MemEvents
-from .affinity import bind_threads
 from .barrier import emit_barrier
 from .thread import SimThread
 
@@ -55,10 +60,16 @@ def static_chunks(n: int, n_threads: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Call:
-    """One kernel invocation with fully-resolved register arguments."""
+    """One kernel invocation: its register arguments, and what it means
+    — the template over ``count`` elements from ``start``, with the array
+    origins the caller overrode (see ``compiler.kernels``)."""
 
     fn: Function
     args: tuple[int, ...]
+    template: KernelTemplate
+    start: int
+    count: int
+    origin: dict[str, tuple[str, int]]
 
     def __post_init__(self) -> None:
         if len(self.args) != len(self.fn.params):
@@ -87,7 +98,11 @@ class ParallelProgram:
         self.image = BinaryImage(machine.next_text_base())
         self.compiler = KernelCompiler(self.image, machine.mem)
         self.arrays: dict[str, Allocation] = {}
-        self._thread_calls: dict[int, list[list[Call]]] = {}
+        self.templates: dict[str, KernelTemplate] = {}
+        self.outer_reps: list[int] = []
+        self._ints: set[str] = set()
+        self._initial: dict[str, np.ndarray] = {}
+        self._regions: list[list[Call | None]] = []
         self._phase_breaks: list[int] = []
         self._built = False
         self.threads: list[SimThread] = []
@@ -107,6 +122,7 @@ class ParallelProgram:
     def int_array(self, name: str, n_elems: int, init: np.ndarray | int | None = None) -> Allocation:
         alloc = self.machine.mem.alloc(name, n_elems * 8)
         self.arrays[name] = alloc
+        self._ints.add(name)
         if init is not None:
             view = self.machine.mem.view_i64(alloc)
             view[:n_elems] = init
@@ -122,7 +138,9 @@ class ParallelProgram:
     # -- code ---------------------------------------------------------------------
 
     def kernel(self, template: KernelTemplate, plan: PrefetchPlan = AGGRESSIVE) -> Function:
-        return self.compiler.compile(template, plan)
+        fn = self.compiler.compile(template, plan)
+        self.templates[fn.name] = template
+        return fn
 
     def make_call(
         self,
@@ -133,26 +151,34 @@ class ParallelProgram:
     ) -> Call:
         """Resolve a chunk ``[start, start+count)`` into register args.
 
-        ``raw`` supplies values for ``raw`` params, keyed by array name
-        (``None``-array raw params use the key ``"result"``).
+        ``raw`` overrides an array's origin with the address of the
+        element the template's index 0 refers to, keyed by array name
+        (``"result"`` for a reduction's slot); an unnamed array defaults
+        to element ``start`` (or its base, for a ``raw`` param).
         """
         raw = raw or {}
         args: list[int] = []
         for spec in fn.params:
+            key = spec.array if spec.array is not None else "result"
             if spec.kind == "count":
                 args.append(count)
+            elif key in raw:
+                args.append(raw[key] + 8 * spec.shift)
             elif spec.kind == "addr":
-                alloc = self.arrays[spec.array]
-                args.append(alloc.addr(start + spec.shift))
-            else:  # raw
-                key = spec.array if spec.array is not None else "result"
-                if key in raw:
-                    args.append(raw[key])
-                elif spec.array is not None:
-                    args.append(self.arrays[spec.array].base)
-                else:
-                    raise RuntimeError_(f"{fn.name}: missing raw value for {key!r}")
-        return Call(fn, tuple(args))
+                args.append(self.arrays[spec.array].addr(start + spec.shift))
+            elif spec.array is not None:
+                args.append(self.arrays[spec.array].base)
+            else:
+                raise RuntimeError_(f"{fn.name}: missing raw value for {key!r}")
+        origin = {key: self._locate(addr) for key, addr in raw.items()}
+        return Call(fn, tuple(args), self.templates[fn.name], start, count, origin)
+
+    def _locate(self, addr: int) -> tuple[str, int]:
+        """``(array, element)`` of a data address."""
+        for name, alloc in self.arrays.items():
+            if alloc.base <= addr < alloc.end:
+                return name, (addr - alloc.base) // 8
+        raise RuntimeError_(f"{self.name}: address {addr:#x} is in no array")
 
     def region(self, calls: list[Call | None]) -> None:
         """Add one parallel region: ``calls[t]`` runs on thread ``t``
@@ -162,8 +188,7 @@ class ParallelProgram:
             self.n_threads = n
         elif n != self.n_threads:
             raise RuntimeError_("all regions must cover the same thread count")
-        for t, call in enumerate(calls):
-            self._thread_calls.setdefault(t, []).append([call] if call else [])
+        self._regions.append(list(calls))
 
     def parallel_for(
         self,
@@ -185,26 +210,15 @@ class ParallelProgram:
         """
         if self.n_threads == 0:
             raise RuntimeError_("add at least one region before a phase break")
-        self._phase_breaks.append(len(self._thread_calls[0]))
+        self._phase_breaks.append(len(self._regions))
 
     # -- build ------------------------------------------------------------------------
 
-    def _region_groups(self, t: int) -> list[list[list[Call]]]:
-        regions = self._thread_calls[t]
-        groups = []
-        prev = 0
-        for brk in self._phase_breaks:
-            groups.append(regions[prev:brk])
-            prev = brk
-        groups.append(regions[prev:])
-        return [g for g in groups if g]
+    def _phases(self) -> list[list[list[Call | None]]]:
+        bounds = [0, *self._phase_breaks, len(self._regions)]
+        return [self._regions[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
-    def build(
-        self,
-        outer_reps: int | list[int] = 1,
-        affinity: str = "compact",
-        barrier_between_regions: bool = True,
-    ) -> None:
+    def build(self, outer_reps: int | list[int] = 1) -> None:
         """Emit per-thread drivers (+barrier), link, and load the image.
 
         ``outer_reps`` may be a list with one entry per phase (phases
@@ -215,7 +229,13 @@ class ParallelProgram:
             raise RuntimeError_("program already built")
         if self.n_threads == 0:
             raise RuntimeError_("no regions added")
-        n_phases = len(self._region_groups(0))
+        n_cpus = self.machine.config.n_cpus
+        if self.n_threads > n_cpus:
+            raise RuntimeError_(
+                f"{self.n_threads} threads exceed {n_cpus} CPUs (threads are 1:1 bound)"
+            )
+        phases = self._phases()
+        n_phases = len(phases)
         if isinstance(outer_reps, int):
             reps_list = [outer_reps] * n_phases
         else:
@@ -229,15 +249,14 @@ class ParallelProgram:
 
         em = Emitter(self.image)
         barrier_entry = None
-        if self.n_threads > 1 and barrier_between_regions:
+        if self.n_threads > 1:
             emit_barrier(em, self.machine.mem, self.n_threads, f"__barrier_{self.name}")
             barrier_entry = f"__barrier_{self.name}"
 
-        cpu_ids = bind_threads(self.machine.config, self.n_threads, affinity)
         for t in range(self.n_threads):
             entry_label = f"__thread{t}_{self.name}"
             em.label(entry_label)
-            for phase, group in enumerate(self._region_groups(t)):
+            for phase, group in enumerate(phases):
                 reps = reps_list[phase]
                 if reps > 1:
                     # r31: the only GR that must stay live across kernel
@@ -246,7 +265,8 @@ class ParallelProgram:
                     em.emit(Instruction(Op.MOVI, r1=31, imm=reps))
                     em.label(f".outer{t}p{phase}_{self.name}")
                 for region in group:
-                    for call in region:
+                    call = region[t]
+                    if call is not None:
                         for spec, value in zip(call.fn.params, call.args):
                             em.emit(Instruction(Op.MOVI, r1=spec.reg, imm=value))
                         em.emit(Instruction(Op.BR_CALL, label=call.fn.name, unit="B"))
@@ -267,10 +287,43 @@ class ParallelProgram:
         self.compiler.link()
         self.machine.load_image(self.image)
         self.threads = [
-            SimThread(t, self.machine.cores[cpu_ids[t]], self.image.labels[f"__thread{t}_{self.name}"])
+            SimThread(t, self.machine.cores[t], self.image.labels[f"__thread{t}_{self.name}"])
             for t in range(self.n_threads)
         ]
+        self.outer_reps = reps_list
+        self._initial = {name: self.view(name).copy() for name in self.arrays}
         self._built = True
+
+    # -- meaning ------------------------------------------------------------------------
+
+    def view(self, name: str) -> np.ndarray:
+        """Typed view of an array: int64 for :meth:`int_array`, else float64."""
+        return self.i64(name) if name in self._ints else self.f64(name)
+
+    def evaluate(self) -> dict[str, np.ndarray]:
+        """Every array's contents after the recorded schedule: phases x
+        outer reps x regions x threads, in order, each call applied by
+        its template from the contents snapshotted at :meth:`build`."""
+        mem = {name: data.copy() for name, data in self._initial.items()}
+        for group, reps in zip(self._phases(), self.outer_reps):
+            for _ in range(reps):
+                for region in group:
+                    for call in region:
+                        if call is not None:
+                            call.template.apply(mem, call.start, call.count, call.origin)
+        return mem
+
+    def check(self) -> bool:
+        """Every array matches :meth:`evaluate`: floats within
+        ``rtol=1e-9, atol=1e-12``, integers exactly."""
+        for name, want in self.evaluate().items():
+            got = self.view(name)
+            if name in self._ints:
+                if not np.array_equal(got, want):
+                    return False
+            elif not np.allclose(got, want, rtol=1e-9, atol=1e-12):
+                return False
+        return True
 
     # -- run ----------------------------------------------------------------------------
 

@@ -10,8 +10,8 @@ BT's lower loop count relative to SP (paper Table 1: BT 140 lfetch /
 
 from __future__ import annotations
 
-from ...compiler.kernels import Term
-from .common import StencilSpec, register
+from ...compiler.kernels import StreamLoop, Term
+from .common import register
 from .grid import GridBenchmark
 
 __all__ = ["BT"]
@@ -19,9 +19,9 @@ __all__ = ["BT"]
 _SIDE = 32
 
 
-def _specs(side: int) -> list[StencilSpec]:
+def _specs(side: int) -> list[StreamLoop]:
     return [
-        StencilSpec(
+        StreamLoop(
             "bt_rhs",
             dest="rhs",
             terms=(
@@ -32,12 +32,12 @@ def _specs(side: int) -> list[StencilSpec]:
                 Term("u", 1.0, side),
             ),
         ),
-        StencilSpec(
+        StreamLoop(
             "bt_xsolve",
             dest="lhsx",
             terms=(Term("rhs", 0.5, 0), Term("rhs", 0.25, -1), Term("rhs", 0.25, 1)),
         ),
-        StencilSpec(
+        StreamLoop(
             "bt_ysolve",
             dest="lhsy",
             terms=(
@@ -46,7 +46,7 @@ def _specs(side: int) -> list[StencilSpec]:
                 Term("lhsx", 0.25, side),
             ),
         ),
-        StencilSpec(
+        StreamLoop(
             "bt_add",
             dest="u",
             terms=(Term("u", 1.0, 0), Term("lhsy", 0.01, 0)),

@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...compiler.kernels import GatherLoop, ReduceLoop, StreamLoop, Term
-from ...compiler.prefetch import AGGRESSIVE, PrefetchPlan
-from ...cpu.machine import Machine
+from ...compiler.prefetch import PrefetchPlan
 from ...runtime.team import ParallelProgram, static_chunks
 from .common import NpbBenchmark, register
 
@@ -64,15 +63,7 @@ class CgBenchmark(NpbBenchmark):
             "cg_updp", dest="p", terms=(Term("p", 0.5, 0), Term("r", 1.0, 0))
         )
 
-    def build(
-        self,
-        machine: Machine,
-        n_threads: int,
-        plan: PrefetchPlan = AGGRESSIVE,
-        reps: int | None = None,
-    ) -> ParallelProgram:
-        reps = reps or self.default_reps
-        prog = ParallelProgram(machine, self.name)
+    def populate(self, prog: ParallelProgram, n_threads: int, plan: PrefetchPlan) -> None:
         for name, data in self.init.items():
             prog.array(name, _N, data)
         prog.int_array("ptr", _N + 1, self.ptr)
@@ -90,16 +81,8 @@ class CgBenchmark(NpbBenchmark):
         r_fn = prog.kernel(self.update_r, plan)
         p_fn = prog.kernel(self.update_p, plan)
 
-        def simple_region(fn):
-            prog.region(
-                [
-                    prog.make_call(fn, start, count) if count else None
-                    for start, count in chunks
-                ]
-            )
-
-        simple_region(z_fn)
-        simple_region(g_fn)
+        prog.parallel_for(z_fn, _N, n_threads)
+        prog.parallel_for(g_fn, _N, n_threads)
         prog.region(
             [
                 prog.make_call(
@@ -121,31 +104,9 @@ class CgBenchmark(NpbBenchmark):
                 for tid, (start, count) in enumerate(chunks)
             ]
         )
-        simple_region(x_fn)
-        simple_region(r_fn)
-        simple_region(p_fn)
-        prog.build(outer_reps=reps)
-        return prog
-
-    def reference(self, reps: int) -> dict[str, np.ndarray]:
-        a = {k: v.copy() for k, v in self.init.items()}
-        for _ in range(reps):
-            a["q"][:] = 0.0
-            for i in range(_N):
-                lo, hi = int(self.ptr[i]), int(self.ptr[i + 1])
-                a["q"][i] += float(np.dot(self.val[lo:hi], a["p"][self.col[lo:hi]]))
-            a["x"] = a["x"] + 0.1 * a["p"]
-            a["r"] = a["r"] - 0.05 * a["q"]
-            a["p"] = 0.5 * a["p"] + a["r"]
-        return a
-
-    def verify(self, prog: ParallelProgram, reps: int | None = None) -> bool:
-        reps = reps or self.default_reps
-        expect = self.reference(reps)
-        for name in ("x", "r", "p", "q"):
-            if not np.allclose(prog.f64(name), expect[name], rtol=self.rtol):
-                return False
-        return True
+        prog.parallel_for(x_fn, _N, n_threads)
+        prog.parallel_for(r_fn, _N, n_threads)
+        prog.parallel_for(p_fn, _N, n_threads)
 
 
 CG = register(CgBenchmark())

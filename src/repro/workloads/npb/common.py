@@ -5,50 +5,26 @@ namesake (DESIGN.md §1): the same loop templates, array roles, sharing
 patterns, and parallelization (OpenMP static chunking over the outer
 dimension), at class-S-like scaled sizes.  All stencil kernels are
 double-buffered (destination differs from shifted sources), so parallel
-execution is deterministic and every benchmark carries an exact NumPy
-reference mirror for verification.
+execution is deterministic.
 
-``NpbBenchmark.build`` returns a ready :class:`ParallelProgram`;
-``reference`` replays the same region sequence in NumPy; ``verify``
-compares the simulated arrays against the mirror.
+``NpbBenchmark.build`` returns a ready :class:`ParallelProgram` whose
+arrays, kernels and regions a subclass's ``populate`` adds;
+``verify`` checks it was built with the given repetitions and that
+every array matches ``ParallelProgram.evaluate`` — the recorded region
+schedule replayed through the kernel templates' NumPy meaning.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from importlib import import_module
 
-import numpy as np
-
-from ...compiler.kernels import StreamLoop, Term
 from ...compiler.prefetch import AGGRESSIVE, PrefetchPlan
 from ...cpu.machine import Machine
 from ...errors import WorkloadError
 from ...runtime.team import ParallelProgram
 
-__all__ = ["NpbBenchmark", "BENCHMARKS", "register", "apply_stream"]
-
-
-def apply_stream(
-    arrays: dict[str, np.ndarray],
-    template: StreamLoop,
-    start: int,
-    n: int,
-) -> None:
-    """NumPy mirror of one StreamLoop region over ``[start, start+n)``.
-
-    Shifted reads index into halo padding; the arrays are allocated with
-    the same padding the simulated kernel sees.
-    """
-    acc = np.zeros(n)
-    for term in template.terms:
-        src = arrays[term.array]
-        lo = start + term.shift
-        acc = acc + term.coef * src[lo : lo + n]
-    if template.scale is not None:
-        acc = acc * arrays[template.scale][start : start + n]
-    arrays[template.dest][start : start + n] = acc
+__all__ = ["NpbBenchmark", "BENCHMARKS", "register"]
 
 
 class NpbBenchmark:
@@ -56,9 +32,6 @@ class NpbBenchmark:
 
     name = "base"
     default_reps = 4
-    #: verification tolerance (accumulated FP differences stay tiny
-    #: because region order is deterministic)
-    rtol = 1e-9
 
     def build(
         self,
@@ -67,10 +40,26 @@ class NpbBenchmark:
         plan: PrefetchPlan = AGGRESSIVE,
         reps: int | None = None,
     ) -> ParallelProgram:
+        """The benchmark's program, built with ``reps`` outer
+        repetitions (default: its own)."""
+        prog = ParallelProgram(machine, self.name)
+        self.populate(prog, n_threads, plan)
+        prog.build(outer_reps=reps or self.default_reps)
+        return prog
+
+    def populate(self, prog: ParallelProgram, n_threads: int, plan: PrefetchPlan) -> None:
+        """Allocate the arrays, compile the kernels, add the regions."""
         raise NotImplementedError
 
     def verify(self, prog: ParallelProgram, reps: int | None = None) -> bool:
-        raise NotImplementedError
+        """Built by this benchmark with ``reps`` (default: its own), and
+        every array equal to the evaluation of its schedule."""
+        reps = reps or self.default_reps
+        return (
+            prog.name == self.name
+            and all(r == reps for r in prog.outer_reps)
+            and prog.check()
+        )
 
 
 #: Benchmark name -> defining module, in the paper's order (Table 1).
@@ -109,16 +98,3 @@ def register(bench: NpbBenchmark) -> NpbBenchmark:
         raise WorkloadError(f"benchmark {bench.name!r} already registered")
     _registered[bench.name] = bench
     return bench
-
-
-@dataclass(frozen=True)
-class StencilSpec:
-    """A named double-buffered stencil: dest <- linear combo of srcs."""
-
-    name: str
-    dest: str
-    terms: tuple[Term, ...]
-    scale: str | None = None
-
-    def template(self) -> StreamLoop:
-        return StreamLoop(self.name, dest=self.dest, terms=self.terms, scale=self.scale)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...compiler.kernels import ComputeLoop, HistogramLoop
-from ...compiler.prefetch import AGGRESSIVE, PrefetchPlan
-from ...cpu.machine import Machine
+from ...compiler.prefetch import PrefetchPlan
 from ...runtime.team import ParallelProgram, static_chunks
 from .common import NpbBenchmark, register
 
@@ -36,15 +35,7 @@ class EpBenchmark(NpbBenchmark):
         self.compute = ComputeLoop("ep_gauss", flops_per_iter=4)
         self.tally = HistogramLoop("ep_tally", key="keys", cnt="bins")
 
-    def build(
-        self,
-        machine: Machine,
-        n_threads: int,
-        plan: PrefetchPlan = AGGRESSIVE,
-        reps: int | None = None,
-    ) -> ParallelProgram:
-        reps = reps or self.default_reps
-        prog = ParallelProgram(machine, self.name)
+    def populate(self, prog: ParallelProgram, n_threads: int, plan: PrefetchPlan) -> None:
         prog.int_array("keys", _N_KEYS, self.keys)
         stride = _N_BINS + _BIN_PAD
         prog.int_array("bins", stride * n_threads)
@@ -64,25 +55,6 @@ class EpBenchmark(NpbBenchmark):
                 for tid, (start, count) in enumerate(chunks)
             ]
         )
-        prog.build(outer_reps=reps)
-        return prog
-
-    def reference(self, reps: int, n_threads: int) -> np.ndarray:
-        stride = _N_BINS + _BIN_PAD
-        bins = np.zeros(stride * n_threads, dtype=np.int64)
-        chunks = static_chunks(_N_KEYS, n_threads)
-        for _ in range(reps):
-            for tid, (start, count) in enumerate(chunks):
-                for key in self.keys[start : start + count]:
-                    bins[stride * tid + key] += 1
-        return bins
-
-    def verify(self, prog: ParallelProgram, reps: int | None = None) -> bool:
-        reps = reps or self.default_reps
-        n_threads = prog.n_threads
-        expect = self.reference(reps, n_threads)
-        got = prog.i64("bins")
-        return bool(np.array_equal(got[: len(expect)], expect))
 
 
 EP = register(EpBenchmark())

@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...compiler.kernels import GatherLoop, ReduceLoop, StreamLoop, Term
-from ...compiler.prefetch import AGGRESSIVE, PrefetchPlan
-from ...cpu.machine import Machine
-from ...runtime.team import Call, ParallelProgram, static_chunks
-from .common import NpbBenchmark, apply_stream, register
+from ...compiler.prefetch import PrefetchPlan
+from ...runtime.team import ParallelProgram, static_chunks
+from .common import NpbBenchmark, register
 
 __all__ = ["FT"]
 
@@ -69,15 +68,7 @@ class FtBenchmark(NpbBenchmark):
         self.bitrev = GatherLoop("ft_bitrev", ptr="ptr", col="col", val="aval", x="st2", y="out")
         self.checksum = ReduceLoop("ft_checksum", src_a="out")
 
-    def build(
-        self,
-        machine: Machine,
-        n_threads: int,
-        plan: PrefetchPlan = AGGRESSIVE,
-        reps: int | None = None,
-    ) -> ParallelProgram:
-        reps = reps or self.default_reps
-        prog = ParallelProgram(machine, self.name)
+    def populate(self, prog: ParallelProgram, n_threads: int, plan: PrefetchPlan) -> None:
         for name, data in self.init.items():
             prog.array(name, len(data), data)
         prog.int_array("ptr", _N + 1, self.ptr)
@@ -96,21 +87,17 @@ class FtBenchmark(NpbBenchmark):
                 ]
             )
         gfn = prog.kernel(self.bitrev, plan)
-        calls = []
-        for start, count in chunks:
-            if count:
-                # rows are un-haloed; y=out is halo-indexed via its own addr
-                call = prog.make_call(gfn, start, count)
-                args = list(call.args)
-                # patch the y address to the halo origin (gather rows use
-                # absolute row ids; out rows live at halo offset)
-                for i, spec in enumerate(gfn.params):
-                    if spec.kind == "addr" and spec.array == "out":
-                        args[i] = prog.arrays["out"].addr(_HALO + start)
-                calls.append(Call(gfn, tuple(args)))
-            else:
-                calls.append(None)
-        prog.region(calls)
+        out = prog.arrays["out"]
+        # rows are un-haloed (absolute row ids); their ``out`` rows live
+        # at the halo offset
+        prog.region(
+            [
+                prog.make_call(gfn, start, count, raw={"out": out.addr(_HALO + start)})
+                if count
+                else None
+                for start, count in chunks
+            ]
+        )
         rfn = prog.kernel(self.checksum, plan)
         prog.region(
             [
@@ -122,29 +109,6 @@ class FtBenchmark(NpbBenchmark):
                 for tid, (start, count) in enumerate(chunks)
             ]
         )
-        prog.build(outer_reps=reps)
-        return prog
-
-    def reference(self, reps: int) -> dict[str, np.ndarray]:
-        arrays = {k: v.copy() for k, v in self.init.items()}
-        for _ in range(reps):
-            apply_stream(arrays, self.evolve, _HALO, _N)
-            apply_stream(arrays, self.stage1, _HALO, _N)
-            apply_stream(arrays, self.stage2, _HALO, _N)
-            out_rows = arrays["out"][_HALO : _HALO + _N]
-            src = arrays["st2"]
-            out_rows += self.val * src[self.col]
-        return arrays
-
-    def verify(self, prog: ParallelProgram, reps: int | None = None) -> bool:
-        reps = reps or self.default_reps
-        expect = self.reference(reps)
-        for name in ("work", "st1", "st2", "out"):
-            got = prog.f64(name)[: len(expect[name])]
-            if not np.allclose(got, expect[name], rtol=self.rtol):
-                return False
-        whole = expect["out"][_HALO : _HALO + _N].sum()
-        return bool(np.isclose(prog.f64("__res")[::16].sum(), whole, rtol=1e-9))
 
 
 FT = register(FtBenchmark())

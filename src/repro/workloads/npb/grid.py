@@ -10,20 +10,18 @@ prefetch-induced sharing COBRA removes.
 
 Arrays carry a halo of ``side`` elements on both ends so stencil shifts
 never leave the allocation; all sweeps are double-buffered (destination
-is never a shifted source), so parallel execution is deterministic and
-the NumPy mirror is exact.
+is never a shifted source), so parallel execution is deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...compiler.kernels import ReduceLoop
-from ...compiler.prefetch import AGGRESSIVE, PrefetchPlan
-from ...cpu.machine import Machine
+from ...compiler.kernels import ReduceLoop, StreamLoop
+from ...compiler.prefetch import PrefetchPlan
 from ...errors import WorkloadError
 from ...runtime.team import ParallelProgram, static_chunks
-from .common import NpbBenchmark, StencilSpec, apply_stream
+from .common import NpbBenchmark
 
 __all__ = ["GridBenchmark"]
 
@@ -35,7 +33,7 @@ class GridBenchmark(NpbBenchmark):
         self,
         name: str,
         side: int,
-        specs: list[StencilSpec],
+        specs: list[StreamLoop],
         default_reps: int = 6,
         with_residual: bool = True,
         seed: int = 7,
@@ -63,82 +61,33 @@ class GridBenchmark(NpbBenchmark):
                 names.add(spec.scale)
         self.array_names = sorted(names)
 
-    # -- construction -------------------------------------------------------
-
-    def _initial(self) -> dict[str, np.ndarray]:
+    def populate(self, prog: ParallelProgram, n_threads: int, plan: PrefetchPlan) -> None:
         rng = np.random.default_rng(self.seed)
         padded = self.n + 2 * self.halo
-        return {
-            name: rng.uniform(0.5, 1.5, padded) for name in self.array_names
-        }
-
-    def build(
-        self,
-        machine: Machine,
-        n_threads: int,
-        plan: PrefetchPlan = AGGRESSIVE,
-        reps: int | None = None,
-    ) -> ParallelProgram:
-        reps = reps or self.default_reps
-        prog = ParallelProgram(machine, self.name)
-        init = self._initial()
-        padded = self.n + 2 * self.halo
         for name in self.array_names:
-            prog.array(name, padded, init[name])
+            prog.array(name, padded, rng.uniform(0.5, 1.5, padded))
         if self.with_residual:
             prog.array("__res", 16 * n_threads)  # one line per thread slot
 
         chunks = static_chunks(self.n, n_threads)
         for spec in self.specs:
-            fn = prog.kernel(spec.template(), plan)
-            calls = []
-            for start, count in chunks:
-                if count:
-                    calls.append(prog.make_call(fn, self.halo + start, count))
-                else:
-                    calls.append(None)
-            prog.region(calls)
+            fn = prog.kernel(spec, plan)
+            prog.region(
+                [
+                    prog.make_call(fn, self.halo + start, count) if count else None
+                    for start, count in chunks
+                ]
+            )
         if self.with_residual:
             rfn = prog.kernel(ReduceLoop(f"{self.name}_norm", src_a=self.specs[-1].dest), plan)
             res = prog.arrays["__res"]
-            calls = []
-            for tid, (start, count) in enumerate(chunks):
-                if count:
-                    calls.append(
-                        prog.make_call(
-                            rfn, self.halo + start, count,
-                            raw={"result": res.addr(16 * tid)},
-                        )
+            prog.region(
+                [
+                    prog.make_call(
+                        rfn, self.halo + start, count, raw={"result": res.addr(16 * tid)}
                     )
-                else:
-                    calls.append(None)
-            prog.region(calls)
-        prog.build(outer_reps=reps)
-        return prog
-
-    # -- verification -----------------------------------------------------------
-
-    def reference(self, reps: int, n_threads: int = 1) -> dict[str, np.ndarray]:
-        """Exact NumPy mirror of ``reps`` time steps."""
-        arrays = self._initial()
-        for _ in range(reps):
-            for spec in self.specs:
-                apply_stream(arrays, spec.template(), self.halo, self.n)
-        return arrays
-
-    def verify(self, prog: ParallelProgram, reps: int | None = None) -> bool:
-        reps = reps or self.default_reps
-        expect = self.reference(reps)
-        for name in self.array_names:
-            got = prog.f64(name)[: self.n + 2 * self.halo]
-            if not np.allclose(got, expect[name], rtol=self.rtol, atol=1e-12):
-                return False
-        if self.with_residual:
-            # every thread writes its chunk sum to slot tid*16, so the
-            # slot sum equals the whole-grid sum regardless of n_threads
-            res = prog.f64("__res")
-            last = self.specs[-1].dest
-            whole = expect[last][self.halo : self.halo + self.n].sum()
-            if not np.isclose(res[::16].sum(), whole, rtol=1e-9):
-                return False
-        return True
+                    if count
+                    else None
+                    for tid, (start, count) in enumerate(chunks)
+                ]
+            )

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...compiler.kernels import HistogramLoop, IntSumLoop
-from ...compiler.prefetch import AGGRESSIVE, PrefetchPlan
-from ...cpu.machine import Machine
+from ...compiler.prefetch import PrefetchPlan
 from ...errors import WorkloadError
 from ...runtime.team import ParallelProgram, static_chunks
 from .common import NpbBenchmark, register
@@ -35,17 +34,9 @@ class IsBenchmark(NpbBenchmark):
         self.keys = rng.integers(0, _N_BINS, _N_KEYS).astype(np.int64)
         self.count = HistogramLoop("is_count", key="keys", cnt="hist")
 
-    def build(
-        self,
-        machine: Machine,
-        n_threads: int,
-        plan: PrefetchPlan = AGGRESSIVE,
-        reps: int | None = None,
-    ) -> ParallelProgram:
+    def populate(self, prog: ParallelProgram, n_threads: int, plan: PrefetchPlan) -> None:
         if n_threads > 8:
             raise WorkloadError("is: merge kernel supports at most 8 threads")
-        reps = reps or self.default_reps
-        prog = ParallelProgram(machine, self.name)
         prog.int_array("keys", _N_KEYS, self.keys)
         prog.int_array("hist", _N_BINS * n_threads)
         prog.int_array("total", _N_BINS)
@@ -75,27 +66,6 @@ class IsBenchmark(NpbBenchmark):
                 for start, count in static_chunks(_N_BINS, n_threads)
             ]
         )
-        prog.build(outer_reps=reps)
-        return prog
-
-    def reference(self, reps: int, n_threads: int) -> tuple[np.ndarray, np.ndarray]:
-        hist = np.zeros(_N_BINS * n_threads, dtype=np.int64)
-        chunks = static_chunks(_N_KEYS, n_threads)
-        for _ in range(reps):
-            for tid, (start, count) in enumerate(chunks):
-                part = np.bincount(
-                    self.keys[start : start + count], minlength=_N_BINS
-                )
-                hist[_N_BINS * tid : _N_BINS * (tid + 1)] += part
-        total = hist.reshape(n_threads, _N_BINS).sum(axis=0)
-        return hist, total
-
-    def verify(self, prog: ParallelProgram, reps: int | None = None) -> bool:
-        reps = reps or self.default_reps
-        hist, total = self.reference(reps, prog.n_threads)
-        if not np.array_equal(prog.i64("hist")[: len(hist)], hist):
-            return False
-        return bool(np.array_equal(prog.i64("total")[:_N_BINS], total))
 
 
 IS = register(IsBenchmark())

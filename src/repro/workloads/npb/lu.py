@@ -10,8 +10,8 @@ at chunk boundaries is what matters for coherent traffic).
 
 from __future__ import annotations
 
-from ...compiler.kernels import Term
-from .common import StencilSpec, register
+from ...compiler.kernels import StreamLoop, Term
+from .common import register
 from .grid import GridBenchmark
 
 __all__ = ["LU"]
@@ -19,9 +19,9 @@ __all__ = ["LU"]
 _SIDE = 32
 
 
-def _specs(side: int) -> list[StencilSpec]:
+def _specs(side: int) -> list[StreamLoop]:
     return [
-        StencilSpec(
+        StreamLoop(
             "lu_rhs",
             dest="rsd",
             terms=(
@@ -32,22 +32,22 @@ def _specs(side: int) -> list[StencilSpec]:
                 Term("u", 1.0, side),
             ),
         ),
-        StencilSpec(
+        StreamLoop(
             "lu_jacld",
             dest="jac",
             terms=(Term("rsd", 0.8, 0), Term("u", 0.2, 0)),
         ),
-        StencilSpec(
+        StreamLoop(
             "lu_blts",
             dest="lo",
             terms=(Term("jac", 0.6, 0), Term("jac", 0.2, -1), Term("jac", 0.2, -side)),
         ),
-        StencilSpec(
+        StreamLoop(
             "lu_buts",
             dest="hi",
             terms=(Term("lo", 0.6, 0), Term("lo", 0.2, 1), Term("lo", 0.2, side)),
         ),
-        StencilSpec(
+        StreamLoop(
             "lu_update",
             dest="u",
             terms=(Term("u", 1.0, 0), Term("hi", 0.01, 0)),

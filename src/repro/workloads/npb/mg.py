@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...compiler.kernels import GatherLoop, ReduceLoop, StreamLoop, Term
-from ...compiler.prefetch import AGGRESSIVE, PrefetchPlan
-from ...cpu.machine import Machine
-from ...runtime.team import Call, ParallelProgram, static_chunks
-from .common import NpbBenchmark, apply_stream, register
+from ...compiler.prefetch import PrefetchPlan
+from ...runtime.team import ParallelProgram, static_chunks
+from .common import NpbBenchmark, register
 
 __all__ = ["MG"]
 
@@ -111,12 +110,6 @@ class MgBenchmark(NpbBenchmark):
             "prolong1": GatherLoop("mg_interp1", ptr="pp1", col="pc1", val="pv1", x="r2", y="r1"),
             "prolong0": GatherLoop("mg_interp0", ptr="pp0", col="pc0", val="pv0", x="r1", y="r0"),
         }
-        self._csr_names = {
-            "restrict0": ("rp0", "rc0", "rv0"),
-            "restrict1": ("rp1", "rc1", "rv1"),
-            "prolong1": ("pp1", "pc1", "pv1"),
-            "prolong0": ("pp0", "pc0", "pv0"),
-        }
         self.norm = ReduceLoop("mg_norm", src_a="r0")
 
     # -- schedule: (kernel kind, level) per rep ------------------------------
@@ -130,22 +123,14 @@ class MgBenchmark(NpbBenchmark):
             ("gather", "prolong0"), ("post", 0),
         ]
 
-    def build(
-        self,
-        machine: Machine,
-        n_threads: int,
-        plan: PrefetchPlan = AGGRESSIVE,
-        reps: int | None = None,
-    ) -> ParallelProgram:
-        reps = reps or self.default_reps
-        prog = ParallelProgram(machine, self.name)
+    def populate(self, prog: ParallelProgram, n_threads: int, plan: PrefetchPlan) -> None:
         for name, data in self.init.items():
             prog.array(name, len(data), data)
-        for key, (pname, cname, vname) in self._csr_names.items():
+        for key, gather in self.gathers.items():
             ptr, col, val = self.csr[key]
-            prog.int_array(pname, len(ptr), ptr)
-            prog.int_array(cname, len(col), col)
-            prog.array(vname, len(val), val)
+            prog.int_array(gather.ptr, len(ptr), ptr)
+            prog.int_array(gather.col, len(col), col)
+            prog.array(gather.val, len(val), val)
         prog.array("__res", 16 * n_threads)
         res = prog.arrays["__res"]
 
@@ -163,24 +148,21 @@ class MgBenchmark(NpbBenchmark):
 
         for kind, arg in self._schedule():
             if kind == "gather":
-                key = str(arg)
-                gfn = gfns[key]
-                y_name = self.gathers[key].y
-                y_lvl = int(y_name[1])
-                rows = self.ns[y_lvl]
-                halo_y = self.halos[y_lvl]
-                calls: list[Call | None] = []
-                for start, count in static_chunks(rows, n_threads):
-                    if not count:
-                        calls.append(None)
-                        continue
-                    call = prog.make_call(gfn, start, count)
-                    args = list(call.args)
-                    for i, spec in enumerate(gfn.params):
-                        if spec.kind == "addr" and spec.array == y_name:
-                            args[i] = prog.arrays[y_name].addr(halo_y + start)
-                    calls.append(Call(gfn, tuple(args)))
-                prog.region(calls)
+                gather = self.gathers[str(arg)]
+                gfn = gfns[str(arg)]
+                y_lvl = int(gather.y[1])
+                y = prog.arrays[gather.y]
+                prog.region(
+                    [
+                        prog.make_call(
+                            gfn, start, count,
+                            raw={gather.y: y.addr(self.halos[y_lvl] + start)},
+                        )
+                        if count
+                        else None
+                        for start, count in static_chunks(self.ns[y_lvl], n_threads)
+                    ]
+                )
             else:
                 lvl = int(arg)
                 fn = fns[(kind, lvl)]
@@ -202,41 +184,6 @@ class MgBenchmark(NpbBenchmark):
                 for tid, (start, count) in enumerate(static_chunks(self.ns[0], n_threads))
             ]
         )
-        prog.build(outer_reps=reps)
-        return prog
-
-    # -- mirror ------------------------------------------------------------------
-
-    def reference(self, reps: int) -> dict[str, np.ndarray]:
-        arrays = {k: v.copy() for k, v in self.init.items()}
-        streams = {"smooth": self.smooth, "resid": self.resid, "post": self.post}
-        for _ in range(reps):
-            for kind, arg in self._schedule():
-                if kind == "gather":
-                    key = str(arg)
-                    ptr, col, val = self.csr[key]
-                    g = self.gathers[key]
-                    y_lvl = int(g.y[1])
-                    halo_y = self.halos[y_lvl]
-                    y = arrays[g.y]
-                    x = arrays[g.x]
-                    for i in range(self.ns[y_lvl]):
-                        lo, hi = int(ptr[i]), int(ptr[i + 1])
-                        y[halo_y + i] += float(np.dot(val[lo:hi], x[col[lo:hi]]))
-                else:
-                    lvl = int(arg)
-                    apply_stream(arrays, streams[kind][lvl], self.halos[lvl], self.ns[lvl])
-        return arrays
-
-    def verify(self, prog: ParallelProgram, reps: int | None = None) -> bool:
-        reps = reps or self.default_reps
-        expect = self.reference(reps)
-        for name in self.init:
-            got = prog.f64(name)[: len(expect[name])]
-            if not np.allclose(got, expect[name], rtol=self.rtol):
-                return False
-        whole = expect["r0"][self.halos[0] : self.halos[0] + self.ns[0]].sum()
-        return bool(np.isclose(prog.f64("__res")[::16].sum(), whole, rtol=1e-9))
 
 
 MG = register(MgBenchmark())

@@ -9,8 +9,8 @@ pointwise transform, and the add-back.
 
 from __future__ import annotations
 
-from ...compiler.kernels import Term
-from .common import StencilSpec, register
+from ...compiler.kernels import StreamLoop, Term
+from .common import register
 from .grid import GridBenchmark
 
 __all__ = ["SP"]
@@ -18,9 +18,9 @@ __all__ = ["SP"]
 _SIDE = 32
 
 
-def _specs(side: int) -> list[StencilSpec]:
+def _specs(side: int) -> list[StreamLoop]:
     return [
-        StencilSpec(
+        StreamLoop(
             "sp_rhs",
             dest="rhs",
             terms=(
@@ -31,22 +31,22 @@ def _specs(side: int) -> list[StencilSpec]:
                 Term("u", 1.0, side),
             ),
         ),
-        StencilSpec(
+        StreamLoop(
             "sp_txinvr",
             dest="rs2",
             terms=(Term("rhs", 0.9, 0), Term("speed", 0.1, 0)),
         ),
-        StencilSpec(
+        StreamLoop(
             "sp_xsolve1",
             dest="rsx",
             terms=(Term("rs2", 0.5, 0), Term("rs2", 0.25, -1), Term("rs2", 0.25, 1)),
         ),
-        StencilSpec(
+        StreamLoop(
             "sp_xsolve2",
             dest="rsx2",
             terms=(Term("rsx", 0.6, 0), Term("rsx", 0.2, -2), Term("rsx", 0.2, 2)),
         ),
-        StencilSpec(
+        StreamLoop(
             "sp_ysolve1",
             dest="rsy",
             terms=(
@@ -55,7 +55,7 @@ def _specs(side: int) -> list[StencilSpec]:
                 Term("rsx2", 0.25, side),
             ),
         ),
-        StencilSpec(
+        StreamLoop(
             "sp_ysolve2",
             dest="rsy2",
             terms=(
@@ -64,7 +64,7 @@ def _specs(side: int) -> list[StencilSpec]:
                 Term("rsy", 0.2, 2 * side),
             ),
         ),
-        StencilSpec(
+        StreamLoop(
             "sp_add",
             dest="u",
             terms=(Term("u", 1.0, 0), Term("rsy2", 0.01, 0)),

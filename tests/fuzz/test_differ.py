@@ -107,6 +107,33 @@ class TestPlantedDivergence:
         assert run_scenario(generate_params(self.SEED)).ok
 
 
+class TestValueOracle:
+    """Ground truth is checked by value, not only by agreement: a
+    miscompile every axis shares is a ``value`` divergence on ``none``."""
+
+    SEED = 31  # a three-term stream scenario
+
+    def test_shared_miscompile_is_a_value_divergence(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.compiler.codegen import KernelCompiler
+        from repro.fuzz import differ
+
+        compile_ = KernelCompiler.compile
+
+        def miscompile(self, template, plan):
+            term = template.terms[0]
+            wrong = replace(term, coef=term.coef * (1 + 1e-7))
+            return compile_(self, replace(template, terms=(wrong, *template.terms[1:])), plan)
+
+        monkeypatch.setattr(KernelCompiler, "compile", miscompile)
+        monkeypatch.setattr(differ, "AXES", differ.AXES[:2])
+        params = generate_params(self.SEED)
+        assert params.loop_class == "stream"
+        result = run_scenario(params)
+        assert [(d.axis, d.observable) for d in result.divergences] == [("none", "value")]
+
+
 class TestAxesTable:
     """``AXES`` is the single source of the sweep's shape and its docs."""
 

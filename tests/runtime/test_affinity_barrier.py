@@ -1,4 +1,4 @@
-"""Thread binding policies and the fetchadd8 barrier."""
+"""Thread-to-CPU binding and the fetchadd8 barrier."""
 
 import pytest
 
@@ -9,25 +9,32 @@ from repro.isa import assemble
 from repro.isa.binary import BinaryImage
 from repro.isa.instructions import Instruction, Op
 from repro.compiler.codegen import Emitter
-from repro.runtime import bind_threads
+from repro.compiler import StreamLoop, Term
+from repro.runtime import ParallelProgram
 from repro.runtime.barrier import emit_barrier
+
+
+def _program(machine, n_threads):
+    prog = ParallelProgram(machine, "bind")
+    prog.array("x", 64, 1.0)
+    fn = prog.kernel(StreamLoop("k", dest="x", terms=(Term("x", 1.0, 0),)))
+    prog.parallel_for(fn, 64, n_threads)
+    return prog
 
 
 class TestAffinity:
     def test_compact(self):
-        assert bind_threads(sgi_altix(8), 4, "compact") == [0, 1, 2, 3]
-
-    def test_scatter_round_robins_nodes(self):
-        cpus = bind_threads(sgi_altix(8), 4, "scatter")
-        assert cpus == [0, 2, 4, 6]
+        """Thread t runs on CPU t: threads fill nodes in order."""
+        prog = _program(Machine(sgi_altix(8)), 4)
+        prog.build()
+        assert [th.core.cpu_id for th in prog.threads] == [0, 1, 2, 3]
 
     def test_validation(self):
-        with pytest.raises(RuntimeError_):
-            bind_threads(itanium2_smp(4), 5)
-        with pytest.raises(RuntimeError_):
-            bind_threads(itanium2_smp(4), 0)
-        with pytest.raises(RuntimeError_):
-            bind_threads(itanium2_smp(4), 2, "random")
+        prog = _program(Machine(itanium2_smp(4)), 5)
+        with pytest.raises(RuntimeError_, match="5 threads exceed 4 CPUs"):
+            prog.build()
+        with pytest.raises(RuntimeError_, match="no regions added"):
+            ParallelProgram(Machine(itanium2_smp(4)), "empty").build()
 
 
 class TestBarrier:

@@ -127,6 +127,7 @@ class TestBuildAndRun:
 
         prog = ParallelProgram(smp4, "ar")
         prog.array("a", 64, 1.0)
-        fn = prog.kernel(StreamLoop("k", dest="a", terms=(Term("a", 1.0, 0),)))
+        template = StreamLoop("k", dest="a", terms=(Term("a", 1.0, 0),))
+        fn = prog.kernel(template)
         with pytest.raises(RuntimeError_):
-            Call(fn, (1, 2))
+            Call(fn, (1, 2), template, 0, 64, {})

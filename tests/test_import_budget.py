@@ -36,7 +36,7 @@ repro.isa.assembler repro.isa.binary repro.isa.bundle repro.isa.decode
 repro.isa.disassembler repro.isa.instructions repro.isa.registers repro.memory
 repro.memory.address repro.memory.cache repro.memory.coherence
 repro.memory.dram repro.memory.events repro.memory.fabric
-repro.memory.hierarchy repro.runtime repro.runtime.affinity
+repro.memory.hierarchy repro.runtime
 repro.runtime.barrier repro.runtime.team repro.runtime.thread repro.scenario
 repro.workloads repro.workloads.npb repro.workloads.npb.common
 """.split()
