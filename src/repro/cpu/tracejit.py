@@ -53,10 +53,18 @@ machines of a process and every text address one kernel template is
 instantiated at share one function per distinct trace shape — and a
 spin-wait trace (:func:`_idempotent_iteration`) advances, at its taken
 back-edge, all the iterations no exit can interrupt in closed form.
-Every other loop trace pays per iteration, not per bundle: a guard at
-the loop head proves that no budget or sample exit can fire inside the
-iteration and runs a version of the body that defers what that makes
-static, handing over to the per-bundle version when it fails.
+Every other loop trace pays per iteration, not per bundle:
+
+* **whole iterations** — a guard at the loop head proves that no budget
+  or sample exit can fire inside the iteration and runs a version of the
+  body that defers what that makes static, handing over to the
+  per-bundle version when it fails;
+* **line runs** — where every memory slot steps through a line on its
+  own static GR (:func:`_line_run`), a guard ahead of that one proves
+  that the next ``k`` iterations can neither call out nor exit, makes
+  the first iteration's LRU promotions and store transitions once and
+  runs the ``k`` iterations with no cache work (DESIGN.md §9 "Line
+  runs").
 
 The contract with the generic interpreter (DESIGN.md §9):
 
@@ -195,6 +203,9 @@ _HIT_EVENTS = {
     "stores": (_ST8, _STFD),
     "prefetches": (_LFETCH,),
 }
+#: the memory ops a line run may hold -> the L2-hit event each bumps
+_RUN_EVENTS = {op: ev for ev, ops in _HIT_EVENTS.items() for op in ops}
+_LINE = 1 << LINE_SHIFT
 #: placeholder line of :func:`_generate`: which rotating registers the
 #: whole-iteration body loads is known once it has been emitted
 _UNPACK = "\0unpack"
@@ -509,6 +520,53 @@ def _sor_free(body) -> bool:
     )
 
 
+def _line_run(body, sor: int) -> list | None:
+    """The slots one iteration of a line run of ``body`` executes, or
+    ``None`` if the head-relative loop ``body`` does not qualify
+    (DESIGN.md §9 "Line runs").
+
+    It qualifies when its one branch is the ``br.ctop``/``br.cloop`` that
+    closes it, nothing writes LC or EC, and every memory slot is a plain
+    load, store or ``lfetch`` through a static GR that only its own
+    post-increment writes, by less than a line (a load's or store's by
+    whole words), under p0 or a predicate no slot writes — a rotating one
+    under ``ctop`` only if no slot writes any.  Each such slot then
+    touches one line per iteration until it crosses a line boundary (a
+    body without memory slots runs until a budget or ``lc`` bounds it).
+    """
+    slots = [entry for _, (_, entries) in body for entry in entries]
+    closer = [n for n, entry in enumerate(slots) if entry[1] in _BRANCHES]
+    if len(closer) != 1:
+        return None
+    slots = slots[: closer[0] + 1]      # a taken back-edge runs nothing after it
+    _, op, qp, *_, target, _ = slots[-1]
+    if op not in (_BR_CTOP, _BR_CLOOP) or qp or target:
+        return None
+    ctop = op == _BR_CTOP
+    gr_writes: dict[int, int] = {}
+    pr_writes: set = set()
+    memory = []
+    for entry in slots:
+        _, op, _, r1, r2, *_, excl = entry
+        if op in (_MOV_LC_IMM, _MOV_LC_REG, _MOV_EC_IMM, _FETCHADD8) or op == _LD8 and excl:
+            return None
+        dest = _REG_OPS[op][0] if op in _REG_OPS else ""
+        if dest == "p1 p2":
+            pr_writes |= {r1, r2}
+        for r in ([r1] if dest == "g1" or op == _LD8 else []) + ([r2] if op in _RUN_EVENTS else []):
+            gr_writes[r] = gr_writes.get(r, 0) + 1
+        if op in _RUN_EVENTS:
+            memory.append(entry)
+    for _, op, qp, _, r2, _, _, imm, _ in memory:
+        if (
+            not r2 or 32 <= r2 < 32 + sor or gr_writes[r2] != 1
+            or not imm or not -_LINE < imm < _LINE or op != _LFETCH and imm & 7
+            or qp in pr_writes or ctop and qp >= 16 and max(pr_writes, default=0) >= 16
+        ):
+            return None
+    return slots
+
+
 def _make_trace(head, body, sor, bpc, keys, kind):
     body = tuple(body)
     addrs = tuple(addr for addr, _ in body)
@@ -605,6 +663,8 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
     whole = loop and not spin and not any(
         entry[1] in _LOOP_BRANCHES and entry[7] for _, entry in all_slots
     )
+    # and ahead of both, where the body qualifies, a line run
+    run = _line_run(body, sor) if whole else None
     checked = True
     at = (0, 0)     # whole-iteration body: (bundles, slots) run, not yet counted
     rotating = {"g": (32, sor), "f": (32, 96), "p": (16, 48)}
@@ -825,6 +885,138 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
         e("jit = core.trace_jit")
         e("jit.spin_forwards += 1")
         e("jit.spin_iters_skipped += m")
+        e.dedent()
+        e.dedent()
+
+    def emit_line_run() -> None:
+        """Run the next ``k`` iterations of a :func:`_line_run` body at once.
+
+        Emitted at the loop head: when every memory slot hits in L2 now,
+        under a true predicate, the slots cannot leave their lines, their
+        data segment or the back-edge within ``k`` iterations, and the
+        whole-iteration guard would admit each of them, the first
+        iteration's LRU promotions and store transitions are made once,
+        in slot order — repeating the same touches leaves the same LRU
+        order and MODIFIED, dirty lines — and the ``k`` iterations run
+        with no cache work; every counter moves by a closed form of ``k``.
+        """
+        nonlocal checked
+        ctop = run[-1][1] == _BR_CTOP
+        memory = {n: entry for n, entry in enumerate(run) if entry[1] in _RUN_EVENTS}
+        stores = (_ST8, _STFD)
+        n_bundle = [n for n, (_, (_, entries)) in enumerate(body) for _ in entries]
+        gr_uses: dict[int, int] = {}    # operand fields naming each GR
+        for entry in run:
+            for field in _GR_FIELDS[entry[1]]:
+                gr_uses[entry[field]] = gr_uses.get(entry[field], 0) + 1
+        stalls = [0] * len(body)
+        for n, entry in memory.items():
+            if entry[1] != _LFETCH:
+                stalls[n_bundle[n]] += 1
+        lead, n_stall = sum(stalls[:-1]), sum(stalls)
+        k_bundles, slots = len(body), sum(decoded[0] for _, decoded in body)
+        it_slots = slots - body[-1][1][0] + run[-1][0] + 1
+        preds = set()
+        for _, _, qp, *_ in memory.values():
+            preds |= set(range(16, qp + 1)) if ctop and qp >= 16 else {qp} - {0}
+        e("if " + " and ".join(["forward and not start and lc > 0",
+                                *(pr_r(p) for p in sorted(preds))]) + ":")
+        e.indent()
+        hit, extent = [], []
+        bounds = ["lc", f"(max_bundles - executed) // {k_bundles}",
+                  f"(countdown - {slots + 1}) // {it_slots} + 1 if sampling else lc"]
+        for n, (_, op, _, _, r2, _, _, imm, excl) in memory.items():
+            e(f"a{n} = {gr_r(r2)}")
+            e(f"l{n} = a{n} >> {LINE_SHIFT}")
+            hit.append(f"l{n} in (s{n} := l2_sets[l{n} % l2_nsets])")
+            if op in stores:
+                hit.append(f"line_state[l{n}] != {SHARED}")
+            elif op == _LFETCH and excl:
+                hit.append(f"line_state[l{n}] == {MODIFIED}")
+            if op != _LFETCH:
+                # DATA_BASE is line-aligned: the line lies in the segment
+                e(f"x{n} = a{n} - {DATA_BASE}")
+                extent.append(f"not x{n} & 7 and 0 <= x{n} < mem_cap & {-_LINE}")
+            bounds.append(f"({_LINE - 1} - (a{n} & {_LINE - 1})) // {imm} + 1" if imm > 0
+                          else f"(a{n} & {_LINE - 1}) // {-imm} + 1")
+        # cycles <= cycle_limit before the last bundle of the k-th
+        # iteration (emit_spin_forward's closed form)
+        lead_stall = f" - {lead} * l2_hit_lat" if lead else ""
+        stall = f" + {bpc * n_stall} * l2_hit_lat" if n_stall else ""
+        bounds.append(f"({bpc} * (cycle_limit - cycles{lead_stall} + 1) - {k_bundles}"
+                      f" - issue_tick) // ({k_bundles}{stall}) + 1")
+        e(f"if {' and '.join(hit + extent) or True}:")
+        e.indent()
+        e(f"k = min({', '.join(bounds)})")
+        e("if k > 0:")
+        e.indent()
+        for n, entry in memory.items():
+            if entry[1] in stores:
+                e(f"line_state[l{n}] = {MODIFIED}")
+                e(f"l2_dirty.add(l{n})")
+            e(f"del s{n}[l{n}]")
+            e(f"s{n}[l{n}] = None")
+            if entry[1] != _LFETCH:
+                e(f"x{n} >>= 3")
+        checked = False
+        if not ctop:
+            emit_unpack()
+        e("for j in range(k):")
+        e.indent()
+        if ctop:
+            emit_unpack()
+        for n, entry in enumerate(run[:-1]):
+            if n not in memory:
+                # the guard has proven the predicates it checks
+                emit_slot(body[n_bundle[n]][0], entry if entry[2] not in preds
+                          else (*entry[:2], 0, *entry[3:]))
+                continue
+            _, op, _, r1, r2, r3, _, imm, _ = entry
+            step = imm >> 3
+            at_j = f"x{n} + j" if step == 1 else f"x{n} - j" if step == -1 else f"x{n} + {step} * j"
+            if op == _LDFD:
+                e(f"{fr_w(r1)} = mem_f64[{at_j}]")
+            elif op == _LD8:
+                e(f"{gr_w(r1)} = mem_i64[{at_j}]")
+            elif op == _STFD:
+                e(f"mem_f64[{at_j}] = {fr_r(r3)}")
+            elif op == _ST8:
+                emit_wrapped(f"mem_i64[{at_j}]", gr_r(r3))
+            if gr_uses[r2] > 1:     # another operand reads the address
+                e(f"{gr_w(r2)} += {imm}")
+        if ctop:
+            emit_rotate()
+            e("prl[16 + rrb_pr] = True")
+        elif e.lines[-1].endswith("range(k):"):
+            e("pass")
+        e.dedent()
+        checked = True
+        for n, (_, op, _, _, r2, _, _, imm, _) in memory.items():
+            if gr_uses[r2] == 1:
+                e(f"{gr_w(r2)} = a{n} + {imm} * k")
+        e("lc -= k")
+        e(f"retired += k * {it_slots}")
+        e("if sampling:")
+        e.indent()
+        e(f"countdown -= k * {it_slots}")
+        e.dedent()
+        e(f"bundles_executed += k * {k_bundles}")
+        e(f"executed += k * {k_bundles}")
+        e("taken_branches += k")
+        e("iters += k")
+        e("n_back += k")
+        e(f"issue_tick += k * {k_bundles}")
+        e(f"cycles += {f'k * {n_stall} * l2_hit_lat + ' if n_stall else ''}issue_tick // {bpc}")
+        e(f"issue_tick %= {bpc}")
+        for ev in events:
+            count = sum(_RUN_EVENTS[entry[1]] == ev for entry in memory.values())
+            if count:
+                e(f"n_{ev} += k * {count}")
+        e("jit = core.trace_jit")
+        e("jit.line_runs += 1")
+        e("jit.line_run_iters += k")
+        e("continue")
+        e.dedent()
         e.dedent()
         e.dedent()
 
@@ -1083,7 +1275,7 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
     if whole:
         for name in ([] if back_edge is None else ["back"]) + events:
             e(f"n_{name} = 0")
-    if spin:
+    if spin or run:
         # osr-off replays every iteration: it is the forward's oracle
         e("forward = core.osr_enabled")
 
@@ -1123,6 +1315,8 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
         if spin:
             # a partial iteration says nothing about the loads it skipped
             e("hits = forward and not start")
+        if run:
+            emit_line_run()
         if whole:
             # no budget or sample exit can fire inside this iteration
             # (the longest path retires every slot of every bundle)
@@ -1199,6 +1393,8 @@ class TraceJit:
         "evicted",
         "spin_forwards",
         "spin_iters_skipped",
+        "line_runs",
+        "line_run_iters",
     )
 
     def __init__(self, threshold: int = HOT_THRESHOLD) -> None:
@@ -1235,6 +1431,8 @@ class TraceJit:
         self.evicted = 0            # nodes evicted by the resource governor
         self.spin_forwards = 0      # closed-form advances of a spin-wait trace
         self.spin_iters_skipped = 0  # iterations those advances stood for
+        self.line_runs = 0          # line runs of a loop trace
+        self.line_run_iters = 0     # iterations they ran
 
     def sync(self, dcache) -> None:
         """Revalidate compiled traces against the decode journal.
@@ -1463,6 +1661,8 @@ class TraceJit:
             "evicted": self.evicted,
             "spin_forwards": self.spin_forwards,
             "spin_iters_skipped": self.spin_iters_skipped,
+            "line_runs": self.line_runs,
+            "line_run_iters": self.line_run_iters,
             "exit_sites": {
                 f"{head:#x}->{target:#x}": count
                 for (head, target), count in sorted(self.sites.items())
@@ -1479,14 +1679,15 @@ class TraceJit:
 #: partial iterations included (``iterations``), how each call ended
 #: (``deopts.link`` off a region's end, ``deopts.budget`` on the slice
 #: budget), whether the exit landed on another entry point
-#: (``tree_links``, under how many ``exit_sites``) and whether the next
-#: slice found the resume hint (``resume_hits``) — rather than what the
-#: simulated machine did.  A change to the JIT may move these and nothing
+#: (``tree_links``, under how many ``exit_sites``), whether the next
+#: slice found the resume hint (``resume_hits``) and how many iterations
+#: went through line runs (``line_runs``, ``line_run_iters``) — rather
+#: than what the simulated machine did.  A change to the JIT may move these and nothing
 #: else (DESIGN.md §9 "Work counters"); ``repro bench --compare`` reads
 #: such a move as ``moved (work)``.
 WORK_COUNTERS = (
     "entries", "iterations", "tree_links", "resume_hits", "exit_sites",
-    "deopts.link", "deopts.budget",
+    "deopts.link", "deopts.budget", "line_runs", "line_run_iters",
 )
 
 

@@ -526,9 +526,22 @@ BATTERY = (
 )
 
 
+def _no_line_runs():
+    """Compile loop bodies without a line run (DESIGN.md §9 "Line runs"):
+    the faults are seeded in the whole-iteration body, and a line run
+    would take over the iterations that show them (tests/cpu/
+    test_line_runs.py seeds its own)."""
+    return mock.patch.object(tracejit, "_line_run", lambda body, sor: None)
+
+
 @functools.lru_cache(maxsize=None)
 def _survivors(shape) -> frozenset:
     """The ``(fault, site)`` mutants of ``shape`` that no battery run shows."""
+    with _no_line_runs():
+        return _survivors_of(shape)
+
+
+def _survivors_of(shape) -> frozenset:
     source = _loop_source(shape)
     runs = list(_battery(_loop_trace(shape).n_bundles))
     oracle: dict = {}
@@ -585,7 +598,8 @@ def test_seeded_faults_are_caught(nth):
 def test_every_fault_is_seeded_and_caught_somewhere():
     seeded, caught = set(), set()
     for shape in MUTATED_SHAPES:
-        faults = {fault for fault, _, _ in _mutants(_loop_source(shape))}
+        with _no_line_runs():
+            faults = {fault for fault, _, _ in _mutants(_loop_source(shape))}
         seeded |= faults
         caught |= faults - {fault for fault, _ in _survivors(shape)}
     # a pattern that no longer matches the generated source seeds nothing
