@@ -43,7 +43,7 @@ from .config import (
     default_blas_threads,
     env_value,
 )
-from .errors import CobraError, FleetError, WorkloadError
+from .errors import CobraError, FleetError, PersistError, WorkloadError
 
 # This module is the front door of both entry points (``python -m repro``
 # and the ``repro`` console script) and nothing above imports numpy, so
@@ -941,6 +941,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, WorkloadError, FleetError, ValueError) as exc:
+    except (UsageError, WorkloadError, FleetError, PersistError, ValueError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2

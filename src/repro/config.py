@@ -391,7 +391,7 @@ class PersistConfig:
     the crash sweeps) must be provided.  A store that already holds
     state is recovered and warm-started from; the snapshot cadence is
     :mod:`repro.persist.manager`'s ``SNAPSHOT_INTERVAL`` and
-    ``SNAPSHOTS_KEPT``.
+    :mod:`repro.persist.snapshot`'s ``SNAPSHOTS_KEPT``.
     """
 
     #: checkpoint directory on the real filesystem

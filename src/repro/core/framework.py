@@ -30,11 +30,11 @@ from ..config import CobraConfig
 from ..cpu.machine import Machine
 from ..cpu.scheduler import Scheduler
 from ..cpu.tracejit import fastpath_stats
-from ..errors import CobraError, InvariantViolation
+from ..errors import CobraError, InvariantViolation, PersistError, ProfileStateError
 from ..isa.binary import BinaryImage
 from ..runtime.team import ParallelProgram, RunResult
 from .monitor import MonitoringThread
-from .optimizer import OptEvent, OptimizationThread
+from .optimizer import CHECKPOINT, OptEvent, OptimizationThread
 from .policy import STRATEGIES
 from .tracecache import Deployment, TraceCache
 
@@ -285,10 +285,12 @@ class Cobra:
             self.trace_cache.persist = self.persist
             self.optimizer.persist = self.persist
             if recovered.state is not None:
-                from ..persist.recover import empty_state
-
+                try:
+                    state = CHECKPOINT.load(recovered.state)
+                except ProfileStateError as exc:
+                    raise PersistError(f"unusable checkpoint state: {exc}") from None
                 self.resumed = True
-                self.optimizer.warm_start({**empty_state(), **recovered.state})
+                self.optimizer.warm_start(state)
         # cross-run profile database (repro.persist.profiledb): a hit
         # seeds the profiler + proven deployments before the first
         # instruction; absence/corruption just means a cold ramp

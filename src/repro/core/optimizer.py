@@ -34,7 +34,7 @@ reporting continue.  Degrading costs performance, never correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 from ..config import CobraConfig
 from ..cpu.machine import Machine
@@ -43,14 +43,16 @@ from ..isa.binary import BinaryImage
 from .monitor import MonitoringThread
 from .opts import REWRITES
 from .policy import EVIDENCE, decide, proven_decisions
-from .profiler import SystemProfiler
+from .profiler import (
+    COUNT, NUM, STATE, STR, List, Map, Maybe, Record, Row, Set, SystemProfiler, one_of,
+)
 from .tracecache import Deployment, TraceCache
 from .tracesel import LoopTrace, select_loop_traces
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
 
-__all__ = ["OptimizationThread", "OptEvent", "MODES"]
+__all__ = ["OptimizationThread", "OptEvent", "MODES", "CHECKPOINT"]
 
 #: Operating modes: ``monitor-only`` is the degraded state — profile,
 #: report, but never patch.
@@ -75,10 +77,19 @@ class OptEvent:
     """One logged optimizer action."""
 
     retired: int
-    kind: str          # "deploy" | "rollback" | "skip" | "recover" | "degrade"
+    kind: str
     loop_head: int | None
     optimization: str | None
     reason: str
+
+    #: The persisted form of an event: one column per field.
+    ROW: ClassVar[Row] = Row(
+        retired=COUNT,
+        kind=one_of(("deploy", "rollback", "skip", "recover", "degrade")),
+        loop_head=Maybe(COUNT),
+        optimization=Maybe(STR),
+        reason=STR,
+    )
 
     def row(self) -> list:
         """``[retired, kind, loop_head, optimization, reason]`` — the
@@ -94,6 +105,20 @@ class OptEvent:
     def is_warm_redeploy(self) -> bool:
         """A deployment put back from a checkpoint at warm restart."""
         return self.kind == "deploy" and self.reason.startswith(WARM_RESTART)
+
+
+#: :meth:`OptimizationThread.export_state`'s output: the control-plane
+#: state a checkpoint ``window`` record carries and a warm start resumes.
+CHECKPOINT = Record(
+    profiler=Maybe(STATE),
+    cpi_history=List(NUM),
+    blacklist=Set(COUNT),
+    mode=one_of(MODES, zero="normal"),
+    fault_strikes=COUNT,
+    events=List(OptEvent.ROW),
+    deployments=List(Deployment.RECORD),
+    samples_per_cpu=Map(int, COUNT),
+)
 
 
 @dataclass
@@ -492,7 +517,7 @@ class OptimizationThread:
             ):
                 continue
             deployment, _ = self._go_live(
-                0, trace, str(record["optimization"]), reason, failed
+                0, trace, record["optimization"], reason, failed
             )
             deployed += deployment is not None
         return deployed
@@ -510,8 +535,8 @@ class OptimizationThread:
             self.outbox.on_wake(retired, window_cpi, self.profiler)
 
     def export_state(self) -> dict:
-        """JSON-serializable control-plane state (one 'window' record);
-        the keys are :func:`repro.persist.recover.empty_state`'s."""
+        """JSON-serializable control-plane state (one 'window' record):
+        a :data:`CHECKPOINT`."""
         return {
             "profiler": self.profiler.export_state(),
             "cpi_history": list(self._cpi_history),
@@ -529,25 +554,23 @@ class OptimizationThread:
     def warm_start(self, state: dict) -> None:
         """Resume from a recovered control-plane state (re-adaptation).
 
-        ``state`` holds every key :meth:`export_state` writes.  Restores
-        the profile aggregates and their companions (per-CPU sample
-        counts, CPI history, blacklist, mode, event history) and
-        immediately re-deploys the previously proven optimizations — no
-        cold profiling ramp (:meth:`_redeploy`).
+        ``state`` is a :data:`CHECKPOINT` already loaded (validated) by
+        the caller.  Restores the profile aggregates and their
+        companions (per-CPU sample counts, CPI history, blacklist, mode,
+        event history) and immediately re-deploys the previously proven
+        optimizations — no cold profiling ramp (:meth:`_redeploy`).
         """
-        if state["profiler"]:
-            self.profiler.restore_state(state["profiler"])
+        if state["profiler"] is not None:
+            self.profiler.restore(state["profiler"])
         for monitor in self.monitors:
-            monitor.prior_samples = int(
-                state["samples_per_cpu"].get(str(monitor.core.cpu_id), 0)
-            )
-        self._cpi_history = [float(x) for x in state["cpi_history"]][-4:]
+            monitor.prior_samples = state["samples_per_cpu"].get(monitor.core.cpu_id, 0)
+        self._cpi_history = state["cpi_history"][-4:]
         if len(self._cpi_history) >= 3:
             # the checkpointed profile is already warm: no cold ramp
             self.warm_at_retired = 0
-        self.blacklist = {int(h) for h in state["blacklist"]}
-        self.mode = str(state["mode"])
-        self.fault_strikes = int(state["fault_strikes"])
+        self.blacklist = state["blacklist"]
+        self.mode = state["mode"]
+        self.fault_strikes = state["fault_strikes"]
         self.events = [OptEvent(*row) for row in state["events"]]
         # the restored quarantine total predates this session: without
         # re-basing, the first watchdog pass would read the whole prior

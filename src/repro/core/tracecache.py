@@ -44,6 +44,8 @@ from ..errors import TraceCacheError
 from ..isa.binary import BinaryImage, Patch
 from ..isa.bundle import BUNDLE_BYTES, Bundle
 from ..isa.instructions import Instruction, Op, nop
+from .opts import REWRITES
+from .profiler import COUNT, Record, one_of
 from .tracesel import LoopTrace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,26 +76,24 @@ class Deployment:
     n_rewrites: int
     active: bool = True
 
-    #: "What was deployed", spelt once (field -> type): the checkpoint
-    #: state's ``deployments``, the journal's ``txn`` records, the warm
-    #: redeploy loop and the profile database's loop geometry all carry
-    #: these fields under these names.
-    RECORD: ClassVar[dict[str, type]] = {
-        "head": int, "back_branch": int, "hotness": int,
-        "optimization": str, "n_rewrites": int,
-    }
+    #: "What was deployed", spelt once: the checkpoint state's
+    #: ``deployments``, the journal's ``txn`` records, the warm redeploy
+    #: loop and the profile database's loop geometry all carry these
+    #: fields under these names.
+    RECORD: ClassVar[Record] = Record(
+        head=COUNT, back_branch=COUNT, hotness=COUNT,
+        optimization=one_of(REWRITES), n_rewrites=COUNT,
+    )
 
     def record(self) -> dict:
         loop = self.loop
         values = (loop.head, loop.back_branch, loop.hotness, self.optimization, self.n_rewrites)
-        return dict(zip(self.RECORD, values))
+        return dict(zip(self.RECORD.fields, values))
 
     @staticmethod
     def loop_of(record: dict, image: BinaryImage) -> LoopTrace:
-        """The loop a record names, re-read from ``image``."""
-        return LoopTrace.scan(
-            image, int(record["head"]), int(record["back_branch"]), int(record["hotness"])
-        )
+        """The loop a (loaded) record names, re-read from ``image``."""
+        return LoopTrace.scan(image, record["head"], record["back_branch"], record["hotness"])
 
 
 @dataclass

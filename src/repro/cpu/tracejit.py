@@ -1602,11 +1602,12 @@ class TraceJit:
 
         ``shapes`` is the profile DB's ``jit_trees`` list —
         ``[root, start, kind, sor]`` per node, recorded at a prior run's
-        end.  Compilation is strictly validated and best-effort: a torn
-        or stale shape is skipped (the run stays correct, the node just
-        re-proves hotness the cold way).  The stored ``sor`` matters
-        because at retired 0 the registers are pre-``alloc`` (sor 0);
-        the interpreter's per-entry ``sor`` guard keeps a wrong-rotation
+        end and loaded by its entry tree (``profiledb.ENTRY``), so each
+        is four well-typed columns.  Compilation is best-effort: a stale
+        shape is skipped (the run stays correct, the node just re-proves
+        hotness the cold way).  The stored ``sor`` matters because at
+        retired 0 the registers are pre-``alloc`` (sor 0); the
+        interpreter's per-entry ``sor`` guard keeps a wrong-rotation
         node inert rather than wrong.
         """
         if not self.osr or not shapes:
@@ -1614,19 +1615,8 @@ class TraceJit:
         dmap = dcache.sync()
         keys = dcache.keys
         count = 0
-        for shape in shapes:
-            if not isinstance(shape, (list, tuple)) or len(shape) != 4:
-                continue
-            root, start, kind, tsor = shape
-            if (
-                not isinstance(root, int)
-                or not isinstance(start, int)
-                or not isinstance(tsor, int)
-                or kind not in ("loop", "linear")
-                or start & _SMASK
-                or start in self.traces
-                or not 0 <= tsor <= 96
-            ):
+        for root, start, kind, tsor in shapes:
+            if start & _SMASK or start in self.traces or tsor > 96:
                 continue
             if kind == "loop":
                 trace = compile_trace(start, dmap, keys, tsor, bpc, relax=True)

@@ -108,21 +108,36 @@ class PersistError(ReproError):
 
 
 class ProfileStateError(PersistError):
-    """A persisted profile failed structural validation on restore.
+    """A persisted control-plane value failed structural validation.
 
-    Raised by :meth:`repro.core.profiler.SystemProfiler.restore_state`
-    when a recovered or cross-run profile is torn, truncated, or
-    schema-drifted.  Restore is two-phase (validate everything, then
-    commit), so when this raises the live profiler is untouched — a
-    damaged profile can never half-warm-start the optimizer.  ``path``
-    names the offending field.
+    Raised by the schema trees of :mod:`repro.core.profiler` when a
+    recovered checkpoint state, profile, or profile-database entry is
+    torn, truncated, or schema-drifted.  Loading is two-phase (validate
+    everything, then commit), so when this raises nothing live has
+    changed.  ``path`` names the offending value
+    (``misses.by_pc[4096].lines[0]``), ``fields`` the record fields on
+    that path, and ``leaf`` says whether a scalar held a bad value
+    rather than a container having the wrong shape.
     """
 
-    def __init__(self, message: str, path: str = "") -> None:
-        self.path = path
-        if path:
-            message = f"{path}: {message}"
+    def __init__(self, message: str, leaf: bool = False) -> None:
         super().__init__(message)
+        self.message = message
+        self.leaf = leaf
+        self.path = ""
+        self.fields: list[str] = []
+
+    def under(self, key: object, field: bool = False) -> "ProfileStateError":
+        """The same error, seen one level up: at record field ``key``
+        (``field``) or at map key / list index ``key``."""
+        dot = "." if self.path[:1] not in ("", "[") else ""
+        if field:
+            self.fields.insert(0, str(key))
+        self.path = f"{key if field else f'[{key}]'}{dot}{self.path}"
+        return self
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.message}" if self.path else self.message
 
 
 class SimulatedCrash(ReproError):

@@ -37,6 +37,7 @@ from .injector import (
     FaultEvent,
     FaultInjector,
     FaultLedger,
+    zero_rate_faults,
 )
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultLedger",
+    "zero_rate_faults",
     "ChaosHarness",
     "ChaosRecord",
     "ChaosReport",

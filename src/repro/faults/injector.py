@@ -40,6 +40,7 @@ fails the run in that case.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 
 from ..config import FaultConfig
@@ -61,6 +62,7 @@ __all__ = [
     "FaultEvent",
     "FaultLedger",
     "FaultInjector",
+    "zero_rate_faults",
 ]
 
 SAMPLE_FAULTS = (
@@ -166,6 +168,20 @@ class FaultLedger:
     by_kind: dict[str, int]
     events: tuple[FaultEvent, ...]
 
+    @classmethod
+    def of(cls, seed: int, events) -> "FaultLedger":
+        """The ledger of ``events``, counted by kind and by outcome."""
+        events = tuple(events)
+        outcomes = Counter(event.status for event in events)
+        return cls(
+            seed=seed,
+            injected=len(events),
+            detected=outcomes[_DETECTED],
+            tolerated=outcomes[_TOLERATED],
+            by_kind=dict(Counter(event.kind for event in events)),
+            events=events,
+        )
+
     @property
     def outstanding(self) -> int:
         """Injected faults the runtime never classified — must be 0."""
@@ -188,6 +204,17 @@ class FaultLedger:
             )
             head += f" ({kinds})"
         return head
+
+
+def zero_rate_faults(seed: int = 0) -> FaultConfig:
+    """An armed injector that never injects.
+
+    A resumed run, a governor's private ledger and a fuzz cell need a
+    live :class:`FaultInjector` to *account* events on its ledger, but
+    must not draw any random faults of their own — at rate 0.0 the
+    injector consumes no RNG, so the run stays deterministic.
+    """
+    return FaultConfig(seed=seed, sample_rate=0.0, patch_rate=0.0, loop_rate=0.0)
 
 
 class FaultInjector:
@@ -375,19 +402,4 @@ class FaultInjector:
         return None
 
     def ledger(self) -> FaultLedger:
-        by_kind: dict[str, int] = {}
-        detected = tolerated = 0
-        for event in self.events:
-            by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
-            if event.status == _DETECTED:
-                detected += 1
-            elif event.status == _TOLERATED:
-                tolerated += 1
-        return FaultLedger(
-            seed=self.config.seed,
-            injected=len(self.events),
-            detected=detected,
-            tolerated=tolerated,
-            by_kind=by_kind,
-            events=tuple(self.events),
-        )
+        return FaultLedger.of(self.config.seed, self.events)

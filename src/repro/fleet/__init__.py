@@ -10,9 +10,8 @@ CRC-framed.  :class:`~repro.fleet.harness.FleetHarness` drives a whole
 fleet and proves the robustness contract (solo-identical outputs,
 decision reuse, idempotent ingestion, crash recovery, accounted faults).
 
-Import note: this package never imports :mod:`repro.core` at module
-scope (and vice versa) — the runtime pulls the outbox in lazily, and
-the daemon defers its scratch-profiler validation import.
+Import note: :mod:`repro.core` pulls the outbox in lazily, so a solo
+run never imports this package.
 """
 
 from .agent import InstanceResult, InstanceSpec, run_instance

@@ -21,8 +21,8 @@ Defensive admission, in order, for every frame:
    two batches claiming the same window ordinal with different content
    (``window-conflict``) or a retired count that runs backwards
    (``time-travel``) quarantine the stream; profile entries are
-   structurally validated, including a scratch-profiler restore of the
-   embedded profiler state;
+   loaded by the entry tree (:data:`repro.persist.profiledb.ENTRY`),
+   the embedded profiler state included;
 5. **consensus** — an instance whose image digest diverges from a
    quorum-backed consensus for the same key is quarantined (a poisoned
    or mismatched binary must never steer fleet-wide patches).
@@ -43,14 +43,9 @@ from bisect import bisect_left, insort
 from collections import Counter
 from types import SimpleNamespace
 
-from ..persist.journal import (
-    Disk,
-    JournalWriter,
-    MemoryDisk,
-    canonical_json as _dumps,
-    scan_journal,
-)
+from ..persist.journal import Disk, JournalWriter, MemoryDisk, canonical_json as _dumps
 from ..persist.profiledb import empty_entry, entry_anomaly, merge_entries
+from ..persist.recover import read_store, repair
 from ..persist.snapshot import SnapshotStore
 from .wire import decode_frame
 
@@ -179,7 +174,6 @@ class FleetDaemon:
         disk: Disk | None = None,
         quorum: int = 1,
         snapshot_interval: int = 8,
-        snapshots_kept: int = 3,
         window_budget: int | None = None,
     ) -> None:
         if quorum < 1:
@@ -193,7 +187,6 @@ class FleetDaemon:
         self.disk = disk if disk is not None else MemoryDisk()
         self.quorum = quorum
         self.snapshot_interval = snapshot_interval
-        self.snapshots_kept = snapshots_kept
         #: per-instance cap on retained window batches; the oldest
         #: ordinals are shed after each accept (top-K of a set is
         #: canonical, so bounded daemons stay convergent)
@@ -519,7 +512,7 @@ class FleetDaemon:
         self.batches_accepted += 1
         if self.batches_accepted % self.snapshot_interval == 0:
             self._snapshots.write_body(self.batches_accepted, self._state_body(True))
-            self._snapshots.prune(self.snapshots_kept)
+            self._snapshots.prune()
             self.snapshots_written += 1
 
     def _reset_body_cache(self) -> None:
@@ -572,7 +565,8 @@ class FleetDaemon:
             f"{_dumps(key)}:{self._store_members[key].text()}"
             for key in sorted(self._store_members)
         )
-        seq = f'"journal_seq":{self.journal.next_seq},' if journal_seq else ""
+        # the last record the snapshot folds, as a checkpoint store writes it
+        seq = f'"journal_seq":{self.journal.next_seq - 1},' if journal_seq else ""
         return "".join((
             f'{{"batches_accepted":{self.batches_accepted},"digests":',
             parts["digests"],
@@ -655,55 +649,34 @@ class FleetDaemon:
                 self._mark_quarantined(record["i"], record["reason"])
 
     @classmethod
-    def recover(
-        cls,
-        disk: Disk,
-        quorum: int = 1,
-        snapshot_interval: int = 8,
-        snapshots_kept: int = 3,
-        window_budget: int | None = None,
-    ) -> "FleetDaemon":
-        """Rebuild a daemon from its journal + snapshot store.
+    def recover(cls, disk: Disk, **options) -> "FleetDaemon":
+        """Rebuild a daemon from its journal + snapshot store; ``options``
+        are the constructor's (``quorum``, ``snapshot_interval``, ...).
 
-        Newest valid snapshot first (falling back past corrupt ones),
-        then the journal tail is replayed; a torn final record is
-        truncated away and reported in ``recovered["discarded"]`` —
-        whatever frame it held was never acked, so its agent will
-        retransmit and dedup keeps the replay exact.
+        :mod:`repro.persist.recover`'s procedure: newest valid snapshot
+        first (falling back past corrupt ones), then the journal tail is
+        replayed; a torn final record is truncated away and stray
+        snapshot temps are deleted, each reported in
+        ``recovered["discarded"]`` — whatever frame a torn record held
+        was never acked, so its agent will retransmit and dedup keeps
+        the replay exact.
         """
-        daemon = cls(
-            disk=disk,
-            quorum=quorum,
-            snapshot_interval=snapshot_interval,
-            snapshots_kept=snapshots_kept,
-            window_budget=window_budget,
-        )
-        load = daemon._snapshots.load_newest()
-        discarded = [f"corrupt snapshot {name}" for name in load.corrupt]
-        discarded.extend(f"stray snapshot temp {name}" for name in load.stray_tmp)
-        replay_from = 0
-        if load.payload is not None:
-            daemon._restore(load.payload)
-            replay_from = load.payload.get("journal_seq", 0)
-        data = (
-            bytes(disk.read(FLEET_JOURNAL)) if disk.exists(FLEET_JOURNAL) else b""
-        )
-        records, valid_len, torn = scan_journal(data)
-        if valid_len < len(data):
-            disk.truncate(FLEET_JOURNAL, valid_len)
-        discarded.extend(torn)
-        replayed = 0
-        next_seq = 0
-        for record in records:
-            next_seq = max(next_seq, record.get("seq", -1) + 1)
-            if record.get("seq", -1) < replay_from:
-                continue
+        daemon = cls(disk=disk, **options)
+        found = read_store(disk, FLEET_JOURNAL)
+        repair(disk, found)
+        if found.snapshot is not None:
+            daemon._restore(found.snapshot)
+        tail = found.tail()
+        for record in tail:
             daemon._replay(record)
-            replayed += 1
-        daemon.journal = JournalWriter(disk, next_seq=next_seq, name=FLEET_JOURNAL)
+        daemon.journal = JournalWriter(disk, next_seq=found.next_seq, name=FLEET_JOURNAL)
         daemon.recovered = {
-            "snapshot_version": load.version,
-            "replayed": replayed,
-            "discarded": discarded,
+            "snapshot_version": found.snapshot_version,
+            "replayed": len(tail),
+            "discarded": [
+                *(f"corrupt snapshot {name}" for name in found.corrupt_snapshots),
+                *(f"stray snapshot temp {name}" for name in found.stray_tmp),
+                *found.discarded,
+            ],
         }
         return daemon

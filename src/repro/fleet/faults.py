@@ -126,22 +126,6 @@ def build_ledger(seed: int, events: list[FaultEvent]) -> FaultLedger:
     in the deterministic order given (sorted by the harness) so the
     ledger reads as one fleet-wide schedule.
     """
-    renumbered = []
-    detected = tolerated = 0
-    by_kind: dict[str, int] = {}
     for seq, event in enumerate(events):
         event.seq = seq
-        renumbered.append(event)
-        by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
-        if event.status == "detected":
-            detected += 1
-        elif event.status == "tolerated":
-            tolerated += 1
-    return FaultLedger(
-        seed=seed,
-        injected=len(renumbered),
-        detected=detected,
-        tolerated=tolerated,
-        by_kind=by_kind,
-        events=tuple(renumbered),
-    )
+    return FaultLedger.of(seed, events)

@@ -287,7 +287,6 @@ class FleetHarness:
             disk,
             quorum=self.quorum,
             snapshot_interval=SNAPSHOT_INTERVAL,
-            snapshots_kept=daemon.snapshots_kept,
         )
         event = FaultEvent(0, "daemon_crash", "fleet", "detected")
         event.note = (

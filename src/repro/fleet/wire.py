@@ -28,7 +28,7 @@ Frame kinds (the ``"k"`` payload key):
 
 from __future__ import annotations
 
-from ..persist.journal import encode_record, scan_journal
+from ..persist.journal import decode_record, encode_record
 
 __all__ = [
     "FRAME_KINDS",
@@ -53,12 +53,7 @@ def decode_frame(data: bytes) -> dict | None:
     A frame must be exactly one valid record — trailing bytes mean a
     truncated/concatenated transmission and are rejected wholesale.
     """
-    if not isinstance(data, bytes):
-        data = bytes(data)
-    records, valid_len, _discarded = scan_journal(data)
-    if len(records) != 1 or valid_len != len(data):
-        return None
-    return records[0]
+    return decode_record(data if isinstance(data, bytes) else bytes(data))
 
 
 def hello_frame(instance: str, key: str, digest: str) -> dict:

@@ -69,11 +69,11 @@ from ..config import (
     ProfileDBConfig,
 )
 from ..errors import SimulatedCrash
+from ..faults.injector import zero_rate_faults
 from ..persist.journal import MemoryDisk
 from ..persist.profiledb import PROFILEDB_NAME
 from ..runtime.team import ParallelProgram
 from ..scenario import Observables, WorkloadSpec, run_cell
-from ..validate.recovery import zero_rate_faults
 from .driver import build_scenario, scenario_machine
 from .generator import ScenarioParams, generate_params
 from .report import Divergence, FuzzReport, ScenarioResult

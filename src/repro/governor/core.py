@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from ..config import FaultConfig, GovernorConfig, OverloadConfig
+from ..config import GovernorConfig, OverloadConfig
 from .ladder import RECOVER_PRESSURE, DegradationLadder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,12 +116,10 @@ class ResourceGovernor:
             # private ledger: the run has no chaos injector, but shed/
             # evicted/refused items still need accounting.  Zero rates —
             # this injector never draws, it only records.
-            from ..faults.injector import FaultInjector
+            from ..faults.injector import FaultInjector, zero_rate_faults
 
             seed = config.overload.seed if config.overload is not None else 0
-            faults = FaultInjector(
-                FaultConfig(seed=seed, sample_rate=0.0, patch_rate=0.0, loop_rate=0.0)
-            )
+            faults = FaultInjector(zero_rate_faults(seed))
             self.private_ledger = True
         else:
             self.private_ledger = False

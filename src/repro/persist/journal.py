@@ -42,6 +42,7 @@ __all__ = [
     "JOURNAL_NAME",
     "RECORD_MAGIC",
     "canonical_json",
+    "decode_record",
     "encode_record",
     "frame_record",
     "scan_journal",
@@ -127,6 +128,13 @@ def scan_journal(data: bytes) -> tuple[list[dict], int, list[str]]:
         records.append(payload)
         offset = body_start + length
     return records, offset, discarded
+
+
+def decode_record(data: bytes) -> dict | None:
+    """The payload of ``data`` if it is exactly one valid record, else
+    ``None`` (the fleet's wire frames)."""
+    records, valid_len, _discarded = scan_journal(data)
+    return records[0] if len(records) == 1 and valid_len == len(data) else None
 
 
 # -- disks --------------------------------------------------------------------

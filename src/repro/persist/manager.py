@@ -24,12 +24,10 @@ from .snapshot import SnapshotStore
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
 
-__all__ = ["PersistenceManager", "PersistStats", "SNAPSHOT_INTERVAL", "SNAPSHOTS_KEPT"]
+__all__ = ["PersistenceManager", "PersistStats", "SNAPSHOT_INTERVAL"]
 
 #: Window (wake) records between automatic snapshots.
 SNAPSHOT_INTERVAL = 4
-#: Newest snapshots retained by pruning.
-SNAPSHOTS_KEPT = 3
 
 
 @dataclass
@@ -146,7 +144,7 @@ class PersistenceManager:
         """A trace-cache deploy/rollback committed: journal the delta
         (``op`` + a :attr:`~repro.core.tracecache.Deployment.RECORD`)."""
         values = (head, back_branch, hotness, optimization, n_rewrites)
-        self._append("txn", {"op": op, **dict(zip(Deployment.RECORD, values))})
+        self._append("txn", {"op": op, **dict(zip(Deployment.RECORD.fields, values))})
 
     def log_decision(self, event: list) -> None:
         """One optimizer event (deploy/rollback/skip/recover/degrade)."""
@@ -172,7 +170,7 @@ class PersistenceManager:
         self.stats.snapshots_written += 1
         self._next_snapshot_version += 1
         self._windows_since_snapshot = 0
-        self.store.prune(SNAPSHOTS_KEPT)
+        self.store.prune()
 
     def close(self, state: dict) -> None:
         """End of run: journal the final state and snapshot it."""

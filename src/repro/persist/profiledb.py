@@ -40,8 +40,11 @@ import math
 import os
 from dataclasses import dataclass
 
+from ..core.opts import REWRITES
 from ..core.policy import EVIDENCE
-from ..core.profiler import COUNT, STATE, Leaf, Map, Record
+from ..core.profiler import (
+    COUNT, INT, STATE, Leaf, Map, Maybe, Record, Row, Set, one_of,
+)
 from ..errors import ProfileStateError
 from ..isa.binary import BinaryImage
 from .journal import Disk, FileDisk
@@ -58,6 +61,7 @@ __all__ = [
     "merge_entries",
     "empty_entry",
     "entry_anomaly",
+    "ENTRY",
 ]
 
 #: Default file name inside the backing disk.
@@ -107,108 +111,66 @@ def profile_key(image: BinaryImage, machine_config, strategy: str) -> str:
 # -- entries ------------------------------------------------------------------
 
 
-#: An entry's scalars: name -> legal-value test.  Every one merges by
-#: addition; ``profiler`` (a :data:`~repro.core.profiler.STATE` or
-#: ``None``), ``decisions`` and ``jit_trees`` are the other three keys.
-_SCALARS = {
-    "runs": COUNT.legal,
-    "cpi_total": lambda v: COUNT.legal(v)
-    or (isinstance(v, float) and math.isfinite(v) and v >= 0),
-    "cpi_count": COUNT.legal,
-    "flips": COUNT.legal,
-}
-
-#: ``decisions``: loop head -> optimization -> evidence
-_DECISIONS = Map(
-    int,
-    Map(str, Record(**{f: Leaf(COUNT.legal, COUNT.what, fn) for f, fn in EVIDENCE.items()})),
+#: One profile-database entry: the profiler aggregates, steady-state CPI
+#: statistics, per-loop decision evidence (loop head -> optimization ->
+#: :data:`~repro.core.policy.EVIDENCE`) and the resident trace-tree
+#: shapes.  Scalars merge by addition; an entry written before trace-
+#: tree persistence has no ``jit_trees`` and loads as having none.
+ENTRY = Record(
+    runs=COUNT,
+    profiler=Maybe(STATE),
+    cpi_total=Leaf(
+        lambda v: COUNT.legal(v) or (isinstance(v, float) and math.isfinite(v) and v >= 0),
+        "a finite non-negative number", zero=0.0,
+    ),
+    cpi_count=COUNT,
+    decisions=Map(int, Map(one_of(REWRITES).load, Record(**{
+        name: Leaf(COUNT.legal, COUNT.what, combine) for name, combine in EVIDENCE.items()
+    }))),
+    flips=COUNT,
+    jit_trees=Maybe(Set(Row(
+        root=INT, head=INT, kind=one_of(("loop", "linear")), sor=COUNT,
+    ))),
 )
+
+
+#: The store's payload: the entry schema's version and key -> entry (an
+#: entry is loaded by :data:`ENTRY` only when a run is offered it).
+STORE = Record(format=INT, entries=Map(str, Record()))
 
 
 def empty_entry() -> dict:
     """A zero entry (the merge identity)."""
-    return {
-        "runs": 0,
-        "profiler": None,
-        "cpi_total": 0.0,
-        "cpi_count": 0,
-        "decisions": {},
-        "flips": 0,
-        "jit_trees": [],
-    }
+    return ENTRY.empty()
 
 
 def entry_anomaly(entry: object) -> str | None:
     """Why ``entry`` is not a sound profile entry, or ``None``.
 
-    The reason names the field.  It is the fleet daemon's quarantine
-    reason for a pushed entry; a run offered an unsound entry stays
-    cold.
+    The reason names the field: ``entry-`` + the record fields down to
+    the problem + ``-range`` (a bad value) or ``-type`` (a wrong shape),
+    e.g. ``entry-decisions-hotness-range``.  It is the fleet daemon's
+    quarantine reason for a pushed entry; a run offered an unsound entry
+    stays cold.
     """
-    if not isinstance(entry, dict):
-        return "entry-type"
-    for name, legal in _SCALARS.items():
-        if not legal(entry.get(name)):
-            return f"entry-{name}-range"
-    decisions = entry.get("decisions")
-    if not isinstance(decisions, dict) or not all(
-        isinstance(head, str)
-        and head.isdecimal()
-        and isinstance(opts, dict)
-        and all(isinstance(rec, dict) for rec in opts.values())
-        for head, opts in decisions.items()
-    ):
-        return "entry-decisions-type"
-    for field in EVIDENCE:
-        for opts in decisions.values():
-            if not all(COUNT.legal(rec.get(field)) for rec in opts.values()):
-                return f"entry-decision-{field}-range"
-    if entry.get("profiler") is not None:
-        try:
-            STATE.load(entry["profiler"], "state")
-        except ProfileStateError as exc:
-            return f"entry-profiler: {exc}"
+    try:
+        ENTRY.load(entry)
+    except ProfileStateError as exc:
+        return "-".join(["entry", *exc.fields, "range" if exc.leaf else "type"])
     return None
-
-
-def _merge_trees(a, b) -> list:
-    # canonical sorted union of [root, head, kind, sor] shapes; shapes
-    # may arrive as lists (JSON round-trip) or tuples (fresh export) —
-    # normalize so merged output is byte-canonical either way
-    shapes = {
-        tuple(shape)
-        for trees in (a, b)
-        if isinstance(trees, (list, tuple))
-        for shape in trees
-        if isinstance(shape, (list, tuple)) and len(shape) == 4
-    }
-    return sorted(list(shape) for shape in shapes)
 
 
 def merge_entries(a: dict, b: dict) -> dict:
     """Merge two entries for the same key.
 
     Pure and commutative/associative: counts and deltas add, line/thread
-    sets union, decision evidence combines per ``(loop, optimization)``
-    (:data:`~repro.core.policy.EVIDENCE`) — so N runs folding into the
-    database produce the same entry in any order, and two databases
-    merged either way agree byte-for-byte.
+    and trace-tree sets union, decision evidence combines per
+    ``(loop, optimization)``, quarantine counters reset (they are
+    per-session noise) — so N runs folding into the database produce
+    the same entry in any order, and two databases merged either way
+    agree byte-for-byte.
     """
-    merged = {name: a[name] + b[name] for name in _SCALARS}
-    pa, pb = a.get("profiler"), b.get("profiler")
-    if pa is None or pb is None:
-        merged["profiler"] = pb if pa is None else pa
-    else:
-        # quarantine counters are per-session noise, not profile signal;
-        # a seeded run must start with a clean quarantine ledger
-        merged["profiler"] = {
-            **STATE.merge(pa, pb), "quarantined": {}, "quarantined_total": 0
-        }
-    merged["decisions"] = _DECISIONS.merge(a["decisions"], b["decisions"])
-    # additive schema field: entries written before trace-tree
-    # persistence merge as having no shapes
-    merged["jit_trees"] = _merge_trees(a.get("jit_trees"), b.get("jit_trees"))
-    return merged
+    return ENTRY.merge(a, b)
 
 
 # -- the store ----------------------------------------------------------------
@@ -257,26 +219,17 @@ class ProfileDB:
         self.stats.present = True
         try:
             payload = decode_snapshot(bytes(self.disk.read(self.name)))
-        except ValueError:
+            STORE.load(payload)
+        except (ValueError, ProfileStateError):
             self.stats.corrupt = True
             return
-        fmt = payload.get("format")
-        if not isinstance(fmt, int):
-            self.stats.corrupt = True
-            return
-        if fmt > PROFILEDB_FORMAT:
+        if payload["format"] > PROFILEDB_FORMAT:
             # written by a newer build: refuse up front instead of
             # crashing mid-restore on semantics this reader predates
             self.stats.future_format = True
             return
-        entries = payload.get("entries")
-        if not isinstance(entries, dict) or not all(
-            isinstance(e, dict) for e in entries.values()
-        ):
-            self.stats.corrupt = True
-            return
-        self.entries = entries
-        self.stats.entries = len(entries)
+        self.entries = payload["entries"]
+        self.stats.entries = len(self.entries)
 
     def entry(self, key: str) -> dict | None:
         return self.entries.get(key)

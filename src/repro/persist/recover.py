@@ -1,20 +1,28 @@
 """Crash recovery: newest valid snapshot + journal-tail replay.
 
-Recovery never fails on damaged state — that is its whole job.  The
-procedure:
+One procedure serves both durable logs, the per-run checkpoint store
+(:func:`recover`) and the fleet daemon's
+(:meth:`repro.fleet.daemon.FleetDaemon.recover`).  Recovery never fails
+on damaged state — that is its whole job:
 
 1. load the newest snapshot whose digest verifies, falling back past
    corrupt or too-new ones (and noting stray ``.tmp`` files left by a
    writer that died before its rename);
-2. scan the journal's longest valid record prefix and replay every
-   record newer than the snapshot's sequence point: ``window`` records
-   replace the control-plane state wholesale (last-wins — each carries
-   the full state at one optimizer wake), ``txn`` records apply
-   deploy/rollback deltas, ``decision`` records append to the event
-   history, ``meta`` records carry the workload descriptor;
-3. report the repair point: the journal is truncated back to its valid
-   prefix before the next session appends (otherwise replay would stop
-   at the old tear forever and silently drop every later record).
+2. scan the journal's longest valid record prefix; the records after
+   the snapshot's ``journal_seq`` — the sequence of the last record it
+   folded — are the tail to replay;
+3. report the repair point: :func:`repair` truncates the journal back
+   to its valid prefix before the next session appends (otherwise
+   replay would stop at the old tear forever and silently drop every
+   later record) and deletes the stray temps.
+
+A checkpoint's tail replays this way: ``window`` records replace the
+control-plane state wholesale (last-wins — each carries the full state
+at one optimizer wake), ``txn`` records apply deploy/rollback deltas,
+``decision`` records append to the event history, ``meta`` records
+carry the workload descriptor.  The state stays JSON;
+:data:`~repro.core.optimizer.CHECKPOINT` validates it when a run warm-
+starts from it.
 
 Everything discarded — torn tail, corrupt snapshot, stray temp — is
 returned as structured notes so the caller can account each one in the
@@ -26,39 +34,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.optimizer import CHECKPOINT
 from ..core.tracecache import Deployment
 from .journal import JOURNAL_NAME, Disk, scan_journal
 from .snapshot import SnapshotStore
 
-__all__ = ["RecoveredState", "recover", "repair", "empty_state"]
+__all__ = ["RecoveredState", "read_store", "recover", "repair", "empty_state"]
 
 
 def empty_state() -> dict:
-    """Control-plane state of a run that has not completed a wake yet:
-    the keys of :meth:`~repro.core.optimizer.OptimizationThread.
-    export_state`, which a warm start reads a recovered state laid over."""
-    return {
-        "profiler": None,
-        "cpi_history": [],
-        "blacklist": [],
-        "mode": "normal",
-        "fault_strikes": 0,
-        "events": [],
-        "deployments": [],
-        "samples_per_cpu": {},
-    }
+    """Control-plane state of a run that has not completed a wake yet."""
+    return CHECKPOINT.empty()
 
 
 @dataclass
 class RecoveredState:
-    """Everything recovery could reconstruct from a checkpoint store."""
+    """What recovery read from one store and, for a checkpoint store,
+    the control-plane state it rebuilt."""
 
-    #: rebuilt control-plane state, or ``None`` when the store held no
-    #: usable state at all (fresh directory, or everything corrupt)
-    state: dict | None
-    #: last workload descriptor written by a session (``repro resume``
-    #: rebuilds the program from this)
-    meta: dict | None
+    #: the store's journal file name
+    journal: str
+    #: newest snapshot payload that verified (``None``: none did)
+    snapshot: dict | None
+    #: its ``journal_seq``: the sequence of the last record it folded
+    #: (-1 = no snapshot)
+    folded: int
+    #: the journal's valid records, oldest first
+    records: list[dict]
     #: sequence the next journal record must carry
     next_seq: int
     #: version of the snapshot the state was based on (-1 = none)
@@ -66,8 +68,6 @@ class RecoveredState:
     #: version the next snapshot write must use (monotonic across
     #: sessions, past corrupt files too)
     next_snapshot_version: int
-    #: journal records applied on top of the snapshot
-    replayed: int
     #: torn/corrupt journal regions, one note each
     discarded: list[str] = field(default_factory=list)
     #: snapshot files that failed digest/format verification
@@ -76,76 +76,85 @@ class RecoveredState:
     stray_tmp: list[str] = field(default_factory=list)
     #: byte length to truncate the journal to (``None`` = no tear)
     repair_length: int | None = None
+    #: rebuilt control-plane state, or ``None`` when the store held no
+    #: usable state at all (fresh directory, or everything corrupt)
+    state: dict | None = None
+    #: last workload descriptor written by a session (``repro resume``
+    #: rebuilds the program from this)
+    meta: dict | None = None
+    #: journal records applied on top of the snapshot
+    replayed: int = 0
+
+    def tail(self) -> list[dict]:
+        """The records the snapshot has not folded."""
+        return [r for r in self.records if r.get("seq", -1) > self.folded]
 
 
-def _apply_txn(state: dict, record: dict) -> None:
-    """A deploy replaces its loop's deployment record, a rollback drops it."""
-    txn = {
-        name: kind(record.get(name, kind()))
-        for name, kind in Deployment.RECORD.items()
-    }
-    deployments: list[dict] = state.setdefault("deployments", [])
-    deployments[:] = [d for d in deployments if int(d["head"]) != txn["head"]]
+def read_store(disk: Disk, journal: str) -> RecoveredState:
+    """Steps 1-3 for the store on ``disk`` whose journal is ``journal``."""
+    store = SnapshotStore(disk)
+    load = store.load_newest()
+    versions = store.versions()
+    data = disk.read(journal) if disk.exists(journal) else b""
+    records, valid_len, discarded = scan_journal(data)
+    folded = load.payload.get("journal_seq", -1) if load.payload is not None else -1
+    return RecoveredState(
+        journal=journal,
+        snapshot=load.payload,
+        folded=folded,
+        records=records,
+        next_seq=max([folded, *(r.get("seq", -1) for r in records)]) + 1,
+        snapshot_version=load.version,
+        next_snapshot_version=versions[-1] + 1 if versions else 0,
+        discarded=discarded,
+        corrupt_snapshots=list(load.corrupt),
+        stray_tmp=list(load.stray_tmp),
+        repair_length=valid_len if valid_len < len(data) else None,
+    )
+
+
+def _fold(state: dict, kind: str, record: dict) -> None:
+    """A decision appends its event; a deploy replaces its loop's
+    deployment record, a rollback drops it."""
+    if kind == "decision":
+        state.setdefault("events", []).append(record.get("event"))
+        return
+    txn = {name: record.get(name) for name in Deployment.RECORD.fields}
+    deployments = state.setdefault("deployments", [])
+    deployments[:] = [d for d in deployments if d["head"] != txn["head"]]
     if record.get("op") == "deploy":
         deployments.append(txn)
 
 
 def recover(disk: Disk) -> RecoveredState:
     """Rebuild the newest consistent control-plane state on ``disk``."""
-    store = SnapshotStore(disk)
-    load = store.load_newest()
-    versions = store.versions()
-    next_version = (versions[-1] + 1) if versions else 0
-
-    state: dict | None = None
-    meta: dict | None = None
-    base_seq = -1
-    if load.payload is not None:
-        state = load.payload.get("state")
-        meta = load.payload.get("meta")
-        base_seq = int(load.payload.get("journal_seq", -1))
-
-    data = disk.read(JOURNAL_NAME) if disk.exists(JOURNAL_NAME) else b""
-    records, valid_len, discarded = scan_journal(data)
-
-    replayed = 0
-    last_seq = base_seq
-    for record in records:
-        seq = int(record.get("seq", -1))
-        last_seq = max(last_seq, seq)
-        kind = record.get("t")
-        if kind == "meta":
+    found = read_store(disk, JOURNAL_NAME)
+    if found.snapshot is not None:
+        found.state = found.snapshot.get("state")
+        found.meta = found.snapshot.get("meta")
+    for record in found.records:
+        if record.get("t") == "meta":
             # the descriptor is session-scoped, not state: always track
             # the newest one, even from records the snapshot subsumes
-            meta = record.get("meta", meta)
+            found.meta = record.get("meta", found.meta)
+    for record in found.tail():
+        kind = record.get("t")
+        if kind == "meta":
             continue
-        if seq <= base_seq:
-            continue  # already folded into the snapshot
-        replayed += 1
+        found.replayed += 1
         if kind == "window":
-            state = record.get("state", state)
-        elif kind == "txn":
-            if state is None:
-                state = empty_state()
-            _apply_txn(state, record)
-        elif kind == "decision":
-            if state is None:
-                state = empty_state()
-            state.setdefault("events", []).append(record.get("event"))
+            found.state = record.get("state", found.state)
+        elif kind in ("txn", "decision"):
+            if found.state is None:
+                found.state = empty_state()
+            try:
+                _fold(found.state, kind, record)
+            except (AttributeError, KeyError, TypeError):
+                # a malformed window state takes no delta; it stays as
+                # it is, for CHECKPOINT to reject naming its path
+                pass
         # unknown kinds: forward compatibility, skip silently
-
-    return RecoveredState(
-        state=state,
-        meta=meta,
-        next_seq=last_seq + 1,
-        snapshot_version=load.version,
-        next_snapshot_version=next_version,
-        replayed=replayed,
-        discarded=discarded,
-        corrupt_snapshots=list(load.corrupt),
-        stray_tmp=list(load.stray_tmp),
-        repair_length=valid_len if valid_len < len(data) else None,
-    )
+    return found
 
 
 def repair(disk: Disk, recovered: RecoveredState) -> None:
@@ -156,6 +165,6 @@ def repair(disk: Disk, recovered: RecoveredState) -> None:
     removes stray snapshot temps.  Idempotent; a no-op on clean stores.
     """
     if recovered.repair_length is not None:
-        disk.truncate(JOURNAL_NAME, recovered.repair_length)
+        disk.truncate(recovered.journal, recovered.repair_length)
     for name in recovered.stray_tmp:
         disk.delete(name)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from .journal import Disk, canonical_json
 
 __all__ = [
+    "SNAPSHOTS_KEPT",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_MAGIC",
     "SnapshotStore",
@@ -44,6 +45,8 @@ __all__ = [
 SNAPSHOT_MAGIC = b"CSNP"
 #: Current snapshot format version.  Bump on incompatible layout change.
 SNAPSHOT_FORMAT = 1
+#: Newest snapshots a store keeps when it prunes.
+SNAPSHOTS_KEPT = 3
 
 _HEAD = struct.Struct("<4sHHI")   # magic, format, reserved, payload_len
 _DIGEST_BYTES = 32
@@ -145,7 +148,7 @@ class SnapshotStore:
         corrupt.reverse()
         return SnapshotLoad(None, -1, corrupt, stray)
 
-    def prune(self, keep: int = 2) -> int:
+    def prune(self, keep: int = SNAPSHOTS_KEPT) -> int:
         """Delete all but the newest ``keep`` snapshots; return count removed."""
         versions = self.versions()
         removed = 0

@@ -37,6 +37,7 @@ from typing import Callable, Mapping
 from ..config import FaultConfig, PersistConfig
 from ..cpu.machine import Machine
 from ..errors import SimulatedCrash, ValidationError
+from ..faults.injector import zero_rate_faults
 from ..persist.journal import JOURNAL_NAME, MemoryDisk, scan_journal
 from ..scenario import (
     Cell,
@@ -63,17 +64,6 @@ DEFAULT_TORN_MODES: tuple[int | None, ...] = (None, 7)
 #: Shortened optimizer wake interval so small sweep workloads actually
 #: deploy (the default interval outlives them).
 OPTIMIZE_INTERVAL = 30_000
-
-
-def zero_rate_faults(seed: int = 0) -> FaultConfig:
-    """An armed injector that never injects.
-
-    Resumed runs need a live :class:`~repro.faults.injector.FaultInjector`
-    so recovery can *account* discarded records on the ledger, but must
-    not draw any random faults of their own — at rate 0.0 the injector
-    consumes no RNG, so the resumed run stays deterministic.
-    """
-    return FaultConfig(seed=seed, sample_rate=0.0, patch_rate=0.0, loop_rate=0.0)
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,7 @@ class TestSanitizer:
             (lambda e: e.update(decisions={"x64": {}}), "entry-decisions-type"),
             (
                 lambda e: e.update(decisions={"64": {"excl": {**DECISIONS["64"]["noprefetch"], "hotness": -1}}}),
-                "entry-decision-hotness-range",
+                "entry-decisions-hotness-range",
             ),
         ],
     )
@@ -482,6 +482,20 @@ class TestRecovery:
         state = recovered.canonical_state()
         self._fill(recovered, instances=("i0",))  # full retransmit
         assert recovered.canonical_state() == state
+
+    def test_recovery_deletes_stray_snapshot_temps(self):
+        disk = MemoryDisk()
+        daemon = FleetDaemon(disk, quorum=1, snapshot_interval=2)
+        self._fill(daemon, instances=("i0",))
+        disk.write("snap-00000009.ckpt.tmp", b"died before rename")
+        first = FleetDaemon.recover(disk, snapshot_interval=2)
+        assert first.recovered["discarded"] == [
+            "stray snapshot temp snap-00000009.ckpt.tmp"
+        ]
+        assert not disk.exists("snap-00000009.ckpt.tmp")
+        second = FleetDaemon.recover(disk, snapshot_interval=2)
+        assert second.recovered["discarded"] == []
+        assert second.canonical_state() == daemon.canonical_state()
 
     def test_quarantine_survives_recovery(self):
         disk = MemoryDisk()

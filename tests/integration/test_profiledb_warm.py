@@ -200,14 +200,14 @@ class TestEntryCycle:
             (lambda e: e["decisions"].update(zzz={}), "entry-decisions-type"),
             (
                 lambda e: next(iter(e["decisions"].values()))["noprefetch"].pop("back_branch"),
-                "entry-decision-back_branch-range",
+                "entry-decisions-back_branch-range",
             ),
             (
                 lambda e: next(iter(e["decisions"].values()))["noprefetch"].update(proven="1"),
-                "entry-decision-proven-range",
+                "entry-decisions-proven-range",
             ),
-            (lambda e: e["profiler"].update(btb=[[1, 2]]), "entry-profiler: btb[0]"),
-            (lambda e: e["profiler"].pop("samples_seen"), "entry-profiler: state.samples_seen"),
+            (lambda e: e["profiler"].update(btb=[[1, 2]]), "entry-profiler-btb-type"),
+            (lambda e: e["profiler"].pop("samples_seen"), "entry-profiler-samples_seen-range"),
         ],
     )
     def test_single_field_damage_is_named_and_leaves_the_run_cold(

@@ -137,7 +137,7 @@ class TestOneRecordAtEveryKeeper:
     @pytest.mark.parametrize("strategy", ["noprefetch", "excl"])
     def test_the_record_round_trips(self, strategy):
         def records(rows):
-            return sorted(tuple(row[name] for name in Deployment.RECORD) for row in rows)
+            return sorted(tuple(row[name] for name in Deployment.RECORD.fields) for row in rows)
 
         disk = MemoryDisk()
         machine = Machine(itanium2_smp(THREADS, scale=4))
@@ -148,7 +148,7 @@ class TestOneRecordAtEveryKeeper:
         )
         _result, report = run_with_cobra(prog, strategy, config=config)
         live = records(d.record() for d in report.deployments)
-        assert live and all(len(row) == len(Deployment.RECORD) for row in live)
+        assert live and all(len(row) == len(Deployment.RECORD.fields) for row in live)
 
         journaled = {}
         for rec in scan_journal(disk.read(JOURNAL_NAME))[0]:

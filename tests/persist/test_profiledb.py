@@ -26,7 +26,7 @@ from repro.persist import (
     merge_entries,
     profile_key,
 )
-from repro.persist.profiledb import empty_entry
+from repro.persist.profiledb import empty_entry, entry_anomaly
 from repro.workloads import build_daxpy
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -156,6 +156,16 @@ class TestMergeAlgebra:
             # quarantine counters are session noise, never profile signal
             assert prof["quarantined"] == {}
             assert prof["quarantined_total"] == 0
+
+
+    @given(a=_entry, b=_entry)
+    @settings(max_examples=20, **COMMON)
+    def test_an_entry_without_jit_trees_has_none(self, a, b):
+        """Entries written before trace-tree persistence load and merge
+        as holding no shapes."""
+        del a["jit_trees"]
+        assert entry_anomaly(a) is None
+        assert merge_entries(a, b)["jit_trees"] == b["jit_trees"]
 
 
 class TestStoreRoundTrip:

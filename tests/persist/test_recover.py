@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.config import itanium2_smp
 from repro.core import Cobra
+from repro.core.optimizer import CHECKPOINT
 from repro.cpu import Machine
+from repro.errors import ProfileStateError
 from repro.persist import (
     JOURNAL_NAME,
     JournalWriter,
@@ -115,6 +119,21 @@ class TestRecover:
         rec = recover(disk)
         assert rec.state == {"mode": "normal"}
         assert rec.next_seq == 2  # unknown record still advances the seq
+
+    def test_a_malformed_window_takes_no_delta(self):
+        """A CRC-valid window state that cannot take the deltas after it
+        stays as it is, for ``CHECKPOINT`` to reject naming the field."""
+        disk = _store_with([
+            ("window", {"state": {**empty_state(), "events": 5, "deployments": [7]}}),
+            ("decision", {"event": [100, "deploy", 64, "noprefetch", "hot"]}),
+            ("txn", {"op": "deploy", "head": 64, "back_branch": 96,
+                     "hotness": 5, "optimization": "noprefetch", "n_rewrites": 2}),
+        ])
+        rec = recover(disk)
+        assert rec.replayed == 3
+        assert rec.state["events"] == 5 and rec.state["deployments"] == [7]
+        with pytest.raises(ProfileStateError, match=r"^deployments\[0\]: "):
+            CHECKPOINT.load({**rec.state, "events": []})
 
     def test_torn_tail_reports_repair_point(self):
         disk = _store_with([("window", {"state": {"mode": "normal"}})])

@@ -1,8 +1,11 @@
 """Command-line interface."""
 
+import shutil
+
 import pytest
 
 from repro.cli import main
+from repro.persist import FileDisk, JournalWriter, recover
 
 
 class TestCli:
@@ -117,21 +120,6 @@ class TestStrategyValidation:
         out = capsys.readouterr().out
         assert rc == 0 and "validate: OK" in out
 
-    def test_bench_unknown_strategy(self, capsys):
-        rc = main(["bench", "--strategies", "bogus"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "unknown strategy 'bogus'" in err
-
-    def test_bench_unknown_benchmark(self, capsys):
-        rc = main(["bench", "--benchmarks", "nope"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "unknown benchmark 'nope'" in err
-
-    def test_chaos_unknown_strategy(self, capsys):
-        rc = main(["chaos", "--strategies", "bogus"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "unknown strategy 'bogus'" in err
-
 
 class TestEnvValidation:
     """Malformed REPRO_* overrides die with one-line errors, exit 2."""
@@ -226,6 +214,49 @@ class TestCheckpointCli:
         rc = main(["resume", "--checkpoint-dir", str(empty)])
         err = capsys.readouterr().err
         assert rc == 2 and "no resumable checkpoint" in err
+
+
+class TestMalformedCheckpoint:
+    """A CRC-valid ``window`` record whose state is malformed: ``resume``
+    ends in one ``repro: error:`` line naming the field, exit 2."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        ckpt = str(tmp_path_factory.mktemp("ckpt") / "ckpt")
+        assert main([
+            "--scale", "4", "daxpy", "--checkpoint-dir", ckpt,
+            "--strategy", "noprefetch", "--reps", "4",
+        ]) == 0
+        return ckpt
+
+    @pytest.mark.parametrize(
+        "damage, path",
+        [
+            (lambda s: s["profiler"].update(btb=5), "profiler.btb"),
+            (lambda s: s.update(cpi_history=5), "cpi_history"),
+            (lambda s: s.update(blacklist=[[1]]), "blacklist[0]"),
+            (lambda s: s.update(mode=7), "mode"),
+            (lambda s: s.update(fault_strikes="x"), "fault_strikes"),
+            (lambda s: s.update(events=[[1]]), "events[0]"),
+            (lambda s: s.update(deployments=[{"head": 1}]), "deployments[0].back_branch"),
+            (lambda s: s.update(samples_per_cpu=[]), "samples_per_cpu"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_resume_names_the_field(self, capsys, tmp_path, checkpoint, damage, path):
+        ckpt = str(tmp_path / "ckpt")
+        shutil.copytree(checkpoint, ckpt)
+        capsys.readouterr()
+        recovered = recover(FileDisk(ckpt))
+        state = recovered.state
+        damage(state)
+        JournalWriter(FileDisk(ckpt), next_seq=recovered.next_seq).append(
+            "window", {"state": state}
+        )
+        assert main(["resume", "--checkpoint-dir", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("repro: error: ")
+        assert f" {path}: expected " in err
 
 
 class TestProfileDBCli:
