@@ -22,10 +22,12 @@ Subpackages:
 - :mod:`repro.core` — COBRA itself (the paper's contribution);
 - :mod:`repro.workloads` — DAXPY and the NPB-like suite;
 - :mod:`repro.analysis` — normalized metrics and paper-style tables;
-- :mod:`repro.validate` — coherence invariant checker, differential
-  (optimized vs baseline) execution harness, ISA round-trip checks;
+- :mod:`repro.validate` — coherence invariant checker, ISA round-trip
+  checks, crash-recovery harness;
 - :mod:`repro.scenario` — the one run-perturb-compare engine under
-  every correctness sweep (``run_cell`` + ``Sweep``).
+  every correctness sweep (``run_cell`` + ``Sweep``);
+- :mod:`repro.fuzz` — the axis table every must-agree perturbation is a
+  row of, over generated kernels or named workloads.
 """
 
 from importlib import import_module
@@ -48,7 +50,6 @@ _EXPORTS = {
     "ParallelProgram": "runtime.team",
     "RunResult": "runtime.team",
     "CoherenceChecker": "validate.checker",
-    "DifferentialHarness": "validate.differential",
     "BENCHMARKS": "workloads.npb.common",
     "REPORTED": "workloads.npb",
     "build_daxpy": "workloads.daxpy",

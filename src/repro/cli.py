@@ -6,14 +6,14 @@ Examples::
     python -m repro npb cg --machine altix8 --strategy noprefetch
     python -m repro table1
     python -m repro disasm daxpy
-    python -m repro validate --workloads daxpy cg mg
-    python -m repro chaos --workloads daxpy cg --seed 7 --runs 3
+    python -m repro fuzz --workloads daxpy cg mg --axes noprefetch excl adaptive
+    python -m repro fuzz --workloads daxpy cg --axes faulted --start 7 --seeds 3
     python -m repro daxpy --checkpoint-dir ckpt --strategy noprefetch
     python -m repro resume --checkpoint-dir ckpt
     python -m repro recovery --workloads daxpy --stride 4
     python -m repro npb cg --profile-db cg.profile.db
     python -m repro warm --workloads daxpy cg
-    python -m repro overload --workloads daxpy --seed 3 --runs 2
+    python -m repro fuzz --workloads daxpy --axes overloaded --start 3 --seeds 2
     python -m repro daxpy --trace-cache-budget 96 --overload-seed 7
 
 Every malformed input — a flag out of its range, an unknown name, a
@@ -34,7 +34,6 @@ from typing import Callable, Iterable
 
 from .config import (
     ENV_VARS,
-    FaultConfig,
     FleetFaultConfig,
     GovernorConfig,
     OverloadConfig,
@@ -102,6 +101,12 @@ class _Parser(argparse.ArgumentParser):
         """``add_argument`` for a numeric flag legal in ``[lo, hi]``."""
         action = self.add_argument(flag, **kwargs)
         self.ranges.append((flag, action.dest, lo, hi))
+
+    def error(self, message: str):
+        # an unknown subcommand is an unknown name like any other
+        if message.startswith("argument command: invalid choice"):
+            raise UsageError(message.removeprefix("argument command: "))
+        super().error(message)
 
     def check_ranges(self, args: argparse.Namespace) -> None:
         for flag, dest, lo, hi in self.ranges:
@@ -293,7 +298,7 @@ def _cmd_disasm(args) -> int:
     return 0
 
 
-# -- sweeps: validate, chaos, overload, recovery ------------------------------
+# -- sweeps: recovery, fuzz ---------------------------------------------------
 
 
 def _spec(name: str, threads: int, reps: int, n_elems: int = 512) -> WorkloadSpec:
@@ -304,86 +309,6 @@ def _spec(name: str, threads: int, reps: int, n_elems: int = 512) -> WorkloadSpe
     return npb_spec(name, threads, reps)
 
 
-def _sweep(args, harness_for, after=None, n_elems: int = 512) -> int:
-    """Per-workload sweep -> summary; returns the failure count.
-
-    Every workload name is resolved before anything runs, so a typo in
-    the last one costs nothing.
-    """
-    specs = [_spec(name, args.threads, args.reps, n_elems) for name in args.workloads]
-    failures = 0
-    for name, spec in zip(args.workloads, specs):
-        report = harness_for(spec).run(jobs=args.jobs)
-        print(report.summary())
-        failures += not report.ok
-        if after is not None:
-            failures += after(name, report)
-    return failures
-
-
-def _cmd_validate(args) -> int:
-    from .validate import DifferentialHarness, check_image
-
-    for name in args.strategies or ():
-        _choose("strategy", name, ALL_STRATEGIES)
-    # the harness needs the "none" reference run to diff against
-    strategies = ("none",) + tuple(
-        s for s in args.strategies or STRATEGIES if s != "none"
-    )
-    machines = default_machines(args.threads, scale=args.scale)
-
-    def isa_checks(name: str, _report) -> int:
-        """ISA checks on the compiled image of this workload."""
-        machine = MachineRecipe("smp", max(4, args.threads), args.scale)()
-        prog = _spec(name, args.threads, 1, n_elems=256).build(machine)
-        violations = check_image(prog.image, mode="record")
-        status = "OK" if not violations else "FAIL"
-        print(f"isa[{name}]: round-trip + patch/rollback over "
-              f"{len(prog.image)} bundle(s), {status}")
-        for violation in violations:
-            print(f"  VIOLATION: {violation}")
-        return len(violations)
-
-    return _verdict("validate", _sweep(
-        args,
-        lambda spec: DifferentialHarness(spec, machines, strategies, args.mode),
-        after=isa_checks,
-    ))
-
-
-def _cmd_chaos(args) -> int:
-    from .faults import CHAOS_STRATEGIES, ChaosHarness
-
-    for name in args.strategies or ():
-        _choose("strategy", name, STRATEGIES)
-    fault_config = FaultConfig(
-        sample_rate=args.sample_rate,
-        patch_rate=args.patch_rate,
-        loop_rate=args.loop_rate,
-    )
-    seeds = tuple(range(args.seed, args.seed + args.runs))
-    machines = default_machines(args.threads, scale=args.scale)
-    return _verdict("chaos", _sweep(args, lambda spec: ChaosHarness(
-        spec, machines, tuple(args.strategies or CHAOS_STRATEGIES), seeds,
-        fault_config,
-    )))
-
-
-def _cmd_overload(args) -> int:
-    from .governor import OVERLOAD_SCHEDULES, OverloadHarness
-
-    for name in args.schedules or ():
-        _choose("schedule", name, sorted(OVERLOAD_SCHEDULES))
-    schedules = {
-        name: OVERLOAD_SCHEDULES[name] for name in args.schedules or OVERLOAD_SCHEDULES
-    }
-    seeds = tuple(range(args.seed, args.seed + args.runs))
-    machines = default_machines(args.threads, scale=args.scale)
-    return _verdict("overload", _sweep(
-        args, lambda spec: OverloadHarness(spec, machines, schedules, seeds)
-    ))
-
-
 def _cmd_recovery(args) -> int:
     from .validate import RecoveryHarness
 
@@ -392,36 +317,45 @@ def _cmd_recovery(args) -> int:
     # small-scale machines: the sweep workloads must actually cross the
     # deployment threshold, or the sweep never replays a transaction
     machines = default_machines(args.threads, scale=4)
+    # every workload name is resolved before anything runs, so a typo in
+    # the last one costs nothing
+    specs = [_spec(name, args.threads, args.reps, 2048) for name in args.workloads]
     _writable(args.ledger_out)
     ledgers = []
-    failures = _sweep(
-        args,
-        lambda spec: RecoveryHarness(
+    failures = 0
+    for spec in specs:
+        report = RecoveryHarness(
             spec, machines, args.strategy, args.stride, torn_modes
-        ),
-        after=lambda _name, report: ledgers.append(report.to_json()) or 0,
-        n_elems=2048,
-    )
+        ).run(jobs=args.jobs)
+        print(report.summary())
+        failures += not report.ok
+        ledgers.append(report.to_json())
     if args.ledger_out:
         _write_json(args.ledger_out, {"reports": ledgers})
     return _verdict("recovery", failures)
 
 
-# -- fuzz, bench, warm, fleet -------------------------------------------------
-
-
 def _cmd_fuzz(args) -> int:
-    from .fuzz import DifferentialFuzzer, shrink
+    from .fuzz import AXES, DifferentialFuzzer, named_cases, shrink
     from .fuzz.report import repro_command
 
+    for name in args.axes or ():
+        _choose("axis", name, [axis.name for axis in AXES])
     if args.fault_seed is not None and args.replay is None:
         raise UsageError(
             "--fault-seed requires --replay "
             "(outside a replay the generator draws the fault seed)"
         )
-    if args.replay is not None:
+    seeds = range(args.start, args.start + args.seeds)
+    if args.workloads:
+        if args.replay is not None or args.corpus:
+            raise UsageError("--workloads cannot be combined with --replay or --corpus")
+        fuzzer = DifferentialFuzzer(cases=named_cases(
+            [_spec(name, 4, args.reps) for name in args.workloads], seeds, args.scale
+        ), axes=args.axes)
+    elif args.replay is not None:
         fuzzer = DifferentialFuzzer(
-            seeds=[args.replay], fault_seed=args.fault_seed
+            seeds=[args.replay], fault_seed=args.fault_seed, axes=args.axes
         )
     elif args.corpus:
         fuzzer = DifferentialFuzzer(pairs=_load_json(
@@ -430,16 +364,17 @@ def _cmd_fuzz(args) -> int:
                 (int(entry["seed"]), int(entry["fault_seed"]))
                 for entry in doc["entries"]
             ],
-        ))
+        ), axes=args.axes)
     else:
-        fuzzer = DifferentialFuzzer(seeds=range(args.start, args.start + args.seeds))
+        fuzzer = DifferentialFuzzer(seeds=seeds, axes=args.axes)
 
     _writable(args.out)
     report = fuzzer.run(jobs=args.jobs)
     print(report.summary(verbose=args.verbose))
 
     if not report.ok:
-        failed = [result for result in report.results if not result.ok]
+        # a named workload has no generator draw to shrink
+        failed = [r for r in report.results if not r.ok and r.params is not None]
         for result in failed[: args.max_shrinks]:
             outcome = shrink(result.params)
             print(f"shrink[seed={result.params.seed}]: {outcome.summary()}")
@@ -588,15 +523,6 @@ def _jobs_flag(parser: _Parser) -> None:
     )
 
 
-def _seed_flags(parser: _Parser, what: str, cell: str) -> None:
-    """``--seed --runs`` of a seeded-schedule sweep."""
-    parser.ranged("--seed", 0, type=int, default=0, help="first PRNG seed")
-    parser.ranged(
-        "--runs", 1, type=int, default=2,
-        help=f"{what} schedules per {cell} cell: seeds seed..seed+runs-1",
-    )
-
-
 def _single_flags(parser: _Parser) -> None:
     """Machine, strategy and store/governor flags of ``daxpy`` and ``npb``."""
     parser.add_argument("--machine", choices=sorted(MACHINES), default="smp4")
@@ -660,63 +586,6 @@ def _parser() -> _Parser:
     disasm.add_argument("kernel", help="'daxpy' or an NPB benchmark name")
     disasm.set_defaults(func=_cmd_disasm)
 
-    validate = sub.add_parser(
-        "validate",
-        help="run the correctness suite: coherence invariants, "
-        "differential (optimized vs baseline) bit-equality, ISA round-trips",
-    )
-    _sweep_flags(validate, ["daxpy", "cg", "mg"], 2, "outer repetitions per run")
-    validate.add_argument(
-        "--mode", choices=("strict", "record"), default="record",
-        help="strict raises on the first violation; record reports all",
-    )
-    validate.add_argument(
-        "--strategies", nargs="+", default=None, metavar="STRATEGY",
-        help="strategy matrix for the differential harness "
-        "(default: none + all policies; 'none' is added if omitted)",
-    )
-    validate.set_defaults(func=_cmd_validate)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run seeded fault-injection sweeps: under any fault schedule, "
-        "program outputs must stay bit-identical to the fault-free run "
-        "and every injected fault must be accounted in the ledger",
-    )
-    _sweep_flags(chaos, ["daxpy", "cg"], 4, "outer repetitions per run")
-    _seed_flags(chaos, "fault", "(machine, strategy)")
-    chaos.add_argument(
-        "--strategies", nargs="+", default=None, metavar="STRATEGY",
-        help=f"COBRA strategies to fault (default: {' '.join(STRATEGIES)})",
-    )
-    # the rates' [0, 1] range is FaultConfig's to enforce
-    for flag, default, unit, surface in (
-        ("--sample-rate", 0.1, "sample", "HPM"),
-        ("--patch-rate", 0.5, "deployment", "trace-cache"),
-        ("--loop-rate", 0.2, "wake", "monitor/optimizer"),
-    ):
-        chaos.add_argument(
-            flag, type=float, default=default,
-            help=f"per-{unit} fault probability at the {surface} surface",
-        )
-    chaos.set_defaults(func=_cmd_chaos)
-
-    overload = sub.add_parser(
-        "overload",
-        help="run seeded overload sweeps: under shrinking budgets, sample "
-        "floods, slow disks, and ingest storms the degradation ladder may "
-        "only shed optimization work — outputs must stay bit-identical to "
-        "the clean run and every shed item must be accounted",
-    )
-    _sweep_flags(overload, ["daxpy", "cg"], 4, "outer repetitions per run")
-    _seed_flags(overload, "overload", "(machine, schedule)")
-    overload.add_argument(
-        "--schedules", nargs="+", default=None, metavar="SCHEDULE",
-        help="named overload presets to sweep "
-        "(default: shrink flood storm everything)",
-    )
-    overload.set_defaults(func=_cmd_overload)
-
     resume = sub.add_parser(
         "resume",
         help="warm-restart a checkpointed run: recover the store, re-deploy "
@@ -759,20 +628,37 @@ def _parser() -> _Parser:
 
     fuzz = sub.add_parser(
         "fuzz",
-        help="differential fuzzing: run seeded generated kernels across "
-        "every must-agree axis (adaptive vs none, jit-off vs jit-on, "
-        "osr-off vs osr-on, faulted vs clean, checkpoint vs none, crash, "
-        "resume vs straight-through, db-cold vs adaptive, db-warm vs none, "
-        "db-corrupt vs adaptive, overloaded vs clean, fleet-faulted vs none) "
-        "and report bit-equality divergences",
+        help="differential fuzzing: run seeded generated kernels, or named "
+        "workloads on both machine models, across every must-agree axis "
+        "(noprefetch vs none, excl vs none, adaptive vs none, jit-on vs "
+        "checked, jit-off vs jit-on, osr-off vs osr-on, faulted vs clean, "
+        "checkpoint vs none, crash, resume vs straight-through, db-cold vs "
+        "jit-on, db-warm vs none, db-corrupt vs jit-on, overloaded vs clean, "
+        "fleet-faulted vs none) and report bit-equality divergences and "
+        "broken invariants",
     )
     fuzz.ranged(
         "--seeds", 1, type=int, default=25, metavar="N",
-        help="number of generator seeds to sweep (seeds start..start+N-1)",
+        help="number of seeds to sweep (start..start+N-1): generator seeds, "
+        "or with --workloads the fault seeds of each case",
     )
     fuzz.ranged(
         "--start", 0, type=int, default=0, metavar="SEED",
-        help="first generator seed of the sweep",
+        help="first seed of the sweep",
+    )
+    fuzz.add_argument(
+        "--workloads", nargs="+", default=None, metavar="WORKLOAD",
+        help="run 'daxpy' and/or NPB benchmarks instead of generated "
+        "kernels: one case per workload and machine model",
+    )
+    fuzz.ranged(
+        "--reps", 1, type=int, default=4,
+        help="outer repetitions of each --workloads run",
+    )
+    fuzz.add_argument(
+        "--axes", nargs="+", default=None, metavar="AXIS",
+        help="run only these axes, plus the axes they are compared "
+        "against or need (default: all)",
     )
     fuzz.ranged(
         "--replay", 0, type=int, default=None, metavar="SEED",

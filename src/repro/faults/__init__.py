@@ -11,18 +11,20 @@ precisely because live patches can go wrong.  This package exists to
   sampling, trace-cache patching, the monitor/optimizer loop) and a
   structured ledger in which every injected fault must end up
   *detected* (actively recovered) or *tolerated* (harmless by
-  construction);
-* :mod:`~repro.faults.chaos` — a :class:`ChaosHarness` mirroring
-  :mod:`repro.validate.differential`: under any fault schedule, the
-  program's outputs must stay bit-identical to the fault-free run —
-  faults may cost performance, never correctness.
+  construction).
+
+The sweep that proves faults may cost performance, never correctness,
+is the ``faulted`` row of :data:`repro.fuzz.differ.AXES`: each COBRA
+strategy under a seeded schedule must keep the program's outputs
+bit-identical to the fault-free run, account every fault and end in a
+known mode.
 
 Enable injection with :attr:`repro.config.CobraConfig.faults`, the
 ``REPRO_FAULTS`` environment variable (an integer seed), or run the
-sweep from the CLI: ``python -m repro chaos --seed N``.
+sweep from the CLI: ``python -m repro fuzz --workloads daxpy --axes
+faulted --start N``.
 """
 
-from .chaos import CHAOS_STRATEGIES, ChaosHarness, ChaosRecord, ChaosReport
 from .injector import (
     ALL_FAULTS,
     FLEET_FAULTS,
@@ -42,7 +44,6 @@ from .injector import (
 
 __all__ = [
     "ALL_FAULTS",
-    "CHAOS_STRATEGIES",
     "FLEET_FAULTS",
     "FLEET_FRAME_FAULTS",
     "FLEET_TOLERATED_AT_INJECTION",
@@ -56,7 +57,4 @@ __all__ = [
     "FaultInjector",
     "FaultLedger",
     "zero_rate_faults",
-    "ChaosHarness",
-    "ChaosRecord",
-    "ChaosReport",
 ]

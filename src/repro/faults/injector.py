@@ -33,7 +33,7 @@ must end the run in one of two states:
   event when it fires.
 
 A fault that is neither is *unaccounted*: the runtime failed to notice
-something it should have.  :class:`~repro.faults.chaos.ChaosHarness`
+something it should have.  The fuzz sweep (:mod:`repro.fuzz.differ`)
 fails the run in that case.
 """
 

@@ -4,18 +4,22 @@
 into small, deterministic multithreaded scenarios and executes each one
 across every axis that must agree bit-for-bit:
 
-* adaptive COBRA vs no runtime optimization at all,
+* every COBRA strategy vs no runtime optimization at all, under a
+  coherence checker,
 * trace-JIT enabled vs disabled,
 * faulted (seeded ``repro.faults`` schedule) vs clean,
-* checkpoint / crash / resume vs straight-through.
+* checkpoint / crash / resume vs straight-through,
+* overloaded (seeded governor schedule) vs clean.
 
-Any disagreement is a *divergence* and reproduces from two integers —
-the ``(generator_seed, fault_seed)`` pair printed in the report.
+The same rows run over named workloads (``repro fuzz --workloads``) on
+both machine models.  Any disagreement is a *divergence*; a generated
+one reproduces from two integers — the ``(generator_seed,
+fault_seed)`` pair printed in the report.
 """
 
 from .generator import ScenarioParams, generate_params
 from .driver import build_scenario, scenario_machine
-from .differ import DifferentialFuzzer, run_scenario
+from .differ import AXES, Case, DifferentialFuzzer, named_cases, run_scenario
 from .shrinker import shrink
 from .report import Divergence, FuzzReport, ScenarioResult
 
@@ -24,7 +28,10 @@ __all__ = [
     "generate_params",
     "build_scenario",
     "scenario_machine",
+    "AXES",
+    "Case",
     "DifferentialFuzzer",
+    "named_cases",
     "run_scenario",
     "shrink",
     "Divergence",

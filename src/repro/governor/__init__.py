@@ -2,18 +2,13 @@
 
 See :class:`~repro.governor.core.ResourceGovernor` for the budgets and
 pressure model, :class:`~repro.governor.ladder.DegradationLadder` for
-the five-rung hysteresis ladder, and
-:class:`~repro.governor.harness.OverloadHarness` for the sweep proving
-that no overload schedule can change program outputs.
+the five-rung hysteresis ladder, and ``OVERLOAD_SCHEDULES`` for the
+named overload presets.  The sweep proving that no overload schedule
+can change program outputs is the ``overloaded`` row of
+:data:`repro.fuzz.differ.AXES` (``repro fuzz --axes overloaded``).
 """
 
-from .core import OverloadInjector, ResourceGovernor
-from .harness import (
-    OVERLOAD_SCHEDULES,
-    OverloadHarness,
-    OverloadRecord,
-    OverloadReport,
-)
+from .core import OVERLOAD_SCHEDULES, OverloadInjector, ResourceGovernor
 from .ladder import MAX_RECOVERY_WAKES, RUNGS, DegradationLadder
 
 __all__ = [
@@ -22,8 +17,5 @@ __all__ = [
     "ResourceGovernor",
     "OverloadInjector",
     "MAX_RECOVERY_WAKES",
-    "OverloadHarness",
-    "OverloadRecord",
-    "OverloadReport",
     "OVERLOAD_SCHEDULES",
 ]

@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ResourceGovernor",
     "OverloadInjector",
+    "OVERLOAD_SCHEDULES",
     "PROFILE_DB_ENTRIES",
     "OUTBOX_BATCHES",
     "JIT_NODE_BUDGET",
@@ -52,6 +53,20 @@ OUTBOX_BATCHES = 1024
 JIT_NODE_BUDGET = 512
 #: Trace-budget multiplier of one overload shrink event.
 SHRINK_FACTOR = 0.5
+
+#: Named overload rate presets (``OverloadConfig`` fields), swept by the
+#: fuzz ``overloaded`` row; ``everything`` is the ``--overload-seed``
+#: schedule.  Every schedule is capped (``max_events``) so it quiesces
+#: and the recovery contract is checkable within the run.
+OVERLOAD_SCHEDULES: dict[str, dict] = {
+    "shrink": dict(shrink_rate=0.30, max_events=4),
+    "flood": dict(flood_rate=0.25, flood_factor=4, flood_windows=2, max_events=4),
+    "storm": dict(storm_rate=0.30, disk_rate=0.20, max_events=6),
+    "everything": dict(
+        shrink_rate=0.15, flood_rate=0.15, disk_rate=0.15, storm_rate=0.15,
+        max_events=8,
+    ),
+}
 
 
 class OverloadInjector:

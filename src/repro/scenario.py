@@ -2,9 +2,9 @@
 
 COBRA's ship criterion is that a runtime rewrite (lfetch→nop,
 lfetch→lfetch.excl, trace deployment) may move cycles but never
-outputs.  Every correctness sweep in the package — differential, chaos,
-crash-recovery, overload, fleet, fuzz — proves that the same way, and
-this module owns the two decisions they share:
+outputs.  Every correctness sweep in the package — the fuzz axis table
+(:mod:`repro.fuzz.differ`), crash-recovery and fleet — proves that the
+same way, and this module owns the two decisions they share:
 
 * the **algorithm**, :func:`run_cell`: fresh machine → build the
   workload → apply a ``CobraConfig`` delta → run under one strategy →
@@ -17,12 +17,12 @@ this module owns the two decisions they share:
   order (the report is byte-identical at any ``jobs``), let no
   exception escape a cell, diff every cell's output bytes against its
   machine's reference, require an accounted fault ledger, and fail a
-  sweep that ran no cells or injected nothing — a sweep that proved
-  nothing must not print OK.
+  sweep that ran no cells — a sweep that proved nothing must not print
+  OK.  The recovery harness runs on it; the fuzz table runs cells
+  through :func:`run_cell` directly.
 
-The harnesses are declarative on top: which cells (a machine × axis
-matrix of config deltas), which reference, and their own invariant
-checkers (ladder well-formedness, journal-prefix durability, ...).
+The harnesses are declarative on top: which cells, which reference, and
+their own invariant checkers (journal-prefix durability, ...).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "Sweep",
     "SweepResult",
     "SweepReport",
-    "seeded_sweep",
     "run_cell",
     "daxpy_spec",
     "npb_spec",
@@ -328,8 +327,6 @@ class Cell:
     #: zero-argument callable returning :class:`Observables` —
     #: typically ``partial(run_cell, recipe, workload, strategy, delta)``
     run: Callable[[], Observables]
-    #: the cell's axis coordinates, for the harness's record
-    axis: tuple = ()
 
 
 @dataclass
@@ -363,10 +360,6 @@ class Sweep:
     cells: Sequence[Cell] | Callable[[dict[str, Observables]], Sequence[Cell]]
     #: harness-specific invariant checkers, run on every completed cell
     checks: Sequence[Check] = ()
-    #: injection counter + noun ("fault", "overload"): a sweep whose
-    #: schedules injected nothing anywhere fails
-    injected: Callable[[Observables], int] | None = None
-    noun: str = "fault"
 
     def run(self, jobs: int = 1) -> SweepResult:
         # deferred: the process pool drags in multiprocessing, which the
@@ -413,50 +406,7 @@ class Sweep:
                 )
             for check in self.checks:
                 out.failures.extend(check(cell, obs, ref))
-        if (
-            self.injected is not None
-            and out.runs
-            and not sum(self.injected(obs) for _cell, obs in out.runs)
-        ):
-            out.failures.append(
-                f"{self.noun} schedule injected nothing across the whole matrix — "
-                "raise the rates or the run length; this sweep proved nothing"
-            )
         return out
-
-
-def seeded_sweep(
-    workload: WorkloadSpec,
-    machines: Mapping[str, Callable[[], Machine]],
-    names: Iterable[str],
-    seeds: Iterable[int],
-    perturb: Callable[[str, int], tuple[str, Mapping[str, Any]]],
-    jobs: int,
-    **policy: Any,
-) -> SweepResult:
-    """Sweep machine × name × seed against each machine's plain run.
-
-    ``perturb(name, seed)`` gives the cell's ``(strategy, delta)``; the
-    reference is the raw simulator on the same machine.
-    """
-    matrix = sorted(machines.items())
-    return Sweep(
-        [
-            Cell(f"{mname}/none", mname, partial(run_cell, factory, workload))
-            for mname, factory in matrix
-        ],
-        [
-            Cell(
-                f"{mname}/{name}/seed={seed}", mname,
-                partial(run_cell, factory, workload, *perturb(name, seed)),
-                (name, seed),
-            )
-            for mname, factory in matrix
-            for name in names
-            for seed in seeds
-        ],
-        **policy,
-    ).run(jobs)
 
 
 @dataclass

@@ -1,28 +1,23 @@
 """Correctness validation subsystem.
 
-Three layers of mechanical checking back COBRA's claim that its binary
-rewrites are semantics-preserving:
+Mechanical checks that back COBRA's claim that its binary rewrites
+are semantics-preserving:
 
 * :mod:`~repro.validate.checker` — a :class:`CoherenceChecker` that
   observes every memory-hierarchy event and asserts the MESI/directory
   invariants documented in :mod:`repro.memory.coherence`;
-* :mod:`~repro.validate.differential` — a :class:`DifferentialHarness`
-  that runs the same program under every optimization strategy and on
-  both machine models, requiring bit-identical outputs;
 * :mod:`~repro.validate.isa_check` — assemble/disassemble round-trip
   fixpoints and patch/rollback byte-identity on binary images.
 
 Enable runtime checking with ``CobraConfig.validate`` (``"strict"`` or
-``"record"``), the ``REPRO_VALIDATE`` environment variable, or run the
-whole suite from the CLI: ``python -m repro validate``.
+``"record"``) or the ``REPRO_VALIDATE`` environment variable.  The
+differential sweep — every strategy against the unoptimized run on both
+machine models, under a record-mode checker, plus ``check_image`` on
+every built image — is the strategy rows of
+:data:`repro.fuzz.differ.AXES`: ``python -m repro fuzz --workloads
+daxpy cg --axes noprefetch excl adaptive``.
 
-A fourth, adversarial layer lives in :mod:`repro.faults`: a seeded
-fault injector plus a :class:`~repro.faults.chaos.ChaosHarness` that
-reuses this package's workload specs and digests to prove outputs stay
-bit-identical under injected sampling, patching, and control-loop
-faults (``python -m repro chaos``).
-
-A fifth layer, :mod:`~repro.validate.recovery`, closes the loop with
+:mod:`~repro.validate.recovery` closes the loop with
 :mod:`repro.persist`: a :class:`RecoveryHarness` that kills the run at
 every durable checkpoint write (including mid-write tears), restarts it
 from the surviving store, and requires outputs bit-identical to an
@@ -31,17 +26,6 @@ ledger (``python -m repro recovery``).
 """
 
 from .checker import VALIDATE_MODES, AccessEvent, CoherenceChecker, EvictEvent
-from .differential import (
-    ALL_STRATEGIES,
-    DifferentialHarness,
-    DifferentialReport,
-    MachineRecipe,
-    RunRecord,
-    WorkloadSpec,
-    daxpy_spec,
-    default_machines,
-    npb_spec,
-)
 from .isa_check import (
     check_image,
     check_patch_rollback,
@@ -55,21 +39,14 @@ from .recovery import (
     RecoveryReport,
     zero_rate_faults,
 )
+from ..scenario import WorkloadSpec
 
 __all__ = [
     "VALIDATE_MODES",
     "AccessEvent",
     "CoherenceChecker",
     "EvictEvent",
-    "ALL_STRATEGIES",
-    "DifferentialHarness",
-    "DifferentialReport",
-    "MachineRecipe",
-    "RunRecord",
     "WorkloadSpec",
-    "daxpy_spec",
-    "default_machines",
-    "npb_spec",
     "check_image",
     "check_patch_rollback",
     "check_roundtrip",

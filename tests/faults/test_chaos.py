@@ -1,56 +1,71 @@
-"""ChaosHarness: fault sweeps preserve outputs and account every fault."""
+"""The chaos sweep, the fuzz table's ``faulted`` row: fault schedules
+preserve outputs and every fault is accounted."""
 
-from repro.config import FaultConfig, itanium2_smp
-from repro.cpu import Machine
-from repro.faults import CHAOS_STRATEGIES, ChaosHarness
-from repro.validate.differential import daxpy_spec
+from dataclasses import replace
 
-RATES = FaultConfig(sample_rate=0.2, patch_rate=0.8, loop_rate=0.4)
+from repro.faults import zero_rate_faults
+from repro.fuzz import Case, DifferentialFuzzer, differ
+from repro.scenario import MachineRecipe, daxpy_spec, run_cell
 
-
-def _harness(seeds=(0, 1), strategies=("adaptive",), fault_config=RATES):
-    return ChaosHarness(
-        daxpy_spec(n_threads=2, reps=4),
-        machines={"smp2": lambda: Machine(itanium2_smp(2, scale=16))},
-        strategies=strategies,
-        seeds=seeds,
-        fault_config=fault_config,
-    )
+SPEC = daxpy_spec(n_threads=2, reps=4)
+SMP2 = MachineRecipe("smp", 2, 16)
 
 
-class TestChaosHarness:
+def _sweep(seeds=(0, 1)):
+    return DifferentialFuzzer(
+        cases=[Case(SPEC, "smp2", SMP2, tuple(seeds))], axes=["faulted"]
+    ).run()
+
+
+def _faulted(report):
+    return [
+        cell for cell in report.results[0].cells if cell.label.startswith("faulted/")
+    ]
+
+
+class TestFaultedRow:
     def test_sweep_is_clean_and_injects(self):
-        report = _harness(seeds=(0, 1, 2)).run()
+        report = _sweep(seeds=(0, 1, 2))
         assert report.ok, report.summary()
-        assert report.total_injected() > 0
-        assert len(report.records) == 3
-        for record in report.records:
-            assert record.digest == report.baseline_digests["smp2"]
-            assert record.ledger.accounted
+        cells = _faulted(report)
+        assert len(cells) == 3 * 3      # strategies x seeds
+        assert sum(dict(cell.facts)["injected"] for cell in cells) > 0
+        baseline = dict(report.results[0].digests)["none"]
+        assert all(cell.digest == baseline for cell in cells)
 
     def test_same_seed_replays_identically(self):
-        first = _harness(seeds=(5,)).run()
-        second = _harness(seeds=(5,)).run()
-        a, b = first.records[0], second.records[0]
+        assert _sweep(seeds=(5,)).results == _sweep(seeds=(5,)).results
+        # the row's schedule itself: same ledger, event for event
+        delta = differ._faulted("adaptive", 5, None)
+        a, b = (run_cell(SMP2, SPEC, "adaptive", delta) for _ in range(2))
         assert a.cycles == b.cycles
-        assert a.ledger.injected == b.ledger.injected
+        assert a.ledger.injected == b.ledger.injected > 0
         assert a.ledger.by_kind == b.ledger.by_kind
         assert [e.kind for e in a.ledger.events] == [e.kind for e in b.ledger.events]
 
-    def test_zero_injection_sweep_fails(self):
-        report = _harness(
-            fault_config=FaultConfig(sample_rate=0.0, patch_rate=0.0, loop_rate=0.0)
-        ).run()
+    def test_zero_injection_sweep_fails(self, monkeypatch):
+        silent = replace(
+            next(a for a in differ.AXES if a.name == "faulted"),
+            delta=lambda _strategy, seed, _stores: {"faults": zero_rate_faults(seed)},
+        )
+        monkeypatch.setattr(
+            differ, "AXES",
+            tuple(silent if a.name == "faulted" else a for a in differ.AXES),
+        )
+        report = _sweep()
+        assert all(result.ok for result in report.results)
         assert not report.ok
         assert any("injected nothing" in failure for failure in report.failures)
 
     def test_summary_lists_every_record(self):
-        report = _harness().run()
+        report = _sweep()
         text = report.summary()
-        assert "chaos[" in text
-        for record in report.records:
-            assert record.label in text
+        assert "fuzz[daxpy-n512-t2-r4 on smp2]" in text
+        for cell in _faulted(report):
+            assert cell.label in text
+            assert f"injected={dict(cell.facts)['injected']}" in text
 
     def test_default_strategy_matrix_excludes_baseline(self):
-        assert "none" not in CHAOS_STRATEGIES
-        assert set(CHAOS_STRATEGIES) == {"noprefetch", "excl", "adaptive"}
+        faulted = next(a for a in differ.AXES if a.name == "faulted")
+        assert faulted.strategy is None and faulted.seeded
+        assert faulted.over == ("noprefetch", "excl", "adaptive")

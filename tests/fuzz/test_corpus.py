@@ -54,16 +54,37 @@ class TestCorpusShape:
         assert len(set(seeds)) == len(seeds)
 
 
+@pytest.fixture(scope="module")
+def replay(corpus):
+    pairs = [(e["seed"], e["fault_seed"]) for e in corpus["entries"]]
+    return DifferentialFuzzer(pairs=pairs).run(jobs=2)
+
+
 class TestCorpusReplay:
-    def test_corpus_compiles_and_stays_divergence_free(self, corpus):
-        pairs = [(e["seed"], e["fault_seed"]) for e in corpus["entries"]]
-        report = DifferentialFuzzer(pairs=pairs).run(jobs=2)
+    def test_corpus_compiles_and_stays_divergence_free(self, corpus, replay):
+        report = replay
         assert report.ok, report.summary(verbose=False)
-        # all twelve digest axes executed for every entry (the crash run
-        # records no digest): compile + run succeeded everywhere
-        assert all(len(r.digests) == 12 for r in report.results)
+        # all twenty digest cells executed for every entry (the crash
+        # run records no digest): compile + run succeeded everywhere
+        assert all(len(r.digests) == 20 for r in report.results)
         # and the recorded JIT/tree eligibility still holds
         by_seed = {r.params.seed: r for r in report.results}
         for e in corpus["entries"]:
             assert (by_seed[e["seed"]].compiles > 0) == e["jit_eligible"]
             assert (by_seed[e["seed"]].tree_links > 0) == e["tree_linked"]
+
+    def test_the_overloaded_row_makes_the_governor_degrade(self, replay):
+        """The row's budgets bind on the corpus: the governor sheds samples
+        and refuses deployments (its row gate passes), where the budgets
+        the row used before (queue depth 64, floor 48) never made it act
+        at all.  No corpus scenario keeps a rolled-back trace resident
+        for a shrink to evict, so eviction is pinned by the CI matrix
+        (``tests/governor/test_overload_harness.py``)."""
+        facts = [
+            dict(cell.facts) for r in replay.results for cell in r.cells
+            if cell.label.startswith("overloaded/")
+        ]
+        assert len(facts) == 4 * len(replay.results)
+        for counter in ("shed", "refused"):
+            assert any(f[counter] for f in facts), counter
+        assert not any("overloaded" in failure for failure in replay.failures)

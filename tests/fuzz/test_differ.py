@@ -8,10 +8,18 @@ from repro.fuzz import DifferentialFuzzer, generate_params, run_scenario, shrink
 from repro.fuzz.report import repro_command
 from repro.isa.instructions import Instruction, Op
 
+#: every cell label of a generated scenario, in run order, without the
+#: ``/seed=N`` of the seeded rows
 AXES = (
-    "none", "adaptive", "jit-off", "osr-off", "faulted", "ckpt", "resume",
-    "db-cold", "db-warm", "db-corrupt", "overloaded", "fleet-faulted",
+    "none", "noprefetch", "excl", "adaptive", "jit-on", "jit-off", "osr-off",
+    "faulted/noprefetch", "faulted/excl", "faulted/adaptive", "ckpt", "resume",
+    "db-cold", "db-warm", "db-corrupt", "overloaded/everything",
+    "overloaded/flood", "overloaded/shrink", "overloaded/storm", "fleet-faulted",
 )
+
+
+def _labels(result):
+    return tuple(label.split("/seed=")[0] for label, _digest in result.digests)
 
 
 class TestCleanSweep:
@@ -19,14 +27,15 @@ class TestCleanSweep:
         for seed in range(3):
             result = run_scenario(generate_params(seed))
             assert result.ok, result.divergences
-            assert tuple(axis for axis, _ in result.digests) == AXES
+            assert _labels(result) == AXES
 
     def test_ground_truth_digest_agrees_across_axes(self):
         result = run_scenario(generate_params(1))
         digests = dict(result.digests)
         assert (
-            digests["none"] == digests["adaptive"]
-            == digests["jit-off"] == digests["osr-off"]
+            digests["none"] == digests["noprefetch"] == digests["excl"]
+            == digests["adaptive"] == digests["jit-on"] == digests["jit-off"]
+            == digests["osr-off"]
         )
 
     def test_adaptive_axis_observes_sampling_and_jit(self):
@@ -138,18 +147,31 @@ class TestAxesTable:
     """``AXES`` is the single source of the sweep's shape and its docs."""
 
     NAMES = (
-        "none", "adaptive", "jit-off", "osr-off", "faulted", "ckpt", "crash",
-        "resume", "db-cold", "db-warm", "db-corrupt", "overloaded",
-        "fleet-faulted",
+        "none", "noprefetch", "excl", "adaptive", "jit-on", "jit-off",
+        "osr-off", "faulted", "ckpt", "crash", "resume", "db-cold", "db-warm",
+        "db-corrupt", "overloaded", "fleet-faulted",
     )
 
-    def test_thirteen_axes_twelve_digest_labels_in_order(self):
+    def test_sixteen_axes_twenty_digest_labels_in_order(self):
         from repro.fuzz.differ import AXES as TABLE
 
         assert tuple(axis.name for axis in TABLE) == self.NAMES
-        # the crash run dies by design and records no digest; the rest
-        # are the labels every corpus entry's replay must produce
-        assert tuple(a.name for a in TABLE if not a.crashes) == AXES
+        # the crash run dies by design and records no digest; every
+        # other row records one per value of its sweep dimension: the
+        # labels every corpus entry's replay must produce
+        assert tuple(
+            "/".join(filter(None, (a.name, value)))
+            for a in TABLE if not a.crashes for value in a.over
+        ) == AXES
+
+    def test_axes_selection_adds_references_and_dependencies(self):
+        from repro.fuzz.differ import select
+
+        assert [a.name for a in select(["resume"])] == ["none", "ckpt", "crash", "resume"]
+        assert [a.name for a in select(["jit-off"])] == [
+            "none", "adaptive", "jit-on", "jit-off",
+        ]
+        assert [a.name for a in select(["none"])] == ["none"]
 
     def test_every_reference_and_dependency_runs_earlier(self):
         from repro.fuzz.differ import AXES as TABLE
@@ -171,7 +193,7 @@ class TestAxesTable:
 
         numbered = re.findall(r"^\s*(\d+)\. ``([\w-]+)``", differ.__doc__, re.M)
         assert [name for _n, name in numbered] == list(self.NAMES)
-        assert [int(n) for n, _name in numbered] == list(range(1, 14))
+        assert [int(n) for n, _name in numbered] == list(range(1, 17))
 
         titles = [a.title or a.name for a in differ.AXES if a.name != "none"]
         subcommands = _parser()._subparsers._group_actions[0]

@@ -1,10 +1,13 @@
 """Golden replays of the sweep subcommands' reports.
 
 ``tests/golden/cli/*.txt`` hold the command line, exit code and stdout
-of one small invocation of every sweep subcommand, captured at the
-commit *before* the harnesses moved onto :mod:`repro.scenario`.  Each
-must replay byte-identically — and at any ``--jobs``, which is the
-determinism contract of :func:`repro.parallel.run_tasks`.
+of one small invocation of every sweep subcommand.  ``validate``,
+``chaos`` and ``overload`` are the ``repro fuzz --workloads daxpy``
+invocations of the axis-table rows those three subcommands became
+(the strategy rows, ``faulted``, ``overloaded``); every cell keeps the
+cycles and digest of the subcommand's own golden.  Each must replay
+byte-identically — and at any ``--jobs``, which is the determinism
+contract of :func:`repro.parallel.run_tasks`.
 ``disasm_daxpy.txt`` (captured before the disassembler became a walk
 over ``isa.instructions.SYNTAX``) pins the printer's bytes the same way.
 """
@@ -32,8 +35,9 @@ def _cases():
 
 def test_every_sweep_subcommand_has_a_golden():
     assert {p.stem for p in GOLDENS} == {
-        "validate", "chaos", "recovery", "overload",
-        "fleet_clean", "fleet_faulted", "fuzz", "warm",
+        "recovery", "fleet_clean", "fleet_faulted", "fuzz", "warm",
+        # fuzz rows, named after the subcommands they replaced
+        "validate", "chaos", "overload",
         "disasm_daxpy",     # not a sweep: the printer's bytes
     }
 

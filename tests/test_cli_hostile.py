@@ -47,25 +47,23 @@ EXPLICIT = [
     # -- unknown names ------------------------------------------------------
     (["daxpy", "--strategy", "frobnicate"], {}, "unknown strategy 'frobnicate'"),
     (["npb", "cg", "--strategy", "nope"], {}, "unknown strategy 'nope'"),
-    (["validate", "--workloads", "daxpy", "--strategies", "bogus"], {},
-     "unknown strategy 'bogus'"),
     (["bench", "--strategies", "bogus"], {}, "unknown strategy 'bogus'"),
     (["bench", "--benchmarks", "nope"], {}, "unknown benchmark 'nope'"),
-    (["chaos", "--strategies", "bogus"], {}, "unknown strategy 'bogus'"),
     (["recovery", "--strategy", "bogus"], {}, "unknown strategy 'bogus'"),
     (["warm", "--strategy", "nope"], {}, "unknown strategy 'nope'"),
     (["warm", "--workloads", "nope"], {}, "unknown benchmark 'nope'"),
-    (["overload", "--schedules", "nope"], {}, "unknown schedule 'nope'"),
     (["disasm", "nope"], {}, "unknown kernel 'nope'"),
-    (["validate", "--workloads", "nope"], {}, "unknown workload 'nope'"),
-    (["validate", "--workloads", "daxpy", "nope"], {}, "unknown workload 'nope'"),
-    (["chaos", "--workloads", "nope"], {}, "unknown workload 'nope'"),
-    (["overload", "--workloads", "nope"], {}, "unknown workload 'nope'"),
+    (["fuzz", "--axes", "nope"], {}, "unknown axis 'nope'"),
+    (["fuzz", "--workloads", "nope"], {}, "unknown workload 'nope'"),
+    (["fuzz", "--workloads", "daxpy", "nope"], {}, "unknown workload 'nope'"),
+    # the sweeps that became rows of the fuzz axis table
+    (["validate"], {}, "invalid choice: 'validate'"),
+    (["chaos", "--seed", "0"], {}, "invalid choice: 'chaos'"),
+    (["overload"], {}, "invalid choice: 'overload'"),
     (["recovery", "--workloads", "nope"], {}, "unknown workload 'nope'"),
     (["fleet", "--workload", "nope"], {}, "unknown workload 'nope'"),
     # -- flags the range table already promised messages for ------------------
     (["fuzz", "--seeds", "1", "--jobs", "0"], {}, "--jobs must be >= 1"),
-    (["overload", "--jobs", "0"], {}, "--jobs must be >= 1"),
     (["fuzz", "--replay", "3", "--fault-seed", "-1"], {}, "--fault-seed must be >= 0"),
     (["fuzz", "--seeds", "0"], {}, "--seeds must be >= 1"),
     (["recovery", "--stride", "0"], {}, "--stride must be >= 1"),
@@ -75,11 +73,13 @@ EXPLICIT = [
     (["fleet", "--fault-seed", "-1"], {}, "--fault-seed must be >= 0"),
     (["daxpy", "--trace-cache-budget", "0"], {}, "--trace-cache-budget must be >= 1"),
     (["daxpy", "--overload-seed", "-1"], {}, "--overload-seed must be >= 0"),
-    (["overload", "--seed", "-1"], {}, "--seed must be >= 0"),
-    (["overload", "--runs", "0"], {}, "--runs must be >= 1"),
     (["warm", "--min-reduction", "150"], {}, "--min-reduction must be in [0, 100]"),
     # -- flag combinations ----------------------------------------------------
     (["fuzz", "--seeds", "1", "--fault-seed", "7"], {}, "--fault-seed requires --replay"),
+    (["fuzz", "--workloads", "daxpy", "--replay", "3"], {},
+     "--workloads cannot be combined with --replay or --corpus"),
+    (["fuzz", "--workloads", "daxpy", "--corpus", "{tmp}/nope.json"], {},
+     "--workloads cannot be combined with --replay or --corpus"),
     (["fleet", "--instances", "2", "--quorum", "3"], {}, "quorum 3 exceeds --instances 2"),
     (["daxpy", "--checkpoint-dir", "{tmp}/c", "--strategy", "baseline"], {},
      "--checkpoint-dir requires a COBRA strategy"),
@@ -127,16 +127,9 @@ EXPLICIT = [
     (["--scale", "3", "table1"], {}, "cannot scale cache"),
     (["daxpy", "--reps", "0"], {}, "--reps must be >= 1, got 0"),
     (["recovery", "--reps", "0"], {}, "--reps must be >= 1, got 0"),
-    (["validate", "--threads", "0"], {}, "--threads must be >= 1, got 0"),
-    (["overload", "--threads", "0"], {}, "--threads must be >= 1, got 0"),
     (["fleet", "--threads", "0"], {}, "--threads must be >= 1, got 0"),
     (["daxpy", "--threads", "99"], {}, "working set too small"),
-    (["chaos", "--seed", "-1"], {}, "--seed must be >= 0, got -1"),
     (["fuzz", "--start", "-1"], {}, "--start must be >= 0, got -1"),
-    (["chaos", "--workloads", "daxpy", "--runs", "0"], {}, "--runs must be >= 1, got 0"),
-    (["chaos", "--sample-rate", "7"], {}, "sample_rate"),
-    (["chaos", "--patch-rate", "-0.1"], {}, "patch_rate"),
-    (["chaos", "--loop-rate", "1.5"], {}, "loop_rate"),
 ]
 
 
@@ -183,16 +176,15 @@ def test_every_env_var_has_a_junk_row():
 
 
 def test_every_numeric_flag_has_a_range_or_a_library_check():
-    """No int/float flag may reach a command unchecked: it is either in
-    the range table or one of the rates FaultConfig validates."""
+    """No int/float flag may reach a command unchecked: every one is in
+    the range table."""
     parser = _parser()
-    library_checked = {"--sample-rate", "--patch-rate", "--loop-rate"}
     for command, sub in parser._subparsers._group_actions[0].choices.items():
         ranged = {flag for flag, *_ in sub.ranges}
         for action in sub._actions:
             if action.type in (int, float):
                 flag = action.option_strings[0]
-                assert flag in ranged | library_checked, f"{command} {flag}"
+                assert flag in ranged, f"{command} {flag}"
 
 
 #: (argv, what stdout is, exit code, stderr): a reader that left

@@ -66,8 +66,8 @@ ENTRY_POINTS = (
     # a benchmark (CI_STAND_INS maps the two CI spellings traced otherwise)
     "repro bench --compare BENCH_perf.json",
     "REPRO_VALIDATE=strict examples/quickstart.py",
-    "repro validate --workloads daxpy cg --reps 2 --mode strict",
-    "repro chaos --workloads daxpy cg --seed 0 --runs 2",
+    "repro fuzz --workloads daxpy cg --reps 2 --axes noprefetch excl adaptive",
+    "repro fuzz --workloads daxpy cg --reps 4 --start 0 --seeds 2 --axes faulted",
     "repro recovery --workloads daxpy --stride 4 --ledger-out recovery-ledger.json",
     "repro daxpy --checkpoint-dir ck --strategy noprefetch",
     "repro resume --checkpoint-dir ck",
@@ -76,7 +76,7 @@ ENTRY_POINTS = (
     "repro warm --workloads daxpy cg --min-reduction 90",
     "repro fleet --instances 8",
     "repro fleet --instances 8 --fault-seed 9 --out fleet-report.json",
-    "repro overload --workloads daxpy cg --runs 1",
+    "repro fuzz --workloads daxpy cg --reps 4 --seeds 1 --axes overloaded",
     "benchmarks/e2e/run.py --workload kernel_mix --ops 2 --trace 1 --trace-out t.json",
     "benchmarks/e2e/run.py --workload stream_steady --ops 2 --trace 1 --trace-out t.json",
     "benchmarks/e2e/run.py --workload state_plane --ops 2 --trace 1 --trace-out t.json",

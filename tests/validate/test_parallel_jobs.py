@@ -3,8 +3,9 @@
 ``repro.parallel.run_tasks`` is the one primitive every harness shares:
 an ordered task list goes in, results come back in submission order no
 matter how many worker processes ran them.  These tests pin that
-contract directly and then end-to-end — the differential, chaos and
-recovery harness reports (and the bench digests) must match
+contract directly and then end-to-end — the fuzz table's strategy and
+faulted rows over named cases, the recovery harness report (and the
+bench digests) must match
 byte-for-byte between ``jobs=1`` (inline) and ``jobs=4`` (process
 pool).
 """
@@ -15,16 +16,11 @@ import os
 
 import pytest
 
-from repro.config import FaultConfig
 from repro.errors import ValidationError
-from repro.faults import ChaosHarness
+from repro.fuzz import Case, DifferentialFuzzer
 from repro.parallel import run_tasks
+from repro.scenario import MachineRecipe, daxpy_spec
 from repro.validate import RecoveryHarness
-from repro.validate.differential import (
-    DifferentialHarness,
-    MachineRecipe,
-    daxpy_spec,
-)
 
 # toy task for the run_tasks contract tests — must be module-level and
 # importable so the process pool can pickle it
@@ -78,35 +74,30 @@ def _machines():
 SPEC = daxpy_spec(n_elems=256, n_threads=2, reps=2)
 
 
+def _cases(seeds):
+    return [Case(SPEC, name, recipe, seeds) for name, recipe in _machines().items()]
+
+
 class TestHarnessJobsDeterminism:
     def test_differential_report_identical(self):
         def sweep(jobs):
-            return DifferentialHarness(SPEC, _machines()).run(jobs=jobs)
+            return DifferentialFuzzer(
+                cases=_cases((0,)), axes=["noprefetch", "excl", "adaptive"]
+            ).run(jobs=jobs)
 
         seq, par = sweep(1), sweep(4)
         assert seq.summary() == par.summary()
         assert seq.ok and par.ok
-        assert [r.digest for r in seq.records] == [r.digest for r in par.records]
+        assert seq.results == par.results
 
     def test_chaos_report_identical(self):
         def sweep(jobs):
-            harness = ChaosHarness(
-                SPEC,
-                machines=_machines(),
-                strategies=("adaptive",),
-                seeds=(0, 1),
-                fault_config=FaultConfig(
-                    sample_rate=0.2, patch_rate=0.8, loop_rate=0.4
-                ),
-            )
-            return harness.run(jobs=jobs)
+            return DifferentialFuzzer(cases=_cases((0, 1)), axes=["faulted"]).run(jobs=jobs)
 
         seq, par = sweep(1), sweep(4)
         assert seq.summary() == par.summary()
-        assert seq.baseline_digests == par.baseline_digests
-        assert [r.ledger.injected for r in seq.records] == [
-            r.ledger.injected for r in par.records
-        ]
+        assert seq.to_json() == par.to_json()
+        assert seq.results == par.results
 
     def test_recovery_report_identical(self):
         def sweep(jobs):
