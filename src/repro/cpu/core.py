@@ -25,9 +25,8 @@ core never rebinds are bound once, not at every slice.
 
 This loop is the reference the compiled traces are checked against
 (``REPRO_TRACE_JIT=0``), and it executes only what no trace covers — a
-few percent of a warm run's bundles (EXPERIMENTS.md "Interpreter
-traffic") — so it is written to be short, not fast: every memory op
-calls ``CpuCacheSystem.access_fn`` for timing and
+few percent of a warm run's bundles — so it is written to be short, not
+fast: every memory op calls ``CpuCacheSystem.access_fn`` for timing and
 :class:`~repro.memory.dram.MemorySystem` for data.  The L2-hit fast
 path lives in ``CpuCacheSystem._access`` (authoritative) and in the
 trace emitter's replica of it; the interpreter reaches it by call.
@@ -418,6 +417,8 @@ class Core:
                                     nep = dispatch_get(pc)
                                     if nep is not None:
                                         pending = (generation, pc, nep)
+                                        if nep.resumes is not None:
+                                            tjit.resumed(nep)
                                 elif osr_on:
                                     # architectural exit (loop/side/link): count
                                     # the (head, target) site; a hot site grows

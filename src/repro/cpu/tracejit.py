@@ -61,10 +61,14 @@ Every other loop trace pays per iteration, not per bundle:
   per-bundle version when it fails;
 * **line runs** — where every memory slot steps through a line on its
   own static GR (:func:`_line_run`), a guard ahead of that one proves
-  that the next ``k`` iterations can neither call out nor exit, makes
-  the first iteration's LRU promotions and store transitions once and
-  runs the ``k`` iterations with no cache work (DESIGN.md §9 "Line
-  runs").
+  that the next iterations can neither call out nor exit, makes the
+  first iteration's LRU promotions and store transitions once and runs
+  them with no cache work; at a line boundary the run goes on if the
+  slots that cross hit their next lines, and hands the crossing over to
+  the per-bundle body at its exact bundle if one misses (DESIGN.md §9
+  "Line runs").  Where slices keep resuming at one mid-body bundle, the
+  closure is generated again with a run that starts there, its
+  iteration rotated around the back-edge (:data:`ROTATE_THRESHOLD`).
 
 The contract with the generic interpreter (DESIGN.md §9):
 
@@ -152,6 +156,15 @@ MIN_LINEAR_BUNDLES = 2
 #: enough to hold the fastpath bench's >=97% coverage floor.
 HOT_THRESHOLD = 3
 
+#: Budget exits at one mid-body bundle of a loop trace with line runs
+#: before its closure is generated again with a line run starting there
+#: too (DESIGN.md §9 "OSR entry").  A regeneration compiles the whole
+#: closure again, once per process and shape, and pays only under a
+#: steady stream of resumes: no ``cli_cold`` command reaches 32 at one
+#: bundle, while ``stream_steady``'s cores each resume thousands of times
+#: at the bundle after their loads miss.
+ROTATE_THRESHOLD = 64
+
 _ADD = int(Op.ADD)
 _ADDI = int(Op.ADDI)
 _SUB = int(Op.SUB)
@@ -206,6 +219,9 @@ _HIT_EVENTS = {
 #: the memory ops a line run may hold -> the L2-hit event each bumps
 _RUN_EVENTS = {op: ev for ev, ops in _HIT_EVENTS.items() for op in ops}
 _LINE = 1 << LINE_SHIFT
+#: what a line run counts in closure locals (``n_`` + the name), published
+#: to the core's :class:`TraceJit` on the way out of the closure
+_RUN_COUNTERS = ("line_runs", "line_run_iters", "line_run_chains", "rotated_runs")
 #: placeholder line of :func:`_generate`: which rotating registers the
 #: whole-iteration body loads is known once it has been emitted
 _UNPACK = "\0unpack"
@@ -270,7 +286,7 @@ _GR_FIELDS = {
     for op in _SUPPORTED
 }
 
-#: (head, body, sor, bpc, kind) -> the ready ``__trace__`` function; one
+#: (head, body, sor, bpc, kind, rots) -> the ready ``__trace__`` function; one
 #: function sits under the key of every head that decoded its shape and
 #: under the shape itself, which is the key of the same trace at head 0
 #: (a :func:`_sor_free` body is keyed at sor 0, whatever it compiled at)
@@ -291,7 +307,7 @@ def _relative(head, body):
     )
 
 
-def _trace_fn(head, body, sor, bpc, kind):
+def _trace_fn(head, body, sor, bpc, kind, rots=()):
     """The compiled closure for one trace, generated once per shape.
 
     :func:`_generate` is a pure function of the head-relative body and
@@ -302,15 +318,15 @@ def _trace_fn(head, body, sor, bpc, kind):
     with one lookup, every head of the same shape under the relative
     one, and a patched bundle is a different key of both kinds.
     """
-    key = (head, body, sor, bpc, kind)
+    key = (head, body, sor, bpc, kind, rots)
     fn = _TRACE_FNS.get(key)
     if fn is None:
         if head:
-            fn = _trace_fn(0, _relative(head, body), sor, bpc, kind)
+            fn = _trace_fn(0, _relative(head, body), sor, bpc, kind, rots)
         else:
             namespace: dict = {}
             name = f"<trace +0x0..+{body[-1][0]:#x} {kind}>"
-            exec(compile(_generate(body, sor, bpc, kind), name, "exec"), namespace)  # noqa: S102
+            exec(compile(_generate(body, sor, bpc, kind, rots), name, "exec"), namespace)  # noqa: S102
             fn = namespace["__trace__"]
         if len(_TRACE_FNS) >= _TRACE_FNS_CAP:
             del _TRACE_FNS[next(iter(_TRACE_FNS))]
@@ -323,10 +339,10 @@ class CompiledTrace:
 
     __slots__ = (
         "fn", "head", "sor", "sor_free", "addrs", "keys", "n_bundles",
-        "kind", "root", "body", "bpc", "children", "last_used",
+        "kind", "root", "body", "bpc", "children", "last_used", "runs", "rots",
     )
 
-    def __init__(self, fn, head, sor, addrs, keys, n_bundles, kind, body, bpc):
+    def __init__(self, fn, head, sor, addrs, keys, n_bundles, kind, body, bpc, runs=False):
         self.fn = fn            # shared by every head of this shape
         self.head = head
         self.sor = sor          # what it compiled at (``jit_trees`` records it)
@@ -340,6 +356,8 @@ class CompiledTrace:
         self.bpc = bpc          # bundles_per_cycle baked into the codegen
         self.children: list[int] = []            # promoted side-exit heads
         self.last_used = 0      # entry stamp for cold-first eviction
+        self.runs = runs        # the body runs as line runs (:func:`_line_run`)
+        self.rots = ()          # mid-body bundles ``fn`` starts a line run at
 
     def source(self) -> str:
         """The source ``fn`` was compiled from — position-independent, so
@@ -347,24 +365,27 @@ class CompiledTrace:
         memo key on demand (debugging aid; nothing is stored)."""
         relative = _relative(self.head, self.body)
         return (f"# entered with H = {self.head:#x}\n"
-                + _generate(relative, self.sor, self.bpc, self.kind))
+                + _generate(relative, self.sor, self.bpc, self.kind, self.rots))
 
 
 class _EntryPoint:
     """One dispatch-map slot: a trace and the covered-bundle index."""
 
-    __slots__ = ("trace", "idx")
+    __slots__ = ("trace", "idx", "resumes")
 
     def __init__(self, trace: CompiledTrace, idx: int) -> None:
         self.trace = trace
         self.idx = idx
+        #: budget exits here, counted while a line run starting at this
+        #: mid-body bundle could still be added to ``trace`` (else None)
+        self.resumes = 0 if idx and trace.runs and idx not in trace.rots else None
 
 
 # -- code generation ----------------------------------------------------------
 
 #: What a closure reads of its core besides the state passed by value:
 #: one tuple per core (:func:`trace_env`), unpacked by the closure's first line
-_ENV = ("core, cache, grl, frl, prl, btb, btb_append, l2_sets, l2_nsets, l2_hit_lat, "
+_ENV = ("core, tjit, cache, grl, frl, prl, btb, btb_append, l2_sets, l2_nsets, l2_hit_lat, "
         "line_state, l2_dirty, mem_events, mem_cap, mem_f64, mem_i64, mem_read_f64, "
         "mem_write_f64, mem_read_i64, mem_write_i64")
 
@@ -374,7 +395,7 @@ def trace_env(core) -> tuple:
     :data:`_ENV` order: objects the core never rebinds, bound once."""
     cache, mem, regs = core.cache, core.mem, core.regs
     return (
-        core, cache, regs.gr, regs.fr, regs.pr, core.btb, core.btb.append,
+        core, core.trace_jit, cache, regs.gr, regs.fr, regs.pr, core.btb, core.btb.append,
         cache._l2_sets, cache._l2_nsets, cache._l2_hit, cache.state,
         cache.l2_dirty, cache.events, mem.capacity, mem._f64_mv, mem._i64_mv,
         mem.read_f64, mem.write_f64, mem.read_i64, mem.write_i64,
@@ -570,8 +591,9 @@ def _line_run(body, sor: int) -> list | None:
 def _make_trace(head, body, sor, bpc, keys, kind):
     body = tuple(body)
     addrs = tuple(addr for addr, _ in body)
+    key_sor = 0 if _sor_free(body) else sor
     return CompiledTrace(
-        fn=_trace_fn(head, body, 0 if _sor_free(body) else sor, bpc, kind),
+        fn=_trace_fn(head, body, key_sor, bpc, kind),
         head=head,
         sor=sor,
         addrs=addrs,
@@ -580,6 +602,7 @@ def _make_trace(head, body, sor, bpc, keys, kind):
         kind=kind,
         body=body,
         bpc=bpc,
+        runs=kind == "loop" and _line_run(_relative(head, body), key_sor) is not None,
     )
 
 
@@ -629,7 +652,7 @@ def compile_linear_trace(
         return None
 
 
-def _generate(body, sor: int, bpc: int, kind: str) -> str:
+def _generate(body, sor: int, bpc: int, kind: str, rots: tuple = ()) -> str:
     """Emit the closure source for one trace shape.
 
     ``body`` is head-relative (:func:`_relative`) and so is the source:
@@ -668,7 +691,11 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
     checked = True
     at = (0, 0)     # whole-iteration body: (bundles, slots) run, not yet counted
     rotating = {"g": (32, sor), "f": (32, 96), "p": (16, 48)}
-    used: dict[str, set] = {"g": set(), "f": set(), "p": set()}
+    # the rotating locals each unchecked body reads, by the table its
+    # unpack lines read them from: ``ROT`` the whole-iteration body's,
+    # ``RUN`` the line runs'
+    used = {table: {"g": set(), "f": set(), "p": set()} for table in ("ROT", "RUN")}
+    table = "ROT"
     events = [ev for ev, of in _HIT_EVENTS.items()
               if any(entry[1] in of for _, entry in all_slots)]
     back_edges = {
@@ -689,8 +716,9 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
         """A rotating register: index arithmetic, or its per-iteration local."""
         first, size = rotating[file]
         if checked:
-            return f"{file}rl[{first} + ({r - first} + rrb_{file}r) % {size}]"
-        used[file].add(r - first)
+            at = f"({r - first} + rrb_{file}r)" if r - first else f"rrb_{file}r"
+            return f"{file}rl[{first} + {at} % {size}]"
+        used[table][file].add(r - first)
         return f"{file}rl[{file}{r - first}]"
 
     def gr_r(r: int) -> str:
@@ -751,6 +779,17 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
         for ev in events:
             e(f"mem_events.{ev} += n_{ev}")
             e(f"n_{ev} = 0")
+
+    def emit_run_flush() -> None:
+        """Publish the line runs' counters: every way out of the closure
+        passes here after the last run."""
+        if run:
+            e("if n_line_runs:")
+            e.indent()
+            for name in _RUN_COUNTERS:
+                e(f"tjit.{name} += n_{name}")
+            e(" = ".join(f"n_{name}" for name in _RUN_COUNTERS) + " = 0")
+            e.dedent()
 
     def emit_hit(ev: str) -> None:
         e(f"mem_events.{ev} += 1" if checked else f"n_{ev} += 1")
@@ -882,139 +921,272 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
         e(f"mem_events.loads += m * {n_loads}")
         e(f"btb.extend((({code(branch_pc)}, H),) * min(m, {_BTB_SIZE}))")
         e(f"del btb[:-{_BTB_SIZE}]")
-        e("jit = core.trace_jit")
-        e("jit.spin_forwards += 1")
-        e("jit.spin_iters_skipped += m")
+        e("tjit.spin_forwards += 1")
+        e("tjit.spin_iters_skipped += m")
         e.dedent()
         e.dedent()
 
-    def emit_line_run() -> None:
-        """Run the next ``k`` iterations of a :func:`_line_run` body at once.
+    def emit_line_run(rot: int) -> None:
+        """Run the next iterations of a :func:`_line_run` body at once, each
+        from bundle ``rot`` to bundle ``rot`` of the next (DESIGN.md §9
+        "Line runs").
 
-        Emitted at the loop head: when every memory slot hits in L2 now,
-        under a true predicate, the slots cannot leave their lines, their
-        data segment or the back-edge within ``k`` iterations, and the
-        whole-iteration guard would admit each of them, the first
-        iteration's LRU promotions and store transitions are made once,
-        in slot order — repeating the same touches leaves the same LRU
-        order and MODIFIED, dirty lines — and the ``k`` iterations run
-        with no cache work; every counter moves by a closed form of ``k``.
+        Emitted at the loop head for a call standing at bundle ``rot``: when
+        ``lc``, the budgets, the sampling countdown and the cycle limit
+        leave room for ``kb`` whole iterations, and every memory slot hits
+        in L2 now, under a true predicate, inside its data segment, the
+        iteration's LRU promotions and store transitions are made once, in
+        slot order — repeating the same touches leaves the same LRU order
+        and MODIFIED, dirty lines — and the iterations up to the first line
+        boundary run with no cache work; every counter moves by a closed
+        form of their number.  At the boundary the slots that cross probe
+        their next lines.  If every one hits, the crossing iteration's
+        touches are made and the run goes on (a chain).  If not, the
+        crossing iteration runs as in the run up to the first bundle holding
+        such a slot, and the per-bundle body — ``emit_slot``'s memory path —
+        takes over at that bundle's exact cycle.  Where the cycle limit
+        leaves room for part of an iteration only, that part runs the same
+        way.
         """
-        nonlocal checked
+        nonlocal checked, table
         ctop = run[-1][1] == _BR_CTOP
-        memory = {n: entry for n, entry in enumerate(run) if entry[1] in _RUN_EVENTS}
-        stores = (_ST8, _STFD)
+        closer = len(run) - 1
         n_bundle = [n for n, (_, (_, entries)) in enumerate(body) for _ in entries]
+        order = [*range(rot, len(body)), *range(rot)]   # bundles, as the run meets them
+        slots_of = {b: [n for n in range(len(run)) if n_bundle[n] == b] for b in order}
+        memory = {n: run[n] for b in order for n in slots_of[b] if run[n][1] in _RUN_EVENTS}
+        stores = (_ST8, _STFD)
         gr_uses: dict[int, int] = {}    # operand fields naming each GR
         for entry in run:
             for field in _GR_FIELDS[entry[1]]:
                 gr_uses[entry[field]] = gr_uses.get(entry[field], 0) + 1
-        stalls = [0] * len(body)
-        for n, entry in memory.items():
-            if entry[1] != _LFETCH:
-                stalls[n_bundle[n]] += 1
-        lead, n_stall = sum(stalls[:-1]), sum(stalls)
+        stalls = {b: sum(memory[n][1] != _LFETCH for n in slots_of[b] if n in memory)
+                  for b in order}
+        lead, n_stall = sum(stalls[b] for b in order[:-1]), sum(stalls.values())
         k_bundles, slots = len(body), sum(decoded[0] for _, decoded in body)
         it_slots = slots - body[-1][1][0] + run[-1][0] + 1
+        retire = {b: run[closer][0] + 1 if b == len(body) - 1 else body[b][1][0] for b in order}
         preds = set()
         for _, _, qp, *_ in memory.values():
             preds |= set(range(16, qp + 1)) if ctop and qp >= 16 else {qp} - {0}
-        e("if " + " and ".join(["forward and not start and lc > 0",
-                                *(pr_r(p) for p in sorted(preds))]) + ":")
-        e.indent()
-        hit, extent = [], []
-        bounds = ["lc", f"(max_bundles - executed) // {k_bundles}",
-                  f"(countdown - {slots + 1}) // {it_slots} + 1 if sampling else lc"]
-        for n, (_, op, _, _, r2, _, _, imm, excl) in memory.items():
-            e(f"a{n} = {gr_r(r2)}")
-            e(f"l{n} = a{n} >> {LINE_SHIFT}")
-            hit.append(f"l{n} in (s{n} := l2_sets[l{n} % l2_nsets])")
+
+        def line_distance(a: str, n: int) -> str:
+            """Iterations slot ``n`` at address ``a`` stays on its line."""
+            imm = memory[n][7]
+            return (f"({_LINE - 1} - ({a} & {_LINE - 1})) // {imm} + 1" if imm > 0
+                    else f"({a} & {_LINE - 1}) // {-imm} + 1")
+
+        def hits(n: int, a: str, line: str) -> str:
+            """Whether slot ``n`` at address ``a``, on line ``line`` (bound
+            to ``l{n}``, its set to ``s{n}``), hits as the slot needs,
+            inside its data segment."""
+            op, excl = memory[n][1], memory[n][8]
+            hit = f"{line} in (s{n} := l2_sets[l{n} % l2_nsets])"
             if op in stores:
-                hit.append(f"line_state[l{n}] != {SHARED}")
+                hit += f" and line_state[l{n}] != {SHARED}"
             elif op == _LFETCH and excl:
-                hit.append(f"line_state[l{n}] == {MODIFIED}")
-            if op != _LFETCH:
-                # DATA_BASE is line-aligned: the line lies in the segment
-                e(f"x{n} = a{n} - {DATA_BASE}")
-                extent.append(f"not x{n} & 7 and 0 <= x{n} < mem_cap & {-_LINE}")
-            bounds.append(f"({_LINE - 1} - (a{n} & {_LINE - 1})) // {imm} + 1" if imm > 0
-                          else f"(a{n} & {_LINE - 1}) // {-imm} + 1")
-        # cycles <= cycle_limit before the last bundle of the k-th
-        # iteration (emit_spin_forward's closed form)
-        lead_stall = f" - {lead} * l2_hit_lat" if lead else ""
-        stall = f" + {bpc * n_stall} * l2_hit_lat" if n_stall else ""
-        bounds.append(f"({bpc} * (cycle_limit - cycles{lead_stall} + 1) - {k_bundles}"
-                      f" - issue_tick) // ({k_bundles}{stall}) + 1")
-        e(f"if {' and '.join(hit + extent) or True}:")
-        e.indent()
-        e(f"k = min({', '.join(bounds)})")
-        e("if k > 0:")
-        e.indent()
-        for n, entry in memory.items():
-            if entry[1] in stores:
+                hit += f" and line_state[l{n}] == {MODIFIED}"
+            # DATA_BASE is line-aligned: the line lies in the segment
+            return hit if op == _LFETCH else f"{hit} and 0 <= {a} - {DATA_BASE} < mem_cap & {-_LINE}"
+
+        def emit_touch(n: int) -> None:
+            if memory[n][1] in stores:
                 e(f"line_state[l{n}] = {MODIFIED}")
                 e(f"l2_dirty.add(l{n})")
             e(f"del s{n}[l{n}]")
             e(f"s{n}[l{n}] = None")
-            if entry[1] != _LFETCH:
-                e(f"x{n} >>= 3")
-        checked = False
-        if not ctop:
-            emit_unpack()
-        e("for j in range(k):")
+
+        def emit_touches() -> None:
+            """One iteration's touches, in slot order, of lines that hit."""
+            for n in memory:
+                emit_touch(n)
+
+        def emit_closer(partial: bool) -> None:
+            if partial:
+                e("lc -= 1")
+                e("taken_branches += 1")
+                e("n_back += 1")
+                e("iters += 1")
+            if ctop:
+                emit_rotate()
+                e("prl[16 + rrb_pr] = True")
+                emit_unpack()
+
+        def stripped(entry: tuple) -> tuple:
+            # the guard has proven the predicates it checks
+            return entry if entry[2] not in preds else (*entry[:2], 0, *entry[3:])
+
+        def emit_run_bundle(b: int, partial: bool) -> None:
+            """Bundle ``b`` of a run iteration: ``j`` of the loop below, or
+            (``partial``) the crossing iteration, touches and timing made."""
+            if partial:
+                e(f"stall = {stalls[b]} * l2_hit_lat" if stalls[b] else "stall = 0")
+            for n in slots_of[b]:
+                if n == closer:
+                    emit_closer(partial)
+                    continue
+                if n not in memory:
+                    emit_slot(body[b][0], stripped(run[n]))
+                    continue
+                _, op, _, r1, r2, r3, _, imm, _ = memory[n]
+                step = imm >> 3
+                i = "t" if partial else "j"
+                at_j = (f"x{n} + {i}" if step == 1 else f"x{n} - {i}" if step == -1
+                        else f"x{n} + {step} * {i}")
+                if op == _LDFD:
+                    e(f"{fr_w(r1)} = mem_f64[{at_j}]")
+                elif op == _LD8:
+                    e(f"{gr_w(r1)} = mem_i64[{at_j}]")
+                elif op == _STFD:
+                    e(f"mem_f64[{at_j}] = {fr_r(r3)}")
+                elif op == _ST8:
+                    emit_wrapped(f"mem_i64[{at_j}]", gr_r(r3))
+                if partial:
+                    emit_touch(n)
+                    e(f"n_{_RUN_EVENTS[op]} += 1")
+                if partial or gr_uses[r2] > 1:     # another operand reads the address
+                    e(f"{gr_w(r2)} += {imm}")
+            if partial:
+                emit_retire(retire[b], 0)
+
+        def emit_hand_over(done: list, b: int) -> None:
+            """Count the ``done`` (slots, bundles) of a partial iteration
+            and leave for the per-bundle body at bundle ``b``."""
+            if done[1]:
+                e(f"retired += {done[0]}")
+                e(f"bundles_executed += {done[1]}")
+                e(f"executed += {done[1]}")
+                e("if sampling:")
+                e.indent()
+                e(f"countdown -= {done[0]}")
+                e.dedent()
+            e(f"start = {b or -1}")
+            e("continue")
+
+        first = f"start == {rot}" if rot else "not start"
+        e("if " + " and ".join([first, "forward", "lc > 0", "cycles <= cycle_limit",
+                                *(pr_r(p) for p in sorted(preds))]) + ":")
         e.indent()
-        if ctop:
-            emit_unpack()
-        for n, entry in enumerate(run[:-1]):
-            if n not in memory:
-                # the guard has proven the predicates it checks
-                emit_slot(body[n_bundle[n]][0], entry if entry[2] not in preds
-                          else (*entry[:2], 0, *entry[3:]))
-                continue
-            _, op, _, r1, r2, r3, _, imm, _ = entry
-            step = imm >> 3
-            at_j = f"x{n} + j" if step == 1 else f"x{n} - j" if step == -1 else f"x{n} + {step} * j"
-            if op == _LDFD:
-                e(f"{fr_w(r1)} = mem_f64[{at_j}]")
-            elif op == _LD8:
-                e(f"{gr_w(r1)} = mem_i64[{at_j}]")
-            elif op == _STFD:
-                e(f"mem_f64[{at_j}] = {fr_r(r3)}")
-            elif op == _ST8:
-                emit_wrapped(f"mem_i64[{at_j}]", gr_r(r3))
-            if gr_uses[r2] > 1:     # another operand reads the address
-                e(f"{gr_w(r2)} += {imm}")
-        if ctop:
-            emit_rotate()
-            e("prl[16 + rrb_pr] = True")
-        elif e.lines[-1].endswith("range(k):"):
+        # cycles <= cycle_limit before the last bundle of the kc-th
+        # iteration (emit_spin_forward's closed form)
+        lead_stall = f" - {lead} * l2_hit_lat" if lead else ""
+        stall = f" + {bpc * n_stall} * l2_hit_lat" if n_stall else ""
+        cycle_bound = (f"({bpc} * (cycle_limit - cycles{lead_stall} + 1) - {k_bundles}"
+                       f" - issue_tick) // ({k_bundles}{stall}) + 1")
+        e(f"kb = min(lc, (max_bundles - executed) // {k_bundles}, "
+          f"(countdown - {slots + 1}) // {it_slots} + 1 if sampling else lc"
+          + ("" if memory else f", {cycle_bound}") + ")")
+        e("if kb > 0:")
+        e.indent()
+        for n, entry in memory.items():
+            e(f"a{n} = {gr_r(entry[4])}")
+            e(f"l{n} = a{n} >> {LINE_SHIFT}")
+        e("if " + " and ".join([hits(n, f"a{n}", f"l{n}")
+                                + ("" if entry[1] == _LFETCH else f" and not a{n} & 7")
+                                for n, entry in memory.items()] or ["True"]) + ":")
+        e.indent()
+        for n, entry in memory.items():
+            e(f"e{n} = {line_distance(f'a{n}', n)}")
+            if entry[1] != _LFETCH:
+                e(f"x{n} = (a{n} - {DATA_BASE}) >> 3")
+        checked, table = False, "RUN"
+        emit_unpack()
+        e("t = 0")
+        if memory:
+            # the cycle limit may leave room for part of an iteration only:
+            # then that part runs as the crossing iteration does below
+            e(f"kc = {cycle_bound}")
+            e("if kc > 0:")
+            e.indent()
+            e("if kc < kb:")
+            e.indent()
+            e("kb = kc")
+            e.dedent()
+        emit_touches()
+        e("n_line_runs += 1")
+        if rot:
+            e("n_rotated_runs += 1")
+        # iterations t..u-1 of the run, counted from its start, run at once
+        # up to kb or the next line boundary e{n} of a slot
+        e("while True:")
+        e.indent()
+        e(f"u = min({', '.join(['kb', *(f'e{n}' for n in memory)])})" if memory else "u = kb")
+        e("for j in range(t, u):")
+        e.indent()
+        mark = len(e.lines)
+        for b in order:
+            emit_run_bundle(b, partial=False)
+        if len(e.lines) == mark:
             e("pass")
         e.dedent()
-        checked = True
-        for n, (_, op, _, _, r2, _, _, imm, _) in memory.items():
+        e("t = u")
+        if memory:
+            # the crossing: every slot at its line boundary probes its next line
+            e("if t == kb or not (" + " and ".join(
+                f"(e{n} > t or {hits(n, 'b', f'(l{n} := (b := a{n} + {entry[7]} * t) >> {LINE_SHIFT})')}"
+                f" and (e{n} := t + {line_distance('b', n)}))"
+                for n, entry in memory.items()) + "):")
+            e.indent()
+        e("break")
+        if memory:
+            e.dedent()
+            e("# chain: the crossing iteration's touches")
+            emit_touches()
+            e("n_line_run_chains += 1")
+        e.dedent()
+        for n, (_, _, _, _, r2, _, _, imm, _) in memory.items():
             if gr_uses[r2] == 1:
-                e(f"{gr_w(r2)} = a{n} + {imm} * k")
-        e("lc -= k")
-        e(f"retired += k * {it_slots}")
+                e(f"{gr_w(r2)} = a{n} + {imm} * t")
+        e("lc -= t")
+        e(f"retired += t * {it_slots}")
         e("if sampling:")
         e.indent()
-        e(f"countdown -= k * {it_slots}")
+        e(f"countdown -= t * {it_slots}")
         e.dedent()
-        e(f"bundles_executed += k * {k_bundles}")
-        e(f"executed += k * {k_bundles}")
-        e("taken_branches += k")
-        e("iters += k")
-        e("n_back += k")
-        e(f"issue_tick += k * {k_bundles}")
-        e(f"cycles += {f'k * {n_stall} * l2_hit_lat + ' if n_stall else ''}issue_tick // {bpc}")
+        e(f"bundles_executed += t * {k_bundles}")
+        e(f"executed += t * {k_bundles}")
+        e("taken_branches += t")
+        e("iters += t")
+        e("n_back += t")
+        e(f"issue_tick += t * {k_bundles}")
+        e(f"cycles += {f't * {n_stall} * l2_hit_lat + ' if n_stall else ''}issue_tick // {bpc}")
         e(f"issue_tick %= {bpc}")
         for ev in events:
             count = sum(_RUN_EVENTS[entry[1]] == ev for entry in memory.values())
             if count:
-                e(f"n_{ev} += k * {count}")
-        e("jit = core.trace_jit")
-        e("jit.line_runs += 1")
-        e("jit.line_run_iters += k")
+                e(f"n_{ev} += t * {count}")
+        e("n_line_run_iters += t")
+        if memory:
+            e.dedent()
+            e("else:")
+            e.indent()
+            e("kb = 1")
+            e.dedent()
+            # the crossing iteration — where a slot misses at its next line,
+            # or where the cycle limit ends the slice — runs as in the run up
+            # to the bundle that does, and the per-bundle body takes over
+            # there (-1: at the head, past the guards above, which would
+            # only probe the same lines again)
+            e("if t < kb:")
+            e.indent()
+            # (by the last bundle one of the two has stopped it: the slot
+            # that misses is in a bundle, and kc < 1 puts the last past
+            # the cycle limit)
+            done = [0, 0]   # (slots, bundles) of the crossing iteration run
+            for b in order[:-1]:
+                stop = [f"e{n} == t" for n in slots_of[b] if n in memory]
+                if done[1]:
+                    stop.append("cycles > cycle_limit")
+                if stop:
+                    e(f"if {' or '.join(stop)}:")
+                    e.indent()
+                    emit_hand_over(done, b)
+                    e.dedent()
+                emit_run_bundle(b, partial=True)
+                done = [done[0] + retire[b], done[1] + 1]
+            emit_hand_over(done, order[-1])
+            e.dedent()
+        checked, table = True, "ROT"
         e("continue")
         e.dedent()
         e.dedent()
@@ -1030,7 +1202,7 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
     def emit_unpack() -> None:
         """Load the rotating-register locals (per iteration; after a rotation)."""
         if not checked:
-            e(_UNPACK)
+            e(_UNPACK + table)
 
     def emit_post_inc(r2: int, imm: int, in_range: bool = False) -> None:
         """``in_range``: ``a`` just passed the data-segment check, so adding
@@ -1275,6 +1447,8 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
     if whole:
         for name in ([] if back_edge is None else ["back"]) + events:
             e(f"n_{name} = 0")
+    if run:
+        e(" = ".join(f"n_{name}" for name in _RUN_COUNTERS) + " = 0")
     if spin or run:
         # osr-off replays every iteration: it is the forward's oracle
         e("forward = core.osr_enabled")
@@ -1316,7 +1490,8 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
             # a partial iteration says nothing about the loads it skipped
             e("hits = forward and not start")
         if run:
-            emit_line_run()
+            for entry_bundle in (0, *rots):
+                emit_line_run(entry_bundle)
         if whole:
             # no budget or sample exit can fire inside this iteration
             # (the longest path retires every slot of every bundle)
@@ -1330,12 +1505,14 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
             checked = True
             e.dedent()
             emit_flush()    # hand-over: the checked body finds the exit
+            emit_run_flush()
     emit_body()
     if loop:
         e.dedent()
     if whole:
         # the one way out of the whole-iteration body
         emit_flush()
+        emit_run_flush()
         e("pc, done, slots, flag = out")
         e("countdown -= slots if sampling else 0")
         e("retired += slots")
@@ -1343,25 +1520,31 @@ def _generate(body, sor: int, bpc: int, kind: str) -> str:
         e("executed += done")
         e(ret("pc", "flag"))
     e.dedent()
-    # the rotating locals the whole-iteration body used, and their tables
-    unpack, tables = [], []
-    for file, offs in used.items():
-        if offs:
-            first, size = rotating[file]
-            offs = sorted(offs)
-            names = "".join(f"{file}{o}, " for o in offs)
-            unpack.append(f"{names}= ROT_{file}[rrb_{file}r]")
-            tables.append(
-                f"ROT_{file} = [tuple({first} + (o + r) % {size} for o in {offs}) "
-                f"for r in range({size})]"
-            )
+    # the rotating locals each unchecked body used, and their tables (one
+    # per distinct set of offsets)
+    unpack: dict[str, list] = {}
+    tables: dict[tuple, str] = {}
+    for name, files in used.items():
+        for file, offs in files.items():
+            if offs:
+                first, size = rotating[file]
+                offs = sorted(offs)
+                rows = tables.setdefault((file, *offs), f"{name}_{file}")
+                unpack.setdefault(name, []).append(
+                    "".join(f"{file}{o}, " for o in offs) + f"= {rows}[rrb_{file}r]")
     lines = []
     for line in e.lines:
-        if line.endswith(_UNPACK):
-            lines += [line[: -len(_UNPACK)] + u for u in unpack]
+        if _UNPACK in line:
+            indent, name = line.split(_UNPACK)
+            lines += [indent + u for u in unpack.get(name, [])]
         else:
             lines.append(line)
-    return "\n".join(lines + tables) + "\n"
+    lines += [
+        f"{rows} = [tuple({rotating[file][0]} + (o + r) % {rotating[file][1]} "
+        f"for o in {list(offs)}) for r in range({rotating[file][1]})]"
+        for (file, *offs), rows in tables.items()
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # -- per-core management ------------------------------------------------------
@@ -1395,6 +1578,8 @@ class TraceJit:
         "spin_iters_skipped",
         "line_runs",
         "line_run_iters",
+        "line_run_chains",
+        "rotated_runs",
     )
 
     def __init__(self, threshold: int = HOT_THRESHOLD) -> None:
@@ -1433,6 +1618,8 @@ class TraceJit:
         self.spin_iters_skipped = 0  # iterations those advances stood for
         self.line_runs = 0          # line runs of a loop trace
         self.line_run_iters = 0     # iterations they ran
+        self.line_run_chains = 0    # line boundaries a run went on past
+        self.rotated_runs = 0       # runs started at a mid-body bundle
 
     def sync(self, dcache) -> None:
         """Revalidate compiled traces against the decode journal.
@@ -1566,6 +1753,19 @@ class TraceJit:
         self.promotions += 1
         return trace
 
+    def resumed(self, ep: _EntryPoint) -> None:
+        """Count a budget exit at ``ep``, a mid-body bundle of a trace
+        with line runs; at the threshold the trace's closure gains a line
+        run whose iteration starts at that bundle (DESIGN.md §9 "OSR
+        entry"), so the next slices resume straight into a run."""
+        ep.resumes += 1
+        if ep.resumes >= ROTATE_THRESHOLD:
+            ep.resumes = None
+            trace = ep.trace
+            trace.rots = tuple(sorted((*trace.rots, ep.idx)))
+            trace.fn = _trace_fn(trace.head, trace.body, 0 if trace.sor_free else trace.sor,
+                                 trace.bpc, trace.kind, trace.rots)
+
     def compiled_footprint(self) -> int:
         """Resident compiled bundles (tree nodes count like any trace)."""
         return sum(tr.n_bundles for tr in self.traces.values())
@@ -1653,6 +1853,8 @@ class TraceJit:
             "spin_iters_skipped": self.spin_iters_skipped,
             "line_runs": self.line_runs,
             "line_run_iters": self.line_run_iters,
+            "line_run_chains": self.line_run_chains,
+            "rotated_runs": self.rotated_runs,
             "exit_sites": {
                 f"{head:#x}->{target:#x}": count
                 for (head, target), count in sorted(self.sites.items())
@@ -1670,14 +1872,15 @@ class TraceJit:
 #: (``deopts.link`` off a region's end, ``deopts.budget`` on the slice
 #: budget), whether the exit landed on another entry point
 #: (``tree_links``, under how many ``exit_sites``), whether the next
-#: slice found the resume hint (``resume_hits``) and how many iterations
-#: went through line runs (``line_runs``, ``line_run_iters``) — rather
-#: than what the simulated machine did.  A change to the JIT may move these and nothing
-#: else (DESIGN.md §9 "Work counters"); ``repro bench --compare`` reads
-#: such a move as ``moved (work)``.
+#: slice found the resume hint (``resume_hits``) and how iterations went
+#: through line runs (:data:`_RUN_COUNTERS`: runs, their iterations, the
+#: line boundaries they went on past and the runs started mid-body) —
+#: rather than what the simulated machine did.  A change to the JIT may
+#: move these and nothing else (DESIGN.md §9 "Work counters");
+#: ``repro bench --compare`` reads such a move as ``moved (work)``.
 WORK_COUNTERS = (
     "entries", "iterations", "tree_links", "resume_hits", "exit_sites",
-    "deopts.link", "deopts.budget", "line_runs", "line_run_iters",
+    "deopts.link", "deopts.budget", *_RUN_COUNTERS,
 )
 
 

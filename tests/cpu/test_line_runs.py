@@ -34,6 +34,7 @@ from repro.config import CacheConfig, itanium2_smp
 from repro.cpu import Machine, Scheduler, tracejit
 from repro.cpu import scheduler as scheduler_module
 from repro.isa import assemble
+from repro.memory.hierarchy import LOAD
 
 #: the memory slots a shape may hold: name -> (GR, the stream it walks,
 #: the slot under ``ctop``, under ``cloop``).  The int store walks the int
@@ -98,7 +99,7 @@ def _l2(cache) -> tuple:
 
 
 def _run(mode, shape, trips, slice_bundles=512, margin=0, interval=0, l2_hit=0,
-         layout=0, same_set=False, ways=8):
+         layout=0, same_set=False, ways=8, warm=0):
     """Everything observable of one two-core run of ``shape`` under
     ``mode`` = (jit, osr), and each core's trace-JIT stats.
 
@@ -106,7 +107,10 @@ def _run(mode, shape, trips, slice_bundles=512, margin=0, interval=0, l2_hit=0,
     ``same_set`` every stream starts in the same L2 set, else each in
     the next.  ``ways`` 2 leaves the L2 two lines a set (and the L3
     16 KB): lines of one set then evict each other in LRU order all the
-    time.
+    time.  ``warm`` 1 loads every line the streams will reach into their
+    core's caches first, so that a run finds its next lines present; 2
+    loads them into the other core's caches too, so that they start
+    SHARED and a store crossing onto one must upgrade it.
     """
     config = itanium2_smp(2)
     config = replace(config, latency=replace(config.latency, l2_hit=l2_hit))
@@ -169,8 +173,19 @@ def _run(mode, shape, trips, slice_bundles=512, margin=0, interval=0, l2_hit=0,
             core.enable_sampling(interval, on_sample, 0)
         core.start(image.base)
 
+    for core, n in zip(machine.cores, trips if warm else ()):
+        caches = [machine.caches[c] for c in (core.cpu_id, 1 - core.cpu_id)[:warm]]
+        reach = (n + 12) * stride
+        for reg, *_ in STREAMS.values():
+            ends = sorted((core.regs.read_gr(reg), core.regs.read_gr(reg) + reach))
+            for line in range(ends[0] >> 7, (ends[1] >> 7) + 1):
+                for cache in caches:
+                    cache.access(0, line << 7, LOAD)
+
     scheduler = Scheduler(machine.cores, margin=margin)
-    with mock.patch.object(scheduler_module, "_SLICE_BUNDLES", slice_bundles):
+    # a few resumes at a bundle start runs there (the rule, not its threshold)
+    with mock.patch.object(scheduler_module, "_SLICE_BUNDLES", slice_bundles), \
+            mock.patch.object(tracejit, "ROTATE_THRESHOLD", 2):
         for _ in range(100_000):
             if not scheduler.step():
                 break
@@ -198,7 +213,7 @@ def _run(mode, shape, trips, slice_bundles=512, margin=0, interval=0, l2_hit=0,
 
 
 JIT_ON, OSR_OFF, JIT_OFF = (True, True), (True, False), (False, False)
-RUN_COUNTERS = ("line_runs", "line_run_iters")
+RUN_COUNTERS = tracejit._RUN_COUNTERS
 
 
 def _no_line_runs():
@@ -259,19 +274,22 @@ shapes = st.tuples(st.sampled_from(("ctop", "cloop")), kind_sets, st.sampled_fro
 @given(
     shape=shapes,
     trips=st.tuples(st.integers(1, 48), st.integers(1, 48)),
-    slice_bundles=st.sampled_from((1, 2, 3, 7, 64, 512)),
-    margin=st.sampled_from((0, 16)),
+    # slices that end at every bundle of an iteration and resume there
+    slice_bundles=st.sampled_from((1, 2, 3, 4, 5, 7, 64, 512)),
+    margin=st.sampled_from((0, 1, 3, 16)),
     # off; mid-run, every few iterations; rarely
     interval=st.sampled_from((0, 5, 17, 40, 1000)),
     l2_hit=st.sampled_from((0, 1, 5)),
     layout=st.integers(0, 15),
     same_set=st.booleans(),
     ways=st.sampled_from((2, 8)),
+    # next lines absent, present, present and SHARED
+    warm=st.sampled_from((0, 1, 2)),
 )
 def test_line_runs_are_exact(shape, trips, slice_bundles, margin, interval, l2_hit,
-                             layout, same_set, ways):
+                             layout, same_set, ways, warm):
     _assert_exact(shape, trips, slice_bundles, margin, interval, l2_hit, layout, same_set,
-                  ways)
+                  ways, warm)
 
 
 @pytest.mark.parametrize("stride", STRIDES)
@@ -331,18 +349,40 @@ def test_qualifying_shapes():
 
 # -- the comparison has teeth --------------------------------------------------
 
-#: seeded faults in the generated source: name -> (pattern, replacement),
-#: each made at every site at once
+#: seeded faults in the generated source: name -> (pattern, replacement)
+#: pairs, each made at every site at once, in order
 FAULTS = {
-    "first-round promotion skipped": (r"del (s\d+)\[(l\d+)\]\n *\1\[\2\] = None\n *", ""),
-    "line bound off by one": (r"(\(a\d+ & 127\)\) // \d+|\(a\d+ & 127\) // \d+) \+ 1",
-                              r"\1 + 2"),
-    "MODIFIED transition missing": (r"line_state\[l\d+\] = 3\n *", ""),
-    "event count missing": (r"n_(loads|stores|prefetches) \+= k \* \d+", "pass"),
+    "first-round promotion skipped": [(r"del (s\d+)\[(l\d+)\]\n *\1\[\2\] = None\n *", "")],
+    "line bound off by one": [(r"(\((?:a\d+|b) & 127\)\) // \d+|\((?:a\d+|b) & 127\) // \d+) \+ 1",
+                               r"\1 + 2")],
+    "MODIFIED transition missing": [(r"line_state\[l\d+\] = 3\n *", "")],
+    "event count missing": [(r"n_(loads|stores|prefetches) \+= t \* \d+", "pass")],
+    # the chain's touch round leaves out the first promotion
+    "crossing promotion skipped": [
+        (r"(# chain: the crossing iteration's touches\n(?:[^\n]*\n)*?) *del (s\d+)\[(l\d+)\]\n"
+         r" *\2\[\3\] = None\n", r"\1")],
+    # the per-bundle body takes a crossing over at the cycle its run began
+    "crossing charged at the run's start cycle": [
+        (r"\n( *)(t = 0\n)", r"\n\1\2\1c0 = cycles\n"),
+        (r"\n( *)(start = (?:-1|[1-9]\d*)\n\1continue\n)", r"\n\1cycles = c0\n\1\2")],
+    # a run entered mid-iteration touches its lines one slot late: the
+    # first slot of its iteration last
+    "mid-iteration entry off by one slot": [
+        (r"((?: *(?:line_state|l2_dirty|del s|s\d+\[)[^\n]*\n)+)(?= *n_line_runs \+= 1\n"
+         r" *n_rotated_runs)", lambda found: _first_slot_last(found[1]))],
 }
 
+
+def _first_slot_last(touches: str) -> str:
+    """A touch round with the first slot's touches moved to its end."""
+    slots = re.findall(r"(?:(?: *(?:line_state|l2_dirty)[^\n]*\n)*) *del s[^\n]*\n[^\n]*\n",
+                       touches)
+    assert "".join(slots) == touches
+    return "".join(slots[1:] + slots[:1])
+
+
 #: (shape, trips, slice budget, margin, interval, L2-hit stall, layout,
-#: same set, L2 ways): runs that between them show every fault.  A fault
+#: same set, L2 ways[, warm]): runs that between them show every fault.  A fault
 #: of the first touch round shows until the next whole iteration touches
 #: the same lines again — so where a slice ends at the loop head after a
 #: run, or where the slot that misses next comes first in the body
@@ -352,18 +392,26 @@ BATTERY = (
     (("ctop", ("ld8", "lfetch.excl", "st8", "lfetch"), -8), (40, 30), 512, 16, 0, 1, 9, False, 8),
     (("cloop", ("ld8", "ldfd", "lfetch.excl", "st8"), 8), (40, 30), 7, 16, 1000, 5, 11, True, 8),
     (("ctop", tuple(STREAMS), 8), (40, 30), 512, 0, 0, 1, 5, True, 8),
+    # next lines present: runs chain across line boundaries, and slices
+    # that end mid-iteration resume into runs that start there
+    (("ctop", ("ldfd", "stfd"), 8), (48, 40), 5, 1, 0, 1, 7, False, 8, 1),
+    (("ctop", ("ld8", "ldfd", "st8"), -8), (48, 40), 4, 3, 0, 5, 2, True, 8, 1),
+    # ... and SHARED: the store crossing upgrades its next line
+    (("ctop", ("ld8", "st8", "lfetch"), 8), (48, 40), 4, 0, 0, 1, 12, False, 2, 2),
+    (("cloop", ("ld8", "lfetch.excl", "st8"), 16), (48, 40), 3, 3, 40, 1, 13, False, 8, 1),
 )
 
 
 def _caught(fault: str) -> bool:
-    pattern, change = FAULTS[fault]
     seeded = False
     for shape, *args in BATTERY:
         oracle, _ = _run(JIT_OFF, shape, *args)
 
         def rewrite(text):
             nonlocal seeded
-            mutated = re.sub(pattern, change, text)
+            mutated = text
+            for pattern, change in FAULTS[fault]:
+                mutated = re.sub(pattern, change, mutated)
             seeded |= mutated != text
             return mutated
 
@@ -384,9 +432,14 @@ def test_seeded_fault_is_caught(fault):
 
 
 def test_the_battery_agrees_unmutated():
+    totals = dict.fromkeys(RUN_COUNTERS, 0)
     for shape, *args in BATTERY:
         stats = _assert_exact(shape, *args)
         assert sum(s["line_run_iters"] for s in stats) > 0, shape
+        for key in totals:
+            totals[key] += sum(s[key] for s in stats)
+    # the battery chains runs across line boundaries and starts them mid-body
+    assert all(totals.values()), totals
 
 
 # -- coverage ----------------------------------------------------------------------
@@ -395,32 +448,83 @@ def test_the_battery_agrees_unmutated():
 #: (200 and 150 trips).  A program is a closer, the memory slots and the
 #: stride of :func:`_program`, one of ``OTHER_PROGRAMS``, or stream_steady's
 COVERAGE = {
-    "ctop ld8 ldfd stfd st8 +8": [348, 302],
-    "ctop ld8 st8 lfetch -8": [348, 302],
-    "cloop ld8 lfetch.excl st8 +16": [344, 300],
+    "ctop ld8 ldfd stfd st8 +8": [348, 303],
+    "ctop ld8 st8 lfetch -8": [348, 303],
+    "cloop ld8 lfetch.excl st8 +16": [344, 301],
     "cloop ldfd stfd +64": [344, 173],
     "cloop +8": [344, 344],     # no memory slot: the fma and the add
     "gather": [348, 0],
     "wtop": [346, 0],
-    "stream_steady daxpy": [213_100, 168_398],
+    "stream_steady daxpy": [213_100, 170_518],
 }
 #: the share of its iterations the stream_steady program must run in line runs
 STREAM_FLOOR = 0.7
 
+#: what the stream_steady program's loop trace does per call: calls, run
+#: entries, line boundaries runs went on past, runs started mid-body, and
+#: passes into the per-bundle body mid-iteration (:func:`_probed`).  Runs
+#: that ended at every line boundary and started only at the loop head
+#: read 15,573 calls, 28,729 runs and 12,153 per-bundle resumes.
+PATTERN = {
+    "calls": 15_573,
+    "line_runs": 17_011,
+    "line_run_chains": 11_887,
+    "rotated_runs": 11_044,
+    "per-bundle resumes": 2_204,
+}
 
-def _daxpy_counts() -> list[int]:
+
+def _probed(text: str) -> str:
+    """``text`` counting, if it runs line runs, its calls and its
+    per-bundle resumes: passes into the per-bundle body at a bundle past
+    the first that get past that bundle's budget test."""
+    if "n_line_runs" not in text:
+        return text
+    lines = text.split("\n")
+    out, bundle = [], None
+    for line in lines:
+        out.append(line)
+        if line.endswith("= env"):
+            out.append("    LINE_RUN_PROBE['calls'] += 1")
+        found = re.fullmatch(r" {8}# -- bundle \+(0x[0-9a-f]+)", line)
+        if found:
+            bundle = int(found[1], 16) // 16
+        elif bundle and line.strip() == "stall = 0":
+            indent = line[: len(line) - len(line.lstrip())]
+            out[-1:] = [f"{indent}if start == {bundle}:",
+                        f"{indent}    LINE_RUN_PROBE['per-bundle resumes'] += 1", line]
+            bundle = None
+    return "\n".join(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _daxpy_run() -> dict:
     """stream_steady's program: the 2M DAXPY, 4 threads, 24 outer reps,
-    under the adaptive strategy (benchmarks/e2e/sim_workloads.py)."""
+    under the adaptive strategy (benchmarks/e2e/sim_workloads.py): the
+    trace-JIT stats summed over its cores, and the calls and per-bundle
+    resumes of its loop trace (:func:`_probed`)."""
+    import builtins
+    from collections import Counter
+
     from repro import build_daxpy, itanium2_smp as smp, run_with_cobra
     from repro.workloads.daxpy import working_set_elems
 
+    probe: Counter = Counter()
     machine = Machine(smp(4, scale=16))
     for core in machine.cores:
         core.jit_enabled = core.osr_enabled = True
-    run_with_cobra(build_daxpy(machine, working_set_elems("2M", 16), 4, outer_reps=24),
-                   "adaptive")
-    return [sum(c.trace_jit.stats()[key] for c in machine.cores)
-            for key in ("iterations", "line_run_iters")]
+    with _with_source(_probed), mock.patch.object(builtins, "LINE_RUN_PROBE", probe,
+                                                  create=True):
+        run_with_cobra(build_daxpy(machine, working_set_elems("2M", 16), 4, outer_reps=24),
+                       "adaptive")
+    stats = [c.trace_jit.stats() for c in machine.cores]
+    return {**{key: sum(s[key] for s in stats) for key in stats[0]
+               if isinstance(stats[0][key], int)}, **probe}
+
+
+def _daxpy_counts() -> list[int]:
+    run = _daxpy_run()
+    return [run["iterations"], run["line_run_iters"]]
 
 
 def _counts(name: str) -> list[int]:
@@ -442,6 +546,14 @@ def test_stream_steady_runs_mostly_in_line_runs():
     assert in_runs >= STREAM_FLOOR * iterations
 
 
+def test_stream_steady_slices_are_one_run():
+    """A steady-state slice is one entry, one run, then the crossing."""
+    run = _daxpy_run()
+    assert {key: run[key] for key in PATTERN} == PATTERN
+    assert PATTERN["line_runs"] <= 1.2 * PATTERN["calls"]
+    assert PATTERN["per-bundle resumes"] <= 0.25 * 12_153
+
+
 if __name__ == "__main__":
     print(f"{'program':<34}{'iterations':>11}{'in runs':>9}{'share':>8}")
     failed = False
@@ -450,4 +562,9 @@ if __name__ == "__main__":
         failed |= counts != pinned
         print(f"{name:<34}{counts[0]:>11,}{counts[1]:>9,}{counts[1] / counts[0]:>8.1%}"
               + ("" if counts == pinned else f"  (pinned {pinned[0]:,} / {pinned[1]:,})"))
+    print("\nstream_steady's loop trace")
+    run = _daxpy_run()
+    for key, pinned in PATTERN.items():
+        failed |= run[key] != pinned
+        print(f"{key:<34}{run[key]:>11,}" + ("" if run[key] == pinned else f"  (pinned {pinned:,})"))
     sys.exit(1 if failed else 0)

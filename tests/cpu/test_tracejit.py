@@ -526,7 +526,7 @@ class TestObservability:
             "compiled_bundles", "osr_entries", "tree_links",
             "resume_hits", "promotions", "evicted", "exit_sites",
             "deopts", "spin_forwards", "spin_iters_skipped",
-            "line_runs", "line_run_iters",
+            "line_runs", "line_run_iters", "line_run_chains", "rotated_runs",
         }
         assert set(stats["deopts"]) == set(DEOPT_REASONS)
         # the loop eventually exits through the back-edge falling through
