@@ -544,15 +544,16 @@ class FleetDaemon:
     def _entry_members(self, slot: dict[str, dict]) -> _Members:
         return _Members(self.cost, lambda inst: _dumps(slot[inst]), slot)
 
-    def _state_body(self, journal_seq: bool) -> bytes:
+    def _state_body(self, envelope: bool) -> bytes:
         """The state as canonical JSON, assembled from cached pieces.
 
         Byte for byte ``json.dumps(payload, sort_keys=True,
         separators=(",", ":"))`` of the payload dict (format 1: the
         keys below, ``windows`` keyed by ``str(ordinal)``): every piece
         is that encoder's text for one value, and pieces are joined
-        under their sorted keys.  ``journal_seq`` is the one volatile
-        key; :meth:`canonical_state` leaves it out.
+        under their sorted keys.  ``journal_bytes`` and ``journal_seq``
+        (the journal position, the snapshot's envelope) are the volatile
+        keys; :meth:`canonical_state` leaves them out.
         """
         parts = self._body_parts
         if "instances" not in parts:
@@ -565,14 +566,16 @@ class FleetDaemon:
             f"{_dumps(key)}:{self._store_members[key].text()}"
             for key in sorted(self._store_members)
         )
-        # the last record the snapshot folds, as a checkpoint store writes it
-        seq = f'"journal_seq":{self.journal.next_seq - 1},' if journal_seq else ""
+        # the end and sequence of the last record the snapshot folds, as
+        # a checkpoint store writes them
+        position = (f'"journal_bytes":{self.journal.length},'
+                    f'"journal_seq":{self.journal.next_seq - 1},') if envelope else ""
         return "".join((
             f'{{"batches_accepted":{self.batches_accepted},"digests":',
             parts["digests"],
             ',"format":1,"instances":',
             parts["instances"],
-            f',{seq}"quarantined":',
+            f',{position}"quarantined":',
             parts["quarantined"],
             f',"quorum":{_dumps(self.quorum)},"seen":',
             self._seen_body.text(),
@@ -654,9 +657,10 @@ class FleetDaemon:
         are the constructor's (``quorum``, ``snapshot_interval``, ...).
 
         :mod:`repro.persist.recover`'s procedure: newest valid snapshot
-        first (falling back past corrupt ones), then the journal tail is
-        replayed; a torn final record is truncated away and stray
-        snapshot temps are deleted, each reported in
+        first (falling back past corrupt ones), then the journal tail
+        after its ``journal_bytes`` is decoded and replayed; a torn final
+        record is truncated away and stray snapshot temps are deleted,
+        each reported in
         ``recovered["discarded"]`` — whatever frame a torn record held
         was never acked, so its agent will retransmit and dedup keeps
         the replay exact.
@@ -669,7 +673,8 @@ class FleetDaemon:
         tail = found.tail()
         for record in tail:
             daemon._replay(record)
-        daemon.journal = JournalWriter(disk, next_seq=found.next_seq, name=FLEET_JOURNAL)
+        daemon.journal = JournalWriter(disk, found.next_seq, FLEET_JOURNAL,
+                                       length=found.journal_length)
         daemon.recovered = {
             "snapshot_version": found.snapshot_version,
             "replayed": len(tail),

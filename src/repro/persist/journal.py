@@ -44,6 +44,7 @@ __all__ = [
     "canonical_json",
     "decode_record",
     "encode_record",
+    "folded_prefix",
     "frame_record",
     "scan_journal",
 ]
@@ -80,54 +81,81 @@ def encode_record(payload: dict) -> bytes:
     return frame_record(_canonical(payload))
 
 
-def scan_journal(data: bytes) -> tuple[list[dict], int, list[str]]:
-    """Decode the longest valid record prefix of ``data``.
+def _frame_end(data: bytes, offset: int) -> int | str:
+    """End offset of the CRC-valid record framed at ``offset``, or a
+    note on why there is none (torn header, bad magic, torn body, CRC)."""
+    remaining = len(data) - offset
+    if remaining < HEADER_BYTES:
+        return f"torn header at offset {offset} ({remaining} byte(s))"
+    magic, _flags, length = _HEAD.unpack_from(data, offset)
+    if magic != RECORD_MAGIC:
+        return f"bad magic {magic:#06x} at offset {offset}"
+    (crc,) = _CRC.unpack_from(data, offset + _HEAD.size)
+    body_start = offset + HEADER_BYTES
+    if length > len(data) - body_start:
+        return (
+            f"torn record at offset {offset}: {length} byte payload, "
+            f"{len(data) - body_start} on disk"
+        )
+    body = data[body_start : body_start + length]
+    if crc != zlib.crc32(body, zlib.crc32(data[offset : offset + _HEAD.size])):
+        return f"crc mismatch at offset {offset}"
+    return body_start + length
+
+
+def _decode_body(data: bytes, offset: int, end: int) -> dict | str:
+    """The payload of the CRC-valid record at ``offset``, or a note."""
+    try:
+        payload = json.loads(data[offset + HEADER_BYTES : end].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        # a crc collision would be required to reach this; account
+        # it the same way rather than trusting the bytes
+        return f"undecodable payload at offset {offset}"
+    if not isinstance(payload, dict):
+        return f"non-record payload at offset {offset}"
+    return payload
+
+
+def scan_journal(data: bytes, start: int = 0) -> tuple[list[dict], int, list[str]]:
+    """Decode the longest valid record prefix of ``data[start:]``.
 
     Returns ``(records, valid_len, discarded)``: the decoded payloads,
     the byte length of the valid prefix (the journal repair point), and
-    one human-readable note per discarded region.  Scanning stops at
-    the first bad record — in an append-only journal everything after a
-    corruption is unordered noise, never silently decoded.
+    one human-readable note per discarded region; offsets count from
+    the start of ``data``.  Scanning stops at the first bad record — in
+    an append-only journal everything after a corruption is unordered
+    noise, never silently decoded.
     """
     records: list[dict] = []
-    discarded: list[str] = []
-    offset = 0
-    n = len(data)
-    while offset < n:
-        remaining = n - offset
-        if remaining < HEADER_BYTES:
-            discarded.append(f"torn header at offset {offset} ({remaining} byte(s))")
-            break
-        magic, flags, length = _HEAD.unpack_from(data, offset)
-        if magic != RECORD_MAGIC:
-            discarded.append(f"bad magic {magic:#06x} at offset {offset}")
-            break
-        (crc,) = _CRC.unpack_from(data, offset + _HEAD.size)
-        body_start = offset + HEADER_BYTES
-        if length > n - body_start:
-            discarded.append(
-                f"torn record at offset {offset}: {length} byte payload, "
-                f"{n - body_start} on disk"
-            )
-            break
-        body = data[body_start : body_start + length]
-        want = zlib.crc32(body, zlib.crc32(data[offset : offset + _HEAD.size]))
-        if crc != want:
-            discarded.append(f"crc mismatch at offset {offset}")
-            break
-        try:
-            payload = json.loads(body.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            # a crc collision would be required to reach this; account
-            # it the same way rather than trusting the bytes
-            discarded.append(f"undecodable payload at offset {offset}")
-            break
-        if not isinstance(payload, dict):
-            discarded.append(f"non-record payload at offset {offset}")
-            break
+    offset = start
+    while offset < len(data):
+        end = _frame_end(data, offset)
+        payload = end if isinstance(end, str) else _decode_body(data, offset, end)
+        if isinstance(payload, str):
+            return records, offset, [payload]
         records.append(payload)
-        offset = body_start + length
-    return records, offset, discarded
+        offset = end
+    return records, offset, []
+
+
+def folded_prefix(data: bytes, length: int, seq: int) -> int:
+    """Where the tail after a snapshot starts: ``length`` when the first
+    ``length`` bytes of ``data`` are whole CRC-valid records and the last
+    of them carries ``seq``, else 0 (the whole journal is the tail).
+
+    Only the boundary record is decoded; the records before it are
+    checked, not read — the snapshot already folded them.
+    """
+    offset = last = 0
+    while offset < length:
+        end = _frame_end(data, offset)
+        if isinstance(end, str):
+            return 0
+        last, offset = offset, end
+    if offset != length or length == 0:
+        return 0
+    record = _decode_body(data, last, offset)
+    return length if isinstance(record, dict) and record.get("seq") == seq else 0
 
 
 def decode_record(data: bytes) -> dict | None:
@@ -312,7 +340,10 @@ class JournalWriter:
     """Appends sequenced records to the journal, one fsync per record.
 
     ``gate`` (if given) is called with ``(name, encoded_bytes, "append")``
-    before each durable write — the crash-injection hook.
+    before each durable write — the crash-injection hook.  ``length`` is
+    the journal's byte length when the writer starts (after recovery:
+    the repaired valid length); :attr:`length` then tracks the end of
+    every record appended, for snapshots to record as ``journal_bytes``.
     """
 
     def __init__(
@@ -321,10 +352,12 @@ class JournalWriter:
         next_seq: int = 0,
         name: str = JOURNAL_NAME,
         gate=None,
+        length: int = 0,
     ) -> None:
         self.disk = disk
         self.name = name
         self.next_seq = next_seq
+        self.length = length
         self.records_written = 0
         self.gate = gate
 
@@ -344,5 +377,6 @@ class JournalWriter:
             self.gate(self.name, data, "append")
         self.disk.append(self.name, data)
         self.next_seq = seq + 1
+        self.length += len(data)
         self.records_written += 1
         return seq

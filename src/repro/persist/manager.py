@@ -85,7 +85,8 @@ class PersistenceManager:
             for name in recovered.stray_tmp:
                 self.faults.observe("stray_snapshot_tmp", "persist", f"{name} removed")
 
-        self.journal = JournalWriter(self.disk, next_seq=recovered.next_seq, gate=self._gate)
+        self.journal = JournalWriter(self.disk, recovered.next_seq, gate=self._gate,
+                                     length=recovered.journal_length)
         self._next_snapshot_version = recovered.next_snapshot_version
         self._last_state = recovered.state
         if self._meta is None:
@@ -159,6 +160,7 @@ class PersistenceManager:
         from .snapshot import encode_snapshot
 
         payload = {
+            "journal_bytes": self.journal.length,
             "journal_seq": self.journal.next_seq - 1,
             "state": self._last_state,
             "meta": self._meta,

@@ -5,12 +5,17 @@ One procedure serves both durable logs, the per-run checkpoint store
 (:meth:`repro.fleet.daemon.FleetDaemon.recover`).  Recovery never fails
 on damaged state — that is its whole job:
 
-1. load the newest snapshot whose digest verifies, falling back past
-   corrupt or too-new ones (and noting stray ``.tmp`` files left by a
-   writer that died before its rename);
-2. scan the journal's longest valid record prefix; the records after
-   the snapshot's ``journal_seq`` — the sequence of the last record it
-   folded — are the tail to replay;
+1. load the newest snapshot whose digest and envelope verify, falling
+   back past corrupt or too-new ones (and noting stray ``.tmp`` files
+   left by a writer that died before its rename);
+2. decode the journal's tail: the records after the snapshot's
+   ``journal_bytes`` when the journal there is a run of CRC-valid
+   records whose last carries the snapshot's ``journal_seq`` (checked
+   without decoding them, all but that last), else every record of the
+   longest valid prefix, the folded ones (``seq`` up to
+   ``journal_seq``) then skipped.  Either way the scan stops at the
+   first bad record, and recovery costs what is left to replay, not
+   the store's whole history;
 3. report the repair point: :func:`repair` truncates the journal back
    to its valid prefix before the next session appends (otherwise
    replay would stop at the old tear forever and silently drop every
@@ -20,9 +25,10 @@ A checkpoint's tail replays this way: ``window`` records replace the
 control-plane state wholesale (last-wins — each carries the full state
 at one optimizer wake), ``txn`` records apply deploy/rollback deltas,
 ``decision`` records append to the event history, ``meta`` records
-carry the workload descriptor.  The state stays JSON;
-:data:`~repro.core.optimizer.CHECKPOINT` validates it when a run warm-
-starts from it.
+carry the workload descriptor (the snapshot's ``meta`` stands for the
+folded ones: a session writes its meta record before any snapshot).
+The state stays JSON; :data:`~repro.core.optimizer.CHECKPOINT`
+validates it when a run warm-starts from it.
 
 Everything discarded — torn tail, corrupt snapshot, stray temp — is
 returned as structured notes so the caller can account each one in the
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field
 
 from ..core.optimizer import CHECKPOINT
 from ..core.tracecache import Deployment
-from .journal import JOURNAL_NAME, Disk, scan_journal
+from .journal import JOURNAL_NAME, Disk, folded_prefix, scan_journal
 from .snapshot import SnapshotStore
 
 __all__ = ["RecoveredState", "read_store", "recover", "repair", "empty_state"]
@@ -59,7 +65,9 @@ class RecoveredState:
     #: its ``journal_seq``: the sequence of the last record it folded
     #: (-1 = no snapshot)
     folded: int
-    #: the journal's valid records, oldest first
+    #: the journal records recovery decoded, oldest first: the tail
+    #: after the snapshot's ``journal_bytes``, or the whole valid
+    #: prefix when that offset did not check out
     records: list[dict]
     #: sequence the next journal record must carry
     next_seq: int
@@ -76,6 +84,8 @@ class RecoveredState:
     stray_tmp: list[str] = field(default_factory=list)
     #: byte length to truncate the journal to (``None`` = no tear)
     repair_length: int | None = None
+    #: the journal's byte length once repaired (the next writer's start)
+    journal_length: int = 0
     #: rebuilt control-plane state, or ``None`` when the store held no
     #: usable state at all (fresh directory, or everything corrupt)
     state: dict | None = None
@@ -96,8 +106,10 @@ def read_store(disk: Disk, journal: str) -> RecoveredState:
     load = store.load_newest()
     versions = store.versions()
     data = disk.read(journal) if disk.exists(journal) else b""
-    records, valid_len, discarded = scan_journal(data)
-    folded = load.payload.get("journal_seq", -1) if load.payload is not None else -1
+    envelope = load.payload if load.payload is not None else {}
+    folded = envelope.get("journal_seq", -1)
+    start = folded_prefix(data, envelope.get("journal_bytes", 0), folded)
+    records, valid_len, discarded = scan_journal(data, start)
     return RecoveredState(
         journal=journal,
         snapshot=load.payload,
@@ -110,6 +122,7 @@ def read_store(disk: Disk, journal: str) -> RecoveredState:
         corrupt_snapshots=list(load.corrupt),
         stray_tmp=list(load.stray_tmp),
         repair_length=valid_len if valid_len < len(data) else None,
+        journal_length=valid_len,
     )
 
 
@@ -135,7 +148,8 @@ def recover(disk: Disk) -> RecoveredState:
     for record in found.records:
         if record.get("t") == "meta":
             # the descriptor is session-scoped, not state: always track
-            # the newest one, even from records the snapshot subsumes
+            # the newest one decoded, even from records the snapshot
+            # subsumes (a full scan decodes those)
             found.meta = record.get("meta", found.meta)
     for record in found.tail():
         kind = record.get("t")

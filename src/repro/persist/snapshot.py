@@ -2,11 +2,15 @@
 
 A snapshot compacts the journal: it captures the full recoverable
 state (profiler aggregates, trace-cache deployments, optimizer
-history) at a journal sequence point so recovery replays only the
-tail.  Snapshots are written via write-temp-then-atomic-rename, so a
-crash mid-write leaves either the previous snapshot intact plus a
-stray ``.tmp``, or the new one — never a half-visible file under the
-real name.
+history) at a journal position so recovery decodes and replays only
+the tail.  The position is the payload's envelope: ``journal_seq``,
+the sequence of the last record folded (-1: none), and
+``journal_bytes``, the journal's byte length at that record's end.
+A store refuses a snapshot whose envelope is malformed as it refuses
+one whose digest fails, and falls back.  Snapshots are written via
+write-temp-then-atomic-rename, so a crash mid-write leaves either the
+previous snapshot intact plus a stray ``.tmp``, or the new one — never
+a half-visible file under the real name.
 
 On-disk layout of ``snap-%08d.ckpt``::
 
@@ -94,6 +98,15 @@ def decode_snapshot(data: bytes) -> dict:
     return payload
 
 
+def _check_envelope(payload: dict) -> None:
+    """Raise ``ValueError`` unless ``journal_seq`` (if present) is an
+    int >= -1 and ``journal_bytes`` (if present) an int >= 0."""
+    for key, least in (("journal_seq", -1), ("journal_bytes", 0)):
+        value = payload.get(key, least)
+        if type(value) is not int or value < least:
+            raise ValueError(f"snapshot {key} {value!r} is not an int >= {least}")
+
+
 @dataclass
 class SnapshotLoad:
     """Result of :meth:`SnapshotStore.load_newest`."""
@@ -140,6 +153,7 @@ class SnapshotStore:
             name = self.name_for(version)
             try:
                 payload = decode_snapshot(self.disk.read(name))
+                _check_envelope(payload)
             except ValueError:
                 corrupt.append(name)
                 continue

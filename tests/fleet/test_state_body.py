@@ -65,13 +65,14 @@ def reference_payload(daemon: FleetDaemon) -> dict:
         },
         "quarantined": dict(sorted(daemon.quarantined.items())),
         "batches_accepted": daemon.batches_accepted,
+        "journal_bytes": daemon.journal.length,
         "journal_seq": daemon.journal.next_seq - 1,
     }
 
 
 def reference_canonical(daemon: FleetDaemon) -> bytes:
     payload = reference_payload(daemon)
-    del payload["journal_seq"]
+    del payload["journal_bytes"], payload["journal_seq"]
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 

@@ -160,6 +160,50 @@ class TestRecover:
         assert rec.next_snapshot_version == 2      # monotonic past corruption
 
 
+BAD_ENVELOPES = [
+    {"journal_seq": "7"},
+    {"journal_seq": None},
+    {"journal_seq": [0]},
+    {"journal_seq": {"seq": 0}},
+    {"journal_seq": 1.5},
+    {"journal_seq": True},
+    {"journal_seq": -2},
+    {"journal_seq": 0, "journal_bytes": "7"},
+    {"journal_seq": 0, "journal_bytes": None},
+    {"journal_seq": 0, "journal_bytes": 1.5},
+    {"journal_seq": 0, "journal_bytes": False},
+    {"journal_seq": 0, "journal_bytes": -1},
+]
+
+
+class TestSnapshotEnvelope:
+    """A digest-valid snapshot whose journal position is malformed is
+    corrupt: recovery notes it and falls back to the older snapshot."""
+
+    @pytest.mark.parametrize("envelope", BAD_ENVELOPES, ids=repr)
+    def test_checkpoint_store_falls_back(self, envelope):
+        disk = _store_with(
+            [("window", {"state": {"tag": "a"}}), ("window", {"state": {"tag": "b"}})],
+            snapshot=(0, {"journal_seq": 0, "state": {"tag": "a"}, "meta": None}),
+        )
+        SnapshotStore(disk).write(1, {**envelope, "state": {"tag": "x"}, "meta": None})
+        rec = recover(disk)
+        assert rec.corrupt_snapshots == [SnapshotStore.name_for(1)]
+        assert rec.snapshot_version == 0 and rec.next_snapshot_version == 2
+        assert rec.state == {"tag": "b"} and rec.next_seq == 2
+
+    @pytest.mark.parametrize("envelope", BAD_ENVELOPES, ids=repr)
+    def test_daemon_store_falls_back(self, envelope):
+        from repro.fleet.daemon import FleetDaemon
+
+        disk = MemoryDisk()
+        SnapshotStore(disk).write(3, {**envelope, "format": 1, "batches_accepted": 9})
+        reborn = FleetDaemon.recover(disk)
+        assert reborn.recovered["snapshot_version"] == -1
+        assert reborn.recovered["discarded"] == ["corrupt snapshot snap-00000003.ckpt"]
+        assert reborn.batches_accepted == 0 and reborn.journal.next_seq == 0
+
+
 class TestRepair:
     def test_truncates_tear_and_deletes_strays(self):
         disk = _store_with([("window", {"state": {"mode": "normal"}})])

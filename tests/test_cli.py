@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.persist import FileDisk, JournalWriter, recover
+from repro.persist import FileDisk, JournalWriter, SnapshotStore, decode_snapshot, recover
 
 
 class TestCli:
@@ -239,6 +239,24 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("repro: error: ")
         assert f" {path}: expected " in err
+
+
+    @pytest.mark.parametrize("journal_seq", ["7", None, [], {}, 1.5])
+    def test_resume_past_a_malformed_snapshot_envelope(
+        self, capsys, tmp_path, checkpoint, journal_seq
+    ):
+        """A digest-valid newest snapshot with a bad ``journal_seq`` is
+        noted as corrupt and passed over, never a traceback."""
+        ckpt = str(tmp_path / "ckpt")
+        shutil.copytree(checkpoint, ckpt)
+        store = SnapshotStore(FileDisk(ckpt))
+        newest = store.versions()[-1]
+        payload = decode_snapshot(store.disk.read(store.name_for(newest)))
+        store.write(newest, {**payload, "journal_seq": journal_seq})
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint-dir", ckpt]) == 0
+        assert recover(FileDisk(ckpt)).snapshot_version > newest
+        assert "verified:        True" in capsys.readouterr().out
 
 
 class TestProfileDBCli:
