@@ -5,7 +5,7 @@ Walks the full divergence-triage loop end to end:
 
 1. runs a small clean sweep — every generated kernel must agree
    bit-for-bit across all must-agree axes (adaptive vs none, trace JIT
-   on vs off, faulted vs clean, checkpoint-resume vs straight-through);
+   on vs off, faulted vs clean, crash-resume vs straight-through);
 2. plants a bug: the ``noprefetch`` rewrite is replaced with one that
    *stores zero* through the prefetch pointer instead of nopping the
    lfetch — silent cross-thread data corruption, the kind only a

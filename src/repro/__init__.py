@@ -23,9 +23,9 @@ Subpackages:
 - :mod:`repro.workloads` — DAXPY and the NPB-like suite;
 - :mod:`repro.analysis` — normalized metrics and paper-style tables;
 - :mod:`repro.validate` — coherence invariant checker, ISA round-trip
-  checks, crash-recovery harness;
-- :mod:`repro.scenario` — the one run-perturb-compare engine under
-  every correctness sweep (``run_cell`` + ``Sweep``);
+  checks;
+- :mod:`repro.scenario` — the one run-perturb-compare algorithm under
+  every correctness sweep (``run_cell``);
 - :mod:`repro.fuzz` — the axis table every must-agree perturbation is a
   row of, over generated kernels or named workloads.
 """

@@ -10,7 +10,7 @@ Examples::
     python -m repro fuzz --workloads daxpy cg --axes faulted --start 7 --seeds 3
     python -m repro daxpy --checkpoint-dir ckpt --strategy noprefetch
     python -m repro resume --checkpoint-dir ckpt
-    python -m repro recovery --workloads daxpy --stride 4
+    python -m repro fuzz --workloads daxpy --reps 5 --axes crash --stride 4
     python -m repro npb cg --profile-db cg.profile.db
     python -m repro warm --workloads daxpy cg
     python -m repro fuzz --workloads daxpy --axes overloaded --start 3 --seeds 2
@@ -60,7 +60,6 @@ from .scenario import (  # noqa: E402
     MachineRecipe,
     WorkloadSpec,
     daxpy_spec,
-    default_machines,
     npb_spec,
     run_cell,
 )
@@ -298,7 +297,7 @@ def _cmd_disasm(args) -> int:
     return 0
 
 
-# -- sweeps: recovery, fuzz ---------------------------------------------------
+# -- sweeps: fuzz ---------------------------------------------------------------
 
 
 def _spec(name: str, threads: int, reps: int, n_elems: int = 512) -> WorkloadSpec:
@@ -307,32 +306,6 @@ def _spec(name: str, threads: int, reps: int, n_elems: int = 512) -> WorkloadSpe
     if name == "daxpy":
         return daxpy_spec(n_elems, threads, reps)
     return npb_spec(name, threads, reps)
-
-
-def _cmd_recovery(args) -> int:
-    from .validate import RecoveryHarness
-
-    _choose("strategy", args.strategy, STRATEGIES)
-    torn_modes = (None, args.torn_bytes) if args.torn_bytes else (None,)
-    # small-scale machines: the sweep workloads must actually cross the
-    # deployment threshold, or the sweep never replays a transaction
-    machines = default_machines(args.threads, scale=4)
-    # every workload name is resolved before anything runs, so a typo in
-    # the last one costs nothing
-    specs = [_spec(name, args.threads, args.reps, 2048) for name in args.workloads]
-    _writable(args.ledger_out)
-    ledgers = []
-    failures = 0
-    for spec in specs:
-        report = RecoveryHarness(
-            spec, machines, args.strategy, args.stride, torn_modes
-        ).run(jobs=args.jobs)
-        print(report.summary())
-        failures += not report.ok
-        ledgers.append(report.to_json())
-    if args.ledger_out:
-        _write_json(args.ledger_out, {"reports": ledgers})
-    return _verdict("recovery", failures)
 
 
 def _cmd_fuzz(args) -> int:
@@ -352,10 +325,11 @@ def _cmd_fuzz(args) -> int:
             raise UsageError("--workloads cannot be combined with --replay or --corpus")
         fuzzer = DifferentialFuzzer(cases=named_cases(
             [_spec(name, 4, args.reps) for name in args.workloads], seeds, args.scale
-        ), axes=args.axes)
+        ), axes=args.axes, stride=args.stride)
     elif args.replay is not None:
         fuzzer = DifferentialFuzzer(
-            seeds=[args.replay], fault_seed=args.fault_seed, axes=args.axes
+            seeds=[args.replay], fault_seed=args.fault_seed, axes=args.axes,
+            stride=args.stride,
         )
     elif args.corpus:
         fuzzer = DifferentialFuzzer(pairs=_load_json(
@@ -364,9 +338,9 @@ def _cmd_fuzz(args) -> int:
                 (int(entry["seed"]), int(entry["fault_seed"]))
                 for entry in doc["entries"]
             ],
-        ), axes=args.axes)
+        ), axes=args.axes, stride=args.stride)
     else:
-        fuzzer = DifferentialFuzzer(seeds=seeds, axes=args.axes)
+        fuzzer = DifferentialFuzzer(seeds=seeds, axes=args.axes, stride=args.stride)
 
     _writable(args.out)
     report = fuzzer.run(jobs=args.jobs)
@@ -488,8 +462,7 @@ def _cmd_fleet(args) -> int:
     _writable(args.out)
     report = FleetHarness(
         workload=workload,
-        # small-scale machine so instances cross the deployment
-        # threshold (cf. the recovery sweep)
+        # small-scale machine so instances cross the deployment threshold
         machine=MachineRecipe("smp", max(4, args.threads), 4),
         instances=args.instances,
         quorum=args.quorum or None,
@@ -502,17 +475,6 @@ def _cmd_fleet(args) -> int:
 
 
 # -- the parser ---------------------------------------------------------------
-
-
-def _sweep_flags(parser: _Parser, workloads: list[str], reps: int, reps_help: str) -> None:
-    """``--workloads --threads --reps --jobs`` of a sweep subcommand."""
-    parser.add_argument(
-        "--workloads", nargs="+", default=workloads,
-        help="'daxpy' and/or NPB benchmark names",
-    )
-    parser.ranged("--threads", 1, type=int, default=4)
-    parser.ranged("--reps", 1, type=int, default=reps, help=reps_help)
-    _jobs_flag(parser)
 
 
 def _jobs_flag(parser: _Parser) -> None:
@@ -597,42 +559,13 @@ def _parser() -> _Parser:
     )
     resume.set_defaults(func=_cmd_resume)
 
-    recovery = sub.add_parser(
-        "recovery",
-        help="crash-recovery sweep: kill the run at durable checkpoint "
-        "writes (incl. mid-write tears), restart from the surviving store, "
-        "and require outputs bit-identical to an uninterrupted run",
-    )
-    _sweep_flags(
-        recovery, ["daxpy"], 14,
-        "outer repetitions per run (enough for a deployment)",
-    )
-    recovery.ranged(
-        "--stride", 1, type=int, default=4,
-        help="crash at every stride-th durable write (1 = every write)",
-    )
-    recovery.ranged(
-        "--torn-bytes", 0, type=int, default=7,
-        help="also crash mid-write leaving this many durable bytes "
-        "(0 = clean boundary kills only)",
-    )
-    recovery.add_argument(
-        "--strategy", default="noprefetch", metavar="STRATEGY",
-        help="COBRA strategy to run under the sweep",
-    )
-    recovery.add_argument(
-        "--ledger-out", default=None, metavar="PATH",
-        help="write the sweep's JSON ledger (cells, digests, failures) here",
-    )
-    recovery.set_defaults(func=_cmd_recovery)
-
     fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing: run seeded generated kernels, or named "
         "workloads on both machine models, across every must-agree axis "
         "(noprefetch vs none, excl vs none, adaptive vs none, jit-on vs "
         "checked, jit-off vs jit-on, osr-off vs osr-on, faulted vs clean, "
-        "checkpoint vs none, crash, resume vs straight-through, db-cold vs "
+        "checkpoint vs none, crash vs straight-through, db-cold vs "
         "jit-on, db-warm vs none, db-corrupt vs jit-on, overloaded vs clean, "
         "fleet-faulted vs none) and report bit-equality divergences and "
         "broken invariants",
@@ -659,6 +592,12 @@ def _parser() -> _Parser:
         "--axes", nargs="+", default=None, metavar="AXIS",
         help="run only these axes, plus the axes they are compared "
         "against or need (default: all)",
+    )
+    fuzz.ranged(
+        "--stride", 1, type=int, default=None, metavar="N",
+        help="crash row: crash at every N-th durable write of the checkpoint "
+        "store, at the clean boundary and 7 bytes torn (default: the "
+        "midpoint write, torn)",
     )
     fuzz.ranged(
         "--replay", 0, type=int, default=None, metavar="SEED",

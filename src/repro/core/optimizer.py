@@ -66,7 +66,7 @@ _QUARANTINE_SURGE = 4
 #: How the two reasons other code keys on begin.  The producer formats
 #: with the constant and the consumer asks the :class:`OptEvent`
 #: predicate, so rewording a message cannot silently zero the profile
-#: database's ``rolled_back`` evidence or the recovery harness's check
+#: database's ``rolled_back`` evidence or the crash row's warm-redeploy count
 #: (a typed cause field is ROADMAP item 4).
 REGRESSION = "CPI "
 WARM_RESTART = "warm restart"

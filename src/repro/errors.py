@@ -145,9 +145,9 @@ class SimulatedCrash(ReproError):
 
     Models ``kill -9`` at a journal/snapshot write: the process dies,
     volatile state is gone, and only bytes the injectable disk had made
-    durable (possibly including a torn final record) survive.  The
-    recovery-equivalence harness catches this, then proves a resumed
-    run is indistinguishable from one that was never interrupted.
+    durable (possibly including a torn final record) survive.  The fuzz
+    table's crash row catches this, then proves a resumed run is
+    indistinguishable from one that was never interrupted.
     """
 
 

@@ -324,8 +324,8 @@ class FaultInjector:
         Returns ``(crash_now, torn_bytes)``.  Deliberately consumes no
         randomness — the kill point is an exact write index
         (``FaultConfig.crash_write``), so a crashed run's journal bytes
-        are a byte-prefix of the same seed's uninterrupted run (the
-        recovery-equivalence harness asserts exactly that).
+        are a byte-prefix of the same seed's uninterrupted run (the fuzz
+        table's crash row asserts exactly that).
         """
         if self.config.crash_write is None:
             return False, None

@@ -8,7 +8,8 @@ across every axis that must agree bit-for-bit:
   coherence checker,
 * trace-JIT enabled vs disabled,
 * faulted (seeded ``repro.faults`` schedule) vs clean,
-* checkpoint / crash / resume vs straight-through,
+* checkpoint vs none, and crash-then-resume vs straight-through (every
+  N-th durable write with ``--stride N``),
 * overloaded (seeded governor schedule) vs clean.
 
 The same rows run over named workloads (``repro fuzz --workloads``) on

@@ -5,8 +5,9 @@ either a generated scenario (:func:`generated_case`, one machine, the
 seed list ``(fault_seed,)``) or a named workload on each machine of
 ``default_machines`` (:func:`named_cases`).  Every case runs the rows
 of the :data:`AXES` table, each cell one :func:`repro.scenario.run_cell`
-on a fresh machine with an identical program build, and first checks
-its built image with :func:`~repro.validate.isa_check.check_image`:
+on a fresh machine with an identical program build (a crash cell and a
+fleet cell are several runs: :attr:`Axis.cell`), and first checks its
+built image with :func:`~repro.validate.isa_check.check_image`:
 
 1. ``none``      — plain interpreter, no COBRA (ground truth); its
    arrays must match the workload's own verifier (for a generated
@@ -38,28 +39,34 @@ its built image with :func:`~repro.validate.isa_check.check_image`:
    truth, the fault ledger must be fully accounted and the run must end
    in a known mode.  Row gate: the schedules injected something;
 9. ``ckpt``      — adaptive persisting to a fresh in-memory checkpoint
-   store, straight through;
-10. ``crash``    — a run killed at the midpoint durable write of axis
-   9's store (it must die there, and records no digest);
-11. ``resume``   — warm restart from the crashed store; outputs must
-   match the straight-through run and the recovery ledger must account
-   every discarded artifact;
-12. ``db-cold``  — adaptive attached to a fresh in-memory profile
+   store, straight through, at the generated scenarios' wake cadence
+   (so a short named workload deploys too);
+10. ``crash``    — one cell per crash point of axis 9's store: the
+   midpoint durable write, torn, or with ``stride`` every stride-th
+   write under both tear modes (clean boundary, 7-byte torn).  The run
+   must die at its write; the crashed journal's valid prefix and its
+   snapshots must be axis 9's bytes, and recovery may not rewrite that
+   prefix (prefix durability); it resumes, and a resume from a clone of
+   the crashed store must give the same digest and replayed/discarded
+   counts (resume determinism); every discarded artifact must be one
+   ``persist`` event on a fully accounted ledger; the resumed outputs
+   must match axis 9.  Row gate: some cell warm-redeployed;
+11. ``db-cold``  — adaptive attached to a fresh in-memory profile
    database; a cold database is pure observation, so this must match
    axis 5 *fully* (same six observables as the JIT axis);
-13. ``db-warm``  — adaptive re-run against the database axis 12 just
+12. ``db-warm``  — adaptive re-run against the database axis 11 just
    recorded; a warm start may legitimately move deployments earlier
    (cycles change) but outputs must match ground truth;
-14. ``db-corrupt`` — adaptive against axis 13's database with one byte
+13. ``db-corrupt`` — adaptive against axis 12's database with one byte
    flipped; a damaged database must load as absent, so this again
    matches axis 5 *fully*;
-15. ``overloaded`` — adaptive under the resource governor with tight
+14. ``overloaded`` — adaptive under the resource governor with tight
    budgets, one cell per ``OVERLOAD_SCHEDULES`` preset and fault seed
    (budget shrinks, sample floods, slow disk, ingest storms);
    degradation may only shed optimization work, so outputs must match
    ground truth, the overload ledger must be fully accounted and the
    ladder well-formed.  Row gate: the governor evicted, shed or refused;
-16. ``fleet-faulted`` — a fleet of two instances (one cold, one warm)
+15. ``fleet-faulted`` — a fleet of two instances (one cold, one warm)
    against one optimization daemon over a seeded hostile transport
    (frame drop/dup/reorder/delay/corrupt/poison, partitions, one
    daemon crash); every per-instance output digest must match ground
@@ -80,7 +87,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..config import (
     FaultConfig,
@@ -100,12 +107,12 @@ from ..governor.ladder import (
     RECOVERY_WINDOWS,
     RUNGS,
 )
-from ..persist.journal import MemoryDisk
+from ..persist.journal import JOURNAL_NAME, MemoryDisk, scan_journal
 from ..persist.profiledb import PROFILEDB_NAME
 from ..runtime.team import ParallelProgram
 from ..scenario import ALL_STRATEGIES, Observables, WorkloadSpec, default_machines, run_cell
 from ..validate.isa_check import check_image
-from .driver import build_scenario, scenario_machine
+from .driver import FUZZ_COBRA, build_scenario, scenario_machine
 from .generator import ScenarioParams, generate_params
 from .report import CellRun, Divergence, FuzzReport, ScenarioResult
 
@@ -121,8 +128,12 @@ MAX_BUNDLES = 3_000_000
 FULL = ("digest", "cycles", "retired", "events", "n_samples", "samples_sha")
 
 #: Per-case scratch stores shared between axes, created on first use:
-#: "ckpt"/"crash" checkpoint disks and the "db" profile database.
+#: the "ckpt" checkpoint disk and the "db" profile database.
 Stores = defaultdict[str, MemoryDisk]
+
+#: The crash row's tear modes: ``None`` kills before the write lands
+#: (clean boundary), 7 leaves a durable 7-byte prefix of it (torn).
+TEAR_MODES = (None, 7)
 
 #: The overloaded row's budgets, which the short sweep runs reach: a
 #: flood overfills a 4-sample queue; 7 bundles admit one 4-bundle trace
@@ -176,21 +187,38 @@ def _faulted(_strategy: str, seed: int, _stores: Stores) -> dict:
     return {"faults": FaultConfig(seed=seed, **rates)}
 
 
-def _persisting(store: str, crash: bool = False) -> Callable[[str, int, Stores], dict]:
-    """Checkpoint into ``stores[store]``; ``crash`` dies at the midpoint
-    durable write of the straight-through ("ckpt") run."""
+class CrashPoint(NamedTuple):
+    """One crash cell's coordinates: a durable write and a tear mode."""
 
-    def delta(_value: str, seed: int, stores: Stores) -> dict:
-        faults = zero_rate_faults(seed)
-        if crash:
-            faults = replace(
-                faults,
-                crash_write=max(1, stores["ckpt"].durable_ops // 2),
-                crash_torn_bytes=7,
-            )
-        return {"faults": faults, "persist": PersistConfig(disk=stores[store])}
+    write: int
+    torn: int | None
 
-    return delta
+    def __str__(self) -> str:
+        tear = "boundary" if self.torn is None else f"torn[{self.torn}B]"
+        return f"write={self.write}/{tear}"
+
+
+def _crash_points(stores: Stores, stride: int | None) -> tuple[CrashPoint, ...]:
+    """The midpoint write of the "ckpt" store, torn; with ``stride``
+    every stride-th write under both tear modes."""
+    n_ops = stores["ckpt"].durable_ops
+    if stride is None:
+        return (CrashPoint(max(1, n_ops // 2), 7),)
+    return tuple(
+        CrashPoint(write, torn)
+        for write in range(1, n_ops + 1, stride) for torn in TEAR_MODES
+    )
+
+
+def _persisting(point: CrashPoint | str, seed: int, stores: Stores) -> dict:
+    """Checkpoint at the generated scenarios' wake cadence (a no-op on
+    a generated case): into the "ckpt" store straight through, or into a
+    fresh store dying at ``point``."""
+    faults, disk = zero_rate_faults(seed), stores["ckpt"]
+    if isinstance(point, CrashPoint):
+        faults = replace(faults, crash_write=point.write, crash_torn_bytes=point.torn)
+        disk = MemoryDisk()
+    return {**FUZZ_COBRA, "faults": faults, "persist": PersistConfig(disk=disk)}
 
 
 def _db(_value: str, _seed: int, stores: Stores) -> dict:
@@ -321,6 +349,91 @@ def _governed(cells: list[dict]) -> str | None:
     )
 
 
+def _warm_redeployed(cells: list[dict]) -> str | None:
+    if any(cell["warm_deploys"] for cell in cells):
+        return None
+    return (
+        "no resume warm-redeployed anything across the whole row — it never "
+        "exercised deploy-transaction replay; this sweep proved nothing"
+    )
+
+
+# -- cells that are not a single run_cell: case, delta, fault seed, stores,
+# the observables so far -> (observables, report facts, failures as
+# (observable, expected, actual)) -------------------------------------------
+
+
+def _crash_cell(case: Case, delta: dict, seed: int, stores: Stores, _obs) -> tuple:
+    """Die at the delta's crash point, then resume the crashed store and
+    a clone of it."""
+    run = partial(run_cell, case.machine, case.workload, "adaptive", jit=True,
+                  max_bundles=MAX_BUNDLES)
+    problems = []
+    try:
+        run(delta)
+    except SimulatedCrash:
+        pass
+    else:
+        # it survived: report that, but the intact store still resumes
+        problems.append(("exception", "SimulatedCrash",
+                         f"run completed past durable write {delta['faults'].crash_write}"))
+    disk, ref = delta["persist"].disk, stores["ckpt"].files
+    crashed = bytes(disk.files.get(JOURNAL_NAME, b""))
+    kept = scan_journal(crashed)[1]
+    if crashed[:kept] != ref.get(JOURNAL_NAME, b"")[:kept] or any(
+        data != ref[name] for name, data in disk.files.items()
+        if name != JOURNAL_NAME and name in ref
+    ):
+        problems.append(("prefix", "the straight-through store's bytes",
+                         "the crashed store rewrote durable history"))
+    twin = disk.clone()
+    resume = {**delta, "faults": zero_rate_faults(seed)}
+    out = run(resume)
+    if disk.files.get(JOURNAL_NAME, b"")[:kept] != crashed[:kept]:
+        problems.append(("prefix", "the crashed journal's valid prefix",
+                         "recovery rewrote durable history"))
+    again = run({**resume, "persist": PersistConfig(disk=twin)})
+    stats = out.report.persist
+    counts = [
+        (obs.digest[:12], obs.report.persist.records_replayed,
+         obs.report.persist.records_discarded)
+        for obs in (out, again)
+    ]
+    if counts[0] != counts[1]:
+        problems.append(("determinism", *counts))
+    discarded = stats.records_discarded + stats.snapshots_discarded + stats.tmp_cleaned
+    observed = sum(1 for e in out.ledger.events if e.surface == "persist")
+    if observed != discarded:
+        problems.append(("ledger", f"{discarded} persist event(s)", observed))
+    warm = sum(e.is_warm_redeploy() for e in out.report.events)
+    facts = (("replayed", stats.records_replayed), ("discarded", discarded),
+             ("warm_deploys", warm))
+    return out, facts, problems
+
+
+def _fleet_cell(case: Case, _delta, seed: int, _stores, obs) -> tuple:
+    """A fleet of two under a hostile transport schedule."""
+    from ..fleet import FleetHarness
+
+    fleet = FleetHarness(
+        workload=case.workload,
+        machine=case.machine,
+        instances=2,
+        quorum=1,
+        faults=FleetFaultConfig(
+            seed=seed, frame_rate=0.2, partition_rate=0.25, daemon_crash_batch=3
+        ),
+        optimize_interval=None,   # keep the scenario's own wake interval
+        max_bundles=MAX_BUNDLES,
+        reference_digest=obs["none"].digest,
+        jit=True,
+    ).run(jobs=1)
+    first = fleet.records[0]
+    out = Observables(digest=first.digest, arrays={}, cycles=first.cycles, retired=0,
+                      events=(), verified=None)
+    return out, (), [("fleet", "ok", failure) for failure in fleet.failures]
+
+
 @dataclass(frozen=True)
 class Axis:
     """One must-agree row: a perturbation, what it may not change, and
@@ -342,8 +455,9 @@ class Axis:
     delta: Callable[[str, int, Stores], dict] | None = None
     #: the cells' strategy; ``None``: each ``over`` value names it
     strategy: str | None = "adaptive"
-    #: the row's own sweep dimension, one cell per value
-    over: tuple[str, ...] = ("",)
+    #: the row's own sweep dimension, one cell per value, or a function
+    #: of the case's stores and the crash stride that returns the values
+    over: tuple | Callable[[Stores, int | None], tuple] = ("",)
     #: one cell per fault seed of the case, not only its first
     seeded: bool = False
     #: coherence-checker mode attached around every cell
@@ -354,10 +468,9 @@ class Axis:
     gate: Callable[[list[dict]], str | None] | None = None
     jit: bool = True
     osr: bool = True
-    #: the run must die with SimulatedCrash (and so records no digest)
-    crashes: bool = False
-    #: run as a two-instance fleet instead of a solo cell
-    fleet: bool = False
+    #: runs a cell that is several runs (crash then resume, a fleet) in
+    #: place of one run_cell; see ``_crash_cell``
+    cell: Callable[..., tuple] | None = None
 
 
 def _strategy_row(name: str) -> Axis:
@@ -381,11 +494,10 @@ AXES = (
     Axis("faulted", "none", "faulted vs clean", ledger=True, delta=_faulted,
          strategy=None, over=ALL_STRATEGIES[1:], seeded=True,
          checks=(_known_end_mode,), gate=_injected_something),
-    Axis("ckpt", "none", "checkpoint vs none", delta=_persisting("ckpt")),
-    Axis("crash", needs="ckpt", delta=_persisting("crash", crash=True),
-         crashes=True),
-    Axis("resume", "ckpt", "resume vs straight-through", ledger=True,
-         needs="crash", delta=_persisting("crash")),
+    Axis("ckpt", "none", "checkpoint vs none", delta=_persisting),
+    Axis("crash", "ckpt", "crash vs straight-through", ledger=True,
+         needs="ckpt", delta=_persisting, over=_crash_points, gate=_warm_redeployed,
+         cell=_crash_cell),
     # a cold database only records; it must not perturb the run
     Axis("db-cold", "jit-on", "db-cold vs jit-on", FULL, delta=_db),
     Axis("db-warm", "none", "db-warm vs none", needs="db-cold", delta=_db),
@@ -395,8 +507,8 @@ AXES = (
     Axis("overloaded", "none", "overloaded vs clean", ledger=True,
          delta=_overloaded, over=tuple(sorted(OVERLOAD_SCHEDULES)), seeded=True,
          checks=(_ladder,), gate=_governed),
-    Axis("fleet-faulted", "none", "fleet-faulted vs none", needs="none",
-         seeded=True, fleet=True),
+    Axis("fleet-faulted", "none", "fleet-faulted vs none", (), needs="none",
+         seeded=True, cell=_fleet_cell),
 )
 
 
@@ -416,35 +528,12 @@ def select(names: Iterable[str] | None = None) -> tuple[Axis, ...]:
     return tuple(axis for axis in AXES if axis.name in wanted)
 
 
-def _run_fleet_axis(workload: WorkloadSpec, machine, fault_seed: int,
-                    reference_digest: str):
-    """A fleet of two under a hostile transport schedule."""
-    from ..fleet import FleetHarness
-
-    faults = FleetFaultConfig(
-        seed=fault_seed,
-        frame_rate=0.2,
-        partition_rate=0.25,
-        daemon_crash_batch=3,
-    )
-    harness = FleetHarness(
-        workload=workload,
-        machine=machine,
-        instances=2,
-        quorum=1,
-        faults=faults,
-        optimize_interval=None,   # keep the scenario's own wake interval
-        max_bundles=MAX_BUNDLES,
-        reference_digest=reference_digest,
-        jit=True,
-    )
-    return harness.run(jobs=1)
-
-
 def run_scenario(
-    case: Case | ScenarioParams, axes: Sequence[str] | None = None
+    case: Case | ScenarioParams, axes: Sequence[str] | None = None,
+    stride: int | None = None,
 ) -> ScenarioResult:
-    """Execute the rows ``axes`` (default: the whole table) for one case."""
+    """Execute the rows ``axes`` (default: the whole table) for one case;
+    ``stride`` sweeps the crash row over every stride-th durable write."""
     if isinstance(case, ScenarioParams):
         case = generated_case(case)
     params = case.params
@@ -476,45 +565,31 @@ def run_scenario(
     except Exception as exc:  # noqa: BLE001 — any escape is a finding
         diverge("isa", "exception", "no exception", f"{type(exc).__name__}: {exc}")
 
-    def run(axis: Axis, value: str, seed: int) -> None:
+    def run(axis: Axis, value, seed: int) -> None:
         label = "/".join(
-            filter(None, (axis.name, value, axis.seeded and f"seed={seed}"))
+            filter(None, (axis.name, str(value), axis.seeded and f"seed={seed}"))
         )
         title = (axis.title or axis.name).replace(axis.name, label, 1)
         delta = axis.delta(value, seed, stores) if axis.delta else None
-        wanted = "SimulatedCrash" if axis.crashes else "no exception"
         try:
-            if axis.fleet:
-                fleet = _run_fleet_axis(
-                    case.workload, case.machine, seed, obs["none"].digest
-                )
-                first = fleet.records[0]
-                cells.append(CellRun(label, first.cycles, first.digest))
-                for failure in fleet.failures:
-                    diverge(title, "fleet", "ok", failure, seed)
-                return
-            out = run_cell(
-                case.machine, case.workload, axis.strategy or value, delta,
-                check=axis.check, jit=axis.jit, osr=axis.osr, tap=True,
-                max_bundles=MAX_BUNDLES,
-            )
-        except Exception as exc:  # noqa: BLE001 — any escape is a finding
-            if axis.crashes and isinstance(exc, SimulatedCrash):
-                completed.add(axis.name)
+            if axis.cell is not None:
+                out, facts, problems = axis.cell(case, delta, seed, stores, obs)
             else:
-                diverge(label, "exception", wanted, f"{type(exc).__name__}: {exc}", seed)
+                out = run_cell(
+                    case.machine, case.workload, axis.strategy or value, delta,
+                    check=axis.check, jit=axis.jit, osr=axis.osr, tap=True,
+                    max_bundles=MAX_BUNDLES,
+                )
+                facts, problems = _facts(out), ()
+        except Exception as exc:  # noqa: BLE001 — any escape is a finding
+            diverge(label, "exception", "no exception",
+                    f"{type(exc).__name__}: {exc}", seed)
             return
         completed.add(axis.name)
-        if axis.crashes:
-            # it survived: report that, but the intact store still resumes
-            diverge(
-                label, "exception", wanted,
-                f"run completed past durable write {delta['faults'].crash_write}",
-                seed,
-            )
-            return
         obs[axis.name] = out
-        cells.append(CellRun(label, out.cycles, out.digest, _facts(out)))
+        cells.append(CellRun(label, out.cycles, out.digest, facts))
+        for observable, want, got in problems:
+            diverge(title, observable, want, got, seed)
         if axis.name == "none" and out.verified is False:
             diverge(label, "value", "evaluation", "differs", seed)
         for violation in out.violations:
@@ -533,7 +608,8 @@ def run_scenario(
 
     for axis in select(axes):
         if axis.needs is None or axis.needs in completed:
-            for value in axis.over:
+            over = axis.over(stores, stride) if callable(axis.over) else axis.over
+            for value in over:
                 for seed in case.fault_seeds[: None if axis.seeded else 1]:
                     run(axis, value, seed)
 
@@ -552,11 +628,13 @@ def run_scenario(
 
 
 def _invocation_failures(
-    results: Sequence[ScenarioResult], rows: Sequence[Axis]
+    results: Sequence[ScenarioResult], rows: Sequence[Axis], stride: int | None
 ) -> list[str]:
     """Row gates and the cross-machine check, over every case of one run."""
     failures = []
     for axis in rows:
+        if callable(axis.over) and stride is None:
+            continue    # a lone midpoint crash may come before any deploy
         facts = [
             dict(cell.facts) for result in results for cell in result.cells
             if cell.label.split("/")[0] == axis.name
@@ -586,19 +664,26 @@ class DifferentialFuzzer:
         fault_seed: int | None = None,
         cases: Sequence[Case] | None = None,
         axes: Sequence[str] | None = None,
+        stride: int | None = None,
     ) -> None:
+        if stride is not None and stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
         if cases is None:
             if pairs is None:
                 pairs = [(seed, fault_seed) for seed in seeds or ()]
             cases = [generated_case(generate_params(s, fault_seed=f)) for s, f in pairs]
         self.cases = list(cases)
         self.axes = axes
+        self.stride = stride
 
     def run(self, jobs: int = 1) -> FuzzReport:
         # deferred: building scenarios never needs the process pool
         from ..parallel import run_tasks
 
         results = run_tasks(
-            [(run_scenario, (case, self.axes)) for case in self.cases], jobs=jobs
+            [(run_scenario, (case, self.axes, self.stride)) for case in self.cases],
+            jobs=jobs,
         )
-        return FuzzReport(results, _invocation_failures(results, select(self.axes)))
+        return FuzzReport(
+            results, _invocation_failures(results, select(self.axes), self.stride)
+        )

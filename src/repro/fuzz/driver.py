@@ -35,7 +35,7 @@ from ..cpu.machine import Machine
 from ..runtime.team import ParallelProgram, static_chunks
 from .generator import ScenarioParams
 
-__all__ = ["scenario_machine", "scenario_plan", "build_scenario", "FUZZ_SCALE"]
+__all__ = ["scenario_machine", "scenario_plan", "build_scenario", "FUZZ_SCALE", "FUZZ_COBRA"]
 
 #: Machine scale for fuzz scenarios: small caches keep runs fast while
 #: the 128-byte line (never scaled) keeps sharing geometry realistic.
@@ -43,7 +43,7 @@ FUZZ_SCALE = 4
 
 #: COBRA runs with shortened intervals so the tiny generated programs
 #: actually sample, wake the optimizer, and deploy rewrites.
-_FUZZ_COBRA = dict(sampling_interval=300, optimize_interval=3_000)
+FUZZ_COBRA = dict(sampling_interval=300, optimize_interval=3_000)
 
 #: Candidate coefficients for stream terms — exactly representable in
 #: binary so the NumPy cross-checks in tests stay bit-exact.
@@ -56,7 +56,7 @@ def scenario_machine(params: ScenarioParams) -> Machine:
         config = sgi_altix(params.n_threads, scale=FUZZ_SCALE)
     else:
         config = itanium2_smp(params.n_threads, scale=FUZZ_SCALE)
-    return Machine(config.with_cobra(**_FUZZ_COBRA))
+    return Machine(config.with_cobra(**FUZZ_COBRA))
 
 
 def scenario_plan(params: ScenarioParams) -> PrefetchPlan:

@@ -139,6 +139,7 @@ class FuzzReport:
                         describe(r.params) if r.params else f"{r.workload} on {r.machine}"
                     ),
                     "digests": dict(r.digests),
+                    "facts": {cell.label: dict(cell.facts) for cell in r.cells},
                     "samples": r.samples,
                     "compiles": r.compiles,
                     "tree_links": r.tree_links,

@@ -265,7 +265,7 @@ class MemoryDisk(Disk):
         self.dead = True
 
     def clone(self) -> "MemoryDisk":
-        """Independent copy (the recovery harness resumes from copies)."""
+        """Independent copy (the crash row resumes a copy too)."""
         disk = MemoryDisk()
         disk.files = {name: bytearray(data) for name, data in self.files.items()}
         disk.durable_ops = self.durable_ops

@@ -32,8 +32,8 @@ validates it when a run warm-starts from it.
 
 Everything discarded — torn tail, corrupt snapshot, stray temp — is
 returned as structured notes so the caller can account each one in the
-fault ledger.  The recovery-equivalence harness turns "accounted" into
-a hard invariant.
+fault ledger.  The fuzz table's crash row turns "accounted" into a hard
+invariant.
 """
 
 from __future__ import annotations

@@ -1,28 +1,17 @@
-"""The scenario engine: one run-perturb-compare path for every sweep.
+"""The scenario engine: one run-perturb-compare algorithm for every sweep.
 
 COBRA's ship criterion is that a runtime rewrite (lfetch→nop,
 lfetch→lfetch.excl, trace deployment) may move cycles but never
 outputs.  Every correctness sweep in the package — the fuzz axis table
-(:mod:`repro.fuzz.differ`), crash-recovery and fleet — proves that the
-same way, and this module owns the two decisions they share:
-
-* the **algorithm**, :func:`run_cell`: fresh machine → build the
-  workload → apply a ``CobraConfig`` delta → run under one strategy →
-  snapshot every program array → :class:`Observables`.  A cell is a pure
-  function of its arguments (fresh machine, fresh program, seeded
-  injectors), so it replays from its coordinates and can run in any
-  process.
-* the **policy**, :class:`Sweep`: fan reference cells and perturbed
-  cells out over :func:`repro.parallel.run_tasks`, merge in submission
-  order (the report is byte-identical at any ``jobs``), let no
-  exception escape a cell, diff every cell's output bytes against its
-  machine's reference, require an accounted fault ledger, and fail a
-  sweep that ran no cells — a sweep that proved nothing must not print
-  OK.  The recovery harness runs on it; the fuzz table runs cells
-  through :func:`run_cell` directly.
-
-The harnesses are declarative on top: which cells, which reference, and
-their own invariant checkers (journal-prefix durability, ...).
+(:mod:`repro.fuzz.differ`, whose rows include the crash-recovery sweep)
+and the fleet — proves that the same way, through :func:`run_cell`:
+fresh machine → build the workload → apply a ``CobraConfig`` delta →
+run under one strategy → snapshot every program array →
+:class:`Observables`.  A cell is a pure function of its arguments
+(fresh machine, fresh program, seeded injectors), so it replays from
+its coordinates and can run in any process.  What a sweep runs, what
+each cell is diffed against and which invariants it keeps are the axis
+table's rows.
 """
 
 from __future__ import annotations
@@ -32,7 +21,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from .config import DEFAULT_SCALE, itanium2_smp, sgi_altix
 from .cpu.machine import Machine
@@ -50,10 +39,6 @@ __all__ = [
     "WorkloadSpec",
     "MachineRecipe",
     "Observables",
-    "Cell",
-    "Sweep",
-    "SweepResult",
-    "SweepReport",
     "run_cell",
     "daxpy_spec",
     "npb_spec",
@@ -311,122 +296,3 @@ def run_cell(
         report=report,
         extra=extra,
     )
-
-
-# -- the policy: one sweep ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One unit of a sweep, as picklable data."""
-
-    #: replay coordinates, e.g. ``"smp4/adaptive/seed=3"``
-    label: str
-    #: which reference this cell's outputs are diffed against
-    machine: str
-    #: zero-argument callable returning :class:`Observables` —
-    #: typically ``partial(run_cell, recipe, workload, strategy, delta)``
-    run: Callable[[], Observables]
-
-
-@dataclass
-class SweepResult:
-    """Merged outcome of one sweep, in submission order."""
-
-    references: dict[str, Observables] = field(default_factory=dict)
-    runs: list[tuple[Cell, Observables]] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-
-def _attempt(cell: Cell) -> tuple[Observables | None, str | None]:
-    try:
-        return cell.run(), None
-    except Exception as exc:  # noqa: BLE001 — the invariant is *zero* escapes
-        return None, f"{cell.label}: unhandled {type(exc).__name__}: {exc}"
-
-
-#: A per-cell invariant checker: (cell, observables, reference) -> failures.
-Check = Callable[[Cell, Observables, Observables], Iterable[str]]
-
-
-@dataclass
-class Sweep:
-    """References + perturbed cells + the invariants they must keep."""
-
-    #: one reference cell per machine name
-    reference: Sequence[Cell]
-    #: the perturbed cells — or, when their enumeration depends on what
-    #: the references observed, a function from references to cells
-    cells: Sequence[Cell] | Callable[[dict[str, Observables]], Sequence[Cell]]
-    #: harness-specific invariant checkers, run on every completed cell
-    checks: Sequence[Check] = ()
-
-    def run(self, jobs: int = 1) -> SweepResult:
-        # deferred: the process pool drags in multiprocessing, which the
-        # single-run CLI commands never need
-        from .parallel import run_tasks
-
-        def attempts(cells: Sequence[Cell]):
-            return zip(cells, run_tasks([(_attempt, (c,)) for c in cells], jobs=jobs))
-
-        out = SweepResult()
-        for cell, (obs, error) in attempts(self.reference):
-            if error is not None:
-                out.failures.append(error)
-            else:
-                out.references[cell.machine] = obs
-        cells = self.cells(out.references) if callable(self.cells) else self.cells
-        cells = [c for c in cells if c.machine in out.references]
-        if not cells:
-            out.failures.append(
-                "empty sweep: no cell ran, so nothing was compared — "
-                "this sweep proved nothing"
-            )
-            return out
-        for cell, (obs, error) in attempts(cells):
-            if error is not None:
-                out.failures.append(error)
-                continue
-            out.runs.append((cell, obs))
-            ref = out.references[cell.machine]
-            if obs.digest != ref.digest:
-                differing = ", ".join(
-                    repr(name) for name, data in ref.arrays.items()
-                    if obs.arrays.get(name) != data
-                )
-                out.failures.append(
-                    f"{cell.label}: output digest {obs.digest[:12]} differs from "
-                    f"the reference {ref.digest[:12]} in array(s) {differing} — "
-                    "the perturbation reached program correctness"
-                )
-            if obs.ledger is not None and not obs.ledger.accounted:
-                out.failures.append(
-                    f"{cell.label}: {obs.ledger.outstanding} injected event(s) "
-                    "unaccounted (neither detected nor tolerated)"
-                )
-            for check in self.checks:
-                out.failures.extend(check(cell, obs, ref))
-        return out
-
-
-@dataclass
-class SweepReport:
-    """What every sweep report shares: records, failures, one verdict.
-
-    Subclasses supply ``headline()`` and ``line(record)``.
-    """
-
-    workload: str
-    records: list = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        return "\n".join(
-            [self.headline()]
-            + [f"  {self.line(record)}" for record in self.records]
-            + [f"  FAIL: {failure}" for failure in self.failures]
-        )

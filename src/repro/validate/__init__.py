@@ -17,12 +17,8 @@ every built image — is the strategy rows of
 :data:`repro.fuzz.differ.AXES`: ``python -m repro fuzz --workloads
 daxpy cg --axes noprefetch excl adaptive``.
 
-:mod:`~repro.validate.recovery` closes the loop with
-:mod:`repro.persist`: a :class:`RecoveryHarness` that kills the run at
-every durable checkpoint write (including mid-write tears), restarts it
-from the surviving store, and requires outputs bit-identical to an
-uninterrupted run with every discarded artifact accounted on the fault
-ledger (``python -m repro recovery``).
+The crash-recovery sweep is the ``crash`` row of the same table
+(``python -m repro fuzz --workloads daxpy --axes crash --stride 4``).
 """
 
 from .checker import VALIDATE_MODES, AccessEvent, CoherenceChecker, EvictEvent
@@ -32,12 +28,6 @@ from .isa_check import (
     check_roundtrip,
     encode_image,
     encode_instruction,
-)
-from .recovery import (
-    RecoveryHarness,
-    RecoveryRecord,
-    RecoveryReport,
-    zero_rate_faults,
 )
 from ..scenario import WorkloadSpec
 
@@ -52,8 +42,4 @@ __all__ = [
     "check_roundtrip",
     "encode_image",
     "encode_instruction",
-    "RecoveryHarness",
-    "RecoveryRecord",
-    "RecoveryReport",
-    "zero_rate_faults",
 ]

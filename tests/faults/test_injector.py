@@ -12,6 +12,7 @@ from repro.faults import (
     SAMPLE_FAULTS,
     TOLERATED_AT_INJECTION,
     FaultInjector,
+    zero_rate_faults,
 )
 from repro.hpm.counters import COUNTER_MASK
 from repro.hpm.sample import Sample
@@ -63,6 +64,14 @@ class TestDeterminism:
         inj = FaultInjector(FaultConfig(sample_rate=0.0, patch_rate=0.0, loop_rate=0.0))
         assert all(entry is None for entry in _schedule(inj))
         assert inj.events == []
+
+    def test_zero_rate_faults_draw_nothing(self):
+        inj = FaultInjector(zero_rate_faults())
+        for _ in range(50):
+            assert inj.sample_fault() is None
+            assert inj.patch_fault() is None
+            assert inj.loop_fault() is None
+        assert inj.ledger().injected == 0
 
     def test_kinds_filter_restricts_draws(self):
         inj = FaultInjector(

@@ -64,8 +64,8 @@ class TestCorpusReplay:
     def test_corpus_compiles_and_stays_divergence_free(self, corpus, replay):
         report = replay
         assert report.ok, report.summary(verbose=False)
-        # all twenty digest cells executed for every entry (the crash
-        # run records no digest): compile + run succeeded everywhere
+        # all twenty digest cells executed for every entry: compile +
+        # run succeeded everywhere
         assert all(len(r.digests) == 20 for r in report.results)
         # and the recorded JIT/tree eligibility still holds
         by_seed = {r.params.seed: r for r in report.results}

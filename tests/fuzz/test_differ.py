@@ -9,17 +9,19 @@ from repro.fuzz.report import repro_command
 from repro.isa.instructions import Instruction, Op
 
 #: every cell label of a generated scenario, in run order, without the
-#: ``/seed=N`` of the seeded rows
+#: ``/seed=N`` of the seeded rows and the crash cell's crash point
 AXES = (
     "none", "noprefetch", "excl", "adaptive", "jit-on", "jit-off", "osr-off",
-    "faulted/noprefetch", "faulted/excl", "faulted/adaptive", "ckpt", "resume",
+    "faulted/noprefetch", "faulted/excl", "faulted/adaptive", "ckpt", "crash",
     "db-cold", "db-warm", "db-corrupt", "overloaded/everything",
     "overloaded/flood", "overloaded/shrink", "overloaded/storm", "fleet-faulted",
 )
 
 
 def _labels(result):
-    return tuple(label.split("/seed=")[0] for label, _digest in result.digests)
+    return tuple(
+        label.split("/seed=")[0].split("/write=")[0] for label, _digest in result.digests
+    )
 
 
 class TestCleanSweep:
@@ -148,26 +150,26 @@ class TestAxesTable:
 
     NAMES = (
         "none", "noprefetch", "excl", "adaptive", "jit-on", "jit-off",
-        "osr-off", "faulted", "ckpt", "crash", "resume", "db-cold", "db-warm",
+        "osr-off", "faulted", "ckpt", "crash", "db-cold", "db-warm",
         "db-corrupt", "overloaded", "fleet-faulted",
     )
 
-    def test_sixteen_axes_twenty_digest_labels_in_order(self):
+    def test_fifteen_axes_twenty_digest_labels_in_order(self):
         from repro.fuzz.differ import AXES as TABLE
 
         assert tuple(axis.name for axis in TABLE) == self.NAMES
-        # the crash run dies by design and records no digest; every
-        # other row records one per value of its sweep dimension: the
+        # every row records one digest per value of its sweep dimension
+        # (the crash row's one midpoint cell without a stride): the
         # labels every corpus entry's replay must produce
         assert tuple(
             "/".join(filter(None, (a.name, value)))
-            for a in TABLE if not a.crashes for value in a.over
+            for a in TABLE for value in (("",) if callable(a.over) else a.over)
         ) == AXES
 
     def test_axes_selection_adds_references_and_dependencies(self):
         from repro.fuzz.differ import select
 
-        assert [a.name for a in select(["resume"])] == ["none", "ckpt", "crash", "resume"]
+        assert [a.name for a in select(["crash"])] == ["none", "ckpt", "crash"]
         assert [a.name for a in select(["jit-off"])] == [
             "none", "adaptive", "jit-on", "jit-off",
         ]
@@ -193,7 +195,7 @@ class TestAxesTable:
 
         numbered = re.findall(r"^\s*(\d+)\. ``([\w-]+)``", differ.__doc__, re.M)
         assert [name for _n, name in numbered] == list(self.NAMES)
-        assert [int(n) for n, _name in numbered] == list(range(1, 17))
+        assert [int(n) for n, _name in numbered] == list(range(1, 16))
 
         titles = [a.title or a.name for a in differ.AXES if a.name != "none"]
         subcommands = _parser()._subparsers._group_actions[0]

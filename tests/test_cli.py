@@ -68,7 +68,7 @@ class TestCli:
         assert "0 divergence(s), OK" in out
 
     def test_removed_sweep_subcommands_are_one_error_line(self, capsys):
-        for command in ("validate", "chaos", "overload"):
+        for command in ("validate", "chaos", "overload", "recovery"):
             assert main([command, "--workloads", "daxpy"]) == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1
@@ -350,6 +350,11 @@ class TestFuzzCli:
         err = capsys.readouterr().err
         assert rc == 2 and "--seeds must be >= 1" in err
 
+    def test_bad_stride(self, capsys):
+        rc = main(["fuzz", "--stride", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "--stride must be >= 1" in err
+
     def test_missing_corpus(self, capsys, tmp_path):
         rc = main(["fuzz", "--corpus", str(tmp_path / "nope.json")])
         err = capsys.readouterr().err
@@ -383,29 +388,6 @@ class TestFuzzCli:
         assert data["ok"] is True
         assert data["scenarios"][0]["seed"] == 3
         assert len(data["scenarios"][0]["digests"]) == 20
-
-
-class TestRecoveryCli:
-    """Argument validation only — the sweep itself is covered by
-    tests/validate/test_recovery_harness.py (the CLI run takes minutes)."""
-
-    def test_unknown_workload(self, capsys):
-        assert main(["recovery", "--workloads", "nope"]) == 2
-
-    def test_unknown_strategy(self, capsys):
-        rc = main(["recovery", "--strategy", "bogus"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "unknown strategy 'bogus'" in err
-
-    def test_bad_stride(self, capsys):
-        rc = main(["recovery", "--stride", "0"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "--stride must be >= 1" in err
-
-    def test_bad_torn_bytes(self, capsys):
-        rc = main(["recovery", "--torn-bytes", "-1"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "--torn-bytes must be >= 0" in err
 
 
 class TestFleetCli:

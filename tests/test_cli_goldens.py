@@ -2,10 +2,12 @@
 
 ``tests/golden/cli/*.txt`` hold the command line, exit code and stdout
 of one small invocation of every sweep subcommand.  ``validate``,
-``chaos`` and ``overload`` are the ``repro fuzz --workloads daxpy``
-invocations of the axis-table rows those three subcommands became
-(the strategy rows, ``faulted``, ``overloaded``); every cell keeps the
-cycles and digest of the subcommand's own golden.  Each must replay
+``chaos``, ``overload`` and ``recovery`` are the ``repro fuzz
+--workloads daxpy`` invocations of the axis-table rows those four
+subcommands became (the strategy rows, ``faulted``, ``overloaded``,
+``crash``); the first three keep every cell's cycles and digest of
+the subcommand's own golden, ``recovery`` its crash points and their
+replayed, discarded and warm-redeploy counts.  Each must replay
 byte-identically — and at any ``--jobs``, which is the determinism
 contract of :func:`repro.parallel.run_tasks`.
 ``disasm_daxpy.txt`` (captured before the disassembler became a walk

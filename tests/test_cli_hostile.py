@@ -49,7 +49,6 @@ EXPLICIT = [
     (["npb", "cg", "--strategy", "nope"], {}, "unknown strategy 'nope'"),
     (["bench", "--strategies", "bogus"], {}, "unknown strategy 'bogus'"),
     (["bench", "--benchmarks", "nope"], {}, "unknown benchmark 'nope'"),
-    (["recovery", "--strategy", "bogus"], {}, "unknown strategy 'bogus'"),
     (["warm", "--strategy", "nope"], {}, "unknown strategy 'nope'"),
     (["warm", "--workloads", "nope"], {}, "unknown benchmark 'nope'"),
     (["disasm", "nope"], {}, "unknown kernel 'nope'"),
@@ -60,14 +59,13 @@ EXPLICIT = [
     (["validate"], {}, "invalid choice: 'validate'"),
     (["chaos", "--seed", "0"], {}, "invalid choice: 'chaos'"),
     (["overload"], {}, "invalid choice: 'overload'"),
-    (["recovery", "--workloads", "nope"], {}, "unknown workload 'nope'"),
+    (["recovery", "--stride", "4"], {}, "invalid choice: 'recovery'"),
     (["fleet", "--workload", "nope"], {}, "unknown workload 'nope'"),
     # -- flags the range table already promised messages for ------------------
     (["fuzz", "--seeds", "1", "--jobs", "0"], {}, "--jobs must be >= 1"),
     (["fuzz", "--replay", "3", "--fault-seed", "-1"], {}, "--fault-seed must be >= 0"),
     (["fuzz", "--seeds", "0"], {}, "--seeds must be >= 1"),
-    (["recovery", "--stride", "0"], {}, "--stride must be >= 1"),
-    (["recovery", "--torn-bytes", "-1"], {}, "--torn-bytes must be >= 0"),
+    (["fuzz", "--stride", "0"], {}, "--stride must be >= 1"),
     (["fleet", "--instances", "0"], {}, "--instances must be >= 1"),
     (["fleet", "--quorum", "-1"], {}, "--quorum must be >= 0"),
     (["fleet", "--fault-seed", "-1"], {}, "--fault-seed must be >= 0"),
@@ -100,7 +98,6 @@ EXPLICIT = [
     (["bench", "--out", "/proc/nope/x.json"], {}, "cannot write '/proc/nope/x.json'"),
     (["fuzz", "--seeds", "1", "--out", "/proc/nope/x.json"], {}, "cannot write"),
     (["fleet", "--instances", "2", "--out", "/proc/nope/x.json"], {}, "cannot write"),
-    (["recovery", "--ledger-out", "/proc/nope/x.json"], {}, "cannot write"),
     (["bench", "--out", "{tmp}"], {}, "Is a directory"),
     (["daxpy", "--checkpoint-dir", "/proc/nope/ck"], {}, "cannot write '/proc/nope/ck'"),
     (["npb", "cg", "--checkpoint-dir", "/proc/nope/ck"], {}, "cannot write"),
@@ -126,7 +123,6 @@ EXPLICIT = [
     (["--scale", "0", "table1"], {}, "--scale must be >= 1, got 0"),
     (["--scale", "3", "table1"], {}, "cannot scale cache"),
     (["daxpy", "--reps", "0"], {}, "--reps must be >= 1, got 0"),
-    (["recovery", "--reps", "0"], {}, "--reps must be >= 1, got 0"),
     (["fleet", "--threads", "0"], {}, "--threads must be >= 1, got 0"),
     (["daxpy", "--threads", "99"], {}, "working set too small"),
     (["fuzz", "--start", "-1"], {}, "--start must be >= 0, got -1"),

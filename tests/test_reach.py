@@ -68,7 +68,7 @@ ENTRY_POINTS = (
     "REPRO_VALIDATE=strict examples/quickstart.py",
     "repro fuzz --workloads daxpy cg --reps 2 --axes noprefetch excl adaptive",
     "repro fuzz --workloads daxpy cg --reps 4 --start 0 --seeds 2 --axes faulted",
-    "repro recovery --workloads daxpy --stride 4 --ledger-out recovery-ledger.json",
+    "repro fuzz --workloads daxpy --reps 5 --axes crash --stride 4 --out recovery-ledger.json",
     "repro daxpy --checkpoint-dir ck --strategy noprefetch",
     "repro resume --checkpoint-dir ck",
     "repro fuzz --seeds 25 --no-verbose",

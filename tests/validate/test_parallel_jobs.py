@@ -3,9 +3,9 @@
 ``repro.parallel.run_tasks`` is the one primitive every harness shares:
 an ordered task list goes in, results come back in submission order no
 matter how many worker processes ran them.  These tests pin that
-contract directly and then end-to-end — the fuzz table's strategy and
-faulted rows over named cases, the recovery harness report (and the
-bench digests) must match
+contract directly and then end-to-end — the fuzz table's strategy,
+faulted and crash rows over named cases (and the bench digests) must
+match
 byte-for-byte between ``jobs=1`` (inline) and ``jobs=4`` (process
 pool).
 """
@@ -20,7 +20,6 @@ from repro.errors import ValidationError
 from repro.fuzz import Case, DifferentialFuzzer
 from repro.parallel import run_tasks
 from repro.scenario import MachineRecipe, daxpy_spec
-from repro.validate import RecoveryHarness
 
 # toy task for the run_tasks contract tests — must be module-level and
 # importable so the process pool can pickle it
@@ -99,23 +98,17 @@ class TestHarnessJobsDeterminism:
         assert seq.to_json() == par.to_json()
         assert seq.results == par.results
 
-    def test_recovery_report_identical(self):
+    def test_crash_row_report_identical(self):
         def sweep(jobs):
-            harness = RecoveryHarness(
-                SPEC,
-                {"smp2": MachineRecipe("smp", 2, 4)},
-                strategy="noprefetch",
-                stride=9,
-                torn_modes=(None,),
-            )
-            return harness.run(jobs=jobs)
+            return DifferentialFuzzer(
+                cases=_cases((0,)), axes=["crash"], stride=9
+            ).run(jobs=jobs)
 
         seq, par = sweep(1), sweep(4)
         assert seq.summary() == par.summary()
-        assert seq.reference_digests == par.reference_digests
-        assert [r.digest for r in seq.records] == [
-            r.digest for r in par.records
-        ]
+        assert seq.to_json() == par.to_json()
+        assert seq.results == par.results
+        assert sum(cell.label.startswith("crash/") for r in seq.results for cell in r.cells) > 2
 
     def test_bench_cases_identical(self):
         from repro.bench import run_bench
