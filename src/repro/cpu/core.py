@@ -18,10 +18,11 @@ the core and its register file at every exit, fault, and sampling
 interrupt).  Operand ranges are validated once at decode time; only
 the hardwired registers (r0, f0, f1, p0) keep their write guards in the
 interpreter.  The cache stays coherent with runtime patching through
-the images' journaled versions, checked once per ``run()`` slice —
-COBRA only patches between scheduler slices.  ``run()`` resumes one
-suspended body per core (:meth:`Core._run_slices`), so the locals a
-core never rebinds are bound once, not at every slice.
+the images' journaled versions, re-synced at the first slice after an
+image edit (``binary.EDITS`` moved) — COBRA only patches between
+scheduler slices.  A slice resumes one suspended body per core
+(:meth:`Core._run_slices`), so the locals a core never rebinds are bound
+once, not at every slice.
 
 This loop is the reference the compiled traces are checked against
 (``REPRO_TRACE_JIT=0``), and it executes only what no trace covers — a
@@ -49,7 +50,7 @@ from typing import Callable
 
 from ..config import env_value
 from ..errors import RegisterError, SimulationFault
-from ..isa.binary import BUNDLE_BYTES, BinaryImage
+from ..isa.binary import BUNDLE_BYTES, EDITS, BinaryImage
 from ..isa.decode import DecodeCache
 from ..isa.instructions import Op
 from ..isa.registers import (
@@ -264,13 +265,17 @@ class Core:
         try:
             return self._slices.send((max_bundles, cycle_limit))
         except BaseException as end:
-            # the body ended — at ``halt`` (StopIteration) or at a fault
-            # it published; the next slice starts a new one
-            self._slices = self._run_slices()
-            next(self._slices)
-            if isinstance(end, StopIteration):
-                return end.value
-            raise
+            return self._restart(end)
+
+    def _restart(self, end: BaseException) -> int:
+        """Start a new slice body after ``end`` finished the last one: at
+        ``halt`` (a ``StopIteration``; return its bundle count) or at a
+        fault the body published (re-raised)."""
+        self._slices = self._run_slices()
+        next(self._slices)
+        if isinstance(end, StopIteration):
+            return end.value
+        raise end
 
     def _run_slices(self):
         """The body of :meth:`run`: one ``send`` per slice, ``yield``s
@@ -278,9 +283,10 @@ class Core:
 
         What a core never rebinds — register lists, rename rows, memory
         accessors, the decoded and dispatch maps, the BTB and the trace
-        environment — is bound here once; each slice re-syncs only what
-        can change between slices: the decode journal, the trace
-        generation, the JIT flags, the validator and the sampling state.
+        environment — is bound here once.  Each slice re-reads the JIT
+        flags, the validator, the sampling and architectural state, and
+        re-syncs the decode cache and the traces only at the first slice
+        after an image edit or attach (``binary.EDITS`` moved).
         """
         dcache = self._dcache
         dmap = dcache.map
@@ -292,6 +298,7 @@ class Core:
         hot_get = hot.get
         sites = tjit.sites
         sites_get = sites.get
+        deopts = tjit.deopts
         regs = self.regs
         grl = regs.gr
         frl = regs.fr
@@ -309,22 +316,35 @@ class Core:
         call_stack = self.call_stack
         bundles_per_cycle = self.bundles_per_cycle
         env = trace_env(self)
-        # budget-exit resume hint, (generation, pc, entry point): the next
+        edits = EDITS
+        synced = -1     # the edit count the decode cache and traces last saw
+        gsor = gmaps = None     # the sor ``gmaps`` was built for
+        # budget-exit resume hint, the pc and its entry point: the next
         # slice with the JIT on re-enters the interrupted trace without a
-        # dispatch re-probe (invalidation/eviction bumps the generation)
-        pending = None
+        # dispatch re-probe, unless an invalidation or an eviction bumped
+        # the generation in between
+        pending = hint = None
+        generation = -1
         executed = 0
+        # the hand-off counters, published with the state below (only
+        # this body writes them); bundles not interpreted ran compiled
+        trace_entries, osr_entries, iters = tjit.entries, tjit.osr_entries, tjit.iters
+        interpreted = self.bundles_executed - tjit.compiled_bundles
 
         while True:
             max_bundles, cycle_limit = yield executed
             executed = 0
-            dcache.sync()
-            # Trace dispatch state.  sync() revalidates compiled traces
-            # against the decode journal at the same once-per-slice cadence
-            # the decoded map itself refreshes, so a patched bundle can
-            # never execute through a stale trace (COBRA patches between
-            # scheduler slices; within a slice both views are equally live).
             jit = self.jit_enabled
+            if edits[0] != synced:
+                # An image was edited or attached since the last slice:
+                # refresh the decoded view, then revalidate the traces
+                # against it, so a patched bundle can never execute
+                # through a stale trace (COBRA patches between scheduler
+                # slices; within a slice both views are equally live).
+                dcache.sync()
+                if jit:
+                    tjit.sync(dcache)
+                    synced = edits[0]
             if jit:
                 osr_on = self.osr_enabled
                 if tjit.osr != osr_on:
@@ -332,16 +352,11 @@ class Core:
                     # modes): republish entry points under the new policy
                     tjit.osr = osr_on
                     tjit._rebuild_dispatch()
-                tjit.sync(dcache)
                 jit_threshold = tjit.threshold
-                # read after sync(): invalidation may have bumped it
-                generation = tjit.generation
+                if tjit.generation != generation:
+                    generation = tjit.generation
+                    pending = None  # traces changed under the hint
                 resume, pending = pending, None
-                if resume is not None and resume[0] != generation:
-                    resume = None   # traces changed under the hint
-            # the hand-off counters, published with the rest below
-            trace_entries, osr_entries = tjit.entries, tjit.osr_entries
-            iters, compiled_bundles = tjit.iters, tjit.compiled_bundles
             while True:
                 # One pass per sampling interrupt.  Architectural and timing
                 # state lives in locals while bundles execute and is
@@ -363,76 +378,75 @@ class Core:
                 rrb_gr = regs.rrb_gr
                 rrb_fr = regs.rrb_fr
                 rrb_pr = regs.rrb_pr
-                gmaps = rename_table(128, GR_ROT_START, sor)
                 cache_access = cache.access_fn
+                if sor != gsor:
+                    gsor = sor
+                    gmaps = rename_table(128, GR_ROT_START, sor)
                 # compiled traces inline the L2-hit path: legal only while
-                # no validator has to see every access
-                tracing = jit and cache.validator is None
+                # no validator has to see every access.  ``ep`` is the
+                # entry point at ``pc``, probed after every bundle or trace
+                if jit and cache.validator is None:
+                    tracing = True
+                    if resume == pc:
+                        ep = hint
+                        tjit.resume_hits += 1   # the hint is single-use
+                    else:
+                        ep = dispatch_get(pc)
+                    resume = None
+                else:
+                    tracing = False
+                    ep = None
                 try:
                     while executed < max_bundles and cycles <= cycle_limit:
-                        if tracing:
-                            if resume is not None:
-                                # budget exit from the previous slice: the hint
-                                # is single-use and pre-validated by generation
-                                if resume[1] == pc:
-                                    ep = resume[2]
-                                    tjit.resume_hits += 1
-                                else:
+                        # a sor-free trace runs at any sor; otherwise a base a
+                        # shrinking `alloc` left >= sor is read modulo sor here,
+                        # and a trace indexes its sor-row tables with it
+                        if ep is not None and (
+                            (tr := ep.trace).sor == sor and rrb_gr < (sor or 1)
+                            or tr.sor_free
+                        ):
+                            (
+                                pc, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
+                                retired, bundles_executed, taken_branches,
+                                issue_tick, countdown, executed, iters, flag,
+                            ) = tr.fn(
+                                env, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
+                                retired, bundles_executed, taken_branches,
+                                issue_tick, countdown, sampling, executed, iters,
+                                max_bundles, cycle_limit, ep.idx, tr.head,
+                            )
+                            trace_entries += 1
+                            tr.last_used = trace_entries
+                            if ep.idx:
+                                osr_entries += 1
+                            deopts[flag] += 1
+                            if flag == EXIT_SAMPLE:
+                                # the trace retired a bundle that expired
+                                # the sampling countdown
+                                break
+                            ep = dispatch_get(pc)
+                            if flag == EXIT_BUDGET:
+                                # the slice ends here; remember the probe so
+                                # the next slice resumes without paying it
+                                if ep is not None:
+                                    pending, hint = pc, ep
+                                    if ep.resumes is not None:
+                                        tjit.resumed(ep)
+                            elif osr_on:
+                                # architectural exit (loop/side/link): count
+                                # the (head, target) site; a hot site grows
+                                # the trace tree at the target
+                                site = (tr.head, pc)
+                                n = sites_get(site, 0) + 1
+                                sites[site] = n
+                                if n == jit_threshold:
+                                    tjit.promote(
+                                        tr, pc, dmap, dkeys, sor, bundles_per_cycle
+                                    )
                                     ep = dispatch_get(pc)
-                                resume = None
-                            else:
-                                ep = dispatch_get(pc)
-                            # a sor-free trace runs at any sor; otherwise a base
-                            # a shrinking `alloc` left >= sor is read modulo sor
-                            # here, and a trace indexes its sor-row tables with it
-                            if ep is not None and (
-                                (tr := ep.trace).sor == sor and rrb_gr < (sor or 1)
-                                or tr.sor_free
-                            ):
-                                before = bundles_executed
-                                (
-                                    pc, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
-                                    retired, bundles_executed, taken_branches,
-                                    issue_tick, countdown, executed, t_iters, flag,
-                                ) = tr.fn(
-                                    env, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles,
-                                    retired, bundles_executed, taken_branches,
-                                    issue_tick, countdown, sampling, executed,
-                                    max_bundles, cycle_limit, ep.idx, tr.head,
-                                )
-                                trace_entries += 1
-                                tr.last_used = trace_entries
-                                if ep.idx:
-                                    osr_entries += 1
-                                iters += t_iters
-                                compiled_bundles += bundles_executed - before
-                                tjit.deopts[flag] += 1
-                                if flag == EXIT_SAMPLE:
-                                    # the trace retired a bundle that expired
-                                    # the sampling countdown
-                                    break
-                                if flag == EXIT_BUDGET:
-                                    # the slice ends here; remember the probe so
-                                    # the next slice resumes without paying it
-                                    nep = dispatch_get(pc)
-                                    if nep is not None:
-                                        pending = (generation, pc, nep)
-                                        if nep.resumes is not None:
-                                            tjit.resumed(nep)
-                                elif osr_on:
-                                    # architectural exit (loop/side/link): count
-                                    # the (head, target) site; a hot site grows
-                                    # the trace tree at the target
-                                    site = (tr.head, pc)
-                                    n = sites_get(site, 0) + 1
-                                    sites[site] = n
-                                    if n == jit_threshold:
-                                        tjit.promote(
-                                            tr, pc, dmap, dkeys, sor, bundles_per_cycle
-                                        )
-                                    if dispatch_get(pc) is not None:
-                                        tjit.tree_links += 1
-                                continue
+                                if ep is not None:
+                                    tjit.tree_links += 1
+                            continue
                         base = pc & _BMASK
                         decoded = dmap_get(base)
                         if decoded is None:
@@ -522,7 +536,7 @@ class Core:
                                 else:
                                     if op == _ALLOC:
                                         regs.alloc_rotating(imm)
-                                        sor = regs.sor
+                                        gsor = sor = regs.sor
                                         gmaps = rename_table(128, GR_ROT_START, sor)
                                     else:  # clrrrb
                                         rrb_gr = rrb_fr = rrb_pr = 0
@@ -647,6 +661,7 @@ class Core:
                                 retired += idx + 1 - slot
                                 cycles += 1 + stall
                                 bundles_executed += 1
+                                interpreted += 1
                                 return executed + 1
                             elif op == _FETCHADD8:
                                 a = grl[gm[r2]]
@@ -696,11 +711,14 @@ class Core:
                         else:
                             cycles += stall
                         bundles_executed += 1
+                        interpreted += 1
                         executed += 1
                         if sampling:
                             countdown -= n_slots
                             if countdown <= 0:
                                 break
+                        if tracing:
+                            ep = dispatch_get(pc)
                     else:
                         break   # the slice is done
                     # sampling interrupt (generic and EXIT_SAMPLE paths alike):
@@ -722,5 +740,5 @@ class Core:
                     regs.rrb_fr = rrb_fr
                     regs.rrb_pr = rrb_pr
                     tjit.entries, tjit.osr_entries = trace_entries, osr_entries
-                    tjit.iters, tjit.compiled_bundles = iters, compiled_bundles
+                    tjit.iters, tjit.compiled_bundles = iters, bundles_executed - interpreted
                 self.on_sample(self)  # type: ignore[misc]

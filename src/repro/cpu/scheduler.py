@@ -58,31 +58,6 @@ class Scheduler:
         self._hooks.append([hook, 0])
         self._due = 0
 
-    def _slice(self) -> int:
-        """Run one scheduling slice; return bundles executed (0 = done)."""
-        lowest: Core | None = None
-        second = None
-        for core in self.cores:
-            if core.halted:
-                continue
-            if lowest is None or core.cycles < lowest.cycles:
-                second = lowest.cycles if lowest is not None else None
-                lowest = core
-            elif second is None or core.cycles < second:
-                second = core.cycles
-        if lowest is None:
-            return 0
-        limit = (second if second is not None else lowest.cycles + 100_000) + self.margin
-        before = lowest.retired
-        try:
-            ran = lowest.run(_SLICE_BUNDLES, cycle_limit=limit)
-            if ran == 0 and not lowest.halted:
-                # guarantee forward progress even if already past the limit
-                ran = lowest.run(1)
-        finally:
-            self.retired += lowest.retired - before
-        return ran
-
     def _tick(self) -> None:
         """Call the hooks that are due; note when each is due next."""
         retired = self.retired
@@ -94,18 +69,43 @@ class Scheduler:
             due = min(due, entry[1])
         self._due = due
 
-    def run_until_halt(self, max_bundles: int | None = None) -> int:
-        """Run all cores to completion; return total bundles executed.
+    def _run(self, slices: int, budget: int) -> int:
+        """Run up to ``slices`` scheduling slices; return bundles executed
+        (0 = every core has halted).
 
-        ``max_bundles`` bounds total work (guards against livelock in
-        tests); exceeding it raises :class:`MachineError`.
+        In each, the runnable core with the lowest clock (the first such
+        in core order) runs until its clock passes the runner-up's plus
+        the margin, its slice body resumed directly, not through
+        :meth:`Core.run`.
         """
-        budget = max_bundles if max_bundles is not None else 1 << 62
+        cores = self.cores
+        margin = self.margin
         total = 0
-        while True:
-            ran = self._slice()
-            if ran == 0:
-                return total
+        for _ in range(slices):
+            lowest: Core | None = None
+            second = None
+            for core in cores:
+                if core.halted:
+                    continue
+                if lowest is None or core.cycles < lowest.cycles:
+                    second = lowest.cycles if lowest is not None else None
+                    lowest = core
+                elif second is None or core.cycles < second:
+                    second = core.cycles
+            if lowest is None:
+                break
+            limit = (second if second is not None else lowest.cycles + 100_000) + margin
+            before = lowest.retired
+            try:
+                try:
+                    ran = lowest._slices.send((_SLICE_BUNDLES, limit))
+                except BaseException as end:
+                    ran = lowest._restart(end)
+                if not ran and not lowest.halted:
+                    # guarantee forward progress even if already past the limit
+                    ran = lowest.run(1)
+            finally:
+                self.retired += lowest.retired - before
             total += ran
             if total > budget:
                 raise MachineError(
@@ -113,11 +113,16 @@ class Scheduler:
                 )
             if self.retired >= self._due:
                 self._tick()
+        return total
+
+    def run_until_halt(self, max_bundles: int | None = None) -> int:
+        """Run all cores to completion; return total bundles executed.
+
+        ``max_bundles`` bounds total work (guards against livelock in
+        tests); exceeding it raises :class:`MachineError`.
+        """
+        return self._run(1 << 62, max_bundles if max_bundles is not None else 1 << 62)
 
     def step(self) -> bool:
         """Advance one slice; return False when all cores have halted."""
-        if self._slice() == 0:
-            return False
-        if self.retired >= self._due:
-            self._tick()
-        return True
+        return self._run(1, 1 << 62) > 0

@@ -286,10 +286,11 @@ _GR_FIELDS = {
     for op in _SUPPORTED
 }
 
-#: (head, body, sor, bpc, kind, rots) -> the ready ``__trace__`` function; one
-#: function sits under the key of every head that decoded its shape and
-#: under the shape itself, which is the key of the same trace at head 0
-#: (a :func:`_sor_free` body is keyed at sor 0, whatever it compiled at)
+#: (head, body, sor, bpc, kind, rots) -> the shape's ``(__trace__ function,
+#: sor-free, line runs)``; one entry sits under the key of every head that
+#: decoded its shape and under the shape itself, which is the key of the
+#: same trace at head 0 (a :func:`_sor_free` body's shape at sor 0,
+#: whatever it compiled at)
 _TRACE_FNS: dict = {}
 _TRACE_FNS_CAP = 1024  # oldest-first eviction; the cap is a leak guard
 
@@ -308,7 +309,9 @@ def _relative(head, body):
 
 
 def _trace_fn(head, body, sor, bpc, kind, rots=()):
-    """The compiled closure for one trace, generated once per shape.
+    """The compiled closure for one trace, generated once per shape, with
+    what the shape says of it: whether it is :func:`_sor_free` and whether
+    a loop runs as line runs (:func:`_line_run`).
 
     :func:`_generate` is a pure function of the head-relative body and
     the ``__trace__`` it yields closes over nothing (machine state, the
@@ -319,19 +322,24 @@ def _trace_fn(head, body, sor, bpc, kind, rots=()):
     one, and a patched bundle is a different key of both kinds.
     """
     key = (head, body, sor, bpc, kind, rots)
-    fn = _TRACE_FNS.get(key)
-    if fn is None:
+    shape = _TRACE_FNS.get(key)
+    if shape is None:
         if head:
-            fn = _trace_fn(0, _relative(head, body), sor, bpc, kind, rots)
+            rel_sor = 0 if _sor_free(body) else sor
+            shape = _trace_fn(0, _relative(head, body), rel_sor, bpc, kind, rots)
         else:
             namespace: dict = {}
             name = f"<trace +0x0..+{body[-1][0]:#x} {kind}>"
             exec(compile(_generate(body, sor, bpc, kind, rots), name, "exec"), namespace)  # noqa: S102
-            fn = namespace["__trace__"]
+            shape = (
+                namespace["__trace__"],
+                _sor_free(body),
+                kind == "loop" and _line_run(body, sor) is not None,
+            )
         if len(_TRACE_FNS) >= _TRACE_FNS_CAP:
             del _TRACE_FNS[next(iter(_TRACE_FNS))]
-        _TRACE_FNS[key] = fn
-    return fn
+        _TRACE_FNS[key] = shape
+    return shape
 
 
 class CompiledTrace:
@@ -342,11 +350,12 @@ class CompiledTrace:
         "kind", "root", "body", "bpc", "children", "last_used", "runs", "rots",
     )
 
-    def __init__(self, fn, head, sor, addrs, keys, n_bundles, kind, body, bpc, runs=False):
+    def __init__(self, fn, head, sor, addrs, keys, n_bundles, kind, body, bpc, runs=False,
+                 sor_free=False):
         self.fn = fn            # shared by every head of this shape
         self.head = head
         self.sor = sor          # what it compiled at (``jit_trees`` records it)
-        self.sor_free = _sor_free(body)     # dispatched at any sor
+        self.sor_free = sor_free    # dispatched at any sor (:func:`_sor_free`)
         self.addrs = addrs      # covered bundle addresses, in trace order
         self.keys = keys        # decode-cache content keys at compile time
         self.n_bundles = n_bundles
@@ -590,19 +599,20 @@ def _line_run(body, sor: int) -> list | None:
 
 def _make_trace(head, body, sor, bpc, keys, kind):
     body = tuple(body)
+    fn, sor_free, runs = _trace_fn(head, body, sor, bpc, kind)
     addrs = tuple(addr for addr, _ in body)
-    key_sor = 0 if _sor_free(body) else sor
     return CompiledTrace(
-        fn=_trace_fn(head, body, key_sor, bpc, kind),
+        fn=fn,
         head=head,
         sor=sor,
         addrs=addrs,
-        keys=tuple(keys.get(a) for a in addrs),
+        keys=tuple(map(keys.get, addrs)),
         n_bundles=len(body),
         kind=kind,
         body=body,
         bpc=bpc,
-        runs=kind == "loop" and _line_run(_relative(head, body), key_sor) is not None,
+        runs=runs,
+        sor_free=sor_free,
     )
 
 
@@ -1440,10 +1450,9 @@ def _generate(body, sor: int, bpc: int, kind: str, rots: tuple = ()) -> str:
 
     e("def __trace__(env, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles, retired, "
       "bundles_executed, taken_branches, issue_tick, countdown, sampling, "
-      "executed, max_bundles, cycle_limit, start, H):")
+      "executed, iters, max_bundles, cycle_limit, start, H):")
     e.indent()
     e(f"{_ENV} = env")
-    e("iters = 0")
     if whole:
         for name in ([] if back_edge is None else ["back"]) + events:
             e(f"n_{name} = 0")
@@ -1624,13 +1633,14 @@ class TraceJit:
     def sync(self, dcache) -> None:
         """Revalidate compiled traces against the decode journal.
 
-        Called once per ``run()`` slice, right after ``DecodeCache.sync``
-        — the same cadence the generic interpreter refreshes its decoded
-        view, so a patched bundle can never execute through a stale
-        trace.  Staleness is tree-wide: a key mismatch under *any* node
-        invalidates every node sharing that root (the tree's covered-
-        bundle union is its validity domain), while a patch + byte-
-        identical rollback leaves the whole tree resident.
+        Called at the first slice after an image edit, right after
+        ``DecodeCache.sync`` — the same cadence the generic interpreter
+        refreshes its decoded view, so a patched bundle can never
+        execute through a stale trace.  Staleness is tree-wide: a key
+        mismatch under *any* node invalidates every node sharing that
+        root (the tree's covered-bundle union is its validity domain),
+        while a patch + byte-identical rollback leaves the whole tree
+        resident.
         """
         epoch = dcache.epoch
         if epoch != self.epoch_seen:
@@ -1763,8 +1773,9 @@ class TraceJit:
             ep.resumes = None
             trace = ep.trace
             trace.rots = tuple(sorted((*trace.rots, ep.idx)))
-            trace.fn = _trace_fn(trace.head, trace.body, 0 if trace.sor_free else trace.sor,
-                                 trace.bpc, trace.kind, trace.rots)
+            trace.fn = _trace_fn(
+                trace.head, trace.body, trace.sor, trace.bpc, trace.kind, trace.rots
+            )[0]
 
     def compiled_footprint(self) -> int:
         """Resident compiled bundles (tree nodes count like any trace)."""

@@ -199,11 +199,19 @@ class CrashPoint(NamedTuple):
 
 
 def _crash_points(stores: Stores, stride: int | None) -> tuple[CrashPoint, ...]:
-    """The midpoint write of the "ckpt" store, torn; with ``stride``
+    """The "ckpt" store's write after the one that commits its first
+    ``txn`` record, torn, so that the resume replays a deployment (the
+    midpoint write if no deployment was journaled); with ``stride``
     every stride-th write under both tear modes."""
-    n_ops = stores["ckpt"].durable_ops
+    disk = stores["ckpt"]
+    n_ops = disk.durable_ops
     if stride is None:
-        return (CrashPoint(max(1, n_ops // 2), 7),)
+        records = scan_journal(bytes(disk.files.get(JOURNAL_NAME, b"")))[0]
+        txns = [n for n, record in enumerate(records) if record["t"] == "txn"]
+        # one append per record: the n-th record is the n-th journal write
+        appends = [write for write, name in enumerate(disk.writes, 1) if name == JOURNAL_NAME]
+        after = appends[txns[0]] + 1 if txns else 0
+        return (CrashPoint(after if 1 < after <= n_ops else max(1, n_ops // 2), 7),)
     return tuple(
         CrashPoint(write, torn)
         for write in range(1, n_ops + 1, stride) for torn in TEAR_MODES

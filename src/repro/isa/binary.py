@@ -30,6 +30,11 @@ __all__ = ["BinaryImage", "Patch", "pc_bundle", "pc_slot"]
 #: Default base address for program text.
 TEXT_BASE = 0x4000_0000
 
+#: Edits to any image of the process, and decode-cache attaches: a core
+#: that finds this unchanged since its last slice has nothing to re-sync
+#: (DESIGN.md §9)
+EDITS = [0]
+
 
 def pc_bundle(pc: int) -> int:
     """Bundle address containing ``pc``."""
@@ -77,13 +82,18 @@ class BinaryImage:
         self._next = base
         self._linked = False
 
+    def _edited(self) -> None:
+        """Note one mutation for the decode caches serving this image."""
+        self.version += 1
+        EDITS[0] += 1
+
     # -- construction -----------------------------------------------------
 
     def append(self, bundle: Bundle) -> int:
         """Place ``bundle`` at the next free address; return the address."""
         addr = self._next
         self.bundles[addr] = bundle
-        self.version += 1
+        self._edited()
         self._next += BUNDLE_BYTES
         return addr
 
@@ -115,7 +125,7 @@ class BinaryImage:
         if removed:
             # structural change (not a journaled patch): decode caches
             # see a version bump without a journal entry and rebuild
-            self.version += 1
+            self._edited()
         return removed
 
     def free(self, addr: int, n_bundles: int) -> int:
@@ -136,7 +146,7 @@ class BinaryImage:
         if removed:
             # structural change (not a journaled patch): decode caches
             # see a version bump without a journal entry and rebuild
-            self.version += 1
+            self._edited()
         return removed
 
     def mark(self, name: str, addr: int | None = None) -> int:
@@ -165,7 +175,7 @@ class BinaryImage:
                     raise BinaryError(f"undefined label {instr.label!r} at {addr:#x}")
                 bundle.slots[slot] = instr.clone(imm=target, label=None)
         self.decode_memo.clear()
-        self.version += 1
+        self._edited()
         self._linked = True
 
     # -- fetch --------------------------------------------------------------
@@ -207,14 +217,14 @@ class BinaryImage:
         new = old.with_slot(slot, instr)
         self.bundles[addr] = new
         self.patches.append(Patch(addr, slot, old, new, reason))
-        self.version += 1
+        self._edited()
 
     def patch_bundle(self, addr: int, bundle: Bundle, reason: str = "") -> None:
         """Replace a whole bundle (trace-entry redirection)."""
         old = self.fetch_bundle(addr)
         self.bundles[addr] = bundle
         self.patches.append(Patch(addr, None, old, bundle, reason))
-        self.version += 1
+        self._edited()
 
     def revert_patch(self, patch: Patch) -> None:
         """Undo one journaled patch (adaptive rollback)."""
@@ -227,7 +237,7 @@ class BinaryImage:
         self.patches.append(
             Patch(patch.address, patch.slot, patch.new, patch.old, f"revert: {patch.reason}")
         )
-        self.version += 1
+        self._edited()
 
     # -- static analysis ------------------------------------------------------
 

@@ -24,7 +24,7 @@ entry by the bundle's *content bytes* (:func:`encode_bundle`) and
 invalidates through the image's patch journal:
 
 * every :class:`~repro.isa.binary.BinaryImage` mutation bumps
-  ``image.version``;
+  ``image.version`` and the process-wide ``binary.EDITS`` count;
 * when the version delta equals the journal delta, only the journaled
   addresses are re-decoded (patch / rollback — the common runtime case);
 * any other delta (append, link, truncate, free) rebuilds that image's
@@ -36,16 +36,17 @@ each core's cache installs the shared tuple under its own ``map`` /
 ``epoch`` / ``decodes``.  :meth:`DecodeCache.verify` never consults the
 memo — it re-decodes from the bundles.
 
-``sync()`` is called once per scheduler slice; when nothing changed it
-is a handful of int compares.  Decode-time operand validation replaces
-the per-access register range checks the interpreter used to pay for:
-a slot whose register fields are out of range never enters the cache.
+A core calls ``sync()`` at the first slice after an edit or an attach
+(``binary.EDITS`` moved), not at every slice.  Decode-time operand
+validation replaces the per-access register range checks the
+interpreter used to pay for: a slot whose register fields are out of
+range never enters the cache.
 """
 
 from __future__ import annotations
 
 from ..errors import RegisterError
-from .binary import BinaryImage
+from .binary import EDITS, BinaryImage
 from .bundle import Bundle
 from .instructions import Instruction, Op, operands
 
@@ -163,13 +164,15 @@ class DecodeCache:
                 return
         self._images.append(image)
         self._seen.append([-1, 0, set()])  # forces a full build on first sync
+        EDITS[0] += 1
 
     # -- coherence with the images ----------------------------------------
 
     def sync(self) -> dict[int, tuple]:
         """Bring the cache up to date; return the merged decoded map.
 
-        Cheap when nothing changed: one int compare per image.
+        One int compare per image when nothing changed; a core skips the
+        call altogether until ``binary.EDITS`` moves.
         """
         decoded_map = self.map
         keys = self.keys

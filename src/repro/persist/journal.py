@@ -219,15 +219,19 @@ class MemoryDisk(Disk):
     def __init__(self) -> None:
         self.files: dict[str, bytearray] = {}
         self.dead = False
-        #: durable operations performed (appends + atomic writes); the
-        #: crash sweep enumerates its kill points over this count
-        self.durable_ops = 0
+        #: the file each durable operation (append, atomic write) wrote,
+        #: in order: the crash sweep picks its kill points from it
+        self.writes: list[str] = []
+
+    @property
+    def durable_ops(self) -> int:
+        return len(self.writes)
 
     def append(self, name: str, data: bytes) -> None:
         if self.dead:
             return
         self.files.setdefault(name, bytearray()).extend(data)
-        self.durable_ops += 1
+        self.writes.append(name)
 
     def write(self, name: str, data: bytes) -> None:
         if self.dead:
@@ -238,7 +242,7 @@ class MemoryDisk(Disk):
         if self.dead:
             return
         self.files[name] = bytearray(data)
-        self.durable_ops += 1
+        self.writes.append(name)
 
     def read(self, name: str) -> bytes:
         try:
@@ -268,7 +272,7 @@ class MemoryDisk(Disk):
         """Independent copy (the crash row resumes a copy too)."""
         disk = MemoryDisk()
         disk.files = {name: bytearray(data) for name, data in self.files.items()}
-        disk.durable_ops = self.durable_ops
+        disk.writes = list(self.writes)
         return disk
 
 

@@ -3,10 +3,13 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import itanium2_smp
 from repro.core import Cobra
 from repro.cpu import Machine, Scheduler
+from repro.cpu.scheduler import _SLICE_BUNDLES
 from repro.errors import MachineError
 from repro.isa import assemble
 from repro.workloads import build_daxpy, working_set_elems
@@ -143,3 +146,79 @@ class TestTickHooks:
         for before, after in zip(woken, woken[1:]):
             assert after >= before + 500
             assert after == min(r for r in every if r >= before + 500)
+
+
+class _Core:
+    """A core as the scheduler sees it; its slice body logs what it is
+    sent, then moves its clock by the next planned step (cycles, halts)
+    and halts when the plan runs out."""
+
+    def __init__(self, index: int, cycles: int, halted: bool, plan=(), log=None) -> None:
+        self.index, self.cycles, self.halted, self.retired = index, cycles, halted, 0
+        self.plan, self.log = list(plan), [] if log is None else log
+        self._slices = self
+
+    def send(self, request):
+        self.log.append((self.index, request))
+        advance, halts = self.plan.pop(0) if self.plan else (0, True)
+        self.cycles += advance
+        self.halted = halts
+        return 1
+
+
+def _oracle(cores, margin):
+    """The pick of the former ``Scheduler._slice``, kept as the oracle of
+    ``Scheduler._run``: (index of the core to run, its cycle limit), or
+    None."""
+    lowest = second = None
+    for core in cores:
+        if core.halted:
+            continue
+        if lowest is None or core.cycles < lowest.cycles:
+            second = lowest.cycles if lowest is not None else None
+            lowest = core
+        elif second is None or core.cycles < second:
+            second = core.cycles
+    if lowest is None:
+        return None
+    return cores.index(lowest), (second if second is not None else lowest.cycles + 100_000) + margin
+
+
+_CLOCKS = st.lists(st.tuples(st.integers(0, 12), st.booleans()), min_size=1, max_size=8)
+_PLANS = st.lists(st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=6),
+                  min_size=8, max_size=8)
+
+
+class TestPick:
+    @settings(max_examples=300, deadline=None)
+    @given(clocks=_CLOCKS, margin=st.integers(-4, 40))
+    def test_the_same_core_and_limit_as_the_per_core_loop(self, clocks, margin):
+        """Ties (clocks drawn from a few values) go to the first core in
+        order; halted cores are skipped; a lone runnable core runs
+        100,000 cycles past its own clock."""
+        cores = [_Core(i, cycles, halted) for i, (cycles, halted) in enumerate(clocks)]
+        expected = _oracle(cores, margin)
+        ran = Scheduler(cores, margin=margin).step()
+        sent = [(i, core.log) for i, core in enumerate(cores) if core.log]
+        if expected is None:
+            assert not ran and not sent
+        else:
+            index, limit = expected
+            assert ran and sent == [(index, [(index, (_SLICE_BUNDLES, limit))])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(clocks=_CLOCKS, plans=_PLANS, margin=st.integers(0, 40))
+    def test_slice_after_slice_as_the_per_core_loop(self, clocks, plans, margin):
+        """One ``run_until_halt``, cores moving and halting as planned:
+        every slice goes to the core, with the limit, that the loop would
+        pick from the clocks at that point."""
+        log: list = []
+        cores = [_Core(i, c, h, plans[i], log) for i, (c, h) in enumerate(clocks)]
+        twins = [_Core(i, c, h, plans[i]) for i, (c, h) in enumerate(clocks)]
+        expected = []
+        while (pick := _oracle(twins, margin)) is not None:
+            index, limit = pick
+            expected.append((index, (_SLICE_BUNDLES, limit)))
+            twins[index].send(None)
+        Scheduler(cores, margin=margin).run_until_halt()
+        assert log == expected

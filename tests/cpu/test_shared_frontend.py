@@ -262,5 +262,5 @@ class TestTraceCodeSharing:
                 if isinstance(o, (Machine, Core, BinaryImage, tracejit.TraceJit))
             ]
             assert held == []
-            for fn in tracejit._TRACE_FNS.values():
+            for fn, *_ in tracejit._TRACE_FNS.values():
                 assert fn.__closure__ is None

@@ -247,9 +247,9 @@ def test_every_covered_bundle_is_an_entry(
     trace_fn = tracejit._trace_fn
 
     def recording(head, *shape):
-        fn = trace_fn(head, *shape)
+        fn, *traits = trace_fn(head, *shape)
         if not head:
-            return fn   # the shape, looked up on behalf of a head
+            return fn, *traits   # the shape, looked up on behalf of a head
 
         def entered(env, *state):
             # (environment, registers and counters by value..., start, H)
@@ -258,7 +258,7 @@ def test_every_covered_bundle_is_an_entry(
             assert env == tracejit.trace_env(env[0])   # the core's own
             return fn(env, *state)
 
-        return entered
+        return entered, *traits
 
     def execute(jit):
         machine = Machine(itanium2_smp(1))

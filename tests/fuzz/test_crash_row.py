@@ -18,7 +18,7 @@ import pytest
 
 from repro.compiler import StreamLoop, Term
 from repro.fuzz import Case, DifferentialFuzzer, differ
-from repro.persist.journal import JOURNAL_NAME, MemoryDisk
+from repro.persist.journal import JOURNAL_NAME, JournalWriter, MemoryDisk
 from repro.runtime import ParallelProgram
 from repro.scenario import MachineRecipe, WorkloadSpec, daxpy_spec, run_cell
 
@@ -97,12 +97,20 @@ class TestCrashSweep:
             set(f) == {"replayed", "discarded", "warm_deploys"} for f in crash.values()
         )
 
-    def test_without_stride_one_midpoint_torn_cell(self):
+    def test_without_stride_one_torn_cell_after_the_first_deploy(self):
         report = DifferentialFuzzer(cases=[SMALL], axes=["crash"]).run()
         assert report.ok, report.summary()
         [(cell, facts)] = _crash_cells(report)
-        assert cell.label == "crash/write=9/torn[7B]"     # 18 durable writes
-        assert facts["discarded"] == 1
+        # write 5 of 18 commits the first txn record: the resume replays it
+        assert cell.label == "crash/write=6/torn[7B]"
+        assert facts == {"replayed": 5, "discarded": 1, "warm_deploys": 1}
+
+    def test_without_a_deploy_the_midpoint_write(self):
+        disk = MemoryDisk()
+        journal = JournalWriter(disk)
+        for _ in range(4):
+            journal.append("window", {"state": {}})
+        assert differ._crash_points({"ckpt": disk}, None) == (differ.CrashPoint(2, 7),)
 
     def test_stride_must_be_positive(self):
         with pytest.raises(ValueError, match="stride"):
