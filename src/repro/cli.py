@@ -12,7 +12,8 @@ Examples::
     python -m repro resume --checkpoint-dir ckpt
     python -m repro fuzz --workloads daxpy --reps 5 --axes crash --stride 4
     python -m repro npb cg --profile-db cg.profile.db
-    python -m repro warm --workloads daxpy cg
+    python -m repro fuzz --workloads daxpy cg --axes db-warm
+    python -m repro fuzz --workloads cg --axes fleet-faulted --seeds 4
     python -m repro fuzz --workloads daxpy --axes overloaded --start 3 --seeds 2
     python -m repro daxpy --trace-cache-budget 96 --overload-seed 7
 
@@ -34,7 +35,6 @@ from typing import Callable, Iterable
 
 from .config import (
     ENV_VARS,
-    FleetFaultConfig,
     GovernorConfig,
     OverloadConfig,
     PersistConfig,
@@ -42,15 +42,15 @@ from .config import (
     default_blas_threads,
     env_value,
 )
-from .errors import CobraError, FleetError, PersistError, WorkloadError
+from .errors import CobraError, PersistError, WorkloadError
 
 # This module is the front door of both entry points (``python -m repro``
 # and the ``repro`` console script) and nothing above imports numpy, so
 # this is the one place that runs before numpy in every command.
 default_blas_threads()
 
-# Each handler imports its own harness (analysis, bench, faults, fleet,
-# fuzz, governor, persist, validate): a command loads what it runs
+# Each handler imports its own harness (analysis, bench, fuzz, governor,
+# persist): a command loads what it runs
 # (DESIGN.md §2 "Import layering").
 from .isa import Op, disassemble  # noqa: E402
 from .scenario import (  # noqa: E402
@@ -145,11 +145,6 @@ def _load_json(path: str, what: str, extract: Callable[[dict], object]):
         raise UsageError(f"bad {what} {path!r}: {exc!r}") from None
 
 
-def _verdict(name: str, failures: int) -> int:
-    print(f"{name}:", "OK" if failures == 0 else f"{failures} failure(s)")
-    return 0 if failures == 0 else 1
-
-
 # -- single runs: daxpy, npb, resume ------------------------------------------
 #
 # All three go through one workload descriptor — the dict `daxpy`/`npb`
@@ -221,9 +216,9 @@ def _attachments(args, meta: dict) -> dict:
         _writable(os.path.dirname(args.profile_db) or ".", directory=True)
         delta["profile_db"] = ProfileDBConfig(path=args.profile_db)
     if governed:
-        # --overload-seed arms the full mixed schedule (cf. the fleet
-        # --fault-seed flag): every overload category at a moderate
-        # rate, capped so the run can demonstrate recovery
+        # --overload-seed arms the full mixed schedule: every overload
+        # category at a moderate rate, capped so the run can demonstrate
+        # recovery
         from .governor import OVERLOAD_SCHEDULES
 
         overload = None
@@ -300,12 +295,12 @@ def _cmd_disasm(args) -> int:
 # -- sweeps: fuzz ---------------------------------------------------------------
 
 
-def _spec(name: str, threads: int, reps: int, n_elems: int = 512) -> WorkloadSpec:
-    """Workload name -> spec, for every subcommand that takes one."""
+def _spec(name: str, reps: int) -> WorkloadSpec:
+    """A ``--workloads`` name -> its 4-thread spec."""
     _choose("workload", name, ("daxpy", *BENCHMARKS))
     if name == "daxpy":
-        return daxpy_spec(n_elems, threads, reps)
-    return npb_spec(name, threads, reps)
+        return daxpy_spec(512, 4, reps)
+    return npb_spec(name, 4, reps)
 
 
 def _cmd_fuzz(args) -> int:
@@ -324,7 +319,7 @@ def _cmd_fuzz(args) -> int:
         if args.replay is not None or args.corpus:
             raise UsageError("--workloads cannot be combined with --replay or --corpus")
         fuzzer = DifferentialFuzzer(cases=named_cases(
-            [_spec(name, 4, args.reps) for name in args.workloads], seeds, args.scale
+            [_spec(name, args.reps) for name in args.workloads], seeds, args.scale
         ), axes=args.axes, stride=args.stride)
     elif args.replay is not None:
         fuzzer = DifferentialFuzzer(
@@ -393,85 +388,6 @@ def _cmd_bench(args) -> int:
         print("bench compare:", "OK" if ok else "FAIL")
         return 0 if ok else 1
     return 0
-
-
-def _cmd_warm(args) -> int:
-    from .bench import matrix_case
-    from .persist import MemoryDisk
-
-    _choose("strategy", args.strategy, STRATEGIES)
-    for name in args.workloads:
-        _choose("benchmark", name, MATRIX_BENCHMARKS)
-    header = (
-        f"{'case':<28} {'cold ramp':>10} {'warm ramp':>10} "
-        f"{'saved':>7} {'digests':>8} {'seeded':>7}"
-    )
-    print(header)
-    print("-" * len(header))
-
-    def ramp(obs) -> int:
-        """Retired instructions until the optimizer reached steady-state CPI."""
-        done = obs.report.ramp_retired
-        return done if done is not None else obs.retired
-
-    failures = 0
-    for name in args.workloads:
-        recipe, workload = matrix_case(name, args.machine)
-        # the cold run starts from an empty in-memory database and
-        # records its profile; the warm run seeds from it
-        delta = {
-            "optimize_interval": 10_000,
-            "profile_db": ProfileDBConfig(disk=MemoryDisk()),
-        }
-        cold = run_cell(recipe, workload, args.strategy, delta)
-        warm = run_cell(recipe, workload, args.strategy, delta)
-        cold_ramp, warm_ramp = ramp(cold), ramp(warm)
-        saved = round(100.0 * (1.0 - warm_ramp / cold_ramp) if cold_ramp else 100.0, 2)
-        match = cold.digest == warm.digest
-        db = warm.report.profile_db or {}
-        # a warm start must consume the cold run's entry, and when the
-        # cold run proved deployments, re-deploy at least one of them
-        seeded = db.get("source") == "hit" and (
-            not cold.report.deployments or db.get("seeded_loops", 0) > 0
-        )
-        failures += not (match and seeded and saved >= args.min_reduction)
-        print(
-            f"{f'{args.machine}/{name}/{args.strategy}':<28} {cold_ramp:>10} "
-            f"{warm_ramp:>10} {saved:>6.1f}% "
-            f"{'match' if match else 'DIFFER':>8} {'yes' if seeded else 'NO':>7}"
-        )
-    return _verdict("warm", failures)
-
-
-def _cmd_fleet(args) -> int:
-    from .fleet import FleetHarness
-
-    if args.quorum > args.instances:
-        raise UsageError(f"quorum {args.quorum} exceeds --instances {args.instances}")
-    faults = None
-    if args.fault_seed is not None:
-        # the full hostile schedule: frame faults of every kind, network
-        # partitions, and one daemon crash mid-ingest
-        faults = FleetFaultConfig(
-            seed=args.fault_seed,
-            frame_rate=0.2,
-            partition_rate=0.15,
-            daemon_crash_batch=5,
-        )
-    workload = _spec(args.workload, args.threads, args.reps, n_elems=2048)
-    _writable(args.out)
-    report = FleetHarness(
-        workload=workload,
-        # small-scale machine so instances cross the deployment threshold
-        machine=MachineRecipe("smp", max(4, args.threads), 4),
-        instances=args.instances,
-        quorum=args.quorum or None,
-        faults=faults,
-    ).run(jobs=args.jobs)
-    print(report.summary())
-    if args.out:
-        _write_json(args.out, report.to_json())
-    return 0 if report.ok else 1
 
 
 # -- the parser ---------------------------------------------------------------
@@ -596,8 +512,9 @@ def _parser() -> _Parser:
     fuzz.ranged(
         "--stride", 1, type=int, default=None, metavar="N",
         help="crash row: crash at every N-th durable write of the checkpoint "
-        "store, at the clean boundary and 7 bytes torn (default: the "
-        "midpoint write, torn)",
+        "store, at the clean boundary and 7 bytes torn (default: the write "
+        "after the first deploy transaction commits, or the midpoint write "
+        "if none does, torn)",
     )
     fuzz.ranged(
         "--replay", 0, type=int, default=None, metavar="SEED",
@@ -658,67 +575,6 @@ def _parser() -> _Parser:
     )
     bench.set_defaults(func=_cmd_bench)
 
-    warm = sub.add_parser(
-        "warm",
-        help="profile-database smoke: run each workload twice against a "
-        "fresh in-memory database and require the warm run to cut the "
-        "profiling ramp with bit-identical outputs",
-    )
-    warm.add_argument(
-        "--workloads", nargs="+", default=["daxpy", "cg"],
-        help=f"benchmark names ({'/'.join(MATRIX_BENCHMARKS)})",
-    )
-    warm.add_argument("--machine", choices=sorted(MACHINES), default="smp4")
-    warm.add_argument(
-        "--strategy", default="adaptive", metavar="STRATEGY",
-        help="COBRA strategy for both runs",
-    )
-    warm.ranged(
-        "--min-reduction", 0, 100, type=float, default=90.0, metavar="PCT",
-        help="fail unless the warm run cuts the profiling ramp by at "
-        "least PCT percent",
-    )
-    warm.set_defaults(func=_cmd_warm)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="fleet control plane: run N instances against one "
-        "optimization daemon over a fault-injectable transport and "
-        "require solo-identical outputs, quorum-gated decision reuse, "
-        "and a fully accounted fault ledger",
-    )
-    fleet.ranged(
-        "--instances", 1, type=int, default=8, metavar="N",
-        help="fleet size: first half runs cold, second half is "
-        "dispatched warm with the daemon's published decisions",
-    )
-    fleet.ranged(
-        "--quorum", 0, type=int, default=0, metavar="Q",
-        help="independent instances required before a decision is "
-        "published (0 = min(2, cold count))",
-    )
-    fleet.ranged(
-        "--fault-seed", 0, type=int, default=None, metavar="SEED",
-        help="attack the transport with this seed (frame drop/dup/"
-        "reorder/delay/corrupt/poison, partitions, one daemon crash); "
-        "omit for a clean transport",
-    )
-    fleet.add_argument(
-        "--workload", default="daxpy",
-        help="'daxpy' or an NPB benchmark name",
-    )
-    fleet.ranged("--threads", 1, type=int, default=4)
-    fleet.ranged(
-        "--reps", 1, type=int, default=12,
-        help="outer repetitions per instance (enough for a deployment)",
-    )
-    fleet.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the fleet report JSON here",
-    )
-    _jobs_flag(fleet)
-    fleet.set_defaults(func=_cmd_fleet)
-
     for command in sub.choices.values():
         command.set_defaults(check_ranges=command.check_ranges)
     return parser
@@ -766,6 +622,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, WorkloadError, FleetError, PersistError, ValueError) as exc:
+    except (UsageError, WorkloadError, PersistError, ValueError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2

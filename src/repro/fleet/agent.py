@@ -52,11 +52,9 @@ class InstanceResult:
     key: str
     digest: str
     cycles: int
-    retired: int
     verified: bool | None
     seeded: int              # decisions re-deployed from the pushed entry
     deployed: int            # deployments made during the run
-    batches: int             # window batches queued on the wire
     degraded: bool
     ramp_retired: int | None
     channel: ChannelResult
@@ -104,11 +102,9 @@ def run_instance(spec: InstanceSpec) -> InstanceResult:
         key=key,
         digest=obs.digest,
         cycles=obs.cycles,
-        retired=obs.retired,
         verified=obs.verified,
         seeded=fl["seeded"],
         deployed=len(report.deployments),
-        batches=fl["batches"],
         degraded=spec.fleet.degraded,
         ramp_retired=report.ramp_retired,
         channel=channel,

@@ -24,12 +24,17 @@ from ..faults.injector import (
 )
 
 __all__ = [
+    "HOSTILE",
     "TransportFaults",
     "backoff_delays",
     "build_ledger",
     "BACKOFF_BASE",
     "BACKOFF_CAP",
 ]
+
+#: The hostile schedule (``replace(HOSTILE, seed=...)``): frame faults of
+#: every kind, partitions, and one daemon crash mid-ingest.
+HOSTILE = FleetFaultConfig(frame_rate=0.2, partition_rate=0.15, daemon_crash_batch=5)
 
 #: First retransmit backoff, in virtual transport ticks ...
 BACKOFF_BASE = 4

@@ -4,7 +4,7 @@ The harness is the offline-deterministic control plane driver.  It runs
 a fleet in two rounds — a **cold** half that profiles from scratch and a
 **warm** half dispatched with the daemon's quorum-published entry — with
 every instance a pure picklable task over :func:`repro.parallel.run_tasks`
-(``--jobs N`` never changes a byte of the report).  Between rounds the
+(the worker count never changes the report).  Between rounds the
 parent ingests every channel's deliveries through one
 :class:`~repro.fleet.daemon.FleetDaemon` in global virtual-clock order,
 optionally crashing and recovering the daemon mid-ingest, then replays
@@ -17,6 +17,8 @@ Proved per run, recorded in :class:`FleetReport`:
   reference, under any transport fault schedule;
 * decisions proven on cold instances are published once quorum-backed
   and re-deployed by warm instances (the ramp collapses);
+* every CRC reject is one corrupted frame, and every poisoned stream is
+  quarantined by the daemon sanitizer;
 * ingestion is idempotent — a full second reconcile replay leaves the
   daemon's canonical state byte-identical;
 * a crashed daemon recovers to the same canonical state a never-crashed
@@ -26,7 +28,7 @@ Proved per run, recorded in :class:`FleetReport`:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ..config import FleetAgentConfig, FleetFaultConfig
@@ -53,30 +55,22 @@ class FleetRecord:
     round: str               # "cold" | "warm"
     digest: str
     cycles: int
-    retired: int
     ramp_retired: int | None
     seeded: int
     deployed: int
-    batches: int
     degraded: bool
-    quarantined: bool
-    delivered: int
     verified: bool | None
 
 
 @dataclass
 class FleetReport:
-    """Deterministic fleet-run report (byte-identical at any ``--jobs``)."""
+    """Deterministic fleet-run report (equal at any ``jobs``)."""
 
-    workload: str
-    instances: int
-    cold: int
-    warm: int
-    quorum: int
     reference_digest: str
-    key: str
     records: list[FleetRecord]
     published: int
+    #: crc_rejects, quarantined (instance -> reason), recovered (None
+    #: unless the daemon crashed: crash batch, snapshot, replayed records)
     daemon: dict
     ledger: FaultLedger | None
     failures: list[str] = field(default_factory=list)
@@ -84,90 +78,6 @@ class FleetReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def summary(self) -> str:
-        lines = [
-            f"fleet[{self.workload}]: {self.instances} instance(s) "
-            f"({self.cold} cold + {self.warm} warm), quorum={self.quorum}, "
-            f"{'OK' if self.ok else 'FAIL'}"
-        ]
-        d = self.daemon
-        lines.append(
-            f"  daemon: {d['batches_accepted']} frame(s) accepted, "
-            f"{d['crc_rejects']} crc reject(s), {d['duplicates']} duplicate(s), "
-            f"{d['snapshots_written']} snapshot(s), "
-            f"{self.published} published decision(s)"
-        )
-        if d.get("recovered") is not None:
-            rec = d["recovered"]
-            lines.append(
-                f"  recovery: crash at batch {rec['crash_batch']}; resumed from "
-                f"snapshot v{rec['snapshot_version']} + {rec['replayed']} "
-                f"journal record(s), {len(rec['discarded'])} torn artifact(s) "
-                f"discarded"
-            )
-        seeded = [r for r in self.records if r.round == "warm" and r.seeded]
-        if self.warm:
-            cold_ramps = [
-                r.ramp_retired for r in self.records
-                if r.round == "cold" and r.ramp_retired is not None
-            ]
-            warm_ramps = [
-                r.ramp_retired for r in self.records
-                if r.round == "warm" and r.ramp_retired is not None
-                and (not seeded or r.seeded)
-            ]
-            cold_ramp = max(cold_ramps) if cold_ramps else 0
-            warm_ramp = max(warm_ramps) if warm_ramps else 0
-            lines.append(
-                f"  warm start: {len(seeded)}/{self.warm} warm instance(s) "
-                f"re-deployed published decisions, ramp {cold_ramp} -> "
-                f"{warm_ramp} retired"
-            )
-        degraded = sorted(r.instance for r in self.records if r.degraded)
-        if degraded:
-            lines.append(
-                f"  degraded: {len(degraded)} instance(s) ran local-only and "
-                f"reconciled at rejoin ({', '.join(degraded)})"
-            )
-        for inst, reason in sorted(d.get("quarantined", {}).items()):
-            lines.append(f"  quarantined[{inst}]: {reason}")
-        if self.ledger is not None:
-            by_kind = ", ".join(
-                f"{kind}={count}"
-                for kind, count in sorted(self.ledger.by_kind.items())
-            )
-            lines.append(
-                f"  faults[fleet]: {self.ledger.injected} injected, "
-                f"{self.ledger.detected} detected, "
-                f"{self.ledger.tolerated} tolerated"
-                + (f" ({by_kind})" if by_kind else "")
-            )
-        mismatched = sorted(
-            r.instance for r in self.records if r.digest != self.reference_digest
-        )
-        if mismatched:
-            lines.append(f"  digests: MISMATCH vs solo on {', '.join(mismatched)}")
-        else:
-            lines.append(
-                f"  digests: all {len(self.records)} bit-identical to solo "
-                f"reference {self.reference_digest[:12]}"
-            )
-        for failure in self.failures:
-            lines.append(f"  FAIL: {failure}")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["records"] = [asdict(r) for r in self.records]
-        if self.ledger is not None:
-            payload["ledger"] = {
-                key: getattr(self.ledger, key)
-                for key in ("seed", "injected", "detected", "tolerated",
-                            "accounted", "by_kind")
-            }
-        payload["ok"] = self.ok
-        return payload
 
 
 @dataclass
@@ -178,7 +88,6 @@ class FleetHarness:
     machine: Callable[[], object] | None = None
     instances: int = 8
     quorum: int | None = None
-    strategy: str = "adaptive"
     optimize_interval: int | None = 10_000
     faults: FleetFaultConfig | None = None
     max_bundles: int | None = None
@@ -193,7 +102,6 @@ class FleetHarness:
         if self.machine is None:
             self.machine = MachineRecipe("smp", 4, 4)
         self.cold = max(1, self.instances // 2)
-        self.warm = self.instances - self.cold
         if self.quorum is None:
             self.quorum = min(2, self.cold)
         if not 1 <= self.quorum <= self.instances:
@@ -226,7 +134,7 @@ class FleetHarness:
             round_no=round_no,
             workload=self.workload,
             machine=self.machine,
-            strategy=self.strategy,
+            strategy="adaptive",
             fleet=fleet,
             faults=None if degraded else self.faults,
             optimize_interval=self.optimize_interval,
@@ -240,7 +148,7 @@ class FleetHarness:
         if self.optimize_interval is not None:
             delta["optimize_interval"] = self.optimize_interval
         return run_cell(
-            self.machine, self.workload, self.strategy, delta,
+            self.machine, self.workload, "adaptive", delta,
             jit=self.jit, max_bundles=self.max_bundles,
         ).digest
 
@@ -277,8 +185,6 @@ class FleetHarness:
         # volatile counters die with the process; carry them at the
         # harness so fleet-wide accounting spans the crash
         state["crc_rejects"] += daemon.crc_rejects
-        state["duplicates"] += daemon.duplicates
-        state["snapshots_written"] += daemon.snapshots_written
         crash_batch = daemon.batches_accepted
         # a torn half-record at the journal tail: the write the crash
         # interrupted; recovery must truncate it away
@@ -363,8 +269,6 @@ class FleetHarness:
             "crashed": False,
             "recovered": None,
             "crc_rejects": 0,
-            "duplicates": 0,
-            "snapshots_written": 0,
             "expected_crc": 0,
             "events": [],
         }
@@ -478,35 +382,21 @@ class FleetHarness:
                 round="cold" if res.round_no == 0 else "warm",
                 digest=res.digest,
                 cycles=res.cycles,
-                retired=res.retired,
                 ramp_retired=res.ramp_retired,
                 seeded=res.seeded,
                 deployed=res.deployed,
-                batches=res.batches,
                 degraded=res.degraded,
-                quarantined=res.instance in daemon.quarantined,
-                delivered=len(res.channel.delivered),
                 verified=res.verified,
             )
             for res in all_results
         ]
         daemon_stats = {
-            "batches_accepted": daemon.batches_accepted,
             "crc_rejects": total_crc,
-            "duplicates": state["duplicates"] + daemon.duplicates,
-            "snapshots_written": state["snapshots_written"]
-            + daemon.snapshots_written,
             "quarantined": dict(sorted(daemon.quarantined.items())),
             "recovered": state["recovered"],
         }
         return FleetReport(
-            workload=self.workload.name,
-            instances=self.instances,
-            cold=self.cold,
-            warm=self.warm,
-            quorum=self.quorum,
             reference_digest=reference,
-            key=key,
             records=records,
             published=published,
             daemon=daemon_stats,

@@ -42,21 +42,26 @@ built image with :func:`~repro.validate.isa_check.check_image`:
    store, straight through, at the generated scenarios' wake cadence
    (so a short named workload deploys too);
 10. ``crash``    — one cell per crash point of axis 9's store: the
-   midpoint durable write, torn, or with ``stride`` every stride-th
-   write under both tear modes (clean boundary, 7-byte torn).  The run
-   must die at its write; the crashed journal's valid prefix and its
-   snapshots must be axis 9's bytes, and recovery may not rewrite that
-   prefix (prefix durability); it resumes, and a resume from a clone of
-   the crashed store must give the same digest and replayed/discarded
-   counts (resume determinism); every discarded artifact must be one
-   ``persist`` event on a fully accounted ledger; the resumed outputs
-   must match axis 9.  Row gate: some cell warm-redeployed;
+   durable write after the one that commits its first ``txn`` record
+   (the midpoint write if none), torn, or with ``stride`` every
+   stride-th write under both tear modes (clean boundary, 7-byte
+   torn).  The run must die at its write; the crashed journal's valid
+   prefix and its snapshots must be axis 9's bytes, and recovery may
+   not rewrite that prefix (prefix durability); it resumes, and a
+   resume from a clone of the crashed store must give the same digest
+   and replayed/discarded counts (resume determinism); every discarded
+   artifact must be one ``persist`` event on a fully accounted ledger;
+   the resumed outputs must match axis 9.  Row gate (with ``stride``):
+   some cell warm-redeployed;
 11. ``db-cold``  — adaptive attached to a fresh in-memory profile
    database; a cold database is pure observation, so this must match
    axis 5 *fully* (same six observables as the JIT axis);
 12. ``db-warm``  — adaptive re-run against the database axis 11 just
    recorded; a warm start may legitimately move deployments earlier
-   (cycles change) but outputs must match ground truth;
+   (cycles change) but outputs must match ground truth.  Where axis 11
+   deployed, the database must load as a hit, seed at least one loop
+   and cut the profiling ramp by at least 90 %.  Row gate (named
+   workloads): some cell seeded a loop;
 13. ``db-corrupt`` — adaptive against axis 12's database with one byte
    flipped; a damaged database must load as absent, so this again
    matches axis 5 *fully*;
@@ -66,12 +71,18 @@ built image with :func:`~repro.validate.isa_check.check_image`:
    degradation may only shed optimization work, so outputs must match
    ground truth, the overload ledger must be fully accounted and the
    ladder well-formed.  Row gate: the governor evicted, shed or refused;
-15. ``fleet-faulted`` — a fleet of two instances (one cold, one warm)
-   against one optimization daemon over a seeded hostile transport
-   (frame drop/dup/reorder/delay/corrupt/poison, partitions, one
-   daemon crash); every per-instance output digest must match ground
-   truth and the fleet's own invariants (idempotent ingestion, crash
-   recovery, fault accounting) must all hold.
+15. ``fleet-faulted`` — a fleet of four instances (two cold, two warm,
+   quorum two) against one optimization daemon over the hostile
+   transport schedule ``fleet.faults.HOSTILE`` (frame
+   drop/dup/reorder/delay/corrupt/poison, partitions, a daemon crash
+   at batch 5); every per-instance output digest must match ground
+   truth and the fleet's own invariants must all hold: a quorum-backed
+   decision is published and every warm instance that reaches the
+   daemon re-deploys it, ingestion is idempotent, the recovered daemon
+   equals a never-crashed shadow, every CRC reject is counted, every
+   poisoned stream is quarantined and the fault ledger is accounted.
+   Row gate (named workloads): some cell published a decision that a
+   warm instance re-deployed.
 
 A row gate is evaluated over all of that row's cells in one invocation
 (:meth:`DifferentialFuzzer.run`), as is the cross-machine check: every
@@ -91,7 +102,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..config import (
     FaultConfig,
-    FleetFaultConfig,
     GovernorConfig,
     OverloadConfig,
     PersistConfig,
@@ -134,6 +144,10 @@ Stores = defaultdict[str, MemoryDisk]
 #: The crash row's tear modes: ``None`` kills before the write lands
 #: (clean boundary), 7 leaves a durable 7-byte prefix of it (torn).
 TEAR_MODES = (None, 7)
+
+#: The least share of the cold profiling ramp a warm start must cut
+#: wherever the cold run deployed.
+MIN_RAMP_CUT = 0.9
 
 #: The overloaded row's budgets, which the short sweep runs reach: a
 #: flood overfills a 4-sample queue; 7 bundles admit one 4-bundle trace
@@ -366,6 +380,24 @@ def _warm_redeployed(cells: list[dict]) -> str | None:
     )
 
 
+def _seeded_a_loop(cells: list[dict]) -> str | None:
+    if any(cell["seeded"] for cell in cells):
+        return None
+    return (
+        "no warm start seeded a loop across the whole row — nothing deployed "
+        "cold; this sweep proved nothing"
+    )
+
+
+def _published_and_redeployed(cells: list[dict]) -> str | None:
+    if any(cell["published"] and cell["redeployed"] for cell in cells):
+        return None
+    return (
+        "no fleet published a decision that a warm instance re-deployed "
+        "across the whole row; this sweep proved nothing"
+    )
+
+
 # -- cells that are not a single run_cell: case, delta, fault seed, stores,
 # the observables so far -> (observables, report facts, failures as
 # (observable, expected, actual)) -------------------------------------------
@@ -419,27 +451,59 @@ def _crash_cell(case: Case, delta: dict, seed: int, stores: Stores, _obs) -> tup
     return out, facts, problems
 
 
+def _db_warm_cell(case: Case, delta: dict, _seed, _stores, obs) -> tuple:
+    """Re-run against the database db-cold recorded; where db-cold
+    deployed, the warm start must hit, seed and cut the ramp."""
+    out = run_cell(case.machine, case.workload, "adaptive", delta, tap=True,
+                   max_bundles=MAX_BUNDLES)
+    cold, db = obs["db-cold"], out.report.profile_db
+    # retired instructions until the optimizer reached steady-state CPI
+    ramps = [o.report.ramp_retired if o.report.ramp_retired is not None else o.retired
+             for o in (cold, out)]
+    problems = []
+    if cold.report.deployments:
+        if db["source"] != "hit":
+            problems.append(("profile-db", "hit", db["source"]))
+        if not db["seeded_loops"]:
+            problems.append(("seeded", ">= 1 loop", 0))
+        if ramps[1] > ramps[0] * (1 - MIN_RAMP_CUT):
+            problems.append(("ramp", f"cut >= {MIN_RAMP_CUT:.0%} of {ramps[0]}", ramps[1]))
+    facts = (("cold_ramp", ramps[0]), ("warm_ramp", ramps[1]),
+             ("seeded", db["seeded_loops"]))
+    return out, facts, problems
+
+
 def _fleet_cell(case: Case, _delta, seed: int, _stores, obs) -> tuple:
-    """A fleet of two under a hostile transport schedule."""
+    """Four instances, quorum two, under the hostile transport schedule."""
     from ..fleet import FleetHarness
+    from ..fleet.faults import HOSTILE
 
     fleet = FleetHarness(
         workload=case.workload,
         machine=case.machine,
-        instances=2,
-        quorum=1,
-        faults=FleetFaultConfig(
-            seed=seed, frame_rate=0.2, partition_rate=0.25, daemon_crash_batch=3
-        ),
+        instances=4,
+        quorum=2,
+        faults=replace(HOSTILE, seed=seed),
         optimize_interval=None,   # keep the scenario's own wake interval
         max_bundles=MAX_BUNDLES,
         reference_digest=obs["none"].digest,
         jit=True,
     ).run(jobs=1)
-    first = fleet.records[0]
-    out = Observables(digest=first.digest, arrays={}, cycles=first.cycles, retired=0,
-                      events=(), verified=None)
-    return out, (), [("fleet", "ok", failure) for failure in fleet.failures]
+    records, ledger = fleet.records, fleet.ledger
+    recovered = fleet.daemon["recovered"] or {}
+    facts = (
+        ("published", fleet.published),
+        ("redeployed", sum(r.round == "warm" and r.seeded > 0 for r in records)),
+        ("degraded", sum(r.degraded for r in records)),
+        ("quarantined", len(fleet.daemon["quarantined"])),
+        ("injected", ledger.injected), ("detected", ledger.detected),
+        ("tolerated", ledger.tolerated),
+        ("crash_batch", recovered.get("crash_batch")),
+        ("replayed", recovered.get("replayed")),
+    )
+    out = Observables(digest=records[0].digest, arrays={}, cycles=records[0].cycles,
+                      retired=0, events=(), verified=None)
+    return out, facts, [("fleet", "ok", failure) for failure in fleet.failures]
 
 
 @dataclass(frozen=True)
@@ -474,10 +538,15 @@ class Axis:
     checks: tuple[Callable[[Observables], list[str]], ...] = ()
     #: gate over the facts of all of this row's cells in one invocation
     gate: Callable[[list[dict]], str | None] | None = None
+    #: where the gate can hold: everywhere (``None``), only with a crash
+    #: ``"stride"``, or only over ``"named"`` workloads' cells (a
+    #: generated case rarely deploys)
+    gate_when: str | None = None
     jit: bool = True
     osr: bool = True
-    #: runs a cell that is several runs (crash then resume, a fleet) in
-    #: place of one run_cell; see ``_crash_cell``
+    #: runs a cell that is more than one plain run (crash then resume, a
+    #: run checked against an earlier row, a fleet) in place of one
+    #: run_cell; see ``_crash_cell``
     cell: Callable[..., tuple] | None = None
 
 
@@ -505,10 +574,11 @@ AXES = (
     Axis("ckpt", "none", "checkpoint vs none", delta=_persisting),
     Axis("crash", "ckpt", "crash vs straight-through", ledger=True,
          needs="ckpt", delta=_persisting, over=_crash_points, gate=_warm_redeployed,
-         cell=_crash_cell),
+         gate_when="stride", cell=_crash_cell),
     # a cold database only records; it must not perturb the run
     Axis("db-cold", "jit-on", "db-cold vs jit-on", FULL, delta=_db),
-    Axis("db-warm", "none", "db-warm vs none", needs="db-cold", delta=_db),
+    Axis("db-warm", "none", "db-warm vs none", needs="db-cold", delta=_db,
+         gate=_seeded_a_loop, gate_when="named", cell=_db_warm_cell),
     # a damaged database must load as absent, never half-seed
     Axis("db-corrupt", "jit-on", "db-corrupt vs jit-on", FULL,
          needs="db-cold", delta=_db_corrupt),
@@ -516,7 +586,8 @@ AXES = (
          delta=_overloaded, over=tuple(sorted(OVERLOAD_SCHEDULES)), seeded=True,
          checks=(_ladder,), gate=_governed),
     Axis("fleet-faulted", "none", "fleet-faulted vs none", (), needs="none",
-         seeded=True, cell=_fleet_cell),
+         seeded=True, gate=_published_and_redeployed, gate_when="named",
+         cell=_fleet_cell),
 )
 
 
@@ -641,11 +712,12 @@ def _invocation_failures(
     """Row gates and the cross-machine check, over every case of one run."""
     failures = []
     for axis in rows:
-        if callable(axis.over) and stride is None:
-            continue    # a lone midpoint crash may come before any deploy
+        if axis.gate_when == "stride" and stride is None:
+            continue    # a lone crash cell may come before any deploy
         facts = [
             dict(cell.facts) for result in results for cell in result.cells
             if cell.label.split("/")[0] == axis.name
+            and (axis.gate_when != "named" or result.params is None)
         ]
         if axis.gate is not None and facts and (failure := axis.gate(facts)):
             failures.append(f"{axis.name}: {failure}")

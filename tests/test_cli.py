@@ -68,7 +68,7 @@ class TestCli:
         assert "0 divergence(s), OK" in out
 
     def test_removed_sweep_subcommands_are_one_error_line(self, capsys):
-        for command in ("validate", "chaos", "overload", "recovery"):
+        for command in ("validate", "chaos", "overload", "recovery", "fleet", "warm"):
             assert main([command, "--workloads", "daxpy"]) == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1
@@ -308,21 +308,6 @@ class TestProfileDBCli:
         out = capsys.readouterr().out
         assert rc == 0 and "profile-db: miss" in out
 
-    def test_warm_rejects_unknown_benchmark(self, capsys):
-        rc = main(["warm", "--workloads", "nope"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "unknown benchmark 'nope'" in err
-
-    def test_warm_rejects_bad_min_reduction(self, capsys):
-        rc = main(["warm", "--min-reduction", "150"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "--min-reduction" in err
-
-    def test_warm_rejects_unknown_strategy(self, capsys):
-        rc = main(["warm", "--strategy", "nope"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "unknown strategy 'nope'" in err
-
 
 class TestFuzzCli:
     """Argument validation plus a tiny smoke sweep — the full sweep and
@@ -388,59 +373,6 @@ class TestFuzzCli:
         assert data["ok"] is True
         assert data["scenarios"][0]["seed"] == 3
         assert len(data["scenarios"][0]["digests"]) == 20
-
-
-class TestFleetCli:
-    """`repro fleet`: argument validation and a small end-to-end run."""
-
-    def test_small_clean_fleet(self, capsys, tmp_path):
-        out = tmp_path / "fleet.json"
-        rc = main(["fleet", "--instances", "4", "--jobs", "2",
-                   "--out", str(out)])
-        captured = capsys.readouterr().out
-        assert rc == 0
-        assert "4 instance(s) (2 cold + 2 warm)" in captured
-        assert "bit-identical to solo reference" in captured
-        assert out.exists()
-        import json
-
-        data = json.loads(out.read_text())
-        assert len(data["records"]) == 4
-        digests = {r["digest"] for r in data["records"]}
-        assert digests == {data["reference_digest"]}
-
-    def test_faulted_fleet_accounts_every_fault(self, capsys):
-        rc = main(["fleet", "--instances", "4", "--fault-seed", "7"])
-        captured = capsys.readouterr().out
-        assert rc == 0
-        assert "faults[fleet]:" in captured
-        assert "recovery: crash at batch" in captured
-
-    def test_bad_instances(self, capsys):
-        rc = main(["fleet", "--instances", "0"])
-        err = capsys.readouterr().err
-        assert rc == 2 and err.count("\n") == 1
-        assert "--instances must be >= 1" in err
-
-    def test_bad_quorum(self, capsys):
-        rc = main(["fleet", "--quorum", "-1"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "--quorum must be >= 0" in err
-
-    def test_quorum_exceeding_fleet(self, capsys):
-        rc = main(["fleet", "--instances", "2", "--quorum", "3"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "quorum 3 exceeds --instances 2" in err
-
-    def test_bad_fault_seed(self, capsys):
-        rc = main(["fleet", "--fault-seed", "-1"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "--fault-seed must be >= 0" in err
-
-    def test_unknown_workload(self, capsys):
-        rc = main(["fleet", "--workload", "nope"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "unknown workload 'nope'" in err
 
 
 class TestGovernorCli:

@@ -7,7 +7,10 @@ of one small invocation of every sweep subcommand.  ``validate``,
 subcommands became (the strategy rows, ``faulted``, ``overloaded``,
 ``crash``); the first three keep every cell's cycles and digest of
 the subcommand's own golden, ``recovery`` its crash points and their
-replayed, discarded and warm-redeploy counts.  Each must replay
+replayed, discarded and warm-redeploy counts.  ``warm``,
+``fleet_clean`` and ``fleet_faulted`` are the ``db-warm`` row on daxpy
+and cg (the CI step), and the ``fleet-faulted`` row over 25 generated
+seeds and over cg at fault seeds 2 and 3 (half the CI step).  Each must replay
 byte-identically — and at any ``--jobs``, which is the determinism
 contract of :func:`repro.parallel.run_tasks`.
 ``disasm_daxpy.txt`` (captured before the disassembler became a walk
@@ -29,8 +32,8 @@ GOLDENS = sorted((pathlib.Path(__file__).parent / "golden" / "cli").glob("*.txt"
 def _cases():
     for path in GOLDENS:
         command, _exit, _stdout = path.read_text().split("\n", 2)
-        # warm and disasm have no --jobs
-        jobs = (None,) if command.split()[2] in ("warm", "disasm") else (1, 2)
+        # disasm has no --jobs
+        jobs = (None,) if command.split()[2] == "disasm" else (1, 2)
         for n in jobs:
             yield pytest.param(path, n, id=f"{path.stem}-jobs{n or 1}")
 

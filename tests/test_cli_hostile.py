@@ -49,8 +49,6 @@ EXPLICIT = [
     (["npb", "cg", "--strategy", "nope"], {}, "unknown strategy 'nope'"),
     (["bench", "--strategies", "bogus"], {}, "unknown strategy 'bogus'"),
     (["bench", "--benchmarks", "nope"], {}, "unknown benchmark 'nope'"),
-    (["warm", "--strategy", "nope"], {}, "unknown strategy 'nope'"),
-    (["warm", "--workloads", "nope"], {}, "unknown benchmark 'nope'"),
     (["disasm", "nope"], {}, "unknown kernel 'nope'"),
     (["fuzz", "--axes", "nope"], {}, "unknown axis 'nope'"),
     (["fuzz", "--workloads", "nope"], {}, "unknown workload 'nope'"),
@@ -60,25 +58,21 @@ EXPLICIT = [
     (["chaos", "--seed", "0"], {}, "invalid choice: 'chaos'"),
     (["overload"], {}, "invalid choice: 'overload'"),
     (["recovery", "--stride", "4"], {}, "invalid choice: 'recovery'"),
-    (["fleet", "--workload", "nope"], {}, "unknown workload 'nope'"),
+    (["fleet", "--workload", "nope"], {}, "invalid choice: 'fleet'"),
+    (["warm", "--workloads", "nope"], {}, "invalid choice: 'warm'"),
     # -- flags the range table already promised messages for ------------------
     (["fuzz", "--seeds", "1", "--jobs", "0"], {}, "--jobs must be >= 1"),
     (["fuzz", "--replay", "3", "--fault-seed", "-1"], {}, "--fault-seed must be >= 0"),
     (["fuzz", "--seeds", "0"], {}, "--seeds must be >= 1"),
     (["fuzz", "--stride", "0"], {}, "--stride must be >= 1"),
-    (["fleet", "--instances", "0"], {}, "--instances must be >= 1"),
-    (["fleet", "--quorum", "-1"], {}, "--quorum must be >= 0"),
-    (["fleet", "--fault-seed", "-1"], {}, "--fault-seed must be >= 0"),
     (["daxpy", "--trace-cache-budget", "0"], {}, "--trace-cache-budget must be >= 1"),
     (["daxpy", "--overload-seed", "-1"], {}, "--overload-seed must be >= 0"),
-    (["warm", "--min-reduction", "150"], {}, "--min-reduction must be in [0, 100]"),
     # -- flag combinations ----------------------------------------------------
     (["fuzz", "--seeds", "1", "--fault-seed", "7"], {}, "--fault-seed requires --replay"),
     (["fuzz", "--workloads", "daxpy", "--replay", "3"], {},
      "--workloads cannot be combined with --replay or --corpus"),
     (["fuzz", "--workloads", "daxpy", "--corpus", "{tmp}/nope.json"], {},
      "--workloads cannot be combined with --replay or --corpus"),
-    (["fleet", "--instances", "2", "--quorum", "3"], {}, "quorum 3 exceeds --instances 2"),
     (["daxpy", "--checkpoint-dir", "{tmp}/c", "--strategy", "baseline"], {},
      "--checkpoint-dir requires a COBRA strategy"),
     (["daxpy", "--profile-db", "{tmp}/p.db", "--strategy", "baseline"], {},
@@ -97,7 +91,6 @@ EXPLICIT = [
     # an unwritable target is refused before the sweep runs, not after
     (["bench", "--out", "/proc/nope/x.json"], {}, "cannot write '/proc/nope/x.json'"),
     (["fuzz", "--seeds", "1", "--out", "/proc/nope/x.json"], {}, "cannot write"),
-    (["fleet", "--instances", "2", "--out", "/proc/nope/x.json"], {}, "cannot write"),
     (["bench", "--out", "{tmp}"], {}, "Is a directory"),
     (["daxpy", "--checkpoint-dir", "/proc/nope/ck"], {}, "cannot write '/proc/nope/ck'"),
     (["npb", "cg", "--checkpoint-dir", "/proc/nope/ck"], {}, "cannot write"),
@@ -123,7 +116,6 @@ EXPLICIT = [
     (["--scale", "0", "table1"], {}, "--scale must be >= 1, got 0"),
     (["--scale", "3", "table1"], {}, "cannot scale cache"),
     (["daxpy", "--reps", "0"], {}, "--reps must be >= 1, got 0"),
-    (["fleet", "--threads", "0"], {}, "--threads must be >= 1, got 0"),
     (["daxpy", "--threads", "99"], {}, "working set too small"),
     (["fuzz", "--start", "-1"], {}, "--start must be >= 0, got -1"),
 ]

@@ -73,10 +73,9 @@ ENTRY_POINTS = (
     "repro resume --checkpoint-dir ck",
     "repro fuzz --seeds 25 --no-verbose",
     "repro fuzz --seeds 2 --no-verbose --out fuzz-report.json",
-    "repro warm --workloads daxpy cg --min-reduction 90",
-    "repro fleet --instances 8",
-    "repro fleet --instances 8 --fault-seed 9 --out fleet-report.json",
     "repro fuzz --workloads daxpy cg --reps 4 --seeds 1 --axes overloaded",
+    "repro fuzz --workloads daxpy cg --axes db-warm --out warm-ledger.json",
+    "repro fuzz --workloads cg --axes fleet-faulted --seeds 4 --out fleet-ledger.json",
     "benchmarks/e2e/run.py --workload kernel_mix --ops 2 --trace 1 --trace-out t.json",
     "benchmarks/e2e/run.py --workload stream_steady --ops 2 --trace 1 --trace-out t.json",
     "benchmarks/e2e/run.py --workload state_plane --ops 2 --trace 1 --trace-out t.json",
