@@ -1,14 +1,11 @@
-"""Shared experiment matrices for the benchmark harness.
+"""The benchmark harness's one helper: report lines past pytest's capture.
 
-Figures 5, 6 and 7 report different metrics of the *same* runs, so the
-NPB matrix (benchmark x strategy x machine) is computed once per pytest
-session and shared.  Likewise the DAXPY matrix feeds both Figure 3
-panels.
+The paper's figures are not run here: they are cases of the fidelity
+matrix (``python -m repro bench``, :mod:`repro.bench`), rendered from
+``BENCH_perf.json`` by :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
-
-import pytest
 
 _CONFIG = None
 
@@ -30,100 +27,3 @@ def emit(*args: object) -> None:
             print(*args, flush=True)
     else:  # pragma: no cover - plain python execution
         print(*args, flush=True)
-
-from repro.analysis import Comparison, ExperimentSeries
-from repro.config import itanium2_smp, sgi_altix
-from repro.core import run_with_cobra
-from repro.cpu import Machine
-from repro.workloads import BENCHMARKS, REPORTED, build_daxpy, working_set_elems
-from repro.compiler import AGGRESSIVE, PrefetchPlan
-from repro.isa import Op
-from repro.isa.instructions import nop
-
-MAX_BUNDLES = 400_000_000
-
-#: Paper machines for the final results (Figures 5-7).
-MACHINES = {
-    "smp4": (itanium2_smp(4), 4),
-    "altix8": (sgi_altix(8), 8),
-}
-
-STRATEGIES = ("noprefetch", "excl")
-
-
-def _run_npb(name: str, machine_key: str, strategy: str | None):
-    config, n_threads = MACHINES[machine_key]
-    bench = BENCHMARKS[name]
-    machine = Machine(config)
-    reps = bench.default_reps * 3
-    prog = bench.build(machine, n_threads, reps=reps)
-    if strategy is None:
-        return prog.run(max_bundles=MAX_BUNDLES), None
-    return run_with_cobra(prog, strategy, max_bundles=MAX_BUNDLES)
-
-
-@pytest.fixture(scope="session")
-def npb_matrix():
-    """(machine, benchmark, strategy|None) -> RunResult."""
-    results = {}
-    for machine_key in MACHINES:
-        for name in REPORTED:
-            results[(machine_key, name, None)] = _run_npb(name, machine_key, None)[0]
-            for strategy in STRATEGIES:
-                results[(machine_key, name, strategy)] = _run_npb(
-                    name, machine_key, strategy
-                )[0]
-    return results
-
-
-def npb_series(npb_matrix, machine_key: str) -> dict[str, ExperimentSeries]:
-    """Fold the matrix into per-strategy series for one machine."""
-    out: dict[str, ExperimentSeries] = {}
-    for strategy in STRATEGIES:
-        series = ExperimentSeries(f"{machine_key}:{strategy}")
-        for name in REPORTED:
-            series.add(
-                Comparison(
-                    name,
-                    baseline=npb_matrix[(machine_key, name, None)],
-                    optimized=npb_matrix[(machine_key, name, strategy)],
-                )
-            )
-        out[strategy] = series
-    return out
-
-
-# -- DAXPY (Figure 3) ---------------------------------------------------------
-
-DAXPY_SCALE = 4
-DAXPY_WORKING_SETS = ("128K", "512K", "2M")
-DAXPY_THREADS = (1, 2, 4)
-DAXPY_STRATEGIES = ("prefetch", "noprefetch", "prefetch.excl")
-
-
-def _daxpy_steady_cycles(ws: str, n_threads: int, strategy: str) -> int:
-    """Steady-state cycles for one Figure-3 bar (warmup subtracted)."""
-    n = working_set_elems(ws, DAXPY_SCALE)
-    reps = max(4, 16384 // n)
-    plan = PrefetchPlan(excl=True) if strategy == "prefetch.excl" else AGGRESSIVE
-    cycles = []
-    for factor in (1, 2):
-        machine = Machine(itanium2_smp(4, scale=DAXPY_SCALE))
-        prog = build_daxpy(machine, n, n_threads, outer_reps=reps * factor, plan=plan)
-        if strategy == "noprefetch":
-            # the paper's noprefetch binary: same code, lfetch -> NOP
-            for addr, slot in prog.image.find_ops(Op.LFETCH):
-                prog.image.patch_slot(addr, slot, nop("M"), "static noprefetch")
-        cycles.append(prog.run(max_bundles=MAX_BUNDLES).cycles)
-    return cycles[1] - cycles[0]
-
-
-@pytest.fixture(scope="session")
-def daxpy_matrix():
-    """(working set, threads, strategy) -> steady-state cycles."""
-    results = {}
-    for ws in DAXPY_WORKING_SETS:
-        for t in DAXPY_THREADS:
-            for strategy in DAXPY_STRATEGIES:
-                results[(ws, t, strategy)] = _daxpy_steady_cycles(ws, t, strategy)
-    return results

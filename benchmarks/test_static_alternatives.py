@@ -20,8 +20,7 @@ from conftest import emit
 from repro.compiler import AGGRESSIVE, PrefetchPlan
 from repro.config import itanium2_smp
 from repro.cpu import Machine
-from repro.isa import Op
-from repro.isa.instructions import nop
+from repro.scenario import nop_prefetches
 from repro.workloads import build_daxpy, working_set_elems
 
 SCALE = 4
@@ -42,8 +41,7 @@ def _steady(ws: str, threads: int, plan_name: str) -> int:
         machine = Machine(itanium2_smp(4, scale=SCALE))
         prog = build_daxpy(machine, n, threads, outer_reps=reps * factor, plan=plan)
         if plan_name == "noprefetch":
-            for addr, slot in prog.image.find_ops(Op.LFETCH):
-                prog.image.patch_slot(addr, slot, nop("M"), "static noprefetch")
+            nop_prefetches(prog)
         cycles.append(prog.run(max_bundles=400_000_000).cycles)
     return cycles[1] - cycles[0]
 

@@ -12,32 +12,11 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.analysis import PAPER_TABLE1, format_table1
-from repro.config import itanium2_smp
-from repro.cpu import Machine
-from repro.isa import Op
-from repro.workloads import BENCHMARKS
-
-N_THREADS = 4
-
-
-def _static_counts() -> dict[str, tuple[int, int, int, int]]:
-    counts = {}
-    for name, bench in BENCHMARKS.items():
-        machine = Machine(itanium2_smp(N_THREADS))
-        prog = bench.build(machine, N_THREADS, reps=1)
-        image = prog.image
-        counts[name] = (
-            image.count_ops(Op.LFETCH),
-            image.count_ops(Op.BR_CTOP),
-            image.count_ops(Op.BR_CLOOP),
-            image.count_ops(Op.BR_WTOP),
-        )
-    return counts
+from repro.analysis import format_table1, table1_counts
 
 
 def test_table1_static_counts(benchmark):
-    counts = benchmark.pedantic(_static_counts, rounds=1, iterations=1)
+    counts = benchmark.pedantic(table1_counts, rounds=1, iterations=1)
     emit()
     emit("Table 1 — static counts in compiled NPB binaries")
     emit(format_table1(counts))

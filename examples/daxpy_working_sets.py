@@ -2,56 +2,24 @@
 """The paper's motivation study (Figures 1-3): one binary is not enough.
 
 Sweeps the OpenMP DAXPY kernel over the paper's three working-set
-classes and 1/2/4 threads, under the three static strategies
-(prefetch / noprefetch / prefetch.excl), and prints the Figure-3-style
-normalized execution times.  The punchline is the paper's: no single
-statically-compiled binary wins everywhere — which is why the binary
-must be re-adapted at runtime.
+classes and 1/2/4 threads, as the three static binaries (prefetch /
+noprefetch / prefetch.excl) -- the fidelity matrix's Fig. 3 cases
+(``repro.bench``), the same runs ``BENCH_perf.json`` pins -- and prints
+the Figure-3 normalized execution times.  The punchline is the
+paper's: no single statically-compiled binary wins everywhere, which
+is why the binary must be re-adapted at runtime.
 
-Run:  python examples/daxpy_working_sets.py        (~2 minutes)
+Run:  python examples/daxpy_working_sets.py        (~10 s on two cores)
 """
 
 from __future__ import annotations
 
-from repro import Machine, itanium2_smp
-from repro.analysis import format_fig3_table
-from repro.compiler import AGGRESSIVE, PrefetchPlan
-from repro.isa import Op
-from repro.isa.instructions import nop
-from repro.workloads import build_daxpy, working_set_elems
-
-SCALE = 4
-WORKING_SETS = ("128K", "512K", "2M")
-THREADS = (1, 2, 4)
-STRATEGIES = ("prefetch", "noprefetch", "prefetch.excl")
-
-
-def steady_cycles(ws: str, n_threads: int, strategy: str) -> int:
-    """Steady-state cycles (two runs, warm-up subtracted)."""
-    n = working_set_elems(ws, SCALE)
-    reps = max(4, 16384 // n)
-    plan = PrefetchPlan(excl=True) if strategy == "prefetch.excl" else AGGRESSIVE
-    cycles = []
-    for factor in (1, 2):
-        machine = Machine(itanium2_smp(4, scale=SCALE))
-        program = build_daxpy(machine, n, n_threads, outer_reps=reps * factor, plan=plan)
-        if strategy == "noprefetch":
-            # the paper's method: the same binary with lfetch -> NOP
-            for addr, slot in program.image.find_ops(Op.LFETCH):
-                program.image.patch_slot(addr, slot, nop("M"), "static noprefetch")
-        cycles.append(program.run().cycles)
-    return cycles[1] - cycles[0]
+from repro.analysis import format_fig3
+from repro.bench import FIG3_BENCHMARKS, run_bench
 
 
 def main() -> None:
-    results = {}
-    for ws in WORKING_SETS:
-        for t in THREADS:
-            for strategy in STRATEGIES:
-                results[(ws, t, strategy)] = steady_cycles(ws, t, strategy)
-                print(".", end="", flush=True)
-    print("\n")
-    print(format_fig3_table(results, list(WORKING_SETS), list(THREADS), list(STRATEGIES)))
+    print(format_fig3(run_bench(FIG3_BENCHMARKS, ("smp4",), jobs=2)))
     print(
         "\nNote how noprefetch wins at 128K with 2-4 threads but loses badly at"
         "\n2M, while prefetch.excl helps in between — the adaptation COBRA does"

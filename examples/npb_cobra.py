@@ -2,73 +2,39 @@
 """COBRA on the NPB-like suite: the paper's headline experiment (Fig. 5-7).
 
 Runs the six reported benchmarks (BT, SP, LU, FT, MG, CG) on both
-simulated platforms, with and without COBRA, and prints the
-Figure-5/6/7-style tables: speedup, normalized L3 misses, normalized
-bus transactions.  EP and IS are also run once to confirm why the paper
-excludes them (no long-latency coherent misses worth optimizing).
+simulated platforms, raw and under COBRA's noprefetch and excl
+strategies -- the fidelity matrix's cells (``repro.bench``), the same
+runs ``BENCH_perf.json`` pins -- and prints Figures 5, 6 and 7:
+speedup, normalized L3 misses, normalized bus transactions.  EP and IS
+are also run once to confirm why the paper excludes them (no
+long-latency coherent misses worth optimizing).
 
-Run:  python examples/npb_cobra.py           (~5 minutes)
-      python examples/npb_cobra.py --quick   (SMP only, fewer reps)
+Run:  python examples/npb_cobra.py           (~30 s on two cores)
 """
 
 from __future__ import annotations
 
-import sys
-
-from repro import BENCHMARKS, Machine, itanium2_smp, run_with_cobra, sgi_altix
-from repro.analysis import Comparison, ExperimentSeries, format_series_table
+from repro.analysis import format_figure
+from repro.bench import run_bench
+from repro.scenario import MACHINES, npb_spec, run_cell
 from repro.workloads import REPORTED
 
-STRATEGIES = ("noprefetch", "excl")
 
+def main() -> None:
+    doc = run_bench(REPORTED, strategies=("none", "noprefetch", "excl"), jobs=2)
+    # every strategy computes the raw run's output, on both machines
+    outputs = {(c["machine"], c["benchmark"], c["digest"]) for c in doc["cases"]}
+    assert len(outputs) == len(doc["cases"]) // 3, "a rewrite changed an output"
+    for figure in "567":
+        print(f"\n{format_figure(doc, figure)}")
 
-def run_machine(label: str, config, n_threads: int, reps_factor: int) -> None:
-    print(f"\n===== {label}: {n_threads} threads =====")
-    series = {s: ExperimentSeries(s) for s in STRATEGIES}
-    for name in REPORTED:
-        bench = BENCHMARKS[name]
-        reps = bench.default_reps * reps_factor
-        machine = Machine(config)
-        prog = bench.build(machine, n_threads, reps=reps)
-        baseline = prog.run()
-        assert bench.verify(prog, reps), f"{name}: baseline verification failed"
-        for strategy in STRATEGIES:
-            machine = Machine(config)
-            prog = bench.build(machine, n_threads, reps=reps)
-            result, report = run_with_cobra(prog, strategy)
-            assert bench.verify(prog, reps), f"{name}/{strategy}: verification failed"
-            series[strategy].add(Comparison(name, baseline, result))
-        print(".", end="", flush=True)
-    print()
-    print("\nspeedup over the prefetch baseline (Figure 5):")
-    print(format_series_table(series, "speedup"))
-    print("\nnormalized L3 misses (Figure 6):")
-    print(format_series_table(series, "normalized_l3"))
-    print("\nnormalized bus memory transactions (Figure 7):")
-    print(format_series_table(series, "normalized_bus"))
-
-
-def show_excluded(config, n_threads: int) -> None:
     print("\n===== why EP and IS are excluded (paper §5.2) =====")
     for name in ("ep", "is"):
-        bench = BENCHMARKS[name]
-        machine = Machine(config)
-        prog = bench.build(machine, n_threads)
-        result = prog.run()
-        events = result.events
+        events = run_cell(MACHINES["smp4"], npb_spec(name)).mem_events()
         print(
             f"{name}: coherent bus events = {events.coherent_bus_events()}, "
             f"hitm = {events.bus_rd_hitm} — no long-latency coherent misses to remove"
         )
-
-
-def main() -> None:
-    quick = "--quick" in sys.argv
-    reps_factor = 2 if quick else 3
-    run_machine("Itanium 2 SMP server", itanium2_smp(4), 4, reps_factor)
-    if not quick:
-        run_machine("SGI Altix cc-NUMA", sgi_altix(8), 8, reps_factor)
-    show_excluded(itanium2_smp(4), 4)
 
 
 if __name__ == "__main__":

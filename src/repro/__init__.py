@@ -21,7 +21,8 @@ Subpackages:
 - :mod:`repro.compiler` — kernel templates -> prefetch-aggressive code;
 - :mod:`repro.core` — COBRA itself (the paper's contribution);
 - :mod:`repro.workloads` — DAXPY and the NPB-like suite;
-- :mod:`repro.analysis` — normalized metrics and paper-style tables;
+- :mod:`repro.analysis` — the paper's figures and tables, rendered from
+  the fidelity matrix (:mod:`repro.bench`);
 - :mod:`repro.validate` — coherence invariant checker, ISA round-trip
   checks;
 - :mod:`repro.scenario` — the one run-perturb-compare algorithm under

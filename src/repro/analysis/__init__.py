@@ -1,13 +1,6 @@
-"""Analysis: normalized metrics and paper-style report rendering."""
+"""Analysis: the paper's figures and tables, rendered from the fidelity
+matrix document (``BENCH_perf.json``, :mod:`repro.bench`) and the built
+images."""
 
-from .metrics import Comparison, ExperimentSeries
-from .report import PAPER_TABLE1, format_fig3_table, format_series_table, format_table1
-
-__all__ = [
-    "Comparison",
-    "ExperimentSeries",
-    "format_series_table",
-    "format_table1",
-    "format_fig3_table",
-    "PAPER_TABLE1",
-]
+from .report import *  # noqa: F403 -- the package is its one module
+from .report import __all__  # noqa: F401

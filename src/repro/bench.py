@@ -11,6 +11,11 @@ across runs, hosts, ``--jobs`` and ``PYTHONHASHSEED``, and
 equality: a change that moves any field changed what the simulator
 *does*, not how fast it does it.
 
+The matrix is also the paper's evaluation: its NPB cases run at the
+figures' size, so the ``none``/``noprefetch``/``excl`` cases *are* the
+Fig. 5/6/7 cells, and the ``daxpy-<working set>`` cases are Fig. 3's
+bars.  :mod:`repro.analysis` renders every figure from this document.
+
 Nothing here reads a clock.  Host-speed claims go through
 ``benchmarks/e2e/compare.py --ab``.
 """
@@ -27,17 +32,19 @@ from .scenario import (
     MACHINES,
     MATRIX_BENCHMARKS,
     MachineRecipe,
-    WorkloadSpec,
+    Observables,
     daxpy_spec,
     npb_spec,
     run_cell,
 )
+from .workloads import BENCHMARKS as NPB, working_set_elems
 
 __all__ = [
     "BENCH_SCHEMA",
+    "BENCHMARKS",
     "MATRIX_BENCHMARKS",
-    "matrix_case",
     "run_case",
+    "run_fig3_case",
     "run_bench",
     "format_report",
     "check_baseline",
@@ -47,41 +54,37 @@ __all__ = [
 #: Schema tag written into BENCH_perf.json (bump on layout changes).
 #: /4 dropped every host-dependent field (wall seconds, rates, host,
 #: creation time); /5 added ``opt_events`` and ``deployments`` per case
-#: and the four remaining reported kernels.  An older file is not a
+#: and the four remaining reported kernels; /6 runs the NPB cases at the
+#: figures' size and adds Fig. 3's 27 bars.  An older file is not a
 #: baseline for ``--compare``.
-BENCH_SCHEMA = "repro-bench-perf/5"
+BENCH_SCHEMA = "repro-bench-perf/6"
 
 #: Fixed cache scale for all bench runs (matches the validate default).
 BENCH_SCALE = 16
 
+#: Fig. 3: DAXPY at the paper's three working-set classes (one bench
+#: benchmark each) x 1/2/4 threads on ``smp4`` at cache scale 4, as the
+#: static binary each matrix strategy stands in for -- no COBRA runs.
+FIG3_SCALE = 4
+FIG3_BENCHMARKS = ("daxpy-128K", "daxpy-512K", "daxpy-2M")
+FIG3_THREADS = (1, 2, 4)
+FIG3_BINARIES = {"none": "prefetch", "noprefetch": "noprefetch", "excl": "prefetch.excl"}
 
-def matrix_case(benchmark: str, machine_name: str) -> tuple[MachineRecipe, WorkloadSpec]:
-    """The machine and workload of one case.
-
-    Sizes are fixed here so reports stay comparable across PRs; every
-    workload runs one thread per CPU.
-    """
-    recipe = replace(MACHINES[machine_name], scale=BENCH_SCALE)
-    if benchmark == "daxpy":
-        return recipe, daxpy_spec(4096, recipe.n_cpus, 4)
-    return recipe, npb_spec(benchmark, recipe.n_cpus, 1)
+#: every ``--benchmarks`` name
+BENCHMARKS = (*MATRIX_BENCHMARKS, *FIG3_BENCHMARKS)
 
 
-def run_case(benchmark: str, machine_name: str, strategy: str) -> dict:
-    """Run one (benchmark, machine, strategy) case on a fresh machine.
-
-    Returns the case dict of the BENCH_perf.json schema.
-    """
-    recipe, workload = matrix_case(benchmark, machine_name)
-    obs = run_cell(recipe, workload, strategy)
+def _case(obs: Observables, recipe: MachineRecipe, machine: str, benchmark: str,
+          strategy: str, threads: int) -> dict:
+    """The BENCH_perf.json case dict of one run."""
     report = obs.report
     return {
-        "id": f"{machine_name}/{benchmark}/{strategy}",
+        "id": f"{machine}/{benchmark}/{strategy}",
         "benchmark": benchmark,
-        "machine": machine_name,
+        "machine": machine,
         "strategy": strategy,
-        "threads": recipe.n_cpus,
-        "scale": BENCH_SCALE,
+        "threads": threads,
+        "scale": recipe.scale,
         "sim_cycles": obs.cycles,
         "retired": obs.retired,
         "pmu_samples": report.samples if report is not None else 0,
@@ -96,24 +99,63 @@ def run_case(benchmark: str, machine_name: str, strategy: str) -> dict:
     }
 
 
+def run_case(benchmark: str, machine_name: str, strategy: str) -> dict:
+    """Run one (benchmark, machine, strategy) case on a fresh machine.
+
+    Sizes are fixed here so reports stay comparable across PRs; every
+    workload runs one thread per CPU, an NPB kernel at the figures' size
+    (three times its default repetitions).
+    """
+    recipe = replace(MACHINES[machine_name], scale=BENCH_SCALE)
+    workload = (daxpy_spec(4096, recipe.n_cpus, 4) if benchmark == "daxpy" else
+                npb_spec(benchmark, recipe.n_cpus, 3 * NPB[benchmark].default_reps))
+    obs = run_cell(recipe, workload, strategy)
+    return _case(obs, recipe, machine_name, benchmark, strategy, recipe.n_cpus)
+
+
+def run_fig3_case(benchmark: str, threads: int, strategy: str) -> dict:
+    """One Fig. 3 bar: the static DAXPY binary ``strategy`` stands in for,
+    at the working set ``benchmark`` names (``daxpy-<WS>``), ``threads``.
+
+    The case, benchmark ``<benchmark>-t<threads>``, records the run at
+    ``2 * reps`` outer repetitions, plus ``steady_cycles``: its cycles
+    minus those of the run at ``reps``, the warm-up the paper's
+    million-iteration loop amortizes away.
+    """
+    recipe = MachineRecipe("smp", 4, FIG3_SCALE)
+    n_elems = working_set_elems(benchmark.split("-")[1], FIG3_SCALE)
+    reps = max(4, 16384 // n_elems)
+    binary = FIG3_BINARIES[strategy]
+    warm_up, steady = (run_cell(recipe, daxpy_spec(n_elems, threads, r, binary))
+                       for r in (reps, 2 * reps))
+    case = _case(steady, recipe, "smp4", f"{benchmark}-t{threads}", strategy, threads)
+    case["steady_cycles"] = steady.cycles - warm_up.cycles
+    return case
+
+
 def run_bench(
     benchmarks: Iterable[str] | None = None,
     machines: Iterable[str] | None = None,
     strategies: Iterable[str] | None = None,
     jobs: int = 1,
 ) -> dict:
-    """Run the matrix (default: all of it); return the BENCH_perf.json document."""
+    """Run the matrix (default: all of it); return the BENCH_perf.json document.
+
+    A Fig. 3 benchmark runs on ``smp4`` only, and only under the
+    strategies :data:`FIG3_BINARIES` maps to a static binary.
+    """
     from .parallel import run_tasks
 
-    cases = run_tasks(
-        [
-            (run_case, (b, m, s))
-            for m in machines or MACHINES
-            for b in benchmarks or MATRIX_BENCHMARKS
-            for s in strategies or ALL_STRATEGIES
-        ],
-        jobs=jobs,
-    )
+    benchmarks, machines, strategies = (
+        benchmarks or BENCHMARKS, machines or MACHINES, strategies or ALL_STRATEGIES)
+    cases = run_tasks([
+        (run_case, (b, m, s))
+        for m in machines for b in benchmarks if b in MATRIX_BENCHMARKS for s in strategies
+    ] + [
+        (run_fig3_case, (b, t, s))
+        for b in benchmarks if b in FIG3_BENCHMARKS and "smp4" in machines
+        for t in FIG3_THREADS for s in strategies if s in FIG3_BINARIES
+    ], jobs=jobs)
     return {
         "schema": BENCH_SCHEMA,
         "cases": cases,
@@ -127,13 +169,13 @@ def run_bench(
 def format_report(report: dict) -> str:
     """Human-readable table of a bench report."""
     header = (
-        f"{'case':<28} {'sim cycles':>11} {'retired':>9} {'samples':>8} "
+        f"{'case':<30} {'sim cycles':>11} {'retired':>9} {'samples':>8} "
         f"{'trace%':>7} {'digest':>10}"
     )
     lines = [header, "-" * len(header)]
     for case in report["cases"]:
         lines.append(
-            f"{case['id']:<28} {case['sim_cycles']:>11} {case['retired']:>9} "
+            f"{case['id']:<30} {case['sim_cycles']:>11} {case['retired']:>9} "
             f"{case['pmu_samples']:>8} {case['fastpath']['coverage_pct']:>7.1f} "
             f"{case['digest'][:10]:>10}"
         )
@@ -184,14 +226,14 @@ def compare_reports(baseline: dict, current: dict) -> tuple[list[str], bool]:
     cur_cases = {c["id"]: c for c in current["cases"]}
     for cid in sorted(base_cases):
         if cid not in cur_cases:
-            lines.append(f"{cid:<28} not run")
+            lines.append(f"{cid:<30} not run")
             continue
         changed = list(_diff("", base_cases[cid], cur_cases[cid]))
         work = [_WORK_LEAF.match(line) is not None for line in changed]
         ok = ok and all(work)
         verdict = "identical" if not changed else "moved (work)" if all(work) else "DIFFERS"
-        lines.append(f"{cid:<28} {verdict}")
+        lines.append(f"{cid:<30} {verdict}")
         lines.extend(f"  {line}{'  (work)' if w else ''}" for line, w in zip(changed, work))
     for cid in sorted(set(cur_cases) - set(base_cases)):
-        lines.append(f"{cid:<28} new case (not in baseline)")
+        lines.append(f"{cid:<30} new case (not in baseline)")
     return lines, ok

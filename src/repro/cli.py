@@ -52,7 +52,7 @@ default_blas_threads()
 # Each handler imports its own harness (analysis, bench, fuzz, governor,
 # persist): a command loads what it runs
 # (DESIGN.md §2 "Import layering").
-from .isa import Op, disassemble  # noqa: E402
+from .isa import disassemble  # noqa: E402
 from .scenario import (  # noqa: E402
     ALL_STRATEGIES,
     MACHINES,
@@ -268,16 +268,9 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    from .analysis import format_table1
+    from .analysis import format_table1, table1_counts
 
-    counts = {}
-    for name, bench in BENCHMARKS.items():
-        prog = bench.build(MachineRecipe("smp", 4, args.scale)(), 4, reps=1)
-        counts[name] = tuple(
-            prog.image.count_ops(op)
-            for op in (Op.LFETCH, Op.BR_CTOP, Op.BR_CLOOP, Op.BR_WTOP)
-        )
-    print(format_table1(counts))
+    print(format_table1(table1_counts(args.scale)))
     return 0
 
 
@@ -357,17 +350,12 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import (
-        check_baseline,
-        compare_reports,
-        format_report,
-        run_bench,
-    )
+    from .bench import BENCHMARKS, check_baseline, compare_reports, format_report, run_bench
 
     for name in args.strategies or ():
         _choose("strategy", name, ALL_STRATEGIES)
     for name in args.benchmarks or ():
-        _choose("benchmark", name, MATRIX_BENCHMARKS)
+        _choose("benchmark", name, BENCHMARKS)
     baseline = (
         _load_json(args.compare, "baseline report", check_baseline)
         if args.compare
@@ -557,15 +545,17 @@ def _parser() -> _Parser:
     )
     bench.add_argument(
         "--benchmarks", nargs="+", default=None, metavar="BENCH",
-        help=f"subset of {'/'.join(MATRIX_BENCHMARKS)}",
+        help=f"subset of {'/'.join(MATRIX_BENCHMARKS)} and Fig. 3's "
+        "daxpy-128K/-512K/-2M (each at 1/2/4 threads on smp4)",
     )
     bench.add_argument(
         "--machines", nargs="+", default=None, metavar="MACHINE",
-        choices=sorted(MACHINES), help="subset of machine models",
+        choices=sorted(MACHINES), help="subset of machine models (Fig. 3 runs on smp4)",
     )
     bench.add_argument(
         "--strategies", nargs="+", default=None, metavar="STRATEGY",
-        help="subset of none/noprefetch/excl/adaptive",
+        help="subset of none/noprefetch/excl/adaptive (Fig. 3 runs none/noprefetch/"
+        "excl as its static prefetch/noprefetch/prefetch.excl binary)",
     )
     _jobs_flag(bench)
     bench.add_argument(

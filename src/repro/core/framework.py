@@ -367,6 +367,15 @@ class Cobra:
         scheduler.add_tick_hook(self.optimizer.tick)
         self._installed = True
 
+    def run(self, program: ParallelProgram, max_bundles: int | None = None) -> RunResult:
+        """Run ``program`` with this engine installed on its threads' scheduler."""
+        scheduler = Scheduler([th.core for th in program.threads])
+        self.install(scheduler)
+        try:
+            return program.run(max_bundles=max_bundles, scheduler=scheduler)
+        finally:
+            self.stop()
+
     def stop(self) -> None:
         for monitor in self.monitors:
             monitor.stop()
@@ -473,12 +482,5 @@ def run_with_cobra(
     max_bundles: int | None = None,
 ) -> tuple[RunResult, CobraReport]:
     """Run a built :class:`ParallelProgram` under COBRA."""
-    machine = program.machine
-    cobra = Cobra(machine, program.image, strategy, config)
-    scheduler = Scheduler([th.core for th in program.threads])
-    cobra.install(scheduler)
-    try:
-        result = program.run(max_bundles=max_bundles, scheduler=scheduler)
-    finally:
-        cobra.stop()
-    return result, cobra.report()
+    cobra = Cobra(program.machine, program.image, strategy, config)
+    return cobra.run(program, max_bundles), cobra.report()

@@ -67,7 +67,7 @@ _QUARANTINE_SURGE = 4
 #: with the constant and the consumer asks the :class:`OptEvent`
 #: predicate, so rewording a message cannot silently zero the profile
 #: database's ``rolled_back`` evidence or the crash row's warm-redeploy count
-#: (a typed cause field is ROADMAP item 4).
+#: (a typed cause field is ROADMAP item 5).
 REGRESSION = "CPI "
 WARM_RESTART = "warm restart"
 

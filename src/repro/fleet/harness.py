@@ -167,16 +167,26 @@ class FleetHarness:
             for d in res.channel.delivered:
                 deliveries.append((d.tick, res.instance, d.ordinal, d.data))
         deliveries.sort(key=lambda item: item[:3])
-        crash_at = self.faults.daemon_crash_batch if self.faults else None
         for _tick, _inst, _ordinal, data in deliveries:
-            if (
-                crash_at is not None
-                and not state["crashed"]
-                and daemon.batches_accepted >= crash_at
-            ):
-                daemon = self._crash(daemon, state)
-            daemon.handle(data)
+            daemon = self._deliver(daemon, data, state)
             shadow.handle(data)
+        return daemon
+
+    def _deliver(
+        self, daemon: FleetDaemon, data: bytes, state: dict | None
+    ) -> FleetDaemon:
+        """Hand one frame to the daemon; the crash trigger fires here.
+
+        Both ingest passes come through this one path, so the daemon
+        crashes at its ``daemon_crash_batch``-th accepted batch whether
+        that batch arrives live or at rejoin.  ``state`` is ``None`` for
+        deliveries that must not crash (the shadow, the idempotence
+        replay).
+        """
+        crash_at = self.faults.daemon_crash_batch if self.faults and state else None
+        if crash_at is not None and not state["crashed"] and daemon.batches_accepted >= crash_at:
+            daemon = self._crash(daemon, state)
+        daemon.handle(data)
         return daemon
 
     def _crash(self, daemon: FleetDaemon, state: dict) -> FleetDaemon:
@@ -206,17 +216,19 @@ class FleetHarness:
         return recovered
 
     def _reconcile(
-        self, daemon: FleetDaemon, results: list[InstanceResult]
-    ) -> None:
+        self, daemon: FleetDaemon, results: list[InstanceResult], state: dict | None = None
+    ) -> FleetDaemon:
         """Rejoin replay: every instance's clean frames, in order.
 
         Degraded instances make first contact here (their profile merges
         in); everyone else's frames dedup to no-ops; quarantined streams
         stay refused.  Running it is also the idempotence proof's setup.
+        Returns the daemon, recovered if the crash trigger fired.
         """
         for res in sorted(results, key=lambda r: r.instance):
             for data in res.channel.clean:
-                daemon.handle(data)
+                daemon = self._deliver(daemon, data, state)
+        return daemon
 
     # -- fault accounting ----------------------------------------------------
 
@@ -299,7 +311,7 @@ class FleetHarness:
                     )
                     state["events"].append(event)
             daemon = self._ingest(daemon, shadow, results, state)
-            self._reconcile(daemon, results)
+            daemon = self._reconcile(daemon, results, state)
             self._reconcile(shadow, results)
             self._claim(daemon, results, state, failures)
             return results

@@ -23,11 +23,13 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Mapping
 
+from .compiler import AGGRESSIVE, PrefetchPlan
 from .config import DEFAULT_SCALE, itanium2_smp, sgi_altix
 from .cpu.machine import Machine
-from .cpu.scheduler import Scheduler
 from .cpu.tracejit import fastpath_stats
 from .errors import ValidationError
+from .isa import Op
+from .isa.instructions import nop
 from .memory.events import MemEvents
 from .runtime.team import ParallelProgram
 from .workloads.npb import REPORTED
@@ -41,6 +43,7 @@ __all__ = [
     "Observables",
     "run_cell",
     "daxpy_spec",
+    "nop_prefetches",
     "npb_spec",
     "default_machines",
 ]
@@ -66,15 +69,38 @@ class WorkloadSpec:
     verify: Callable[[ParallelProgram], bool] | None = None
 
 
-def daxpy_spec(n_elems: int = 512, n_threads: int = 4, reps: int = 5) -> WorkloadSpec:
-    """The paper's DAXPY kernel as a sweep workload."""
+def nop_prefetches(prog: ParallelProgram) -> ParallelProgram:
+    """The paper's static noprefetch binary: the same code with every
+    ``lfetch`` patched to a nop."""
+    for addr, slot in prog.image.find_ops(Op.LFETCH):
+        prog.image.patch_slot(addr, slot, nop("M"), "static noprefetch")
+    return prog
+
+
+def _built_without_prefetches(build, machine: Machine) -> ParallelProgram:
+    return nop_prefetches(build(machine))
+
+
+def daxpy_spec(n_elems: int = 512, n_threads: int = 4, reps: int = 5,
+               binary: str = "prefetch") -> WorkloadSpec:
+    """The paper's DAXPY kernel as a sweep workload.
+
+    ``binary`` is one of Fig. 3's static binaries: ``prefetch`` (the
+    compiler's aggressive plan), ``noprefetch`` (that code after
+    :func:`nop_prefetches`) or ``prefetch.excl``.
+    """
     from .workloads.daxpy import build_daxpy, verify_daxpy
 
+    build = partial(
+        build_daxpy, n_elems=n_elems, n_threads=n_threads, outer_reps=reps,
+        plan=PrefetchPlan(excl=True) if binary == "prefetch.excl" else AGGRESSIVE,
+    )
+    if binary == "noprefetch":
+        build = partial(_built_without_prefetches, build)
     return WorkloadSpec(
-        name=f"daxpy-n{n_elems}-t{n_threads}-r{reps}",
-        build=partial(
-            build_daxpy, n_elems=n_elems, n_threads=n_threads, outer_reps=reps
-        ),
+        name=f"daxpy-n{n_elems}-t{n_threads}-r{reps}"
+        + ("" if binary == "prefetch" else f"-{binary}"),
+        build=build,
         verify=partial(verify_daxpy, outer_reps=reps),
     )
 
@@ -266,12 +292,7 @@ def run_cell(
             if tap:
                 for monitor in engine.monitors:
                     monitor.drain = _TappedDrain(monitor.drain, captured)
-            scheduler = Scheduler([th.core for th in prog.threads])
-            engine.install(scheduler)
-            try:
-                result = prog.run(max_bundles=max_bundles, scheduler=scheduler)
-            finally:
-                engine.stop()
+            result = engine.run(prog, max_bundles)
             if tap:
                 for monitor in engine.monitors:
                     captured.extend(monitor.usb)   # stragglers never drained

@@ -1,60 +1,71 @@
-"""Metrics and report rendering."""
+"""Figure rendering from fidelity-matrix case dicts, and report text."""
 
 from repro.analysis import (
-    Comparison,
-    ExperimentSeries,
     PAPER_TABLE1,
-    format_fig3_table,
-    format_series_table,
+    figure_cells,
+    format_fig3,
+    format_figure,
     format_table1,
 )
-from repro.memory.events import MemEvents
-from repro.runtime.team import RunResult
 
 
-def _result(cycles, l3, bus):
-    events = MemEvents()
-    events.l3_misses = l3
-    events.bus_memory = bus
-    return RunResult(
-        cycles=cycles, per_cpu_cycles=[cycles], retired=1000,
-        events=events, per_cpu_events=[],
-    )
+def _case(benchmark, strategy, cycles, l3, bus, machine="smp4"):
+    """The fields of a BENCH_perf.json case the figures read."""
+    return {
+        "id": f"{machine}/{benchmark}/{strategy}", "benchmark": benchmark,
+        "machine": machine, "strategy": strategy, "sim_cycles": cycles,
+        "events": {"l3_misses": l3, "bus_memory": bus},
+    }
 
 
-def _comparison(name="bt", base=(1000, 100, 200), opt=(800, 70, 150)):
-    return Comparison(name, _result(*base), _result(*opt))
+def _doc(*bars):
+    """``(benchmark, base, optimized)`` bars; both strategies run ``optimized``."""
+    return {"cases": [
+        _case(name, strategy, *counts)
+        for name, base, opt in bars
+        for strategy, counts in (("none", base), ("noprefetch", opt), ("excl", opt))
+    ]}
+
+
+def _bt(base=(1000, 100, 200), opt=(800, 70, 150)):
+    return _doc(("bt", base, opt))
+
+
+def _fig3_doc(base_by_ws, threads, strategies):
+    """Fig. 3 cases whose steady cycles are ``base * threads``."""
+    return {"cases": [
+        {"benchmark": f"daxpy-{ws}", "threads": t, "strategy": s, "steady_cycles": base * t}
+        for ws, base in base_by_ws for t in threads for s in strategies
+    ]}
 
 
 class TestComparison:
     def test_ratios(self):
-        c = _comparison()
-        assert c.speedup == 1.25
-        assert abs(c.normalized_l3 - 0.7) < 1e-12
-        assert c.normalized_bus == 0.75
+        doc = _bt()
+        assert figure_cells(doc, "5", "smp4")["noprefetch"] == {"bt": 1.25}
+        assert abs(figure_cells(doc, "6", "smp4")["excl"]["bt"] - 0.7) < 1e-12
+        assert figure_cells(doc, "7", "smp4")["noprefetch"]["bt"] == 0.75
 
     def test_zero_division_guards(self):
-        c = Comparison("z", _result(0, 0, 0), _result(0, 0, 0))
-        assert c.speedup == 0.0
-        assert c.normalized_l3 == 0.0 and c.normalized_bus == 0.0
+        doc = _bt((0, 0, 0), (0, 0, 0))
+        assert {figure_cells(doc, f, "smp4")["noprefetch"]["bt"] for f in "567"} == {0.0}
 
 
 class TestSeries:
     def test_aggregates(self):
-        series = ExperimentSeries("t")
-        series.add(_comparison("a", (1000, 100, 100), (500, 50, 50)))
-        series.add(_comparison("b", (1000, 100, 100), (1000, 100, 100)))
-        assert series.avg_speedup() == 1.5
-        assert series.max_speedup() == 2.0
-        assert series.avg_normalized_l3() == 0.75
-        assert ExperimentSeries("empty").avg_speedup() == 0.0
+        doc = _doc(("bt", (1000, 100, 100), (500, 50, 50)),
+                   ("sp", (1000, 100, 100), (1000, 100, 100)))
+        assert figure_cells(doc, "5", "smp4")["noprefetch"] == {"bt": 2.0, "sp": 1.0}
+        speedup = format_figure(doc, "5").splitlines()
+        assert speedup[3].split()[-1] == "1.500"           # (a): the avg bar
+        assert format_figure(doc, "6").splitlines()[3].endswith("0.750")
+        panel_b = speedup[speedup.index("") + 1:]          # no altix8 case
+        assert panel_b[3] == "noprefetch  0.000"
 
 
 class TestRendering:
     def test_series_table(self):
-        series = {"noprefetch": ExperimentSeries("np")}
-        series["noprefetch"].add(_comparison("bt"))
-        text = format_series_table(series, "speedup", {"bt": "1.05", "avg": "1.05"})
+        text = format_figure(_bt(), "5")
         assert "bt" in text and "noprefetch" in text and "paper" in text
         assert "1.250" in text
 
@@ -65,39 +76,24 @@ class TestRendering:
         assert set(PAPER_TABLE1) == {"bt", "sp", "lu", "ft", "mg", "cg", "ep", "is"}
 
     def test_fig3_table(self):
-        results = {
-            (ws, t, s): 100 * t
-            for ws in ("128K",)
-            for t in (1, 2)
-            for s in ("prefetch", "noprefetch")
-        }
-        text = format_fig3_table(results, ["128K"], [1, 2], ["prefetch", "noprefetch"])
+        text = format_fig3(_fig3_doc([("128K", 100)], (1, 2), ("none", "noprefetch")))
         assert "128K" in text and "2.000" in text  # 2-thread bar normalized
+        assert text.splitlines()[2].split() == ["threads", "prefetch", "noprefetch"]
 
     def test_series_table_without_paper_row(self):
-        series = {"excl": ExperimentSeries("excl")}
-        series["excl"].add(_comparison("cg"))
-        text = format_series_table(series, "normalized_bus", paper_row=None)
+        text = format_figure(_doc(("cg", (1000, 100, 200), (800, 70, 150))), "7")
         assert "cg" in text and "excl" in text
         assert "paper" not in text
         assert "0.750" in text  # 150/200 normalized bus transactions
 
     def test_series_table_fills_missing_paper_cells(self):
-        series = {"np": ExperimentSeries("np")}
-        series["np"].add(_comparison("zz"))  # not a paper benchmark
-        text = format_series_table(series, "speedup", {"avg": "1.10"})
+        text = format_figure(_bt(), "5")
         row = [ln for ln in text.splitlines() if ln.startswith("paper")][0]
-        assert "-" in row and "1.10" in row
+        assert row.split()[1] == "-" and row.endswith("1.047 (np) / 1.027 (excl)")
 
     def test_fig3_table_multiple_working_sets(self):
-        results = {
-            (ws, t, s): base * t
-            for ws, base in (("128K", 100), ("2M", 400))
-            for t in (1, 2, 4)
-            for s in ("prefetch", "noprefetch")
-        }
-        text = format_fig3_table(
-            results, ["128K", "2M"], [1, 2, 4], ["prefetch", "noprefetch"]
+        text = format_fig3(
+            _fig3_doc([("128K", 100), ("2M", 400)], (1, 2, 4), ("none", "noprefetch"))
         )
         assert "working set 128K" in text and "working set 2M" in text
         assert "4.000" in text  # 4-thread bar, both sets normalize per-set

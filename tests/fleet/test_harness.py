@@ -81,6 +81,16 @@ class TestFaultedFleet:
         assert recovered["crash_batch"] == FAULTS.daemon_crash_batch
         assert "daemon_crash" in faulted_report.ledger.by_kind
 
+    def test_crash_fires_on_time_when_every_instance_rejoins(self):
+        """A partitioned instance's frames reach the daemon only at
+        rejoin; the crash trigger must fire on that pass too."""
+        report = FleetHarness(
+            instances=4, faults=replace(FAULTS, partition_rate=1.0)
+        ).run()
+        assert all(r.degraded for r in report.records)
+        assert report.ok, report.failures
+        assert report.daemon["recovered"]["crash_batch"] == FAULTS.daemon_crash_batch
+
 
 class TestParallelDeterminism:
     def test_reports_byte_identical_at_any_job_count(self):

@@ -1,31 +1,27 @@
 """Fast integration checks of the paper's central claims.
 
-Each test is a scaled-down version of a benchmark-harness experiment —
-small enough for the unit suite, strong enough to catch regressions in
-the end-to-end behaviour the paper reports.
+Each test is a scaled-down version of a paper experiment — small
+enough for the unit suite, strong enough to catch regressions in the
+end-to-end behaviour the paper reports.  The figures themselves are
+fidelity-matrix cases (tests/test_bench.py, tests/test_figures.py).
 """
 
-import numpy as np
-
 from repro.config import itanium2_smp, sgi_altix
-from repro.core import run_with_cobra
 from repro.cpu import Machine
-from repro.isa import Op
-from repro.isa.instructions import nop
-from repro.workloads import BENCHMARKS, build_daxpy, verify_daxpy, working_set_elems
+from repro.scenario import MachineRecipe, daxpy_spec, npb_spec, run_cell
+from repro.workloads import working_set_elems
+
+#: DAXPY's 128K working set on the 4-way SMP at cache scale 4
+SMP = MachineRecipe("smp", 4, 4)
+N_ELEMS = working_set_elems("128K", 4)
 
 
-def _daxpy_cycles(threads, patch_nop=False, reps=24, scale=4, steady=False):
+def _daxpy_cycles(threads, binary="prefetch", reps=24, steady=False):
+    """Cycles of one static binary (``noprefetch``: ``scenario.nop_prefetches``)."""
     def once(r):
-        machine = Machine(itanium2_smp(4, scale=scale))
-        n = working_set_elems("128K", scale)
-        prog = build_daxpy(machine, n, threads, outer_reps=r)
-        if patch_nop:
-            for addr, slot in prog.image.find_ops(Op.LFETCH):
-                prog.image.patch_slot(addr, slot, nop("M"), "static noprefetch")
-        result = prog.run(max_bundles=100_000_000)
-        assert verify_daxpy(prog, r)
-        return result.cycles
+        obs = run_cell(SMP, daxpy_spec(N_ELEMS, threads, r, binary))
+        assert obs.verified
+        return obs.cycles
 
     if steady:  # warm-up subtracted, as the paper's long runs amortize it
         return once(2 * reps) - once(reps)
@@ -37,12 +33,12 @@ class TestMotivation:
 
     def test_noprefetch_equal_at_one_thread(self):
         base = _daxpy_cycles(1, steady=True)
-        nopf = _daxpy_cycles(1, patch_nop=True, steady=True)
+        nopf = _daxpy_cycles(1, "noprefetch", steady=True)
         assert abs(base / nopf - 1.0) < 0.06
 
     def test_noprefetch_wins_at_four_threads(self):
         base = _daxpy_cycles(4, steady=True)
-        nopf = _daxpy_cycles(4, patch_nop=True, steady=True)
+        nopf = _daxpy_cycles(4, "noprefetch", steady=True)
         assert base / nopf > 1.2, "prefetch-induced sharing must dominate"
 
 
@@ -50,30 +46,10 @@ class TestCobraHeadline:
     """§5: COBRA's runtime rewrite recovers most of the static win."""
 
     def test_cobra_captures_most_of_the_static_benefit(self):
-        base = _daxpy_cycles(4)
-        static = _daxpy_cycles(4, patch_nop=True)
-        machine = Machine(itanium2_smp(4, scale=4))
-        prog = build_daxpy(machine, working_set_elems("128K", 4), 4, outer_reps=24)
-        result, report = run_with_cobra(prog, "noprefetch")
-        assert verify_daxpy(prog, 24)
-        assert report.deployments
-        static_gain = base - static
-        cobra_gain = base - result.cycles
-        assert cobra_gain > 0.5 * static_gain
-
-    def test_l3_and_bus_reductions_correlate_on_npb(self):
-        bench = BENCHMARKS["lu"]
-        machine = Machine(itanium2_smp(4))
-        prog = bench.build(machine, 4, reps=bench.default_reps * 2)
-        baseline = prog.run(max_bundles=200_000_000)
-        machine = Machine(itanium2_smp(4))
-        prog = bench.build(machine, 4, reps=bench.default_reps * 2)
-        optimized, report = run_with_cobra(prog, "noprefetch")
-        assert bench.verify(prog, bench.default_reps * 2)
-        l3 = optimized.events.l3_misses / baseline.events.l3_misses
-        bus = optimized.events.bus_memory / baseline.events.bus_memory
-        assert l3 < 1.0 and bus < 1.0
-        assert abs(l3 - bus) < 0.15, "Figures 6 and 7 are correlated (§5.2.3)"
+        base, static = _daxpy_cycles(4), _daxpy_cycles(4, "noprefetch")
+        cobra = run_cell(SMP, daxpy_spec(N_ELEMS, 4, 24), "noprefetch")
+        assert cobra.verified and cobra.report.deployments
+        assert base - cobra.cycles > 0.5 * (base - static)
 
 
 class TestNumaPenalty:
@@ -95,8 +71,5 @@ class TestBinaryPatchingSafety:
 
     def test_npb_results_identical_under_cobra(self):
         for name in ("sp", "ft"):
-            bench = BENCHMARKS[name]
-            machine = Machine(itanium2_smp(4))
-            prog = bench.build(machine, 4, reps=2)
-            run_with_cobra(prog, "adaptive", max_bundles=200_000_000)
-            assert bench.verify(prog, 2), f"{name} corrupted by patching"
+            obs = run_cell(MachineRecipe("smp", 4), npb_spec(name, 4, 2), "adaptive")
+            assert obs.verified, f"{name} corrupted by patching"

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.compiler import StreamLoop, Term
-from repro.bench import matrix_case
 from repro.config import GovernorConfig, ProfileDBConfig, itanium2_smp
 from repro.core import Cobra, run_with_cobra
 from repro.core.optimizer import REGRESSION
@@ -31,7 +30,7 @@ from repro.cpu import Machine
 from repro.persist import PROFILEDB_NAME, MemoryDisk, ProfileDB, merge_entries
 from repro.persist.profiledb import empty_entry, entry_anomaly
 from repro.runtime import ParallelProgram
-from repro.scenario import _digest, _snapshot_arrays
+from repro.scenario import MACHINES, _digest, _snapshot_arrays, npb_spec
 
 N = 2048
 REPS = 14
@@ -226,7 +225,7 @@ class TestEntryCycle:
     def test_a_regression_rollback_is_the_evidence_against(self):
         """The producer's text (``REGRESSION``) and the consumer's
         predicate (``OptEvent.is_regression``) stay one definition."""
-        recipe, workload = matrix_case("sp", "altix8")
+        recipe, workload = MACHINES["altix8"], npb_spec("sp", 8, 1)
         machine = recipe()
         disk = MemoryDisk()
         config = dataclasses.replace(

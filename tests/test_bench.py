@@ -5,9 +5,16 @@ import os
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
+from repro.analysis import figure_cells, render
 from repro.bench import (
     BENCH_SCHEMA,
+    FIG3_BENCHMARKS,
+    FIG3_BINARIES,
+    FIG3_THREADS,
     MATRIX_BENCHMARKS,
+    compare_reports,
     format_report,
     run_bench,
     run_case,
@@ -25,15 +32,51 @@ CASE_KEYS = {
     "opt_events", "deployments",
 }
 
-#: What tier-1 replays: every ``smp4`` row, and on ``altix8`` the three
-#: benchmarks the matrix held before /5.  CI replays all 56 cases
-#: (``repro bench --compare BENCH_perf.json``).
+#: What tier-1 replays: every ``smp4`` matrix row, Fig. 3's 128K working
+#: set, and on ``altix8`` the three benchmarks the matrix held before /5.
+#: CI replays all 83 cases (``repro bench --compare BENCH_perf.json``).
+TIER1_SMP = (*MATRIX_BENCHMARKS, "daxpy-128K")
 TIER1_ALTIX = ("daxpy", "cg", "mg")
 
 
 def _dump(doc: dict) -> str:
     """The bytes ``repro bench --out`` writes."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def replayed() -> dict[str, dict]:
+    """The tier-1 cases, run now: id -> case."""
+    fresh = run_bench(TIER1_SMP, ("smp4",), jobs=2)["cases"]
+    fresh += run_bench(TIER1_ALTIX, ("altix8",), jobs=2)["cases"]
+    return {c["id"]: c for c in fresh}
+
+
+def _moved_figure_cells(committed: dict, fresh: dict[str, dict]) -> list[str]:
+    """Each rendered figure cell, or claim row, that reads differently
+    once the replayed cases stand in for the committed ones."""
+    cases = {c["id"]: c for c in committed["cases"]} | fresh
+    before, after = render(committed), render({"cases": list(cases.values())})
+    moved = []
+    for figure in before:
+        panel = columns = None
+        for old, new in zip(before[figure].splitlines(), after[figure].splitlines()):
+            if old.startswith("Figure"):
+                panel, columns = old.split(" — ")[0], None
+            elif old.startswith("working set"):
+                panel, columns = f"Figure 3, {old.split(' (')[0]}", None
+            elif columns is None:
+                columns = old.split()
+            elif figure == "claims" and old != new:
+                moved.append(f"claim {old}\n   now {new}")
+            elif old != new:
+                label, *cells = old.split()
+                moved += [
+                    f"{panel}, {label} / {column}: {was} -> {now}"
+                    for column, was, now in zip(columns[1:], cells, new.split()[1:])
+                    if was != now
+                ]
+    return moved
 
 
 class TestRunCase:
@@ -56,8 +99,9 @@ class TestRunCase:
             assert [head, optimization] in [row[2:4] for row in deploys]
             assert n_rewrites > 0
 
-    def test_samples_are_deterministic(self):
-        assert run_case("cg", "smp4", "excl") == run_case("cg", "smp4", "excl")
+    def test_samples_are_deterministic(self, replayed):
+        """A case run here matches the same case run in a worker process."""
+        assert run_case("cg", "smp4", "excl") == replayed["smp4/cg/excl"]
 
 
 class TestRunBench:
@@ -80,13 +124,15 @@ class TestRunBench:
         report = run_bench(benchmarks=("daxpy",), machines=("smp4",))
         assert tuple(c["strategy"] for c in report["cases"]) == ALL_STRATEGIES
 
-    def test_committed_baseline_is_a_fresh_run(self):
-        """BENCH_perf.json replays byte for byte (tier-1: 40 of 56 cases).
+    def test_committed_baseline_is_a_fresh_run(self, replayed):
+        """BENCH_perf.json replays byte for byte (tier-1: 49 of 83 cases).
 
         It is regenerated (``repro bench --out BENCH_perf.json``) only
         by a change that *means* to move simulated behaviour.  CI also
         runs this file under ``REPRO_TRACE_JIT=osr-off``: architectural
         results do not depend on the JIT mode, only ``fastpath`` does.
+        A failure names each paper figure cell the replay moved, then
+        each field.
         """
         committed = json.loads(BASELINE.read_text())
         assert BASELINE.read_text() == _dump(committed)
@@ -94,17 +140,34 @@ class TestRunBench:
         assert [c["id"] for c in committed["cases"]] == [
             f"{m}/{b}/{s}"
             for m in MACHINES for b in MATRIX_BENCHMARKS for s in ALL_STRATEGIES
+        ] + [
+            f"smp4/{b}-t{t}/{s}"
+            for b in FIG3_BENCHMARKS for t in FIG3_THREADS for s in FIG3_BINARIES
         ]
-        assert len(committed["cases"]) == 56
-        fresh = run_bench(machines=("smp4",), jobs=2)["cases"]
-        fresh += run_bench(TIER1_ALTIX, ("altix8",), jobs=2)["cases"]
-        assert len(fresh) == 40
-        by_id = {c["id"]: c for c in committed["cases"]}
+        assert len(committed["cases"]) == 83 and len(replayed) == 49
+        fresh = {cid: dict(case) for cid, case in replayed.items()}
         if env_value("REPRO_TRACE_JIT") not in (None, "1"):
-            for case in (*fresh, *by_id.values()):
+            for case in (*fresh.values(), *committed["cases"]):
                 del case["fastpath"]
-        for case in fresh:
-            assert _dump(case) == _dump(by_id[case["id"]]), case["id"]
+        by_id = {c["id"]: c for c in committed["cases"]}
+        differs = [cid for cid, case in fresh.items() if _dump(case) != _dump(by_id[cid])]
+        if differs:
+            lines, _ok = compare_reports(committed, {"cases": list(fresh.values())})
+            pytest.fail("\n".join([
+                f"{len(differs)} replayed case(s) moved: {', '.join(differs)}",
+                *_moved_figure_cells(committed, fresh),
+                *(line for line in lines if line.startswith("  ")),
+            ]))
+
+    def test_fig7_tracks_fig6_on_the_replayed_smp4_cells(self, replayed):
+        """Fig. 7 correlates with Fig. 6 (§5.2.3): "L3 misses are
+        directly translated into memory transactions on the system bus"."""
+        doc = {"cases": list(replayed.values())}
+        l3, bus = (figure_cells(doc, f, "smp4")["noprefetch"] for f in "67")
+        assert set(l3) == set(bus) == set(MATRIX_BENCHMARKS[1:])
+        for name in l3:
+            assert l3[name] < 1.0 and bus[name] < 1.0, name
+            assert abs(bus[name] - l3[name]) < 0.15, name
 
     def test_readme_names_the_matrix(self):
         readme = (BASELINE.parent / "README.md").read_text()

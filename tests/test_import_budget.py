@@ -65,7 +65,7 @@ NPB_KERNELS = [
 COMMANDS = {
     ("disasm", "daxpy"): ["repro.workloads.daxpy"],
     ("table1",): [
-        "repro.analysis", "repro.analysis.metrics", "repro.analysis.report",
+        "repro.analysis", "repro.analysis.report",
         *NPB_KERNELS,
     ],
     ("daxpy", "--working-set", "128K", "--strategy", "adaptive"): [

@@ -113,7 +113,13 @@ def test_a_spec_unpickles_in_an_interpreter_that_imported_nothing(child_env):
     assert done.stdout.decode().split() == ["cg-t4-r1", "True"]
 
 
-@pytest.mark.parametrize("argv", [["bench"]], ids=lambda argv: argv[0])
+#: every workload module and both case kinds, at one machine and strategy:
+#: the whole matrix at figure size would cost ~85 s here
+BENCH_ARGV = ["bench", "--machines", "smp4", "--strategies", "none", "--benchmarks",
+              "daxpy", "bt", "sp", "lu", "ft", "mg", "cg", "daxpy-128K"]
+
+
+@pytest.mark.parametrize("argv", [BENCH_ARGV], ids=lambda argv: argv[0])
 def test_reports_are_byte_identical_at_jobs_2(argv, capsys):
     reports = []
     for jobs in ("1", "2"):

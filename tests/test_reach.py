@@ -80,7 +80,7 @@ ENTRY_POINTS = (
     "benchmarks/e2e/run.py --workload stream_steady --ops 2 --trace 1 --trace-out t.json",
     "benchmarks/e2e/run.py --workload state_plane --ops 2 --trace 1 --trace-out t.json",
     "benchmarks/e2e/run.py --workload cli_cold --ops 2 --trace 1 --trace-out t.json",
-    # the paper's figure and ablation harnesses
+    # the ablation and extension benches (the figures are bench cases, above)
     "pytest benchmarks/test_*.py",
     # the examples
     "examples/chaos_injection.py",
