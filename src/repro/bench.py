@@ -37,6 +37,7 @@ from .scenario import (
     npb_spec,
     run_cell,
 )
+from .shape import COUNT, STR, List, Record, one_of
 from .workloads import BENCHMARKS as NPB, working_set_elems
 
 __all__ = [
@@ -47,7 +48,7 @@ __all__ = [
     "run_fig3_case",
     "run_bench",
     "format_report",
-    "check_baseline",
+    "BASELINE",
     "compare_reports",
 ]
 
@@ -58,6 +59,13 @@ __all__ = [
 #: figures' size and adds Fig. 3's 27 bars.  An older file is not a
 #: baseline for ``--compare``.
 BENCH_SCHEMA = "repro-bench-perf/6"
+
+#: A ``--compare`` baseline: what :func:`compare_reports` reads of it
+#: (the rest of each case is diffed as it stands).
+BASELINE = Record(
+    schema=one_of((BENCH_SCHEMA,)),
+    cases=List(Record(id=STR, digest=STR, sim_cycles=COUNT)),
+)
 
 #: Fixed cache scale for all bench runs (matches the validate default).
 BENCH_SCALE = 16
@@ -198,15 +206,6 @@ def _diff(path: str, base, cur) -> Iterator[str]:
 #: a :func:`_diff` line of a work counter, machine-wide or per core
 _WORK_LEAF = re.compile(
     rf"fastpath\.(?:per_core\[\d+\]\.)?(?:{'|'.join(map(re.escape, WORK_COUNTERS))}): ")
-
-
-def check_baseline(doc: dict) -> dict:
-    """A loaded BENCH_perf.json, checked for what :func:`compare_reports` reads."""
-    if doc["schema"] != BENCH_SCHEMA:
-        raise ValueError(f"schema is {doc['schema']!r}, not {BENCH_SCHEMA!r}")
-    for case in doc["cases"]:
-        case["id"], case["digest"], case["sim_cycles"]
-    return doc
 
 
 def compare_reports(baseline: dict, current: dict) -> tuple[list[str], bool]:

@@ -31,7 +31,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .config import (
     ENV_VARS,
@@ -136,13 +136,18 @@ def _write_json(path: str, doc: dict) -> None:
     print(f"wrote {path}")
 
 
-def _load_json(path: str, what: str, extract: Callable[[dict], object]):
-    """``extract(json document at path)``; any malformation is a usage error."""
+def _load_json(path: str, what: str, tree) -> dict:
+    """The JSON document at ``path``, once it loads as ``tree`` (a
+    :mod:`repro.shape` tree); any malformation is a usage error."""
+    from .errors import ProfileStateError
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return extract(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad {what} {path!r}: {exc!r}") from None
+            doc = json.load(fh)
+        tree.load(doc)
+    except (OSError, ValueError, ProfileStateError) as exc:
+        raise UsageError(f"bad {what} {path!r}: {exc}") from None
+    return doc
 
 
 # -- single runs: daxpy, npb, resume ------------------------------------------
@@ -320,13 +325,14 @@ def _cmd_fuzz(args) -> int:
             stride=args.stride,
         )
     elif args.corpus:
-        fuzzer = DifferentialFuzzer(pairs=_load_json(
-            args.corpus, "corpus",
-            lambda doc: [
-                (int(entry["seed"]), int(entry["fault_seed"]))
-                for entry in doc["entries"]
-            ],
-        ), axes=args.axes, stride=args.stride)
+        from .shape import COUNT, List, Record
+
+        corpus = _load_json(args.corpus, "corpus", Record(
+            entries=List(Record(seed=COUNT, fault_seed=COUNT))
+        ))
+        fuzzer = DifferentialFuzzer(pairs=[
+            (entry["seed"], entry["fault_seed"]) for entry in corpus["entries"]
+        ], axes=args.axes, stride=args.stride)
     else:
         fuzzer = DifferentialFuzzer(seeds=seeds, axes=args.axes, stride=args.stride)
 
@@ -350,14 +356,14 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import BENCHMARKS, check_baseline, compare_reports, format_report, run_bench
+    from .bench import BASELINE, BENCHMARKS, compare_reports, format_report, run_bench
 
     for name in args.strategies or ():
         _choose("strategy", name, ALL_STRATEGIES)
     for name in args.benchmarks or ():
         _choose("benchmark", name, BENCHMARKS)
     baseline = (
-        _load_json(args.compare, "baseline report", check_baseline)
+        _load_json(args.compare, "baseline report", BASELINE)
         if args.compare
         else None
     )

@@ -350,9 +350,10 @@ class Cobra:
         """Warm-start from a profile entry; ``None`` = it is unsound and
         the optimizer was left cold (nothing is touched before the whole
         entry has been checked)."""
-        from ..persist.profiledb import entry_anomaly
+        from ..persist.profiledb import ENTRY
+        from ..shape import anomaly
 
-        if entry_anomaly(entry) is not None:
+        if anomaly(ENTRY, entry) is not None:
             return None
         return self.optimizer.seed_from_profile(entry, source)
 

@@ -40,12 +40,11 @@ from ..config import CobraConfig
 from ..cpu.machine import Machine
 from ..errors import TraceCacheError
 from ..isa.binary import BinaryImage
+from ..shape import COUNT, NUM, STR, List, Map, Maybe, Record, Row, Set, one_of
 from .monitor import MonitoringThread
 from .opts import REWRITES
 from .policy import EVIDENCE, decide, proven_decisions
-from .profiler import (
-    COUNT, NUM, STATE, STR, List, Map, Maybe, Record, Row, Set, SystemProfiler, one_of,
-)
+from .profiler import STATE, SystemProfiler
 from .tracecache import Deployment, TraceCache
 from .tracesel import LoopTrace, select_loop_traces
 
@@ -592,9 +591,9 @@ class OptimizationThread:
         database hit, ``"fleet"`` for a daemon-pushed, quorum-gated
         entry — same deployment path, different provenance.
 
-        ``entry`` must be sound (:func:`repro.persist.profiledb.
-        entry_anomaly` is ``None`` — :class:`~repro.core.framework.Cobra`
-        checks before it calls).  Restores the profiler aggregates,
+        ``entry`` must be sound (it loads as :data:`repro.persist.
+        profiledb.ENTRY` — :class:`~repro.core.framework.Cobra` checks
+        before it calls).  Restores the profiler aggregates,
         seeds the CPI baseline from the entry's steady-state mean, and
         puts the best proven optimization per loop live
         (:meth:`_redeploy`).

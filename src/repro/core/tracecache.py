@@ -44,8 +44,8 @@ from ..errors import TraceCacheError
 from ..isa.binary import BinaryImage, Patch
 from ..isa.bundle import BUNDLE_BYTES, Bundle
 from ..isa.instructions import Instruction, Op, nop
+from ..shape import COUNT, Record, one_of
 from .opts import REWRITES
-from .profiler import COUNT, Record, one_of
 from .tracesel import LoopTrace
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -110,11 +110,11 @@ class PersistError(ReproError):
 class ProfileStateError(PersistError):
     """A persisted control-plane value failed structural validation.
 
-    Raised by the schema trees of :mod:`repro.core.profiler` when a
-    recovered checkpoint state, profile, or profile-database entry is
-    torn, truncated, or schema-drifted.  Loading is two-phase (validate
-    everything, then commit), so when this raises nothing live has
-    changed.  ``path`` names the offending value
+    Raised by the schema trees of :mod:`repro.shape` when a recovered
+    checkpoint state, profile, profile-database entry, fleet snapshot
+    or fleet journal record is torn, truncated, or schema-drifted.
+    Loading is two-phase (validate everything, then commit), so when
+    this raises nothing live has changed.  ``path`` names the offending value
     (``misses.by_pc[4096].lines[0]``), ``fields`` the record fields on
     that path, and ``leaf`` says whether a scalar held a bad value
     rather than a container having the wrong shape.

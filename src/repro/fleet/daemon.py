@@ -15,14 +15,15 @@ Defensive admission, in order, for every frame:
 2. **quarantine** — frames from a quarantined instance are refused;
 3. **sequence dedup** — a per-instance seen-set makes duplicated and
    reordered frames no-ops (idempotent ingestion);
-4. **sanitizer** — window batches pass the same field-level range
-   checks the profiler applies to raw samples
-   (:meth:`repro.hpm.batch.WindowBatch.anomaly`), plus stream checks:
-   two batches claiming the same window ordinal with different content
-   (``window-conflict``) or a retired count that runs backwards
-   (``time-travel``) quarantine the stream; profile entries are
-   loaded by the entry tree (:data:`repro.persist.profiledb.ENTRY`),
-   the embedded profiler state included;
+4. **sanitizer** — window batches load as
+   :attr:`repro.hpm.batch.WindowBatch.PAYLOAD` (every field's type and
+   range), plus stream checks: two batches claiming the same window
+   ordinal with different content (``window-conflict``) or a retired
+   count that runs backwards (``time-travel``) quarantine the stream;
+   profile entries load as :data:`repro.persist.profiledb.ENTRY`, the
+   embedded profiler state included.  A failed load's quarantine reason
+   is :func:`repro.shape.anomaly`'s (``samples-range``,
+   ``entry-cpi_count-range``);
 5. **consensus** — an instance whose image digest diverges from a
    quorum-backed consensus for the same key is quarantined (a poisoned
    or mismatched binary must never steer fleet-wide patches).
@@ -33,7 +34,10 @@ periodically snapshotted through the checksummed snapshot codec, and
 :meth:`FleetDaemon.recover` rebuilds a crashed daemon from newest valid
 snapshot + journal tail — retransmits of already-accepted batches then
 dedup against the recovered seen-sets, so a crash mid-fleet is
-invisible to agents beyond latency.
+invisible to agents beyond latency.  The snapshot body is
+:data:`SNAPSHOT` and each journal record one of :data:`RECORDS`; state
+that passed its CRC yet fails its tree stops recovery with one
+:class:`~repro.errors.ProfileStateError` naming the path.
 """
 
 from __future__ import annotations
@@ -43,17 +47,59 @@ from bisect import bisect_left, insort
 from collections import Counter
 from types import SimpleNamespace
 
+from ..errors import ProfileStateError
+from ..hpm.batch import WindowBatch
 from ..persist.journal import Disk, JournalWriter, MemoryDisk, canonical_json as _dumps
-from ..persist.profiledb import empty_entry, entry_anomaly, merge_entries
+from ..persist.profiledb import ENTRY, empty_entry, merge_entries
 from ..persist.recover import read_store, repair
 from ..persist.snapshot import SnapshotStore
-from .wire import decode_frame
+from ..shape import COUNT, INT, NONEMPTY, REAL, STR, Map, Record, Row, Set, anomaly, one_of
+from .wire import FRAME_KINDS, decode_frame
 
-__all__ = ["FLEET_JOURNAL", "FleetDaemon", "SeenSet"]
+__all__ = ["FLEET_JOURNAL", "FleetDaemon", "SeenSet", "ENVELOPE", "SNAPSHOT", "RECORDS"]
 
 #: Journal file name inside the daemon's disk namespace (kept distinct
 #: from the per-run checkpoint journal so one disk can host both).
 FLEET_JOURNAL = "fleet.wal"
+
+#: What every frame carries; a frame that fails it, or whose ``digest``
+#: (hello, profile) is not :data:`~repro.shape.NONEMPTY`, is nacked
+#: ``malformed``.  A bad ``window`` (batch) or ``entry`` (profile)
+#: quarantines the stream instead.
+ENVELOPE = Record(k=one_of(FRAME_KINDS), i=STR, n=COUNT, key=STR)
+
+#: The state body (format 1) :meth:`FleetDaemon._state_body` writes: a
+#: snapshot's payload, ``journal_bytes``/``journal_seq`` its envelope.
+SNAPSHOT = Record(
+    batches_accepted=COUNT,
+    digests=Map(str, Map(str, NONEMPTY)),
+    format=INT,
+    instances=Set(STR),
+    journal_bytes=COUNT,
+    journal_seq=INT,
+    quarantined=Map(str, STR),
+    quorum=COUNT,
+    seen=Map(str, Record(w=COUNT, r=Set(COUNT))),
+    store=Map(str, Map(str, ENTRY)),
+    windows=Map(str, Map(int, Row(retired=COUNT, samples=COUNT, quarantined=COUNT, cpi=REAL))),
+)
+
+#: The journal's records by kind (``t``), as the handlers append them.
+RECORDS = {
+    "fleet-hello": Record(i=STR, key=STR, digest=NONEMPTY),
+    "fleet-batch": Record(i=STR, n=COUNT, key=STR, window=WindowBatch.PAYLOAD),
+    "fleet-profile": Record(i=STR, n=COUNT, key=STR, digest=NONEMPTY, entry=ENTRY),
+    "fleet-quarantine": Record(i=STR, reason=STR),
+}
+_KIND = Record(t=one_of(tuple(RECORDS)))
+
+
+def _batch(window: dict) -> tuple[int, tuple]:
+    """A loaded window batch's ordinal and the content the daemon keeps:
+    ``(retired, samples, quarantined, cpi)``, the CPI a float."""
+    return window["window"], (
+        window["retired"], window["samples"], window["quarantined"], float(window["cpi"])
+    )
 
 
 class _Members:
@@ -149,22 +195,6 @@ class SeenSet:
     def to_payload(self) -> dict:
         return {"w": self.watermark, "r": sorted(self.residue)}
 
-    @classmethod
-    def from_payload(cls, payload) -> "SeenSet":
-        """Restore from a snapshot payload.
-
-        Accepts the compact ``{"w": ..., "r": [...]}`` form and, for
-        snapshots written before compaction existed, a plain list of
-        sequence numbers (replayed through :meth:`add` so the restored
-        set is identically compacted).
-        """
-        if isinstance(payload, dict):
-            return cls(payload.get("w", 1), payload.get("r", ()))
-        seen = cls()
-        for seq in sorted(payload):
-            seen.add(seq)
-        return seen
-
 
 class FleetDaemon:
     """Central optimizer service for a fleet of agent instances."""
@@ -234,18 +264,9 @@ class FleetDaemon:
         if frame is None:
             self.crc_rejects += 1
             return {"k": "nack", "reason": "crc"}
-        kind = frame.get("k")
-        instance = frame.get("i")
-        seq = frame.get("n")
-        key = frame.get("key")
-        if (
-            kind not in ("hello", "batch", "profile")
-            or not isinstance(instance, str)
-            or not isinstance(seq, int)
-            or isinstance(seq, bool)
-            or seq < 0
-            or not isinstance(key, str)
-        ):
+        try:
+            kind, instance, seq, key = ENVELOPE.load(frame).values()
+        except ProfileStateError:
             self.crc_rejects += 1
             return {"k": "nack", "reason": "malformed"}
         if kind == "hello":
@@ -261,7 +282,7 @@ class FleetDaemon:
 
     def _handle_hello(self, frame: dict, instance: str, key: str) -> dict:
         digest = frame.get("digest")
-        if not isinstance(digest, str) or not digest:
+        if not NONEMPTY.legal(digest):
             self.crc_rejects += 1
             return {"k": "nack", "reason": "malformed"}
         fresh = instance not in self.instances
@@ -281,48 +302,44 @@ class FleetDaemon:
         }
 
     def _handle_batch(self, frame: dict, instance: str, seq: int, key: str) -> dict:
-        from ..hpm.batch import WindowBatch
-
-        try:
-            batch = WindowBatch.from_payload(frame.get("window"))
-        except ValueError as exc:
-            return self._quarantine(instance, f"batch-damage: {exc}")
-        reason = batch.anomaly()
+        window = frame.get("window")
+        reason = anomaly(WindowBatch.PAYLOAD, window)
         if reason is not None:
             return self._quarantine(instance, reason)
-        content = (batch.retired, batch.samples, batch.quarantined, batch.cpi)
+        ordinal, content = _batch(window)
+        retired = content[0]
         accepted = self.windows.get(instance, {})
         ordinals = self._ordinals.get(instance, [])
-        prior = accepted.get(batch.window)
+        prior = accepted.get(ordinal)
         if prior is None:
             # retired counts only ever rise with the ordinal in the
             # accepted map (a violator is quarantined, never inserted),
             # so the two neighbours stand for every other window
-            at = bisect_left(ordinals, batch.window)
-            if (at and accepted[ordinals[at - 1]][0] > batch.retired) or (
-                at < len(ordinals) and accepted[ordinals[at]][0] < batch.retired
+            at = bisect_left(ordinals, ordinal)
+            if (at and accepted[ordinals[at - 1]][0] > retired) or (
+                at < len(ordinals) and accepted[ordinals[at]][0] < retired
             ):
                 return self._quarantine(instance, "time-travel")
-            self._insert_window(instance, batch.window, content)
+            self._insert_window(instance, ordinal, content)
         elif prior != content:
             # a second, different batch for the same window ordinal:
             # the stream is rewriting history (cf. stale-index)
             return self._quarantine(instance, "window-conflict")
         self._mark_seen(instance, seq)
-        self.journal.append(
-            "fleet-batch",
-            {"i": instance, "n": seq, "key": key, "window": batch.to_payload()},
-        )
+        self.journal.append("fleet-batch", {
+            "i": instance, "n": seq, "key": key,
+            "window": dict(zip(WindowBatch.PAYLOAD.fields, (ordinal, *content))),
+        })
         self._accepted_one()
         return {"k": "ack", "status": "ok"}
 
     def _handle_profile(self, frame: dict, instance: str, seq: int, key: str) -> dict:
         entry = frame.get("entry")
-        reason = entry_anomaly(entry)
+        reason = anomaly(ENTRY, entry, "entry")
         if reason is not None:
             return self._quarantine(instance, reason)
         digest = frame.get("digest")
-        if not isinstance(digest, str) or not digest:
+        if not NONEMPTY.legal(digest):
             self.crc_rejects += 1
             return {"k": "nack", "reason": "malformed"}
         self._note_digest(key, instance, digest)
@@ -596,23 +613,17 @@ class FleetDaemon:
         return self._state_body(False)
 
     def _restore(self, payload: dict) -> None:
-        self.instances = set(payload.get("instances", []))
-        self.seen = {
-            inst: SeenSet.from_payload(seqs)
-            for inst, seqs in payload.get("seen", {}).items()
-        }
-        self.windows = {
-            inst: {int(w): tuple(c) for w, c in ws.items()}
-            for inst, ws in payload.get("windows", {}).items()
-        }
-        self.digests = {
-            key: dict(slot) for key, slot in payload.get("digests", {}).items()
-        }
-        self.store = {
-            key: dict(slot) for key, slot in payload.get("store", {}).items()
-        }
-        self.quarantined = dict(payload.get("quarantined", {}))
-        self.batches_accepted = payload.get("batches_accepted", 0)
+        """Replace the state with a snapshot's ``payload``, loaded as
+        :data:`SNAPSHOT` before anything changes."""
+        state = SNAPSHOT.load(payload)
+        self.instances = state["instances"]
+        self.seen = {inst: SeenSet(s["w"], s["r"]) for inst, s in state["seen"].items()}
+        self.windows = state["windows"]
+        self.digests = state["digests"]
+        # the store keeps entries as JSON (what merge_entries folds)
+        self.store = {key: dict(slot) for key, slot in payload["store"].items()}
+        self.quarantined = state["quarantined"]
+        self.batches_accepted = state["batches_accepted"]
         self._ordinals = {inst: sorted(ws) for inst, ws in self.windows.items()}
         self._tallies = {
             key: Counter(
@@ -624,32 +635,28 @@ class FleetDaemon:
         self._reset_body_cache()
 
     def _replay(self, record: dict) -> None:
-        """Re-apply one journal record (already validated at accept time)."""
-        kind = record.get("t")
+        """Re-apply one journal record, loaded as its kind's tree in
+        :data:`RECORDS` before anything changes."""
+        kind = _KIND.load(record)["t"]
+        live = RECORDS[kind].load(record)
+        instance = live["i"]
         if kind == "fleet-hello":
-            self._register(record["i"])
-            self._set_digest(record["key"], record["i"], record["digest"])
+            self._register(instance)
+            self._set_digest(live["key"], instance, live["digest"])
         elif kind == "fleet-batch":
-            from ..hpm.batch import WindowBatch
-
-            batch = WindowBatch.from_payload(record["window"])
-            instance = record["i"]
-            if batch.window not in self.windows.get(instance, ()):
-                self._insert_window(
-                    instance,
-                    batch.window,
-                    (batch.retired, batch.samples, batch.quarantined, batch.cpi),
-                )
-            self._mark_seen(instance, record["n"])
+            ordinal, content = _batch(live["window"])
+            if ordinal not in self.windows.get(instance, ()):
+                self._insert_window(instance, ordinal, content)
+            self._mark_seen(instance, live["n"])
             self.batches_accepted += 1
         elif kind == "fleet-profile":
-            self._fold_profile(record["key"], record["i"], record["entry"])
-            self._set_digest(record["key"], record["i"], record["digest"])
-            self._mark_seen(record["i"], record["n"])
+            # the store keeps the entry as JSON, as the journal holds it
+            self._fold_profile(live["key"], instance, record["entry"])
+            self._set_digest(live["key"], instance, live["digest"])
+            self._mark_seen(instance, live["n"])
             self.batches_accepted += 1
-        elif kind == "fleet-quarantine":
-            if record["i"] not in self.quarantined:
-                self._mark_quarantined(record["i"], record["reason"])
+        elif instance not in self.quarantined:  # fleet-quarantine
+            self._mark_quarantined(instance, live["reason"])
 
     @classmethod
     def recover(cls, disk: Disk, **options) -> "FleetDaemon":
@@ -663,16 +670,27 @@ class FleetDaemon:
         each reported in
         ``recovered["discarded"]`` — whatever frame a torn record held
         was never acked, so its agent will retransmit and dedup keeps
-        the replay exact.
+        the replay exact.  A snapshot or record that passed its CRC yet
+        fails its tree raises :class:`~repro.errors.ProfileStateError`
+        naming file and path (``fleet.wal[7].window.cpi``) before the
+        disk is repaired.
         """
         daemon = cls(disk=disk, **options)
         found = read_store(disk, FLEET_JOURNAL)
-        repair(disk, found)
         if found.snapshot is not None:
-            daemon._restore(found.snapshot)
+            try:
+                daemon._restore(found.snapshot)
+            except ProfileStateError as exc:
+                name = SnapshotStore.name_for(found.snapshot_version)
+                raise exc.under(name, field=True) from None
         tail = found.tail()
         for record in tail:
-            daemon._replay(record)
+            try:
+                daemon._replay(record)
+            except ProfileStateError as exc:
+                raise exc.under(record["seq"]).under(FLEET_JOURNAL, field=True) from None
+        # the disk is repaired only once everything on it has loaded
+        repair(disk, found)
         daemon.journal = JournalWriter(disk, found.next_seq, FLEET_JOURNAL,
                                        length=found.journal_length)
         daemon.recovered = {

@@ -7,15 +7,18 @@ aggregates each optimizer window into one :class:`WindowBatch`: the
 window ordinal, the retired-instruction watermark, the sample/quarantine
 deltas the profiler absorbed, and the window CPI.  The daemon treats a
 batch exactly like the profiler treats a sample: untrusted input that
-must pass field-level range checks (:meth:`WindowBatch.anomaly`) before
-it can touch shared state, with cross-batch ordering anomalies (window
-conflicts, retired-count time travel) checked stream-side by the daemon.
+must load as :attr:`WindowBatch.PAYLOAD` (every field's type and range
+in one walk) before it can touch shared state, with cross-batch ordering
+anomalies (window conflicts, retired-count time travel) checked
+stream-side by the daemon.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
+
+from ..shape import COUNT, REAL, Record
 
 __all__ = ["WindowBatch"]
 
@@ -35,56 +38,14 @@ class WindowBatch:
     #: window CPI (0.0 = empty window, no signal)
     cpi: float
 
+    #: The wire form (:meth:`to_payload`): a batch crossed a
+    #: fault-injectable transport and a possibly-compromised agent, so
+    #: each field is checked before the daemon merges it; the reason a
+    #: damaged one is quarantined names the field (``samples-range``).
+    PAYLOAD: ClassVar[Record] = Record(
+        window=COUNT, retired=COUNT, samples=COUNT, quarantined=COUNT, cpi=REAL,
+    )
+
     def to_payload(self) -> dict:
         """Canonical JSON-ready payload for the wire frame."""
-        return {
-            "window": self.window,
-            "retired": self.retired,
-            "samples": self.samples,
-            "quarantined": self.quarantined,
-            "cpi": self.cpi,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "WindowBatch":
-        """Decode a wire payload; raises ``ValueError`` on damage."""
-        if not isinstance(payload, dict):
-            raise ValueError(f"window batch payload must be a dict, got {payload!r}")
-        fields = {}
-        for name, kinds in (
-            ("window", int),
-            ("retired", int),
-            ("samples", int),
-            ("quarantined", int),
-            ("cpi", (int, float)),
-        ):
-            value = payload.get(name)
-            if not isinstance(value, kinds) or isinstance(value, bool):
-                raise ValueError(f"window batch field {name!r} damaged: {value!r}")
-            fields[name] = value
-        return cls(
-            window=fields["window"],
-            retired=fields["retired"],
-            samples=fields["samples"],
-            quarantined=fields["quarantined"],
-            cpi=float(fields["cpi"]),
-        )
-
-    def anomaly(self) -> str | None:
-        """Field-level sanity check; the reason this batch is garbage.
-
-        Mirrors :meth:`repro.hpm.sample.Sample.anomaly`: a batch crossed
-        a fault-injectable transport and a possibly-compromised agent,
-        so the daemon treats every field as untrusted before merging.
-        """
-        if self.window < 0:
-            return "window-range"
-        if self.retired < 0:
-            return "retired-range"
-        if self.samples < 0:
-            return "samples-range"
-        if self.quarantined < 0:
-            return "quarantined-range"
-        if not math.isfinite(self.cpi) or self.cpi < 0.0:
-            return "cpi-range"
-        return None
+        return asdict(self)

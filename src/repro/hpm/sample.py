@@ -53,7 +53,10 @@ class Sample:
         counters fit the PMD width (``counter_mask``), and a captured
         miss has a non-negative latency.  Ordering anomalies (stale
         index, time travel) need cross-sample state and are checked by
-        :class:`~repro.core.profiler.SystemProfiler`.
+        :class:`~repro.core.profiler.SystemProfiler`.  A sample is an
+        in-process object, never JSON, so no :mod:`repro.shape` tree
+        covers it; the window batch it is summed into crosses the wire
+        and loads as :attr:`repro.hpm.batch.WindowBatch.PAYLOAD`.
         """
         if self.pc < 0:
             return "pc-range"

@@ -36,17 +36,15 @@ ramp), never what the program computes.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 
 from ..core.opts import REWRITES
 from ..core.policy import EVIDENCE
-from ..core.profiler import (
-    COUNT, INT, STATE, Leaf, Map, Maybe, Record, Row, Set, one_of,
-)
+from ..core.profiler import STATE
 from ..errors import ProfileStateError
 from ..isa.binary import BinaryImage
+from ..shape import COUNT, INT, REAL, Leaf, Map, Maybe, Record, Row, Set, one_of
 from .journal import Disk, FileDisk
 from .snapshot import decode_snapshot, encode_snapshot
 
@@ -60,7 +58,6 @@ __all__ = [
     "profile_key",
     "merge_entries",
     "empty_entry",
-    "entry_anomaly",
     "ENTRY",
 ]
 
@@ -115,14 +112,14 @@ def profile_key(image: BinaryImage, machine_config, strategy: str) -> str:
 #: statistics, per-loop decision evidence (loop head -> optimization ->
 #: :data:`~repro.core.policy.EVIDENCE`) and the resident trace-tree
 #: shapes.  Scalars merge by addition; an entry written before trace-
-#: tree persistence has no ``jit_trees`` and loads as having none.
+#: tree persistence has no ``jit_trees`` and loads as having none.  Its
+#: quarantine reason is ``repro.shape.anomaly(ENTRY, entry, "entry")``
+#: (``entry-decisions-hotness-range``): the fleet daemon quarantines a
+#: pushed entry on it, and a run offered an unsound entry stays cold.
 ENTRY = Record(
     runs=COUNT,
     profiler=Maybe(STATE),
-    cpi_total=Leaf(
-        lambda v: COUNT.legal(v) or (isinstance(v, float) and math.isfinite(v) and v >= 0),
-        "a finite non-negative number", zero=0.0,
-    ),
+    cpi_total=REAL,
     cpi_count=COUNT,
     decisions=Map(int, Map(one_of(REWRITES).load, Record(**{
         name: Leaf(COUNT.legal, COUNT.what, combine) for name, combine in EVIDENCE.items()
@@ -142,22 +139,6 @@ STORE = Record(format=INT, entries=Map(str, Record()))
 def empty_entry() -> dict:
     """A zero entry (the merge identity)."""
     return ENTRY.empty()
-
-
-def entry_anomaly(entry: object) -> str | None:
-    """Why ``entry`` is not a sound profile entry, or ``None``.
-
-    The reason names the field: ``entry-`` + the record fields down to
-    the problem + ``-range`` (a bad value) or ``-type`` (a wrong shape),
-    e.g. ``entry-decisions-hotness-range``.  It is the fleet daemon's
-    quarantine reason for a pushed entry; a run offered an unsound entry
-    stays cold.
-    """
-    try:
-        ENTRY.load(entry)
-    except ProfileStateError as exc:
-        return "-".join(["entry", *exc.fields, "range" if exc.leaf else "type"])
-    return None
 
 
 def merge_entries(a: dict, b: dict) -> dict:

@@ -566,13 +566,6 @@ class TestSeenSet:
             shuffled.add(seq)
         assert shuffled.to_payload() == seen.to_payload()
 
-    def test_legacy_list_payload_restores_identically(self):
-        seen = SeenSet()
-        for seq in (1, 2, 3, 7, 9):
-            seen.add(seq)
-        legacy = SeenSet.from_payload([1, 2, 3, 7, 9])
-        assert legacy.to_payload() == seen.to_payload() == {"w": 4, "r": [7, 9]}
-
     def test_daemon_dedup_state_stays_bounded_over_a_long_run(self):
         daemon = FleetDaemon()
         daemon.handle(_stream("i0")[0])   # hello

@@ -28,9 +28,10 @@ from repro.core import Cobra, run_with_cobra
 from repro.core.optimizer import REGRESSION
 from repro.cpu import Machine
 from repro.persist import PROFILEDB_NAME, MemoryDisk, ProfileDB, merge_entries
-from repro.persist.profiledb import empty_entry, entry_anomaly
+from repro.persist.profiledb import ENTRY, empty_entry
 from repro.runtime import ParallelProgram
 from repro.scenario import MACHINES, _digest, _snapshot_arrays, npb_spec
+from repro.shape import anomaly
 
 N = 2048
 REPS = 14
@@ -177,10 +178,10 @@ class TestEntryCycle:
 
     def test_the_cycle_accepts_its_own_output(self, recorded):
         key, entry, report = recorded
-        assert entry_anomaly(entry) is None
+        assert anomaly(ENTRY, entry, "entry") is None
         assert merge_entries(entry, empty_entry()) == entry
         doubled = merge_entries(entry, entry)
-        assert entry_anomaly(doubled) is None
+        assert anomaly(ENTRY, doubled, "entry") is None
         assert doubled["runs"] == 2
         cobra = _offer(key, doubled)
         assert cobra._profile_source == "hit"
@@ -215,7 +216,7 @@ class TestEntryCycle:
         key, entry, _report = recorded
         entry = copy.deepcopy(entry)
         damage(entry)
-        assert entry_anomaly(entry).startswith(named)
+        assert anomaly(ENTRY, entry, "entry").startswith(named)
         cobra = _offer(key, entry)
         assert cobra._profile_source == "entry-invalid"
         assert not cobra.optimizer.deployments() and not cobra.optimizer.events

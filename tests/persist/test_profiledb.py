@@ -26,7 +26,8 @@ from repro.persist import (
     merge_entries,
     profile_key,
 )
-from repro.persist.profiledb import empty_entry, entry_anomaly
+from repro.persist.profiledb import ENTRY, empty_entry
+from repro.shape import anomaly
 from repro.workloads import build_daxpy
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -164,7 +165,7 @@ class TestMergeAlgebra:
         """Entries written before trace-tree persistence load and merge
         as holding no shapes."""
         del a["jit_trees"]
-        assert entry_anomaly(a) is None
+        assert anomaly(ENTRY, a, "entry") is None
         assert merge_entries(a, b)["jit_trees"] == b["jit_trees"]
 
 

@@ -57,6 +57,33 @@ def _damage_newest_snapshot(disk: MemoryDisk) -> None:
         disk.files[name][-1] ^= 0x20
 
 
+def recover_daemon_against_oracle(disk, config) -> FleetDaemon:
+    """``FleetDaemon.recover(disk)`` picks the oracle's snapshot, replays
+    its tail, repairs the journal where it ends and reports its notes."""
+    found = oracle.read_store(disk, FLEET_JOURNAL)
+    length = len(disk.files.get(FLEET_JOURNAL, b""))
+    rebuilt = FleetDaemon(MemoryDisk(), **config)
+    if found["snapshot"] is not None:
+        rebuilt._restore(found["snapshot"])
+    for record in found["tail"]:
+        rebuilt._replay(record)
+    reborn = FleetDaemon.recover(disk, **config)
+    assert reborn.canonical_state() == rebuilt.canonical_state()
+    assert reborn.journal.next_seq == found["next_seq"]
+    assert reborn.journal.length == len(disk.files.get(FLEET_JOURNAL, b"")) == (
+        length if found["repair_length"] is None else found["repair_length"]
+    )
+    assert reborn.recovered == {
+        "snapshot_version": found["snapshot_version"],
+        "replayed": len(found["tail"]),
+        "discarded": [
+            *(f"corrupt snapshot {n}" for n in found["corrupt_snapshots"]),
+            *found["discarded"],
+        ],
+    }
+    return reborn
+
+
 # -- generated sessions ----------------------------------------------------
 
 ops = st.lists(
@@ -127,36 +154,14 @@ class TestGeneratedSessions:
             if action[0] in ("recover", "crash"):
                 if action[0] == "crash":
                     daemon.disk.append(FLEET_JOURNAL, b"\xba\xc0torn")
-                daemon = self._recover_against_oracle(daemon.disk, config)
+                daemon = recover_daemon_against_oracle(daemon.disk, config)
             elif action[0] == "again":
                 if sent:
                     daemon.handle(sent[action[1] % len(sent)])
             else:
                 sent.append(_frame(action))
                 daemon.handle(sent[-1])
-        self._recover_against_oracle(daemon.disk, config)
-
-    @staticmethod
-    def _recover_against_oracle(disk, config) -> FleetDaemon:
-        found = oracle.read_store(disk, FLEET_JOURNAL)
-        rebuilt = FleetDaemon(MemoryDisk(), **config)
-        if found["snapshot"] is not None:
-            rebuilt._restore(found["snapshot"])
-        for record in found["tail"]:
-            rebuilt._replay(record)
-        reborn = FleetDaemon.recover(disk, **config)
-        assert reborn.canonical_state() == rebuilt.canonical_state()
-        assert reborn.journal.next_seq == found["next_seq"]
-        assert reborn.journal.length == len(disk.files.get(FLEET_JOURNAL, b""))
-        assert reborn.recovered == {
-            "snapshot_version": found["snapshot_version"],
-            "replayed": len(found["tail"]),
-            "discarded": [
-                *(f"corrupt snapshot {n}" for n in found["corrupt_snapshots"]),
-                *found["discarded"],
-            ],
-        }
-        return reborn
+        recover_daemon_against_oracle(daemon.disk, config)
 
 
 # -- hostile enumeration of one small store --------------------------------
@@ -230,6 +235,47 @@ class TestHostileJournal:
         disk = self._with_envelope(small_store, **craft(_record_ends(data), len(data)))
         rec = assert_matches_oracle(disk)
         assert len(rec.records) == 5 and rec.snapshot_version == 0
+
+
+@pytest.fixture(scope="module")
+def small_fleet_store() -> MemoryDisk:
+    """A real daemon's store: a hello and two batches folded by one
+    snapshot, then a one-batch tail."""
+    daemon = FleetDaemon(MemoryDisk(), snapshot_interval=2)
+    daemon.handle(_frame(("hello", "i0", "d0")))
+    for seq in (1, 2, 3):
+        daemon.handle(_frame(("batch", "i0", seq, seq, 0, 1.5)))
+    rec = recover_daemon_against_oracle(daemon.disk.clone(), FLEET)
+    assert (rec.recovered["snapshot_version"], rec.recovered["replayed"]) == (2, 1)
+    assert SnapshotStore(daemon.disk).versions() == [2]
+    return daemon.disk
+
+
+FLEET = dict(snapshot_interval=2)
+
+
+def _fleet_damages(disk: MemoryDisk):
+    """``(file, damaged bytes, flipped)`` for every single-byte flip and
+    every truncation of each store file."""
+    for name in (FLEET_JOURNAL, SnapshotStore.name_for(2)):
+        data = disk.read(name)
+        for offset in range(len(data)):
+            for mask in (0x01, 0xFF):
+                damaged = bytearray(data)
+                damaged[offset] ^= mask
+                yield name, damaged, True
+        for cut in range(len(data)):
+            yield name, bytearray(data[:cut]), False
+
+
+class TestHostileFleetStore:
+    def test_every_flip_and_truncation_matches_the_oracle(self, small_fleet_store):
+        for name, data, flipped in _fleet_damages(small_fleet_store):
+            disk = small_fleet_store.clone()
+            disk.files[name] = data
+            rec = recover_daemon_against_oracle(disk, FLEET)
+            # a flip never passes its CRC or digest: it is always a note
+            assert rec.recovered["discarded"] or not flipped, (name, data)
 
 
 # -- exact work ------------------------------------------------------------

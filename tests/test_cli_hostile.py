@@ -85,6 +85,9 @@ EXPLICIT = [
     (["resume", "--checkpoint-dir", "{tmp}"], {}, "no resumable checkpoint"),
     (["fuzz", "--corpus", "{tmp}/nope.json"], {}, "bad corpus"),
     (["fuzz", "--corpus", "{tmp}/seed-only.json"], {}, "bad corpus"),
+    (["fuzz", "--corpus", "{tmp}/bool-seed.json"], {}, "bad corpus"),
+    (["fuzz", "--corpus", "{tmp}/float-seed.json"], {}, "bad corpus"),
+    (["fuzz", "--corpus", "{tmp}/negative-seed.json"], {}, "bad corpus"),
     (["bench", "--compare", "{tmp}/nope.json"], {}, "bad baseline report"),
     (["bench", "--compare", "{tmp}/not-json.txt"], {}, "bad baseline report"),
     (["bench", "--compare", "{tmp}/no-cycles.json"], {}, "sim_cycles"),
@@ -135,6 +138,12 @@ ROWS = EXPLICIT + list(_range_rows())
 def hostile_files(tmp_path):
     (tmp_path / "not-json.txt").write_text("not json at all")
     (tmp_path / "seed-only.json").write_text('{"entries": [{"seed": 1}]}')
+    # each used to run, coerced by int(): seed 1 / fault seed 2 / seed -1
+    (tmp_path / "bool-seed.json").write_text('{"entries": [{"seed": true, "fault_seed": 2}]}')
+    (tmp_path / "float-seed.json").write_text('{"entries": [{"seed": 1, "fault_seed": 2.9}]}')
+    (tmp_path / "negative-seed.json").write_text(
+        '{"entries": [{"seed": -1, "fault_seed": 2}]}'
+    )
     (tmp_path / "no-cycles.json").write_text(json.dumps({
         "schema": BENCH_SCHEMA,
         "cases": [{"id": "smp4/daxpy/none", "digest": "0" * 64}],

@@ -18,7 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: ``src/repro`` may not grow past this without a reason on record.
-BUDGET = 12_637
+BUDGET = 12_605
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,

@@ -41,15 +41,16 @@ repro.runtime.barrier repro.runtime.team repro.runtime.thread repro.scenario
 repro.workloads repro.workloads.npb repro.workloads.npb.common
 """.split()
 
-#: What a command that runs a program loads on top: the paper's framework
-#: and the performance monitor it samples.
+#: What a command that runs a program loads on top: the paper's framework,
+#: the performance monitor it samples and the shape vocabulary both
+#: declare their trees in.
 COBRA = """
 repro.core repro.core.filters
 repro.core.framework repro.core.monitor repro.core.optimizer repro.core.opts
 repro.core.opts.bias repro.core.opts.excl repro.core.opts.noprefetch
 repro.core.policy repro.core.profiler repro.core.tracecache repro.core.tracesel
 repro.hpm repro.hpm.batch repro.hpm.btb repro.hpm.counters
-repro.hpm.dear repro.hpm.events repro.hpm.perfmon repro.hpm.sample
+repro.hpm.dear repro.hpm.events repro.hpm.perfmon repro.hpm.sample repro.shape
 """.split()
 
 #: commands that build an image and print: they run nothing
@@ -115,7 +116,7 @@ def run(child_env):
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_a_command_loads_the_kernel_and_its_workload(argv, run):
     """Before PR 18 every command loaded the same 88 modules; a running
-    command loads 60 now, ``table1`` 50 and ``disasm daxpy`` 39."""
+    command loads 61 now, ``table1`` 50 and ``disasm daxpy`` 39."""
     code, _stdout, modules = run(argv)
     assert code == 0
     cobra = [] if argv[0] in BUILD_ONLY else COBRA
