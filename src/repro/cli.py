@@ -129,10 +129,23 @@ def _writable(path: str | None, directory: bool = False) -> None:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, except that a list
+    holding no list or object (an ``opt_events`` row) takes one line."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+    elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        items = [inner + _json_text(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(doc) + "\n")
     print(f"wrote {path}")
 
 
@@ -325,11 +338,9 @@ def _cmd_fuzz(args) -> int:
             stride=args.stride,
         )
     elif args.corpus:
-        from .shape import COUNT, List, Record
+        from .fuzz.differ import CORPUS
 
-        corpus = _load_json(args.corpus, "corpus", Record(
-            entries=List(Record(seed=COUNT, fault_seed=COUNT))
-        ))
+        corpus = _load_json(args.corpus, "corpus", CORPUS)
         fuzzer = DifferentialFuzzer(pairs=[
             (entry["seed"], entry["fault_seed"]) for entry in corpus["entries"]
         ], axes=args.axes, stride=args.stride)

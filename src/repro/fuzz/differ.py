@@ -121,15 +121,19 @@ from ..persist.journal import JOURNAL_NAME, MemoryDisk, scan_journal
 from ..persist.profiledb import PROFILEDB_NAME
 from ..runtime.team import ParallelProgram
 from ..scenario import ALL_STRATEGIES, Observables, WorkloadSpec, default_machines, run_cell
+from ..shape import COUNT, List, Record
 from ..validate.isa_check import check_image
 from .driver import FUZZ_COBRA, build_scenario, scenario_machine
 from .generator import ScenarioParams, generate_params
 from .report import CellRun, Divergence, FuzzReport, ScenarioResult
 
 __all__ = [
-    "DifferentialFuzzer", "run_scenario", "Axis", "AXES", "Case",
+    "DifferentialFuzzer", "run_scenario", "Axis", "AXES", "Case", "CORPUS",
     "generated_case", "named_cases", "select",
 ]
+
+#: A ``repro fuzz --corpus`` file: the (seed, fault seed) pairs to replay.
+CORPUS = Record(entries=List(Record(seed=COUNT, fault_seed=COUNT)))
 
 #: Runaway backstop: generated scenarios finish in well under this.
 MAX_BUNDLES = 3_000_000

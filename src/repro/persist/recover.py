@@ -42,10 +42,16 @@ from dataclasses import dataclass, field
 
 from ..core.optimizer import CHECKPOINT
 from ..core.tracecache import Deployment
+from ..errors import ProfileStateError
+from ..shape import INT, STR, Record
 from .journal import JOURNAL_NAME, Disk, folded_prefix, scan_journal
 from .snapshot import SnapshotStore
 
-__all__ = ["RecoveredState", "read_store", "recover", "repair", "empty_state"]
+__all__ = ["RECORD", "RecoveredState", "read_store", "recover", "repair", "empty_state"]
+
+#: What every journal record of either store carries: its sequence
+#: number and its kind.  The rest of a record is its kind's business.
+RECORD = Record(seq=INT, t=STR)
 
 
 def empty_state() -> dict:
@@ -97,7 +103,7 @@ class RecoveredState:
 
     def tail(self) -> list[dict]:
         """The records the snapshot has not folded."""
-        return [r for r in self.records if r.get("seq", -1) > self.folded]
+        return [r for r in self.records if r["seq"] > self.folded]
 
 
 def read_store(disk: Disk, journal: str) -> RecoveredState:
@@ -110,12 +116,23 @@ def read_store(disk: Disk, journal: str) -> RecoveredState:
     folded = envelope.get("journal_seq", -1)
     start = folded_prefix(data, envelope.get("journal_bytes", 0), folded)
     records, valid_len, discarded = scan_journal(data, start)
+    # a record that passed its CRC yet lacks an envelope stops recovery
+    # before any sequence is compared; it is named by the sequence it
+    # carries, or else the one it should (one past its predecessor's)
+    seq = folded if start else -1
+    for record in records:
+        try:
+            RECORD.load(record)
+        except ProfileStateError as exc:
+            at = record.get("seq") if type(record.get("seq")) is int else seq + 1
+            raise exc.under(at).under(journal, field=True) from None
+        seq = record["seq"]
     return RecoveredState(
         journal=journal,
         snapshot=load.payload,
         folded=folded,
         records=records,
-        next_seq=max([folded, *(r.get("seq", -1) for r in records)]) + 1,
+        next_seq=max([folded, *(r["seq"] for r in records)]) + 1,
         snapshot_version=load.version,
         next_snapshot_version=versions[-1] + 1 if versions else 0,
         discarded=discarded,

@@ -144,6 +144,10 @@ SNAPSHOTS = [
     (_body(windows={"a": {"1": 5}}), "windows[a][1]"),
     (_body(seen={"a": "x"}), "seen[a]"),
     (_body(windows={"a": {"z": [1]}}), "windows[a][z]"),
+    # an integer key spelt two ways would collapse two windows into one
+    (_body(windows={"a": {"01": [1000, 10, 0, 1.5]}}), "windows[a][01]"),
+    (_body(windows={"a": {"1": [1000, 10, 0, 1.5], " 1": [2000, 10, 0, 1.5]}}),
+     "windows[a][ 1]"),
     (_body(batches_accepted="lots"), "batches_accepted"),
     # one more per field of the tree
     (_body(batches_accepted=-1), "batches_accepted"),

@@ -219,6 +219,32 @@ class TestStoreRoundTrip:
         assert again.entries == {}
         assert again.stats.corrupt
 
+    def test_every_byte_flip_and_truncation_of_a_saved_store(self):
+        """Each single-byte flip (x0x01, x0xFF) and each truncation of a
+        saved two-entry store loads the saved entries, or loads empty
+        with ``corrupt`` set; none raises."""
+        one = dict(empty_entry(), runs=2, cpi_total=3.25, cpi_count=2, decisions={
+            "64": {"noprefetch": {"proven": 2, "rolled_back": 0, "back_branch": 96,
+                                  "hotness": 12}}})
+        saved = {"k/smp-4/adaptive": one, "k/altix-8/excl": dict(empty_entry(), runs=1)}
+        disk = MemoryDisk()
+        db = ProfileDB(disk)
+        db.entries = dict(saved)
+        db.save()
+        blob = bytes(disk.files[PROFILEDB_NAME])
+        damaged = [blob[:n] for n in range(len(blob))] + [
+            blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:]
+            for i in range(len(blob)) for mask in (0x01, 0xFF)
+        ]
+        corrupt = 0
+        for data in damaged:
+            disk.files[PROFILEDB_NAME] = bytearray(data)
+            again = ProfileDB(disk)
+            again.load()
+            assert again.entries == ({} if again.stats.corrupt else saved)
+            corrupt += again.stats.corrupt
+        assert corrupt == len(damaged)  # the codec's digest catches each one
+
     def test_future_format_refused_up_front(self):
         disk = MemoryDisk()
         disk.write_atomic(

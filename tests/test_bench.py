@@ -19,7 +19,7 @@ from repro.bench import (
     run_bench,
     run_case,
 )
-from repro.cli import main
+from repro.cli import _json_text, main
 from repro.config import env_value
 from repro.cpu.tracejit import TraceJit, fastpath_stats
 from repro.scenario import ALL_STRATEGIES, MACHINES
@@ -41,7 +41,7 @@ TIER1_ALTIX = ("daxpy", "cg", "mg")
 
 def _dump(doc: dict) -> str:
     """The bytes ``repro bench --out`` writes."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc) + "\n"
 
 
 @pytest.fixture(scope="module")

@@ -226,6 +226,20 @@ class TestMalformedCheckpoint:
         ids=lambda v: v if isinstance(v, str) else "",
     )
     def test_resume_names_the_field(self, capsys, tmp_path, checkpoint, damage, path):
+        assert f" {path}: expected " in self._resume_error(capsys, tmp_path, checkpoint, damage)
+
+    @pytest.mark.parametrize("key", ["01", " 2", "1_0", "+1", "-0"])
+    def test_resume_names_a_non_canonical_cpu_key(self, capsys, tmp_path, checkpoint, key):
+        err = self._resume_error(
+            capsys, tmp_path, checkpoint,
+            lambda s: s["samples_per_cpu"].update({key: 5}),
+        )
+        assert err.endswith(f" samples_per_cpu[{key}]: bad key {key!r}\n")
+
+    @staticmethod
+    def _resume_error(capsys, tmp_path, checkpoint, damage) -> str:
+        """The one error line of a resume whose newest window state is
+        the checkpoint's, with ``damage`` done to it."""
         ckpt = str(tmp_path / "ckpt")
         shutil.copytree(checkpoint, ckpt)
         capsys.readouterr()
@@ -238,7 +252,7 @@ class TestMalformedCheckpoint:
         assert main(["resume", "--checkpoint-dir", ckpt]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("repro: error: ")
-        assert f" {path}: expected " in err
+        return err
 
 
     @pytest.mark.parametrize("journal_seq", ["7", None, [], {}, 1.5])

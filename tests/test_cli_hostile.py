@@ -23,6 +23,7 @@ import pytest
 from repro.bench import BENCH_SCHEMA
 from repro.cli import _parser, main
 from repro.config import ENV_VARS
+from repro.persist.journal import JOURNAL_NAME, encode_record
 
 #: positional arguments a subcommand needs before its flags parse
 POSITIONALS = {"npb": ["cg"], "disasm": ["daxpy"]}
@@ -83,6 +84,9 @@ EXPLICIT = [
     (["daxpy", "--profile-db", "{tmp}"], {}, "--profile-db must name a database file"),
     (["resume", "--checkpoint-dir", "{tmp}/nope"], {}, "no checkpoint directory"),
     (["resume", "--checkpoint-dir", "{tmp}"], {}, "no resumable checkpoint"),
+    # a CRC-valid journal record whose sequence is not an integer
+    (["resume", "--checkpoint-dir", "{tmp}/bad-seq"], {},
+     "journal.wal[1].seq: expected an integer, got 'x'"),
     (["fuzz", "--corpus", "{tmp}/nope.json"], {}, "bad corpus"),
     (["fuzz", "--corpus", "{tmp}/seed-only.json"], {}, "bad corpus"),
     (["fuzz", "--corpus", "{tmp}/bool-seed.json"], {}, "bad corpus"),
@@ -143,6 +147,11 @@ def hostile_files(tmp_path):
     (tmp_path / "float-seed.json").write_text('{"entries": [{"seed": 1, "fault_seed": 2.9}]}')
     (tmp_path / "negative-seed.json").write_text(
         '{"entries": [{"seed": -1, "fault_seed": 2}]}'
+    )
+    (tmp_path / "bad-seq").mkdir()
+    (tmp_path / "bad-seq" / JOURNAL_NAME).write_bytes(
+        encode_record({"seq": 0, "t": "meta", "meta": {"workload": "daxpy"}})
+        + encode_record({"seq": "x", "t": "decision", "event": []})
     )
     (tmp_path / "no-cycles.json").write_text(json.dumps({
         "schema": BENCH_SCHEMA,
